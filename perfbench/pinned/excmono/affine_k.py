@@ -1,0 +1,303 @@
+"""The symmetric subgroup cut out by the order-two torus element rho-vee(-1).
+
+A root alpha survives into K exactly when <rho-vee, alpha> is even, i.e.
+when alpha has even height.  The identification of K's Cartan type runs
+through the affine apartment: the point (1/2) rho-vee is folded into the
+fundamental alcove by exact affine reflections, and the walls through the
+folded point name the surviving affine Dynkin nodes.  For every rank-
+preserving case exactly one finite node alpha' is deleted and its
+coefficient in theta-vee is 2.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .linalg import gf2_nullspace, smith_normal_form
+from .rootsys import RootSystem, root_system
+
+
+@dataclass(frozen=True)
+class LatticeQuotient:
+    """Cokernel data of a lattice inclusion into the coroot lattice."""
+
+    numerator_rank: int
+    invariant_factors: tuple[int, ...]  # nonzero diagonal of the Smith form
+    free_rank: int
+
+    def describe(self) -> str:
+        torsion = [d for d in self.invariant_factors if d > 1]
+        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in torsion]
+        return " + ".join(parts) if parts else "1"
+
+
+@dataclass(frozen=True)
+class SubRootSystem:
+    parent: str
+    member_roots: tuple
+    simple_members: tuple
+    delta_k: tuple            # (Delta minus alpha') + {-theta}, via the alcove walk
+    removed_nodes: tuple      # 0-based indices of deleted finite nodes
+    affine_node_used: bool
+    component_types: tuple
+    torus_rank: int
+
+    def k_label(self) -> str:
+        parts = list(self.component_types) + ["Gm"] * self.torus_rank
+        return "x".join(parts) if parts else "1"
+
+
+def _fold_half_rho_vee(rs: RootSystem):
+    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly."""
+    r = rs.rank
+    two_rho_vee = rs.two_rho_coroot()
+    x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
+    theta, theta_vee, _ = rs.highest_root()
+    for _ in range(100000):
+        moved = False
+        for i in range(r):
+            v = sum(x[j] * rs.cartan[i][j] for j in range(r))
+            if v < 0:
+                x[i] -= v  # s_i: x -> x - <alpha_i, x> alpha_i-vee
+                moved = True
+                break
+        if moved:
+            continue
+        t = sum(theta[i] * rs.cartan[i][j] * x[j] for i in range(r) for j in range(r))
+        if t > 1:
+            for k in range(r):
+                x[k] -= (t - 1) * theta_vee[k]
+            moved = True
+        if not moved:
+            return x
+    raise AssertionError("alcove folding failed to terminate")
+
+
+def _pair_frac(rs: RootSystem, root, x) -> Fraction:
+    r = rs.rank
+    return sum(root[i] * rs.cartan[i][j] * x[j] for i in range(r) for j in range(r))
+
+
+def _simple_system(positive_members):
+    """Members of a positive subsystem that are not sums of two members."""
+    pos = set(positive_members)
+    out = []
+    for a in sorted(pos, key=lambda t: (sum(t), t)):
+        decomposable = any(
+            tuple(av - bv for av, bv in zip(a, b)) in pos for b in pos if b != a)
+        if not decomposable:
+            out.append(a)
+    return tuple(out)
+
+
+def _classify_components(rs: RootSystem, simple_roots):
+    """Cartan labels of the simple system, canonically ordered."""
+    k = len(simple_roots)
+    coroots = [rs.coroot_of[b] for b in simple_roots]
+    a = [[rs.pair(simple_roots[i], coroots[j]) for j in range(k)] for i in range(k)]
+    norms = [rs.coroot_norm(c) for c in coroots]
+    comps = []
+    seen = set()
+    for s in range(k):
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in range(k):
+                if v not in comp and u != v and a[u][v]:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        comps.append(sorted(comp))
+    labels = []
+    for comp in comps:
+        labels.append(_component_label(a, norms, comp))
+    labels.sort(key=lambda s: (int(s[1:]), s[0]))
+    return tuple(labels)
+
+
+def _component_label(a, norms, comp) -> str:
+    n = len(comp)
+    if n == 1:
+        return "A1"
+    mult = {}
+    deg = {i: 0 for i in comp}
+    for i in comp:
+        for j in comp:
+            if i < j and a[i][j]:
+                mult[(i, j)] = a[i][j] * a[j][i]
+                deg[i] += 1
+                deg[j] += 1
+    mmax = max(mult.values())
+    if mmax == 3:
+        return "G2"
+    if mmax == 2:
+        if n == 2:
+            return "B2"
+        (i, j) = next(p for p, m in mult.items() if m == 2)
+        end = i if deg[i] == 1 else j
+        other = j if end == i else i
+        # short simple root at the end <=> its coroot is the long one
+        return f"B{n}" if norms[end] > norms[other] else f"C{n}"
+    degs = sorted(deg.values(), reverse=True)
+    if degs[0] <= 2:
+        return f"A{n}"
+    # one branch node of degree 3: D or E by arm lengths
+    branch = next(i for i in comp if deg[i] == 3)
+    arms = []
+    for nb in (j for j in comp if j != branch and mult.get(tuple(sorted((branch, j))))):
+        length = 1
+        prev, cur = branch, nb
+        while True:
+            nxt = [t for t in comp
+                   if t not in (prev, cur) and mult.get(tuple(sorted((cur, t))))]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return f"D{n}"
+    if arms == [1, 2, 3]:
+        return "E7"
+    if arms == [1, 2, 4]:
+        return "E8"
+    if arms == [1, 2, 2]:
+        return "E6"
+    raise AssertionError(f"unrecognized diagram with arms {arms}")
+
+
+@lru_cache(maxsize=None)
+def phi_k(rs: RootSystem) -> SubRootSystem:
+    """Roots of the symmetric subgroup: the even-height part of the system."""
+    if not rs.minus_one_in_weyl():
+        raise ValueError(
+            f"{rs.label}: -1 is not in the Weyl group; no symmetric subgroup here")
+    member_roots = tuple(t for t in rs.roots if sum(t) % 2 == 0)
+    pos = [t for t in member_roots if sum(t) > 0]
+    simple_members = _simple_system(pos)
+
+    x = _fold_half_rho_vee(rs)
+    theta, _, _ = rs.highest_root()
+    kept = [i for i in range(rs.rank)
+            if _pair_frac(rs, rs.simple_roots[i], x) == 0]
+    affine = _pair_frac(rs, theta, x) == 1
+    delta_k = tuple(rs.simple_roots[i] for i in kept)
+    if affine:
+        delta_k = delta_k + (tuple(-v for v in theta),)
+    removed = tuple(i for i in range(rs.rank) if i not in kept)
+
+    types_walk = _classify_components(rs, delta_k)
+    types_parity = _classify_components(rs, simple_members)
+    if types_walk != types_parity:
+        raise AssertionError(
+            f"walk and parity classifications disagree: {types_walk} vs {types_parity}")
+    return SubRootSystem(
+        parent=rs.label,
+        member_roots=member_roots,
+        simple_members=simple_members,
+        delta_k=delta_k,
+        removed_nodes=removed,
+        affine_node_used=affine,
+        component_types=types_walk,
+        torus_rank=rs.rank - len(simple_members),
+    )
+
+
+def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
+    """Smith data of Z Phi_K-vee inside the coroot lattice."""
+    sub = phi_k(rs)
+    cols = [rs.coroot_of[b] for b in sub.simple_members]
+    if not cols:
+        return LatticeQuotient(rs.rank, (), rs.rank)
+    mat = [[c[i] for c in cols] for i in range(rs.rank)]
+    invariants = tuple(smith_normal_form(mat))
+    return LatticeQuotient(rs.rank, invariants, rs.rank - len(invariants))
+
+
+def removed_node_coefficient(rs: RootSystem) -> int:
+    """The theta-vee coefficient of the deleted affine-diagram node."""
+    sub = phi_k(rs)
+    if len(sub.removed_nodes) != 1 or not sub.affine_node_used:
+        raise ValueError(
+            f"{rs.label}: no single deleted node (torus factors in K); "
+            "not applicable for types A1 and Cn")
+    _, _, comarks = rs.highest_root()
+    return comarks[sub.removed_nodes[0]]
+
+
+class KappaCharacter:
+    """The order-two character of the coroot lattice attached to K's double cover.
+
+    Kernel: the lattice spanned by the coroots of Phi_K (index 2); for A1,
+    where Phi_K is empty and the quotient is Z, the kernel is instead the
+    index-2 sublattice 2 * Lambda-vee, which is what the squaring cover of
+    Gm pulls back to.
+    """
+
+    def __init__(self, rs: RootSystem):
+        if rs.letter == "C":
+            raise ValueError(
+                "type Cn rejected: the double-cover lattice is not pinned down "
+                "for the Gm factor of K = A(n-1) x Gm")
+        if not rs.minus_one_in_weyl():
+            raise ValueError(f"{rs.label}: -1 not in the Weyl group")
+        self.rs = rs
+        r = rs.rank
+        if rs.label == "A1":
+            self.functional = 1  # coordinate parity on the rank-1 lattice
+        else:
+            sub = phi_k(rs)
+            coroots = [rs.coroot_of[b] for b in sub.simple_members]
+            masks = []
+            for c in coroots:
+                m = 0
+                for i, v in enumerate(c):
+                    if v % 2:
+                        m |= 1 << i
+                masks.append(m)
+            null = gf2_nullspace(masks, r)
+            if len(null) != 1:
+                raise AssertionError(
+                    f"{rs.label}: kernel lattice not of index 2 (nullity {len(null)})")
+            self.functional = null[0]
+
+    def value(self, coroot_vector) -> int:
+        acc = 0
+        for i, v in enumerate(coroot_vector):
+            if (self.functional >> i) & 1:
+                acc += v
+        return -1 if acc % 2 else 1
+
+    def __call__(self, coroot_vector) -> int:
+        return self.value(coroot_vector)
+
+
+@lru_cache(maxsize=None)
+def kappa_character(rs: RootSystem) -> KappaCharacter:
+    return KappaCharacter(rs)
+
+
+def k_type_row(label: str) -> dict:
+    """One row of the K-type table, as the CLI emits it."""
+    rs = root_system(label)
+    sub = phi_k(rs)
+    quot = k_fundamental_quotient(rs)
+    torsion = [d for d in quot.invariant_factors if d > 1]
+    if quot.free_rank:
+        pi1 = "Z" if not torsion else quot.describe()
+    elif torsion:
+        pi1 = " x ".join(f"Z/{d}" for d in torsion)
+    else:
+        pi1 = "1"
+    row = {"g": rs.label, "k": sub.k_label(), "pi1": pi1}
+    try:
+        row["c_alpha_prime"] = removed_node_coefficient(rs)
+    except ValueError:
+        row["c_alpha_prime"] = None
+    return row

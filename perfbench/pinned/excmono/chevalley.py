@@ -1,0 +1,476 @@
+"""Exact Chevalley basis for the dual Lie algebra and its centralizer checks.
+
+Structure constants N(a, b) are built from extraspecial pairs ordered by
+(height, lexicographic coordinates), with every other value reduced to those
+by antisymmetry, negation, the invariant-form identity for triples summing
+to zero, and one Jacobi step for special non-extraspecial pairs.  All
+brackets are integers; all kernel dimensions come from fraction-free integer
+elimination.
+
+The supported types are the self-dual ones, so the "dual" system differs
+from the input only for G2, where roots and coroots trade places.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .linalg import integer_rank
+from .rootsys import RootSystem, root_system
+
+SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
+
+
+def _vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _vec_neg(a):
+    return tuple(-x for x in a)
+
+
+class ChevalleyAlgebra:
+    """Basis: h_0..h_{r-1} (simple coroots), then e_alpha per root."""
+
+    def __init__(self, rs_dual: RootSystem):
+        self.rs = rs_dual
+        self.rank = rs_dual.rank
+        self.roots = list(rs_dual.roots)
+        self.root_set = set(self.roots)
+        self.dim = self.rank + len(self.roots)
+        self.index = {a: self.rank + i for i, a in enumerate(self.roots)}
+        self._order = {a: (sum(a), a) for a in self.roots}
+        self._extraspecial = self._extraspecial_pairs()
+        self._ncache = {}
+
+    # ---------------------------------------------------- structure constants
+
+    def _extraspecial_pairs(self):
+        """gamma -> (a1, b1): the minimal-first decomposition of each
+        positive non-simple root into two positives."""
+        out = {}
+        positives = sorted((a for a in self.roots if sum(a) > 0),
+                           key=lambda a: (sum(a), a))
+        pos_set = set(positives)
+        for gamma in positives:
+            if sum(gamma) == 1:
+                continue
+            best = None
+            for a in positives:
+                if sum(a) >= sum(gamma):
+                    break
+                b = _vec_sub(gamma, a)
+                if b in pos_set:
+                    best = (a, b)
+                    break
+            if best is None:
+                raise AssertionError(f"no decomposition for {gamma}")
+            out[gamma] = best
+        return out
+
+    def _string_p(self, a, b) -> int:
+        """max p with b - p*a a root."""
+        p = 0
+        cur = _vec_sub(b, a)
+        while cur in self.root_set:
+            p += 1
+            cur = _vec_sub(cur, a)
+        return p
+
+    def structure_constant(self, a, b) -> int:
+        """N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}; 0 if a+b is not a root."""
+        s = _vec_add(a, b)
+        if not any(s):
+            raise ValueError("a + b = 0 has an h-valued bracket, not an N")
+        if s not in self.root_set:
+            return 0
+        key = (a, b)
+        got = self._ncache.get(key)
+        if got is None:
+            got = self._compute_n(a, b, s)
+            assert got != 0
+            self._ncache[key] = got
+        return got
+
+    def _compute_n(self, a, b, s) -> int:
+        ha, hb = sum(a), sum(b)
+        if ha < 0 and hb < 0:
+            return -self.structure_constant(_vec_neg(a), _vec_neg(b))
+        if ha < 0 < hb:
+            return -self.structure_constant(b, a)
+        if ha > 0 > hb:
+            if sum(s) < 0:
+                return -self.structure_constant(_vec_neg(a), _vec_neg(b))
+            # a + b + (-s) = 0: N(a,b) (s-vee, s-vee) = N(b, -s) (a-vee, a-vee)
+            val = Fraction(self.structure_constant(b, _vec_neg(s)))
+            val *= Fraction(self.rs.coroot_norm(self.rs.coroot_of[a]),
+                            self.rs.coroot_norm(self.rs.coroot_of[s]))
+            assert val.denominator == 1
+            return int(val)
+        # positive pair
+        if self._order[a] > self._order[b]:
+            return -self.structure_constant(b, a)
+        a1, b1 = self._extraspecial[s]
+        if (a, b) == (a1, b1):
+            return self._string_p(a1, b1) + 1
+        # Jacobi on (-a1, a, b), whose sum is the root b1:
+        #   N(-a1,a) N(a-a1,b) + N(a,b) N(s,-a1) + N(b,-a1) N(b-a1,a) = 0
+        t1 = t2 = 0
+        if _vec_sub(a, a1) in self.root_set:
+            t1 = (self.structure_constant(_vec_neg(a1), a)
+                  * self.structure_constant(_vec_sub(a, a1), b))
+        if _vec_sub(b, a1) in self.root_set:
+            t2 = (self.structure_constant(b, _vec_neg(a1))
+                  * self.structure_constant(_vec_sub(b, a1), a))
+        denom = self.structure_constant(s, _vec_neg(a1))
+        val = Fraction(-(t1 + t2), denom)
+        assert val.denominator == 1
+        return int(val)
+
+    # ------------------------------------------------------------- brackets
+
+    def bracket(self, x: dict, y: dict) -> dict:
+        """Bracket of elements given as {basis index: coefficient}."""
+        out = {}
+
+        def add(idx, c):
+            if c:
+                out[idx] = out.get(idx, 0) + c
+                if not out[idx]:
+                    del out[idx]
+
+        r = self.rank
+        for i, ci in x.items():
+            for j, cj in y.items():
+                c = ci * cj
+                if i < r and j < r:
+                    continue
+                if i < r:
+                    b = self.roots[j - r]
+                    add(j, c * self._pair_simple(b, i))
+                elif j < r:
+                    a = self.roots[i - r]
+                    add(i, -c * self._pair_simple(a, j))
+                else:
+                    a, b = self.roots[i - r], self.roots[j - r]
+                    s = _vec_add(a, b)
+                    if not any(s):
+                        for k, ck in enumerate(self.rs.coroot_of[a]):
+                            add(k, c * ck)
+                    elif s in self.root_set:
+                        add(self.index[s], c * self.structure_constant(a, b))
+        return out
+
+    def _pair_simple(self, root, i) -> int:
+        # <root, alpha_i-vee>
+        return sum(root[k] * self.rs.cartan[k][i] for k in range(self.rank))
+
+    def ad_rows(self, x: dict):
+        """Rows of ad(x) as dense integer lists (row index = output basis)."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            col = self.bracket(x, {j: 1})
+            for i, c in col.items():
+                rows[i][j] = c
+        return rows
+
+    def centralizer_dim(self, x: dict) -> int:
+        return self.dim - integer_rank(self.ad_rows(x))
+
+    def regular_nilpotent(self) -> dict:
+        simple = [tuple(1 if k == i else 0 for k in range(self.rank))
+                  for i in range(self.rank)]
+        return {self.index[s]: 1 for s in simple}
+
+    def invariant_form(self, i: int, j: int) -> int:
+        """<h_i,h_j> = 2 (alpha_i-vee, alpha_j-vee); <e_a,e_-a> = (a-vee,a-vee)."""
+        r = self.rank
+        if i < r and j < r:
+            return 2 * self.rs.form_gram[i][j]
+        if i >= r and j >= r:
+            a, b = self.roots[i - r], self.roots[j - r]
+            if _vec_add(a, b) == tuple([0] * r):
+                return self.rs.coroot_norm(self.rs.coroot_of[a])
+        return 0
+
+
+@lru_cache(maxsize=None)
+def build_algebra(label: str) -> ChevalleyAlgebra:
+    rs = root_system(label)
+    ok = (rs.label == "A1" or rs.letter in ("E", "G")
+          or (rs.letter == "D" and rs.rank % 2 == 0 and rs.rank >= 4))
+    if not ok:
+        raise ValueError(f"{label}: Chevalley layer covers {SUPPORTED}")
+    return ChevalleyAlgebra(rs.dual())
+
+
+def kappa_fixed_dim(alg: ChevalleyAlgebra, kappa) -> int:
+    """dim of the kappa-fixed subalgebra; the split-Cartan count.
+
+    kappa lives on the coroot lattice of G, which is the root lattice of
+    the dual; the fixed space is the Cartan plus every root line with
+    kappa = +1, and the result must land exactly on #Phi/2.
+    """
+    plus = sum(1 for a in alg.roots if kappa(a) == 1)
+    dim = alg.rank + plus
+    if dim != len(alg.roots) // 2:
+        raise ValueError(
+            f"split Cartan involution identity failed: {dim} != "
+            f"{len(alg.roots) // 2}")
+    return dim
+
+
+def regular_nilpotent_centralizer(alg: ChevalleyAlgebra) -> int:
+    dim = alg.centralizer_dim(alg.regular_nilpotent())
+    if dim != alg.rank:
+        raise ValueError(
+            f"regular nilpotent centralizer {dim} != rank {alg.rank}")
+    return dim
+
+
+# ------------------------------------------------------------------ v class
+
+@dataclass(frozen=True)
+class VClassWitness:
+    label: str
+    description: str
+    root_combination: tuple
+    centralizer_dim: int
+
+
+def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
+    rs = alg.rs
+    target = len(alg.roots) // 2
+    if rs.letter == "G":
+        # short root: its coroot is long
+        top = max(rs.coroot_norm(rs.coroot_of[a]) for a in rs.roots)
+        short = min((a for a in rs.roots
+                     if sum(a) > 0 and rs.coroot_norm(rs.coroot_of[a]) == top),
+                    key=lambda a: (sum(a), a))
+        v = {alg.index[short]: 1}
+        dim = alg.centralizer_dim(v)
+        witness = VClassWitness(rs.label, "short root vector", (short,), dim)
+    elif rs.letter == "E":
+        witness = _orthogonal_quadruple_search(alg, target)
+    elif rs.letter == "D":
+        witness = _d_type_v_class(alg)
+    else:
+        raise ValueError(f"no v-class recipe for type {rs.label}")
+    if witness.centralizer_dim != target:
+        raise ValueError(
+            f"v-class prediction failed for {rs.label}: centralizer "
+            f"{witness.centralizer_dim} != {target}")
+    return witness
+
+
+def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
+    """Lexicographically first orthogonal quadruple of positive roots
+    whose root-vector sum centralizes exactly `target` dimensions."""
+    rs = alg.rs
+    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
+    crt = {a: rs.coroot_of[a] for a in pos}
+
+    def orth(a, b):
+        return rs.coroot_dot(crt[a], crt[b]) == 0
+
+    n = len(pos)
+    tried = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not orth(pos[i], pos[j]):
+                continue
+            for k in range(j + 1, n):
+                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
+                    continue
+                for l in range(k + 1, n):
+                    quad = (pos[i], pos[j], pos[k], pos[l])
+                    if not all(orth(quad[t], quad[3]) for t in range(3)):
+                        continue
+                    tried += 1
+                    v = {alg.index[a]: 1 for a in quad}
+                    dim = alg.centralizer_dim(v)
+                    if dim == target:
+                        return VClassWitness(
+                            rs.label,
+                            f"sum over an orthogonal quadruple "
+                            f"(candidate #{tried})",
+                            quad, dim)
+    raise ValueError(f"no orthogonal quadruple reaches {target} in {rs.label}")
+
+
+def quadruple_dim_survey(alg: ChevalleyAlgebra, limit: int = 40):
+    """Centralizer dims of the first `limit` orthogonal quadruples of
+    positive roots, in lexicographic index order.  Returns a sorted dict
+    dim -> count; used to check whether inequivalent quadruples can land
+    on different values."""
+    rs = alg.rs
+    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
+    crt = {a: rs.coroot_of[a] for a in pos}
+
+    def orth(a, b):
+        return rs.coroot_dot(crt[a], crt[b]) == 0
+
+    seen = {}
+    n = len(pos)
+    count = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not orth(pos[i], pos[j]):
+                continue
+            for k in range(j + 1, n):
+                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
+                    continue
+                for l in range(k + 1, n):
+                    quad = (pos[i], pos[j], pos[k], pos[l])
+                    if not all(orth(quad[t], quad[3]) for t in range(3)):
+                        continue
+                    v = {alg.index[a]: 1 for a in quad}
+                    dim = alg.centralizer_dim(v)
+                    seen[dim] = seen.get(dim, 0) + 1
+                    count += 1
+                    if count >= limit:
+                        return dict(sorted(seen.items()))
+    return dict(sorted(seen.items()))
+
+
+def _d_type_v_class(alg: ChevalleyAlgebra):
+    """Partition (3, 2, ..., 2, 1) nilpotent for so(2m), m even.
+
+    In epsilon coordinates the representative is
+    X(e1+e2) + X(e1-e2) + X(e3-e4) + ... + X(e_{m-1}-e_m); its Jordan type
+    in the natural representation is verified before the adjoint kernel is
+    measured.
+    """
+    rs = alg.rs
+    m = rs.rank
+    theta = rs.highest_root()[0]           # = e1 + e2
+    combo = [theta]
+    simple = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
+    combo.append(simple[0])                # e1 - e2
+    for i in range(2, m - 1, 2):
+        combo.append(simple[i])            # e_{2t+1} - e_{2t+2}
+    eps_pairs = [(1, -2)] + [(1, 2)] + [(i + 1, -(i + 2))
+                                        for i in range(2, m - 1, 2)]
+    nat = _natural_so_matrix(m, eps_pairs)
+    jordan = _jordan_type(nat)
+    expected = tuple([3] + [2] * (m - 2) + [1])
+    if jordan != expected:
+        raise AssertionError(
+            f"natural-representation Jordan type {jordan} != {expected}")
+    v = {alg.index[a]: 1 for a in combo}
+    dim = alg.centralizer_dim(v)
+    return VClassWitness(rs.label,
+                         f"Jordan type {expected} nilpotent", tuple(combo), dim)
+
+
+def _natural_so_matrix(m, eps_pairs):
+    """Sum of root vectors of so(2m) w.r.t. the antidiagonal form.
+
+    eps_pairs lists roots as (i, j) meaning e_i - e_j for j > 0 ... encoded:
+    (i, -j) is e_i - e_j and (i, j) is e_i + e_j, indices 1-based.
+    """
+    n = 2 * m
+    mat = [[0] * n for _ in range(n)]
+
+    def emb(r, c, val):
+        mat[r - 1][c - 1] += val
+        mat[n - c][n - r] -= val
+
+    for (i, j) in eps_pairs:
+        if j < 0:
+            emb(i, -j, 1)          # E_{i,j} - E_{2m+1-j,2m+1-i}
+        else:
+            emb(i, n + 1 - j, 1)   # E_{i,2m+1-j} - E_{j,2m+1-i}
+    return mat
+
+
+def _jordan_type(mat):
+    from .linalg import mat_mul
+
+    n = len(mat)
+    ranks = [n]
+    power = [row[:] for row in mat]
+    while True:
+        r = integer_rank(power)
+        ranks.append(r)
+        if r == 0:
+            break
+        power = mat_mul(power, mat)
+    # number of Jordan blocks of size >= k is rank(A^{k-1}) - rank(A^k)
+    blocks = []
+    for k in range(1, len(ranks)):
+        at_least_k = ranks[k - 1] - ranks[k]
+        blocks.append(at_least_k)
+    out = []
+    for k in range(len(blocks), 0, -1):
+        exactly = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
+        out.extend([k] * exactly)
+    return tuple(sorted(out, reverse=True))
+
+
+# ---------------------------------------------------------------- budgets
+
+@dataclass(frozen=True)
+class MonodromyBudget:
+    label: str
+    d0: int
+    d1: int
+    dinf: int
+    phi_count: int
+    h1_dim: int
+    witness: VClassWitness
+
+    def identity_holds(self) -> bool:
+        return (self.d0 + self.dinf == self.phi_count
+                and self.d1 == self.label_rank()
+                and self.h1_dim == 0)
+
+    def label_rank(self) -> int:
+        return root_system(self.label).rank
+
+
+def rigidity_budget(label: str) -> MonodromyBudget:
+    """Local centralizer dimensions at 0, 1, infinity and the H^1 bookkeeping.
+
+    dim H^1 = dim g - d0 - d1 - dinf for three-point local systems; the
+    predicted classes give exactly 0, equivalently d0 + dinf = #Phi with
+    d1 = rank.
+    """
+    from .affine_k import kappa_character
+
+    rs = root_system(label)
+    alg = build_algebra(label)
+    kappa = kappa_character(rs)
+    d0 = kappa_fixed_dim(alg, kappa)
+    d1 = regular_nilpotent_centralizer(alg)
+    witness = v_class_centralizer(alg)
+    dinf = witness.centralizer_dim
+    phi = rs.num_roots
+    h1 = alg.dim - d0 - d1 - dinf
+    return MonodromyBudget(label=rs.label, d0=d0, d1=d1, dinf=dinf,
+                           phi_count=phi, h1_dim=h1, witness=witness)
+
+
+def quasiminuscule_dims(label: str):
+    """(dim of the quasi-minuscule representation, dim Y, Heisenberg count)."""
+    rs = root_system(label)
+    if rs.label not in ("E7", "E8", "G2"):
+        raise ValueError("quasi-minuscule bookkeeping covers E7, E8, G2")
+    # short roots have long coroots
+    top = max(rs.coroot_norm(rs.coroot_of[a]) for a in rs.roots)
+    n_short = sum(1 for a in rs.roots
+                  if rs.coroot_norm(rs.coroot_of[a]) == top)
+    n_short_simple = sum(
+        1 for i in range(rs.rank)
+        if rs.coroot_norm(rs.coroot_of[
+            tuple(1 if k == i else 0 for k in range(rs.rank))]) == top)
+    qm_dim = n_short + n_short_simple
+    theta_vee = rs.highest_root()[1]
+    heis = sum(1 for b in rs.roots if rs.pair(b, theta_vee) >= 0)
+    return qm_dim, rs.dim_y(), heis

@@ -1,0 +1,304 @@
+"""Command-line entry point.
+
+Every subcommand emits one JSON manifest on stdout: the command, its
+parameters, the toolkit version, the result blob, and a list of named
+checks with pass/fail status.  Logs and timing go to stderr so stdout
+stays byte-stable across runs.  CSV output exists only for the a1 scan
+table.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from time import perf_counter
+
+from . import __version__
+from .a1lab import render_csv, scan
+from .affine_k import k_type_row
+from .chevalley import (
+    build_algebra,
+    kappa_fixed_dim,
+    quasiminuscule_dims,
+    regular_nilpotent_centralizer,
+    rigidity_budget,
+    v_class_centralizer,
+)
+from .affine_k import kappa_character
+from .rigidity import (
+    DEFAULT_CAP,
+    FiniteGroup,
+    MatrixRep,
+    predicted_triple,
+    psl2_group,
+    triple_count,
+)
+from .rootsys import root_system
+from .twogroup import build_tilde_group, odd_irreps
+from .verify import BUDGET_LABELS, K_TYPE_TABLE, QM_EXPECT, jacobi_probe, run_all
+
+
+def _cmd_roots(args):
+    rs = root_system(args.label)
+    result = rs.json_dict()
+    checks = [
+        {"name": "root-count-even", "passed": rs.num_roots % 2 == 0},
+        {"name": "irreducible", "passed": rs.is_irreducible()},
+    ]
+    return result, checks
+
+
+def _cmd_k_type(args):
+    labels = sorted(K_TYPE_TABLE) if args.label == "all" else [args.label]
+    rows = [k_type_row(label) for label in labels]
+    checks = [{
+        "name": "c-alpha-prime-is-2",
+        "passed": all(r["c_alpha_prime"] in (2, None) for r in rows),
+    }]
+    result = rows[0] if len(rows) == 1 else rows
+    return result, checks
+
+
+def _cmd_atilde(args):
+    rs = root_system(args.label)
+    tg = build_tilde_group(rs)   # construction verifies both group laws
+    factors, name = tg.center_structure()
+    irreps = odd_irreps(tg)
+    result = {
+        "label": rs.label,
+        "order": tg.order,
+        "radical_size": tg.radical_size_crosscheck(),
+        "center": name,
+        "center_invariant_factors": list(factors),
+        "odd_irreps": {"count": len(irreps),
+                       "dims": [ir.dimension for ir in irreps]},
+    }
+    checks = [
+        {"name": "square-and-commutator-laws", "passed": True},
+        {"name": "sum-of-squares-is-2^r",
+         "passed": sum(ir.dimension ** 2 for ir in irreps) == 1 << tg.r},
+    ]
+    return result, checks
+
+
+def _cmd_monodromy(args):
+    label = args.label
+    alg = build_algebra(label)
+    rs = root_system(label)
+    kappa = kappa_fixed_dim(alg, kappa_character(rs))
+    regular = regular_nilpotent_centralizer(alg)
+    result = {
+        "label": rs.label,
+        "dim": alg.dim,
+        "rank": alg.rank,
+        "kappa_fixed_dim": kappa,
+        "regular_nilpotent_centralizer": regular,
+    }
+    checks = [
+        {"name": "dim-is-rank-plus-roots",
+         "passed": alg.dim == rs.rank + rs.num_roots},
+        {"name": "kappa-fixed-is-half-the-roots",
+         "passed": kappa == rs.num_roots // 2},
+        {"name": "regular-centralizer-is-rank", "passed": regular == rs.rank},
+    ]
+    if label in BUDGET_LABELS:
+        wit = v_class_centralizer(alg)
+        budget = rigidity_budget(label)
+        result["v_class"] = {"centralizer_dim": wit.centralizer_dim,
+                             "witness": wit.description}
+        result["budget"] = {"d0": budget.d0, "d1": budget.d1,
+                            "dinf": budget.dinf}
+        checks.append({"name": "budget-d0-plus-dinf-is-roots",
+                       "passed": budget.identity_holds()})
+    if label in QM_EXPECT:
+        qm, y, heis = quasiminuscule_dims(label)
+        result["quasiminuscule"] = {"dim": qm, "y_dim": y,
+                                    "heisenberg_dim": heis}
+    samples = jacobi_probe(alg, args.samples, args.seed)
+    result["jacobi_probe"] = {"samples": samples, "seed": args.seed}
+    checks.append({"name": "jacobi-identity-sampled", "passed": True})
+    return result, checks
+
+
+def _cmd_a1(args):
+    primes = [int(x) for x in args.primes.split(",") if x]
+    records = scan(primes)
+    if args.format == "csv":
+        return render_csv(records), [
+            {"name": "per-fiber-identities", "passed": True}]
+    result = {"primes": primes, "fibers": len(records),
+              "records": [rec.json_dict() for rec in records]}
+    checks = [{"name": "per-fiber-identities", "passed": True}]
+    return result, checks
+
+
+def _load_file_group(path: str) -> FiniteGroup:
+    with open(path) as fh:
+        blob = json.load(fh)
+    scalars = blob.get("scalars")
+    rep = MatrixRep(blob["p"], blob["n"],
+                    scalars=tuple(scalars) if scalars else None)
+    gens = [rep.canon(tuple(g)) for g in blob["generators"]]
+    return FiniteGroup(rep, gens, cap=blob.get("cap", DEFAULT_CAP))
+
+
+def _group_summary(group: FiniteGroup) -> dict:
+    return {
+        "order": group.order,
+        "center_order": len(group.center),
+        "classes": [{"label": c.label, "size": c.size}
+                    for c in group.classes],
+    }
+
+
+def _cmd_rigid(args):
+    checks = [{"name": "class-equation", "passed": True}]
+    if args.group == "pgl2":
+        report = predicted_triple("pgl2", args.ell)
+        return report.json_dict(), checks
+    if args.group == "psl2":
+        group = psl2_group(args.ell)
+        result = _group_summary(group)
+        result["label"] = f"psl2-{args.ell}"
+        if args.classes:
+            labels = args.classes.split(",")
+            cls = [group.class_by_label(lab) for lab in labels]
+            report = triple_count(group, *cls)
+            result["triple"] = report.json_dict()
+            checks.append({"name": "strictly-rigid",
+                           "passed": report.strictly_rigid})
+        return result, checks
+    if args.group.startswith("file:"):
+        group = _load_file_group(args.group[5:])
+        result = _group_summary(group)
+        if args.classes:
+            labels = args.classes.split(",")
+            cls = [group.class_by_label(lab) for lab in labels]
+            result["triple"] = triple_count(group, *cls).json_dict()
+        return result, checks
+    raise ValueError(
+        f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
+
+
+def _cmd_verify_all(args):
+    results = run_all(fast=args.fast, seed=args.seed)
+    for res in results:
+        status = "PASS" if res.passed else "FAIL"
+        print(f"[{status}] criterion {res.number} {res.name} "
+              f"({res.elapsed:.2f}s)", file=sys.stderr)
+    result = {
+        "criteria": [{"number": r.number, "name": r.name,
+                      "passed": r.passed, "details": r.details}
+                     for r in results],
+        "all_passed": all(r.passed for r in results),
+    }
+    checks = [{"name": f"criterion-{r.number}-{r.name}", "passed": r.passed}
+              for r in results]
+    return result, checks
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="excmono",
+        description="exact checks for exceptional-group monodromy data")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", help="also write stdout payload to this file")
+
+    p = sub.add_parser("roots", parents=[common],
+                       help="root-system card for one label")
+    p.add_argument("label")
+    p.set_defaults(fn=_cmd_roots)
+
+    p = sub.add_parser("k-type", parents=[common],
+                       help="symmetric-subgroup row(s) of the type table")
+    p.add_argument("label", help="a label such as E8, or 'all'")
+    p.set_defaults(fn=_cmd_k_type)
+
+    p = sub.add_parser("atilde", parents=[common],
+                       help="coroot-mod-2 Heisenberg group summary")
+    p.add_argument("label")
+    p.set_defaults(fn=_cmd_atilde)
+
+    p = sub.add_parser("monodromy", parents=[common],
+                       help="Chevalley centralizer dims and rigidity budget")
+    p.add_argument("label")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=500)
+    p.set_defaults(fn=_cmd_monodromy)
+
+    p = sub.add_parser("a1", parents=[common],
+                       help="quartic trace-sum scan over chosen primes")
+    p.add_argument("--primes", default="5,13,17,29")
+    p.set_defaults(fn=_cmd_a1)
+
+    p = sub.add_parser("rigid", parents=[common],
+                       help="triple rigidity report for a small group")
+    p.add_argument("--group", default="pgl2",
+                   help="pgl2, psl2, or file:<path> with generator matrices")
+    p.add_argument("--ell", type=int, default=5)
+    p.add_argument("--classes",
+                   help="comma list of class labels for a custom triple")
+    p.set_defaults(fn=_cmd_rigid)
+
+    p = sub.add_parser("verify-all", parents=[common],
+                       help="run every acceptance criterion")
+    p.add_argument("--fast", action="store_true",
+                   help="skip the E8 Chevalley build")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(fn=_cmd_verify_all)
+
+    return parser
+
+
+def render_manifest(manifest: dict) -> str:
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def _parameters(args) -> dict:
+    skip = {"command", "fn", "out", "format"}
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in skip and v is not None}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "a1":
+        print("error: --format csv is only available for the a1 table",
+              file=sys.stderr)
+        return 2
+    t0 = perf_counter()
+    try:
+        result, checks = args.fn(args)
+    except (ValueError, OverflowError, FileNotFoundError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AssertionError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    if args.command == "a1" and args.format == "csv":
+        payload = result
+    else:
+        payload = render_manifest({
+            "command": args.command,
+            "parameters": _parameters(args),
+            "version": __version__,
+            "result": result,
+            "checks": checks,
+        })
+    sys.stdout.write(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(payload)
+    print(f"{args.command}: done in {perf_counter() - t0:.2f}s",
+          file=sys.stderr)
+    return 0 if all(c["passed"] for c in checks) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

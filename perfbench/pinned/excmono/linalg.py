@@ -1,0 +1,227 @@
+"""Exact linear algebra over Z and F2.
+
+Everything here is fraction-free: ranks and Smith forms are computed with
+integer cross-multiplication (rows re-scaled by their gcd to keep entries
+small), never with floating point.  F2 work uses int bitmasks, one mask per
+row.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+
+def _gcd_reduce(row: dict) -> None:
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix (list of rows) by fraction-free elimination.
+
+    Rows are held sparsely; the pivot rule (shortest row, then smallest
+    |entry|, then first seen) is deterministic, so repeated runs take the
+    same path.
+    """
+    work = []
+    ncols = 0
+    for r in rows:
+        ncols = max(ncols, len(r))
+        d = {j: int(v) for j, v in enumerate(r) if v}
+        if d:
+            work.append(d)
+    rank = 0
+    for col in range(ncols):
+        best = None
+        for idx, row in enumerate(work):
+            v = row.get(col)
+            if v:
+                key = (len(row), abs(v), idx)
+                if best is None or key < best[0]:
+                    best = (key, idx)
+        if best is None:
+            continue
+        pidx = best[1]
+        pivot = work.pop(pidx)
+        pv = pivot[col]
+        rank += 1
+        touched = []
+        for row in work:
+            f = row.get(col)
+            if not f:
+                touched.append(row)
+                continue
+            new = {}
+            for k in row.keys() | pivot.keys():
+                val = pv * row.get(k, 0) - f * pivot.get(k, 0)
+                if val:
+                    new[k] = val
+            if new:
+                _gcd_reduce(new)
+                touched.append(new)
+        work = touched
+        if not work:
+            break
+    return rank
+
+
+def kernel_dimension(rows, ncols: int | None = None) -> int:
+    """dim ker of the matrix acting on column vectors."""
+    rows = [list(r) for r in rows]
+    if ncols is None:
+        ncols = max((len(r) for r in rows), default=0)
+    return ncols - integer_rank(rows)
+
+
+def mat_mul(a, b):
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            v = ai[t]
+            if v:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += v * bt[j]
+    return out
+
+
+def mat_pow(a, e: int):
+    n = len(a)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    base = [row[:] for row in a]
+    while e:
+        if e & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return out
+
+
+def smith_normal_form(mat) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Plain row/column reduction; fine for the small (rank <= 8) lattice
+    inclusions and Cartan matrices this package feeds it.
+    """
+    m = [[int(v) for v in row] for row in mat]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    invariants = []
+    top = 0
+    while top < nr and top < nc:
+        # find a nonzero entry with least |value| to pivot at (top, top)
+        best = None
+        for i in range(top, nr):
+            for j in range(top, nc):
+                if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
+                    best = (abs(m[i][j]), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        m[top], m[bi] = m[bi], m[top]
+        for row in m:
+            row[top], row[bj] = row[bj], row[top]
+        while True:
+            # clear column, then row; restart if a division leaves residue
+            p = m[top][top]
+            done = True
+            for i in range(nr):
+                if i != top and m[i][top]:
+                    q = m[i][top] // p
+                    m[i] = [a - q * b for a, b in zip(m[i], m[top])]
+                    if m[i][top]:
+                        done = False
+            for j in range(nc):
+                if j != top and m[top][j]:
+                    q = m[top][j] // p
+                    for row in m:
+                        row[j] -= q * row[top]
+                    if m[top][j]:
+                        done = False
+            if done:
+                break
+            # residues are smaller than |p|, so this loop terminates
+            best = None
+            for i in range(top, nr):
+                for j in range(top, nc):
+                    if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
+                        best = (abs(m[i][j]), i, j)
+            _, bi, bj = best
+            m[top], m[bi] = m[bi], m[top]
+            for row in m:
+                row[top], row[bj] = row[bj], row[top]
+        invariants.append(abs(m[top][top]))
+        top += 1
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(invariants) - 1):
+            a, b = invariants[i], invariants[i + 1]
+            if b % a:
+                g = gcd(a, b)
+                invariants[i], invariants[i + 1] = g, a * b // g
+                changed = True
+    return invariants
+
+
+# ---------------------------------------------------------------- F2 ----
+
+def gf2_rank(masks) -> int:
+    rank = 0
+    basis = []
+    for m in masks:
+        for b in basis:
+            m = min(m, m ^ b)
+        if m:
+            basis.append(m)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
+
+def gf2_nullspace(rows, ncols: int) -> list[int]:
+    """Basis (as bitmasks) of {x : M x = 0 over F2}; rows are bitmasks."""
+    rows = [r for r in rows if r]
+    pivots = {}  # col -> reduced row
+    for r in rows:
+        while r:
+            c = r.bit_length() - 1
+            if c in pivots:
+                r ^= pivots[c]
+            else:
+                pivots[c] = r
+                break
+    # fully reduce: a pivot row may only touch its own pivot and free columns
+    for c in sorted(pivots):
+        for c2 in pivots:
+            if c2 != c and (pivots[c2] >> c) & 1:
+                pivots[c2] ^= pivots[c]
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        x = 1 << fc
+        for c, row in pivots.items():
+            if (row >> fc) & 1:
+                x |= 1 << c
+        basis.append(x)
+    return basis
+
+
+def gf2_mat_vec(rows, x: int) -> int:
+    out = 0
+    for i, r in enumerate(rows):
+        if bin(r & x).count("1") % 2:
+            out |= 1 << i
+    return out

@@ -1,0 +1,302 @@
+"""Finite root systems with an exact, coordinate-only representation.
+
+Roots are integer vectors in the simple-root basis and coroots integer
+vectors in the simple-coroot basis; the alpha <-> alpha-vee bijection is
+carried along explicitly through the reflection closure.  No ambient
+Euclidean coordinates and no floats anywhere.
+
+The invariant form lives on the coroot lattice and is normalized so that
+short coroots have squared length 2 (long coroots then have 4, or 6 in
+type G2).  ``form_gram`` is its Gram matrix in the simple-coroot basis.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
+
+# Bourbaki-numbered Dynkin edges for the exceptional types.
+_E7_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
+_E8_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]
+
+
+class RootSystem:
+    """Cartan data plus the full root/coroot closure for one Cartan type.
+
+    Attributes
+    ----------
+    cartan : r x r integer matrix, ``cartan[i][j] = <alpha_i, alpha_j-vee>``.
+    coroot_norms : ``(alpha_i-vee, alpha_i-vee)`` for each simple coroot.
+    form_gram : Gram matrix of the invariant form on the coroot lattice.
+    roots : all roots, each an integer tuple in the simple-root basis,
+        sorted by (height, coordinates).
+    coroot_of : dict mapping each root to its coroot (simple-coroot basis).
+    """
+
+    def __init__(self, label: str):
+        letter, rank = _parse_label(label)
+        self.letter = letter
+        self.rank = rank
+        self.label = f"{letter}{rank}"
+        cartan, norms = _cartan_data(letter, rank)
+        self._setup(cartan, norms)
+
+    def _setup(self, cartan, coroot_norms):
+        self.cartan = cartan
+        self.coroot_norms = coroot_norms
+        r = self.rank
+        a, d = cartan, coroot_norms
+        # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
+        self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)] for i in range(r)]
+        for i in range(r):
+            for j in range(r):
+                if self.form_gram[i][j] != self.form_gram[j][i]:
+                    raise AssertionError("invariant form failed to symmetrize")
+        self._close_roots()
+
+    # ------------------------------------------------------------------
+
+    def _close_roots(self):
+        r = self.rank
+        a = self.cartan
+        simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+        pairs = {simple[i]: simple[i] for i in range(r)}
+        frontier = list(simple)
+        while frontier:
+            nxt = []
+            for root in frontier:
+                cr = pairs[root]
+                for i in range(r):
+                    # s_i on the root and on its coroot, in coordinates
+                    n = sum(root[k] * a[k][i] for k in range(r))
+                    new_root = tuple(v - (n if k == i else 0) for k, v in enumerate(root))
+                    m = sum(cr[k] * a[i][k] for k in range(r))
+                    new_cr = tuple(v - (m if k == i else 0) for k, v in enumerate(cr))
+                    if new_root not in pairs:
+                        pairs[new_root] = new_cr
+                        nxt.append(new_root)
+                    elif pairs[new_root] != new_cr:
+                        raise AssertionError("root/coroot closure inconsistent")
+            frontier = nxt
+        neg = {tuple(-v for v in root) for root in pairs}
+        if neg != set(pairs):
+            raise AssertionError("root set not symmetric under negation")
+        self.coroot_of = pairs
+        self.roots = sorted(pairs, key=lambda t: (sum(t), t))
+        self.positive_roots = [t for t in self.roots if sum(t) > 0]
+        self.simple_roots = simple
+        self.simple_coroots = simple
+
+    # ------------------------------------------------------------------
+
+    @property
+    def num_roots(self) -> int:
+        return len(self.roots)
+
+    def is_irreducible(self) -> bool:
+        # connectivity of the Dynkin diagram
+        r = self.rank
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(r):
+                if j not in seen and i != j and self.cartan[i][j]:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == r
+
+    def height(self, root) -> int:
+        return sum(root)
+
+    def pair(self, root, coroot) -> int:
+        """<root, coroot> via the Cartan data."""
+        a = self.cartan
+        r = self.rank
+        return sum(root[i] * a[i][j] * coroot[j] for i in range(r) for j in range(r))
+
+    def coroot_norm(self, coroot) -> int:
+        g = self.form_gram
+        r = self.rank
+        return sum(coroot[i] * g[i][j] * coroot[j] for i in range(r) for j in range(r))
+
+    def coroot_dot(self, v, w) -> int:
+        g = self.form_gram
+        r = self.rank
+        return sum(v[i] * g[i][j] * w[j] for i in range(r) for j in range(r))
+
+    def two_rho_coroot(self):
+        """2 rho-vee: sum of the positive coroots (kept doubled => integral)."""
+        r = self.rank
+        acc = [0] * r
+        for root in self.positive_roots:
+            cr = self.coroot_of[root]
+            for k in range(r):
+                acc[k] += cr[k]
+        return tuple(acc)
+
+    def highest_root(self):
+        """Return (theta, theta-vee, comarks) for an irreducible system.
+
+        ``comarks`` are the coefficients c(alpha) in
+        theta-vee = sum c(alpha) alpha-vee; theta's own coordinates are the
+        marks.
+        """
+        if not self.is_irreducible():
+            raise ValueError(f"{self.label} is reducible; no highest root")
+        theta = max(self.roots, key=lambda t: (sum(t), t))
+        for i in range(self.rank):
+            up = tuple(v + (1 if k == i else 0) for k, v in enumerate(theta))
+            if up in self.coroot_of:
+                raise AssertionError("highest-root candidate not maximal")
+        theta_vee = self.coroot_of[theta]
+        return theta, theta_vee, theta_vee
+
+    def coxeter_number(self) -> int:
+        theta, _, _ = self.highest_root()
+        return 1 + sum(theta)
+
+    def dual_coxeter_number(self) -> int:
+        _, theta_vee, _ = self.highest_root()
+        return 1 + sum(theta_vee)  # <rho, alpha_i-vee> = 1 for every i
+
+    def dim_y(self) -> int:
+        """2 h-vee - 2: the dimension attached to the quasi-minuscule orbit."""
+        return 2 * self.dual_coxeter_number() - 2
+
+    def longest_element_matrix(self):
+        """w0 as a matrix on root coordinates (greedy descent from 2 rho)."""
+        r = self.rank
+        a = self.cartan
+        x = [0] * r
+        for root in self.positive_roots:
+            for k in range(r):
+                x[k] += root[k]
+        mat = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        while True:
+            for i in range(r):
+                n = sum(x[k] * a[k][i] for k in range(r))
+                if n > 0:
+                    x[i] -= n
+                    # mat <- S_i . mat with S_i v = v - <v, alpha_i-vee> e_i
+                    mat[i] = [mat[i][c] - sum(a[k][i] * mat[k][c] for k in range(r))
+                              for c in range(r)]
+                    break
+            else:
+                return mat
+
+    def minus_one_in_weyl(self) -> bool:
+        """True iff the longest Weyl element acts as -1 on the root lattice."""
+        w0 = self.longest_element_matrix()
+        r = self.rank
+        if any(w0[i][j] != (-1 if i == j else 0) for i in range(r) for j in range(r)):
+            return False
+        # sanity: -1 must then stabilize the root set (it always does)
+        return all(tuple(-v for v in root) in self.coroot_of for root in self.roots)
+
+    def dual(self) -> "RootSystem":
+        """The dual system, with node numbering kept: roots <-> coroots.
+
+        For A/D/E the Cartan matrix is symmetric and for B/C the transpose
+        is the standard matrix of the other letter, so those go through the
+        cached factory.  F4 and G2 are self-dual only up to reversing the
+        diagram; keeping the numbering means building from the transposed
+        Cartan matrix directly.
+        """
+        if self.letter in ("F", "G"):
+            out = object.__new__(RootSystem)
+            out.letter, out.rank, out.label = self.letter, self.rank, self.label
+            r = self.rank
+            cartan = [[self.cartan[j][i] for j in range(r)] for i in range(r)]
+            top = max(self.coroot_norms)
+            out._setup(cartan, [2 * top // d for d in self.coroot_norms])
+            return out
+        letter = {"B": "C", "C": "B"}.get(self.letter, self.letter)
+        return root_system(f"{letter}{self.rank}")
+
+    def json_dict(self) -> dict:
+        return {
+            "type": self.label,
+            "rank": self.rank,
+            "cartan": [list(row) for row in self.cartan],
+            "form_gram": [list(row) for row in self.form_gram],
+            "roots": [list(t) for t in self.roots],
+            "coroots": [list(self.coroot_of[t]) for t in self.roots],
+            "num_roots": self.num_roots,
+        }
+
+    def __repr__(self):
+        return f"RootSystem({self.label!r})"
+
+
+# ---------------------------------------------------------------------------
+
+
+def _parse_label(label: str):
+    s = str(label).strip().upper().replace("_", "")
+    if len(s) < 2 or s[0] not in SUPPORTED:
+        raise ValueError(f"unsupported Cartan type {label!r}")
+    letter, digits = s[0], s[1:]
+    if not digits.isdigit():
+        raise ValueError(f"unsupported Cartan type {label!r}")
+    rank = int(digits)
+    ok = {
+        "A": rank == 1,
+        "B": rank >= 2,
+        "C": rank >= 2,
+        "D": rank >= 2,
+        "E": rank in (7, 8),
+        "F": rank == 4,
+        "G": rank == 2,
+    }[letter]
+    if not ok:
+        raise ValueError(f"unsupported Cartan type {label!r}")
+    return letter, rank
+
+
+def _chain_cartan(rank, edges):
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    return a
+
+
+def _cartan_data(letter: str, rank: int):
+    """(cartan, coroot_norms) in Bourbaki numbering."""
+    n = rank
+    if letter == "A":
+        return [[2]], [2]
+    if letter == "B":
+        # alpha_n short; its coroot is the long one
+        a = _chain_cartan(n, [(i, i + 1) for i in range(1, n)])
+        a[n - 2][n - 1] = -2
+        a[n - 1][n - 2] = -1
+        return a, [2] * (n - 1) + [4]
+    if letter == "C":
+        a = _chain_cartan(n, [(i, i + 1) for i in range(1, n)])
+        a[n - 2][n - 1] = -1
+        a[n - 1][n - 2] = -2
+        return a, [4] * (n - 1) + [2]
+    if letter == "D":
+        if n == 2:
+            return [[2, 0], [0, 2]], [2, 2]
+        edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
+        return _chain_cartan(n, edges), [2] * n
+    if letter == "E":
+        edges = _E7_EDGES if n == 7 else _E8_EDGES
+        return _chain_cartan(n, edges), [2] * n
+    if letter == "F":
+        a = _chain_cartan(4, [(1, 2), (2, 3), (3, 4)])
+        a[1][2] = -2
+        a[2][1] = -1
+        return a, [2, 2, 4, 4]
+    if letter == "G":
+        # alpha_1 short root (long coroot), alpha_2 long root (short coroot)
+        return [[2, -1], [-3, 2]], [6, 2]
+    raise ValueError(letter)
+
+
+@lru_cache(maxsize=None)
+def root_system(label: str) -> RootSystem:
+    return RootSystem(label)

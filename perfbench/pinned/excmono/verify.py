@@ -1,0 +1,327 @@
+"""The full check suite behind `excmono verify-all`.
+
+Each criterion function recomputes its claim from scratch (no shared
+state beyond the module-level caches) and returns (passed, details)
+where details is a JSON-ready dict with deterministic key order.
+Timing never enters the details, so rendered manifests are byte-stable.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass
+from time import perf_counter
+
+from .a1lab import scan
+from .affine_k import (
+    k_fundamental_quotient,
+    k_type_row,
+    kappa_character,
+    removed_node_coefficient,
+)
+from .chevalley import (
+    build_algebra,
+    kappa_fixed_dim,
+    quasiminuscule_dims,
+    regular_nilpotent_centralizer,
+    rigidity_budget,
+    v_class_centralizer,
+)
+from .gaussint import Zi
+from .rootsys import root_system
+from .rigidity import predicted_triple, psl2_group, triple_count
+from .twogroup import build_tilde_group, odd_irreps
+
+# the component-type table, one entry per family row, instantiated at
+# every rank this toolkit supports
+K_TYPE_TABLE = {
+    "A1": "Gm",
+    "B4": "A1xA1xB2", "B6": "A3xB3",            # B even: B_n x D_n
+    "B3": "A1xA1xA1", "B5": "B2xA3", "B7": "B3xD4",  # B odd: B_n x D_{n+1}
+    "B2": "A1xGm", "C2": "A1xGm", "C3": "A2xGm",     # C_n: A_{n-1} x Gm
+    "C4": "A3xGm", "C5": "A4xGm",
+    "D4": "A1xA1xA1xA1", "D6": "A3xA3", "D8": "D4xD4",  # D even: D_n x D_n
+    "E7": "A7", "E8": "D8", "F4": "A1xC3", "G2": "A1xA1",
+}
+
+TORSION_LABELS = ("B3", "B4", "B5", "B6", "B7", "D4", "D6", "D8",
+                  "E7", "E8", "F4", "G2")
+FREE_LABELS = ("A1", "B2", "C2", "C3", "C4", "C5")
+
+TILDE_LABELS = ("A1", "D4", "D6", "D8", "E7", "E8", "G2")
+ZG2_SIZE = {"A1": 2, "D4": 4, "D6": 4, "D8": 4, "E7": 2, "E8": 1, "G2": 1}
+CENTER_EXPECT = {
+    "A1": ("mu4", 2), "G2": ("mu2", 1), "D4": ("mu2^3", 4),
+    "D6": ("mu2 x mu4", 4), "D8": ("mu2^3", 4), "E7": ("mu4", 2),
+    "E8": ("mu2", 1),
+}
+
+CHEVALLEY_LABELS = ("A1", "G2", "D4", "D6", "D8", "E7", "E8")
+PAPER_DIMS = {"A1": 3, "G2": 14, "E7": 133, "E8": 248}
+BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
+QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
+
+A1_PRIMES = (5, 13, 17, 29)
+RIGID_ELLS = (3, 5, 7, 11, 13)
+
+
+def criterion_k_type_table(fast=False, seed=0):
+    rows = {}
+    ok = True
+    for label in sorted(K_TYPE_TABLE):
+        row = k_type_row(label)
+        rows[label] = row
+        want_pi1 = "Z" if label in FREE_LABELS else "Z/2"
+        if row["k"] != K_TYPE_TABLE[label] or row["pi1"] != want_pi1:
+            ok = False
+    return ok, {"rows": [rows[k] for k in sorted(rows)]}
+
+
+def criterion_lattice_quotients(fast=False, seed=0):
+    ok = True
+    torsion, free, coeffs = {}, {}, {}
+    for label in TORSION_LABELS:
+        quot = k_fundamental_quotient(root_system(label))
+        factors = [d for d in quot.invariant_factors if d > 1]
+        torsion[label] = factors
+        if factors != [2] or quot.free_rank != 0:
+            ok = False
+        c = removed_node_coefficient(root_system(label))
+        coeffs[label] = c
+        if c != 2:
+            ok = False
+    for label in FREE_LABELS:
+        quot = k_fundamental_quotient(root_system(label))
+        free[label] = quot.free_rank
+        if quot.free_rank != 1 or any(d > 1 for d in quot.invariant_factors):
+            ok = False
+    return ok, {"torsion": torsion, "free_rank": free,
+                "c_alpha_prime": coeffs}
+
+
+def _form_tables(rs, r):
+    """Per-bitmask norms and pairing parities straight from the gram."""
+    basis = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    gram = [[rs.coroot_dot(basis[i], basis[j]) for j in range(r)]
+            for i in range(r)]
+    norms, parity = [], []
+    for a in range(1 << r):
+        idx = [i for i in range(r) if (a >> i) & 1]
+        norms.append(sum(gram[i][j] for i in idx for j in idx))
+        mask = 0
+        for j in range(r):
+            if sum(gram[i][j] for i in idx) % 2:
+                mask |= 1 << j
+        parity.append(mask)
+    return norms, parity
+
+
+def criterion_tilde_laws(fast=False, seed=0):
+    ok = True
+    radical = {}
+    pairs_checked = 0
+    for label in TILDE_LABELS:
+        rs = root_system(label)
+        tg = build_tilde_group(rs)   # construction replays both group laws
+        norms, parity = _form_tables(rs, tg.r)
+        for a in range(1 << tg.r):
+            assert norms[a] % 2 == 0
+            want = -1 if (norms[a] // 2) % 2 else 1
+            if tg.q(a) != want:
+                ok = False
+        for a in range(1 << tg.r):
+            pa = parity[a]
+            for b in range(1 << tg.r):
+                if tg.pairing(a, b) != ((pa & b).bit_count() & 1):
+                    ok = False
+                    break
+            else:
+                pairs_checked += 1 << tg.r
+                continue
+            break
+        size = tg.radical_size_crosscheck()
+        radical[label] = size
+        if size != ZG2_SIZE[label]:
+            ok = False
+    return ok, {"labels": list(TILDE_LABELS), "pairs_checked": pairs_checked,
+                "radical_sizes": radical}
+
+
+def criterion_center_table(fast=False, seed=0):
+    ok = True
+    centers, counts = {}, {}
+    for label in TILDE_LABELS:
+        tg = build_tilde_group(root_system(label))
+        _, name = tg.center_structure()
+        irreps = odd_irreps(tg)
+        centers[label] = name
+        counts[label] = len(irreps)
+        want_name, want_count = CENTER_EXPECT[label]
+        if name != want_name or len(irreps) != want_count:
+            ok = False
+        if sum(ir.dimension ** 2 for ir in irreps) != 1 << tg.r:
+            ok = False
+        elements = list(tg.elements())
+        for i, ir1 in enumerate(irreps):
+            for j in range(i, len(irreps)):
+                ir2 = irreps[j]
+                total = Zi(0)
+                for el in elements:
+                    total = total + ir1.character(el) * ir2.character(el).conj()
+                want = Zi(tg.order) if i == j else Zi(0)
+                if total != want:
+                    ok = False
+    return ok, {"centers": centers, "odd_irrep_counts": counts}
+
+
+def jacobi_probe(alg, samples: int, seed: int) -> int:
+    """Spot-check the Jacobi identity on random basis triples."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y, z = ({rng.randrange(alg.dim): 1} for _ in range(3))
+        total = {}
+        for a, bc in ((x, alg.bracket(y, z)), (y, alg.bracket(z, x)),
+                      (z, alg.bracket(x, y))):
+            for k, v in alg.bracket(a, bc).items():
+                total[k] = total.get(k, 0) + v
+        if any(total.values()):
+            raise AssertionError("Jacobi identity failed on sampled triple")
+    return samples
+
+
+def criterion_chevalley(fast=False, seed=0):
+    ok = True
+    labels = [l for l in CHEVALLEY_LABELS if not (fast and l == "E8")]
+    dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
+    for label in labels:
+        alg = build_algebra(label)
+        rs = root_system(label)
+        dims[label] = alg.dim
+        if alg.dim != rs.rank + rs.num_roots:
+            ok = False
+        if label in PAPER_DIMS and alg.dim != PAPER_DIMS[label]:
+            ok = False
+        kappa[label] = kappa_fixed_dim(alg, kappa_character(rs))
+        if kappa[label] != len(alg.roots) // 2:
+            ok = False
+        regular[label] = regular_nilpotent_centralizer(alg)
+        if regular[label] != alg.rank:
+            ok = False
+        if label in BUDGET_LABELS:
+            wit = v_class_centralizer(alg)
+            vclass[label] = wit.centralizer_dim
+            if wit.centralizer_dim != len(alg.roots) // 2:
+                ok = False
+            budget = rigidity_budget(label)
+            budgets[label] = [budget.d0, budget.d1, budget.dinf]
+            if not budget.identity_holds():
+                ok = False
+    probe_label = "E7" if fast else "E8"
+    probed = jacobi_probe(build_algebra(probe_label), 500, seed)
+    return ok, {"dims": dims, "kappa_fixed": kappa,
+                "regular_centralizer": regular, "v_class": vclass,
+                "budgets": budgets,
+                "jacobi_probe": {"label": probe_label, "samples": probed,
+                                 "seed": seed},
+                "skipped": ["E8"] if fast else []}
+
+
+def criterion_quasiminuscule(fast=False, seed=0):
+    ok = True
+    table = {}
+    for label, want in sorted(QM_EXPECT.items()):
+        qm, y, heis = quasiminuscule_dims(label)
+        table[label] = [qm, y, heis]
+        if (qm, y) != want:
+            ok = False
+    return ok, {"dims": table}
+
+
+def criterion_a1_lab(fast=False, seed=0):
+    # every per-fiber identity is asserted inside the scan itself
+    records = scan(list(A1_PRIMES))
+    per_prime = {}
+    for rec in records:
+        per_prime[rec.q] = per_prime.get(rec.q, 0) + 1
+    ratios = sorted({rec.sym2_trace // rec.q for rec in records})
+    ok = (len(records) == sum(q - 2 for q in A1_PRIMES)
+          and all(per_prime[q] == q - 2 for q in A1_PRIMES))
+    return ok, {"primes": list(A1_PRIMES), "fibers": len(records),
+                "per_prime": {str(q): n for q, n in sorted(per_prime.items())},
+                "sym2_over_q_values": ratios}
+
+
+def criterion_rigidity(fast=False, seed=0):
+    ok = True
+    g = psl2_group(7)
+    c2 = g.class_by_label("2A")
+    c3 = g.class_by_label("3A")
+    c7 = g.class_by_label("7A")
+    hurwitz = triple_count(g, c2, c3, c7)
+    if not hurwitz.strictly_rigid or hurwitz.solution_count != 168:
+        ok = False
+    invariant = all(
+        triple_count(g, c2, c3, c7, g0=alt).solution_count
+        == hurwitz.solution_count
+        for alt in c2.members[1:4])
+    if not invariant:
+        ok = False
+    fixtures = {}
+    for ell in RIGID_ELLS:
+        rep = predicted_triple("pgl2", ell)
+        fixtures[str(ell)] = {
+            "solution_count": rep.solution_count,
+            "normalized": [rep.normalized_count.numerator,
+                           rep.normalized_count.denominator],
+            "strictly_rigid": rep.strictly_rigid,
+        }
+    return ok, {"hurwitz": hurwitz.json_dict(),
+                "representative_invariance": invariant,
+                "pgl2_fixtures": fixtures}
+
+
+def criterion_determinism(fast=False, seed=0):
+    probes = (criterion_k_type_table, criterion_lattice_quotients,
+              criterion_quasiminuscule)
+    renders = []
+    for _ in range(2):
+        renders.append([json.dumps(fn(fast, seed)[1], sort_keys=True)
+                        for fn in probes])
+    ok = renders[0] == renders[1]
+    return ok, {"probes": [fn.__name__ for fn in probes], "stable": ok}
+
+
+CRITERIA = (
+    (1, "k-type-table", criterion_k_type_table),
+    (2, "coroot-lattice-quotients", criterion_lattice_quotients),
+    (3, "tilde-group-laws", criterion_tilde_laws),
+    (4, "center-table-and-odd-irreps", criterion_center_table),
+    (5, "chevalley-centralizers", criterion_chevalley),
+    (6, "quasiminuscule-dims", criterion_quasiminuscule),
+    (7, "a1-trace-lab", criterion_a1_lab),
+    (8, "rigidity-harness", criterion_rigidity),
+    (9, "determinism", criterion_determinism),
+)
+
+
+@dataclass
+class CriterionResult:
+    number: int
+    name: str
+    passed: bool
+    details: dict
+    elapsed: float
+
+
+def run_all(fast: bool = False, seed: int = 0):
+    results = []
+    for number, name, fn in CRITERIA:
+        t0 = perf_counter()
+        try:
+            passed, details = fn(fast=fast, seed=seed)
+        except Exception as exc:  # a failing criterion must not stop the rest
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+        results.append(CriterionResult(number, name, passed, details,
+                                       perf_counter() - t0))
+    return results
