@@ -1,19 +1,28 @@
 """Character sums for the quartic curve family, against naive counting.
 
-The oracles here recount every fiber by brute-force y-loops, reverify the
-ramification orders of f symbolically over Q, and freeze a handful of
-records computed once with both methods agreeing.
+The oracles here recount every fiber by brute-force y-loops, sum the
+F_{p^2} extension sums directly point by point, correlate vectors in
+O(n^2), reverify the ramification orders of f symbolically over Q, and
+freeze a handful of records computed once with both methods agreeing.
 """
 
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import excmono
+from excmono import a1lab
 from excmono.a1lab import (
     CSV_HEADER,
     FiniteFieldCtx,
     compute_record,
+    extension_sums,
     is_prime,
     legendre_crosscheck,
     render_csv,
@@ -22,10 +31,14 @@ from excmono.a1lab import (
     smooth_point_count,
     sym2_symmetric_trace,
     sym2_trace,
+    thread_count,
     trace_sums,
+    _correlate,
+    _extension,
     _f_value,
     _good_xs,
 )
+from excmono.cli import main
 from excmono.gaussint import Zi
 
 ACCEPT_PRIMES = [5, 13, 17, 29]
@@ -41,6 +54,28 @@ def naive_quartic_count(ctx, lam):
         count += sum(1 for y in ctx.elements()
                      if ctx.eq(ctx._power(y, 4), v))
     return count
+
+
+def direct_extension_sum(ctx, lam):
+    """Sum of chi(Norm(f(x))) over the good x of the quadratic extension,
+    point by point: the O(p^2)-per-lambda oracle for `extension_sums`."""
+    ext = _extension(ctx)
+    lam2 = ext.embed(lam)
+    out = Zi(0)
+    for x in _good_xs(ext, lam2):
+        out += ext.chi(_f_value(ext, lam2, x))
+    return out
+
+
+def naive_correlation(pairs, n):
+    """sum over (x, y) of sum_a x[a] * conj(y[(a - l) % n]), in O(n^2)."""
+    units = (Zi(1), Zi(0, 1), Zi(-1), Zi(0, -1), Zi(0))
+    out = [Zi(0)] * n
+    for x, y in pairs:
+        for lam in range(n):
+            for a in range(n):
+                out[lam] += units[x[a]] * units[y[(a - lam) % n]].conj()
+    return out
 
 
 def naive_fiber_sizes(ctx, lam):
@@ -243,6 +278,86 @@ def test_sym2_needs_prime_base():
     ext = FiniteFieldCtx(5, 2)
     with pytest.raises(ValueError):
         sym2_trace(ext, ext.embed(2))
+    with pytest.raises(ValueError):
+        extension_sums(ext)
+
+
+# ------------------------------------------------- extension sums by correlation
+
+# vector entries are indices k standing for i^k, k = 4 for 0: so {0, 2, 4}
+# is {1, -1, 0}
+@pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (5, 2), (13, 3), (31, 4)])
+def test_correlation_matches_naive_signed(n, seed):
+    rng = random.Random(seed)
+    pairs = [([rng.choice((0, 2, 4)) for _ in range(n)],
+              [rng.choice((0, 2, 4)) for _ in range(n)]) for _ in range(3)]
+    assert _correlate(pairs, n, len(pairs)) == naive_correlation(pairs, n)
+    assert _correlate(iter(pairs), n, len(pairs)) == \
+        naive_correlation(pairs, n)
+
+
+@pytest.mark.parametrize("n,seed", [(7, 5), (17, 6)])
+def test_correlation_matches_naive_gaussian(n, seed):
+    rng = random.Random(seed)
+    pairs = [([rng.randrange(5) for _ in range(n)],
+              [rng.randrange(5) for _ in range(n)]) for _ in range(4)]
+    assert _correlate(pairs, n, len(pairs)) == naive_correlation(pairs, n)
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (1, 127), (127, 1), (1, 128),
+                                     (3, 5), (16, 16), (7, 4681)])
+@pytest.mark.parametrize("kx,ky", [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0),
+                                   (0, 1), (1, 1), (3, 1)])
+def test_correlation_at_carry_boundaries(n, count, kx, ky):
+    # constant vectors give |Re c| or |Im c| = count * n, the extreme the
+    # digit width is sized for; 127 and 32767 = 7 * 4681 sit right under
+    # the sign bit of a one- and a two-byte digit
+    pairs = [([kx] * n, [ky] * n)] * count
+    want = naive_correlation(pairs[:1], n)[0] * count
+    assert _correlate(pairs, n, count) == [want] * n
+
+
+def test_correlation_rejects_too_many_pairs():
+    pairs = [([0, 0], [0, 0])] * 3
+    with pytest.raises(ValueError):
+        _correlate(pairs, 2, 2)
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37])
+def test_extension_table_every_lambda(q):
+    ctx = FiniteFieldCtx(q)
+    table = extension_sums(ctx)
+    assert len(table) == q and table[:2] == (None, None)
+    for lam in range(2, q):
+        assert table[lam] == direct_extension_sum(ctx, lam), lam
+
+
+@pytest.mark.parametrize("q", [53, 61])
+def test_extension_table_seeded_lambdas(q):
+    ctx = FiniteFieldCtx(q)
+    table = extension_sums(ctx)
+    for lam in random.Random(q).sample(range(2, q), 3):
+        assert table[lam] == direct_extension_sum(ctx, lam), lam
+
+
+def test_extension_table_built_once_per_context():
+    ctx = FiniteFieldCtx(13)
+    assert extension_sums(ctx) is extension_sums(ctx)
+
+
+def test_compute_record_sums_each_fiber_once(monkeypatch):
+    calls = []
+    real = a1lab.trace_sums
+
+    def counting(ctx, lam):
+        calls.append(lam)
+        return real(ctx, lam)
+
+    monkeypatch.setattr(a1lab, "trace_sums", counting)
+    ctx = FiniteFieldCtx(13)
+    rec = compute_record(ctx, 3)
+    assert calls == [3]
+    assert rec.csv_row() == FROZEN_ROWS[(13, 3)]
 
 
 # ----------------------------------------------------------- ramification
@@ -294,6 +409,59 @@ def test_scan_rejects_bad_primes():
     for bad in ([7], [9], [4], [5, 11]):
         with pytest.raises(ValueError):
             scan(bad)
+
+
+def test_thread_count_clamps_to_cpus():
+    cpus = os.cpu_count() or 1
+    assert thread_count(None) == 1
+    assert thread_count("1") == 1
+    assert thread_count(" 2 ") == min(2, cpus)
+    assert thread_count(0) == thread_count("-3") == 1
+    assert thread_count(str(10 ** 6)) == cpus
+    assert thread_count(10 ** 6) == cpus
+
+
+@pytest.mark.parametrize("bad", ["", "two", "1.5", "0x2"])
+def test_thread_count_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="EXCMONO_THREADS"):
+        thread_count(bad)
+
+
+def test_bad_thread_setting_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("EXCMONO_THREADS", "many")
+    assert main(["a1", "--primes", "5"]) == 2
+    assert "EXCMONO_THREADS" in capsys.readouterr().err
+
+
+# Under -O no assert statement runs; every identity must still be checked.
+# Adding 2i to one extension sum changes only the imaginary part of
+# t1^2 + E, which no identity but "the eigenvalue product is a rational
+# integer" can see.
+_CORRUPT_SCAN = """
+import sys
+from excmono import a1lab
+from excmono.cli import main
+from excmono.gaussint import Zi
+ctx = a1lab._context(13)
+table = list(a1lab.extension_sums(ctx))
+table[5] = table[5] + Zi(0, {shift})
+ctx._ext_sums = tuple(table)
+sys.exit(main(["a1", "--primes", "13"]))
+"""
+
+
+@pytest.mark.parametrize("shift,code", [(0, 0), (2, 1)])
+def test_identities_checked_under_optimize(shift, code):
+    src = str(Path(excmono.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("EXCMONO_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_SCAN.format(shift=shift)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "check failed" in proc.stderr
+        assert "not an even rational integer" in proc.stderr
 
 
 def test_scan_deterministic_and_parallel_consistent():
