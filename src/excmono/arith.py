@@ -1,0 +1,40 @@
+"""Prime tests, prime factors and least primitive roots of small integers."""
+
+from __future__ import annotations
+
+from math import isqrt
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    for d in range(3, isqrt(n) + 1, 2):
+        if n % d == 0:
+            return False
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def least_primitive_root(p: int) -> int:
+    """Least generator of the unit group of F_p, for an odd prime p."""
+    factors = prime_factors(p - 1)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
+            return g
+    raise AssertionError(f"no primitive root mod {p}")

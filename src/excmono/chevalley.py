@@ -94,7 +94,8 @@ class ChevalleyAlgebra:
         got = self._ncache.get(key)
         if got is None:
             got = self._compute_n(a, b, s)
-            assert got != 0
+            if got == 0:
+                raise AssertionError(f"N({a}, {b}) = 0 but {s} is a root")
             self._ncache[key] = got
         return got
 
@@ -111,8 +112,7 @@ class ChevalleyAlgebra:
             val = Fraction(self.structure_constant(b, _vec_neg(s)))
             val *= Fraction(self.rs.coroot_norm(self.rs.coroot_of[a]),
                             self.rs.coroot_norm(self.rs.coroot_of[s]))
-            assert val.denominator == 1
-            return int(val)
+            return _integral(val, a, b)
         # positive pair
         if self._order[a] > self._order[b]:
             return -self.structure_constant(b, a)
@@ -129,9 +129,7 @@ class ChevalleyAlgebra:
             t2 = (self.structure_constant(b, _vec_neg(a1))
                   * self.structure_constant(_vec_sub(b, a1), a))
         denom = self.structure_constant(s, _vec_neg(a1))
-        val = Fraction(-(t1 + t2), denom)
-        assert val.denominator == 1
-        return int(val)
+        return _integral(Fraction(-(t1 + t2), denom), a, b)
 
     # ------------------------------------------------------------- brackets
 
@@ -188,16 +186,11 @@ class ChevalleyAlgebra:
                   for i in range(self.rank)]
         return {self.index[s]: 1 for s in simple}
 
-    def invariant_form(self, i: int, j: int) -> int:
-        """<h_i,h_j> = 2 (alpha_i-vee, alpha_j-vee); <e_a,e_-a> = (a-vee,a-vee)."""
-        r = self.rank
-        if i < r and j < r:
-            return 2 * self.rs.form_gram[i][j]
-        if i >= r and j >= r:
-            a, b = self.roots[i - r], self.roots[j - r]
-            if _vec_add(a, b) == tuple([0] * r):
-                return self.rs.coroot_norm(self.rs.coroot_of[a])
-        return 0
+
+def _integral(val: Fraction, a, b) -> int:
+    if val.denominator != 1:
+        raise AssertionError(f"N({a}, {b}) = {val} is not an integer")
+    return int(val)
 
 
 @lru_cache(maxsize=None)
@@ -269,74 +262,44 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
     return witness
 
 
+def orthogonal_quadruples(rs: RootSystem):
+    """Every quadruple of pairwise orthogonal positive roots.
+
+    Roots are ranked by (height, coordinates); each quadruple comes with
+    its ranks increasing, and the quadruples in lexicographic rank order.
+    """
+    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
+    crt = {a: rs.coroot_of[a] for a in pos}
+
+    def orth(a, b):
+        return rs.coroot_dot(crt[a], crt[b]) == 0
+
+    n = len(pos)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not orth(pos[i], pos[j]):
+                continue
+            for k in range(j + 1, n):
+                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
+                    continue
+                for l in range(k + 1, n):
+                    quad = (pos[i], pos[j], pos[k], pos[l])
+                    if all(orth(quad[t], quad[3]) for t in range(3)):
+                        yield quad
+
+
 def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
     """Lexicographically first orthogonal quadruple of positive roots
     whose root-vector sum centralizes exactly `target` dimensions."""
     rs = alg.rs
-    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
-    crt = {a: rs.coroot_of[a] for a in pos}
-
-    def orth(a, b):
-        return rs.coroot_dot(crt[a], crt[b]) == 0
-
-    n = len(pos)
-    tried = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not orth(pos[i], pos[j]):
-                continue
-            for k in range(j + 1, n):
-                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
-                    continue
-                for l in range(k + 1, n):
-                    quad = (pos[i], pos[j], pos[k], pos[l])
-                    if not all(orth(quad[t], quad[3]) for t in range(3)):
-                        continue
-                    tried += 1
-                    v = {alg.index[a]: 1 for a in quad}
-                    dim = alg.centralizer_dim(v)
-                    if dim == target:
-                        return VClassWitness(
-                            rs.label,
-                            f"sum over an orthogonal quadruple "
-                            f"(candidate #{tried})",
-                            quad, dim)
+    for tried, quad in enumerate(orthogonal_quadruples(rs), 1):
+        dim = alg.centralizer_dim({alg.index[a]: 1 for a in quad})
+        if dim == target:
+            return VClassWitness(
+                rs.label,
+                f"sum over an orthogonal quadruple (candidate #{tried})",
+                quad, dim)
     raise ValueError(f"no orthogonal quadruple reaches {target} in {rs.label}")
-
-
-def quadruple_dim_survey(alg: ChevalleyAlgebra, limit: int = 40):
-    """Centralizer dims of the first `limit` orthogonal quadruples of
-    positive roots, in lexicographic index order.  Returns a sorted dict
-    dim -> count; used to check whether inequivalent quadruples can land
-    on different values."""
-    rs = alg.rs
-    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
-    crt = {a: rs.coroot_of[a] for a in pos}
-
-    def orth(a, b):
-        return rs.coroot_dot(crt[a], crt[b]) == 0
-
-    seen = {}
-    n = len(pos)
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not orth(pos[i], pos[j]):
-                continue
-            for k in range(j + 1, n):
-                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
-                    continue
-                for l in range(k + 1, n):
-                    quad = (pos[i], pos[j], pos[k], pos[l])
-                    if not all(orth(quad[t], quad[3]) for t in range(3)):
-                        continue
-                    v = {alg.index[a]: 1 for a in quad}
-                    dim = alg.centralizer_dim(v)
-                    seen[dim] = seen.get(dim, 0) + 1
-                    count += 1
-                    if count >= limit:
-                        return dict(sorted(seen.items()))
-    return dict(sorted(seen.items()))
 
 
 def _d_type_v_class(alg: ChevalleyAlgebra):

@@ -17,13 +17,13 @@ from time import perf_counter
 from . import __version__
 from .a1lab import render_csv, scan
 from .affine_k import k_type_row
+from .arith import is_prime
 from .chevalley import (
     build_algebra,
     kappa_fixed_dim,
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
     rigidity_budget,
-    v_class_centralizer,
 )
 from .affine_k import kappa_character
 from .rigidity import (
@@ -86,8 +86,13 @@ def _cmd_monodromy(args):
     label = args.label
     alg = build_algebra(label)
     rs = root_system(label)
-    kappa = kappa_fixed_dim(alg, kappa_character(rs))
-    regular = regular_nilpotent_centralizer(alg)
+    # the budget computes d0, d1 and the v-class witness once
+    budget = rigidity_budget(label) if label in BUDGET_LABELS else None
+    if budget is None:
+        kappa = kappa_fixed_dim(alg, kappa_character(rs))
+        regular = regular_nilpotent_centralizer(alg)
+    else:
+        kappa, regular = budget.d0, budget.d1
     result = {
         "label": rs.label,
         "dim": alg.dim,
@@ -102,9 +107,8 @@ def _cmd_monodromy(args):
          "passed": kappa == rs.num_roots // 2},
         {"name": "regular-centralizer-is-rank", "passed": regular == rs.rank},
     ]
-    if label in BUDGET_LABELS:
-        wit = v_class_centralizer(alg)
-        budget = rigidity_budget(label)
+    if budget is not None:
+        wit = budget.witness
         result["v_class"] = {"centralizer_dim": wit.centralizer_dim,
                              "witness": wit.description}
         result["budget"] = {"d0": budget.d0, "d1": budget.d1,
@@ -133,14 +137,39 @@ def _cmd_a1(args):
     return result, checks
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_file_group(path: str) -> FiniteGroup:
+    """The group of a `file:` input; ValueError unless its shape is right."""
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: want a JSON object, not a JSON "
+                         f"{type(blob).__name__}")
+    p, n = blob.get("p"), blob.get("n")
+    if not _is_int(p) or not is_prime(p):
+        raise ValueError(f"{path}: p = {p!r} is not a prime")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"{path}: n = {n!r} is not an integer >= 1")
+    gens = blob.get("generators")
+    if not isinstance(gens, list) or not all(
+            isinstance(g, list) and len(g) == n * n and all(map(_is_int, g))
+            for g in gens):
+        raise ValueError(f"{path}: generators must be a list of lists of "
+                         f"{n * n} integers")
     scalars = blob.get("scalars")
-    rep = MatrixRep(blob["p"], blob["n"],
-                    scalars=tuple(scalars) if scalars else None)
-    gens = [rep.canon(tuple(g)) for g in blob["generators"]]
-    return FiniteGroup(rep, gens, cap=blob.get("cap", DEFAULT_CAP))
+    if scalars is not None and not (
+            isinstance(scalars, list)
+            and all(_is_int(s) and s % p for s in scalars)):
+        raise ValueError(f"{path}: scalars must be null or a list of "
+                         f"units mod {p}")
+    cap = blob.get("cap", DEFAULT_CAP)
+    if not _is_int(cap) or cap < 1:
+        raise ValueError(f"{path}: cap = {cap!r} is not an integer >= 1")
+    rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
+    return FiniteGroup(rep, [rep.canon(tuple(g)) for g in gens], cap=cap)
 
 
 def _group_summary(group: FiniteGroup) -> dict:
@@ -182,7 +211,7 @@ def _cmd_rigid(args):
 
 
 def _cmd_verify_all(args):
-    results = run_all(fast=args.fast, seed=args.seed)
+    results = run_all(seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number} {res.name} "
@@ -247,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every acceptance criterion")
-    p.add_argument("--fast", action="store_true",
-                   help="skip the E8 Chevalley build")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify_all)
 

@@ -71,14 +71,6 @@ def integer_rank(rows) -> int:
     return rank
 
 
-def kernel_dimension(rows, ncols: int | None = None) -> int:
-    """dim ker of the matrix acting on column vectors."""
-    rows = [list(r) for r in rows]
-    if ncols is None:
-        ncols = max((len(r) for r in rows), default=0)
-    return ncols - integer_rank(rows)
-
-
 def mat_mul(a, b):
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
@@ -93,18 +85,6 @@ def mat_mul(a, b):
                 for j in range(m):
                     if bt[j]:
                         oi[j] += v * bt[j]
-    return out
-
-
-def mat_pow(a, e: int):
-    n = len(a)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in a]
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        e >>= 1
     return out
 
 
@@ -178,19 +158,6 @@ def smith_normal_form(mat) -> list[int]:
 
 # ---------------------------------------------------------------- F2 ----
 
-def gf2_rank(masks) -> int:
-    rank = 0
-    basis = []
-    for m in masks:
-        for b in basis:
-            m = min(m, m ^ b)
-        if m:
-            basis.append(m)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 def gf2_nullspace(rows, ncols: int) -> list[int]:
     """Basis (as bitmasks) of {x : M x = 0 over F2}; rows are bitmasks."""
     rows = [r for r in rows if r]
@@ -217,11 +184,3 @@ def gf2_nullspace(rows, ncols: int) -> list[int]:
                 x |= 1 << c
         basis.append(x)
     return basis
-
-
-def gf2_mat_vec(rows, x: int) -> int:
-    out = 0
-    for i, r in enumerate(rows):
-        if bin(r & x).count("1") % 2:
-            out |= 1 << i
-    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .a1lab import is_prime
+from .arith import is_prime, least_primitive_root
 
 DEFAULT_CAP = 10 ** 7
 
@@ -37,20 +37,6 @@ class PermRep:
         for i, j in enumerate(a):
             out[j] = i
         return tuple(out)
-
-    def invariant(self, a):
-        seen = [False] * self.degree
-        cycles = []
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            n, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = a[j]
-                n += 1
-            cycles.append(n)
-        return tuple(sorted(cycles))
 
 
 class MatrixRep:
@@ -106,17 +92,6 @@ class MatrixRep:
                               for x, y in zip(aug[r], aug[col])]
         return self.canon(tuple(aug[i][n + j]
                                 for i in range(n) for j in range(n)))
-
-    def invariant(self, a):
-        # conjugation-invariant also under the projective scaling
-        n, p = self.n, self.p
-        tr = sum(a[i * n + i] for i in range(n)) % p
-        if not self.scalars:
-            return (tr,)
-        if n == 2:
-            det = (a[0] * a[3] - a[1] * a[2]) % p
-            return (tr * tr * pow(det, p - 2, p) % p,)
-        return ()
 
 
 # ---------------------------------------------------------------- groups
@@ -221,12 +196,20 @@ class FiniteGroup:
     def _check_class_equation(self):
         total = 0
         for cls in self.classes:
-            assert self.order % cls.size == 0, cls.label
+            if self.order % cls.size:
+                raise AssertionError(
+                    f"class {cls.label} of size {cls.size} does not divide "
+                    f"the group order {self.order}")
             cent = sum(1 for x in self.elements
                        if self.mul(x, cls.rep) == self.mul(cls.rep, x))
-            assert cls.size * cent == self.order, cls.label
+            if cls.size * cent != self.order:
+                raise AssertionError(
+                    f"class {cls.label}: size {cls.size} times centralizer "
+                    f"order {cent} is not the group order {self.order}")
             total += cls.size
-        assert total == self.order
+        if total != self.order:
+            raise AssertionError(
+                f"class sizes sum to {total}, not the group order {self.order}")
 
     def class_by_label(self, label: str) -> ConjClass:
         for cls in self.classes:
@@ -339,11 +322,11 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
 
 def pgl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     _check_ell(ell)
-    nu = _least_generator(ell)
+    nu = least_primitive_root(ell)
     rep = MatrixRep(ell, 2, scalars=range(1, ell))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)]
     group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
-    assert group.order == ell * (ell - 1) * (ell + 1)
+    _check_order(group, ell * (ell - 1) * (ell + 1), f"PGL2(F_{ell})")
     return group
 
 
@@ -352,8 +335,7 @@ def psl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     rep = MatrixRep(ell, 2, scalars=(1, ell - 1))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0)]
     group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
-    expected = ell * (ell - 1) * (ell + 1) // (2 if ell > 2 else 1)
-    assert group.order == expected
+    _check_order(group, ell * (ell - 1) * (ell + 1) // 2, f"PSL2(F_{ell})")
     return group
 
 
@@ -362,15 +344,10 @@ def _check_ell(ell: int):
         raise ValueError(f"{ell} is not an odd prime")
 
 
-def _least_generator(p: int):
-    for g in range(2, p):
-        seen, acc = set(), 1
-        for _ in range(p - 1):
-            acc = acc * g % p
-            seen.add(acc)
-        if len(seen) == p - 1:
-            return g
-    raise AssertionError
+def _check_order(group: FiniteGroup, expected: int, name: str):
+    if group.order != expected:
+        raise AssertionError(
+            f"{name} closed to {group.order} elements, want {expected}")
 
 
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"
@@ -395,7 +372,10 @@ def predicted_triple(kind: str = "pgl2", ell: int = 5,
     invol = rep.canon((1, 0, 0, ell - 1))
     c1 = group.classes[group.class_of[unip]]
     c0 = group.classes[group.class_of[invol]]
-    assert c1.size == ell * ell - 1
+    if c1.size != ell * ell - 1:
+        raise AssertionError(
+            f"unipotent class of PGL2(F_{ell}) has {c1.size} elements, "
+            f"want {ell * ell - 1}")
     return triple_count(group, c0, c1, c1,
                         note=f"pgl2 ell={ell} toy fixture: "
                              "(split involution, unipotent, unipotent)")

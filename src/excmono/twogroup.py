@@ -88,7 +88,8 @@ class TildeGroup:
                 for j in range(self.r):
                     if vec[j]:
                         norm += g[i][j]
-        assert norm % 2 == 0
+        if norm % 2:
+            raise AssertionError(f"class {a:#b} has odd norm {norm}")
         return -1 if (norm // 2) % 2 else 1
 
     def mul(self, x: TildeElement, y: TildeElement) -> TildeElement:
@@ -142,10 +143,7 @@ class TildeGroup:
         return from_kernel
 
     def radical_elements(self):
-        out = {0}
-        for b in self.radical_basis:
-            out |= {x ^ b for x in out}
-        return sorted(out)
+        return sorted(_span(self.radical_basis))
 
     def center_structure(self):
         """Invariant factors of the center (preimage of the radical)."""
@@ -186,21 +184,6 @@ class OddIrrep:
 
     def _coset_rep(self, bits: int) -> int:
         return _reduce_by(self._m_span_echelon, bits)
-
-    def matrix(self, el: TildeElement):
-        tg = self.group
-        n = self.dimension
-        cols = {}
-        for v, rep in enumerate(self.transversal):
-            moved = tg.mul(el, TildeElement(1, rep))
-            u_rep = self._coset_rep(moved.bits)
-            u = self.transversal.index(u_rep)
-            m = tg.mul(tg.inverse(TildeElement(1, u_rep)), moved)
-            cols[v] = (u, self._m_character[m])
-        out = [[Zi(0)] * n for _ in range(n)]
-        for v, (u, val) in cols.items():
-            out[u][v] = val
-        return out
 
     def character(self, el: TildeElement) -> Zi:
         tg = self.group
@@ -291,7 +274,6 @@ def odd_irreps(tg: TildeGroup, order=None):
         order = range(1, 1 << r)
     lagr = _greedy_lagrangian(tg, order)
     m_basis = _echelonize(tuple(tg.radical_basis) + tuple(lagr))
-    m_span = sorted(_span(m_basis))
 
     # central characters: start from the forced value on (-1, 0)
     base = {TildeElement(1, 0): ONE, TildeElement(-1, 0): Zi(-1)}
@@ -305,7 +287,9 @@ def odd_irreps(tg: TildeGroup, order=None):
     echelon = _echelonize(m_basis)
     transversal = tuple(sorted({_reduce_by(echelon, x) for x in range(1 << r)}))
     dim = 1 << ((r - s) // 2)
-    assert len(transversal) == dim
+    if len(transversal) != dim:
+        raise AssertionError(
+            f"{len(transversal)} cosets of the Lagrangian, want {dim}")
 
     out = []
     for chi in central_chars:
@@ -319,7 +303,8 @@ def odd_irreps(tg: TildeGroup, order=None):
             _m_span_echelon=echelon,
             _m_character=full,
         ))
-    assert sum(ir.dimension ** 2 for ir in out) == 1 << r
+    if sum(ir.dimension ** 2 for ir in out) != 1 << r:
+        raise AssertionError(f"odd irrep dimensions do not square-sum to 2^{r}")
     return out
 
 

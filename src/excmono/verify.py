@@ -26,7 +26,6 @@ from .chevalley import (
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
     rigidity_budget,
-    v_class_centralizer,
 )
 from .gaussint import Zi
 from .rootsys import root_system
@@ -66,7 +65,7 @@ A1_PRIMES = (5, 13, 17, 29)
 RIGID_ELLS = (3, 5, 7, 11, 13)
 
 
-def criterion_k_type_table(fast=False, seed=0):
+def criterion_k_type_table(seed=0):
     rows = {}
     ok = True
     for label in sorted(K_TYPE_TABLE):
@@ -78,7 +77,7 @@ def criterion_k_type_table(fast=False, seed=0):
     return ok, {"rows": [rows[k] for k in sorted(rows)]}
 
 
-def criterion_lattice_quotients(fast=False, seed=0):
+def criterion_lattice_quotients(seed=0):
     ok = True
     torsion, free, coeffs = {}, {}, {}
     for label in TORSION_LABELS:
@@ -117,7 +116,7 @@ def _form_tables(rs, r):
     return norms, parity
 
 
-def criterion_tilde_laws(fast=False, seed=0):
+def criterion_tilde_laws(seed=0):
     ok = True
     radical = {}
     pairs_checked = 0
@@ -126,7 +125,8 @@ def criterion_tilde_laws(fast=False, seed=0):
         tg = build_tilde_group(rs)   # construction replays both group laws
         norms, parity = _form_tables(rs, tg.r)
         for a in range(1 << tg.r):
-            assert norms[a] % 2 == 0
+            if norms[a] % 2:
+                raise AssertionError(f"{label}: class {a:#b} has odd norm")
             want = -1 if (norms[a] // 2) % 2 else 1
             if tg.q(a) != want:
                 ok = False
@@ -148,7 +148,7 @@ def criterion_tilde_laws(fast=False, seed=0):
                 "radical_sizes": radical}
 
 
-def criterion_center_table(fast=False, seed=0):
+def criterion_center_table(seed=0):
     ok = True
     centers, counts = {}, {}
     for label in TILDE_LABELS:
@@ -190,11 +190,10 @@ def jacobi_probe(alg, samples: int, seed: int) -> int:
     return samples
 
 
-def criterion_chevalley(fast=False, seed=0):
+def criterion_chevalley(seed=0):
     ok = True
-    labels = [l for l in CHEVALLEY_LABELS if not (fast and l == "E8")]
     dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
-    for label in labels:
+    for label in CHEVALLEY_LABELS:
         alg = build_algebra(label)
         rs = root_system(label)
         dims[label] = alg.dim
@@ -202,32 +201,32 @@ def criterion_chevalley(fast=False, seed=0):
             ok = False
         if label in PAPER_DIMS and alg.dim != PAPER_DIMS[label]:
             ok = False
-        kappa[label] = kappa_fixed_dim(alg, kappa_character(rs))
-        if kappa[label] != len(alg.roots) // 2:
-            ok = False
-        regular[label] = regular_nilpotent_centralizer(alg)
-        if regular[label] != alg.rank:
-            ok = False
         if label in BUDGET_LABELS:
-            wit = v_class_centralizer(alg)
-            vclass[label] = wit.centralizer_dim
-            if wit.centralizer_dim != len(alg.roots) // 2:
-                ok = False
+            # the budget computes d0, d1 and the v-class witness once
             budget = rigidity_budget(label)
+            kappa[label], regular[label] = budget.d0, budget.d1
+            vclass[label] = budget.witness.centralizer_dim
+            if vclass[label] != len(alg.roots) // 2:
+                ok = False
             budgets[label] = [budget.d0, budget.d1, budget.dinf]
             if not budget.identity_holds():
                 ok = False
-    probe_label = "E7" if fast else "E8"
-    probed = jacobi_probe(build_algebra(probe_label), 500, seed)
+        else:
+            kappa[label] = kappa_fixed_dim(alg, kappa_character(rs))
+            regular[label] = regular_nilpotent_centralizer(alg)
+        if kappa[label] != len(alg.roots) // 2:
+            ok = False
+        if regular[label] != alg.rank:
+            ok = False
+    probed = jacobi_probe(build_algebra("E8"), 500, seed)
     return ok, {"dims": dims, "kappa_fixed": kappa,
                 "regular_centralizer": regular, "v_class": vclass,
                 "budgets": budgets,
-                "jacobi_probe": {"label": probe_label, "samples": probed,
-                                 "seed": seed},
-                "skipped": ["E8"] if fast else []}
+                "jacobi_probe": {"label": "E8", "samples": probed,
+                                 "seed": seed}}
 
 
-def criterion_quasiminuscule(fast=False, seed=0):
+def criterion_quasiminuscule(seed=0):
     ok = True
     table = {}
     for label, want in sorted(QM_EXPECT.items()):
@@ -238,7 +237,7 @@ def criterion_quasiminuscule(fast=False, seed=0):
     return ok, {"dims": table}
 
 
-def criterion_a1_lab(fast=False, seed=0):
+def criterion_a1_lab(seed=0):
     # every per-fiber identity is asserted inside the scan itself
     records = scan(list(A1_PRIMES))
     per_prime = {}
@@ -252,7 +251,7 @@ def criterion_a1_lab(fast=False, seed=0):
                 "sym2_over_q_values": ratios}
 
 
-def criterion_rigidity(fast=False, seed=0):
+def criterion_rigidity(seed=0):
     ok = True
     g = psl2_group(7)
     c2 = g.class_by_label("2A")
@@ -281,12 +280,12 @@ def criterion_rigidity(fast=False, seed=0):
                 "pgl2_fixtures": fixtures}
 
 
-def criterion_determinism(fast=False, seed=0):
+def criterion_determinism(seed=0):
     probes = (criterion_k_type_table, criterion_lattice_quotients,
               criterion_quasiminuscule)
     renders = []
     for _ in range(2):
-        renders.append([json.dumps(fn(fast, seed)[1], sort_keys=True)
+        renders.append([json.dumps(fn(seed)[1], sort_keys=True)
                         for fn in probes])
     ok = renders[0] == renders[1]
     return ok, {"probes": [fn.__name__ for fn in probes], "stable": ok}
@@ -314,12 +313,12 @@ class CriterionResult:
     elapsed: float
 
 
-def run_all(fast: bool = False, seed: int = 0):
+def run_all(seed: int = 0):
     results = []
     for number, name, fn in CRITERIA:
         t0 = perf_counter()
         try:
-            passed, details = fn(fast=fast, seed=seed)
+            passed, details = fn(seed=seed)
         except Exception as exc:  # a failing criterion must not stop the rest
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append(CriterionResult(number, name, passed, details,

@@ -1,0 +1,103 @@
+"""Reference helpers that only the tests use.
+
+Each one backs a check in a test file: the invariant form behind the
+Chevalley form-invariance tests, explicit odd-irrep matrices behind the
+homomorphism tests, conjugation invariants behind the class tests, and
+plain matrix powers, F2 ranks and a quadruple survey for the rest.
+"""
+
+import itertools
+
+from excmono.chevalley import orthogonal_quadruples
+from excmono.gaussint import Zi
+from excmono.linalg import mat_mul
+from excmono.twogroup import TildeElement
+
+
+def mat_pow(a, e: int):
+    n = len(a)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    base = [row[:] for row in a]
+    while e:
+        if e & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        e >>= 1
+    return out
+
+
+def gf2_rank(masks) -> int:
+    rank = 0
+    basis = []
+    for m in masks:
+        for b in basis:
+            m = min(m, m ^ b)
+        if m:
+            basis.append(m)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
+
+def invariant_form(alg, i: int, j: int) -> int:
+    """<h_i,h_j> = 2 (alpha_i-vee, alpha_j-vee); <e_a,e_-a> = (a-vee,a-vee)."""
+    r = alg.rank
+    if i < r and j < r:
+        return 2 * alg.rs.form_gram[i][j]
+    if i >= r and j >= r:
+        a, b = alg.roots[i - r], alg.roots[j - r]
+        if all(x + y == 0 for x, y in zip(a, b)):
+            return alg.rs.coroot_norm(alg.rs.coroot_of[a])
+    return 0
+
+
+def quadruple_dim_survey(alg, limit: int):
+    """Centralizer dims of the first `limit` orthogonal quadruples of
+    positive roots, as a sorted dict dim -> count."""
+    seen = {}
+    for quad in itertools.islice(orthogonal_quadruples(alg.rs), limit):
+        dim = alg.centralizer_dim({alg.index[a]: 1 for a in quad})
+        seen[dim] = seen.get(dim, 0) + 1
+    return dict(sorted(seen.items()))
+
+
+def irrep_matrix(ir, el: TildeElement):
+    """The matrix of the odd irrep `ir` at `el`, on its coset basis."""
+    tg = ir.group
+    n = ir.dimension
+    out = [[Zi(0)] * n for _ in range(n)]
+    for v, rep in enumerate(ir.transversal):
+        moved = tg.mul(el, TildeElement(1, rep))
+        u_rep = ir._coset_rep(moved.bits)
+        m = tg.mul(tg.inverse(TildeElement(1, u_rep)), moved)
+        out[ir.transversal.index(u_rep)][v] = ir._m_character[m]
+    return out
+
+
+def cycle_type(a):
+    """Sorted cycle lengths of the permutation tuple a."""
+    seen = [False] * len(a)
+    cycles = []
+    for i in range(len(a)):
+        if seen[i]:
+            continue
+        n, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = a[j]
+            n += 1
+        cycles.append(n)
+    return tuple(sorted(cycles))
+
+
+def projective_invariant(rep, a):
+    """A conjugation invariant of a MatrixRep element that is also stable
+    under the projective scaling: the trace, or tr^2/det for 2x2."""
+    n, p = rep.n, rep.p
+    tr = sum(a[i * n + i] for i in range(n)) % p
+    if not rep.scalars:
+        return (tr,)
+    if n == 2:
+        det = (a[0] * a[3] - a[1] * a[2]) % p
+        return (tr * tr * pow(det, p - 2, p) % p,)
+    return ()

@@ -1,12 +1,12 @@
 """Character sums for the quartic curve family, against naive counting.
 
 The oracles here recount every fiber by brute-force y-loops, sum the
-F_{p^2} extension sums directly point by point, correlate vectors in
+F_{p^2} extension sums directly point by point in a separate F_{p^2}
+field, find primitive roots by listing powers, correlate vectors in
 O(n^2), reverify the ramification orders of f symbolically over Q, and
 freeze a handful of records computed once with both methods agreeing.
 """
 
-import json
 import os
 import random
 import subprocess
@@ -23,10 +23,8 @@ from excmono.a1lab import (
     FiniteFieldCtx,
     compute_record,
     extension_sums,
-    is_prime,
     legendre_crosscheck,
     render_csv,
-    render_json,
     scan,
     smooth_point_count,
     sym2_symmetric_trace,
@@ -34,10 +32,11 @@ from excmono.a1lab import (
     thread_count,
     trace_sums,
     _correlate,
-    _extension,
+    _extension_table,
     _f_value,
     _good_xs,
 )
+from excmono.arith import is_prime, least_primitive_root
 from excmono.cli import main
 from excmono.gaussint import Zi
 
@@ -47,23 +46,62 @@ ACCEPT_PRIMES = [5, 13, 17, 29]
 def naive_quartic_count(ctx, lam):
     """Brute-force point count of the smooth 4-cover: direct y-loops plus
     one point over each of the four ramified x."""
-    lam = ctx.embed(lam) if isinstance(lam, int) else lam
+    lam %= ctx.p
     count = 4
     for x in _good_xs(ctx, lam):
         v = _f_value(ctx, lam, x)
-        count += sum(1 for y in ctx.elements()
-                     if ctx.eq(ctx._power(y, 4), v))
+        count += sum(1 for y in range(ctx.p) if pow(y, 4, ctx.p) == v)
     return count
+
+
+class Fp2:
+    """F_{p^2} = F_p(w) with w^2 = nu, the least non-residue by Euler's
+    criterion; elements are pairs (a, b) = a + b*w.  chi is the F_p
+    character after the norm."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def __init__(self, p):
+        self.p = p
+        self.nu = next(n for n in range(2, p)
+                       if pow(n, (p - 1) // 2, p) == p - 1)
+        self.base = FiniteFieldCtx(p)
+
+    def elements(self):
+        return [(a, b) for a in range(self.p) for b in range(self.p)]
+
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
+    def mul(self, x, y):
+        p, nu = self.p, self.nu
+        return ((x[0] * y[0] + nu * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    def norm(self, z):
+        return (z[0] * z[0] - self.nu * z[1] * z[1]) % self.p
+
+    def inv(self, z):
+        n = pow(self.norm(z), self.p - 2, self.p)
+        return (z[0] * n % self.p, -z[1] * n % self.p)
+
+    def chi(self, z):
+        return self.base.chi(self.norm(z))
 
 
 def direct_extension_sum(ctx, lam):
     """Sum of chi(Norm(f(x))) over the good x of the quadratic extension,
     point by point: the O(p^2)-per-lambda oracle for `extension_sums`."""
-    ext = _extension(ctx)
-    lam2 = ext.embed(lam)
+    ext = Fp2(ctx.p)
+    one, lam2 = ext.one, (lam % ctx.p, 0)
+    bad = {ext.zero, one, ext.inv(lam2)}
     out = Zi(0)
-    for x in _good_xs(ext, lam2):
-        out += ext.chi(_f_value(ext, lam2, x))
+    for x in ext.elements():
+        if x not in bad:
+            # f = (lam*x - 1) / (lam * x * (x - 1))
+            lx = ext.mul(lam2, x)
+            den = ext.mul(lx, ext.sub(x, one))
+            out += ext.chi(ext.mul(ext.sub(lx, one), ext.inv(den)))
     return out
 
 
@@ -79,12 +117,11 @@ def naive_correlation(pairs, n):
 
 
 def naive_fiber_sizes(ctx, lam):
-    lam = ctx.embed(lam) if isinstance(lam, int) else lam
+    lam %= ctx.p
     out = {}
     for x in _good_xs(ctx, lam):
         v = _f_value(ctx, lam, x)
-        out[x] = sum(1 for y in ctx.elements()
-                     if ctx.eq(ctx._power(y, 4), v))
+        out[x] = sum(1 for y in range(ctx.p) if pow(y, 4, ctx.p) == v)
     return out
 
 
@@ -101,9 +138,7 @@ def test_context_rejects_bad_fields():
             FiniteFieldCtx(p)
     for p in (7, 11, 3):  # p = 3 mod 4 has no order-4 character
         with pytest.raises(ValueError):
-            FiniteFieldCtx(p, 1)
-    with pytest.raises(ValueError):
-        FiniteFieldCtx(5, 3)
+            FiniteFieldCtx(p)
 
 
 def test_generators_are_least_primitive():
@@ -112,53 +147,48 @@ def test_generators_are_least_primitive():
     assert FiniteFieldCtx(17).generator == 3
 
 
+def test_least_primitive_root_lists_powers():
+    # the first g whose powers reach all p - 1 units, found by listing them
+    for p in (p for p in range(3, 200) if is_prime(p)):
+        want = next(g for g in range(2, p)
+                    if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+        assert least_primitive_root(p) == want, p
+
+
 @pytest.mark.parametrize("q", ACCEPT_PRIMES)
 def test_character_has_exact_order_four(q):
     ctx = FiniteFieldCtx(q)
     values = {}
-    for z in ctx.units():
+    for z in range(1, ctx.p):
         values.setdefault(ctx.chi(z), 0)
         values[ctx.chi(z)] += 1
     assert sorted(values.values()) == [(q - 1) // 4] * 4
     assert set(values) == {Zi(1), Zi(-1), Zi(0, 1), Zi(0, -1)}
     # chi^2 is the quadratic-residue character
-    for z in ctx.units():
+    for z in range(1, ctx.p):
         euler = pow(z, (q - 1) // 2, q)
         assert ctx.chi_pow(z, 2) == (Zi(1) if euler == 1 else Zi(-1))
 
 
 def test_conjugate_character_is_complex_conjugate():
     ctx = FiniteFieldCtx(13)
-    for z in ctx.units():
+    for z in range(1, ctx.p):
         assert ctx.chi_pow(z, 3) == ctx.chi(z).conj()
 
 
 def test_extension_field_arithmetic():
-    ext = FiniteFieldCtx(5, 2)
-    assert ext.q == 25
-    for z in ext.units():
-        assert ext.eq(ext.mul(z, ext.inv(z)), ext.one)
-        assert ext.eq(ext._power(z, 24), ext.one)
-    # norm is multiplicative onto the base field
-    for z in ext.units():
-        for w in ext.units():
-            if z <= w:
-                assert ext.norm(ext.mul(z, w)) == \
-                    ext.norm(z) * ext.norm(w) % 5
-                break
-
-
-def test_extension_over_three_mod_four_prime():
-    # p = 7: the base field has no order-4 character but F_49 does,
-    # via its own discrete-log table
-    ext = FiniteFieldCtx(7, 2)
-    assert ext.q == 49 and ext._dlog is not None
-    lam = ext.embed(3)
-    t1, t2, t3 = trace_sums(ext, lam)
-    assert t3 == t1.conj() and t2.im == 0
-    n = smooth_point_count(ext, lam)
-    assert n == 49 + 1 + (t1 + t2 + t3).re
-    assert n == naive_quartic_count(ext, lam)
+    # the oracle field F_25 is a field with a multiplicative norm
+    ext = Fp2(5)
+    units = [z for z in ext.elements() if z != ext.zero]
+    assert len(units) == 24
+    for z in units:
+        assert ext.mul(z, ext.inv(z)) == ext.one
+        acc = ext.one
+        for _ in range(24):
+            acc = ext.mul(acc, z)
+        assert acc == ext.one
+        for w in units:
+            assert ext.norm(ext.mul(z, w)) == ext.norm(z) * ext.norm(w) % 5
 
 
 # ------------------------------------------------------------- trace sums
@@ -193,7 +223,7 @@ def test_counts_match_naive_oracle(q, lam):
 @pytest.mark.parametrize("q,lam", [(5, 2), (13, 3), (13, 7)])
 def test_fiber_sizes_match_character_sums(q, lam):
     ctx = FiniteFieldCtx(q)
-    lam_el = ctx.embed(lam)
+    lam_el = lam % q
     sizes = naive_fiber_sizes(ctx, lam_el)
     for x, size in sizes.items():
         v = _f_value(ctx, lam_el, x)
@@ -274,14 +304,6 @@ def test_symmetric_square_not_always_divisible():
     assert sym2_symmetric_trace(FiniteFieldCtx(5), 3) == -1
 
 
-def test_sym2_needs_prime_base():
-    ext = FiniteFieldCtx(5, 2)
-    with pytest.raises(ValueError):
-        sym2_trace(ext, ext.embed(2))
-    with pytest.raises(ValueError):
-        extension_sums(ext)
-
-
 # ------------------------------------------------- extension sums by correlation
 
 # vector entries are indices k standing for i^k, k = 4 for 0: so {0, 2, 4}
@@ -338,6 +360,19 @@ def test_extension_table_seeded_lambdas(q):
     table = extension_sums(ctx)
     for lam in random.Random(q).sample(range(2, q), 3):
         assert table[lam] == direct_extension_sum(ctx, lam), lam
+
+
+@pytest.mark.parametrize("q", [13, 17])
+@pytest.mark.parametrize("z,shift", [(2, 1), (-1, 2)])
+def test_extension_table_checks_character_order(q, z, shift):
+    # a shifted entry (odd: nu may change; even: only the counts do)
+    # breaks the exact order 4 of chi o Norm
+    ctx = FiniteFieldCtx(q)
+    index = [4] + [ctx._chi_index(u) for u in range(1, q)]
+    assert _extension_table(index) == extension_sums(ctx)
+    index[z] = (index[z] + shift) % 4
+    with pytest.raises(AssertionError, match="exact order 4"):
+        _extension_table(index)
 
 
 def test_extension_table_built_once_per_context():
@@ -477,7 +512,7 @@ def test_csv_and_json_shapes():
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + 3
-    data = json.loads(render_json(recs))
+    data = [rec.json_dict() for rec in recs]
     assert [d["lambda"] for d in data] == [2, 3, 4]
     assert all(d["sym2_over_q"] == 1 for d in data)
     assert data[1]["sym2_symmetric"] == -1

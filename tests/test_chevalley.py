@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from excmono import chevalley, cli, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
     ChevalleyAlgebra,
@@ -20,13 +21,13 @@ from excmono.chevalley import (
     _natural_so_matrix,
     build_algebra,
     kappa_fixed_dim,
-    quadruple_dim_survey,
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
     rigidity_budget,
     v_class_centralizer,
 )
 from excmono.rootsys import root_system
+from oracles import invariant_form, quadruple_dim_survey
 
 ALL_TYPES = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
 
@@ -190,9 +191,9 @@ def test_form_invariance_exhaustive(label):
         for j in range(alg.dim):
             xj = alg.bracket({i: 1}, {j: 1})
             for k in range(alg.dim):
-                lhs = sum(c * alg.invariant_form(t, k) for t, c in xj.items())
+                lhs = sum(c * invariant_form(alg, t, k) for t, c in xj.items())
                 xk = alg.bracket({i: 1}, {k: 1})
-                rhs = sum(c * alg.invariant_form(j, t) for t, c in xk.items())
+                rhs = sum(c * invariant_form(alg, j, t) for t, c in xk.items())
                 assert lhs + rhs == 0, (i, j, k)
 
 
@@ -202,9 +203,9 @@ def test_form_invariance_sampled_e7():
     for _ in range(4000):
         i, j, k = (rng.randrange(alg.dim) for _ in range(3))
         xj = alg.bracket({i: 1}, {j: 1})
-        lhs = sum(c * alg.invariant_form(t, k) for t, c in xj.items())
+        lhs = sum(c * invariant_form(alg, t, k) for t, c in xj.items())
         xk = alg.bracket({i: 1}, {k: 1})
-        rhs = sum(c * alg.invariant_form(j, t) for t, c in xk.items())
+        rhs = sum(c * invariant_form(alg, j, t) for t, c in xk.items())
         assert lhs + rhs == 0, (i, j, k)
 
 
@@ -212,7 +213,7 @@ def test_form_is_nondegenerate_on_g2():
     from excmono.linalg import integer_rank
 
     alg = build_algebra("G2")
-    gram = [[alg.invariant_form(i, j) for j in range(alg.dim)]
+    gram = [[invariant_form(alg, i, j) for j in range(alg.dim)]
             for i in range(alg.dim)]
     assert integer_rank(gram) == alg.dim
 
@@ -345,6 +346,42 @@ def test_rigidity_budget(label):
     assert b.identity_holds()
     assert b.d0 + b.dinf == b.phi_count
     assert b.d0 + b.d1 + b.dinf == build_algebra(label).dim
+
+
+COUNTED = ("kappa_fixed_dim", "regular_nilpotent_centralizer",
+           "v_class_centralizer")
+
+
+def count_calls(monkeypatch):
+    """Calls of each COUNTED function, through every module that binds it."""
+    counts = dict.fromkeys(COUNTED, 0)
+    for name in COUNTED:
+        real = getattr(chevalley, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod in (chevalley, verify, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+def test_criterion_5_computes_each_quantity_once(monkeypatch):
+    # one per label; the six budget labels read theirs from rigidity_budget
+    counts = count_calls(monkeypatch)
+    passed, _ = verify.criterion_chevalley()
+    assert passed
+    assert counts == {"kappa_fixed_dim": 7,
+                      "regular_nilpotent_centralizer": 7,
+                      "v_class_centralizer": 6}
+
+
+def test_monodromy_computes_each_quantity_once(monkeypatch, capsys):
+    counts = count_calls(monkeypatch)
+    assert cli.main(["monodromy", "E7", "--samples", "1"]) == 0
+    assert counts == dict.fromkeys(COUNTED, 1)
 
 
 def test_budget_is_a_frozen_record():

@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from excmono.a1lab import render_csv, scan
-from excmono.cli import main
+from excmono.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +139,31 @@ def test_rigid_file_group(capsys, tmp_path):
     assert doc["result"]["center_order"] == 2
 
 
+SL25 = {"p": 5, "n": 2, "generators": [[1, 1, 0, 1], [0, 4, 1, 0]]}
+
+BAD_FILE_GROUPS = {
+    "top-level-list": [SL25],
+    "p-not-prime": dict(SL25, p=6),
+    "p-not-integer": dict(SL25, p="5"),
+    "n-below-one": dict(SL25, n=0, generators=[]),
+    "generator-wrong-length": dict(SL25, generators=[[1, 1, 0]]),
+    "generator-not-integer": dict(SL25, generators=[[1, 1, 0, 1.5]]),
+    "generators-missing": {"p": 5, "n": 2},
+    "scalar-not-unit": dict(SL25, scalars=[1, 5]),
+    "cap-not-integer": dict(SL25, cap="many"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILE_GROUPS))
+def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(BAD_FILE_GROUPS[case]))
+    code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_rigid_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rigid", "--group",
                            f"file:{tmp_path}/nope.json")
@@ -161,10 +191,51 @@ def test_manifest_is_sorted_and_stable(capsys):
     assert list(doc) == sorted(doc)
 
 
-def test_verify_all_fast(capsys):
-    code, doc, err = run_json(capsys, "verify-all", "--fast")
+def test_verify_all(capsys):
+    code, doc, err = run_json(capsys, "verify-all")
     assert code == 0
     assert doc["result"]["all_passed"] is True
     numbers = [c["number"] for c in doc["result"]["criteria"]]
     assert numbers == list(range(1, 10))
     assert err.count("[PASS]") == 9
+    assert doc["parameters"] == {"seed": 0}
+
+
+def test_verify_all_has_no_fast_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-all", "--fast"])
+    assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ README
+
+def readme_examples():
+    """argv of every `excmono ...` line in the README's sh blocks."""
+    text = README.read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            cmd = line.split("#", 1)[0].strip()
+            if cmd.startswith("excmono "):
+                out.append(shlex.split(cmd)[1:])
+    return out
+
+
+def test_readme_examples_run(capsys, tmp_path):
+    # the README's example file group, where its examples expect gens.json
+    group = tmp_path / "gens.json"
+    group.write_text(re.search(r"`(\{\"p\".*?\})`", README.read_text(),
+                               re.S).group(1))
+    examples = readme_examples()
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        argv = [a.replace("file:gens.json", f"file:{group}") for a in argv]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the CLI rejects README example {argv}")
+        if argv[0] == "verify-all":
+            continue  # criterion 9 runs it
+        assert main(argv) == 0, argv
+        capsys.readouterr()

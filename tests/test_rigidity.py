@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from excmono import rigidity
 from excmono.rigidity import (
     ConjClass,
     FiniteGroup,
@@ -14,6 +19,7 @@ from excmono.rigidity import (
     psl2_group,
     triple_count,
 )
+from oracles import cycle_type, projective_invariant
 
 S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
 
@@ -93,7 +99,7 @@ def test_perm_rep_ops():
     a, b = (1, 0, 2, 3), (1, 2, 3, 0)
     assert rep.mul(a, rep.inv(a)) == rep.identity
     assert rep.mul(a, b) == tuple(a[b[i]] for i in range(4))
-    assert rep.invariant((1, 2, 0, 3)) == (1, 3)
+    assert cycle_type((1, 2, 0, 3)) == (1, 3)
 
 
 def test_matrix_rep_inverse_roundtrip():
@@ -124,7 +130,7 @@ def test_projective_canonical_form_kills_scalars():
 def test_projective_invariant_is_conjugation_stable():
     g = pgl2_group(5)
     for cls in g.classes:
-        vals = {g.rep.invariant(x) for x in cls.members}
+        vals = {projective_invariant(g.rep, x) for x in cls.members}
         assert len(vals) == 1
 
 
@@ -150,6 +156,35 @@ def test_class_sizes_partition_group(build):
         cent = sum(1 for x in g.elements
                    if g.mul(x, c.rep) == g.mul(c.rep, x))
         assert c.size * cent == g.order
+
+
+# Under -O no assert statement runs; the class equation must still be
+# checked, since `rigid` reports it as passed.
+_CORRUPT_CLASSES = """
+import sys
+from excmono import rigidity
+from excmono.cli import main
+real = rigidity.FiniteGroup._conjugacy_classes
+def corrupted(self):
+    classes = real(self)
+    c = classes[-1]
+    classes[-1] = rigidity.ConjClass(c.label, c.members, c.size + {shift})
+    return classes
+rigidity.FiniteGroup._conjugacy_classes = corrupted
+sys.exit(main(["rigid", "--group", "psl2", "--ell", "7"]))
+"""
+
+
+@pytest.mark.parametrize("shift,code", [(0, 0), (1, 1)])
+def test_class_equation_checked_under_optimize(shift, code):
+    src = str(Path(rigidity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CLASSES.format(shift=shift)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "check failed: class" in proc.stderr
 
 
 def test_class_by_label_unknown():
