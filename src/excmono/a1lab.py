@@ -9,12 +9,14 @@ even under `python -O`.
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
 
-Per fiber, the F_p sums t1, t2, t3 are direct O(p) loops.  The F_{p^2}
-sums of one prime come for every lambda at once from one exact cyclic
-correlation per row of F_{p^2} = F_p + F_p*w (`extension_sums`): each
-correlation is a Kronecker-packed big-int product, so a scan over all
-lambda costs O(p^2) Python steps instead of the direct O(p^3).  q = 101
-takes well under a second.
+Per fiber, `fiber_values` evaluates f once at each unramified x; the F_p
+sums t1, t2, t3, the point count and the Legendre count are direct O(p)
+loops over those values.  The F_{p^2} sums of one prime come for every
+lambda at once from one exact cyclic correlation per row of
+F_{p^2} = F_p + F_p*w (`extension_sums`): each correlation is a
+Kronecker-packed big-int product, so a scan over all lambda costs O(p^2)
+Python steps instead of the direct O(p^3).  q = 101 takes well under a
+second.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import io
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import is_prime, least_primitive_root
 from .gaussint import I, ONE, Zi
@@ -51,6 +54,10 @@ class FiniteFieldCtx:
         self.generator = least_primitive_root(p)
         self._dlog = self._dlog_table()
         self._check_character()
+        # square_roots[v] = #{y : y^2 = v}, for the Legendre count
+        self.square_roots = [0] * p
+        for y in range(p):
+            self.square_roots[y * y % p] += 1
 
     # ------------------------------------------------------------ tables
 
@@ -90,12 +97,6 @@ class FiniteFieldCtx:
 
 # ----------------------------------------------------------------- sums
 
-def _good_xs(ctx: FiniteFieldCtx, lam):
-    p = ctx.p
-    bad = {0, 1, pow(lam, p - 2, p)}
-    return [x for x in range(p) if x not in bad]
-
-
 def _f_value(ctx: FiniteFieldCtx, lam, x):
     # (lam*x - 1) / (lam * x * (x - 1))
     p = ctx.p
@@ -103,21 +104,24 @@ def _f_value(ctx: FiniteFieldCtx, lam, x):
     return (lx - 1) * pow(lx * (x - 1), p - 2, p) % p
 
 
-def _check_lambda(ctx: FiniteFieldCtx, lam):
-    lam %= ctx.p
+def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
+    """f(x) at every unramified x, that is x outside {0, 1, 1/lam}, in
+    increasing x; f is evaluated once per x and vanishes at none of them."""
+    p = ctx.p
+    lam %= p
     if lam in (0, 1):
         raise ValueError("lambda in {0, 1} gives a degenerate fiber")
-    return lam
+    bad = {0, 1, pow(lam, p - 2, p)}
+    values = [_f_value(ctx, lam, x) for x in range(p) if x not in bad]
+    if 0 in values:
+        raise AssertionError(f"f vanishes at a good point of lambda = {lam}")
+    return values
 
 
-def trace_sums(ctx: FiniteFieldCtx, lam):
-    """(t1, t2, t3): character sums of chi^j(f(x)) over the unramified x."""
-    lam = _check_lambda(ctx, lam)
+def trace_sums(ctx: FiniteFieldCtx, values):
+    """(t1, t2, t3): character sums of chi^j over the `fiber_values`."""
     t = [Zi(0), Zi(0), Zi(0)]
-    for x in _good_xs(ctx, lam):
-        v = _f_value(ctx, lam, x)
-        if v == 0:
-            raise AssertionError(f"f vanishes at the good point x = {x}")
+    for v in values:
         c = ctx.chi(v)
         c2 = c * c
         t[0] += c
@@ -131,46 +135,38 @@ def trace_sums(ctx: FiniteFieldCtx, lam):
     return t1, t2, t3
 
 
-def smooth_point_count(ctx: FiniteFieldCtx, lam) -> int:
+def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
     """Points of the smooth projective 4-cover over F_q.
 
     Each unramified fiber has size sum_{j=0..3} chi^j(f(x)), which is 0 or
     4; the four ramified x contribute one point each.  The total respects
-    the genus-3 Weil bound.
+    the genus-3 Weil bound.  `values` are the `fiber_values`.
     """
-    lam = _check_lambda(ctx, lam)
     q = ctx.q
     count = _RAMIFIED
-    for x in _good_xs(ctx, lam):
-        v = _f_value(ctx, lam, x)
+    for v in values:
         fiber = ONE + ctx.chi(v) + ctx.chi_pow(v, 2) + ctx.chi_pow(v, 3)
         if fiber.im != 0 or fiber.re not in (0, 4):
-            raise AssertionError(f"fiber over x = {x} has size {fiber}")
+            raise AssertionError(f"fiber over f(x) = {v} has size {fiber}")
         count += fiber.re
     if (count - q - 1) ** 2 > 36 * q:
         raise AssertionError(f"genus-3 Weil bound failed: {count} points")
     return count
 
 
-def legendre_crosscheck(ctx: FiniteFieldCtx, lam, sums=None):
-    """Count the genus-1 double cover y^2 = f(x) naively and match t2.
+def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
+    """Points of the genus-1 double cover y^2 = f(x), counted from square
+    roots without characters; it must be q + 1 + t2.
 
-    `sums` is `trace_sums(ctx, lam)` when the caller already has it.
+    `values` are the `fiber_values` and t2 the second of `trace_sums`.
     """
-    lam = _check_lambda(ctx, lam)
-    squares = {}
-    for y in range(ctx.p):
-        squares[y * y % ctx.p] = squares.get(y * y % ctx.p, 0) + 1
-    count = _RAMIFIED
-    for x in _good_xs(ctx, lam):
-        count += squares.get(_f_value(ctx, lam, x), 0)
-    _, t2, _ = trace_sums(ctx, lam) if sums is None else sums
+    count = _RAMIFIED + sum(ctx.square_roots[v] for v in values)
     if count != ctx.q + 1 + t2.re:
         raise AssertionError(
             f"Legendre identity failed: {count} != {ctx.q} + 1 + {t2.re}")
     if t2.re * t2.re > 4 * ctx.q:
         raise AssertionError(f"genus-1 Hasse bound failed: t2 = {t2}")
-    return t2, count
+    return count
 
 
 def _half_int(z: Zi) -> int:
@@ -179,14 +175,7 @@ def _half_int(z: Zi) -> int:
     return z.re // 2
 
 
-def _sym2_inputs(ctx: FiniteFieldCtx, lam, sums, ext_sum):
-    lam = _check_lambda(ctx, lam)
-    t1, _, t3 = trace_sums(ctx, lam) if sums is None else sums
-    t1_sq = extension_sums(ctx)[lam] if ext_sum is None else ext_sum
-    return t1, t3, t1_sq
-
-
-def sym2_trace(ctx: FiniteFieldCtx, lam, sums=None, ext_sum=None):
+def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum):
     """(s, s_conj) with s = (Tr^2 - Tr2)/2, both factors taken as traces.
 
     Tr = -t1 is the Frobenius trace on the chi-piece and Tr2 the trace of
@@ -196,13 +185,12 @@ def sym2_trace(ctx: FiniteFieldCtx, lam, sums=None, ext_sum=None):
     q-normalizes into [-1, 3].  On every fiber tested the eigenvalue pair
     multiplies to exactly +q, which also forces t1 itself to be real.
 
-    `sums` is `trace_sums(ctx, lam)` and `ext_sum` the lambda entry of
-    `extension_sums(ctx)`, when the caller already has them.
+    `sums` is `trace_sums` of the fiber and `ext_sum` its entry of
+    `extension_sums(ctx)`.
     """
-    t1, t3, t1_sq = _sym2_inputs(ctx, lam, sums, ext_sum)
-    t3_sq = t1_sq.conj()
-    s = _half_int(t1 * t1 + t1_sq)
-    s_conj = _half_int(t3 * t3 + t3_sq)
+    t1, _, t3 = sums
+    s = _half_int(t1 * t1 + ext_sum)
+    s_conj = _half_int(t3 * t3 + ext_sum.conj())
     if s != s_conj:
         raise AssertionError(f"descent mismatch: {s} != {s_conj}")
     if s % ctx.q != 0:
@@ -212,8 +200,7 @@ def sym2_trace(ctx: FiniteFieldCtx, lam, sums=None, ext_sum=None):
     return s, s_conj
 
 
-def sym2_symmetric_trace(ctx: FiniteFieldCtx, lam, sums=None,
-                         ext_sum=None) -> int:
+def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     """Trace of Frobenius on the symmetric square of the chi-piece.
 
     With eigenvalues a, b this is a^2 + ab + b^2 = (t1^2 - t1_sq)/2 for
@@ -221,9 +208,9 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, lam, sums=None,
     algebraic (not rational) integer ratio in general, so no divisibility
     by q is imposed here.  `sums` and `ext_sum` are as in `sym2_trace`.
     """
-    t1, t3, t1_sq = _sym2_inputs(ctx, lam, sums, ext_sum)
-    s = _half_int(t1 * t1 - t1_sq)
-    s_conj = _half_int(t3 * t3 - t1_sq.conj())
+    t1, _, t3 = sums
+    s = _half_int(t1 * t1 - ext_sum)
+    s_conj = _half_int(t3 * t3 - ext_sum.conj())
     if s != s_conj:
         raise AssertionError(f"symmetric descent mismatch: {s} != {s_conj}")
     if not -ctx.q <= s <= 3 * ctx.q:
@@ -379,34 +366,32 @@ class TraceRecord:
 
 
 def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
-    sums = trace_sums(ctx, lam)
+    values = fiber_values(ctx, lam)
+    lam %= ctx.q
+    sums = trace_sums(ctx, values)
     t1, t2, t3 = sums
     q = ctx.q
     for t in sums:
         if t.norm() > 4 * q:
             raise AssertionError(f"Weil bound failed: |{t}|^2 > 4q")
-    n = smooth_point_count(ctx, lam)
+    n = smooth_point_count(ctx, values)
     total = t1 + t2 + t3
     if total.im != 0 or n != q + 1 + total.re:
         raise AssertionError(
             f"Lefschetz identity failed: {n} != {q} + 1 + {total}")
-    legendre_crosscheck(ctx, lam, sums)
-    ext_sum = extension_sums(ctx)[lam % q]
-    s, s_conj = sym2_trace(ctx, lam, sums, ext_sum)
-    return TraceRecord(q=q, lam=lam % q, t1=t1, t2=t2, t3=t3,
+    legendre_crosscheck(ctx, values, t2)
+    ext_sum = extension_sums(ctx)[lam]
+    s, s_conj = sym2_trace(ctx, sums, ext_sum)
+    return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
                        point_count_smooth=n, sym2_trace=s,
                        sym2_trace_conj=s_conj,
                        sym2_symmetric=sym2_symmetric_trace(
-                           ctx, lam, sums, ext_sum))
+                           ctx, sums, ext_sum))
 
 
-_CTX_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _context(q: int) -> FiniteFieldCtx:
-    if q not in _CTX_CACHE:
-        _CTX_CACHE[q] = FiniteFieldCtx(q)
-    return _CTX_CACHE[q]
+    return FiniteFieldCtx(q)
 
 
 def _record_worker(args) -> TraceRecord:

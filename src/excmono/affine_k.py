@@ -65,7 +65,7 @@ def _fold_half_rho_vee(rs: RootSystem):
                 break
         if moved:
             continue
-        t = sum(theta[i] * rs.cartan[i][j] * x[j] for i in range(r) for j in range(r))
+        t = rs.pair(theta, x)
         if t > 1:
             for k in range(r):
                 x[k] -= (t - 1) * theta_vee[k]
@@ -73,11 +73,6 @@ def _fold_half_rho_vee(rs: RootSystem):
         if not moved:
             return x
     raise AssertionError("alcove folding failed to terminate")
-
-
-def _pair_frac(rs: RootSystem, root, x) -> Fraction:
-    r = rs.rank
-    return sum(root[i] * rs.cartan[i][j] * x[j] for i in range(r) for j in range(r))
 
 
 def _simple_system(positive_members):
@@ -185,8 +180,8 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     x = _fold_half_rho_vee(rs)
     theta, _, _ = rs.highest_root()
     kept = [i for i in range(rs.rank)
-            if _pair_frac(rs, rs.simple_roots[i], x) == 0]
-    affine = _pair_frac(rs, theta, x) == 1
+            if rs.pair(rs.simple_roots[i], x) == 0]
+    affine = rs.pair(theta, x) == 1
     delta_k = tuple(rs.simple_roots[i] for i in kept)
     if affine:
         delta_k = delta_k + (tuple(-v for v in theta),)

@@ -213,7 +213,7 @@ def kappa_fixed_dim(alg: ChevalleyAlgebra, kappa) -> int:
     plus = sum(1 for a in alg.roots if kappa(a) == 1)
     dim = alg.rank + plus
     if dim != len(alg.roots) // 2:
-        raise ValueError(
+        raise AssertionError(
             f"split Cartan involution identity failed: {dim} != "
             f"{len(alg.roots) // 2}")
     return dim
@@ -222,7 +222,7 @@ def kappa_fixed_dim(alg: ChevalleyAlgebra, kappa) -> int:
 def regular_nilpotent_centralizer(alg: ChevalleyAlgebra) -> int:
     dim = alg.centralizer_dim(alg.regular_nilpotent())
     if dim != alg.rank:
-        raise ValueError(
+        raise AssertionError(
             f"regular nilpotent centralizer {dim} != rank {alg.rank}")
     return dim
 
@@ -256,7 +256,7 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
     else:
         raise ValueError(f"no v-class recipe for type {rs.label}")
     if witness.centralizer_dim != target:
-        raise ValueError(
+        raise AssertionError(
             f"v-class prediction failed for {rs.label}: centralizer "
             f"{witness.centralizer_dim} != {target}")
     return witness
@@ -299,7 +299,7 @@ def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
                 rs.label,
                 f"sum over an orthogonal quadruple (candidate #{tried})",
                 quad, dim)
-    raise ValueError(f"no orthogonal quadruple reaches {target} in {rs.label}")
+    raise AssertionError(f"no orthogonal quadruple reaches {target} in {rs.label}")
 
 
 def _d_type_v_class(alg: ChevalleyAlgebra):

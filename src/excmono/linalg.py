@@ -158,10 +158,13 @@ def smith_normal_form(mat) -> list[int]:
 
 # ---------------------------------------------------------------- F2 ----
 
-def gf2_nullspace(rows, ncols: int) -> list[int]:
-    """Basis (as bitmasks) of {x : M x = 0 over F2}; rows are bitmasks."""
-    rows = [r for r in rows if r]
-    pivots = {}  # col -> reduced row
+def gf2_echelon(rows) -> dict[int, int]:
+    """Reduced row echelon form of bitmask rows over F2, as {pivot: row}.
+
+    A row's pivot is its top bit; every pivot column is set in its own
+    row only, so the result depends on the row space alone.
+    """
+    pivots = {}
     for r in rows:
         while r:
             c = r.bit_length() - 1
@@ -170,11 +173,16 @@ def gf2_nullspace(rows, ncols: int) -> list[int]:
             else:
                 pivots[c] = r
                 break
-    # fully reduce: a pivot row may only touch its own pivot and free columns
     for c in sorted(pivots):
         for c2 in pivots:
             if c2 != c and (pivots[c2] >> c) & 1:
                 pivots[c2] ^= pivots[c]
+    return pivots
+
+
+def gf2_nullspace(rows, ncols: int) -> list[int]:
+    """Basis (as bitmasks) of {x : M x = 0 over F2}; rows are bitmasks."""
+    pivots = gf2_echelon(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:

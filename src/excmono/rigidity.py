@@ -321,27 +321,33 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
 # ------------------------------------------------------------- instances
 
 def pgl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    _check_ell(ell)
+    name, order = f"PGL2(F_{ell})", ell * (ell - 1) * (ell + 1)
+    _check_instance(ell, order, cap, name)
     nu = least_primitive_root(ell)
     rep = MatrixRep(ell, 2, scalars=range(1, ell))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)]
     group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
-    _check_order(group, ell * (ell - 1) * (ell + 1), f"PGL2(F_{ell})")
+    _check_order(group, order, name)
     return group
 
 
 def psl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    _check_ell(ell)
+    name, order = f"PSL2(F_{ell})", ell * (ell - 1) * (ell + 1) // 2
+    _check_instance(ell, order, cap, name)
     rep = MatrixRep(ell, 2, scalars=(1, ell - 1))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0)]
     group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
-    _check_order(group, ell * (ell - 1) * (ell + 1) // 2, f"PSL2(F_{ell})")
+    _check_order(group, order, name)
     return group
 
 
-def _check_ell(ell: int):
+def _check_instance(ell: int, order: int, cap: int, name: str):
+    """Refuse a bad ell, and a known order over the cap before any closure."""
     if not is_prime(ell) or ell == 2:
         raise ValueError(f"{ell} is not an odd prime")
+    if order > cap:
+        raise OverflowError(f"{name} has {order} elements, over the cap "
+                            f"of {cap}")
 
 
 def _check_order(group: FiniteGroup, expected: int, name: str):
@@ -363,7 +369,7 @@ def predicted_triple(kind: str = "pgl2", ell: int = 5,
     single nontrivial unipotent class.  These choices are this harness's
     fixture, not classes named by any conjecture at this scale.
     """
-    if kind != "pgl2" or not is_prime(ell) or not 3 <= ell <= 13:
+    if kind != "pgl2" or not 3 <= ell <= 13 or not is_prime(ell):
         raise ValueError(f"unsupported instance; supported: "
                          f"{SUPPORTED_INSTANCES}")
     group = pgl2_group(ell, cap)

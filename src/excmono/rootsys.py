@@ -110,16 +110,15 @@ class RootSystem:
     def height(self, root) -> int:
         return sum(root)
 
-    def pair(self, root, coroot) -> int:
-        """<root, coroot> via the Cartan data."""
+    def pair(self, root, coroot):
+        """<root, coroot> via the Cartan data; coroot coordinates may be
+        Fractions, and then so is the result."""
         a = self.cartan
         r = self.rank
         return sum(root[i] * a[i][j] * coroot[j] for i in range(r) for j in range(r))
 
     def coroot_norm(self, coroot) -> int:
-        g = self.form_gram
-        r = self.rank
-        return sum(coroot[i] * g[i][j] * coroot[j] for i in range(r) for j in range(r))
+        return self.coroot_dot(coroot, coroot)
 
     def coroot_dot(self, v, w) -> int:
         g = self.form_gram

@@ -9,6 +9,11 @@ bits an r-bit mask over the simple-coroot basis.
 The extension is realized by the upper-triangular cocycle
 beta(e_i, e_j) = (e_i, e_j) mod 2 for i < j, (e_i, e_i)/2 on the diagonal,
 and 0 below; both defining laws are checked exhaustively on build.
+
+Both forms are tabulated once per group: for each class a, the masks of
+(a, -) mod 2 and of beta(a, -) and the integer norm (a, a), so pairing,
+cocycle and q are a lookup and a popcount.  The odd irreps reduce modulo
+a Lagrangian through its reduced echelon form from `linalg.gf2_echelon`.
 """
 
 from __future__ import annotations
@@ -18,17 +23,13 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .gaussint import I, ONE, Zi
-from .linalg import gf2_nullspace, smith_normal_form
+from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
 from .rootsys import RootSystem
 
 
 class TildeElement(NamedTuple):
     sign: int  # +1 or -1
     bits: int  # class in Lambda-vee / 2 Lambda-vee
-
-
-def _popcount_parity(x: int) -> int:
-    return bin(x).count("1") & 1
 
 
 class TildeGroup:
@@ -43,54 +44,42 @@ class TildeGroup:
         self.rs = rs
         self.r = rank
         g = rs.form_gram
-        # mod-2 Gram rows and the cocycle's upper-triangular rows, as masks
-        self.gram_rows = []
-        self.cocycle_rows = []
-        for i in range(rank):
-            gm = 0
-            cm = 0
-            for j in range(rank):
-                if g[i][j] % 2:
-                    gm |= 1 << j
-                if j > i and g[i][j] % 2:
-                    cm |= 1 << j
-            if (g[i][i] // 2) % 2:
-                cm |= 1 << i
-            self.gram_rows.append(gm)
-            self.cocycle_rows.append(cm)
-        self.radical_basis = gf2_nullspace(self.gram_rows, rank)
+        # row i of the Gram form mod 2 and of the cocycle, as masks
+        gram_rows = [sum(1 << j for j in range(rank) if g[i][j] % 2)
+                     for i in range(rank)]
+        cocycle_rows = [(row >> (i + 1) << (i + 1)) | ((g[i][i] // 2) % 2) << i
+                        for i, row in enumerate(gram_rows)]
+        # per class a: the masks a^T G mod 2 and a^T U, and the norm (a, a),
+        # each grown from a with its top bit i removed
+        n = 1 << rank
+        self._pair_mask = [0] * n
+        self._cocycle_mask = [0] * n
+        self._norm = [0] * n
+        for a in range(1, n):
+            i = a.bit_length() - 1
+            rest = a ^ (1 << i)
+            self._pair_mask[a] = self._pair_mask[rest] ^ gram_rows[i]
+            self._cocycle_mask[a] = self._cocycle_mask[rest] ^ cocycle_rows[i]
+            norm = self._norm[rest] + g[i][i] + 2 * sum(
+                g[i][j] for j in range(i) if (rest >> j) & 1)
+            if norm % 2:
+                raise AssertionError(f"class {a:#b} has odd norm {norm}")
+            self._norm[a] = norm
+        self.radical_basis = gf2_nullspace(gram_rows, rank)
         self._check_laws()
 
     # ------------------------------------------------------------ algebra --
 
     def pairing(self, a: int, b: int) -> int:
         """(a, b) mod 2."""
-        acc = 0
-        for i in range(self.r):
-            if (a >> i) & 1:
-                acc ^= _popcount_parity(self.gram_rows[i] & b)
-        return acc
+        return (self._pair_mask[a] & b).bit_count() & 1
 
     def _beta(self, a: int, b: int) -> int:
-        acc = 0
-        for i in range(self.r):
-            if (a >> i) & 1:
-                acc ^= _popcount_parity(self.cocycle_rows[i] & b)
-        return acc
+        return (self._cocycle_mask[a] & b).bit_count() & 1
 
     def q(self, a: int) -> int:
         """(-1)^((a,a)/2) on lattice classes."""
-        norm = 0
-        g = self.rs.form_gram
-        vec = [(a >> i) & 1 for i in range(self.r)]
-        for i in range(self.r):
-            if vec[i]:
-                for j in range(self.r):
-                    if vec[j]:
-                        norm += g[i][j]
-        if norm % 2:
-            raise AssertionError(f"class {a:#b} has odd norm {norm}")
-        return -1 if (norm // 2) % 2 else 1
+        return -1 if self._norm[a] % 4 else 1
 
     def mul(self, x: TildeElement, y: TildeElement) -> TildeElement:
         sign = x.sign * y.sign * (-1 if self._beta(x.bits, y.bits) else 1)
@@ -179,11 +168,11 @@ class OddIrrep:
     central_character: dict
     dimension: int
     transversal: tuple
-    _m_span_echelon: tuple
+    _m_pivots: dict
     _m_character: dict
 
     def _coset_rep(self, bits: int) -> int:
-        return _reduce_by(self._m_span_echelon, bits)
+        return _reduce_by(self._m_pivots, bits)
 
     def character(self, el: TildeElement) -> Zi:
         tg = self.group
@@ -201,23 +190,6 @@ def _span(vectors):
     for v in vectors:
         out |= {x ^ v for x in out}
     return out
-
-
-def _echelonize(vectors):
-    basis = []
-    for v in vectors:
-        for b in basis:
-            if v and b.bit_length() == v.bit_length():
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(key=lambda x: -x)
-    # reduce upwards so each leading bit appears in one row only
-    for i, b in enumerate(basis):
-        for j in range(i):
-            if basis[j] & (1 << (b.bit_length() - 1)):
-                basis[j] ^= b
-    return tuple(sorted(basis, key=lambda x: -x))
 
 
 def _greedy_lagrangian(tg: TildeGroup, order):
@@ -272,8 +244,7 @@ def odd_irreps(tg: TildeGroup, order=None):
     s = len(tg.radical_basis)
     if order is None:
         order = range(1, 1 << r)
-    lagr = _greedy_lagrangian(tg, order)
-    m_basis = _echelonize(tuple(tg.radical_basis) + tuple(lagr))
+    m_pivots = gf2_echelon(tg.radical_basis + _greedy_lagrangian(tg, order))
 
     # central characters: start from the forced value on (-1, 0)
     base = {TildeElement(1, 0): ONE, TildeElement(-1, 0): Zi(-1)}
@@ -283,9 +254,10 @@ def odd_irreps(tg: TildeGroup, order=None):
         flips = [(mask >> i) & 1 for i in range(s)]
         central_chars.append(_extend_character(tg, base, radical_gens, flips))
 
-    lag_gens = [TildeElement(1, b) for b in m_basis]
-    echelon = _echelonize(m_basis)
-    transversal = tuple(sorted({_reduce_by(echelon, x) for x in range(1 << r)}))
+    lag_gens = [TildeElement(1, b)
+                for b in sorted(m_pivots.values(), reverse=True)]
+    transversal = tuple(sorted({_reduce_by(m_pivots, x)
+                                for x in range(1 << r)}))
     dim = 1 << ((r - s) // 2)
     if len(transversal) != dim:
         raise AssertionError(
@@ -293,24 +265,22 @@ def odd_irreps(tg: TildeGroup, order=None):
 
     out = []
     for chi in central_chars:
-        full = _extend_character(tg, chi, lag_gens)
-        central = {el: chi[el] for el in chi}
         out.append(OddIrrep(
             group=tg,
-            central_character=central,
+            central_character=chi,
             dimension=dim,
             transversal=transversal,
-            _m_span_echelon=echelon,
-            _m_character=full,
+            _m_pivots=m_pivots,
+            _m_character=_extend_character(tg, chi, lag_gens),
         ))
     if sum(ir.dimension ** 2 for ir in out) != 1 << r:
         raise AssertionError(f"odd irrep dimensions do not square-sum to 2^{r}")
     return out
 
 
-def _reduce_by(echelon, bits):
-    for row in echelon:
-        top = 1 << (row.bit_length() - 1)
-        if bits & top:
+def _reduce_by(pivots, bits):
+    """The coset representative of bits with every pivot column cleared."""
+    for c, row in pivots.items():
+        if (bits >> c) & 1:
             bits ^= row
     return bits

@@ -2,16 +2,31 @@
 
 Each one backs a check in a test file: the invariant form behind the
 Chevalley form-invariance tests, explicit odd-irrep matrices behind the
-homomorphism tests, conjugation invariants behind the class tests, and
-plain matrix powers, F2 ranks and a quadruple survey for the rest.
+homomorphism tests, conjugation invariants behind the class tests, the
+per-call form loops and echelon routine the two-group tables replaced,
+and plain matrix powers, F2 ranks and a quadruple survey for the rest.
+`GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 from excmono.chevalley import orthogonal_quadruples
 from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
 from excmono.twogroup import TildeElement
+
+# recorded before the Ã and a1 layers were rewritten for single computation
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden_stdout.json").read_text())
+
+
+def stdout_digest(out) -> str:
+    """sha256 of captured stdout, given as str or bytes."""
+    return hashlib.sha256(
+        out.encode() if isinstance(out, str) else out).hexdigest()
 
 
 def mat_pow(a, e: int):
@@ -101,3 +116,72 @@ def projective_invariant(rep, a):
         det = (a[0] * a[3] - a[1] * a[2]) % p
         return (tr * tr * pow(det, p - 2, p) % p,)
     return ()
+
+
+# ----------------------------------------------- two-group forms, per call
+
+def form_rows(tg):
+    """Mod-2 Gram rows and upper-triangular cocycle rows of tg, as masks."""
+    g, r = tg.rs.form_gram, tg.r
+    gram_rows, cocycle_rows = [], []
+    for i in range(r):
+        gm = cm = 0
+        for j in range(r):
+            if g[i][j] % 2:
+                gm |= 1 << j
+            if j > i and g[i][j] % 2:
+                cm |= 1 << j
+        if (g[i][i] // 2) % 2:
+            cm |= 1 << i
+        gram_rows.append(gm)
+        cocycle_rows.append(cm)
+    return gram_rows, cocycle_rows
+
+
+def _popcount_parity(x: int) -> int:
+    return bin(x).count("1") & 1
+
+
+def _row_form(rows, a: int, b: int) -> int:
+    acc = 0
+    for i, row in enumerate(rows):
+        if (a >> i) & 1:
+            acc ^= _popcount_parity(row & b)
+    return acc
+
+
+def loop_pairing(tg, a: int, b: int) -> int:
+    """(a, b) mod 2, one Gram row at a time."""
+    return _row_form(form_rows(tg)[0], a, b)
+
+
+def loop_beta(tg, a: int, b: int) -> int:
+    """The cocycle beta(a, b), one cocycle row at a time."""
+    return _row_form(form_rows(tg)[1], a, b)
+
+
+def loop_q(tg, a: int) -> int:
+    """(-1)^((a,a)/2) from the double sum over the bits of a."""
+    g, r = tg.rs.form_gram, tg.r
+    norm = sum(g[i][j] for i in range(r) for j in range(r)
+               if (a >> i) & 1 and (a >> j) & 1)
+    assert norm % 2 == 0, (a, norm)
+    return -1 if (norm // 2) % 2 else 1
+
+
+def echelonize(vectors):
+    """Reduced echelon basis over F2, rows sorted by descending top bit."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            if v and b.bit_length() == v.bit_length():
+                v ^= b
+        if v:
+            basis.append(v)
+            basis.sort(key=lambda x: -x)
+    # reduce upwards so each leading bit appears in one row only
+    for i, b in enumerate(basis):
+        for j in range(i):
+            if basis[j] & (1 << (b.bit_length() - 1)):
+                basis[j] ^= b
+    return tuple(sorted(basis, key=lambda x: -x))

@@ -23,6 +23,7 @@ from excmono.a1lab import (
     FiniteFieldCtx,
     compute_record,
     extension_sums,
+    fiber_values,
     legendre_crosscheck,
     render_csv,
     scan,
@@ -33,8 +34,6 @@ from excmono.a1lab import (
     trace_sums,
     _correlate,
     _extension_table,
-    _f_value,
-    _good_xs,
 )
 from excmono.arith import is_prime, least_primitive_root
 from excmono.cli import main
@@ -43,15 +42,31 @@ from excmono.gaussint import Zi
 ACCEPT_PRIMES = [5, 13, 17, 29]
 
 
+def naive_values(p, lam):
+    """x -> f(x) = (lam*x - 1)/(lam*x*(x - 1)) over the x where neither
+    side vanishes, that is outside {0, 1, 1/lam}; dividing by search."""
+    out = {}
+    for x in range(p):
+        num, den = (lam * x - 1) % p, lam * x * (x - 1) % p
+        if num and den:
+            out[x] = next(v for v in range(p) if v * den % p == num)
+    return out
+
+
 def naive_quartic_count(ctx, lam):
     """Brute-force point count of the smooth 4-cover: direct y-loops plus
     one point over each of the four ramified x."""
-    lam %= ctx.p
     count = 4
-    for x in _good_xs(ctx, lam):
-        v = _f_value(ctx, lam, x)
+    for v in naive_values(ctx.p, lam).values():
         count += sum(1 for y in range(ctx.p) if pow(y, 4, ctx.p) == v)
     return count
+
+
+def fiber_sums(ctx, lam):
+    """`trace_sums` of the fiber and its extension sum, as `compute_record`
+    hands them to the sym2 routes."""
+    return (trace_sums(ctx, fiber_values(ctx, lam)),
+            extension_sums(ctx)[lam % ctx.p])
 
 
 class Fp2:
@@ -117,12 +132,8 @@ def naive_correlation(pairs, n):
 
 
 def naive_fiber_sizes(ctx, lam):
-    lam %= ctx.p
-    out = {}
-    for x in _good_xs(ctx, lam):
-        v = _f_value(ctx, lam, x)
-        out[x] = sum(1 for y in range(ctx.p) if pow(y, 4, ctx.p) == v)
-    return out
+    return {x: sum(1 for y in range(ctx.p) if pow(y, 4, ctx.p) == v)
+            for x, v in naive_values(ctx.p, lam).items()}
 
 
 # -------------------------------------------------------------- field ctx
@@ -130,6 +141,10 @@ def naive_fiber_sizes(ctx, lam):
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert is_prime(2 ** 31 - 1)   # the largest input below the bound
+    for n in (2 ** 31, 10 ** 18 + 9):
+        with pytest.raises(OverflowError, match="2\\^31"):
+            is_prime(n)
 
 
 def test_context_rejects_bad_fields():
@@ -197,17 +212,27 @@ def test_degenerate_lambda_rejected():
     ctx = FiniteFieldCtx(13)
     for lam in (0, 1, 13, 14):
         with pytest.raises(ValueError):
-            trace_sums(ctx, lam)
+            fiber_values(ctx, lam)
+
+
+@pytest.mark.parametrize("q", [5, 13, 17])
+def test_fiber_values_match_naive_division(q):
+    ctx = FiniteFieldCtx(q)
+    for lam in [*range(2, q), q + 2]:
+        values = fiber_values(ctx, lam)
+        assert len(values) == q - 3
+        assert values == list(naive_values(q, lam % q).values())
 
 
 @pytest.mark.parametrize("q", ACCEPT_PRIMES)
 def test_lefschetz_identity_every_fiber(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        t1, t2, t3 = trace_sums(ctx, lam)
+        values = fiber_values(ctx, lam)
+        t1, t2, t3 = trace_sums(ctx, values)
         assert t3 == t1.conj()
         assert t2.im == 0
-        n = smooth_point_count(ctx, lam)
+        n = smooth_point_count(ctx, values)
         assert n == q + 1 + (t1 + t2 + t3).re
         assert (n - q - 1) ** 2 <= 36 * q  # genus-3 Weil bound
         for t in (t1, t2, t3):
@@ -217,16 +242,16 @@ def test_lefschetz_identity_every_fiber(q):
 @pytest.mark.parametrize("q,lam", [(5, 2), (5, 3), (13, 3), (17, 9), (29, 7)])
 def test_counts_match_naive_oracle(q, lam):
     ctx = FiniteFieldCtx(q)
-    assert smooth_point_count(ctx, lam) == naive_quartic_count(ctx, lam)
+    assert smooth_point_count(ctx, fiber_values(ctx, lam)) == \
+        naive_quartic_count(ctx, lam)
 
 
 @pytest.mark.parametrize("q,lam", [(5, 2), (13, 3), (13, 7)])
 def test_fiber_sizes_match_character_sums(q, lam):
     ctx = FiniteFieldCtx(q)
-    lam_el = lam % q
-    sizes = naive_fiber_sizes(ctx, lam_el)
-    for x, size in sizes.items():
-        v = _f_value(ctx, lam_el, x)
+    values = naive_values(q, lam)
+    for x, size in naive_fiber_sizes(ctx, lam).items():
+        v = values[x]
         char_sum = Zi(1) + ctx.chi(v) + ctx.chi_pow(v, 2) + ctx.chi_pow(v, 3)
         assert char_sum.im == 0 and char_sum.re == size
         assert size in (0, 4)
@@ -259,9 +284,16 @@ def test_lambda_reduction_mod_q():
 def test_legendre_crosscheck_every_fiber(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        t2, count = legendre_crosscheck(ctx, lam)
+        values = fiber_values(ctx, lam)
+        _, t2, _ = trace_sums(ctx, values)
+        count = legendre_crosscheck(ctx, values, t2)
+        # the double cover y^2 = f(x), by y-loops
+        assert count == 4 + sum(1 for v in values for y in range(q)
+                                if y * y % q == v)
         assert count == q + 1 + t2.re
         assert t2.re * t2.re <= 4 * q  # Hasse bound, genus 1
+        with pytest.raises(AssertionError, match="Legendre identity"):
+            legendre_crosscheck(ctx, values, t2 + Zi(2))
 
 
 # -------------------------------------------------------------------- sym2
@@ -270,7 +302,7 @@ def test_legendre_crosscheck_every_fiber(q):
 def test_sym2_descent_every_fiber(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        s, s_conj = sym2_trace(ctx, lam)
+        s, s_conj = sym2_trace(ctx, *fiber_sums(ctx, lam))
         assert s == s_conj
         assert s % q == 0
         assert -q <= s <= 3 * q
@@ -282,9 +314,10 @@ def test_eigenvalue_product_is_exactly_q(q):
     # every fiber, which also forces the trace sum t1 to be real
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        s, _ = sym2_trace(ctx, lam)
+        sums, ext_sum = fiber_sums(ctx, lam)
+        s, _ = sym2_trace(ctx, sums, ext_sum)
         assert s == q
-        t1, _, _ = trace_sums(ctx, lam)
+        t1, _, _ = sums
         assert t1.im == 0
 
 
@@ -292,16 +325,18 @@ def test_eigenvalue_product_is_exactly_q(q):
 def test_symmetric_square_trace(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        s = sym2_symmetric_trace(ctx, lam)
+        sums, ext_sum = fiber_sums(ctx, lam)
+        s = sym2_symmetric_trace(ctx, sums, ext_sum)
         assert -q <= s <= 3 * q
         # with eigenvalue product q and real t1: a^2 + ab + b^2 = t1^2 - q
-        t1, _, _ = trace_sums(ctx, lam)
+        t1, _, _ = sums
         assert s == t1.re ** 2 - q
 
 
 def test_symmetric_square_not_always_divisible():
     # q = 5, lambda = 3: eigenvalues -1 +- 2i give trace 4 - 5 = -1
-    assert sym2_symmetric_trace(FiniteFieldCtx(5), 3) == -1
+    ctx = FiniteFieldCtx(5)
+    assert sym2_symmetric_trace(ctx, *fiber_sums(ctx, 3)) == -1
 
 
 # ------------------------------------------------- extension sums by correlation
@@ -384,15 +419,31 @@ def test_compute_record_sums_each_fiber_once(monkeypatch):
     calls = []
     real = a1lab.trace_sums
 
-    def counting(ctx, lam):
-        calls.append(lam)
-        return real(ctx, lam)
+    def counting(ctx, values):
+        calls.append(len(values))
+        return real(ctx, values)
 
     monkeypatch.setattr(a1lab, "trace_sums", counting)
     ctx = FiniteFieldCtx(13)
     rec = compute_record(ctx, 3)
-    assert calls == [3]
+    assert calls == [13 - 3]
     assert rec.csv_row() == FROZEN_ROWS[(13, 3)]
+
+
+@pytest.mark.parametrize("q,lam", [(5, 3), (13, 3), (17, 20)])
+def test_compute_record_evaluates_f_once_per_point(monkeypatch, q, lam):
+    calls = []
+    real = a1lab._f_value
+
+    def counting(ctx, lam, x):
+        calls.append(x)
+        return real(ctx, lam, x)
+
+    monkeypatch.setattr(a1lab, "_f_value", counting)
+    rec = compute_record(FiniteFieldCtx(q), lam)
+    assert len(calls) == len(set(calls)) == q - 3
+    if (q, lam) in FROZEN_ROWS:
+        assert rec.csv_row() == FROZEN_ROWS[(q, lam)]
 
 
 # ----------------------------------------------------------- ramification

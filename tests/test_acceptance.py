@@ -10,7 +10,6 @@ import sys
 import time
 
 from excmono import verify
-from excmono.a1lab import _CTX_CACHE
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
     build_algebra,
@@ -19,8 +18,8 @@ from excmono.chevalley import (
     rigidity_budget,
     v_class_centralizer,
 )
-from excmono.rootsys import root_system
-from excmono.twogroup import build_tilde_group
+from excmono.rootsys import RootSystem, root_system
+from oracles import GOLDEN, stdout_digest
 
 
 def report(number, name, passed, elapsed, budget):
@@ -47,22 +46,22 @@ def test_criterion_2_lattice_quotients():
 
 
 def test_criterion_3_tilde_laws():
-    build_tilde_group.cache_clear()
+    verify.clear_caches()
     passed, details, dt = timed(verify.criterion_tilde_laws)
     assert report(3, "two-group laws and radical", passed, dt, 5.0), details
 
 
 def test_criterion_4_center_table():
-    build_tilde_group.cache_clear()
+    verify.clear_caches()
     passed, details, dt = timed(verify.criterion_center_table)
     assert report(4, "center table and odd irreps", passed, dt, 10.0), details
 
 
 def test_criterion_5_chevalley():
-    build_algebra.cache_clear()
+    verify.clear_caches()
     crit_passed, details, crit_dt = timed(verify.criterion_chevalley)
     # the E8 values again, from a cold cache, on their own budget
-    build_algebra.cache_clear()
+    verify.clear_caches()
     t0 = time.perf_counter()
     alg = build_algebra("E8")
     rs = root_system("E8")
@@ -83,7 +82,7 @@ def test_criterion_6_quasiminuscule():
 
 
 def test_criterion_7_a1_lab():
-    _CTX_CACHE.clear()
+    verify.clear_caches()
     passed, details, dt = timed(verify.criterion_a1_lab)
     assert report(7, "quartic trace lab", passed, dt, 30.0), details
 
@@ -100,6 +99,31 @@ def test_criterion_9_determinism():
     second = subprocess.run(cmd, capture_output=True)
     dt = time.perf_counter() - t0
     passed = (first.returncode == 0 and second.returncode == 0
-              and first.stdout == second.stdout and first.stdout != b"")
+              and first.stdout == second.stdout
+              and stdout_digest(first.stdout) == GOLDEN["verify-all"])
     assert report(9, "byte-stable manifests", passed, dt, 120.0), (
         first.returncode, second.returncode)
+
+
+def test_in_process_determinism_recomputes(monkeypatch):
+    # with every cache warm, the second pass of criterion 9 must still
+    # build each root system its probes need, as a cold pass does
+    builds = []
+    real = RootSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RootSystem, "__init__", counting)
+    probes = (verify.criterion_k_type_table,
+              verify.criterion_lattice_quotients,
+              verify.criterion_quasiminuscule)
+    verify.clear_caches()
+    for fn in probes:
+        fn()
+    cold = len(builds)
+    builds.clear()
+    passed, details = verify.criterion_determinism()
+    assert passed and details["stable"]
+    assert cold > 0 and len(builds) == cold

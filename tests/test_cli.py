@@ -1,12 +1,15 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from excmono.a1lab import render_csv, scan
+from excmono.chevalley import ChevalleyAlgebra
 from excmono.cli import build_parser, main
+from oracles import GOLDEN, stdout_digest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -80,6 +83,18 @@ def test_monodromy_report(capsys):
     assert res["budget"] == {"d0": 63, "d1": 7, "dinf": 63}
     assert res["quasiminuscule"]["dim"] == 133
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_failed_chevalley_identity_is_a_check_failure(capsys, monkeypatch):
+    # a wrong centralizer dimension is a failed identity (exit 1), not a
+    # usage error (exit 2)
+    real = ChevalleyAlgebra.centralizer_dim
+    monkeypatch.setattr(ChevalleyAlgebra, "centralizer_dim",
+                        lambda alg, x: real(alg, x) + 1)
+    code, out, err = run_cli(capsys, "monodromy", "G2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("check failed: ") and "centralizer" in err, err
 
 
 def test_monodromy_seed_is_recorded(capsys):
@@ -164,6 +179,27 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+HUGE = str(10 ** 18 + 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["a1", "--primes", HUGE],
+    ["a1", "--primes", f"5,{HUGE}"],
+    ["rigid", "--ell", HUGE],
+    ["rigid", "--group", "psl2", "--ell", HUGE],
+    ["rigid", "--group", "file:huge.json"],
+])
+def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text(json.dumps(dict(SL25, p=int(HUGE))))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_rigid_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "rigid", "--group",
                            f"file:{tmp_path}/nope.json")
@@ -221,16 +257,17 @@ def readme_examples():
     return out
 
 
-def test_readme_examples_run(capsys, tmp_path):
-    # the README's example file group, where its examples expect gens.json
-    group = tmp_path / "gens.json"
-    group.write_text(re.search(r"`(\{\"p\".*?\})`", README.read_text(),
-                               re.S).group(1))
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # the README's example file group, where its examples expect gens.json;
+    # running from tmp_path keeps `file:gens.json` literal in `parameters`
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gens.json").write_text(
+        re.search(r"`(\{\"p\".*?\})`", README.read_text(), re.S).group(1))
     examples = readme_examples()
     assert len(examples) >= 10
+    assert sorted(map(shlex.join, examples)) == sorted(GOLDEN)
     parser = build_parser()
     for argv in examples:
-        argv = [a.replace("file:gens.json", f"file:{group}") for a in argv]
         try:
             parser.parse_args(argv)
         except SystemExit:
@@ -238,4 +275,5 @@ def test_readme_examples_run(capsys, tmp_path):
         if argv[0] == "verify-all":
             continue  # criterion 9 runs it
         assert main(argv) == 0, argv
-        capsys.readouterr()
+        assert stdout_digest(capsys.readouterr().out) == \
+            GOLDEN[shlex.join(argv)], argv

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from excmono.linalg import (
+    gf2_echelon,
     gf2_nullspace,
     integer_rank,
     mat_mul,
     smith_normal_form,
 )
-from oracles import gf2_rank, mat_pow
+from oracles import echelonize, gf2_rank, mat_pow
 
 
 # ---------------------------------------------------------------- oracles --
@@ -178,6 +179,13 @@ def test_gf2_nullspace_members_annihilate(masks):
         for m in masks:
             assert bin(m & x).count("1") % 2 == 0
     assert len(null) == 8 - gf2_rank(list(masks))
+
+
+@given(st.lists(st.integers(0, 2**10 - 1), max_size=12))
+def test_gf2_echelon_matches_sorted_echelon_basis(masks):
+    pivots = gf2_echelon(masks)
+    assert all(row.bit_length() - 1 == c for c, row in pivots.items())
+    assert tuple(sorted(pivots.values(), reverse=True)) == echelonize(masks)
 
 
 @given(st.lists(st.lists(st.integers(0, 1), min_size=6, max_size=6),

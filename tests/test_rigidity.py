@@ -78,6 +78,19 @@ def test_cap_overflow_is_explicit():
         enumerate_group(S4_GENS, cap=10)
 
 
+@pytest.mark.parametrize("build,ell,cap", [(pgl2_group, 7, 300),
+                                           (psl2_group, 7, 100),
+                                           (psl2_group, 10007, 10 ** 7)])
+def test_known_order_over_cap_refused_before_closure(monkeypatch, build,
+                                                     ell, cap):
+    def no_closure(self, cap):
+        raise RuntimeError("closure ran")
+
+    monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
+    with pytest.raises(OverflowError, match=f"over the cap of {cap}"):
+        build(ell, cap=cap)
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_group(S4_GENS)
     b = enumerate_group(S4_GENS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from excmono.gaussint import Zi
 from excmono.rootsys import root_system
 from excmono.twogroup import TildeElement, build_tilde_group, odd_irreps
-from oracles import irrep_matrix
+from oracles import irrep_matrix, loop_beta, loop_pairing, loop_q
 
 SUPPORTED = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
 
@@ -63,6 +63,27 @@ def test_polarization_identity_exhaustive(label):
         for b in range(n):
             lhs = -1 if tg.pairing(a, b) else 1
             assert lhs == q[a ^ b] * q[a] * q[b]
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
+def test_form_tables_match_row_loops_exhaustive(label):
+    tg = group(label)
+    for a in range(1 << tg.r):
+        assert tg.q(a) == loop_q(tg, a)
+        for b in range(1 << tg.r):
+            assert tg.pairing(a, b) == loop_pairing(tg, a, b)
+            assert tg._beta(a, b) == loop_beta(tg, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_form_tables_match_row_loops_sampled(data):
+    tg = group(data.draw(st.sampled_from(["D8", "E7", "E8"])))
+    bits = st.integers(0, (1 << tg.r) - 1)
+    a, b = data.draw(bits), data.draw(bits)
+    assert tg.q(a) == loop_q(tg, a)
+    assert tg.pairing(a, b) == loop_pairing(tg, a, b)
+    assert tg._beta(a, b) == loop_beta(tg, a, b)
 
 
 @pytest.mark.parametrize("label", ["A1", "G2", "D4"])
