@@ -14,7 +14,7 @@ from .chevalley import (
     rigidity_budget,
     v_class_centralizer,
 )
-from .rigidity import enumerate_group, predicted_triple, triple_count
+from .rigidity import predicted_triple, triple_count
 from .rootsys import RootSystem, root_system
 from .twogroup import build_tilde_group, odd_irreps
 from .verify import run_all
@@ -26,7 +26,6 @@ __all__ = [
     "build_algebra",
     "build_tilde_group",
     "compute_record",
-    "enumerate_group",
     "k_fundamental_quotient",
     "k_type_row",
     "kappa_character",

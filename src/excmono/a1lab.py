@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import multiprocessing
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,43 +392,14 @@ def _context(q: int) -> FiniteFieldCtx:
     return FiniteFieldCtx(q)
 
 
-def _record_worker(args) -> TraceRecord:
-    q, lam = args
-    return compute_record(_context(q), lam)
-
-
-def thread_count(value) -> int:
-    """Worker processes for `value` (an int, its decimal string, or None
-    for 1), clamped to [1, os.cpu_count()]; ValueError if not an integer."""
-    if value is None:
-        return 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(
-            f"EXCMONO_THREADS must be an integer, got {value!r}") from None
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def scan(primes, threads: int | None = None):
-    """TraceRecords for every lambda outside {0, 1}, all invariants checked.
-
-    Rows come out sorted by (q, lambda) regardless of worker scheduling,
-    so serialized output is byte-stable.  `threads` defaults to
-    EXCMONO_THREADS; either is clamped by `thread_count`.
-    """
+def scan(primes):
+    """TraceRecords for every lambda outside {0, 1}, all invariants checked,
+    sorted by (q, lambda) so serialized output is byte-stable."""
     for q in primes:
         if not is_prime(q) or q % 4 != 1:
             raise ValueError(f"{q} is not a prime that is 1 mod 4")
-    jobs = [(q, lam) for q in sorted(primes) for lam in range(2, q)]
-    threads = thread_count(
-        os.environ.get("EXCMONO_THREADS") if threads is None else threads)
-    if threads > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(threads) as pool:
-            records = pool.map(_record_worker, jobs)
-    else:
-        records = [_record_worker(j) for j in jobs]
-    return records
+    return [compute_record(_context(q), lam)
+            for q in sorted(primes) for lam in range(2, q)]
 
 
 CSV_HEADER = ["q", "lambda", "t1_re", "t1_im", "t2", "t3_re", "t3_im",

@@ -142,7 +142,8 @@ def _is_int(x) -> bool:
 
 
 def _load_file_group(path: str) -> FiniteGroup:
-    """The group of a `file:` input; ValueError unless its shape is right."""
+    """The group of a `file:` input; ValueError unless its shape is right
+    and every generator is invertible."""
     with open(path) as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict):
@@ -169,7 +170,14 @@ def _load_file_group(path: str) -> FiniteGroup:
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"{path}: cap = {cap!r} is not an integer >= 1")
     rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    return FiniteGroup(rep, [rep.canon(tuple(g)) for g in gens], cap=cap)
+    gens = [tuple(g) for g in gens]
+    for i, g in enumerate(gens):
+        try:
+            rep.inv(g)
+        except ValueError:
+            raise ValueError(
+                f"{path}: generator {i} is singular mod {p}") from None
+    return FiniteGroup(rep, gens, cap=cap)
 
 
 def _group_summary(group: FiniteGroup) -> dict:

@@ -1,10 +1,10 @@
 """Brute-force rigidity checks for triples of conjugacy classes.
 
-Groups are enumerated by breadth-first closure from generators, either as
-permutations or as matrices over a prime field (optionally projective, so
-PGL2 and PSL2 come out of the same code path).  Conjugacy classes come
-from orbit closure under generator conjugation, which makes membership
-during the triple count an exact dictionary lookup.
+Groups are enumerated by breadth-first closure from generators, as
+matrices over a prime field (optionally projective, so PGL2 and PSL2 come
+out of the same code path).  Conjugacy classes come from orbit closure
+under generator conjugation, which makes membership during the triple
+count an exact dictionary lookup.
 """
 
 from __future__ import annotations
@@ -19,26 +19,6 @@ DEFAULT_CAP = 10 ** 7
 
 # ------------------------------------------------------- representations
 
-class PermRep:
-    """Elements are tuples: i -> g(i)."""
-
-    def __init__(self, degree: int):
-        self.degree = degree
-
-    @property
-    def identity(self):
-        return tuple(range(self.degree))
-
-    def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.degree))
-
-    def inv(self, a):
-        out = [0] * self.degree
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
-
-
 class MatrixRep:
     """Elements are flattened n x n tuples over F_p; if `scalars` is given
     the representation is projective and the canonical form is the
@@ -49,17 +29,25 @@ class MatrixRep:
             raise ValueError(f"{p} is not prime")
         self.p, self.n = p, n
         self.scalars = tuple(scalars) if scalars else None
-
-    @property
-    def identity(self):
-        n = self.n
-        return self.canon(tuple(1 if i == j else 0
-                                for i in range(n) for j in range(n)))
+        self._scale = {}  # first nonzero entry v -> the s making s*v least
+        self.identity = self.canon(tuple(1 if i == j else 0
+                                         for i in range(n) for j in range(n)))
 
     def canon(self, m):
+        """The least multiple: every multiple of m is zero before the first
+        entry v that is nonzero mod p, and s -> s*v is injective mod p, so
+        the least s*v mod p decides."""
         if not self.scalars:
             return m
-        return min(tuple(s * x % self.p for x in m) for s in self.scalars)
+        p = self.p
+        for x in m:
+            v = x % p
+            if v:
+                break
+        s = self._scale.get(v)
+        if s is None:
+            s = self._scale[v] = min(self.scalars, key=lambda t: t * v % p)
+        return tuple(s * x % p for x in m)
 
     def mul(self, a, b):
         n, p = self.n, self.p
@@ -110,8 +98,7 @@ class ConjClass:
 class FiniteGroup:
     def __init__(self, rep, generators, cap: int = DEFAULT_CAP):
         self.rep = rep
-        self.generators = [rep.canon(g) if hasattr(rep, "canon") else g
-                           for g in generators]
+        self.generators = [rep.canon(g) for g in generators]
         self.elements = self._closure(cap)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.order = len(self.elements)
@@ -237,15 +224,6 @@ class FiniteGroup:
         return len(seen)
 
 
-def enumerate_group(generators, cap: int = DEFAULT_CAP,
-                    rep=None) -> FiniteGroup:
-    """BFS closure of the generators; permutation tuples by default."""
-    if rep is None:
-        degree = len(generators[0])
-        rep = PermRep(degree)
-    return FiniteGroup(rep, generators, cap)
-
-
 # ---------------------------------------------------------------- triples
 
 @dataclass(frozen=True)
@@ -326,7 +304,7 @@ def pgl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     nu = least_primitive_root(ell)
     rep = MatrixRep(ell, 2, scalars=range(1, ell))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)]
-    group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
+    group = FiniteGroup(rep, gens, cap)
     _check_order(group, order, name)
     return group
 
@@ -336,7 +314,7 @@ def psl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
     _check_instance(ell, order, cap, name)
     rep = MatrixRep(ell, 2, scalars=(1, ell - 1))
     gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0)]
-    group = FiniteGroup(rep, [rep.canon(g) for g in gens], cap)
+    group = FiniteGroup(rep, gens, cap)
     _check_order(group, order, name)
     return group
 

@@ -2,9 +2,11 @@
 
 Each one backs a check in a test file: the invariant form behind the
 Chevalley form-invariance tests, explicit odd-irrep matrices behind the
-homomorphism tests, conjugation invariants behind the class tests, the
-per-call form loops and echelon routine the two-group tables replaced,
-and plain matrix powers, F2 ranks and a quadruple survey for the rest.
+homomorphism tests, conjugation invariants behind the class tests,
+permutation groups for the small rigidity cases, the lex-least scalar
+multiple that the projective canonical form replaced, the per-call form
+loops and echelon routine the two-group tables replaced, and plain matrix
+powers, F2 ranks and a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -16,6 +18,7 @@ from pathlib import Path
 from excmono.chevalley import orthogonal_quadruples
 from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
+from excmono.rigidity import DEFAULT_CAP, FiniteGroup
 from excmono.twogroup import TildeElement
 
 # recorded before the Ã and a1 layers were rewritten for single computation
@@ -103,6 +106,40 @@ def cycle_type(a):
             n += 1
         cycles.append(n)
     return tuple(sorted(cycles))
+
+
+class PermRep:
+    """Permutation tuples i -> g(i) as a FiniteGroup representation; there
+    are no scalars, so the canonical form is the element itself."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.identity = tuple(range(degree))
+
+    def canon(self, a):
+        return a
+
+    def mul(self, a, b):
+        return tuple(a[b[i]] for i in range(self.degree))
+
+    def inv(self, a):
+        out = [0] * self.degree
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+
+
+S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+
+
+def enumerate_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """BFS closure of permutation tuples."""
+    return FiniteGroup(PermRep(len(generators[0])), generators, cap)
+
+
+def lex_least_multiple(m, scalars, p: int):
+    """The least of the multiples s*m mod p over all s in scalars."""
+    return min(tuple(s * x % p for x in m) for s in scalars)
 
 
 def projective_invariant(rep, a):

@@ -30,13 +30,11 @@ from excmono.a1lab import (
     smooth_point_count,
     sym2_symmetric_trace,
     sym2_trace,
-    thread_count,
     trace_sums,
     _correlate,
     _extension_table,
 )
 from excmono.arith import is_prime, least_primitive_root
-from excmono.cli import main
 from excmono.gaussint import Zi
 
 ACCEPT_PRIMES = [5, 13, 17, 29]
@@ -497,28 +495,6 @@ def test_scan_rejects_bad_primes():
             scan(bad)
 
 
-def test_thread_count_clamps_to_cpus():
-    cpus = os.cpu_count() or 1
-    assert thread_count(None) == 1
-    assert thread_count("1") == 1
-    assert thread_count(" 2 ") == min(2, cpus)
-    assert thread_count(0) == thread_count("-3") == 1
-    assert thread_count(str(10 ** 6)) == cpus
-    assert thread_count(10 ** 6) == cpus
-
-
-@pytest.mark.parametrize("bad", ["", "two", "1.5", "0x2"])
-def test_thread_count_rejects_non_integers(bad):
-    with pytest.raises(ValueError, match="EXCMONO_THREADS"):
-        thread_count(bad)
-
-
-def test_bad_thread_setting_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("EXCMONO_THREADS", "many")
-    assert main(["a1", "--primes", "5"]) == 2
-    assert "EXCMONO_THREADS" in capsys.readouterr().err
-
-
 # Under -O no assert statement runs; every identity must still be checked.
 # Adding 2i to one extension sum changes only the imaginary part of
 # t1^2 + E, which no identity but "the eigenvalue product is a rational
@@ -540,7 +516,6 @@ sys.exit(main(["a1", "--primes", "13"]))
 def test_identities_checked_under_optimize(shift, code):
     src = str(Path(excmono.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("EXCMONO_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _CORRUPT_SCAN.format(shift=shift)],
         capture_output=True, text=True, env=env, timeout=120)
@@ -550,11 +525,8 @@ def test_identities_checked_under_optimize(shift, code):
         assert "not an even rational integer" in proc.stderr
 
 
-def test_scan_deterministic_and_parallel_consistent():
-    serial = render_csv(scan([5, 13]))
-    assert serial == render_csv(scan([5, 13]))
-    parallel = render_csv(scan([5, 13], threads=2))
-    assert parallel == serial
+def test_scan_deterministic():
+    assert render_csv(scan([5, 13])) == render_csv(scan([5, 13]))
 
 
 def test_csv_and_json_shapes():

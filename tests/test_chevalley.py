@@ -15,7 +15,6 @@ import pytest
 from excmono import chevalley, cli, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
-    ChevalleyAlgebra,
     MonodromyBudget,
     _jordan_type,
     _natural_so_matrix,

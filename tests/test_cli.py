@@ -166,6 +166,12 @@ BAD_FILE_GROUPS = {
     "generators-missing": {"p": 5, "n": 2},
     "scalar-not-unit": dict(SL25, scalars=[1, 5]),
     "cap-not-integer": dict(SL25, cap="many"),
+    # a singular generator would close a semigroup toward the cap
+    "generator-singular": {"p": 13, "n": 3, "generators": [
+        [1, 1, 0, 0, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0, 0, 1, 0],
+        [1, 0, 0, 0, 1, 0, 0, 0, 0]]},
+    "generator-zero": dict(SL25, generators=[[1, 1, 0, 1], [0, 0, 0, 0]],
+                           scalars=[1, 4]),
 }
 
 
@@ -173,10 +179,31 @@ BAD_FILE_GROUPS = {
 def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(BAD_FILE_GROUPS[case]))
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}")
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# stdout sha256 of rigidity runs larger than the README examples, recorded
+# while the projective canonical form still enumerated every scalar multiple
+RIGID_DIGESTS = {
+    "rigid --group pgl2 --ell 11":
+        "81672d5d4b7077aa70e5aa50f7a80b49767e14136e71d5ec70eea557facd3b87",
+    "rigid --group pgl2 --ell 13":
+        "9aa4b90c8a2667836dcc4f424f50a419e16935b44785c1ba4f29fd3c36cf11f5",
+    "rigid --group psl2 --ell 13 --classes 2A,3A,13A":
+        "4280c9392230670e99cd4287a8cbc59a9d2e7dc3639b0d4e378201c21d19942f",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(RIGID_DIGESTS))
+def test_larger_rigid_outputs_pinned(capsys, cmd):
+    code, out, _ = run_cli(capsys, *cmd.split())
+    assert code == 0
+    assert stdout_digest(out) == RIGID_DIGESTS[cmd]
 
 
 HUGE = str(10 ** 18 + 9)

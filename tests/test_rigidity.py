@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,19 +10,21 @@ import pytest
 
 from excmono import rigidity
 from excmono.rigidity import (
-    ConjClass,
     FiniteGroup,
     MatrixRep,
-    PermRep,
-    enumerate_group,
     predicted_triple,
     pgl2_group,
     psl2_group,
     triple_count,
 )
-from oracles import cycle_type, projective_invariant
-
-S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
+from oracles import (
+    S4_GENS,
+    PermRep,
+    cycle_type,
+    enumerate_group,
+    lex_least_multiple,
+    projective_invariant,
+)
 
 
 def perm_mul(a, b):
@@ -138,6 +141,30 @@ def test_projective_canonical_form_kills_scalars():
     m = rep.canon((2, 4, 0, 2))
     for s in range(1, 5):
         assert rep.canon(tuple(s * x % 5 for x in (2, 4, 0, 2))) == m
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
+def test_group_elements_are_lex_least_multiples(ell):
+    for g in (pgl2_group(ell), psl2_group(ell)):
+        for x in g.elements:
+            assert lex_least_multiple(x, g.rep.scalars, ell) == x
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 10007])
+def test_canon_matches_lex_least_multiple(p):
+    # scalar lists with repeats, unreduced and negative units, closed under
+    # products or not; matrices with unreduced entries and leading zeros
+    rng = random.Random(p)
+    units = [s for s in range(-p, 3 * p) if s % p]
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        scalars = [rng.choice(units) for _ in range(rng.randint(1, 6))]
+        rep = MatrixRep(p, n, scalars=scalars)
+        for _ in range(20):
+            m = tuple(rng.randrange(-2 * p, 2 * p) if rng.randrange(2) else 0
+                      for _ in range(n * n))
+            if any(x % p for x in m):
+                assert rep.canon(m) == lex_least_multiple(m, scalars, p)
 
 
 def test_projective_invariant_is_conjugation_stable():
