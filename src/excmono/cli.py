@@ -166,18 +166,24 @@ def _load_file_group(path: str) -> FiniteGroup:
             and all(_is_int(s) and s % p for s in scalars)):
         raise ValueError(f"{path}: scalars must be null or a list of "
                          f"units mod {p}")
+    # the cyclic group F_p^x has one subgroup of each order d | p-1, the
+    # roots of x^d = 1; canonical multiples need S to be one of them
+    units = {s % p for s in scalars or ()}
+    if units and ((p - 1) % len(units)
+                  or any(pow(s, len(units), p) != 1 for s in units)):
+        raise ValueError(f"{path}: scalars are not a subgroup of the "
+                         f"units mod {p}")
     cap = blob.get("cap", DEFAULT_CAP)
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"{path}: cap = {cap!r} is not an integer >= 1")
     rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    gens = [tuple(g) for g in gens]
     for i, g in enumerate(gens):
         try:
             rep.inv(g)
         except ValueError:
             raise ValueError(
                 f"{path}: generator {i} is singular mod {p}") from None
-    return FiniteGroup(rep, gens, cap=cap)
+    return FiniteGroup(rep.permutations(gens), cap=cap)
 
 
 def _group_summary(group: FiniteGroup) -> dict:

@@ -1,10 +1,22 @@
 """Brute-force rigidity checks for triples of conjugacy classes.
 
-Groups are enumerated by breadth-first closure from generators, as
-matrices over a prime field (optionally projective, so PGL2 and PSL2 come
-out of the same code path).  Conjugacy classes come from orbit closure
-under generator conjugation, which makes membership during the triple
-count an exact dictionary lookup.
+A group is given by matrix generators over a prime field, optionally
+projective modulo a group S of scalars.  The matrices act on row vectors,
+x -> x m, and so on the frame orbit: the S-classes (canonical multiples)
+of e_1 ... e_n, plus that of e_1 + ... + e_n when S is set, closed under
+the generators.  The images of these points fix a matrix modulo S, so
+the action is faithful, and each generator becomes a permutation of the
+orbit stored as `bytes`.  A product is then one C call,
+`a.translate(b_table)`, where `b_table` is `b` padded to 256 bytes; that
+is also why a frame orbit of more than MAX_POINTS = 256 points is refused
+before any closure.  PGL2(F_ell) and its subgroup PSL2(F_ell) both act
+on the ell + 1 points of P^1(F_ell).
+
+The group is enumerated by breadth-first closure from the generators.
+Its order depends only on the abstract group and the generator order, so
+element ids (`index`), class labels and class order do too.  Conjugacy
+classes come from orbit closure under generator conjugation, which makes
+membership during the triple count an exact dictionary lookup.
 """
 
 from __future__ import annotations
@@ -15,14 +27,17 @@ from fractions import Fraction
 from .arith import is_prime, least_primitive_root
 
 DEFAULT_CAP = 10 ** 7
+MAX_POINTS = 256  # entries in a bytes.translate table
+
+_IDENTITY_TABLE = bytes(range(MAX_POINTS))
 
 
 # ------------------------------------------------------- representations
 
 class MatrixRep:
-    """Elements are flattened n x n tuples over F_p; if `scalars` is given
-    the representation is projective and the canonical form is the
-    lexicographically least scalar multiple."""
+    """Flattened n x n matrices over F_p; if `scalars` is given the
+    representation is projective and the canonical form of a matrix or a
+    vector is its lexicographically least scalar multiple."""
 
     def __init__(self, p: int, n: int, scalars=None):
         if not is_prime(p):
@@ -30,8 +45,6 @@ class MatrixRep:
         self.p, self.n = p, n
         self.scalars = tuple(scalars) if scalars else None
         self._scale = {}  # first nonzero entry v -> the s making s*v least
-        self.identity = self.canon(tuple(1 if i == j else 0
-                                         for i in range(n) for j in range(n)))
 
     def canon(self, m):
         """The least multiple: every multiple of m is zero before the first
@@ -48,19 +61,6 @@ class MatrixRep:
         if s is None:
             s = self._scale[v] = min(self.scalars, key=lambda t: t * v % p)
         return tuple(s * x % p for x in m)
-
-    def mul(self, a, b):
-        n, p = self.n, self.p
-        out = [0] * (n * n)
-        for i in range(n):
-            base = i * n
-            for k in range(n):
-                aik = a[base + k]
-                if aik:
-                    kb = k * n
-                    for j in range(n):
-                        out[base + j] += aik * b[kb + j]
-        return self.canon(tuple(x % p for x in out))
 
     def inv(self, a):
         n, p = self.n, self.p
@@ -81,6 +81,38 @@ class MatrixRep:
         return self.canon(tuple(aug[i][n + j]
                                 for i in range(n) for j in range(n)))
 
+    def permutations(self, matrices) -> list:
+        """Each invertible matrix as a permutation of the frame orbit:
+        `bytes` whose entry i is the id of the image of point i.  The
+        orbit is walked breadth first; OverflowError once it passes
+        MAX_POINTS points."""
+        n, p, canon = self.n, self.p, self.canon
+        points, where = [], {}
+
+        def point_id(y):
+            i = where.get(y)
+            if i is None:
+                if len(points) == MAX_POINTS:
+                    raise OverflowError(
+                        f"frame orbit exceeds the bound of {MAX_POINTS} "
+                        "points for a permutation domain")
+                i = where[y] = len(points)
+                points.append(y)
+            return i
+
+        frame = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if self.scalars:
+            frame.append((1,) * n)
+        for v in frame:
+            point_id(canon(v))
+        images = [bytearray() for _ in matrices]
+        for x in points:  # grows while it is walked
+            for m, img in zip(matrices, images):
+                img.append(point_id(canon(tuple(
+                    sum(x[k] * m[k * n + j] for k in range(n)) % p
+                    for j in range(n)))))
+        return [bytes(img) for img in images]
+
 
 # ---------------------------------------------------------------- groups
 
@@ -96,14 +128,22 @@ class ConjClass:
 
 
 class FiniteGroup:
-    def __init__(self, rep, generators, cap: int = DEFAULT_CAP):
-        self.rep = rep
-        self.generators = [rep.canon(g) for g in generators]
-        self.elements = self._closure(cap)
-        self.index = {g: i for i, g in enumerate(self.elements)}
+    """The group generated by permutations of 0 .. d-1 (d <= MAX_POINTS),
+    each given as `bytes` or a tuple: entry i is the image of i.  Products
+    compose left to right, (a b)(i) = b(a(i)), the order of x -> x m.
+    Elements are `bytes`; `index` maps each to its id, its position in
+    `elements`, and class members and `class_of` keys are those objects."""
+
+    def __init__(self, generators, cap: int = DEFAULT_CAP):
+        self.generators = [bytes(g) for g in generators]
+        degree = len(self.generators[0]) if self.generators else 0
+        self.identity = _IDENTITY_TABLE[:degree]
+        self._tail = _IDENTITY_TABLE[degree:]  # pads an element to a table
+        self.elements, self.index = self._closure(cap)
         self.order = len(self.elements)
-        self.center = self._center()
         self.classes = self._conjugacy_classes()
+        # z is central iff its class is {z}; the class equation checks both
+        self.center = [c.rep for c in self.classes if len(c.members) == 1]
         self.class_of = {}
         for ci, cls in enumerate(self.classes):
             for g in cls.members:
@@ -111,69 +151,55 @@ class FiniteGroup:
         self._check_class_equation()
 
     def _closure(self, cap: int):
-        rep = self.rep
-        ident = rep.identity
-        seen = {ident}
-        order = [ident]
-        frontier = [ident]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in self.generators:
-                    h = rep.mul(g, s)
-                    if h not in seen:
-                        if len(seen) >= cap:
-                            raise OverflowError(
-                                f"group exceeds cap of {cap} elements")
-                        seen.add(h)
-                        order.append(h)
-                        new.append(h)
-            frontier = new
-        return order
+        tables = [s + self._tail for s in self.generators]
+        elements = [self.identity]
+        index = {self.identity: 0}
+        for g in elements:  # grows while it is walked: breadth first
+            for t in tables:
+                h = g.translate(t)
+                if h not in index:
+                    if len(elements) >= cap:
+                        raise OverflowError(
+                            f"group exceeds cap of {cap} elements")
+                    index[h] = len(elements)
+                    elements.append(h)
+        return elements, index
 
     def mul(self, a, b):
-        return self.rep.mul(a, b)
+        return a.translate(b + self._tail)
 
     def inv(self, a):
-        return self.rep.inv(a)
+        return bytes.maketrans(a, self.identity)[:len(a)]
 
     def element_order(self, g) -> int:
-        ident = self.rep.identity
+        table = g + self._tail
         n, acc = 1, g
-        while acc != ident:
-            acc = self.rep.mul(acc, g)
+        while acc != self.identity:
+            acc = acc.translate(table)
             n += 1
         return n
 
-    def _center(self):
-        out = []
-        for g in self.elements:
-            if all(self.mul(g, s) == self.mul(s, g)
-                   for s in self.generators):
-                out.append(g)
-        return out
-
     def _conjugacy_classes(self):
-        assigned = set()
+        elements, index, tail = self.elements, self.index, self._tail
+        # x -> s x s^-1, i -> s^-1(x(s(i))): relabel by s^-1, move by s
+        conj = [(s, self.inv(s) + tail) for s in self.generators]
+        assigned = bytearray(self.order)  # classes are disjoint orbits
         classes = []
-        gen_invs = [(s, self.inv(s)) for s in self.generators]
         per_order = {}
-        for g in self.elements:
-            if g in assigned:
+        for i, g in enumerate(elements):
+            if assigned[i]:
                 continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for s, sinv in gen_invs:
-                        y = self.mul(s, self.mul(x, sinv))
-                        if y not in orbit:
-                            orbit.add(y)
-                            new.append(y)
-                frontier = new
-            assigned |= orbit
-            members = tuple(sorted(orbit, key=self.index.__getitem__))
+            assigned[i] = 1
+            orbit = [i]
+            for j in orbit:  # grows while it is walked
+                x = elements[j]
+                for s, sinv_table in conj:
+                    k = index[s.translate(x.translate(sinv_table) + tail)]
+                    if not assigned[k]:
+                        assigned[k] = 1
+                        orbit.append(k)
+            orbit.sort()
+            members = tuple(elements[k] for k in orbit)
             o = self.element_order(g)
             per_order[o] = per_order.get(o, 0) + 1
             label = f"{o}{chr(ord('A') + per_order[o] - 1)}"
@@ -181,14 +207,17 @@ class FiniteGroup:
         return classes
 
     def _check_class_equation(self):
+        tail = self._tail
         total = 0
         for cls in self.classes:
             if self.order % cls.size:
                 raise AssertionError(
                     f"class {cls.label} of size {cls.size} does not divide "
                     f"the group order {self.order}")
-            cent = sum(1 for x in self.elements
-                       if self.mul(x, cls.rep) == self.mul(cls.rep, x))
+            r = cls.rep
+            table = r + tail
+            cent = sum(x.translate(table) == r.translate(x + tail)
+                       for x in self.elements)
             if cls.size * cent != self.order:
                 raise AssertionError(
                     f"class {cls.label}: size {cls.size} times centralizer "
@@ -207,21 +236,21 @@ class FiniteGroup:
 
     def subgroup_generated(self, a, b) -> int:
         """Order of <a, b>, with early exit at the full group order."""
-        rep = self.rep
-        seen = {rep.identity}
-        frontier = [rep.identity]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in (a, b):
-                    h = rep.mul(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        new.append(h)
-            if len(seen) == self.order:
-                return self.order
-            frontier = new
-        return len(seen)
+        elements, index = self.elements, self.index
+        tables = (a + self._tail, b + self._tail)
+        seen = bytearray(self.order)
+        seen[0] = 1
+        found = [0]
+        for i in found:  # grows while it is walked
+            g = elements[i]
+            for t in tables:
+                j = index[g.translate(t)]
+                if not seen[j]:
+                    seen[j] = 1
+                    found.append(j)
+            if len(found) == self.order:
+                break
+        return len(found)
 
 
 # ---------------------------------------------------------------- triples
@@ -271,12 +300,11 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
         g0 = c0.rep
     elif group.class_of.get(g0) != group.class_of[c0.rep]:
         raise ValueError("g0 is not in C0")
-    target = group.class_of[cinf.rep]
-    hits = []
-    for g1 in c1.members:
-        ginf = group.inv(group.mul(g0, g1))
-        if group.class_of[ginf] == target:
-            hits.append(g1)
+    # ginf = (g0 g1)^-1 lies in C_inf iff g0 g1 lies in the class of inverses
+    target = group.class_of[group.inv(cinf.rep)]
+    class_of, tail = group.class_of, group._tail
+    hits = [g1 for g1 in c1.members
+            if class_of[g0.translate(g1 + tail)] == target]
     solution_count = c0.size * len(hits)
     gen_flags = [group.subgroup_generated(g0, g1) == group.order
                  for g1 in hits]
@@ -299,23 +327,32 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
 # ------------------------------------------------------------- instances
 
 def pgl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """PGL2(F_ell) on P^1, generated by a unipotent, the Weyl element and
+    diag(nu, 1) for the least primitive root nu."""
     name, order = f"PGL2(F_{ell})", ell * (ell - 1) * (ell + 1)
     _check_instance(ell, order, cap, name)
     nu = least_primitive_root(ell)
-    rep = MatrixRep(ell, 2, scalars=range(1, ell))
-    gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)]
-    group = FiniteGroup(rep, gens, cap)
-    _check_order(group, order, name)
-    return group
+    return _projective_line_group(
+        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)],
+        order, name, cap)
 
 
 def psl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+    """PSL2(F_ell) inside PGL2(F_ell), generated by the images of the
+    unipotent and the Weyl element of SL2(F_ell)."""
     name, order = f"PSL2(F_{ell})", ell * (ell - 1) * (ell + 1) // 2
     _check_instance(ell, order, cap, name)
-    rep = MatrixRep(ell, 2, scalars=(1, ell - 1))
-    gens = [(1, 1, 0, 1), (0, ell - 1, 1, 0)]
-    group = FiniteGroup(rep, gens, cap)
-    _check_order(group, order, name)
+    return _projective_line_group(
+        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0)], order, name, cap)
+
+
+def _projective_line_group(ell: int, gens, order: int, name: str,
+                           cap: int) -> FiniteGroup:
+    rep = MatrixRep(ell, 2, scalars=range(1, ell))
+    group = FiniteGroup(rep.permutations(gens), cap)
+    if group.order != order:
+        raise AssertionError(
+            f"{name} closed to {group.order} elements, want {order}")
     return group
 
 
@@ -326,12 +363,6 @@ def _check_instance(ell: int, order: int, cap: int, name: str):
     if order > cap:
         raise OverflowError(f"{name} has {order} elements, over the cap "
                             f"of {cap}")
-
-
-def _check_order(group: FiniteGroup, expected: int, name: str):
-    if group.order != expected:
-        raise AssertionError(
-            f"{name} closed to {group.order} elements, want {expected}")
 
 
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"
@@ -351,9 +382,11 @@ def predicted_triple(kind: str = "pgl2", ell: int = 5,
         raise ValueError(f"unsupported instance; supported: "
                          f"{SUPPORTED_INSTANCES}")
     group = pgl2_group(ell, cap)
-    rep = group.rep
-    unip = rep.canon((1, 1, 0, 1))
-    invol = rep.canon((1, 0, 0, ell - 1))
+    unip, _, nu_diag = group.generators
+    # diag(nu, 1)^((ell-1)/2) = diag(-1, 1), the image of diag(1, -1)
+    invol = nu_diag
+    for _ in range((ell - 3) // 2):
+        invol = group.mul(invol, nu_diag)
     c1 = group.classes[group.class_of[unip]]
     c0 = group.classes[group.class_of[invol]]
     if c1.size != ell * ell - 1:

@@ -3,27 +3,39 @@
 Each one backs a check in a test file: the invariant form behind the
 Chevalley form-invariance tests, explicit odd-irrep matrices behind the
 homomorphism tests, conjugation invariants behind the class tests,
-permutation groups for the small rigidity cases, the lex-least scalar
-multiple that the projective canonical form replaced, the per-call form
-loops and echelon routine the two-group tables replaced, and plain matrix
-powers, F2 ranks and a quadruple survey for the rest.
+groups, classes and triple counts by matrix products behind the
+permutation groups of the rigidity layer, the README's `file:` group,
+the lex-least scalar multiple that the projective canonical form
+replaced, the per-call form loops and echelon routine the two-group
+tables replaced, and plain matrix powers, F2 ranks and a quadruple survey
+for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
 import hashlib
 import itertools
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
+from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
-from excmono.rigidity import DEFAULT_CAP, FiniteGroup
+from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
 from excmono.twogroup import TildeElement
 
 # recorded before the Ã and a1 layers were rewritten for single computation
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden_stdout.json").read_text())
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_group_text() -> str:
+    """The JSON of the README's example `file:` group, gens.json."""
+    return re.search(r"`(\{\"p\".*?\})`", README.read_text(), re.S).group(1)
 
 
 def stdout_digest(out) -> str:
@@ -108,33 +120,154 @@ def cycle_type(a):
     return tuple(sorted(cycles))
 
 
-class PermRep:
-    """Permutation tuples i -> g(i) as a FiniteGroup representation; there
-    are no scalars, so the canonical form is the element itself."""
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.identity = tuple(range(degree))
-
-    def canon(self, a):
-        return a
-
-    def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.degree))
-
-    def inv(self, a):
-        out = [0] * self.degree
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
-
-
 S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
 
 
-def enumerate_group(generators, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """BFS closure of permutation tuples."""
-    return FiniteGroup(PermRep(len(generators[0])), generators, cap)
+# ------------------------------------------- groups by matrix products
+
+def matrix_mul(rep, a, b):
+    """The canonical form of the product a b of flattened rep.n x rep.n
+    matrices over F_rep.p."""
+    n, p = rep.n, rep.p
+    out = [0] * (n * n)
+    for i in range(n):
+        base = i * n
+        for k in range(n):
+            aik = a[base + k]
+            if aik:
+                kb = k * n
+                for j in range(n):
+                    out[base + j] += aik * b[kb + j]
+    return rep.canon(tuple(x % p for x in out))
+
+
+class MatrixGroup:
+    """The group that matrix generators close to, with canonical matrices
+    as elements and every product a matrix product: the independent route
+    for FiniteGroup, which works on permutations of the frame orbit.
+    Closure, classes, labels and subgroup orders follow the same rules."""
+
+    def __init__(self, rep, generators, cap: int = DEFAULT_CAP):
+        self.rep = rep
+        n = rep.n
+        self.identity = rep.canon(tuple(int(i == j) for i in range(n)
+                                        for j in range(n)))
+        self.generators = [rep.canon(tuple(g)) for g in generators]
+        self.elements = [self.identity]
+        seen = {self.identity}
+        for g in self.elements:
+            for s in self.generators:
+                h = self.mul(g, s)
+                if h not in seen:
+                    assert len(seen) < cap, "over the cap"
+                    seen.add(h)
+                    self.elements.append(h)
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.order = len(self.elements)
+        self.center = [g for g in self.elements
+                       if all(self.mul(g, s) == self.mul(s, g)
+                              for s in self.generators)]
+        self.classes = self._conjugacy_classes()
+        self.class_of = {g: ci for ci, cls in enumerate(self.classes)
+                         for g in cls.members}
+        for cls in self.classes:
+            cent = sum(1 for x in self.elements
+                       if self.mul(x, cls.rep) == self.mul(cls.rep, x))
+            assert cls.size * cent == self.order, cls.label
+
+    def mul(self, a, b):
+        return matrix_mul(self.rep, a, b)
+
+    def inv(self, a):
+        return self.rep.inv(a)
+
+    def element_order(self, g) -> int:
+        n, acc = 1, g
+        while acc != self.identity:
+            acc = self.mul(acc, g)
+            n += 1
+        return n
+
+    def _conjugacy_classes(self):
+        assigned = set()
+        classes = []
+        gen_invs = [(s, self.inv(s)) for s in self.generators]
+        per_order = {}
+        for g in self.elements:
+            if g in assigned:
+                continue
+            orbit = {g}
+            frontier = [g]
+            while frontier:
+                new = []
+                for x in frontier:
+                    for s, sinv in gen_invs:
+                        y = self.mul(s, self.mul(x, sinv))
+                        if y not in orbit:
+                            orbit.add(y)
+                            new.append(y)
+                frontier = new
+            assigned |= orbit
+            members = tuple(sorted(orbit, key=self.index.__getitem__))
+            o = self.element_order(g)
+            per_order[o] = per_order.get(o, 0) + 1
+            label = f"{o}{chr(ord('A') + per_order[o] - 1)}"
+            classes.append(ConjClass(label, members, len(members)))
+        return classes
+
+    def class_by_label(self, label: str) -> ConjClass:
+        return next(c for c in self.classes if c.label == label)
+
+    def subgroup_generated(self, a, b) -> int:
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            new = []
+            for g in frontier:
+                for s in (a, b):
+                    h = self.mul(g, s)
+                    if h not in seen:
+                        seen.add(h)
+                        new.append(h)
+            frontier = new
+        return len(seen)
+
+
+def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> TripleReport:
+    """triple_count by matrix products: g_inf = (g0 g1)^-1 for each g1."""
+    g0 = c0.rep
+    target = group.class_of[cinf.rep]
+    hits = [g1 for g1 in c1.members
+            if group.class_of[group.inv(group.mul(g0, g1))] == target]
+    solution_count = c0.size * len(hits)
+    gen_flags = [group.subgroup_generated(g0, g1) == group.order
+                 for g1 in hits]
+    normalized = Fraction(solution_count * len(group.center), group.order)
+    return TripleReport(
+        group_order=group.order,
+        center_order=len(group.center),
+        class_labels=(c0.label, c1.label, cinf.label),
+        class_sizes=(c0.size, c1.size, cinf.size),
+        solution_count=solution_count,
+        normalized_count=normalized,
+        generates=any(gen_flags),
+        all_generate=bool(gen_flags) and all(gen_flags),
+        strictly_rigid=(normalized == 1 and bool(gen_flags)
+                        and all(gen_flags)),
+    )
+
+
+def matrix_pgl2(ell: int) -> MatrixGroup:
+    """PGL2(F_ell) as matrices mod F_ell^x, on pgl2_group's generators."""
+    nu = least_primitive_root(ell)
+    return MatrixGroup(MatrixRep(ell, 2, scalars=range(1, ell)),
+                       [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)])
+
+
+def matrix_psl2(ell: int) -> MatrixGroup:
+    """PSL2(F_ell) as SL2(F_ell) matrices mod +-1, not inside PGL2."""
+    return MatrixGroup(MatrixRep(ell, 2, scalars=(1, ell - 1)),
+                       [(1, 1, 0, 1), (0, ell - 1, 1, 0)])
 
 
 def lex_least_multiple(m, scalars, p: int):

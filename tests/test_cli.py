@@ -2,16 +2,14 @@ import json
 import re
 import shlex
 import time
-from pathlib import Path
 
 import pytest
 
 from excmono.a1lab import render_csv, scan
 from excmono.chevalley import ChevalleyAlgebra
 from excmono.cli import build_parser, main
-from oracles import GOLDEN, stdout_digest
+from oracles import GOLDEN, README, readme_group_text, stdout_digest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +163,7 @@ BAD_FILE_GROUPS = {
     "generator-not-integer": dict(SL25, generators=[[1, 1, 0, 1.5]]),
     "generators-missing": {"p": 5, "n": 2},
     "scalar-not-unit": dict(SL25, scalars=[1, 5]),
+    "scalars-not-subgroup": dict(SL25, scalars=[1, 2]),
     "cap-not-integer": dict(SL25, cap="many"),
     # a singular generator would close a semigroup toward the cap
     "generator-singular": {"p": 13, "n": 3, "generators": [
@@ -172,6 +171,9 @@ BAD_FILE_GROUPS = {
         [1, 0, 0, 0, 1, 0, 0, 0, 0]]},
     "generator-zero": dict(SL25, generators=[[1, 1, 0, 1], [0, 0, 0, 0]],
                            scalars=[1, 4]),
+    # SL2(F_17) moves e_1 to all 288 nonzero vectors, over the 256 bound
+    "frame-orbit-over-bound": dict(SL25, p=17, generators=[[1, 1, 0, 1],
+                                                           [0, 16, 1, 0]]),
 }
 
 
@@ -214,6 +216,8 @@ HUGE = str(10 ** 18 + 9)
     ["a1", "--primes", f"5,{HUGE}"],
     ["rigid", "--ell", HUGE],
     ["rigid", "--group", "psl2", "--ell", HUGE],
+    # 8.5 M elements, under the cap, but 258 points on the projective line
+    ["rigid", "--group", "psl2", "--ell", "257"],
     ["rigid", "--group", "file:huge.json"],
 ])
 def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
@@ -288,8 +292,7 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     # the README's example file group, where its examples expect gens.json;
     # running from tmp_path keeps `file:gens.json` literal in `parameters`
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "gens.json").write_text(
-        re.search(r"`(\{\"p\".*?\})`", README.read_text(), re.S).group(1))
+    (tmp_path / "gens.json").write_text(readme_group_text())
     examples = readme_examples()
     assert len(examples) >= 10
     assert sorted(map(shlex.join, examples)) == sorted(GOLDEN)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -19,16 +20,21 @@ from excmono.rigidity import (
 )
 from oracles import (
     S4_GENS,
-    PermRep,
+    MatrixGroup,
     cycle_type,
-    enumerate_group,
     lex_least_multiple,
+    matrix_mul,
+    matrix_pgl2,
+    matrix_psl2,
+    matrix_triple_count,
     projective_invariant,
+    readme_group_text,
 )
 
 
 def perm_mul(a, b):
-    return tuple(a[b[i]] for i in range(len(a)))
+    """a then b, the order FiniteGroup composes in."""
+    return tuple(b[a[i]] for i in range(len(a)))
 
 
 def brute_class_count(group):
@@ -49,28 +55,28 @@ def brute_class_count(group):
 # ------------------------------------------------------------ enumeration
 
 def test_s4_order_via_itertools_oracle():
-    oracle = set(itertools.permutations(range(4)))
-    g = enumerate_group(S4_GENS)
+    oracle = set(map(bytes, itertools.permutations(range(4))))
+    g = FiniteGroup(S4_GENS)
     assert g.order == 24
     assert set(g.elements) == oracle
 
 
 def test_s4_five_classes():
-    g = enumerate_group(S4_GENS)
+    g = FiniteGroup(S4_GENS)
     assert len(g.classes) == 5
     assert sorted(c.size for c in g.classes) == [1, 3, 6, 6, 8]
     assert brute_class_count(g) == 5
 
 
 def test_s4_class_labels_are_order_letter():
-    g = enumerate_group(S4_GENS)
+    g = FiniteGroup(S4_GENS)
     labels = {c.label for c in g.classes}
     assert labels == {"1A", "2A", "2B", "3A", "4A"}
 
 
 def test_sl2_f5_order():
     rep = MatrixRep(5, 2)
-    g = FiniteGroup(rep, [(1, 1, 0, 1), (0, 4, 1, 0)])
+    g = FiniteGroup(rep.permutations([(1, 1, 0, 1), (0, 4, 1, 0)]))
     assert g.order == 5 * (5 * 5 - 1) == 120
     assert len(g.center) == 2
     assert len(g.classes) == brute_class_count(g) == 9
@@ -78,7 +84,7 @@ def test_sl2_f5_order():
 
 def test_cap_overflow_is_explicit():
     with pytest.raises(OverflowError, match="cap of 10"):
-        enumerate_group(S4_GENS, cap=10)
+        FiniteGroup(S4_GENS, cap=10)
 
 
 @pytest.mark.parametrize("build,ell,cap", [(pgl2_group, 7, 300),
@@ -95,26 +101,27 @@ def test_known_order_over_cap_refused_before_closure(monkeypatch, build,
 
 
 def test_enumeration_is_deterministic():
-    a = enumerate_group(S4_GENS)
-    b = enumerate_group(S4_GENS)
+    a = FiniteGroup(S4_GENS)
+    b = FiniteGroup(S4_GENS)
     assert a.elements == b.elements
     assert [c.label for c in a.classes] == [c.label for c in b.classes]
     assert [c.members for c in a.classes] == [c.members for c in b.classes]
 
 
 def test_identity_is_first_element():
-    g = enumerate_group(S4_GENS)
-    assert g.elements[0] == (0, 1, 2, 3)
+    g = FiniteGroup(S4_GENS)
+    assert g.elements[0] == bytes((0, 1, 2, 3)) == g.identity
     assert g.classes[0].label == "1A" and g.classes[0].size == 1
 
 
 # ----------------------------------------------------- element arithmetic
 
-def test_perm_rep_ops():
-    rep = PermRep(4)
-    a, b = (1, 0, 2, 3), (1, 2, 3, 0)
-    assert rep.mul(a, rep.inv(a)) == rep.identity
-    assert rep.mul(a, b) == tuple(a[b[i]] for i in range(4))
+def test_permutation_ops():
+    g = FiniteGroup(S4_GENS)
+    a, b = bytes((1, 0, 2, 3)), bytes((1, 2, 3, 0))
+    assert g.mul(a, g.inv(a)) == g.identity
+    assert g.mul(a, b) == bytes(perm_mul(a, b))
+    assert g.inv(b) == bytes((3, 0, 1, 2))
     assert cycle_type((1, 2, 0, 3)) == (1, 3)
 
 
@@ -122,7 +129,7 @@ def test_matrix_rep_inverse_roundtrip():
     rep = MatrixRep(7, 2)
     mats = [(1, 1, 0, 1), (2, 3, 1, 2), (0, 6, 1, 0), (3, 1, 5, 2)]
     for m in mats:
-        assert rep.mul(m, rep.inv(m)) == rep.identity
+        assert matrix_mul(rep, m, rep.inv(m)) == (1, 0, 0, 1)
 
 
 def test_matrix_rep_rejects_singular():
@@ -145,7 +152,7 @@ def test_projective_canonical_form_kills_scalars():
 
 @pytest.mark.parametrize("ell", [3, 5, 7, 11, 13])
 def test_group_elements_are_lex_least_multiples(ell):
-    for g in (pgl2_group(ell), psl2_group(ell)):
+    for g in (matrix_pgl2(ell), matrix_psl2(ell)):
         for x in g.elements:
             assert lex_least_multiple(x, g.rep.scalars, ell) == x
 
@@ -168,23 +175,23 @@ def test_canon_matches_lex_least_multiple(p):
 
 
 def test_projective_invariant_is_conjugation_stable():
-    g = pgl2_group(5)
+    g = matrix_pgl2(5)
     for cls in g.classes:
         vals = {projective_invariant(g.rep, x) for x in cls.members}
         assert len(vals) == 1
 
 
 def test_element_order():
-    g = enumerate_group(S4_GENS)
-    assert g.element_order((0, 1, 2, 3)) == 1
-    assert g.element_order((1, 0, 2, 3)) == 2
-    assert g.element_order((1, 2, 3, 0)) == 4
+    g = FiniteGroup(S4_GENS)
+    assert g.element_order(bytes((0, 1, 2, 3))) == 1
+    assert g.element_order(bytes((1, 0, 2, 3))) == 2
+    assert g.element_order(bytes((1, 2, 3, 0))) == 4
 
 
 # ----------------------------------------------------- class-equation law
 
 @pytest.mark.parametrize("build", [
-    lambda: enumerate_group(S4_GENS),
+    lambda: FiniteGroup(S4_GENS),
     lambda: psl2_group(7),
     lambda: pgl2_group(5),
 ])
@@ -228,7 +235,7 @@ def test_class_equation_checked_under_optimize(shift, code):
 
 
 def test_class_by_label_unknown():
-    g = enumerate_group(S4_GENS)
+    g = FiniteGroup(S4_GENS)
     with pytest.raises(ValueError, match="no class 9Z"):
         g.class_by_label("9Z")
 
@@ -289,13 +296,13 @@ def test_count_invariant_under_representative_change():
 
 def test_solution_count_naive_oracle_on_s4():
     # independent full triple enumeration on a small group
-    g = enumerate_group(S4_GENS)
+    g = FiniteGroup(S4_GENS)
     c2 = g.class_by_label("2A")
     c3 = g.class_by_label("3A")
     c4 = g.class_by_label("4A")
     naive = sum(1 for a in c2.members for b in c3.members
                 for c in c4.members
-                if perm_mul(perm_mul(a, b), c) == g.rep.identity)
+                if perm_mul(perm_mul(a, b), c) == tuple(range(4)))
     r = triple_count(g, c2, c3, c4)
     assert r.solution_count == naive == 24
     assert r.normalized_count == Fraction(1)
@@ -304,7 +311,7 @@ def test_solution_count_naive_oracle_on_s4():
 
 def test_triple_rejects_foreign_class():
     g, c2, c3, c7 = hurwitz_setup()
-    other = enumerate_group(S4_GENS).class_by_label("2A")
+    other = FiniteGroup(S4_GENS).class_by_label("2A")
     with pytest.raises(ValueError, match="does not belong"):
         triple_count(g, other, c3, c7)
 
@@ -316,7 +323,7 @@ def test_triple_rejects_bad_base_point():
 
 
 def test_empty_triple_reports_zero():
-    g = enumerate_group(S4_GENS)
+    g = FiniteGroup(S4_GENS)
     c4 = g.class_by_label("4A")
     c2b = g.class_by_label("2B")
     r = triple_count(g, c4, c4, c2b)
@@ -328,7 +335,7 @@ def test_empty_triple_reports_zero():
 def test_singleton_classes_in_cyclic_group():
     # every class of C5 is a singleton; a closing triple has exactly one
     # solution and is vacuously rigid by the normalized-count test
-    g = enumerate_group([(1, 2, 3, 4, 0)])
+    g = FiniteGroup([(1, 2, 3, 4, 0)])
     assert g.order == 5 and len(g.classes) == 5
     assert all(c.size == 1 for c in g.classes)
     a, b = g.classes[1], g.classes[2]
@@ -384,3 +391,82 @@ def test_report_json_shape():
     assert d["normalized_count"] == [1, 1]
     assert d["classes"][1] == d["classes"][2]
     assert isinstance(d["strictly_rigid"], bool)
+
+
+# --------------------------------------------- the matrix-product oracle
+
+def _file_group(blob):
+    """A `file:` group both ways: permutations of the frame orbit, and
+    canonical matrices multiplied out."""
+    rep = MatrixRep(blob["p"], blob["n"], scalars=blob.get("scalars"))
+    return (FiniteGroup(rep.permutations(blob["generators"])),
+            MatrixGroup(rep, blob["generators"]))
+
+
+ORACLE_FILE_GROUPS = {
+    "readme-gens-json": json.loads(readme_group_text()),
+    # contains -I: e_i and -e_i are distinct frame points
+    "linear-minus-identity": {"p": 7, "n": 3, "generators": [
+        [0, 0, 1, 1, 0, 0, 0, 1, 0], [6, 0, 0, 0, 6, 0, 0, 0, 6],
+        [2, 0, 0, 0, 4, 0, 0, 0, 1]]},
+    # 2I fixes every line of F_7^2 but no S-class, since 2 is not +-1
+    "sign-quotient-with-2I": {"p": 7, "n": 2, "scalars": [1, 6],
+                              "generators": [[1, 1, 0, 1], [0, 6, 1, 0],
+                                             [2, 0, 0, 2]]},
+}
+
+
+def _oracle_cases():
+    for ell in (3, 5, 7, 11, 13):
+        yield f"pgl2-{ell}", lambda ell=ell: (pgl2_group(ell),
+                                              matrix_pgl2(ell))
+        yield f"psl2-{ell}", lambda ell=ell: (psl2_group(ell),
+                                              matrix_psl2(ell))
+    for name, blob in ORACLE_FILE_GROUPS.items():
+        yield name, lambda blob=blob: _file_group(blob)
+
+
+ORACLE_CASES = dict(_oracle_cases())
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_permutation_groups_match_matrix_oracle(case):
+    g, m = ORACLE_CASES[case]()
+    assert g.order == m.order
+    assert len(g.center) == len(m.center)
+    assert [(c.label, c.size) for c in g.classes] == \
+        [(c.label, c.size) for c in m.classes]
+    # (C_i, C_i+1, C_i+2) cyclically from the first four classes, plus the
+    # classes of the first two generators and of their product's inverse;
+    # each oracle triple with solutions costs about 0.5 s at ell = 13
+    k = len(g.classes)
+    triples = [(i, (i + 1) % k, (i + 2) % k) for i in range(min(k, 4))]
+    a, b = g.generators[:2] if len(g.generators) > 1 else g.generators * 2
+    triples.append((g.class_of[a], g.class_of[b],
+                    g.class_of[g.inv(g.mul(a, b))]))
+    for i, j, l in triples:
+        assert triple_count(g, g.classes[i], g.classes[j], g.classes[l]) \
+            == matrix_triple_count(m, m.classes[i], m.classes[j],
+                                   m.classes[l]), (i, j, l)
+
+
+def test_pgl2_group_touches_matrices_only_on_the_frame_orbit(monkeypatch):
+    calls = []
+    real = MatrixRep.canon
+    monkeypatch.setattr(MatrixRep, "canon",
+                        lambda self, m: calls.append(1) or real(self, m))
+    ell, ngens = 13, 3
+    g = pgl2_group(ell)
+    assert g.order == 2184 and len(g.identity) == ell + 1
+    # ell + 1 points, each mapped by every generator, plus the frame
+    assert len(calls) <= (ell + 1) * (ngens + 1) + 4
+
+
+def test_frame_orbit_over_the_bound_is_refused():
+    # SL2(F_17) moves e_1 to all 288 nonzero vectors of F_17^2
+    with pytest.raises(OverflowError, match="bound of 256 points"):
+        MatrixRep(17, 2).permutations([(1, 1, 0, 1), (0, 16, 1, 0)])
+    with pytest.raises(OverflowError, match="bound of 256 points"):
+        MatrixRep(5, 257).permutations([])
+    # 3 generates F_257^x: exactly 256 points
+    assert len(MatrixRep(257, 1).permutations([(3,)])[0]) == 256
