@@ -62,7 +62,7 @@ def _cmd_k_type(args):
 
 def _cmd_atilde(args):
     rs = root_system(args.label)
-    tg = build_tilde_group(rs)   # construction verifies both group laws
+    tg = build_tilde_group(rs)   # construction checks both group laws
     factors, name = tg.center_structure()
     irreps = odd_irreps(tg)
     result = {
@@ -75,7 +75,8 @@ def _cmd_atilde(args):
                        "dims": [ir.dimension for ir in irreps]},
     }
     checks = [
-        {"name": "square-and-commutator-laws", "passed": True},
+        {"name": "square-and-commutator-laws",
+         "passed": tg.pairs_checked == 1 << (2 * tg.r)},
         {"name": "sum-of-squares-is-2^r",
          "passed": sum(ir.dimension ** 2 for ir in irreps) == 1 << tg.r},
     ]

@@ -28,6 +28,11 @@ from .arith import is_prime, least_primitive_root
 
 DEFAULT_CAP = 10 ** 7
 MAX_POINTS = 256  # entries in a bytes.translate table
+# A named group of known order whose elements, ell + 1 bytes each, would
+# take over this many bytes is refused before any closure: PGL2 and PSL2
+# pass up to ell = 61, PSL2 up to 73.  A group costs about 340 bytes per
+# element in all, so the bound keeps a closure under about 90 MB.
+MAX_TABLE_BYTES = 1 << 24
 
 _IDENTITY_TABLE = bytes(range(MAX_POINTS))
 
@@ -357,12 +362,18 @@ def _projective_line_group(ell: int, gens, order: int, name: str,
 
 
 def _check_instance(ell: int, order: int, cap: int, name: str):
-    """Refuse a bad ell, and a known order over the cap before any closure."""
+    """Refuse a bad ell, and a known order over the cap or whose
+    permutations of the ell + 1 points would take over MAX_TABLE_BYTES,
+    before any closure."""
     if not is_prime(ell) or ell == 2:
         raise ValueError(f"{ell} is not an odd prime")
     if order > cap:
         raise OverflowError(f"{name} has {order} elements, over the cap "
                             f"of {cap}")
+    if order * (ell + 1) > MAX_TABLE_BYTES:
+        raise OverflowError(
+            f"{name} has {order} elements of {ell + 1} bytes each, over "
+            f"the bound of {MAX_TABLE_BYTES} bytes")
 
 
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"

@@ -152,10 +152,6 @@ class RootSystem:
         theta_vee = self.coroot_of[theta]
         return theta, theta_vee, theta_vee
 
-    def coxeter_number(self) -> int:
-        theta, _, _ = self.highest_root()
-        return 1 + sum(theta)
-
     def dual_coxeter_number(self) -> int:
         _, theta_vee, _ = self.highest_root()
         return 1 + sum(theta_vee)  # <rho, alpha_i-vee> = 1 for every i

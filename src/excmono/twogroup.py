@@ -3,33 +3,48 @@
 A = coroot lattice mod 2 carries the quadratic refinement
 q(a) = (-1)^((a,a)/2) of the mod-2 invariant form; the group here is the
 central extension of A by {+-1} whose squares realize q and whose
-commutators realize the pairing.  Elements are (sign, bits) pairs with
-bits an r-bit mask over the simple-coroot basis.
+commutators realize the pairing.  An element is an int
+x = bits | sign_bit << r, with bits an r-bit mask over the simple-coroot
+basis and sign_bit set for the central -1.
 
 The extension is realized by the upper-triangular cocycle
 beta(e_i, e_j) = (e_i, e_j) mod 2 for i < j, (e_i, e_i)/2 on the diagonal,
-and 0 below; both defining laws are checked exhaustively on build.
+and 0 below: x * y is x ^ y with the sign bit flipped by beta(x, y).
 
 Both forms are tabulated once per group: for each class a, the masks of
-(a, -) mod 2 and of beta(a, -) and the integer norm (a, a), so pairing,
-cocycle and q are a lookup and a popcount.  The odd irreps reduce modulo
-a Lagrangian through its reduced echelon form from `linalg.gf2_echelon`.
+(a, -) mod 2, of beta(a, -) and of beta(-, a), and the integer norm
+(a, a), so pairing, cocycle and q are a lookup and a popcount.  Both
+defining laws are checked on build for every pair, one row at a time, in
+the bitslice layout: the set {b : m.b odd} of an r-bit mask m is a
+2^r-bit int, the XOR of the basis sets B_j = {b : bit j of b is 1}, so
+the commutator law for a is one big-int compare of its beta row, its
+transposed beta row and its pairing row.
+
+The odd irreps reduce modulo a Lagrangian through its reduced echelon
+form from `linalg.gf2_echelon`.  Each one's character is tabulated once,
+as int lists (re, im) indexed by the element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .gaussint import I, ONE, Zi
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
 from .rootsys import RootSystem
 
 
-class TildeElement(NamedTuple):
-    sign: int  # +1 or -1
-    bits: int  # class in Lambda-vee / 2 Lambda-vee
+def odd_sets(r: int) -> list:
+    """For each r-bit mask m, the set {b < 2^r : m.b odd} as a 2^r-bit int
+    (bit b set), grown from m with its top bit j removed by XOR with B_j."""
+    n = 1 << r
+    basis = [sum(1 << b for b in range(n) if (b >> j) & 1) for j in range(r)]
+    out = [0] * n
+    for m in range(1, n):
+        j = m.bit_length() - 1
+        out[m] = out[m ^ (1 << j)] ^ basis[j]
+    return out
 
 
 class TildeGroup:
@@ -44,35 +59,48 @@ class TildeGroup:
         self.rs = rs
         self.r = rank
         g = rs.form_gram
-        # row i of the Gram form mod 2 and of the cocycle, as masks
+        # row i of the Gram form mod 2 and of the cocycle, as masks, and
+        # column i of the cocycle: the j with beta(e_j, e_i) = 1
         gram_rows = [sum(1 << j for j in range(rank) if g[i][j] % 2)
                      for i in range(rank)]
         cocycle_rows = [(row >> (i + 1) << (i + 1)) | ((g[i][i] // 2) % 2) << i
                         for i, row in enumerate(gram_rows)]
-        # per class a: the masks a^T G mod 2 and a^T U, and the norm (a, a),
-        # each grown from a with its top bit i removed
+        cocycle_cols = [sum(1 << j for j in range(rank)
+                            if (cocycle_rows[j] >> i) & 1)
+                        for i in range(rank)]
+        # per class a: the masks a^T G mod 2, a^T U and U a, and the norm
+        # (a, a), each grown from a with its top bit i removed
         n = 1 << rank
         self._pair_mask = [0] * n
         self._cocycle_mask = [0] * n
+        self._cocycle_t_mask = [0] * n
         self._norm = [0] * n
         for a in range(1, n):
             i = a.bit_length() - 1
             rest = a ^ (1 << i)
             self._pair_mask[a] = self._pair_mask[rest] ^ gram_rows[i]
             self._cocycle_mask[a] = self._cocycle_mask[rest] ^ cocycle_rows[i]
+            self._cocycle_t_mask[a] = (self._cocycle_t_mask[rest]
+                                       ^ cocycle_cols[i])
             norm = self._norm[rest] + g[i][i] + 2 * sum(
                 g[i][j] for j in range(i) if (rest >> j) & 1)
             if norm % 2:
                 raise AssertionError(f"class {a:#b} has odd norm {norm}")
             self._norm[a] = norm
+        self._bits = n - 1
+        self._odd_set = odd_sets(rank)
         self.radical_basis = gf2_nullspace(gram_rows, rank)
-        self._check_laws()
+        self.pairs_checked = self._check_laws()
 
     # ------------------------------------------------------------ algebra --
 
     def pairing(self, a: int, b: int) -> int:
         """(a, b) mod 2."""
         return (self._pair_mask[a] & b).bit_count() & 1
+
+    def pairing_row(self, a: int) -> int:
+        """{b : (a, b) odd} as a 2^r-bit int: bit b is (a, b) mod 2."""
+        return self._odd_set[self._pair_mask[a]]
 
     def _beta(self, a: int, b: int) -> int:
         return (self._cocycle_mask[a] & b).bit_count() & 1
@@ -81,43 +109,35 @@ class TildeGroup:
         """(-1)^((a,a)/2) on lattice classes."""
         return -1 if self._norm[a] % 4 else 1
 
-    def mul(self, x: TildeElement, y: TildeElement) -> TildeElement:
-        sign = x.sign * y.sign * (-1 if self._beta(x.bits, y.bits) else 1)
-        return TildeElement(sign, x.bits ^ y.bits)
+    def mul(self, x: int, y: int) -> int:
+        # the cocycle mask has r bits, so the sign bit of y never counts
+        return x ^ y ^ ((self._cocycle_mask[x & self._bits] & y).bit_count()
+                        & 1) << self.r
 
-    def inverse(self, x: TildeElement) -> TildeElement:
-        # x * x = (q(bits), 0), so x^{-1} = (q * sign, bits)
-        return TildeElement(x.sign * self.q(x.bits), x.bits)
-
-    @property
-    def identity(self) -> TildeElement:
-        return TildeElement(1, 0)
-
-    def elements(self):
-        for bits in range(1 << self.r):
-            yield TildeElement(1, bits)
-            yield TildeElement(-1, bits)
+    def inverse(self, x: int) -> int:
+        # x * x = q(bits) with (a, a)/2 odd iff bit 1 of the norm is set
+        return x ^ (self._norm[x & self._bits] & 2) << (self.r - 1)
 
     @property
     def order(self) -> int:
         return 1 << (self.r + 1)
 
-    def _check_laws(self):
+    def _check_laws(self) -> int:
+        """Both laws for every pair (a, b), one row of b at a time; returns
+        the number of pairs covered.  With beta bilinear, the square of
+        (+, a) is beta(a, a) and the commutator of (+, a) and (+, b) is
+        beta(a, b) + beta(b, a)."""
+        odd = self._odd_set
+        covered = 0
         for a in range(1 << self.r):
-            ea = TildeElement(1, a)
-            sq = self.mul(ea, ea)
-            if sq != TildeElement(self.q(a), 0):
-                raise AssertionError("square law broken by the cocycle")
-        for a in range(1 << self.r):
-            ea = TildeElement(1, a)
-            inv_a = self.inverse(ea)
-            for b in range(1 << self.r):
-                eb = TildeElement(1, b)
-                comm = self.mul(self.mul(ea, eb),
-                                self.mul(inv_a, self.inverse(eb)))
-                want = TildeElement(-1 if self.pairing(a, b) else 1, 0)
-                if comm != want:
-                    raise AssertionError("commutator law broken")
+            if self._beta(a, a) != (self._norm[a] >> 1) & 1:
+                raise AssertionError(
+                    f"square law broken by the cocycle at class {a:#b}")
+            if (odd[self._cocycle_mask[a]] ^ odd[self._cocycle_t_mask[a]]
+                    != odd[self._pair_mask[a]]):
+                raise AssertionError(f"commutator law broken in row {a:#b}")
+            covered += len(odd)
+        return covered
 
     # ------------------------------------------------------------ radical --
 
@@ -162,27 +182,30 @@ def build_tilde_group(rs: RootSystem) -> TildeGroup:
 
 @dataclass
 class OddIrrep:
-    """Irreducible with central mu2-kernel acting by -1, via a Lagrangian."""
+    """Irreducible with central mu2-kernel acting by -1, induced from a
+    character of the preimage of a Lagrangian; `characters` is its
+    character as int lists (re, im) indexed by the element."""
 
     group: TildeGroup
     central_character: dict
     dimension: int
     transversal: tuple
+    characters: tuple
     _m_pivots: dict
     _m_character: dict
 
-    def _coset_rep(self, bits: int) -> int:
-        return _reduce_by(self._m_pivots, bits)
 
-    def character(self, el: TildeElement) -> Zi:
-        tg = self.group
-        total = Zi(0)
-        for v, rep in enumerate(self.transversal):
-            moved = tg.mul(el, TildeElement(1, rep))
-            if self._coset_rep(moved.bits) == rep:
-                m = tg.mul(tg.inverse(TildeElement(1, rep)), moved)
-                total = total + self._m_character[m]
-        return total
+def _induced_character(tg: TildeGroup, transversal, m_character):
+    """chi(x) = sum over t in the transversal of psi(t^-1 x t), with psi
+    zero off its subgroup: each t and m add psi(m) at x = t m t^-1."""
+    re, im = [0] * tg.order, [0] * tg.order
+    for t in transversal:
+        t_inv = tg.inverse(t)
+        for m, val in m_character.items():
+            x = tg.mul(tg.mul(t, m), t_inv)
+            re[x] += val.re
+            im[x] += val.im
+    return re, im
 
 
 def _span(vectors):
@@ -215,7 +238,7 @@ def _greedy_lagrangian(tg: TildeGroup, order):
 def _extend_character(tg: TildeGroup, table: dict, generators, choices=None):
     """Grow a character of an abelian subgroup one generator at a time.
 
-    ``table`` maps TildeElement -> Zi on the current subgroup; each new
+    ``table`` maps element -> Zi on the current subgroup; each new
     generator g has g*g already inside, so the new value c solves
     c^2 = table[g*g]; ``choices`` optionally selects which square root.
     """
@@ -246,16 +269,15 @@ def odd_irreps(tg: TildeGroup, order=None):
         order = range(1, 1 << r)
     m_pivots = gf2_echelon(tg.radical_basis + _greedy_lagrangian(tg, order))
 
-    # central characters: start from the forced value on (-1, 0)
-    base = {TildeElement(1, 0): ONE, TildeElement(-1, 0): Zi(-1)}
-    radical_gens = [TildeElement(1, b) for b in tg.radical_basis]
+    # central characters: start from the forced value on the central -1
+    base = {0: ONE, 1 << r: Zi(-1)}
     central_chars = []
     for mask in range(1 << s):
         flips = [(mask >> i) & 1 for i in range(s)]
-        central_chars.append(_extend_character(tg, base, radical_gens, flips))
+        central_chars.append(
+            _extend_character(tg, base, tg.radical_basis, flips))
 
-    lag_gens = [TildeElement(1, b)
-                for b in sorted(m_pivots.values(), reverse=True)]
+    lag_gens = sorted(m_pivots.values(), reverse=True)
     transversal = tuple(sorted({_reduce_by(m_pivots, x)
                                 for x in range(1 << r)}))
     dim = 1 << ((r - s) // 2)
@@ -265,13 +287,15 @@ def odd_irreps(tg: TildeGroup, order=None):
 
     out = []
     for chi in central_chars:
+        m_character = _extend_character(tg, chi, lag_gens)
         out.append(OddIrrep(
             group=tg,
             central_character=chi,
             dimension=dim,
             transversal=transversal,
+            characters=_induced_character(tg, transversal, m_character),
             _m_pivots=m_pivots,
-            _m_character=_extend_character(tg, chi, lag_gens),
+            _m_character=m_character,
         ))
     if sum(ir.dimension ** 2 for ir in out) != 1 << r:
         raise AssertionError(f"odd irrep dimensions do not square-sum to 2^{r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import mul
 from time import perf_counter
 
 from .a1lab import _context, scan
@@ -28,10 +29,9 @@ from .chevalley import (
     regular_nilpotent_centralizer,
     rigidity_budget,
 )
-from .gaussint import Zi
 from .rootsys import root_system
 from .rigidity import predicted_triple, psl2_group, triple_count
-from .twogroup import build_tilde_group, odd_irreps
+from .twogroup import build_tilde_group, odd_irreps, odd_sets
 
 # the component-type table, one entry per family row, instantiated at
 # every rank this toolkit supports
@@ -123,7 +123,7 @@ def criterion_tilde_laws(seed=0):
     pairs_checked = 0
     for label in TILDE_LABELS:
         rs = root_system(label)
-        tg = build_tilde_group(rs)   # construction replays both group laws
+        tg = build_tilde_group(rs)   # construction checks both group laws
         norms, parity = _form_tables(rs, tg.r)
         for a in range(1 << tg.r):
             if norms[a] % 2:
@@ -131,16 +131,14 @@ def criterion_tilde_laws(seed=0):
             want = -1 if (norms[a] // 2) % 2 else 1
             if tg.q(a) != want:
                 ok = False
+        # each pairing row against the parity row of the Gram table, as
+        # 2^r-bit sets of b
+        odd = odd_sets(tg.r)
         for a in range(1 << tg.r):
-            pa = parity[a]
-            for b in range(1 << tg.r):
-                if tg.pairing(a, b) != ((pa & b).bit_count() & 1):
-                    ok = False
-                    break
-            else:
-                pairs_checked += 1 << tg.r
-                continue
-            break
+            if tg.pairing_row(a) != odd[parity[a]]:
+                ok = False
+                break
+            pairs_checked += 1 << tg.r
         size = tg.radical_size_crosscheck()
         radical[label] = size
         if size != ZG2_SIZE[label]:
@@ -163,15 +161,16 @@ def criterion_center_table(seed=0):
             ok = False
         if sum(ir.dimension ** 2 for ir in irreps) != 1 << tg.r:
             ok = False
-        elements = list(tg.elements())
-        for i, ir1 in enumerate(irreps):
-            for j in range(i, len(irreps)):
-                ir2 = irreps[j]
-                total = Zi(0)
-                for el in elements:
-                    total = total + ir1.character(el) * ir2.character(el).conj()
-                want = Zi(tg.order) if i == j else Zi(0)
-                if total != want:
+        # every character is tabulated once, as int lists (re, im)
+        tables = [ir.characters for ir in irreps]
+        for i, (re_i, im_i) in enumerate(tables):
+            for j in range(i, len(tables)):
+                re_j, im_j = tables[j]
+                # sum of chi_i(g) * conj(chi_j(g)) over the group
+                real = sum(map(mul, re_i, re_j)) + sum(map(mul, im_i, im_j))
+                imag = sum(map(mul, im_i, re_j)) - sum(map(mul, re_i, im_j))
+                want = tg.order if i == j else 0
+                if (real, imag) != (want, 0):
                     ok = False
     return ok, {"centers": centers, "odd_irrep_counts": counts}
 

@@ -6,8 +6,9 @@ homomorphism tests, conjugation invariants behind the class tests,
 groups, classes and triple counts by matrix products behind the
 permutation groups of the rigidity layer, the README's `file:` group,
 the lex-least scalar multiple that the projective canonical form
-replaced, the per-call form loops and echelon routine the two-group
-tables replaced, and plain matrix powers, F2 ranks and a quadruple survey
+replaced, the per-call form loops, per-pair law replay and echelon
+routine the two-group tables and row checks replaced, the Coxeter
+number, and plain matrix powers, F2 ranks and a quadruple survey
 for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
@@ -24,7 +25,7 @@ from excmono.chevalley import orthogonal_quadruples
 from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
 from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
-from excmono.twogroup import TildeElement
+from excmono.twogroup import _reduce_by
 
 # recorded before the Ã and a1 layers were rewritten for single computation
 GOLDEN = json.loads(
@@ -91,17 +92,24 @@ def quadruple_dim_survey(alg, limit: int):
     return dict(sorted(seen.items()))
 
 
-def irrep_matrix(ir, el: TildeElement):
-    """The matrix of the odd irrep `ir` at `el`, on its coset basis."""
+def irrep_matrix(ir, el: int):
+    """The matrix of the odd irrep `ir` at the int element `el`, on its
+    coset basis."""
     tg = ir.group
     n = ir.dimension
     out = [[Zi(0)] * n for _ in range(n)]
     for v, rep in enumerate(ir.transversal):
-        moved = tg.mul(el, TildeElement(1, rep))
-        u_rep = ir._coset_rep(moved.bits)
-        m = tg.mul(tg.inverse(TildeElement(1, u_rep)), moved)
+        moved = tg.mul(el, rep)
+        u_rep = _reduce_by(ir._m_pivots, moved & ((1 << tg.r) - 1))
+        m = tg.mul(tg.inverse(u_rep), moved)
         out[ir.transversal.index(u_rep)][v] = ir._m_character[m]
     return out
+
+
+def coxeter_number(rs) -> int:
+    """h = 1 + the height of the highest root."""
+    theta, _, _ = rs.highest_root()
+    return 1 + sum(theta)
 
 
 def cycle_type(a):
@@ -337,6 +345,28 @@ def loop_q(tg, a: int) -> int:
                if (a >> i) & 1 and (a >> j) & 1)
     assert norm % 2 == 0, (a, norm)
     return -1 if (norm // 2) % 2 else 1
+
+
+def loop_mul(tg, x: int, y: int) -> int:
+    """The product of int elements with the cocycle from `loop_beta`."""
+    bits = (1 << tg.r) - 1
+    return x ^ y ^ loop_beta(tg, x & bits, y & bits) << tg.r
+
+
+def law_failures(tg, pairs) -> list:
+    """The pairs (a, b) at which a group law fails, replayed one pair at a
+    time through tg.mul and tg.inverse, the route the row check replaced:
+    (+, a) must square to q(a), and the commutator of (+, a) and (+, b)
+    must be (-1)^(a, b), both read from the per-call loops."""
+    minus = 1 << tg.r
+    bad = []
+    for a, b in pairs:
+        square = tg.mul(a, a)
+        comm = tg.mul(tg.mul(a, b), tg.mul(tg.inverse(a), tg.inverse(b)))
+        if (square != (minus if loop_q(tg, a) == -1 else 0)
+                or comm != (minus if loop_pairing(tg, a, b) else 0)):
+            bad.append((a, b))
+    return bad
 
 
 def echelonize(vectors):

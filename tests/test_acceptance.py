@@ -48,13 +48,13 @@ def test_criterion_2_lattice_quotients():
 def test_criterion_3_tilde_laws():
     verify.clear_caches()
     passed, details, dt = timed(verify.criterion_tilde_laws)
-    assert report(3, "two-group laws and radical", passed, dt, 5.0), details
+    assert report(3, "two-group laws and radical", passed, dt, 1.0), details
 
 
 def test_criterion_4_center_table():
     verify.clear_caches()
     passed, details, dt = timed(verify.criterion_center_table)
-    assert report(4, "center table and odd irreps", passed, dt, 10.0), details
+    assert report(4, "center table and odd irreps", passed, dt, 2.0), details
 
 
 def test_criterion_5_chevalley():

@@ -26,7 +26,7 @@ from excmono.chevalley import (
     v_class_centralizer,
 )
 from excmono.rootsys import root_system
-from oracles import invariant_form, quadruple_dim_survey
+from oracles import coxeter_number, invariant_form, quadruple_dim_survey
 
 ALL_TYPES = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
 
@@ -417,7 +417,7 @@ def test_quasiminuscule_rejects_others():
 @pytest.mark.parametrize("label,h", [("G2", 6), ("D4", 6), ("E7", 18)])
 def test_principal_grading_and_power_bijections(label, h):
     alg = build_algebra(label)
-    assert root_system(label).coxeter_number() == h
+    assert coxeter_number(root_system(label)) == h
     _check_hard_lefschetz(alg, h)
 
 

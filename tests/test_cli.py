@@ -219,6 +219,8 @@ HUGE = str(10 ** 18 + 9)
     # 8.5 M elements, under the cap, but 258 points on the projective line
     ["rigid", "--group", "psl2", "--ell", "257"],
     ["rigid", "--group", "file:huge.json"],
+    # 7.9 M elements of 252 bytes, under the cap and the point bound
+    ["rigid", "--group", "psl2", "--ell", "251"],
 ])
 def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -462,6 +462,35 @@ def test_pgl2_group_touches_matrices_only_on_the_frame_orbit(monkeypatch):
     assert len(calls) <= (ell + 1) * (ngens + 1) + 4
 
 
+_AT_BOUND = rigidity.MAX_TABLE_BYTES // 252   # elements of 252 bytes
+
+
+@pytest.mark.parametrize("ell,order,refused", [
+    (61, 61 * 60 * 62, False),              # PGL2(F_61): 14.1 MB
+    (73, 73 * 72 * 74 // 2, False),         # PSL2(F_73): 14.4 MB
+    (79, 79 * 78 * 80 // 2, True),          # PSL2(F_79): 19.7 MB
+    (251, _AT_BOUND, False),
+    (251, _AT_BOUND + 1, True),
+])
+def test_table_bytes_bound_on_known_orders(ell, order, refused):
+    if not refused:
+        rigidity._check_instance(ell, order, rigidity.DEFAULT_CAP, "G")
+        return
+    with pytest.raises(OverflowError,
+                       match="over the bound of 16777216 bytes"):
+        rigidity._check_instance(ell, order, rigidity.DEFAULT_CAP, "G")
+
+
+def test_psl2_over_the_table_bound_is_refused_before_closure(monkeypatch):
+    def no_closure(self, cap):
+        raise RuntimeError("closure ran")
+
+    monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
+    for ell in (79, 251):
+        with pytest.raises(OverflowError, match="bytes each"):
+            psl2_group(ell)
+
+
 def test_frame_orbit_over_the_bound_is_refused():
     # SL2(F_17) moves e_1 to all 288 nonzero vectors of F_17^2
     with pytest.raises(OverflowError, match="bound of 256 points"):

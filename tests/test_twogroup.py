@@ -1,12 +1,26 @@
 """Central extension laws, center structure, and Stone-von-Neumann irreps."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from excmono import twogroup, verify
 from excmono.gaussint import Zi
 from excmono.rootsys import root_system
-from excmono.twogroup import TildeElement, build_tilde_group, odd_irreps
-from oracles import irrep_matrix, loop_beta, loop_pairing, loop_q
+from excmono.twogroup import build_tilde_group, odd_irreps, odd_sets
+from oracles import (
+    irrep_matrix,
+    law_failures,
+    loop_beta,
+    loop_mul,
+    loop_pairing,
+    loop_q,
+)
 
 SUPPORTED = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
 
@@ -24,6 +38,11 @@ CENTER_TABLE = {
 
 def group(label):
     return build_tilde_group(root_system(label))
+
+
+def element(tg, sign, bits):
+    """The int element (sign, bits): bits | sign_bit << r."""
+    return bits | (sign == -1) << tg.r
 
 
 @pytest.mark.parametrize("label", SUPPORTED)
@@ -86,14 +105,110 @@ def test_form_tables_match_row_loops_sampled(data):
     assert tg._beta(a, b) == loop_beta(tg, a, b)
 
 
+@pytest.mark.parametrize("r", range(5))
+def test_odd_sets_match_parities(r):
+    odd = odd_sets(r)
+    assert len(set(odd)) == len(odd) == 1 << r
+    for m, row in enumerate(odd):
+        assert row < 1 << (1 << r)
+        for b in range(1 << r):
+            assert (row >> b) & 1 == bin(m & b).count("1") % 2
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
+def test_pairing_rows_match_pairings(label):
+    tg = group(label)
+    for a in range(1 << tg.r):
+        row = tg.pairing_row(a)
+        assert all((row >> b) & 1 == loop_pairing(tg, a, b)
+                   for b in range(1 << tg.r))
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
+def test_law_replay_exhaustive(label):
+    tg = group(label)
+    n = 1 << tg.r
+    assert law_failures(tg, ((a, b) for a in range(n) for b in range(n))) == []
+    assert tg.pairs_checked == n * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_law_replay_sampled(data):
+    tg = group(data.draw(st.sampled_from(["D8", "E7", "E8"])))
+    bits = st.integers(0, (1 << tg.r) - 1)
+    a, b = data.draw(bits), data.draw(bits)
+    assert law_failures(tg, [(a, b)]) == []
+    assert tg.pairs_checked == 1 << (2 * tg.r)
+
+
+@pytest.mark.parametrize("table", ["_cocycle_mask", "_cocycle_t_mask",
+                                   "_pair_mask"])
+def test_flipped_table_bit_breaks_the_row_check(table):
+    tg = twogroup.TildeGroup(root_system("D4"))
+    getattr(tg, table)[0b0110] ^= 0b0001
+    with pytest.raises(AssertionError, match="commutator law broken"):
+        tg._check_laws()
+
+
+def test_replay_sees_only_the_diagonal_of_the_cocycle():
+    # the replayed commutator of (+, a) and (+, b) has sign
+    # beta(a, b) twice, plus beta(c, c) for c = a, b and a ^ b, so the
+    # replay sees a flip only where it changes some beta(c, c); the row
+    # check sees every bit of every row
+    n = 1 << 4
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    off = twogroup.TildeGroup(root_system("D4"))
+    off._cocycle_mask[0b0110] ^= 0b0001
+    assert law_failures(off, pairs) == []
+    diagonal = twogroup.TildeGroup(root_system("D4"))
+    diagonal._cocycle_mask[0b0110] ^= 0b0010
+    assert (0b0110, 0) in law_failures(diagonal, pairs)
+    with pytest.raises(AssertionError, match="square law broken"):
+        diagonal._check_laws()
+
+
+# Under -O no assert statement runs; the group laws must still be checked,
+# since `atilde` reports them as passed.
+_CORRUPT_LAWS = """
+import sys
+from excmono import twogroup
+from excmono.cli import main
+real = twogroup.TildeGroup._check_laws
+def corrupted(self):
+    getattr(self, "{table}")[{row}] ^= {flip}
+    return real(self)
+twogroup.TildeGroup._check_laws = corrupted
+sys.exit(main(["atilde", "E8"]))
+"""
+
+
+@pytest.mark.parametrize("table,row,flip,code", [
+    ("_cocycle_mask", 0, 0, 0),
+    ("_cocycle_mask", 0b10110, 1 << 6, 1),
+    ("_cocycle_mask", 0b1, 0b1, 1),
+    ("_pair_mask", 0b11000000, 0b100, 1),
+])
+def test_laws_checked_under_optimize(table, row, flip, code):
+    src = str(Path(twogroup.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _CORRUPT_LAWS.format(table=table, row=row, flip=flip)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "check failed:" in proc.stderr and "law broken" in proc.stderr
+
+
 @pytest.mark.parametrize("label", ["A1", "G2", "D4"])
 def test_group_axioms_small(label):
     tg = group(label)
-    els = list(tg.elements())
-    assert len(els) == len(set(els)) == tg.order
+    els = range(tg.order)
     for x in els:
-        assert tg.mul(x, tg.inverse(x)) == tg.identity
-        assert tg.mul(tg.identity, x) == x
+        assert tg.mul(x, tg.inverse(x)) == 0
+        assert tg.mul(0, x) == x
+        for y in els:
+            assert tg.mul(x, y) == loop_mul(tg, x, y)
     for x in els:
         for y in els:
             for z in els:
@@ -105,10 +220,12 @@ def test_group_axioms_small(label):
 def test_commutator_matches_pairing(data):
     tg = group(data.draw(st.sampled_from(["E7", "E8", "D6"])))
     bits = st.integers(0, (1 << tg.r) - 1)
-    x = TildeElement(data.draw(st.sampled_from([1, -1])), data.draw(bits))
-    y = TildeElement(data.draw(st.sampled_from([1, -1])), data.draw(bits))
+    signs = st.sampled_from([1, -1])
+    a, b = data.draw(bits), data.draw(bits)
+    x = element(tg, data.draw(signs), a)
+    y = element(tg, data.draw(signs), b)
     comm = tg.mul(tg.mul(x, y), tg.mul(tg.inverse(x), tg.inverse(y)))
-    assert comm == TildeElement(-1 if tg.pairing(x.bits, y.bits) else 1, 0)
+    assert comm == element(tg, -1 if tg.pairing(a, b) else 1, 0)
 
 
 @pytest.mark.parametrize("label", ["B3", "C2", "F4", "D5", "D2"])
@@ -144,22 +261,23 @@ def test_irrep_census(label):
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_irreps_are_odd(label):
     tg = group(label)
-    minus = TildeElement(-1, 0)
+    minus = element(tg, -1, 0)
     for ir in odd_irreps(tg):
         mat = irrep_matrix(ir, minus)
         n = ir.dimension
         assert all(mat[i][j] == (Zi(-1) if i == j else Zi(0))
                    for i in range(n) for j in range(n))
-        assert ir.character(minus) == Zi(-n)
+        re, im = ir.characters
+        assert (re[minus], im[minus]) == (-n, 0)
 
 
 @pytest.mark.parametrize("label", ["A1", "G2", "D4"])
 def test_irrep_homomorphism_exhaustive(label):
     tg = group(label)
     for ir in odd_irreps(tg):
-        mats = {el: irrep_matrix(ir, el) for el in tg.elements()}
-        for x in tg.elements():
-            for y in tg.elements():
+        mats = {el: irrep_matrix(ir, el) for el in range(tg.order)}
+        for x in range(tg.order):
+            for y in range(tg.order):
                 assert zmat_mul(mats[x], mats[y]) == mats[tg.mul(x, y)]
 
 
@@ -170,8 +288,9 @@ def test_irrep_homomorphism_sampled_large(data):
     tg = group(label)
     ir = data.draw(st.sampled_from(odd_irreps(tg)))
     bits = st.integers(0, (1 << tg.r) - 1)
-    x = TildeElement(data.draw(st.sampled_from([1, -1])), data.draw(bits))
-    y = TildeElement(data.draw(st.sampled_from([1, -1])), data.draw(bits))
+    signs = st.sampled_from([1, -1])
+    x = element(tg, data.draw(signs), data.draw(bits))
+    y = element(tg, data.draw(signs), data.draw(bits))
     assert zmat_mul(irrep_matrix(ir, x), irrep_matrix(ir, y)) == irrep_matrix(ir, tg.mul(x, y))
 
 
@@ -180,20 +299,55 @@ def test_irrep_inverses(label):
     tg = group(label)
     for ir in odd_irreps(tg):
         for bits in (0, 1, (1 << tg.r) - 1):
-            el = TildeElement(1, bits)
-            assert zmat_eq_identity(
-                zmat_mul(irrep_matrix(ir, el), irrep_matrix(ir, tg.inverse(el))))
+            assert zmat_eq_identity(zmat_mul(
+                irrep_matrix(ir, bits), irrep_matrix(ir, tg.inverse(bits))))
 
 
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_character_orthogonality_exact(label):
     tg = group(label)
     irs = odd_irreps(tg)
-    tables = [{el: ir.character(el) for el in tg.elements()} for ir in irs]
+    tables = [[Zi(*v) for v in zip(*ir.characters)] for ir in irs]
     for i, ti in enumerate(tables):
         for j, tj in enumerate(tables):
-            inner = sum((ti[el] * tj[el].conj() for el in tg.elements()), Zi(0))
+            inner = sum((x * y.conj() for x, y in zip(ti, tj)), Zi(0))
             assert inner == (Zi(tg.order) if i == j else Zi(0))
+
+
+def _trace(mat):
+    return sum((mat[i][i] for i in range(len(mat))), Zi(0))
+
+
+@pytest.mark.parametrize("label", ["D4", "D6"])
+def test_character_tables_are_matrix_traces(label):
+    tg = group(label)
+    for ir in odd_irreps(tg):
+        re, im = ir.characters
+        assert len(re) == len(im) == tg.order
+        for el in range(tg.order):
+            assert Zi(re[el], im[el]) == _trace(irrep_matrix(ir, el))
+
+
+def test_e8_character_table_sampled_traces():
+    tg = group("E8")
+    (ir,) = odd_irreps(tg)
+    re, im = ir.characters
+    for el in random.Random(8).sample(range(tg.order), 40):
+        assert Zi(re[el], im[el]) == _trace(irrep_matrix(ir, el))
+
+
+def test_changed_character_value_fails_criterion_4(monkeypatch):
+    real = verify.odd_irreps
+
+    def off_by_one(tg):
+        irreps = real(tg)
+        if tg.rs.label == "D6":
+            irreps[1].characters[0][37] += 1
+        return irreps
+
+    assert verify.criterion_center_table()[0]
+    monkeypatch.setattr(verify, "odd_irreps", off_by_one)
+    assert not verify.criterion_center_table()[0]
 
 
 @pytest.mark.parametrize("label", ["G2", "E7", "D6"])
@@ -206,18 +360,18 @@ def test_characters_do_not_depend_on_lagrangian(label):
     assert len(first) == len(second)
     for a, b in zip(first, second):
         assert a.central_character == b.central_character
-        for el in tg.elements():
-            assert a.character(el) == b.character(el)
+        assert a.characters == b.characters
 
 
 def test_a1_is_cyclic_of_order_four():
     tg = group("A1")
-    g = TildeElement(1, 1)
+    g = element(tg, 1, 1)
     powers = [g]
-    while powers[-1] != tg.identity:
+    while powers[-1] != 0:
         powers.append(tg.mul(powers[-1], g))
     assert len(powers) == 4
-    chars = [ir.character(g) for ir in odd_irreps(tg)]
+    chars = [Zi(ir.characters[0][g], ir.characters[1][g])
+             for ir in odd_irreps(tg)]
     assert all(c.re == 0 for c in chars)
     assert sorted(c.im for c in chars) == [-1, 1]  # values are +-i
 
@@ -225,6 +379,6 @@ def test_a1_is_cyclic_of_order_four():
 def test_g2_is_quaternion():
     # every element outside the center squares to (-1, 0)
     tg = group("G2")
-    for el in tg.elements():
-        if el.bits:
-            assert tg.mul(el, el) == TildeElement(-1, 0)
+    for el in range(tg.order):
+        if el & 0b11:
+            assert tg.mul(el, el) == element(tg, -1, 0)
