@@ -62,7 +62,7 @@ def _cmd_k_type(args):
 
 def _cmd_atilde(args):
     rs = root_system(args.label)
-    tg = build_tilde_group(rs)   # construction checks both group laws
+    tg = build_tilde_group(rs)   # construction verifies both group laws
     factors, name = tg.center_structure()
     irreps = odd_irreps(tg)
     result = {

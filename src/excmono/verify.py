@@ -161,7 +161,6 @@ def criterion_center_table(seed=0):
             ok = False
         if sum(ir.dimension ** 2 for ir in irreps) != 1 << tg.r:
             ok = False
-        # every character is tabulated once, as int lists (re, im)
         tables = [ir.characters for ir in irreps]
         for i, (re_i, im_i) in enumerate(tables):
             for j in range(i, len(tables)):
