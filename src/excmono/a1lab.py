@@ -3,8 +3,8 @@
 Everything is integer arithmetic: multiplicative characters take values in
 the Gaussian integers {1, i, -1, -i} through a discrete-log table, and all
 consistency identities (point counts, Weil bounds, symmetric-square
-descent) are checked exactly, never with floats, and raise AssertionError
-even under `python -O`.
+descent) are checked exactly, never with floats, through `obs.check`,
+which raises CheckFailed even under `python -O`.
 
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .arith import is_prime, least_primitive_root
 from .gaussint import I, ONE, Zi
+from .obs import check
 
 _RAMIFIED = 4  # x in {0, 1, 1/lam, infinity}, one point each on the 4-cover
 
@@ -75,8 +76,8 @@ class FiniteFieldCtx:
             v = self.chi(z)
             counts[v] = counts.get(v, 0) + 1
         share = (self.q - 1) // 4
-        if sorted(counts.values()) != [share] * 4:
-            raise AssertionError(f"character is not of exact order 4: {counts}")
+        check("character-order-4", sorted(counts.values()) == [share] * 4,
+              "character is not of exact order 4: {}", counts)
 
     # --------------------------------------------------------- characters
 
@@ -111,8 +112,8 @@ def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
         raise ValueError("lambda in {0, 1} gives a degenerate fiber")
     bad = {0, 1, pow(lam, p - 2, p)}
     values = [_f_value(ctx, lam, x) for x in range(p) if x not in bad]
-    if 0 in values:
-        raise AssertionError(f"f vanishes at a good point of lambda = {lam}")
+    check("f-nonzero-off-ramification", 0 not in values,
+          "f vanishes at a good point of lambda = {}", lam)
     return values
 
 
@@ -126,10 +127,9 @@ def trace_sums(ctx: FiniteFieldCtx, values):
         t[1] += c2
         t[2] += c2 * c
     t1, t2, t3 = t
-    if t3 != t1.conj():
-        raise AssertionError(f"t3 = {t3} is not conj(t1), t1 = {t1}")
-    if t2.im != 0:
-        raise AssertionError(f"t2 = {t2} is not real")
+    check("t3-is-conj-t1", t3 == t1.conj(),
+          "t3 = {} is not conj(t1), t1 = {}", t3, t1)
+    check("t2-real", t2.im == 0, "t2 = {} is not real", t2)
     return t1, t2, t3
 
 
@@ -144,11 +144,11 @@ def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
     count = _RAMIFIED
     for v in values:
         fiber = ONE + ctx.chi(v) + ctx.chi_pow(v, 2) + ctx.chi_pow(v, 3)
-        if fiber.im != 0 or fiber.re not in (0, 4):
-            raise AssertionError(f"fiber over f(x) = {v} has size {fiber}")
+        check("fiber-size-0-or-4", fiber.im == 0 and fiber.re in (0, 4),
+              "fiber over f(x) = {} has size {}", v, fiber)
         count += fiber.re
-    if (count - q - 1) ** 2 > 36 * q:
-        raise AssertionError(f"genus-3 Weil bound failed: {count} points")
+    check("genus-3-weil-bound", (count - q - 1) ** 2 <= 36 * q,
+          "genus-3 Weil bound failed: {} points", count)
     return count
 
 
@@ -159,17 +159,16 @@ def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
     `values` are the `fiber_values` and t2 the second of `trace_sums`.
     """
     count = _RAMIFIED + sum(ctx.square_roots[v] for v in values)
-    if count != ctx.q + 1 + t2.re:
-        raise AssertionError(
-            f"Legendre identity failed: {count} != {ctx.q} + 1 + {t2.re}")
-    if t2.re * t2.re > 4 * ctx.q:
-        raise AssertionError(f"genus-1 Hasse bound failed: t2 = {t2}")
+    check("legendre-identity", count == ctx.q + 1 + t2.re,
+          "Legendre identity failed: {} != {} + 1 + {}", count, ctx.q, t2.re)
+    check("genus-1-hasse-bound", t2.re * t2.re <= 4 * ctx.q,
+          "genus-1 Hasse bound failed: t2 = {}", t2)
     return count
 
 
 def _half_int(z: Zi) -> int:
-    if z.im != 0 or z.re % 2 != 0:
-        raise AssertionError(f"{z} is not an even rational integer")
+    check("even-rational-integer", z.im == 0 and z.re % 2 == 0,
+          "{} is not an even rational integer", z)
     return z.re // 2
 
 
@@ -189,12 +188,12 @@ def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum):
     t1, _, t3 = sums
     s = _half_int(t1 * t1 + ext_sum)
     s_conj = _half_int(t3 * t3 + ext_sum.conj())
-    if s != s_conj:
-        raise AssertionError(f"descent mismatch: {s} != {s_conj}")
-    if s % ctx.q != 0:
-        raise AssertionError(f"eigenvalue product {s} not divisible by q")
-    if not -ctx.q <= s <= 3 * ctx.q:
-        raise AssertionError(f"eigenvalue product {s} outside [-q, 3q]")
+    check("sym2-descent", s == s_conj, "descent mismatch: {} != {}",
+          s, s_conj)
+    check("sym2-divisible-by-q", s % ctx.q == 0,
+          "eigenvalue product {} not divisible by q", s)
+    check("sym2-range", -ctx.q <= s <= 3 * ctx.q,
+          "eigenvalue product {} outside [-q, 3q]", s)
     return s, s_conj
 
 
@@ -209,10 +208,10 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     t1, _, t3 = sums
     s = _half_int(t1 * t1 - ext_sum)
     s_conj = _half_int(t3 * t3 - ext_sum.conj())
-    if s != s_conj:
-        raise AssertionError(f"symmetric descent mismatch: {s} != {s_conj}")
-    if not -ctx.q <= s <= 3 * ctx.q:
-        raise AssertionError(f"symmetric-square trace {s} outside [-q, 3q]")
+    check("sym2-symmetric-descent", s == s_conj,
+          "symmetric descent mismatch: {} != {}", s, s_conj)
+    check("sym2-symmetric-range", -ctx.q <= s <= 3 * ctx.q,
+          "symmetric-square trace {} outside [-q, 3q]", s)
     return s
 
 
@@ -319,9 +318,8 @@ def _extension_table(index) -> tuple:
             yield g, row
 
     corr = _correlate(rows(), p, p)
-    if counts != [(p * p - 1) // 4] * 4 + [1]:
-        raise AssertionError(
-            f"chi o Norm on F_{p}^2 is not of exact order 4: {counts}")
+    check("norm-character-order-4", counts == [(p * p - 1) // 4] * 4 + [1],
+          "chi o Norm on F_{}^2 is not of exact order 4: {}", p, counts)
     table = [None, None]
     for lam in range(2, p):
         c = corr[lam]
@@ -369,14 +367,13 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     sums = trace_sums(ctx, values)
     t1, t2, t3 = sums
     q = ctx.q
-    for t in sums:
-        if t.norm() > 4 * q:
-            raise AssertionError(f"Weil bound failed: |{t}|^2 > 4q")
+    # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck
+    check("weil-bound", t1.norm() <= 4 * q, "Weil bound failed: |{}|^2 > 4q",
+          t1)
     n = smooth_point_count(ctx, values)
     total = t1 + t2 + t3
-    if total.im != 0 or n != q + 1 + total.re:
-        raise AssertionError(
-            f"Lefschetz identity failed: {n} != {q} + 1 + {total}")
+    check("lefschetz-identity", total.im == 0 and n == q + 1 + total.re,
+          "Lefschetz identity failed: {} != {} + 1 + {}", n, q, total)
     legendre_crosscheck(ctx, values, t2)
     ext_sum = extension_sums(ctx)[lam]
     s, s_conj = sym2_trace(ctx, sums, ext_sum)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import gf2_nullspace, smith_normal_form
+from .obs import check
 from .rootsys import RootSystem, root_system
 
 
@@ -71,8 +72,10 @@ def _fold_half_rho_vee(rs: RootSystem):
                 x[k] -= (t - 1) * theta_vee[k]
             moved = True
         if not moved:
-            return x
-    raise AssertionError("alcove folding failed to terminate")
+            break
+    check("alcove-folding-terminates", not moved,
+          "alcove folding failed to terminate")
+    return x
 
 
 def _simple_system(positive_members):
@@ -158,13 +161,10 @@ def _component_label(a, norms, comp) -> str:
     arms.sort()
     if arms[:2] == [1, 1]:
         return f"D{n}"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    if arms == [1, 2, 2]:
-        return "E6"
-    raise AssertionError(f"unrecognized diagram with arms {arms}")
+    label = {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(arms))
+    check("diagram-recognized", label is not None,
+          "unrecognized diagram with arms {}", arms)
+    return label
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +189,8 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
 
     types_walk = _classify_components(rs, delta_k)
     types_parity = _classify_components(rs, simple_members)
-    if types_walk != types_parity:
-        raise AssertionError(
-            f"walk and parity classifications disagree: {types_walk} vs {types_parity}")
+    check("walk-matches-parity", types_walk == types_parity, "walk and parity "
+          "classifications disagree: {} vs {}", types_walk, types_parity)
     return SubRootSystem(
         parent=rs.label,
         member_roots=member_roots,
@@ -223,7 +222,10 @@ def removed_node_coefficient(rs: RootSystem) -> int:
             f"{rs.label}: no single deleted node (torus factors in K); "
             "not applicable for types A1 and Cn")
     _, _, comarks = rs.highest_root()
-    return comarks[sub.removed_nodes[0]]
+    c = comarks[sub.removed_nodes[0]]
+    check("c-alpha-prime-is-2", c == 2, "{}: theta-vee coefficient {} of the "
+          "deleted node is not 2", rs.label, c)
+    return c
 
 
 class KappaCharacter:
@@ -257,9 +259,8 @@ class KappaCharacter:
                         m |= 1 << i
                 masks.append(m)
             null = gf2_nullspace(masks, r)
-            if len(null) != 1:
-                raise AssertionError(
-                    f"{rs.label}: kernel lattice not of index 2 (nullity {len(null)})")
+            check("kappa-kernel-index-2", len(null) == 1, "{}: kernel lattice "
+                  "not of index 2 (nullity {})", rs.label, len(null))
             self.functional = null[0]
 
     def value(self, coroot_vector) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .obs import check
+
 
 def is_prime(n: int) -> bool:
     """Primality by trial division, for n < 2^31 (about 2 ms at 2^31 - 1,
@@ -39,7 +41,7 @@ def prime_factors(n: int) -> list[int]:
 def least_primitive_root(p: int) -> int:
     """Least generator of the unit group of F_p, for an odd prime p."""
     factors = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise AssertionError(f"no primitive root mod {p}")
+    g = next((g for g in range(2, p)
+              if all(pow(g, (p - 1) // f, p) != 1 for f in factors)), None)
+    check("primitive-root", g is not None, "no primitive root mod {}", p)
+    return g

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import integer_rank
+from .obs import check
 from .rootsys import RootSystem, root_system
 
 SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
@@ -69,8 +70,8 @@ class ChevalleyAlgebra:
                 if b in pos_set:
                     best = (a, b)
                     break
-            if best is None:
-                raise AssertionError(f"no decomposition for {gamma}")
+            check("extraspecial-pair-found", best is not None,
+                  "no decomposition for {}", gamma)
             out[gamma] = best
         return out
 
@@ -94,8 +95,8 @@ class ChevalleyAlgebra:
         got = self._ncache.get(key)
         if got is None:
             got = self._compute_n(a, b, s)
-            if got == 0:
-                raise AssertionError(f"N({a}, {b}) = 0 but {s} is a root")
+            check("structure-constant-nonzero", got != 0,
+                  "N({}, {}) = 0 but {} is a root", a, b, s)
             self._ncache[key] = got
         return got
 
@@ -188,8 +189,8 @@ class ChevalleyAlgebra:
 
 
 def _integral(val: Fraction, a, b) -> int:
-    if val.denominator != 1:
-        raise AssertionError(f"N({a}, {b}) = {val} is not an integer")
+    check("structure-constant-integral", val.denominator == 1,
+          "N({}, {}) = {} is not an integer", a, b, val)
     return int(val)
 
 
@@ -212,18 +213,15 @@ def kappa_fixed_dim(alg: ChevalleyAlgebra, kappa) -> int:
     """
     plus = sum(1 for a in alg.roots if kappa(a) == 1)
     dim = alg.rank + plus
-    if dim != len(alg.roots) // 2:
-        raise AssertionError(
-            f"split Cartan involution identity failed: {dim} != "
-            f"{len(alg.roots) // 2}")
+    check("kappa-fixed-is-half-the-roots", dim == len(alg.roots) // 2, "split "
+          "Cartan involution identity failed: {} != {}", dim, len(alg.roots) // 2)
     return dim
 
 
 def regular_nilpotent_centralizer(alg: ChevalleyAlgebra) -> int:
     dim = alg.centralizer_dim(alg.regular_nilpotent())
-    if dim != alg.rank:
-        raise AssertionError(
-            f"regular nilpotent centralizer {dim} != rank {alg.rank}")
+    check("regular-centralizer-is-rank", dim == alg.rank,
+          "regular nilpotent centralizer {} != rank {}", dim, alg.rank)
     return dim
 
 
@@ -255,10 +253,9 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
         witness = _d_type_v_class(alg)
     else:
         raise ValueError(f"no v-class recipe for type {rs.label}")
-    if witness.centralizer_dim != target:
-        raise AssertionError(
-            f"v-class prediction failed for {rs.label}: centralizer "
-            f"{witness.centralizer_dim} != {target}")
+    check("v-class-centralizer", witness.centralizer_dim == target, "v-class "
+          "prediction failed for {}: centralizer {} != {}", rs.label,
+          witness.centralizer_dim, target)
     return witness
 
 
@@ -290,16 +287,17 @@ def orthogonal_quadruples(rs: RootSystem):
 
 def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
     """Lexicographically first orthogonal quadruple of positive roots
-    whose root-vector sum centralizes exactly `target` dimensions."""
+    whose root-vector sum centralizes exactly `target` dimensions, or the
+    last one tried if none does (E7 and E8 have quadruples), which then
+    fails the v-class check."""
     rs = alg.rs
     for tried, quad in enumerate(orthogonal_quadruples(rs), 1):
         dim = alg.centralizer_dim({alg.index[a]: 1 for a in quad})
         if dim == target:
-            return VClassWitness(
-                rs.label,
-                f"sum over an orthogonal quadruple (candidate #{tried})",
-                quad, dim)
-    raise AssertionError(f"no orthogonal quadruple reaches {target} in {rs.label}")
+            break
+    return VClassWitness(
+        rs.label, f"sum over an orthogonal quadruple (candidate #{tried})",
+        quad, dim)
 
 
 def _d_type_v_class(alg: ChevalleyAlgebra):
@@ -323,9 +321,8 @@ def _d_type_v_class(alg: ChevalleyAlgebra):
     nat = _natural_so_matrix(m, eps_pairs)
     jordan = _jordan_type(nat)
     expected = tuple([3] + [2] * (m - 2) + [1])
-    if jordan != expected:
-        raise AssertionError(
-            f"natural-representation Jordan type {jordan} != {expected}")
+    check("natural-jordan-type", jordan == expected,
+          "natural-representation Jordan type {} != {}", jordan, expected)
     v = {alg.index[a]: 1 for a in combo}
     dim = alg.centralizer_dim(v)
     return VClassWitness(rs.label,
@@ -390,12 +387,7 @@ class MonodromyBudget:
     witness: VClassWitness
 
     def identity_holds(self) -> bool:
-        return (self.d0 + self.dinf == self.phi_count
-                and self.d1 == self.label_rank()
-                and self.h1_dim == 0)
-
-    def label_rank(self) -> int:
-        return root_system(self.label).rank
+        return self.d0 + self.dinf == self.phi_count and self.h1_dim == 0
 
 
 def rigidity_budget(label: str) -> MonodromyBudget:
@@ -416,8 +408,12 @@ def rigidity_budget(label: str) -> MonodromyBudget:
     dinf = witness.centralizer_dim
     phi = rs.num_roots
     h1 = alg.dim - d0 - d1 - dinf
-    return MonodromyBudget(label=rs.label, d0=d0, d1=d1, dinf=dinf,
-                           phi_count=phi, h1_dim=h1, witness=witness)
+    budget = MonodromyBudget(label=rs.label, d0=d0, d1=d1, dinf=dinf,
+                             phi_count=phi, h1_dim=h1, witness=witness)
+    check("budget-d0-plus-dinf-is-roots", budget.identity_holds(),
+          "{}: d0 + dinf = {} + {}, #Phi = {}, dim H^1 = {}", rs.label, d0,
+          dinf, phi, h1)
+    return budget
 
 
 def quasiminuscule_dims(label: str):

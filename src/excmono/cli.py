@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Every subcommand emits one JSON manifest on stdout: the command, its
-parameters, the toolkit version, the result blob, and a list of named
-checks with pass/fail status.  Logs and timing go to stderr so stdout
-stays byte-stable across runs.  CSV output exists only for the a1 scan
-table.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage.
+parameters, the toolkit version, the result blob, and `checks`, the
+`obs.runs()` of the command: each named check that ran with its run
+count, and each verdict (`strictly-rigid`, the verify-all criteria) with
+a count of 1.  Logs and timing go to stderr so stdout stays byte-stable
+across runs.  CSV output exists only for the a1 scan table.  Exit codes:
+0 all checks passed, 1 a check failed, 2 usage.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 from time import perf_counter
 
-from . import __version__
+from . import __version__, obs
 from .a1lab import render_csv, scan
 from .affine_k import k_type_row
 from .arith import is_prime
@@ -36,28 +38,18 @@ from .rigidity import (
 )
 from .rootsys import root_system
 from .twogroup import build_tilde_group, odd_irreps
-from .verify import BUDGET_LABELS, K_TYPE_TABLE, QM_EXPECT, jacobi_probe, run_all
+from .verify import (BUDGET_LABELS, K_TYPE_TABLE, QM_EXPECT, clear_caches,
+                     jacobi_probe, run_all)
 
 
 def _cmd_roots(args):
-    rs = root_system(args.label)
-    result = rs.json_dict()
-    checks = [
-        {"name": "root-count-even", "passed": rs.num_roots % 2 == 0},
-        {"name": "irreducible", "passed": rs.is_irreducible()},
-    ]
-    return result, checks
+    return root_system(args.label).json_dict()
 
 
 def _cmd_k_type(args):
     labels = sorted(K_TYPE_TABLE) if args.label == "all" else [args.label]
     rows = [k_type_row(label) for label in labels]
-    checks = [{
-        "name": "c-alpha-prime-is-2",
-        "passed": all(r["c_alpha_prime"] in (2, None) for r in rows),
-    }]
-    result = rows[0] if len(rows) == 1 else rows
-    return result, checks
+    return rows[0] if len(rows) == 1 else rows
 
 
 def _cmd_atilde(args):
@@ -74,16 +66,12 @@ def _cmd_atilde(args):
         "odd_irreps": {"count": len(irreps),
                        "dims": [ir.dimension for ir in irreps]},
     }
-    checks = [
-        {"name": "square-and-commutator-laws",
-         "passed": tg.pairs_checked == 1 << (2 * tg.r)},
-        {"name": "sum-of-squares-is-2^r",
-         "passed": sum(ir.dimension ** 2 for ir in irreps) == 1 << tg.r},
-    ]
-    return result, checks
+    return result
 
 
 def _cmd_monodromy(args):
+    if args.samples < 0:
+        raise ValueError(f"--samples {args.samples} is negative")
     label = args.label
     alg = build_algebra(label)
     rs = root_system(label)
@@ -101,41 +89,32 @@ def _cmd_monodromy(args):
         "kappa_fixed_dim": kappa,
         "regular_nilpotent_centralizer": regular,
     }
-    checks = [
-        {"name": "dim-is-rank-plus-roots",
-         "passed": alg.dim == rs.rank + rs.num_roots},
-        {"name": "kappa-fixed-is-half-the-roots",
-         "passed": kappa == rs.num_roots // 2},
-        {"name": "regular-centralizer-is-rank", "passed": regular == rs.rank},
-    ]
     if budget is not None:
         wit = budget.witness
         result["v_class"] = {"centralizer_dim": wit.centralizer_dim,
                              "witness": wit.description}
         result["budget"] = {"d0": budget.d0, "d1": budget.d1,
                             "dinf": budget.dinf}
-        checks.append({"name": "budget-d0-plus-dinf-is-roots",
-                       "passed": budget.identity_holds()})
     if label in QM_EXPECT:
         qm, y, heis = quasiminuscule_dims(label)
         result["quasiminuscule"] = {"dim": qm, "y_dim": y,
                                     "heisenberg_dim": heis}
     samples = jacobi_probe(alg, args.samples, args.seed)
     result["jacobi_probe"] = {"samples": samples, "seed": args.seed}
-    checks.append({"name": "jacobi-identity-sampled", "passed": True})
-    return result, checks
+    return result
 
 
 def _cmd_a1(args):
     primes = [int(x) for x in args.primes.split(",") if x]
+    if not primes:
+        raise ValueError("--primes lists no prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"--primes {args.primes} lists a prime twice")
     records = scan(primes)
     if args.format == "csv":
-        return render_csv(records), [
-            {"name": "per-fiber-identities", "passed": True}]
-    result = {"primes": primes, "fibers": len(records),
-              "records": [rec.json_dict() for rec in records]}
-    checks = [{"name": "per-fiber-identities", "passed": True}]
-    return result, checks
+        return render_csv(records)
+    return {"primes": primes, "fibers": len(records),
+            "records": [rec.json_dict() for rec in records]}
 
 
 def _is_int(x) -> bool:
@@ -197,32 +176,25 @@ def _group_summary(group: FiniteGroup) -> dict:
 
 
 def _cmd_rigid(args):
-    checks = [{"name": "class-equation", "passed": True}]
     if args.group == "pgl2":
-        report = predicted_triple("pgl2", args.ell)
-        return report.json_dict(), checks
+        return predicted_triple("pgl2", args.ell).json_dict()
     if args.group == "psl2":
         group = psl2_group(args.ell)
-        result = _group_summary(group)
-        result["label"] = f"psl2-{args.ell}"
-        if args.classes:
-            labels = args.classes.split(",")
-            cls = [group.class_by_label(lab) for lab in labels]
-            report = triple_count(group, *cls)
-            result["triple"] = report.json_dict()
-            checks.append({"name": "strictly-rigid",
-                           "passed": report.strictly_rigid})
-        return result, checks
-    if args.group.startswith("file:"):
+    elif args.group.startswith("file:"):
         group = _load_file_group(args.group[5:])
-        result = _group_summary(group)
-        if args.classes:
-            labels = args.classes.split(",")
-            cls = [group.class_by_label(lab) for lab in labels]
-            result["triple"] = triple_count(group, *cls).json_dict()
-        return result, checks
-    raise ValueError(
-        f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
+    else:
+        raise ValueError(
+            f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
+    result = _group_summary(group)
+    if args.group == "psl2":
+        result["label"] = f"psl2-{args.ell}"
+    if args.classes:
+        cls = [group.class_by_label(lab) for lab in args.classes.split(",")]
+        report = triple_count(group, *cls)
+        result["triple"] = report.json_dict()
+        if args.group == "psl2":   # a file: triple is reported, not judged
+            obs.verdict("strictly-rigid", report.strictly_rigid)
+    return result
 
 
 def _cmd_verify_all(args):
@@ -231,15 +203,14 @@ def _cmd_verify_all(args):
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number} {res.name} "
               f"({res.elapsed:.2f}s)", file=sys.stderr)
+        obs.verdict(f"criterion-{res.number}-{res.name}", res.passed)
     result = {
         "criteria": [{"number": r.number, "name": r.name,
                       "passed": r.passed, "details": r.details}
                      for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    checks = [{"name": f"criterion-{r.number}-{r.name}", "passed": r.passed}
-              for r in results]
-    return result, checks
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,15 +285,19 @@ def main(argv=None) -> int:
         print("error: --format csv is only available for the a1 table",
               file=sys.stderr)
         return 2
+    # the checks of this command alone, run from cold caches
+    obs.reset()
+    clear_caches()
     t0 = perf_counter()
     try:
-        result, checks = args.fn(args)
+        result = args.fn(args)
     except (ValueError, OverflowError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except obs.CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    checks = obs.runs()
     if args.command == "a1" and args.format == "csv":
         payload = result
     else:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, least_primitive_root
+from .obs import check
 
 DEFAULT_CAP = 10 ** 7
 MAX_POINTS = 256  # entries in a bytes.translate table
@@ -215,22 +216,19 @@ class FiniteGroup:
         tail = self._tail
         total = 0
         for cls in self.classes:
-            if self.order % cls.size:
-                raise AssertionError(
-                    f"class {cls.label} of size {cls.size} does not divide "
-                    f"the group order {self.order}")
+            check("class-equation", self.order % cls.size == 0, "class {} of "
+                  "size {} does not divide the group order {}", cls.label,
+                  cls.size, self.order)
             r = cls.rep
             table = r + tail
             cent = sum(x.translate(table) == r.translate(x + tail)
                        for x in self.elements)
-            if cls.size * cent != self.order:
-                raise AssertionError(
-                    f"class {cls.label}: size {cls.size} times centralizer "
-                    f"order {cent} is not the group order {self.order}")
+            check("class-equation", cls.size * cent == self.order, "class {}: "
+                  "size {} times centralizer order {} is not the group order "
+                  "{}", cls.label, cls.size, cent, self.order)
             total += cls.size
-        if total != self.order:
-            raise AssertionError(
-                f"class sizes sum to {total}, not the group order {self.order}")
+        check("class-equation", total == self.order, "class sizes sum to {}, "
+              "not the group order {}", total, self.order)
 
     def class_by_label(self, label: str) -> ConjClass:
         for cls in self.classes:
@@ -240,7 +238,9 @@ class FiniteGroup:
             f"no class {label}; have {[c.label for c in self.classes]}")
 
     def subgroup_generated(self, a, b) -> int:
-        """Order of <a, b>, with early exit at the full group order."""
+        """Order of <a, b>.  The closure stops once it holds more than half
+        the group: by Lagrange no proper subgroup is that large, so <a, b>
+        is then the whole group."""
         elements, index = self.elements, self.index
         tables = (a + self._tail, b + self._tail)
         seen = bytearray(self.order)
@@ -253,8 +253,8 @@ class FiniteGroup:
                 if not seen[j]:
                     seen[j] = 1
                     found.append(j)
-            if len(found) == self.order:
-                break
+            if 2 * len(found) > self.order:
+                return self.order
         return len(found)
 
 
@@ -355,9 +355,8 @@ def _projective_line_group(ell: int, gens, order: int, name: str,
                            cap: int) -> FiniteGroup:
     rep = MatrixRep(ell, 2, scalars=range(1, ell))
     group = FiniteGroup(rep.permutations(gens), cap)
-    if group.order != order:
-        raise AssertionError(
-            f"{name} closed to {group.order} elements, want {order}")
+    check("group-order", group.order == order,
+          "{} closed to {} elements, want {}", name, group.order, order)
     return group
 
 
@@ -400,10 +399,8 @@ def predicted_triple(kind: str = "pgl2", ell: int = 5,
         invol = group.mul(invol, nu_diag)
     c1 = group.classes[group.class_of[unip]]
     c0 = group.classes[group.class_of[invol]]
-    if c1.size != ell * ell - 1:
-        raise AssertionError(
-            f"unipotent class of PGL2(F_{ell}) has {c1.size} elements, "
-            f"want {ell * ell - 1}")
+    check("unipotent-class-size", c1.size == ell * ell - 1, "unipotent class "
+          "of PGL2(F_{}) has {} elements, want {}", ell, c1.size, ell * ell - 1)
     return triple_count(group, c0, c1, c1,
                         note=f"pgl2 ell={ell} toy fixture: "
                              "(split involution, unipotent, unipotent)")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .obs import check
+
 SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
 
 # Bourbaki-numbered Dynkin edges for the exceptional types.
@@ -49,10 +51,10 @@ class RootSystem:
         a, d = cartan, coroot_norms
         # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
         self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)] for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                if self.form_gram[i][j] != self.form_gram[j][i]:
-                    raise AssertionError("invariant form failed to symmetrize")
+        g = self.form_gram
+        check("form-symmetric", all(g[i][j] == g[j][i] for i in range(r)
+                                    for j in range(r)),
+              "invariant form failed to symmetrize")
         self._close_roots()
 
     # ------------------------------------------------------------------
@@ -76,12 +78,13 @@ class RootSystem:
                     if new_root not in pairs:
                         pairs[new_root] = new_cr
                         nxt.append(new_root)
-                    elif pairs[new_root] != new_cr:
-                        raise AssertionError("root/coroot closure inconsistent")
+                    else:
+                        check("root-coroot-closure", pairs[new_root] == new_cr,
+                              "root/coroot closure inconsistent")
             frontier = nxt
         neg = {tuple(-v for v in root) for root in pairs}
-        if neg != set(pairs):
-            raise AssertionError("root set not symmetric under negation")
+        check("roots-symmetric", neg == set(pairs),
+              "root set not symmetric under negation")
         self.coroot_of = pairs
         self.roots = sorted(pairs, key=lambda t: (sum(t), t))
         self.positive_roots = [t for t in self.roots if sum(t) > 0]
@@ -147,8 +150,8 @@ class RootSystem:
         theta = max(self.roots, key=lambda t: (sum(t), t))
         for i in range(self.rank):
             up = tuple(v + (1 if k == i else 0) for k, v in enumerate(theta))
-            if up in self.coroot_of:
-                raise AssertionError("highest-root candidate not maximal")
+            check("highest-root-maximal", up not in self.coroot_of,
+                  "highest-root candidate not maximal")
         theta_vee = self.coroot_of[theta]
         return theta, theta_vee, theta_vee
 
@@ -185,10 +188,9 @@ class RootSystem:
         """True iff the longest Weyl element acts as -1 on the root lattice."""
         w0 = self.longest_element_matrix()
         r = self.rank
-        if any(w0[i][j] != (-1 if i == j else 0) for i in range(r) for j in range(r)):
-            return False
-        # sanity: -1 must then stabilize the root set (it always does)
-        return all(tuple(-v for v in root) in self.coroot_of for root in self.roots)
+        # the closure has checked that -1 stabilizes the root set
+        return all(w0[i][j] == (-1 if i == j else 0)
+                   for i in range(r) for j in range(r))
 
     def dual(self) -> "RootSystem":
         """The dual system, with node numbering kept: roots <-> coroots.

@@ -32,6 +32,7 @@ from functools import lru_cache
 
 from .gaussint import I, ONE, Zi
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
+from .obs import check
 from .rootsys import RootSystem
 
 
@@ -84,13 +85,13 @@ class TildeGroup:
                                        ^ cocycle_cols[i])
             norm = self._norm[rest] + g[i][i] + 2 * sum(
                 g[i][j] for j in range(i) if (rest >> j) & 1)
-            if norm % 2:
-                raise AssertionError(f"class {a:#b} has odd norm {norm}")
+            check("even-norm", norm % 2 == 0, "class {:#b} has odd norm {}",
+                  a, norm)
             self._norm[a] = norm
         self._bits = n - 1
         self._odd_set = odd_sets(rank)
         self.radical_basis = gf2_nullspace(gram_rows, rank)
-        self.pairs_checked = self._check_laws()
+        self._check_laws()
 
     # ------------------------------------------------------------ algebra --
 
@@ -122,22 +123,18 @@ class TildeGroup:
     def order(self) -> int:
         return 1 << (self.r + 1)
 
-    def _check_laws(self) -> int:
-        """Both laws for every pair (a, b), one row of b at a time; returns
-        the number of pairs covered.  With beta bilinear, the square of
-        (+, a) is beta(a, a) and the commutator of (+, a) and (+, b) is
+    def _check_laws(self) -> None:
+        """Both laws for every pair (a, b), one row of 2^r pairs (a, b) per
+        run of each check.  With beta bilinear, the square of (+, a) is
+        beta(a, a) and the commutator of (+, a) and (+, b) is
         beta(a, b) + beta(b, a)."""
         odd = self._odd_set
-        covered = 0
         for a in range(1 << self.r):
-            if self._beta(a, a) != (self._norm[a] >> 1) & 1:
-                raise AssertionError(
-                    f"square law broken by the cocycle at class {a:#b}")
-            if (odd[self._cocycle_mask[a]] ^ odd[self._cocycle_t_mask[a]]
-                    != odd[self._pair_mask[a]]):
-                raise AssertionError(f"commutator law broken in row {a:#b}")
-            covered += len(odd)
-        return covered
+            check("square-law", self._beta(a, a) == (self._norm[a] >> 1) & 1,
+                  "square law broken by the cocycle at class {:#b}", a)
+            check("commutator-law", odd[self._cocycle_mask[a]] ^ odd[
+                self._cocycle_t_mask[a]] == odd[self._pair_mask[a]],
+                "commutator law broken in row {:#b}", a)
 
     # ------------------------------------------------------------ radical --
 
@@ -146,9 +143,8 @@ class TildeGroup:
         from_kernel = 1 << len(self.radical_basis)
         factors = smith_normal_form([row[:] for row in self.rs.cartan])
         from_snf = 1 << sum(1 for d in factors if d % 2 == 0)
-        if from_kernel != from_snf:
-            raise AssertionError(
-                f"radical size {from_kernel} != Cartan 2-torsion {from_snf}")
+        check("radical-size", from_kernel == from_snf,
+              "radical size {} != Cartan 2-torsion {}", from_kernel, from_snf)
         return from_kernel
 
     def radical_elements(self):
@@ -230,8 +226,8 @@ def _greedy_lagrangian(tg: TildeGroup, order):
         if all(tg.pairing(v, w) == 0 for w in picked):
             picked.append(v)
             span = _span(tg.radical_basis + picked)
-    if len(picked) != m:
-        raise AssertionError("maximal isotropic extension not found")
+    check("lagrangian-found", len(picked) == m,
+          "maximal isotropic extension not found")
     return picked
 
 
@@ -281,9 +277,8 @@ def odd_irreps(tg: TildeGroup, order=None):
     transversal = tuple(sorted({_reduce_by(m_pivots, x)
                                 for x in range(1 << r)}))
     dim = 1 << ((r - s) // 2)
-    if len(transversal) != dim:
-        raise AssertionError(
-            f"{len(transversal)} cosets of the Lagrangian, want {dim}")
+    check("lagrangian-cosets", len(transversal) == dim,
+          "{} cosets of the Lagrangian, want {}", len(transversal), dim)
 
     out = []
     for chi in central_chars:
@@ -297,8 +292,8 @@ def odd_irreps(tg: TildeGroup, order=None):
             _m_pivots=m_pivots,
             _m_character=m_character,
         ))
-    if sum(ir.dimension ** 2 for ir in out) != 1 << r:
-        raise AssertionError(f"odd irrep dimensions do not square-sum to 2^{r}")
+    check("sum-of-squares-is-2^r", sum(ir.dimension ** 2 for ir in out)
+          == 1 << r, "odd irrep dimensions do not square-sum to 2^{}", r)
     return out
 
 

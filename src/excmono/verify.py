@@ -1,9 +1,10 @@
 """The full check suite behind `excmono verify-all`.
 
 Each criterion function recomputes its claim from scratch (no shared
-state beyond the module-level caches) and returns (passed, details)
-where details is a JSON-ready dict with deterministic key order.
-Timing never enters the details, so rendered manifests are byte-stable.
+state beyond the module-level caches), checks it through `obs.check`,
+which raises CheckFailed on the first identity that fails, and returns
+its details, a JSON-ready dict with deterministic key order.  Timing
+never enters the details, so rendered manifests are byte-stable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .chevalley import (
     regular_nilpotent_centralizer,
     rigidity_budget,
 )
+from .obs import check
 from .rootsys import root_system
 from .rigidity import predicted_triple, psl2_group, triple_count
 from .twogroup import build_tilde_group, odd_irreps, odd_sets
@@ -68,36 +70,31 @@ RIGID_ELLS = (3, 5, 7, 11, 13)
 
 def criterion_k_type_table(seed=0):
     rows = {}
-    ok = True
     for label in sorted(K_TYPE_TABLE):
         row = k_type_row(label)
         rows[label] = row
         want_pi1 = "Z" if label in FREE_LABELS else "Z/2"
-        if row["k"] != K_TYPE_TABLE[label] or row["pi1"] != want_pi1:
-            ok = False
-    return ok, {"rows": [rows[k] for k in sorted(rows)]}
+        check("k-type-row", (row["k"], row["pi1"])
+              == (K_TYPE_TABLE[label], want_pi1), "{}", row)
+    return {"rows": [rows[k] for k in sorted(rows)]}
 
 
 def criterion_lattice_quotients(seed=0):
-    ok = True
     torsion, free, coeffs = {}, {}, {}
     for label in TORSION_LABELS:
         quot = k_fundamental_quotient(root_system(label))
         factors = [d for d in quot.invariant_factors if d > 1]
         torsion[label] = factors
-        if factors != [2] or quot.free_rank != 0:
-            ok = False
-        c = removed_node_coefficient(root_system(label))
-        coeffs[label] = c
-        if c != 2:
-            ok = False
+        check("quotient-is-z/2", factors == [2] and quot.free_rank == 0,
+              "{}: {}", label, quot)
+        # removed_node_coefficient checks that the coefficient is 2
+        coeffs[label] = removed_node_coefficient(root_system(label))
     for label in FREE_LABELS:
         quot = k_fundamental_quotient(root_system(label))
         free[label] = quot.free_rank
-        if quot.free_rank != 1 or any(d > 1 for d in quot.invariant_factors):
-            ok = False
-    return ok, {"torsion": torsion, "free_rank": free,
-                "c_alpha_prime": coeffs}
+        check("quotient-is-z", quot.free_rank == 1 and all(
+            d == 1 for d in quot.invariant_factors), "{}: {}", label, quot)
+    return {"torsion": torsion, "free_rank": free, "c_alpha_prime": coeffs}
 
 
 def _form_tables(rs, r):
@@ -118,7 +115,6 @@ def _form_tables(rs, r):
 
 
 def criterion_tilde_laws(seed=0):
-    ok = True
     radical = {}
     pairs_checked = 0
     for label in TILDE_LABELS:
@@ -126,41 +122,35 @@ def criterion_tilde_laws(seed=0):
         tg = build_tilde_group(rs)   # construction checks both group laws
         norms, parity = _form_tables(rs, tg.r)
         for a in range(1 << tg.r):
-            if norms[a] % 2:
-                raise AssertionError(f"{label}: class {a:#b} has odd norm")
-            want = -1 if (norms[a] // 2) % 2 else 1
-            if tg.q(a) != want:
-                ok = False
+            check("even-norm-from-gram", norms[a] % 2 == 0,
+                  "{}: class {:#b} has odd norm", label, a)
+            check("q-from-gram", tg.q(a) == (-1 if (norms[a] // 2) % 2 else 1),
+                  "{}: q({:#b}) against the norm {}", label, a, norms[a])
         # each pairing row against the parity row of the Gram table, as
         # 2^r-bit sets of b
         odd = odd_sets(tg.r)
         for a in range(1 << tg.r):
-            if tg.pairing_row(a) != odd[parity[a]]:
-                ok = False
-                break
+            check("pairing-from-gram", tg.pairing_row(a) == odd[parity[a]],
+                  "{}: pairing row {:#b}", label, a)
             pairs_checked += 1 << tg.r
         size = tg.radical_size_crosscheck()
         radical[label] = size
-        if size != ZG2_SIZE[label]:
-            ok = False
-    return ok, {"labels": list(TILDE_LABELS), "pairs_checked": pairs_checked,
-                "radical_sizes": radical}
+        check("radical-is-z(g)[2]", size == ZG2_SIZE[label],
+              "{}: radical size {}", label, size)
+    return {"labels": list(TILDE_LABELS), "pairs_checked": pairs_checked,
+            "radical_sizes": radical}
 
 
 def criterion_center_table(seed=0):
-    ok = True
     centers, counts = {}, {}
     for label in TILDE_LABELS:
         tg = build_tilde_group(root_system(label))
         _, name = tg.center_structure()
-        irreps = odd_irreps(tg)
+        irreps = odd_irreps(tg)   # checks that the dimensions square-sum
         centers[label] = name
         counts[label] = len(irreps)
-        want_name, want_count = CENTER_EXPECT[label]
-        if name != want_name or len(irreps) != want_count:
-            ok = False
-        if sum(ir.dimension ** 2 for ir in irreps) != 1 << tg.r:
-            ok = False
+        check("center-and-irrep-count", (name, len(irreps))
+              == CENTER_EXPECT[label], "{}: {}, {}", label, name, len(irreps))
         tables = [ir.characters for ir in irreps]
         for i, (re_i, im_i) in enumerate(tables):
             for j in range(i, len(tables)):
@@ -169,9 +159,9 @@ def criterion_center_table(seed=0):
                 real = sum(map(mul, re_i, re_j)) + sum(map(mul, im_i, im_j))
                 imag = sum(map(mul, im_i, re_j)) - sum(map(mul, re_i, im_j))
                 want = tg.order if i == j else 0
-                if (real, imag) != (want, 0):
-                    ok = False
-    return ok, {"centers": centers, "odd_irrep_counts": counts}
+                check("character-orthogonality", (real, imag) == (want, 0),
+                      "{}: <chi_{}, chi_{}> = {} + {}i", label, i, j, real, imag)
+    return {"centers": centers, "odd_irrep_counts": counts}
 
 
 def jacobi_probe(alg, samples: int, seed: int) -> int:
@@ -184,41 +174,35 @@ def jacobi_probe(alg, samples: int, seed: int) -> int:
                       (z, alg.bracket(x, y))):
             for k, v in alg.bracket(a, bc).items():
                 total[k] = total.get(k, 0) + v
-        if any(total.values()):
-            raise AssertionError("Jacobi identity failed on sampled triple")
+        check("jacobi-identity-sampled", not any(total.values()),
+              "Jacobi identity failed on sampled triple")
     return samples
 
 
 def criterion_chevalley(seed=0):
-    ok = True
+    # kappa_fixed_dim, regular_nilpotent_centralizer, v_class_centralizer
+    # and rigidity_budget check their own identities
     dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
     for label in CHEVALLEY_LABELS:
         alg = build_algebra(label)
         rs = root_system(label)
         dims[label] = alg.dim
-        if alg.dim != rs.rank + rs.num_roots:
-            ok = False
-        if label in PAPER_DIMS and alg.dim != PAPER_DIMS[label]:
-            ok = False
+        check("dim-is-rank-plus-roots", alg.dim == rs.rank + rs.num_roots,
+              "{}: dim {}", label, alg.dim)
+        if label in PAPER_DIMS:
+            check("dim-as-in-the-paper", alg.dim == PAPER_DIMS[label],
+                  "{}: dim {}", label, alg.dim)
         if label in BUDGET_LABELS:
             # the budget computes d0, d1 and the v-class witness once
             budget = rigidity_budget(label)
             kappa[label], regular[label] = budget.d0, budget.d1
             vclass[label] = budget.witness.centralizer_dim
-            if vclass[label] != len(alg.roots) // 2:
-                ok = False
             budgets[label] = [budget.d0, budget.d1, budget.dinf]
-            if not budget.identity_holds():
-                ok = False
         else:
             kappa[label] = kappa_fixed_dim(alg, kappa_character(rs))
             regular[label] = regular_nilpotent_centralizer(alg)
-        if kappa[label] != len(alg.roots) // 2:
-            ok = False
-        if regular[label] != alg.rank:
-            ok = False
     probed = jacobi_probe(build_algebra("E8"), 500, seed)
-    return ok, {"dims": dims, "kappa_fixed": kappa,
+    return {"dims": dims, "kappa_fixed": kappa,
                 "regular_centralizer": regular, "v_class": vclass,
                 "budgets": budgets,
                 "jacobi_probe": {"label": "E8", "samples": probed,
@@ -226,45 +210,43 @@ def criterion_chevalley(seed=0):
 
 
 def criterion_quasiminuscule(seed=0):
-    ok = True
     table = {}
     for label, want in sorted(QM_EXPECT.items()):
         qm, y, heis = quasiminuscule_dims(label)
         table[label] = [qm, y, heis]
-        if (qm, y) != want:
-            ok = False
-    return ok, {"dims": table}
+        check("quasiminuscule-dims", (qm, y) == want, "{}: {}, {}",
+              label, qm, y)
+    return {"dims": table}
 
 
 def criterion_a1_lab(seed=0):
-    # every per-fiber identity is asserted inside the scan itself
+    # every per-fiber identity is checked inside the scan itself
     records = scan(list(A1_PRIMES))
     per_prime = {}
     for rec in records:
         per_prime[rec.q] = per_prime.get(rec.q, 0) + 1
     ratios = sorted({rec.sym2_trace // rec.q for rec in records})
-    ok = (len(records) == sum(q - 2 for q in A1_PRIMES)
-          and all(per_prime[q] == q - 2 for q in A1_PRIMES))
-    return ok, {"primes": list(A1_PRIMES), "fibers": len(records),
+    check("one-record-per-fiber", per_prime == {q: q - 2 for q in A1_PRIMES},
+          "records per prime {}", per_prime)
+    return {"primes": list(A1_PRIMES), "fibers": len(records),
                 "per_prime": {str(q): n for q, n in sorted(per_prime.items())},
                 "sym2_over_q_values": ratios}
 
 
 def criterion_rigidity(seed=0):
-    ok = True
     g = psl2_group(7)
     c2 = g.class_by_label("2A")
     c3 = g.class_by_label("3A")
     c7 = g.class_by_label("7A")
     hurwitz = triple_count(g, c2, c3, c7)
-    if not hurwitz.strictly_rigid or hurwitz.solution_count != 168:
-        ok = False
+    check("hurwitz-strictly-rigid", hurwitz.strictly_rigid
+          and hurwitz.solution_count == 168, "{}", hurwitz)
     invariant = all(
         triple_count(g, c2, c3, c7, g0=alt).solution_count
         == hurwitz.solution_count
         for alt in c2.members[1:4])
-    if not invariant:
-        ok = False
+    check("representative-invariance", invariant,
+          "the Hurwitz count changes with the representative of 2A")
     fixtures = {}
     for ell in RIGID_ELLS:
         rep = predicted_triple("pgl2", ell)
@@ -274,7 +256,7 @@ def criterion_rigidity(seed=0):
                            rep.normalized_count.denominator],
             "strictly_rigid": rep.strictly_rigid,
         }
-    return ok, {"hurwitz": hurwitz.json_dict(),
+    return {"hurwitz": hurwitz.json_dict(),
                 "representative_invariance": invariant,
                 "pgl2_fixtures": fixtures}
 
@@ -296,12 +278,14 @@ def criterion_determinism(seed=0):
               criterion_quasiminuscule)
 
     def render():
-        return [json.dumps(fn(seed)[1], sort_keys=True) for fn in probes]
+        return [json.dumps(fn(seed), sort_keys=True) for fn in probes]
 
     first = render()
     clear_caches()   # the second pass recomputes instead of reading caches
-    ok = first == render()
-    return ok, {"probes": [fn.__name__ for fn in probes], "stable": ok}
+    stable = first == render()
+    check("recomputed-details-equal", stable,
+          "details differ once the caches are cleared")
+    return {"probes": [fn.__name__ for fn in probes], "stable": stable}
 
 
 CRITERIA = (
@@ -331,7 +315,8 @@ def run_all(seed: int = 0):
     for number, name, fn in CRITERIA:
         t0 = perf_counter()
         try:
-            passed, details = fn(seed=seed)
+            details = fn(seed=seed)
+            passed = True
         except Exception as exc:  # a failing criterion must not stop the rest
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append(CriterionResult(number, name, passed, details,

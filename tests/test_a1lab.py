@@ -498,16 +498,19 @@ def test_scan_rejects_bad_primes():
 # Under -O no assert statement runs; every identity must still be checked.
 # Adding 2i to one extension sum changes only the imaginary part of
 # t1^2 + E, which no identity but "the eigenvalue product is a rational
-# integer" can see.
+# integer" can see.  `main` starts from cold caches, so the sum is shifted
+# where the table is built.
 _CORRUPT_SCAN = """
 import sys
 from excmono import a1lab
 from excmono.cli import main
 from excmono.gaussint import Zi
-ctx = a1lab._context(13)
-table = list(a1lab.extension_sums(ctx))
-table[5] = table[5] + Zi(0, {shift})
-ctx._ext_sums = tuple(table)
+real = a1lab._extension_table
+def corrupted(index):
+    table = list(real(index))
+    table[5] = table[5] + Zi(0, {shift})
+    return tuple(table)
+a1lab._extension_table = corrupted
 sys.exit(main(["a1", "--primes", "13"]))
 """
 

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from excmono import verify
 from excmono.a1lab import render_csv, scan
 from excmono.chevalley import ChevalleyAlgebra
 from excmono.cli import build_parser, main
@@ -101,6 +102,22 @@ def test_monodromy_seed_is_recorded(capsys):
     assert code == 0
     assert doc["result"]["jacobi_probe"] == {"samples": 50, "seed": 7}
     assert doc["parameters"]["seed"] == 7
+    assert {"name": "jacobi-identity-sampled", "passed": True,
+            "runs": 50} in doc["checks"]
+
+
+def test_monodromy_zero_samples_runs_no_jacobi_check(capsys):
+    code, doc, _ = run_json(capsys, "monodromy", "G2", "--samples", "0")
+    assert code == 0
+    assert doc["result"]["jacobi_probe"] == {"samples": 0, "seed": 0}
+    assert "jacobi-identity-sampled" not in [c["name"] for c in doc["checks"]]
+
+
+def test_monodromy_negative_samples_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "monodromy", "A1", "--samples", "-3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_a1_json_records(capsys):
@@ -121,6 +138,12 @@ def test_a1_bad_prime_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "a1", "--primes", "7")
     assert code == 2
     assert "7" in err
+    # no prime at all, and a prime listed twice
+    for primes in ("", ",", "5,5", "13,5,13"):
+        code, out, err = run_cli(capsys, "a1", "--primes", primes)
+        assert code == 2, primes
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_rigid_pgl2_fixture(capsys):
@@ -137,7 +160,8 @@ def test_rigid_psl2_hurwitz(capsys):
     assert code == 0
     assert doc["result"]["order"] == 168
     assert doc["result"]["triple"]["strictly_rigid"] is True
-    assert {"name": "strictly-rigid", "passed": True} in doc["checks"]
+    assert {"name": "strictly-rigid", "passed": True, "runs": 1} \
+        in doc["checks"]
 
 
 def test_rigid_file_group(capsys, tmp_path):
@@ -189,15 +213,16 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
-# stdout sha256 of rigidity runs larger than the README examples, recorded
-# while the projective canonical form still enumerated every scalar multiple
+# stdout sha256 of rigidity runs larger than the README examples; every
+# key but `checks` is as the matrix-closure groups first printed it, and
+# `checks` holds the run counts of the named checks
 RIGID_DIGESTS = {
     "rigid --group pgl2 --ell 11":
-        "81672d5d4b7077aa70e5aa50f7a80b49767e14136e71d5ec70eea557facd3b87",
+        "61b514b72e60805696f486f76507191ae263d1a2be6f728f4b5a9154f517e01e",
     "rigid --group pgl2 --ell 13":
-        "9aa4b90c8a2667836dcc4f424f50a419e16935b44785c1ba4f29fd3c36cf11f5",
+        "769fd01ddf562da9be17ff7c24f4e7e331752a1a5ba72d8376ad72c692077993",
     "rigid --group psl2 --ell 13 --classes 2A,3A,13A":
-        "4280c9392230670e99cd4287a8cbc59a9d2e7dc3639b0d4e378201c21d19942f",
+        "d3fe683def409da82b5a3278ee66d427f33809d03b8e1349901ba1f30bf565a3",
 }
 
 
@@ -261,8 +286,11 @@ def test_manifest_is_sorted_and_stable(capsys):
 
 
 def test_verify_all(capsys):
-    code, doc, err = run_json(capsys, "verify-all")
+    code, out, err = run_cli(capsys, "verify-all")
     assert code == 0
+    # in-process, counts included, as in the fresh processes of criterion 9
+    assert stdout_digest(out) == GOLDEN["verify-all"]
+    doc = json.loads(out)
     assert doc["result"]["all_passed"] is True
     numbers = [c["number"] for c in doc["result"]["criteria"]]
     assert numbers == list(range(1, 10))
@@ -309,3 +337,30 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
         assert main(argv) == 0, argv
         assert stdout_digest(capsys.readouterr().out) == \
             GOLDEN[shlex.join(argv)], argv
+
+
+def test_failed_check_in_verify_all_is_reported(capsys, monkeypatch):
+    real = verify.odd_irreps
+
+    def off_by_one(tg):
+        irreps = real(tg)
+        if tg.rs.label == "D6":
+            irreps[1].characters[0][37] += 1
+        return irreps
+
+    monkeypatch.setattr(verify, "odd_irreps", off_by_one)
+    code, doc, err = run_json(capsys, "verify-all")
+    assert code == 1
+    assert err.count("[PASS]") == 8 and err.count("[FAIL]") == 1
+    crit = doc["result"]["criteria"][3]
+    assert crit["passed"] is False and doc["result"]["all_passed"] is False
+    assert crit["details"]["error"].startswith(
+        "CheckFailed: character-orthogonality: D6")
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["character-orthogonality"]["passed"] is False
+    assert checks["criterion-4-center-table-and-odd-irreps"] == {
+        "name": "criterion-4-center-table-and-odd-irreps", "passed": False,
+        "runs": 1}
+    assert all(c["passed"] for name, c in checks.items()
+               if name not in ("character-orthogonality",
+                               "criterion-4-center-table-and-odd-irreps"))

@@ -1,0 +1,130 @@
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+from string import Formatter
+
+import pytest
+
+import excmono
+from excmono import obs
+from excmono.cli import main
+from excmono.obs import CheckFailed, check
+
+SRC = Path(excmono.__file__).resolve().parent
+
+
+class Loud:
+    """Counts the times it is formatted into a message."""
+
+    formatted = 0
+
+    def __format__(self, spec):
+        Loud.formatted += 1
+        return "loud"
+
+
+def test_check_counts_runs_and_names_the_failure():
+    obs.reset()
+    check("b-check", True, "never shown")
+    check("a-check", 1 == 1, "never shown")
+    check("b-check", True, "never shown")
+    assert obs.runs() == [{"name": "a-check", "passed": True, "runs": 1},
+                          {"name": "b-check", "passed": True, "runs": 2}]
+    with pytest.raises(CheckFailed) as exc:
+        check("b-check", False, "{} != {:#b}", 3, 5)
+    assert str(exc.value) == "b-check: 3 != 0b101"
+    assert isinstance(exc.value, AssertionError)
+    assert obs.runs()[1] == {"name": "b-check", "passed": False, "runs": 3}
+    obs.reset()
+    assert obs.runs() == []
+
+
+def test_detail_is_formatted_only_on_failure():
+    obs.reset()
+    Loud.formatted = 0
+    for _ in range(3):
+        check("lazy", True, "value {}", Loud())
+    assert Loud.formatted == 0
+    with pytest.raises(CheckFailed, match="lazy: value loud"):
+        check("lazy", False, "value {}", Loud())
+    assert Loud.formatted == 1
+    obs.reset()
+
+
+def _offences(path):
+    """Line numbers of `raise AssertionError`, bare `assert` and a literal
+    `"passed": True` dict entry in one source file."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            out.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                out.append((node.lineno, "raise AssertionError"))
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Constant) and key.value == "passed"
+                        and isinstance(value, ast.Constant)):
+                    out.append((node.lineno, '"passed": literal'))
+    return out
+
+
+def test_guard_scan_sees_each_offence(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text('def f(x):\n    assert x\n'
+                   '    if x:\n        raise AssertionError("no")\n'
+                   '    return {"name": "n", "passed": True}\n')
+    assert [n for n, _ in _offences(bad)] == [2, 4, 5]
+
+
+def test_src_checks_only_through_obs():
+    found = {f"{path.name}:{line}": what
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in _offences(path)}
+    assert found == {}
+
+
+def test_every_detail_formats_with_its_arguments():
+    # a failing check must raise CheckFailed, not an error from format()
+    calls = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "check":
+                name, _, detail, *args = node.args
+                where = f"{path.name}:{node.lineno}"
+                assert isinstance(name, ast.Constant), where
+                assert isinstance(detail, ast.Constant), where
+                detail.value.format(*range(len(args)))
+                fields = [f for _, f, _, _ in Formatter().parse(detail.value)
+                          if f is not None]
+                assert len(fields) == len(args), where
+                calls += 1
+    assert calls > 40
+
+
+# cheap commands whose checks run in builders that are cached in-process
+FRESH_COMMANDS = [
+    ["atilde", "D6"],
+    ["a1", "--primes", "5,13"],
+    ["monodromy", "G2", "--samples", "20"],
+    ["k-type", "all"],
+    ["rigid", "--group", "psl2", "--ell", "7", "--classes", "2A,3A,7A"],
+]
+
+
+@pytest.mark.parametrize("argv", FRESH_COMMANDS, ids=" ".join)
+def test_in_process_manifest_equals_fresh_process(capsys, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    fresh = subprocess.run([sys.executable, "-m", "excmono", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    # twice in-process: the second run starts with every cache warm
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh.stdout

@@ -499,3 +499,42 @@ def test_frame_orbit_over_the_bound_is_refused():
         MatrixRep(5, 257).permutations([])
     # 3 generates F_257^x: exactly 256 points
     assert len(MatrixRep(257, 1).permutations([(3,)])[0]) == 256
+
+
+class _CountingIndex(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("kind,ell", [(k, ell) for k in ("pgl2", "psl2")
+                                      for ell in (3, 5, 7, 11, 13)])
+def test_subgroup_generated_matches_matrix_oracle(kind, ell):
+    g, m = ORACLE_CASES[f"{kind}-{ell}"]()
+    # both closures are breadth first on the same generators, so the ids
+    # of the two groups name the same elements
+    reps = [c.rep for c in g.classes[:4]]
+    rng = random.Random(ell)
+    pairs = [(a, b) for a in reps for b in reps]
+    pairs += [(g.elements[rng.randrange(g.order)],
+               g.elements[rng.randrange(g.order)]) for _ in range(8)]
+    proper = full = 0
+    for a, b in pairs:
+        ma, mb = m.elements[g.index[a]], m.elements[g.index[b]]
+        assert m.index[m.mul(ma, mb)] == g.index[g.mul(a, b)]
+        want = m.subgroup_generated(ma, mb)
+        assert g.subgroup_generated(a, b) == want, (a, b)
+        proper += want < g.order
+        full += want == g.order
+    assert proper and full
+
+
+def test_subgroup_closure_stops_past_half_the_group():
+    g = psl2_group(13)
+    g.index = _CountingIndex(g.index)
+    a, b = g.generators
+    assert g.subgroup_generated(a, b) == g.order == 1092
+    # a full closure looks up two products for each of the 1092 elements
+    assert g.index.lookups <= g.order

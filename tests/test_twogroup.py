@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from excmono import twogroup, verify
+from excmono import obs, twogroup, verify
 from excmono.gaussint import Zi
+from excmono.obs import CheckFailed
 from excmono.rootsys import root_system
 from excmono.twogroup import build_tilde_group, odd_irreps, odd_sets
 from oracles import (
@@ -129,7 +130,15 @@ def test_law_replay_exhaustive(label):
     tg = group(label)
     n = 1 << tg.r
     assert law_failures(tg, ((a, b) for a in range(n) for b in range(n))) == []
-    assert tg.pairs_checked == n * n
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6", "D8", "E7", "E8"])
+def test_row_checks_cover_every_pair(label):
+    # one run of each law check per row a, and a row holds 2^r pairs (a, b)
+    obs.reset()
+    tg = twogroup.TildeGroup(root_system(label))
+    runs = {c["name"]: c["runs"] for c in obs.runs()}
+    assert runs["square-law"] == runs["commutator-law"] == 1 << tg.r
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,7 +148,6 @@ def test_law_replay_sampled(data):
     bits = st.integers(0, (1 << tg.r) - 1)
     a, b = data.draw(bits), data.draw(bits)
     assert law_failures(tg, [(a, b)]) == []
-    assert tg.pairs_checked == 1 << (2 * tg.r)
 
 
 @pytest.mark.parametrize("table", ["_cocycle_mask", "_cocycle_t_mask",
@@ -198,6 +206,22 @@ def test_laws_checked_under_optimize(table, row, flip, code):
     assert proc.returncode == code, proc.stderr
     if code:
         assert "check failed:" in proc.stderr and "law broken" in proc.stderr
+
+
+@pytest.mark.parametrize("table,row,flip,name", [
+    ("_cocycle_mask", 0b10110, 1 << 6, "commutator-law"),
+    ("_cocycle_mask", 0b1, 0b1, "square-law"),
+])
+def test_flipped_cocycle_bit_names_the_check_under_optimize(table, row,
+                                                             flip, name):
+    src = str(Path(twogroup.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    script = _CORRUPT_LAWS.format(table=table, row=row, flip=flip)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"check failed: {name}: "), proc.stderr
 
 
 @pytest.mark.parametrize("label", ["A1", "G2", "D4"])
@@ -345,9 +369,10 @@ def test_changed_character_value_fails_criterion_4(monkeypatch):
             irreps[1].characters[0][37] += 1
         return irreps
 
-    assert verify.criterion_center_table()[0]
+    verify.criterion_center_table()
     monkeypatch.setattr(verify, "odd_irreps", off_by_one)
-    assert not verify.criterion_center_table()[0]
+    with pytest.raises(CheckFailed, match="character-orthogonality: D6"):
+        verify.criterion_center_table()
 
 
 @pytest.mark.parametrize("label", ["G2", "E7", "D6"])
