@@ -172,8 +172,8 @@ def _half_int(z: Zi) -> int:
     return z.re // 2
 
 
-def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum):
-    """(s, s_conj) with s = (Tr^2 - Tr2)/2, both factors taken as traces.
+def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
+    """s = (Tr^2 - Tr2)/2, both factors taken as traces.
 
     Tr = -t1 is the Frobenius trace on the chi-piece and Tr2 the trace of
     its square, so s is the product of the two Frobenius eigenvalues.
@@ -194,7 +194,7 @@ def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum):
           "eigenvalue product {} not divisible by q", s)
     check("sym2-range", -ctx.q <= s <= 3 * ctx.q,
           "eigenvalue product {} outside [-q, 3q]", s)
-    return s, s_conj
+    return s
 
 
 def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
@@ -339,7 +339,6 @@ class TraceRecord:
     t3: Zi
     point_count_smooth: int
     sym2_trace: int
-    sym2_trace_conj: int
     sym2_symmetric: int
 
     def csv_row(self):
@@ -376,10 +375,9 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
           "Lefschetz identity failed: {} != {} + 1 + {}", n, q, total)
     legendre_crosscheck(ctx, values, t2)
     ext_sum = extension_sums(ctx)[lam]
-    s, s_conj = sym2_trace(ctx, sums, ext_sum)
     return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
-                       point_count_smooth=n, sym2_trace=s,
-                       sym2_trace_conj=s_conj,
+                       point_count_smooth=n,
+                       sym2_trace=sym2_trace(ctx, sums, ext_sum),
                        sym2_symmetric=sym2_symmetric_trace(
                            ctx, sums, ext_sum))
 

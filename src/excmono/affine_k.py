@@ -3,8 +3,9 @@
 A root alpha survives into K exactly when <rho-vee, alpha> is even, i.e.
 when alpha has even height.  The identification of K's Cartan type runs
 through the affine apartment: the point (1/2) rho-vee is folded into the
-fundamental alcove by exact affine reflections, and the walls through the
-folded point name the surviving affine Dynkin nodes.  For every rank-
+fundamental alcove by affine reflections, run on 4x so that every step
+is exact in integers, and the walls through the folded point name the
+surviving affine Dynkin nodes.  For every rank-
 preserving case exactly one finite node alpha' is deleted and its
 coefficient in theta-vee is 2.
 """
@@ -12,7 +13,6 @@ coefficient in theta-vee is 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import gf2_nullspace, smith_normal_form
@@ -51,31 +51,44 @@ class SubRootSystem:
 
 
 def _fold_half_rho_vee(rs: RootSystem):
-    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly."""
+    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly.
+
+    Runs on y = 4x, which starts at 2 rho-vee and stays integral, and
+    keeps the pairings p_i = <alpha_i, y> so that a simple reflection
+    costs O(r).  Returns (y, p); the alcove is p_i >= 0 and <theta, y> <= 4.
+    """
     r = rs.rank
-    two_rho_vee = rs.two_rho_coroot()
-    x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
+    a = rs.cartan
+    y = list(rs.two_rho_coroot())
     theta, theta_vee, _ = rs.highest_root()
+
+    def pairings():
+        return [sum(a[i][j] * y[j] for j in range(r)) for i in range(r)]
+
+    p = pairings()
     for _ in range(100000):
         moved = False
         for i in range(r):
-            v = sum(x[j] * rs.cartan[i][j] for j in range(r))
+            v = p[i]
             if v < 0:
-                x[i] -= v  # s_i: x -> x - <alpha_i, x> alpha_i-vee
+                y[i] -= v  # s_i: y -> y - <alpha_i, y> alpha_i-vee
+                for k in range(r):
+                    p[k] -= v * a[k][i]
                 moved = True
                 break
         if moved:
             continue
-        t = rs.pair(theta, x)
-        if t > 1:
+        t = sum(theta[i] * p[i] for i in range(r))
+        if t > 4:
             for k in range(r):
-                x[k] -= (t - 1) * theta_vee[k]
+                y[k] -= (t - 4) * theta_vee[k]
+            p = pairings()
             moved = True
         if not moved:
             break
     check("alcove-folding-terminates", not moved,
           "alcove folding failed to terminate")
-    return x
+    return y, p
 
 
 def _simple_system(positive_members):
@@ -177,11 +190,10 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     pos = [t for t in member_roots if sum(t) > 0]
     simple_members = _simple_system(pos)
 
-    x = _fold_half_rho_vee(rs)
+    y, p = _fold_half_rho_vee(rs)
     theta, _, _ = rs.highest_root()
-    kept = [i for i in range(rs.rank)
-            if rs.pair(rs.simple_roots[i], x) == 0]
-    affine = rs.pair(theta, x) == 1
+    kept = [i for i in range(rs.rank) if p[i] == 0]
+    affine = rs.pair(theta, y) == 4
     delta_k = tuple(rs.simple_roots[i] for i in kept)
     if affine:
         delta_k = delta_k + (tuple(-v for v in theta),)

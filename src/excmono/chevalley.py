@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .affine_k import kappa_character
 from .linalg import integer_rank
 from .obs import check
 from .rootsys import RootSystem, root_system
 
 SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
+BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 
 
 def _vec_add(a, b):
@@ -47,6 +49,11 @@ class ChevalleyAlgebra:
         self.dim = self.rank + len(self.roots)
         self.index = {a: self.rank + i for i, a in enumerate(self.roots)}
         self._order = {a: (sum(a), a) for a in self.roots}
+        # <root, alpha_i-vee> for every i, one tuple per root, in root order
+        r, cartan = self.rank, rs_dual.cartan
+        self._pairings = [
+            tuple(sum(a[k] * cartan[k][i] for k in range(r)) for i in range(r))
+            for a in self.roots]
         self._extraspecial = self._extraspecial_pairs()
         self._ncache = {}
 
@@ -151,11 +158,9 @@ class ChevalleyAlgebra:
                 if i < r and j < r:
                     continue
                 if i < r:
-                    b = self.roots[j - r]
-                    add(j, c * self._pair_simple(b, i))
+                    add(j, c * self._pairings[j - r][i])
                 elif j < r:
-                    a = self.roots[i - r]
-                    add(i, -c * self._pair_simple(a, j))
+                    add(i, -c * self._pairings[i - r][j])
                 else:
                     a, b = self.roots[i - r], self.roots[j - r]
                     s = _vec_add(a, b)
@@ -165,10 +170,6 @@ class ChevalleyAlgebra:
                     elif s in self.root_set:
                         add(self.index[s], c * self.structure_constant(a, b))
         return out
-
-    def _pair_simple(self, root, i) -> int:
-        # <root, alpha_i-vee>
-        return sum(root[k] * self.rs.cartan[k][i] for k in range(self.rank))
 
     def ad_rows(self, x: dict):
         """Rows of ad(x) as dense integer lists (row index = output basis)."""
@@ -397,8 +398,6 @@ def rigidity_budget(label: str) -> MonodromyBudget:
     predicted classes give exactly 0, equivalently d0 + dinf = #Phi with
     d1 = rank.
     """
-    from .affine_k import kappa_character
-
     rs = root_system(label)
     alg = build_algebra(label)
     kappa = kappa_character(rs)
@@ -414,6 +413,17 @@ def rigidity_budget(label: str) -> MonodromyBudget:
           "{}: d0 + dinf = {} + {}, #Phi = {}, dim H^1 = {}", rs.label, d0,
           dinf, phi, h1)
     return budget
+
+
+def local_dims(label: str):
+    """(d0, d1, budget): for BUDGET_LABELS the budget, which computes d0,
+    d1 and the v-class witness once; otherwise d0 and d1 alone and None."""
+    if label in BUDGET_LABELS:
+        budget = rigidity_budget(label)
+        return budget.d0, budget.d1, budget
+    alg = build_algebra(label)
+    d0 = kappa_fixed_dim(alg, kappa_character(root_system(label)))
+    return d0, regular_nilpotent_centralizer(alg), None
 
 
 def quasiminuscule_dims(label: str):

@@ -20,14 +20,7 @@ from . import __version__, obs
 from .a1lab import render_csv, scan
 from .affine_k import k_type_row
 from .arith import is_prime
-from .chevalley import (
-    build_algebra,
-    kappa_fixed_dim,
-    quasiminuscule_dims,
-    regular_nilpotent_centralizer,
-    rigidity_budget,
-)
-from .affine_k import kappa_character
+from .chevalley import build_algebra, local_dims, quasiminuscule_dims
 from .rigidity import (
     DEFAULT_CAP,
     FiniteGroup,
@@ -38,8 +31,7 @@ from .rigidity import (
 )
 from .rootsys import root_system
 from .twogroup import build_tilde_group, odd_irreps
-from .verify import (BUDGET_LABELS, K_TYPE_TABLE, QM_EXPECT, clear_caches,
-                     jacobi_probe, run_all)
+from .verify import K_TYPE_TABLE, QM_EXPECT, clear_caches, jacobi_probe, run_all
 
 
 def _cmd_roots(args):
@@ -75,13 +67,7 @@ def _cmd_monodromy(args):
     label = args.label
     alg = build_algebra(label)
     rs = root_system(label)
-    # the budget computes d0, d1 and the v-class witness once
-    budget = rigidity_budget(label) if label in BUDGET_LABELS else None
-    if budget is None:
-        kappa = kappa_fixed_dim(alg, kappa_character(rs))
-        regular = regular_nilpotent_centralizer(alg)
-    else:
-        kappa, regular = budget.d0, budget.d1
+    kappa, regular, budget = local_dims(label)
     result = {
         "label": rs.label,
         "dim": alg.dim,

@@ -114,8 +114,7 @@ class RootSystem:
         return sum(root)
 
     def pair(self, root, coroot):
-        """<root, coroot> via the Cartan data; coroot coordinates may be
-        Fractions, and then so is the result."""
+        """<root, coroot> via the Cartan data."""
         a = self.cartan
         r = self.rank
         return sum(root[i] * a[i][j] * coroot[j] for i in range(r) for j in range(r))

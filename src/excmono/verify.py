@@ -23,13 +23,7 @@ from .affine_k import (
     phi_k,
     removed_node_coefficient,
 )
-from .chevalley import (
-    build_algebra,
-    kappa_fixed_dim,
-    quasiminuscule_dims,
-    regular_nilpotent_centralizer,
-    rigidity_budget,
-)
+from .chevalley import build_algebra, local_dims, quasiminuscule_dims
 from .obs import check
 from .rootsys import root_system
 from .rigidity import predicted_triple, psl2_group, triple_count
@@ -61,7 +55,6 @@ CENTER_EXPECT = {
 
 CHEVALLEY_LABELS = ("A1", "G2", "D4", "D6", "D8", "E7", "E8")
 PAPER_DIMS = {"A1": 3, "G2": 14, "E7": 133, "E8": 248}
-BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
 
 A1_PRIMES = (5, 13, 17, 29)
@@ -180,8 +173,7 @@ def jacobi_probe(alg, samples: int, seed: int) -> int:
 
 
 def criterion_chevalley(seed=0):
-    # kappa_fixed_dim, regular_nilpotent_centralizer, v_class_centralizer
-    # and rigidity_budget check their own identities
+    # local_dims and the functions under it check their own identities
     dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
     for label in CHEVALLEY_LABELS:
         alg = build_algebra(label)
@@ -192,15 +184,10 @@ def criterion_chevalley(seed=0):
         if label in PAPER_DIMS:
             check("dim-as-in-the-paper", alg.dim == PAPER_DIMS[label],
                   "{}: dim {}", label, alg.dim)
-        if label in BUDGET_LABELS:
-            # the budget computes d0, d1 and the v-class witness once
-            budget = rigidity_budget(label)
-            kappa[label], regular[label] = budget.d0, budget.d1
+        kappa[label], regular[label], budget = local_dims(label)
+        if budget is not None:
             vclass[label] = budget.witness.centralizer_dim
             budgets[label] = [budget.d0, budget.d1, budget.dinf]
-        else:
-            kappa[label] = kappa_fixed_dim(alg, kappa_character(rs))
-            regular[label] = regular_nilpotent_centralizer(alg)
     probed = jacobi_probe(build_algebra("E8"), 500, seed)
     return {"dims": dims, "kappa_fixed": kappa,
                 "regular_centralizer": regular, "v_class": vclass,

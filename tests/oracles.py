@@ -7,8 +7,9 @@ groups, classes and triple counts by matrix products behind the
 permutation groups of the rigidity layer, the README's `file:` group,
 the lex-least scalar multiple that the projective canonical form
 replaced, the per-call form loops, per-pair law replay and echelon
-routine the two-group tables and row checks replaced, the Coxeter
-number, and plain matrix powers, F2 ranks and a quadruple survey
+routine the two-group tables and row checks replaced, the `Fraction`
+alcove fold the integer fold replaced, the Coxeter number, and plain
+matrix powers, F2 ranks and a quadruple survey
 for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
@@ -24,6 +25,7 @@ from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
+from excmono.obs import check
 from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
 from excmono.twogroup import _reduce_by
 
@@ -110,6 +112,34 @@ def coxeter_number(rs) -> int:
     """h = 1 + the height of the highest root."""
     theta, _, _ = rs.highest_root()
     return 1 + sum(theta)
+
+
+def fraction_fold(rs):
+    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly."""
+    r = rs.rank
+    two_rho_vee = rs.two_rho_coroot()
+    x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
+    theta, theta_vee, _ = rs.highest_root()
+    for _ in range(100000):
+        moved = False
+        for i in range(r):
+            v = sum(x[j] * rs.cartan[i][j] for j in range(r))
+            if v < 0:
+                x[i] -= v  # s_i: x -> x - <alpha_i, x> alpha_i-vee
+                moved = True
+                break
+        if moved:
+            continue
+        t = rs.pair(theta, x)
+        if t > 1:
+            for k in range(r):
+                x[k] -= (t - 1) * theta_vee[k]
+            moved = True
+        if not moved:
+            break
+    check("alcove-folding-terminates", not moved,
+          "alcove folding failed to terminate")
+    return x
 
 
 def cycle_type(a):

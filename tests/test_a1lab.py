@@ -36,6 +36,7 @@ from excmono.a1lab import (
 )
 from excmono.arith import is_prime, least_primitive_root
 from excmono.gaussint import Zi
+from excmono.obs import CheckFailed
 
 ACCEPT_PRIMES = [5, 13, 17, 29]
 
@@ -300,10 +301,15 @@ def test_legendre_crosscheck_every_fiber(q):
 def test_sym2_descent_every_fiber(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        s, s_conj = sym2_trace(ctx, *fiber_sums(ctx, lam))
-        assert s == s_conj
+        sums, ext_sum = fiber_sums(ctx, lam)
+        s = sym2_trace(ctx, sums, ext_sum)
         assert s % q == 0
         assert -q <= s <= 3 * q
+        # t3 is an even rational integer here, so t3 + 2 moves the
+        # conjugate route by 2*t3 + 2, which is never 0
+        t1, t2, t3 = sums
+        with pytest.raises(CheckFailed, match="sym2-descent"):
+            sym2_trace(ctx, (t1, t2, t3 + Zi(2)), ext_sum)
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -313,7 +319,7 @@ def test_eigenvalue_product_is_exactly_q(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
         sums, ext_sum = fiber_sums(ctx, lam)
-        s, _ = sym2_trace(ctx, sums, ext_sum)
+        s = sym2_trace(ctx, sums, ext_sum)
         assert s == q
         t1, _, _ = sums
         assert t1.im == 0
@@ -505,6 +511,7 @@ import sys
 from excmono import a1lab
 from excmono.cli import main
 from excmono.gaussint import Zi
+from excmono.obs import CheckFailed
 real = a1lab._extension_table
 def corrupted(index):
     table = list(real(index))

@@ -38,8 +38,9 @@ def timed(fn, **kw):
 
 
 def test_criterion_1_k_type_table():
+    verify.clear_caches()
     details, dt = timed(verify.criterion_k_type_table)
-    assert report(1, "k-type table", True, dt, 1.0), details
+    assert report(1, "k-type table", True, dt, 0.5), details
 
 
 def test_criterion_2_lattice_quotients():

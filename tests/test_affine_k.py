@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from excmono import obs
 from excmono.affine_k import (
+    _fold_half_rho_vee,
     k_fundamental_quotient,
     k_type_row,
     kappa_character,
@@ -13,6 +15,8 @@ from excmono.affine_k import (
     removed_node_coefficient,
 )
 from excmono.rootsys import root_system
+from excmono.verify import K_TYPE_TABLE
+from oracles import fraction_fold
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
 K_TABLE = {
@@ -133,6 +137,29 @@ def test_removed_node_not_applicable(label):
 def test_odd_d_rejected(label):
     with pytest.raises(ValueError):
         phi_k(root_system(label))
+
+
+# -------------------------------------------------------- the alcove fold --
+
+@pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))
+def test_integer_fold_matches_fraction_oracle(label):
+    rs = root_system(label)
+    x = fraction_fold(rs)
+    y, p = _fold_half_rho_vee(rs)
+    assert y == [4 * c for c in x]
+    # the kept pairings are the pairings of the folded point
+    assert p == [rs.pair(rs.simple_roots[i], y) for i in range(rs.rank)]
+    obs.reset()
+    phi_k.cache_clear()
+    sub = phi_k(rs)
+    phi_k(rs)  # cached: no second build
+    runs = {e["name"]: e["runs"] for e in obs.runs()}
+    assert runs["alcove-folding-terminates"] == 1
+    kept = [i for i in range(rs.rank) if rs.pair(rs.simple_roots[i], x) == 0]
+    assert sub.removed_nodes == tuple(i for i in range(rs.rank)
+                                      if i not in kept)
+    theta, _, _ = rs.highest_root()
+    assert sub.affine_node_used == (rs.pair(theta, x) == 1)
 
 
 # ------------------------------------------------------------------ kappa --
