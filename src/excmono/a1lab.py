@@ -1,10 +1,13 @@
 """Exact character-sum laboratory for the y^4 = (lam*x - 1)/(lam*x*(x-1)) family.
 
-Everything is integer arithmetic: multiplicative characters take values in
-the Gaussian integers {1, i, -1, -i} through a discrete-log table, and all
-consistency identities (point counts, Weil bounds, symmetric-square
-descent) are checked exactly, never with floats, through `obs.check`,
-which raises CheckFailed even under `python -O`.
+Everything is integer arithmetic.  A value of the quartic character chi
+is the exponent k of i^k, k in 0..3, with k = 4 standing for chi(0) = 0;
+`FiniteFieldCtx.index` holds it for every element of F_p.  Sums of such
+values are Gaussian integers, kept as (re, im) int pairs whose terms are
+read from `arith.UNIT_RE` and `arith.UNIT_IM`.  All consistency
+identities (point counts, Weil bounds, symmetric-square descent) are
+checked exactly, never with floats, through `obs.check`, which raises
+CheckFailed even under `python -O`.
 
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
@@ -26,21 +29,17 @@ import io
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import is_prime, least_primitive_root
-from .gaussint import I, ONE, Zi
+from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from .obs import check
 
 _RAMIFIED = 4  # x in {0, 1, 1/lam, infinity}, one point each on the 4-cover
-
-# i^k for k = 0..3, shared: no code mutates a Zi
-_UNITS = (ONE, I, -ONE, -I)
 
 
 class FiniteFieldCtx:
     """F_p for a prime p = 1 mod 4, with an exact order-4 character table.
 
-    Elements are ints mod p; chi(z) = i^(log z mod 4) for the discrete log
-    to the least primitive root.
+    Elements are ints mod p; chi(z) = i^index[z], where index[z] is the
+    discrete log of z to the least primitive root, mod 4, and index[0] = 4.
     """
 
     def __init__(self, p: int):
@@ -51,47 +50,19 @@ class FiniteFieldCtx:
         self.p = self.q = p
         self._ext_sums = None  # filled by extension_sums
         self.generator = least_primitive_root(p)
-        self._dlog = self._dlog_table()
-        self._check_character()
+        self.index = [4] * p
+        z = 1
+        for k in range(p - 1):  # z = generator^k
+            self.index[z] = k % 4
+            z = z * self.generator % p
+        # exact order 4: each fourth root of unity is hit equally often
+        counts = [self.index.count(k) for k in range(4)]
+        check("character-order-4", counts == [(p - 1) // 4] * 4,
+              "character is not of exact order 4: {}", counts)
         # square_roots[v] = #{y : y^2 = v}, for the Legendre count
         self.square_roots = [0] * p
         for y in range(p):
             self.square_roots[y * y % p] += 1
-
-    # ------------------------------------------------------------ tables
-
-    def _dlog_table(self):
-        p, g = self.p, self.generator
-        table = {}
-        acc = 1
-        for k in range(p - 1):
-            table[acc] = k
-            acc = acc * g % p
-        return table
-
-    def _check_character(self):
-        # exact order 4: each fourth root of unity is hit equally often
-        counts = {}
-        for z in range(1, self.p):
-            v = self.chi(z)
-            counts[v] = counts.get(v, 0) + 1
-        share = (self.q - 1) // 4
-        check("character-order-4", sorted(counts.values()) == [share] * 4,
-              "character is not of exact order 4: {}", counts)
-
-    # --------------------------------------------------------- characters
-
-    def _chi_index(self, z) -> int:
-        """k with chi(z) = i^k."""
-        if z == 0:
-            raise ValueError("chi(0) undefined")
-        return self._dlog[z] % 4
-
-    def chi(self, z) -> Zi:
-        return _UNITS[self._chi_index(z)]
-
-    def chi_pow(self, z, j: int) -> Zi:
-        return _UNITS[self._chi_index(z) * j % 4]
 
 
 # ----------------------------------------------------------------- sums
@@ -117,19 +88,21 @@ def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
     return values
 
 
+def _power_sum(counts, j: int):
+    """(re, im) of the sum over k of counts[k] * i^(j*k)."""
+    return (sum(c * UNIT_RE[j * k % 4] for k, c in enumerate(counts)),
+            sum(c * UNIT_IM[j * k % 4] for k, c in enumerate(counts)))
+
+
 def trace_sums(ctx: FiniteFieldCtx, values):
-    """(t1, t2, t3): character sums of chi^j over the `fiber_values`."""
-    t = [Zi(0), Zi(0), Zi(0)]
-    for v in values:
-        c = ctx.chi(v)
-        c2 = c * c
-        t[0] += c
-        t[1] += c2
-        t[2] += c2 * c
-    t1, t2, t3 = t
-    check("t3-is-conj-t1", t3 == t1.conj(),
+    """(t1, t2, t3): character sums of chi^j over the `fiber_values`, as
+    (re, im) pairs, from the number of values of each index k."""
+    ks = [ctx.index[v] for v in values]
+    counts = [ks.count(k) for k in range(4)]
+    t1, t2, t3 = (_power_sum(counts, j) for j in (1, 2, 3))
+    check("t3-is-conj-t1", t3 == (t1[0], -t1[1]),
           "t3 = {} is not conj(t1), t1 = {}", t3, t1)
-    check("t2-real", t2.im == 0, "t2 = {} is not real", t2)
+    check("t2-real", t2[1] == 0, "t2 = {} is not real", t2)
     return t1, t2, t3
 
 
@@ -141,12 +114,14 @@ def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
     the genus-3 Weil bound.  `values` are the `fiber_values`.
     """
     q = ctx.q
+    # sizes[k] = 1 + chi + chi^2 + chi^3 at chi = i^k
+    sizes = [_power_sum((1, 1, 1, 1), k) for k in range(4)]
     count = _RAMIFIED
     for v in values:
-        fiber = ONE + ctx.chi(v) + ctx.chi_pow(v, 2) + ctx.chi_pow(v, 3)
-        check("fiber-size-0-or-4", fiber.im == 0 and fiber.re in (0, 4),
-              "fiber over f(x) = {} has size {}", v, fiber)
-        count += fiber.re
+        re, im = sizes[ctx.index[v]]
+        check("fiber-size-0-or-4", im == 0 and re in (0, 4),
+              "fiber over f(x) = {} has size {}", v, (re, im))
+        count += re
     check("genus-3-weil-bound", (count - q - 1) ** 2 <= 36 * q,
           "genus-3 Weil bound failed: {} points", count)
     return count
@@ -159,17 +134,26 @@ def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
     `values` are the `fiber_values` and t2 the second of `trace_sums`.
     """
     count = _RAMIFIED + sum(ctx.square_roots[v] for v in values)
-    check("legendre-identity", count == ctx.q + 1 + t2.re,
-          "Legendre identity failed: {} != {} + 1 + {}", count, ctx.q, t2.re)
-    check("genus-1-hasse-bound", t2.re * t2.re <= 4 * ctx.q,
+    check("legendre-identity", count == ctx.q + 1 + t2[0],
+          "Legendre identity failed: {} != {} + 1 + {}", count, ctx.q, t2[0])
+    check("genus-1-hasse-bound", t2[0] * t2[0] <= 4 * ctx.q,
           "genus-1 Hasse bound failed: t2 = {}", t2)
     return count
 
 
-def _half_int(z: Zi) -> int:
-    check("even-rational-integer", z.im == 0 and z.re % 2 == 0,
-          "{} is not an even rational integer", z)
-    return z.re // 2
+def _half_int(re: int, im: int) -> int:
+    check("even-rational-integer", im == 0 and re % 2 == 0,
+          "{} + {}i is not an even rational integer", re, im)
+    return re // 2
+
+
+def _sym2_halves(sums, ext_sum, sign: int):
+    """(t1^2 + sign*E)/2 and (t3^2 + sign*conj(E))/2, each checked to be a
+    rational integer, for sums = (t1, t2, t3) and E = ext_sum."""
+    (a, b), _, (c, d) = sums
+    e, f = sign * ext_sum[0], sign * ext_sum[1]
+    return (_half_int(a * a - b * b + e, 2 * a * b + f),
+            _half_int(c * c - d * d + e, 2 * c * d - f))
 
 
 def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
@@ -185,9 +169,7 @@ def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     `sums` is `trace_sums` of the fiber and `ext_sum` its entry of
     `extension_sums(ctx)`.
     """
-    t1, _, t3 = sums
-    s = _half_int(t1 * t1 + ext_sum)
-    s_conj = _half_int(t3 * t3 + ext_sum.conj())
+    s, s_conj = _sym2_halves(sums, ext_sum, 1)
     check("sym2-descent", s == s_conj, "descent mismatch: {} != {}",
           s, s_conj)
     check("sym2-divisible-by-q", s % ctx.q == 0,
@@ -205,9 +187,7 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     algebraic (not rational) integer ratio in general, so no divisibility
     by q is imposed here.  `sums` and `ext_sum` are as in `sym2_trace`.
     """
-    t1, _, t3 = sums
-    s = _half_int(t1 * t1 - ext_sum)
-    s_conj = _half_int(t3 * t3 - ext_sum.conj())
+    s, s_conj = _sym2_halves(sums, ext_sum, -1)
     check("sym2-symmetric-descent", s == s_conj,
           "symmetric descent mismatch: {} != {}", s, s_conj)
     check("sym2-symmetric-range", -ctx.q <= s <= 3 * ctx.q,
@@ -215,9 +195,10 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     return s
 
 
-# sign patterns of Re i^k and Im i^k; index 4 stands for chi(0) = 0
-_RE_POS, _RE_NEG = bytes((1, 0, 0, 0, 0)), bytes((0, 0, 1, 0, 0))
-_IM_POS, _IM_NEG = bytes((0, 1, 0, 0, 0)), bytes((0, 0, 0, 1, 0))
+# where UNIT_RE and UNIT_IM are +1 and -1, as byte tables over k = 0..4
+_RE_POS, _RE_NEG, _IM_POS, _IM_NEG = (
+    bytes(v == sign for v in unit)
+    for unit in (UNIT_RE, UNIT_IM) for sign in (1, -1))
 
 
 def _kron_pack(ks, pos: bytes, neg: bytes, width: int) -> int:
@@ -249,11 +230,11 @@ def _correlate(pairs, n: int, count: int) -> list:
     """c[l] = sum over (x, y) in pairs of sum_a x[a] * conj(y[(a - l) % n]).
 
     x and y are lists of n indices k, each standing for i^k (k = 4 for 0);
-    `pairs` yields at most `count` of them.  Real and imaginary parts are
-    four signed integer correlations per pair, each one exact big-int
-    product of Kronecker-packed vectors (Harvey 2009).  The products are
-    summed and decoded once; |Re c|, |Im c| <= count * n fixes the digit
-    width.
+    `pairs` yields at most `count` of them, and c[l] is an (re, im) pair.
+    Real and imaginary parts are four signed integer correlations per
+    pair, each one exact big-int product of Kronecker-packed vectors
+    (Harvey 2009).  The products are summed and decoded once; |Re c|,
+    |Im c| <= count * n fixes the digit width.
     """
     width = ((count * n).bit_length() + 8) // 8   # bytes per digit
     re = im = used = 0
@@ -269,14 +250,14 @@ def _correlate(pairs, n: int, count: int) -> list:
         used += 1
     if used > count:
         raise ValueError(f"{used} pairs given, digits sized for {count}")
-    return [Zi(a, b) for a, b in zip(_kron_unpack(re, n, width),
-                                     _kron_unpack(im, n, width))]
+    return list(zip(_kron_unpack(re, n, width), _kron_unpack(im, n, width)))
 
 
 def extension_sums(ctx: FiniteFieldCtx) -> tuple:
     """E(lam) = sum of chi(Norm(f(x))) over the good x of F_{p^2}, for every
-    lam in F_p (None at lam = 0, 1); -E(lam) is the trace of the squared
-    Frobenius on the chi-piece.  Built once and kept on ctx.
+    lam in F_p as an (re, im) pair (None at lam = 0, 1); -E(lam) is the
+    trace of the squared Frobenius on the chi-piece.  Built once from
+    `ctx.index` and kept on ctx.
 
     With u = lam*x, f = lam(u-1)/(u(u-lam)), so with chi_N = chi o Norm
     and chi_N(0) = 0 (which drops the bad points u = 0, 1, lam)
@@ -288,8 +269,7 @@ def extension_sums(ctx: FiniteFieldCtx) -> tuple:
     the p rows b.
     """
     if ctx._ext_sums is None:
-        ctx._ext_sums = _extension_table(
-            [4] + [ctx._chi_index(z) for z in range(1, ctx.p)])
+        ctx._ext_sums = _extension_table(ctx.index)
     return ctx._ext_sums
 
 
@@ -322,9 +302,8 @@ def _extension_table(index) -> tuple:
           "chi o Norm on F_{}^2 is not of exact order 4: {}", p, counts)
     table = [None, None]
     for lam in range(2, p):
-        c = corr[lam]
-        # chi(lam)^2 = +-1
-        table.append(c if index[lam] % 2 == 0 else -c)
+        sign = UNIT_RE[2 * index[lam] % 4]  # chi(lam)^2 = +-1
+        table.append((sign * corr[lam][0], sign * corr[lam][1]))
     return tuple(table)
 
 
@@ -334,25 +313,25 @@ def _extension_table(index) -> tuple:
 class TraceRecord:
     q: int
     lam: int
-    t1: Zi
-    t2: Zi
-    t3: Zi
+    t1: tuple  # (re, im)
+    t2: tuple
+    t3: tuple
     point_count_smooth: int
     sym2_trace: int
     sym2_symmetric: int
 
     def csv_row(self):
-        return [self.q, self.lam, self.t1.re, self.t1.im, self.t2.re,
-                self.t3.re, self.t3.im, self.point_count_smooth,
+        return [self.q, self.lam, *self.t1, self.t2[0], *self.t3,
+                self.point_count_smooth,
                 self.sym2_trace, self.sym2_trace // self.q]
 
     def json_dict(self):
         return {
             "q": self.q,
             "lambda": self.lam,
-            "t1": [self.t1.re, self.t1.im],
-            "t2": self.t2.re,
-            "t3": [self.t3.re, self.t3.im],
+            "t1": list(self.t1),
+            "t2": self.t2[0],
+            "t3": list(self.t3),
             "n_points": self.point_count_smooth,
             "sym2": self.sym2_trace,
             "sym2_over_q": self.sym2_trace // self.q,
@@ -367,12 +346,12 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     t1, t2, t3 = sums
     q = ctx.q
     # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck
-    check("weil-bound", t1.norm() <= 4 * q, "Weil bound failed: |{}|^2 > 4q",
-          t1)
+    check("weil-bound", t1[0] ** 2 + t1[1] ** 2 <= 4 * q,
+          "Weil bound failed: |{}|^2 > 4q", t1)
     n = smooth_point_count(ctx, values)
-    total = t1 + t2 + t3
-    check("lefschetz-identity", total.im == 0 and n == q + 1 + total.re,
-          "Lefschetz identity failed: {} != {} + 1 + {}", n, q, total)
+    re, im = map(sum, zip(t1, t2, t3))
+    check("lefschetz-identity", im == 0 and n == q + 1 + re,
+          "Lefschetz identity failed: {} != {} + 1 + {} + {}i", n, q, re, im)
     legendre_crosscheck(ctx, values, t2)
     ext_sum = extension_sums(ctx)[lam]
     return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,

@@ -24,7 +24,6 @@ from .rootsys import RootSystem, root_system
 class LatticeQuotient:
     """Cokernel data of a lattice inclusion into the coroot lattice."""
 
-    numerator_rank: int
     invariant_factors: tuple[int, ...]  # nonzero diagonal of the Smith form
     free_rank: int
 
@@ -48,6 +47,13 @@ class SubRootSystem:
     def k_label(self) -> str:
         parts = list(self.component_types) + ["Gm"] * self.torus_rank
         return "x".join(parts) if parts else "1"
+
+    @property
+    def deleted_node(self):
+        """The one deleted finite node; None unless exactly one finite node
+        is deleted and the affine node is kept (not for A1, B2 and Cn)."""
+        single = len(self.removed_nodes) == 1 and self.affine_node_used
+        return self.removed_nodes[0] if single else None
 
 
 def _fold_half_rho_vee(rs: RootSystem):
@@ -220,21 +226,21 @@ def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
     sub = phi_k(rs)
     cols = [rs.coroot_of[b] for b in sub.simple_members]
     if not cols:
-        return LatticeQuotient(rs.rank, (), rs.rank)
+        return LatticeQuotient((), rs.rank)
     mat = [[c[i] for c in cols] for i in range(rs.rank)]
     invariants = tuple(smith_normal_form(mat))
-    return LatticeQuotient(rs.rank, invariants, rs.rank - len(invariants))
+    return LatticeQuotient(invariants, rs.rank - len(invariants))
 
 
 def removed_node_coefficient(rs: RootSystem) -> int:
     """The theta-vee coefficient of the deleted affine-diagram node."""
-    sub = phi_k(rs)
-    if len(sub.removed_nodes) != 1 or not sub.affine_node_used:
+    node = phi_k(rs).deleted_node
+    if node is None:
         raise ValueError(
             f"{rs.label}: no single deleted node (torus factors in K); "
             "not applicable for types A1 and Cn")
     _, _, comarks = rs.highest_root()
-    c = comarks[sub.removed_nodes[0]]
+    c = comarks[node]
     check("c-alpha-prime-is-2", c == 2, "{}: theta-vee coefficient {} of the "
           "deleted node is not 2", rs.label, c)
     return c
@@ -275,15 +281,12 @@ class KappaCharacter:
                   "not of index 2 (nullity {})", rs.label, len(null))
             self.functional = null[0]
 
-    def value(self, coroot_vector) -> int:
+    def __call__(self, coroot_vector) -> int:
         acc = 0
         for i, v in enumerate(coroot_vector):
             if (self.functional >> i) & 1:
                 acc += v
         return -1 if acc % 2 else 1
-
-    def __call__(self, coroot_vector) -> int:
-        return self.value(coroot_vector)
 
 
 @lru_cache(maxsize=None)
@@ -303,9 +306,5 @@ def k_type_row(label: str) -> dict:
         pi1 = " x ".join(f"Z/{d}" for d in torsion)
     else:
         pi1 = "1"
-    row = {"g": rs.label, "k": sub.k_label(), "pi1": pi1}
-    try:
-        row["c_alpha_prime"] = removed_node_coefficient(rs)
-    except ValueError:
-        row["c_alpha_prime"] = None
-    return row
+    c = None if sub.deleted_node is None else removed_node_coefficient(rs)
+    return {"g": rs.label, "k": sub.k_label(), "pi1": pi1, "c_alpha_prime": c}

@@ -1,10 +1,14 @@
-"""Prime tests, prime factors and least primitive roots of small integers."""
+"""Prime tests, prime factors, least primitive roots, and the units i^k."""
 
 from __future__ import annotations
 
 from math import isqrt
 
 from .obs import check
+
+# Re and Im of i^k for k = 0..3; k = 4 stands for chi(0) = 0
+UNIT_RE = (1, 0, -1, 0, 0)
+UNIT_IM = (0, 1, 0, -1, 0)
 
 
 def is_prime(n: int) -> bool:

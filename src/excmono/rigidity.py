@@ -68,30 +68,12 @@ class MatrixRep:
             s = self._scale[v] = min(self.scalars, key=lambda t: t * v % p)
         return tuple(s * x % p for x in m)
 
-    def inv(self, a):
-        n, p = self.n, self.p
-        aug = [[a[i * n + j] for j in range(n)]
-               + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-            if piv is None:
-                raise ValueError("matrix not invertible")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = pow(aug[col][col], p - 2, p)
-            aug[col] = [x * scale % p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(x - f * y) % p
-                              for x, y in zip(aug[r], aug[col])]
-        return self.canon(tuple(aug[i][n + j]
-                                for i in range(n) for j in range(n)))
-
     def permutations(self, matrices) -> list:
-        """Each invertible matrix as a permutation of the frame orbit:
-        `bytes` whose entry i is the id of the image of point i.  The
-        orbit is walked breadth first; OverflowError once it passes
-        MAX_POINTS points."""
+        """Each matrix as a permutation of the frame orbit: `bytes` whose
+        entry i is the id of the image of point i.  The orbit is walked
+        breadth first; OverflowError once it passes MAX_POINTS points.
+        The orbit spans F_p^n, so a matrix is invertible exactly when its
+        image is a permutation; ValueError for one that is not."""
         n, p, canon = self.n, self.p, self.canon
         points, where = [], {}
 
@@ -117,6 +99,9 @@ class MatrixRep:
                 img.append(point_id(canon(tuple(
                     sum(x[k] * m[k * n + j] for k in range(n)) % p
                     for j in range(n)))))
+        for i, img in enumerate(images):
+            if len(set(img)) < len(points):
+                raise ValueError(f"generator {i} is singular mod {p}")
         return [bytes(img) for img in images]
 
 
@@ -378,8 +363,7 @@ def _check_instance(ell: int, order: int, cap: int, name: str):
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"
 
 
-def predicted_triple(kind: str = "pgl2", ell: int = 5,
-                 cap: int = DEFAULT_CAP) -> TripleReport:
+def predicted_triple(ell: int = 5, cap: int = DEFAULT_CAP) -> TripleReport:
     """The harness analog of the predicted triple in a PGL2 toy instance.
 
     C0 is the split involution (the image of diag(1, -1), whose
@@ -388,7 +372,7 @@ def predicted_triple(kind: str = "pgl2", ell: int = 5,
     single nontrivial unipotent class.  These choices are this harness's
     fixture, not classes named by any conjecture at this scale.
     """
-    if kind != "pgl2" or not 3 <= ell <= 13 or not is_prime(ell):
+    if not 3 <= ell <= 13 or not is_prime(ell):
         raise ValueError(f"unsupported instance; supported: "
                          f"{SUPPORTED_INSTANCES}")
     group = pgl2_group(ell, cap)

@@ -89,7 +89,6 @@ class RootSystem:
         self.roots = sorted(pairs, key=lambda t: (sum(t), t))
         self.positive_roots = [t for t in self.roots if sum(t) > 0]
         self.simple_roots = simple
-        self.simple_coroots = simple
 
     # ------------------------------------------------------------------
 
@@ -109,9 +108,6 @@ class RootSystem:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == r
-
-    def height(self, root) -> int:
-        return sum(root)
 
     def pair(self, root, coroot):
         """<root, coroot> via the Cartan data."""

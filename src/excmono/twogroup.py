@@ -21,8 +21,10 @@ the commutator law for a is one big-int compare of its beta row, its
 transposed beta row and its pairing row.
 
 The odd irreps reduce modulo a Lagrangian through its reduced echelon
-form from `linalg.gf2_echelon`.  Each one's character is tabulated once,
-as int lists (re, im) indexed by the element.
+form from `linalg.gf2_echelon`.  Characters of abelian subgroups are
+kept as exponents k of i^k; each odd irrep's character is tabulated once,
+as int lists (re, im) indexed by the element, read from `arith.UNIT_RE`
+and `arith.UNIT_IM`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gaussint import I, ONE, Zi
+from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
 from .obs import check
 from .rootsys import RootSystem
@@ -180,7 +182,8 @@ def build_tilde_group(rs: RootSystem) -> TildeGroup:
 class OddIrrep:
     """Irreducible with central mu2-kernel acting by -1, induced from a
     character of the preimage of a Lagrangian; `characters` is its
-    character as int lists (re, im) indexed by the element."""
+    character as int lists (re, im) indexed by the element; the central
+    and Lagrangian characters map an element to the k of its value i^k."""
 
     group: TildeGroup
     central_character: dict
@@ -199,8 +202,8 @@ def _induced_character(tg: TildeGroup, transversal, m_character):
         t_inv = tg.inverse(t)
         for m, val in m_character.items():
             x = tg.mul(tg.mul(t, m), t_inv)
-            re[x] += val.re
-            im[x] += val.im
+            re[x] += UNIT_RE[val]
+            im[x] += UNIT_IM[val]
     return re, im
 
 
@@ -234,9 +237,10 @@ def _greedy_lagrangian(tg: TildeGroup, order):
 def _extend_character(tg: TildeGroup, table: dict, generators, choices=None):
     """Grow a character of an abelian subgroup one generator at a time.
 
-    ``table`` maps element -> Zi on the current subgroup; each new
-    generator g has g*g already inside, so the new value c solves
-    c^2 = table[g*g]; ``choices`` optionally selects which square root.
+    ``table`` maps element -> exponent k of i^k on the current subgroup;
+    each new generator g has g*g already inside, so the new value c solves
+    c^2 = table[g*g], taking the root i^0 of i^0 and i^1 of i^2;
+    ``choices`` optionally selects the other root, which adds 2.
     """
     table = dict(table)
     pick = list(choices) if choices is not None else None
@@ -244,11 +248,11 @@ def _extend_character(tg: TildeGroup, table: dict, generators, choices=None):
         if g in table:
             continue
         sq = table[tg.mul(g, g)]
-        root = {ONE: ONE, Zi(-1): I}[sq]
+        root = {0: 0, 2: 1}[sq]
         if pick is not None and pick.pop(0):
-            root = -root
+            root += 2
         for el, val in list(table.items()):
-            table[tg.mul(g, el)] = root * val
+            table[tg.mul(g, el)] = (root + val) % 4
     return table
 
 
@@ -266,7 +270,7 @@ def odd_irreps(tg: TildeGroup, order=None):
     m_pivots = gf2_echelon(tg.radical_basis + _greedy_lagrangian(tg, order))
 
     # central characters: start from the forced value on the central -1
-    base = {0: ONE, 1 << r: Zi(-1)}
+    base = {0: 0, 1 << r: 2}
     central_chars = []
     for mask in range(1 << s):
         flips = [(mask >> i) & 1 for i in range(s)]

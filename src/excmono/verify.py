@@ -236,7 +236,7 @@ def criterion_rigidity(seed=0):
           "the Hurwitz count changes with the representative of 2A")
     fixtures = {}
     for ell in RIGID_ELLS:
-        rep = predicted_triple("pgl2", ell)
+        rep = predicted_triple(ell)
         fixtures[str(ell)] = {
             "solution_count": rep.solution_count,
             "normalized": [rep.normalized_count.numerator,

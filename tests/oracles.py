@@ -6,11 +6,13 @@ homomorphism tests, conjugation invariants behind the class tests,
 groups, classes and triple counts by matrix products behind the
 permutation groups of the rigidity layer, the README's `file:` group,
 the lex-least scalar multiple that the projective canonical form
-replaced, the per-call form loops, per-pair law replay and echelon
-routine the two-group tables and row checks replaced, the `Fraction`
-alcove fold the integer fold replaced, the Coxeter number, and plain
-matrix powers, F2 ranks and a quadruple survey
-for the rest.
+replaced, the matrix inverse by elimination that the frame-orbit
+permutations replaced as the test for a singular generator, exact
+Gaussian integers as (re, im) int pairs, the per-call form loops,
+per-pair law replay and echelon routine the two-group tables and row
+checks replaced, the `Fraction` alcove fold the integer fold replaced,
+the Coxeter number, and plain matrix powers, F2 ranks and a quadruple
+survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -23,7 +25,6 @@ from pathlib import Path
 
 from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
-from excmono.gaussint import Zi
 from excmono.linalg import mat_mul
 from excmono.obs import check
 from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
@@ -94,17 +95,45 @@ def quadruple_dim_survey(alg, limit: int):
     return dict(sorted(seen.items()))
 
 
+# ------------------------------------------- Gaussian integers as pairs
+
+def gauss_mul(x, y):
+    """The product of Gaussian integers given as (re, im) int pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def gauss_sum(zs):
+    """The sum of Gaussian integers given as (re, im) int pairs."""
+    re = im = 0
+    for z in zs:
+        re += z[0]
+        im += z[1]
+    return re, im
+
+
+def gauss_conj(z):
+    return z[0], -z[1]
+
+
+def i_power(k: int):
+    """i^k for k >= 0, by k multiplications of 1 by i."""
+    z = (1, 0)
+    for _ in range(k):
+        z = gauss_mul(z, (0, 1))
+    return z
+
+
 def irrep_matrix(ir, el: int):
     """The matrix of the odd irrep `ir` at the int element `el`, on its
-    coset basis."""
+    coset basis, with (re, im) pair entries."""
     tg = ir.group
     n = ir.dimension
-    out = [[Zi(0)] * n for _ in range(n)]
+    out = [[(0, 0)] * n for _ in range(n)]
     for v, rep in enumerate(ir.transversal):
         moved = tg.mul(el, rep)
         u_rep = _reduce_by(ir._m_pivots, moved & ((1 << tg.r) - 1))
         m = tg.mul(tg.inverse(u_rep), moved)
-        out[ir.transversal.index(u_rep)][v] = ir._m_character[m]
+        out[ir.transversal.index(u_rep)][v] = i_power(ir._m_character[m])
     return out
 
 
@@ -163,6 +192,28 @@ S4_GENS = [(1, 0, 2, 3), (1, 2, 3, 0)]
 
 # ------------------------------------------- groups by matrix products
 
+def matrix_inv(rep, a):
+    """The canonical form of the inverse of a flattened rep.n x rep.n
+    matrix over F_rep.p; ValueError if it is singular."""
+    n, p = rep.n, rep.p
+    aug = [[a[i * n + j] for j in range(n)]
+           + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
+        if piv is None:
+            raise ValueError("matrix not invertible")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        scale = pow(aug[col][col], p - 2, p)
+        aug[col] = [x * scale % p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p
+                          for x, y in zip(aug[r], aug[col])]
+    return rep.canon(tuple(aug[i][n + j]
+                           for i in range(n) for j in range(n)))
+
+
 def matrix_mul(rep, a, b):
     """The canonical form of the product a b of flattened rep.n x rep.n
     matrices over F_rep.p."""
@@ -217,7 +268,7 @@ class MatrixGroup:
         return matrix_mul(self.rep, a, b)
 
     def inv(self, a):
-        return self.rep.inv(a)
+        return matrix_inv(self.rep, a)
 
     def element_order(self, g) -> int:
         n, acc = 1, g

@@ -34,9 +34,9 @@ from excmono.a1lab import (
     _correlate,
     _extension_table,
 )
-from excmono.arith import is_prime, least_primitive_root
-from excmono.gaussint import Zi
+from excmono.arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from excmono.obs import CheckFailed
+from oracles import gauss_conj, gauss_mul, gauss_sum, i_power
 
 ACCEPT_PRIMES = [5, 13, 17, 29]
 
@@ -71,7 +71,7 @@ def fiber_sums(ctx, lam):
 class Fp2:
     """F_{p^2} = F_p(w) with w^2 = nu, the least non-residue by Euler's
     criterion; elements are pairs (a, b) = a + b*w.  chi is the F_p
-    character after the norm."""
+    character after the norm, as an (re, im) pair."""
 
     zero, one = (0, 0), (1, 0)
 
@@ -100,7 +100,8 @@ class Fp2:
         return (z[0] * n % self.p, -z[1] * n % self.p)
 
     def chi(self, z):
-        return self.base.chi(self.norm(z))
+        n = self.norm(z)
+        return i_power(self.base.index[n]) if n else (0, 0)
 
 
 def direct_extension_sum(ctx, lam):
@@ -109,25 +110,23 @@ def direct_extension_sum(ctx, lam):
     ext = Fp2(ctx.p)
     one, lam2 = ext.one, (lam % ctx.p, 0)
     bad = {ext.zero, one, ext.inv(lam2)}
-    out = Zi(0)
+    out = []
     for x in ext.elements():
         if x not in bad:
             # f = (lam*x - 1) / (lam * x * (x - 1))
             lx = ext.mul(lam2, x)
             den = ext.mul(lx, ext.sub(x, one))
-            out += ext.chi(ext.mul(ext.sub(lx, one), ext.inv(den)))
-    return out
+            out.append(ext.chi(ext.mul(ext.sub(lx, one), ext.inv(den))))
+    return gauss_sum(out)
 
 
 def naive_correlation(pairs, n):
     """sum over (x, y) of sum_a x[a] * conj(y[(a - l) % n]), in O(n^2)."""
-    units = (Zi(1), Zi(0, 1), Zi(-1), Zi(0, -1), Zi(0))
-    out = [Zi(0)] * n
-    for x, y in pairs:
-        for lam in range(n):
-            for a in range(n):
-                out[lam] += units[x[a]] * units[y[(a - lam) % n]].conj()
-    return out
+    units = [i_power(k) for k in range(4)] + [(0, 0)]
+    return [gauss_sum(gauss_mul(units[x[a]],
+                                gauss_conj(units[y[(a - lam) % n]]))
+                      for x, y in pairs for a in range(n))
+            for lam in range(n)]
 
 
 def naive_fiber_sizes(ctx, lam):
@@ -169,25 +168,35 @@ def test_least_primitive_root_lists_powers():
         assert least_primitive_root(p) == want, p
 
 
+def test_unit_tables_are_the_powers_of_i():
+    assert [(UNIT_RE[k], UNIT_IM[k]) for k in range(4)] == \
+        [i_power(k) for k in range(4)]
+    assert (UNIT_RE[4], UNIT_IM[4]) == (0, 0)  # chi(0) = 0
+
+
 @pytest.mark.parametrize("q", ACCEPT_PRIMES)
 def test_character_has_exact_order_four(q):
     ctx = FiniteFieldCtx(q)
     values = {}
     for z in range(1, ctx.p):
-        values.setdefault(ctx.chi(z), 0)
-        values[ctx.chi(z)] += 1
+        values.setdefault(i_power(ctx.index[z]), 0)
+        values[i_power(ctx.index[z])] += 1
     assert sorted(values.values()) == [(q - 1) // 4] * 4
-    assert set(values) == {Zi(1), Zi(-1), Zi(0, 1), Zi(0, -1)}
+    assert set(values) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert ctx.index[0] == 4
+    # the index is the discrete log to the generator, mod 4
+    for k in range(q - 1):
+        assert ctx.index[pow(ctx.generator, k, q)] == k % 4
     # chi^2 is the quadratic-residue character
     for z in range(1, ctx.p):
         euler = pow(z, (q - 1) // 2, q)
-        assert ctx.chi_pow(z, 2) == (Zi(1) if euler == 1 else Zi(-1))
+        assert i_power(2 * ctx.index[z]) == ((1, 0) if euler == 1 else (-1, 0))
 
 
 def test_conjugate_character_is_complex_conjugate():
     ctx = FiniteFieldCtx(13)
     for z in range(1, ctx.p):
-        assert ctx.chi_pow(z, 3) == ctx.chi(z).conj()
+        assert i_power(3 * ctx.index[z]) == gauss_conj(i_power(ctx.index[z]))
 
 
 def test_extension_field_arithmetic():
@@ -229,13 +238,13 @@ def test_lefschetz_identity_every_fiber(q):
     for lam in range(2, q):
         values = fiber_values(ctx, lam)
         t1, t2, t3 = trace_sums(ctx, values)
-        assert t3 == t1.conj()
-        assert t2.im == 0
+        assert t3 == gauss_conj(t1)
+        assert t2[1] == 0
         n = smooth_point_count(ctx, values)
-        assert n == q + 1 + (t1 + t2 + t3).re
+        assert n == q + 1 + gauss_sum((t1, t2, t3))[0]
         assert (n - q - 1) ** 2 <= 36 * q  # genus-3 Weil bound
         for t in (t1, t2, t3):
-            assert t.norm() <= 4 * q
+            assert gauss_mul(t, gauss_conj(t))[0] <= 4 * q
 
 
 @pytest.mark.parametrize("q,lam", [(5, 2), (5, 3), (13, 3), (17, 9), (29, 7)])
@@ -251,8 +260,9 @@ def test_fiber_sizes_match_character_sums(q, lam):
     values = naive_values(q, lam)
     for x, size in naive_fiber_sizes(ctx, lam).items():
         v = values[x]
-        char_sum = Zi(1) + ctx.chi(v) + ctx.chi_pow(v, 2) + ctx.chi_pow(v, 3)
-        assert char_sum.im == 0 and char_sum.re == size
+        k = ctx.index[v]
+        char_sum = gauss_sum(i_power(j * k) for j in range(4))
+        assert char_sum[1] == 0 and char_sum[0] == size
         assert size in (0, 4)
 
 
@@ -289,10 +299,10 @@ def test_legendre_crosscheck_every_fiber(q):
         # the double cover y^2 = f(x), by y-loops
         assert count == 4 + sum(1 for v in values for y in range(q)
                                 if y * y % q == v)
-        assert count == q + 1 + t2.re
-        assert t2.re * t2.re <= 4 * q  # Hasse bound, genus 1
+        assert count == q + 1 + t2[0]
+        assert t2[0] * t2[0] <= 4 * q  # Hasse bound, genus 1
         with pytest.raises(AssertionError, match="Legendre identity"):
-            legendre_crosscheck(ctx, values, t2 + Zi(2))
+            legendre_crosscheck(ctx, values, gauss_sum((t2, (2, 0))))
 
 
 # -------------------------------------------------------------------- sym2
@@ -309,7 +319,7 @@ def test_sym2_descent_every_fiber(q):
         # conjugate route by 2*t3 + 2, which is never 0
         t1, t2, t3 = sums
         with pytest.raises(CheckFailed, match="sym2-descent"):
-            sym2_trace(ctx, (t1, t2, t3 + Zi(2)), ext_sum)
+            sym2_trace(ctx, (t1, t2, gauss_sum((t3, (2, 0)))), ext_sum)
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -322,7 +332,7 @@ def test_eigenvalue_product_is_exactly_q(q):
         s = sym2_trace(ctx, sums, ext_sum)
         assert s == q
         t1, _, _ = sums
-        assert t1.im == 0
+        assert t1[1] == 0
 
 
 @pytest.mark.parametrize("q", [5, 13, 17])
@@ -334,7 +344,7 @@ def test_symmetric_square_trace(q):
         assert -q <= s <= 3 * q
         # with eigenvalue product q and real t1: a^2 + ab + b^2 = t1^2 - q
         t1, _, _ = sums
-        assert s == t1.re ** 2 - q
+        assert s == t1[0] ** 2 - q
 
 
 def test_symmetric_square_not_always_divisible():
@@ -374,8 +384,8 @@ def test_correlation_at_carry_boundaries(n, count, kx, ky):
     # digit width is sized for; 127 and 32767 = 7 * 4681 sit right under
     # the sign bit of a one- and a two-byte digit
     pairs = [([kx] * n, [ky] * n)] * count
-    want = naive_correlation(pairs[:1], n)[0] * count
-    assert _correlate(pairs, n, count) == [want] * n
+    re, im = naive_correlation(pairs[:1], n)[0]
+    assert _correlate(pairs, n, count) == [(re * count, im * count)] * n
 
 
 def test_correlation_rejects_too_many_pairs():
@@ -407,7 +417,7 @@ def test_extension_table_checks_character_order(q, z, shift):
     # a shifted entry (odd: nu may change; even: only the counts do)
     # breaks the exact order 4 of chi o Norm
     ctx = FiniteFieldCtx(q)
-    index = [4] + [ctx._chi_index(u) for u in range(1, q)]
+    index = list(ctx.index)
     assert _extension_table(index) == extension_sums(ctx)
     index[z] = (index[z] + shift) % 4
     with pytest.raises(AssertionError, match="exact order 4"):
@@ -510,12 +520,11 @@ _CORRUPT_SCAN = """
 import sys
 from excmono import a1lab
 from excmono.cli import main
-from excmono.gaussint import Zi
 from excmono.obs import CheckFailed
 real = a1lab._extension_table
 def corrupted(index):
     table = list(real(index))
-    table[5] = table[5] + Zi(0, {shift})
+    table[5] = (table[5][0], table[5][1] + {shift})
     return tuple(table)
 a1lab._extension_table = corrupted
 sys.exit(main(["a1", "--primes", "13"]))

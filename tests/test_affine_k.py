@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from excmono import obs
+from excmono import affine_k, obs
 from excmono.affine_k import (
     _fold_half_rho_vee,
     k_fundamental_quotient,
@@ -131,6 +131,35 @@ def test_removed_node_positions():
 def test_removed_node_not_applicable(label):
     with pytest.raises(ValueError):
         removed_node_coefficient(root_system(label))
+
+
+def test_deleted_node_is_the_single_kept_affine_case():
+    # None for the labels whose K has a torus factor, the removed node
+    # otherwise; the K-type row asks for a coefficient only where it is set
+    for label in K_TYPE_TABLE:
+        sub = phi_k(root_system(label))
+        if label in ("A1", "B2", "C2", "C3", "C4", "C5"):
+            assert sub.deleted_node is None, label
+        else:
+            assert sub.removed_nodes == (sub.deleted_node,), label
+            assert sub.affine_node_used, label
+
+
+def test_k_type_row_asks_only_where_a_node_is_deleted(monkeypatch):
+    asked = []
+    real = affine_k.removed_node_coefficient
+
+    def recording(rs):
+        asked.append(rs.label)
+        return real(rs)
+
+    monkeypatch.setattr(affine_k, "removed_node_coefficient", recording)
+    rows = {label: k_type_row(label) for label in sorted(K_TYPE_TABLE)}
+    assert asked == [label for label in sorted(K_TYPE_TABLE)
+                     if phi_k(root_system(label)).deleted_node is not None]
+    assert {label for label, row in rows.items()
+            if row["c_alpha_prime"] is None} == {
+                "A1", "B2", "C2", "C3", "C4", "C5"}
 
 
 @pytest.mark.parametrize("label", ["D3", "D5", "D7"])

@@ -61,9 +61,13 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_csv_only_for_a1(capsys):
-    code, out, err = run_cli(capsys, "k-type", "E8", "--format", "csv")
-    assert code == 2
-    assert "only available for the a1 table" in err
+    # --format belongs to the a1 subcommand alone, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["k-type", "E8", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err
 
 
 def test_atilde_summary(capsys):

@@ -1,5 +1,6 @@
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,53 @@ def test_src_checks_only_through_obs():
              for path in sorted(SRC.glob("*.py"))
              for line, what in _offences(path)}
     assert found == {}
+
+
+def _names(node) -> Counter:
+    """How often each name is read as a Name or an Attribute in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced(paths) -> list:
+    """Functions, methods and classes defined in `paths` whose name is read
+    as a Name or an Attribute nowhere in `paths` outside the definition
+    itself, as module.Qualified.name; dunder methods are exempt."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in paths}
+    total = sum((_names(tree) for tree in trees.values()), Counter())
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = child.name
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and total[name] == _names(child)[name]:
+                out.append(prefix + name)
+            visit(child, f"{prefix}{name}.")
+
+    for stem, tree in trees.items():
+        visit(tree, f"{stem}.")
+    return out
+
+
+def test_dead_definition_scan_sees_each_offence(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class A:\n"
+                   "    def used(self):\n        return 1\n"
+                   "    def recursive(self):\n        return self.recursive()\n"
+                   "    def __len__(self):\n        return 0\n"
+                   "def f():\n    return A().used()\n")
+    assert _unreferenced([mod]) == ["mod.A.recursive", "mod.f"]
+
+
+def test_every_src_definition_is_referenced():
+    assert _unreferenced(sorted(SRC.glob("*.py"))) == []
 
 
 def test_every_detail_formats_with_its_arguments():

@@ -23,6 +23,7 @@ from oracles import (
     MatrixGroup,
     cycle_type,
     lex_least_multiple,
+    matrix_inv,
     matrix_mul,
     matrix_pgl2,
     matrix_psl2,
@@ -129,13 +130,45 @@ def test_matrix_rep_inverse_roundtrip():
     rep = MatrixRep(7, 2)
     mats = [(1, 1, 0, 1), (2, 3, 1, 2), (0, 6, 1, 0), (3, 1, 5, 2)]
     for m in mats:
-        assert matrix_mul(rep, m, rep.inv(m)) == (1, 0, 0, 1)
+        assert matrix_mul(rep, m, matrix_inv(rep, m)) == (1, 0, 0, 1)
 
 
 def test_matrix_rep_rejects_singular():
     rep = MatrixRep(5, 2)
     with pytest.raises(ValueError, match="not invertible"):
-        rep.inv((1, 2, 2, 4))
+        matrix_inv(rep, (1, 2, 2, 4))
+    with pytest.raises(ValueError, match="generator 1 is singular mod 5"):
+        rep.permutations([(1, 1, 0, 1), (1, 2, 2, 4)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("projective", [False, True])
+def test_permutation_image_decides_invertibility(p, projective):
+    # a matrix is invertible exactly when its image on the frame orbit is
+    # a permutation: seeded random matrices, singular ones included, and
+    # the inverse by elimination as the oracle
+    rng = random.Random(p * 2 + projective)
+    compared = singular = 0
+    for n in (1, 2, 3):
+        rep = MatrixRep(p, n, scalars=range(1, p) if projective else None)
+        for _ in range(60):
+            m = tuple(rng.choice((0, 0, *range(p))) for _ in range(n * n))
+            try:
+                matrix_inv(rep, m)
+                invertible = True
+            except ValueError:
+                invertible = False
+            try:
+                rep.permutations([m])
+                permutes = True
+            except ValueError:
+                permutes = False
+            except OverflowError:   # an orbit over MAX_POINTS decides nothing
+                continue
+            assert permutes == invertible, (p, n, projective, m)
+            compared += 1
+            singular += not invertible
+    assert compared >= 170 and 20 <= singular <= compared - 20, singular
 
 
 def test_matrix_rep_rejects_composite_modulus():
@@ -353,7 +386,7 @@ def test_singleton_classes_in_cyclic_group():
 # ----------------------------------------------------------- toy fixture
 
 def test_predicted_triple_pgl2_f5_frozen():
-    r = predicted_triple("pgl2", 5)
+    r = predicted_triple(5)
     assert r.group_order == 120 and r.center_order == 1
     assert r.class_sizes == (15, 24, 24)
     assert r.solution_count == 120
@@ -366,26 +399,25 @@ def test_predicted_triple_pgl2_f5_frozen():
 def test_predicted_triple_empty_when_minus_one_not_square():
     # tr(g0 g1)^2 = -4 must be solvable, so ell = 3 mod 4 gives nothing
     for ell in (3, 7):
-        r = predicted_triple("pgl2", ell)
+        r = predicted_triple(ell)
         assert r.solution_count == 0
         assert not r.strictly_rigid
 
 
 def test_predicted_triple_unsupported_instances():
-    for kind, ell in [("g2", 3), ("pgl2", 4), ("pgl2", 17),
-                      ("psl3", 5)]:
+    for ell in (4, 17):
         with pytest.raises(ValueError, match="supported: pgl2"):
-            predicted_triple(kind, ell)
+            predicted_triple(ell)
 
 
 def test_predicted_triple_unipotent_class_size():
-    r = predicted_triple("pgl2", 7)
+    r = predicted_triple(7)
     assert r.class_sizes[1] == 7 * 7 - 1
     assert r.class_labels[1] == r.class_labels[2]
 
 
 def test_report_json_shape():
-    r = predicted_triple("pgl2", 5)
+    r = predicted_triple(5)
     d = r.json_dict()
     assert d["solution_count"] == 120
     assert d["normalized_count"] == [1, 1]
