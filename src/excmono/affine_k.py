@@ -13,10 +13,9 @@ coefficient in theta-vee is 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .linalg import gf2_nullspace, smith_normal_form
-from .obs import check
+from .obs import check, memo
 from .rootsys import RootSystem, root_system
 
 
@@ -186,7 +185,7 @@ def _component_label(a, norms, comp) -> str:
     return label
 
 
-@lru_cache(maxsize=None)
+@memo
 def phi_k(rs: RootSystem) -> SubRootSystem:
     """Roots of the symmetric subgroup: the even-height part of the system."""
     if not rs.minus_one_in_weyl():
@@ -289,7 +288,7 @@ class KappaCharacter:
         return -1 if acc % 2 else 1
 
 
-@lru_cache(maxsize=None)
+@memo
 def kappa_character(rs: RootSystem) -> KappaCharacter:
     return KappaCharacter(rs)
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .affine_k import kappa_character
 from .linalg import integer_rank
-from .obs import check
+from .obs import check, memo
 from .rootsys import RootSystem, root_system
 
 SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
@@ -195,7 +194,7 @@ def _integral(val: Fraction, a, b) -> int:
     return int(val)
 
 
-@lru_cache(maxsize=None)
+@memo
 def build_algebra(label: str) -> ChevalleyAlgebra:
     rs = root_system(label)
     ok = (rs.label == "A1" or rs.letter in ("E", "G")

@@ -17,34 +17,24 @@ import sys
 from time import perf_counter
 
 from . import __version__, obs
-from .a1lab import render_csv, scan
-from .affine_k import k_type_row
-from .arith import is_prime
-from .chevalley import build_algebra, local_dims, quasiminuscule_dims
-from .rigidity import (
-    DEFAULT_CAP,
-    FiniteGroup,
-    MatrixRep,
-    predicted_triple,
-    psl2_group,
-    triple_count,
-)
-from .rootsys import root_system
-from .twogroup import build_tilde_group, odd_irreps
-from .verify import K_TYPE_TABLE, QM_EXPECT, clear_caches, jacobi_probe, run_all
 
 
 def _cmd_roots(args):
+    from .rootsys import root_system
     return root_system(args.label).json_dict()
 
 
 def _cmd_k_type(args):
+    from .affine_k import k_type_row
+    from .verify import K_TYPE_TABLE
     labels = sorted(K_TYPE_TABLE) if args.label == "all" else [args.label]
     rows = [k_type_row(label) for label in labels]
     return rows[0] if len(rows) == 1 else rows
 
 
 def _cmd_atilde(args):
+    from .rootsys import root_system
+    from .twogroup import build_tilde_group, odd_irreps
     rs = root_system(args.label)
     tg = build_tilde_group(rs)   # construction verifies both group laws
     factors, name = tg.center_structure()
@@ -62,6 +52,9 @@ def _cmd_atilde(args):
 
 
 def _cmd_monodromy(args):
+    from .chevalley import build_algebra, local_dims, quasiminuscule_dims
+    from .rootsys import root_system
+    from .verify import QM_EXPECT, jacobi_probe
     if args.samples < 0:
         raise ValueError(f"--samples {args.samples} is negative")
     label = args.label
@@ -91,6 +84,7 @@ def _cmd_monodromy(args):
 
 
 def _cmd_a1(args):
+    from .a1lab import render_csv, scan
     primes = [int(x) for x in args.primes.split(",") if x]
     if not primes:
         raise ValueError("--primes lists no prime")
@@ -107,9 +101,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_file_group(path: str) -> FiniteGroup:
-    """The group of a `file:` input; ValueError unless its shape is right
-    and every generator is invertible."""
+def _load_file_group(path: str):
+    """The `FiniteGroup` of a `file:` input; ValueError unless its shape
+    is right and every generator is invertible."""
+    from .arith import is_prime
+    from .rigidity import DEFAULT_CAP, FiniteGroup, MatrixRep
     with open(path) as fh:
         blob = json.load(fh)
     if not isinstance(blob, dict):
@@ -146,7 +142,7 @@ def _load_file_group(path: str) -> FiniteGroup:
     return FiniteGroup(rep.permutations(gens), cap=cap)
 
 
-def _group_summary(group: FiniteGroup) -> dict:
+def _group_summary(group) -> dict:
     return {
         "order": group.order,
         "center_order": len(group.center),
@@ -156,6 +152,7 @@ def _group_summary(group: FiniteGroup) -> dict:
 
 
 def _cmd_rigid(args):
+    from .rigidity import predicted_triple, psl2_group, triple_count
     if args.group == "pgl2":
         return predicted_triple(args.ell).json_dict()
     if args.group == "psl2":
@@ -178,6 +175,7 @@ def _cmd_rigid(args):
 
 
 def _cmd_verify_all(args):
+    from .verify import run_all
     results = run_all(seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -263,7 +261,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # the checks of this command alone, run from cold caches
     obs.reset()
-    clear_caches()
     t0 = perf_counter()
     try:
         result = args.fn(args)

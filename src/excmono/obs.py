@@ -3,13 +3,16 @@
 `check` is a plain call, not an `assert`, so it runs under `python -O`;
 its detail is formatted only when the check fails.  `verdict` records an
 outcome that a command reports without requiring it.  Every CLI manifest
-lists `runs()`.
+lists `runs()`.  `memo` is the one cache mechanism: `reset` empties the
+counts and every `memo` cache, so a command's checks all run again.
 """
 
 from collections import defaultdict
+from functools import lru_cache
 
 _runs = defaultdict(int)
 _failed = set()
+_caches = []
 
 
 class CheckFailed(AssertionError):
@@ -31,9 +34,27 @@ def verdict(name: str, passed: bool) -> None:
         _failed.add(name)
 
 
+def memo(fn):
+    """`fn` in an unbounded `lru_cache`, registered for `clear_caches`.
+
+    The cache object itself is returned and registered, so a wrapper put
+    later around a module attribute (a tracer, a test patch) cannot hide
+    it from `clear_caches`."""
+    cached = lru_cache(maxsize=None)(fn)
+    _caches.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every `memo` cache, so the next call recomputes."""
+    for cached in _caches:
+        cached.cache_clear()
+
+
 def reset() -> None:
     _runs.clear()
     _failed.clear()
+    clear_caches()
 
 
 def runs() -> list:

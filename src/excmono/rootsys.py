@@ -12,9 +12,7 @@ type G2).  ``form_gram`` is its Gram matrix in the simple-coroot basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .obs import check
+from .obs import check, memo
 
 SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -289,6 +287,6 @@ def _cartan_data(letter: str, rank: int):
     raise ValueError(letter)
 
 
-@lru_cache(maxsize=None)
+@memo
 def root_system(label: str) -> RootSystem:
     return RootSystem(label)

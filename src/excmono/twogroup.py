@@ -30,11 +30,10 @@ and `arith.UNIT_IM`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
-from .obs import check
+from .obs import check, memo
 from .rootsys import RootSystem
 
 
@@ -171,7 +170,7 @@ class TildeGroup:
         return factors, " x ".join(label_parts)
 
 
-@lru_cache(maxsize=None)
+@memo
 def build_tilde_group(rs: RootSystem) -> TildeGroup:
     return TildeGroup(rs)
 

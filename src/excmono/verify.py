@@ -1,7 +1,7 @@
 """The full check suite behind `excmono verify-all`.
 
 Each criterion function recomputes its claim from scratch (no shared
-state beyond the module-level caches), checks it through `obs.check`,
+state beyond the `obs.memo` caches), checks it through `obs.check`,
 which raises CheckFailed on the first identity that fails, and returns
 its details, a JSON-ready dict with deterministic key order.  Timing
 never enters the details, so rendered manifests are byte-stable.
@@ -15,16 +15,11 @@ from dataclasses import dataclass
 from operator import mul
 from time import perf_counter
 
-from .a1lab import _context, scan
-from .affine_k import (
-    k_fundamental_quotient,
-    k_type_row,
-    kappa_character,
-    phi_k,
-    removed_node_coefficient,
-)
+from .a1lab import scan
+from .affine_k import (k_fundamental_quotient, k_type_row,
+                       removed_node_coefficient)
 from .chevalley import build_algebra, local_dims, quasiminuscule_dims
-from .obs import check
+from .obs import check, clear_caches
 from .rootsys import root_system
 from .rigidity import predicted_triple, psl2_group, triple_count
 from .twogroup import build_tilde_group, odd_irreps, odd_sets
@@ -246,18 +241,6 @@ def criterion_rigidity(seed=0):
     return {"hurwitz": hurwitz.json_dict(),
                 "representative_invariance": invariant,
                 "pgl2_fixtures": fixtures}
-
-
-# the memoized builders themselves, bound at import: a wrapper put later
-# around a module attribute (a tracer, a test patch) has no cache_clear
-_MEMOIZED = (root_system, phi_k, kappa_character, build_tilde_group,
-             build_algebra, _context)
-
-
-def clear_caches() -> None:
-    """Empty every module-level cache, so the next call recomputes."""
-    for fn in _MEMOIZED:
-        fn.cache_clear()
 
 
 def criterion_determinism(seed=0):

@@ -17,9 +17,10 @@ from pathlib import Path
 import pytest
 
 import excmono
-from excmono import a1lab
+from excmono import a1lab, obs
 from excmono.a1lab import (
     CSV_HEADER,
+    MAX_Q,
     FiniteFieldCtx,
     compute_record,
     extension_sums,
@@ -31,6 +32,7 @@ from excmono.a1lab import (
     sym2_symmetric_trace,
     sym2_trace,
     trace_sums,
+    _context,
     _correlate,
     _extension_table,
 )
@@ -509,6 +511,15 @@ def test_scan_rejects_bad_primes():
     for bad in ([7], [9], [4], [5, 11]):
         with pytest.raises(ValueError):
             scan(bad)
+
+
+def test_scan_refuses_q_over_the_bound_before_any_context():
+    assert is_prime(1021) and 1021 % 4 == 1 and 1021 <= MAX_Q < 1033
+    obs.clear_caches()
+    for bad in ([1033], [5, 1033], [1033, 5], [10 ** 18 + 9]):
+        with pytest.raises(ValueError, match=f"bound MAX_Q = {MAX_Q}"):
+            scan(bad)
+        assert _context.cache_info().currsize == 0
 
 
 # Under -O no assert statement runs; every identity must still be checked.

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from excmono import verify
+from excmono import obs, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
     build_algebra,
@@ -38,7 +38,7 @@ def timed(fn, **kw):
 
 
 def test_criterion_1_k_type_table():
-    verify.clear_caches()
+    obs.clear_caches()
     details, dt = timed(verify.criterion_k_type_table)
     assert report(1, "k-type table", True, dt, 0.5), details
 
@@ -49,22 +49,22 @@ def test_criterion_2_lattice_quotients():
 
 
 def test_criterion_3_tilde_laws():
-    verify.clear_caches()
+    obs.clear_caches()
     details, dt = timed(verify.criterion_tilde_laws)
     assert report(3, "two-group laws and radical", True, dt, 1.0), details
 
 
 def test_criterion_4_center_table():
-    verify.clear_caches()
+    obs.clear_caches()
     details, dt = timed(verify.criterion_center_table)
     assert report(4, "center table and odd irreps", True, dt, 2.0), details
 
 
 def test_criterion_5_chevalley():
-    verify.clear_caches()
+    obs.clear_caches()
     details, crit_dt = timed(verify.criterion_chevalley)
     # the E8 values again, from a cold cache, on their own budget
-    verify.clear_caches()
+    obs.clear_caches()
     t0 = time.perf_counter()
     alg = build_algebra("E8")
     rs = root_system("E8")
@@ -85,7 +85,7 @@ def test_criterion_6_quasiminuscule():
 
 
 def test_criterion_7_a1_lab():
-    verify.clear_caches()
+    obs.clear_caches()
     details, dt = timed(verify.criterion_a1_lab)
     assert report(7, "quartic trace lab", True, dt, 30.0), details
 
@@ -122,7 +122,7 @@ def test_in_process_determinism_recomputes(monkeypatch):
     probes = (verify.criterion_k_type_table,
               verify.criterion_lattice_quotients,
               verify.criterion_quasiminuscule)
-    verify.clear_caches()
+    obs.clear_caches()
     for fn in probes:
         fn()
     cold = len(builds)

@@ -179,7 +179,6 @@ def test_integer_fold_matches_fraction_oracle(label):
     # the kept pairings are the pairings of the folded point
     assert p == [rs.pair(rs.simple_roots[i], y) for i in range(rs.rank)]
     obs.reset()
-    phi_k.cache_clear()
     sub = phi_k(rs)
     phi_k(rs)  # cached: no second build
     runs = {e["name"]: e["runs"] for e in obs.runs()}

@@ -150,6 +150,17 @@ def test_a1_bad_prime_is_usage_error(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def test_a1_prime_over_the_bound_is_refused_quickly(capsys):
+    # 1033 is a prime = 1 mod 4 just above MAX_Q; its scan would take 7 s
+    for primes in ("1033", "5,1033"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "a1", "--primes", primes)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: 1033 is above the bound MAX_Q = 1024 " \
+            "on the a1 prime\n", err
+
+
 def test_rigid_pgl2_fixture(capsys):
     code, doc, _ = run_json(capsys, "rigid", "--group", "pgl2", "--ell", "5")
     assert code == 0

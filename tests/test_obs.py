@@ -9,7 +9,7 @@ from string import Formatter
 import pytest
 
 import excmono
-from excmono import obs
+from excmono import obs, rootsys
 from excmono.cli import main
 from excmono.obs import CheckFailed, check
 
@@ -52,6 +52,80 @@ def test_detail_is_formatted_only_on_failure():
         check("lazy", False, "value {}", Loud())
     assert Loud.formatted == 1
     obs.reset()
+
+
+def test_memo_registers_its_cache(monkeypatch):
+    monkeypatch.setattr(obs, "_caches", [])
+    calls = []
+
+    @obs.memo
+    def square(n):
+        calls.append(n)
+        return n * n
+
+    assert obs._caches == [square]
+    assert square(3) == square(3) == 9 and calls == [3]
+    assert square.cache_info().hits == 1
+    obs.clear_caches()
+    assert square(3) == 9 and calls == [3, 3]
+
+
+def test_reset_recomputes_a_memoized_builder():
+    obs.reset()
+    first = rootsys.root_system("B3")
+    built = obs.runs()
+    assert built
+    assert rootsys.root_system("B3") is first and obs.runs() == built
+    obs.reset()
+    assert obs.runs() == []
+    assert rootsys.root_system("B3") is not first
+    assert obs.runs() == built
+
+
+def test_reset_empties_the_cache_behind_a_patched_attribute(monkeypatch):
+    # a tracer or a test may replace the module attribute with a plain
+    # wrapper that has no cache_clear; reset must still reach the cache
+    real = rootsys.root_system
+    monkeypatch.setattr(rootsys, "root_system", lambda label: real(label))
+    obs.reset()
+    first = rootsys.root_system("B3")
+    assert real.cache_info().currsize == 1
+    obs.reset()
+    assert real.cache_info().currsize == 0
+    assert rootsys.root_system("B3") is not first
+    assert obs.runs()
+
+
+def _cache_offences(path):
+    """Line numbers where a name `lru_cache` or `cache_clear` is read,
+    imported or defined in one source file."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            names = [getattr(node, attr, None)
+                     for attr in ("id", "attr", "name", "arg")]
+        if {"lru_cache", "cache_clear"} & set(names):
+            out.append(node.lineno)
+    return out
+
+
+def test_cache_scan_sees_each_offence(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import functools\nfrom functools import lru_cache\n"
+                   "@functools.lru_cache(maxsize=None)\ndef f():\n"
+                   "    return 1\nf.cache_clear()\n")
+    assert sorted(set(_cache_offences(bad))) == [2, 3, 6]
+
+
+def test_every_cache_is_an_obs_memo():
+    found = {f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "obs.py"
+             for line in _cache_offences(path)}
+    assert found == set()
+    assert _cache_offences(SRC / "obs.py")   # the scan reads the real tree
 
 
 def _offences(path):
@@ -162,6 +236,8 @@ FRESH_COMMANDS = [
     ["monodromy", "G2", "--samples", "20"],
     ["k-type", "all"],
     ["rigid", "--group", "psl2", "--ell", "7", "--classes", "2A,3A,7A"],
+    ["a1", "--primes", "5,13", "--format", "csv"],
+    ["verify-all"],
 ]
 
 
@@ -176,3 +252,27 @@ def test_in_process_manifest_equals_fresh_process(capsys, argv):
     for _ in range(2):
         assert main(argv) == 0
         assert capsys.readouterr().out == fresh.stdout
+
+
+# `cli.main` in a fresh interpreter, then the excmono modules it loaded
+_LOADED = """
+import sys
+from excmono.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("excmono")))
+"""
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["a1", "--primes", "5,13"], "excmono.a1lab"),
+    (["roots", "A1"], "excmono.rootsys"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_subcommand_imports_only_its_own_layer(argv, layer):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0" and layer in loaded
+    assert not {"excmono.rigidity", "excmono.chevalley", "excmono.twogroup",
+                "excmono.verify"} & set(loaded), loaded
