@@ -60,7 +60,8 @@ def _fold_half_rho_vee(rs: RootSystem):
 
     Runs on y = 4x, which starts at 2 rho-vee and stays integral, and
     keeps the pairings p_i = <alpha_i, y> so that a simple reflection
-    costs O(r).  Returns (y, p); the alcove is p_i >= 0 and <theta, y> <= 4.
+    costs O(r).  Returns (y, p, theta), theta the highest root; the
+    alcove is p_i >= 0 and <theta, y> <= 4.
     """
     r = rs.rank
     a = rs.cartan
@@ -93,7 +94,7 @@ def _fold_half_rho_vee(rs: RootSystem):
             break
     check("alcove-folding-terminates", not moved,
           "alcove folding failed to terminate")
-    return y, p
+    return y, p, theta
 
 
 def _simple_system(positive_members):
@@ -195,8 +196,7 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     pos = [t for t in member_roots if sum(t) > 0]
     simple_members = _simple_system(pos)
 
-    y, p = _fold_half_rho_vee(rs)
-    theta, _, _ = rs.highest_root()
+    y, p, theta = _fold_half_rho_vee(rs)
     kept = [i for i in range(rs.rank) if p[i] == 0]
     affine = rs.pair(theta, y) == 4
     delta_k = tuple(rs.simple_roots[i] for i in kept)

@@ -174,8 +174,9 @@ def test_odd_d_rejected(label):
 def test_integer_fold_matches_fraction_oracle(label):
     rs = root_system(label)
     x = fraction_fold(rs)
-    y, p = _fold_half_rho_vee(rs)
+    y, p, theta = _fold_half_rho_vee(rs)
     assert y == [4 * c for c in x]
+    assert theta == rs.highest_root()[0]
     # the kept pairings are the pairings of the folded point
     assert p == [rs.pair(rs.simple_roots[i], y) for i in range(rs.rank)]
     obs.reset()
@@ -183,10 +184,11 @@ def test_integer_fold_matches_fraction_oracle(label):
     phi_k(rs)  # cached: no second build
     runs = {e["name"]: e["runs"] for e in obs.runs()}
     assert runs["alcove-folding-terminates"] == 1
+    # theta comes from the fold: one highest_root call, r maximality checks
+    assert runs["highest-root-maximal"] == rs.rank
     kept = [i for i in range(rs.rank) if rs.pair(rs.simple_roots[i], x) == 0]
     assert sub.removed_nodes == tuple(i for i in range(rs.rank)
                                       if i not in kept)
-    theta, _, _ = rs.highest_root()
     assert sub.affine_node_used == (rs.pair(theta, x) == 1)
 
 
