@@ -54,22 +54,6 @@ def test_detail_is_formatted_only_on_failure():
     obs.reset()
 
 
-def test_memo_registers_its_cache(monkeypatch):
-    monkeypatch.setattr(obs, "_caches", [])
-    calls = []
-
-    @obs.memo
-    def square(n):
-        calls.append(n)
-        return n * n
-
-    assert obs._caches == [square]
-    assert square(3) == square(3) == 9 and calls == [3]
-    assert square.cache_info().hits == 1
-    obs.clear_caches()
-    assert square(3) == 9 and calls == [3, 3]
-
-
 def test_reset_recomputes_a_memoized_builder():
     obs.reset()
     first = rootsys.root_system("B3")
@@ -94,38 +78,6 @@ def test_reset_empties_the_cache_behind_a_patched_attribute(monkeypatch):
     assert real.cache_info().currsize == 0
     assert rootsys.root_system("B3") is not first
     assert obs.runs()
-
-
-def _cache_offences(path):
-    """Line numbers where a name `lru_cache` or `cache_clear` is read,
-    imported or defined in one source file."""
-    tree = ast.parse(path.read_text(), str(path))
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
-        else:
-            names = [getattr(node, attr, None)
-                     for attr in ("id", "attr", "name", "arg")]
-        if {"lru_cache", "cache_clear"} & set(names):
-            out.append(node.lineno)
-    return out
-
-
-def test_cache_scan_sees_each_offence(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import functools\nfrom functools import lru_cache\n"
-                   "@functools.lru_cache(maxsize=None)\ndef f():\n"
-                   "    return 1\nf.cache_clear()\n")
-    assert sorted(set(_cache_offences(bad))) == [2, 3, 6]
-
-
-def test_every_cache_is_an_obs_memo():
-    found = {f"{path.name}:{line}"
-             for path in sorted(SRC.glob("*.py")) if path.name != "obs.py"
-             for line in _cache_offences(path)}
-    assert found == set()
-    assert _cache_offences(SRC / "obs.py")   # the scan reads the real tree
 
 
 def _offences(path):
@@ -208,6 +160,38 @@ def test_dead_definition_scan_sees_each_offence(tmp_path):
 
 def test_every_src_definition_is_referenced():
     assert _unreferenced(sorted(SRC.glob("*.py"))) == []
+
+
+def _cache_offences(path):
+    """Line numbers where a name `lru_cache` or `cache_clear` is read,
+    imported or defined in one source file."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        else:
+            names = [getattr(node, attr, None)
+                     for attr in ("id", "attr", "name", "arg")]
+        if {"lru_cache", "cache_clear"} & set(names):
+            out.append(node.lineno)
+    return out
+
+
+def test_cache_scan_sees_each_offence(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import functools\nfrom functools import lru_cache\n"
+                   "@functools.lru_cache(maxsize=None)\ndef f():\n"
+                   "    return 1\nf.cache_clear()\n")
+    assert sorted(set(_cache_offences(bad))) == [2, 3, 6]
+
+
+def test_every_cache_is_an_obs_memo():
+    found = {f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "obs.py"
+             for line in _cache_offences(path)}
+    assert found == set()
+    assert _cache_offences(SRC / "obs.py")   # the scan reads the real tree
 
 
 def test_every_detail_formats_with_its_arguments():
