@@ -13,6 +13,7 @@ coefficient in theta-vee is 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import gf2_nullspace, smith_normal_form
 from .obs import check, memo
@@ -112,9 +113,11 @@ def _simple_system(positive_members):
 def _classify_components(rs: RootSystem, simple_roots):
     """Cartan labels of the simple system, canonically ordered."""
     k = len(simple_roots)
-    coroots = [rs.coroot_of[b] for b in simple_roots]
-    a = [[rs.pair(simple_roots[i], coroots[j]) for j in range(k)] for i in range(k)]
-    norms = [rs.coroot_norm(c) for c in coroots]
+    # <b_i, b_j-vee> = sum over l of b_i[l] <alpha_l, b_j-vee>
+    cols = [rs.copairing_of[b] for b in simple_roots]
+    a = [[sum(map(mul, simple_roots[i], cols[j])) for j in range(k)]
+         for i in range(k)]
+    norms = [rs.norm_of[b] for b in simple_roots]
     comps = []
     seen = set()
     for s in range(k):
@@ -198,7 +201,7 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
 
     y, p, theta = _fold_half_rho_vee(rs)
     kept = [i for i in range(rs.rank) if p[i] == 0]
-    affine = rs.pair(theta, y) == 4
+    affine = sum(map(mul, rs.pairing_of[theta], y)) == 4   # <theta, y>
     delta_k = tuple(rs.simple_roots[i] for i in kept)
     if affine:
         delta_k = delta_k + (tuple(-v for v in theta),)

@@ -9,12 +9,21 @@ elimination.
 
 The supported types are the self-dual ones, so the "dual" system differs
 from the input only for G2, where roots and coroots trade places.
+
+Brackets run on root positions: root p is ``roots[p]``, with basis index
+rank + p, and since the roots are sorted by (height, coordinates) that
+order is p < q.  Each root is also one int key, its coordinates as signed
+base-32 digits.  Root coordinates lie in [-6, 6], so a sum of two roots
+has digits in [-12, 12]; a balanced base-32 digit string with digits in
+(-16, 16) has only one value, so key[p] + key[q] is a root's key exactly
+when that root is roots[p] + roots[q].  Every lookup is of such a sum (a
+difference is a sum with the negated root): one int add, one dict get.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .affine_k import kappa_character
 from .linalg import integer_rank
@@ -25,18 +34,6 @@ SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_neg(a):
-    return tuple(-x for x in a)
-
-
 class ChevalleyAlgebra:
     """Basis: h_0..h_{r-1} (simple coroots), then e_alpha per root."""
 
@@ -44,99 +41,111 @@ class ChevalleyAlgebra:
         self.rs = rs_dual
         self.rank = rs_dual.rank
         self.roots = list(rs_dual.roots)
-        self.root_set = set(self.roots)
         self.dim = self.rank + len(self.roots)
         self.index = {a: self.rank + i for i, a in enumerate(self.roots)}
-        self._order = {a: (sum(a), a) for a in self.roots}
+        self.key = [sum(v << 5 * k for k, v in enumerate(a)) for a in self.roots]
+        self._pos = {key: p for p, key in enumerate(self.key)}
+        self.neg = [self._pos[-key] for key in self.key]
+        self.height = [sum(a) for a in self.roots]
+        self.norm_of = [rs_dual.norm_of[a] for a in self.roots]
+        self._coroots = [rs_dual.coroot_of[a] for a in self.roots]
         # <root, alpha_i-vee> for every i, one tuple per root, in root order
-        r, cartan = self.rank, rs_dual.cartan
-        self._pairings = [
-            tuple(sum(a[k] * cartan[k][i] for k in range(r)) for i in range(r))
-            for a in self.roots]
+        self._pairings = [rs_dual.pairing_of[a] for a in self.roots]
         self._extraspecial = self._extraspecial_pairs()
         self._ncache = {}
+
+    def root_sum(self, p: int, q: int):
+        """Position of roots[p] + roots[q], or None if it is not a root."""
+        return self._pos.get(self.key[p] + self.key[q])
 
     # ---------------------------------------------------- structure constants
 
     def _extraspecial_pairs(self):
-        """gamma -> (a1, b1): the minimal-first decomposition of each
-        positive non-simple root into two positives."""
+        """gamma -> (a1, b1), as positions: the minimal-first decomposition
+        of each positive non-simple root into two positives."""
         out = {}
-        positives = sorted((a for a in self.roots if sum(a) > 0),
-                           key=lambda a: (sum(a), a))
-        pos_set = set(positives)
+        height, neg = self.height, self.neg
+        positives = [p for p, h in enumerate(height) if h > 0]
         for gamma in positives:
-            if sum(gamma) == 1:
+            if height[gamma] == 1:
                 continue
             best = None
             for a in positives:
-                if sum(a) >= sum(gamma):
+                if height[a] >= height[gamma]:
                     break
-                b = _vec_sub(gamma, a)
-                if b in pos_set:
+                b = self.root_sum(gamma, neg[a])
+                if b is not None and height[b] > 0:
                     best = (a, b)
                     break
             check("extraspecial-pair-found", best is not None,
-                  "no decomposition for {}", gamma)
+                  "no decomposition for {}", self.roots[gamma])
             out[gamma] = best
         return out
 
-    def _string_p(self, a, b) -> int:
-        """max p with b - p*a a root."""
+    def _string_p(self, a: int, b: int) -> int:
+        """max p with roots[b] - p*roots[a] a root."""
         p = 0
-        cur = _vec_sub(b, a)
-        while cur in self.root_set:
+        cur = self.root_sum(b, self.neg[a])
+        while cur is not None:
             p += 1
-            cur = _vec_sub(cur, a)
+            cur = self.root_sum(cur, self.neg[a])
         return p
 
-    def structure_constant(self, a, b) -> int:
-        """N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}; 0 if a+b is not a root."""
-        s = _vec_add(a, b)
-        if not any(s):
-            raise ValueError("a + b = 0 has an h-valued bracket, not an N")
-        if s not in self.root_set:
+    def structure_constant(self, a: int, b: int) -> int:
+        """N(a, b) with [e_a, e_b] = N(a, b) e_{a+b} for root positions a
+        and b; 0 if a+b is not a root."""
+        total = self.key[a] + self.key[b]
+        s = self._pos.get(total)
+        if s is None:
+            if not total:
+                raise ValueError("a + b = 0 has an h-valued bracket, not an N")
             return 0
         key = (a, b)
         got = self._ncache.get(key)
         if got is None:
             got = self._compute_n(a, b, s)
             check("structure-constant-nonzero", got != 0,
-                  "N({}, {}) = 0 but {} is a root", a, b, s)
+                  "N({}, {}) = 0 but {} is a root", self.roots[a],
+                  self.roots[b], self.roots[s])
             self._ncache[key] = got
         return got
 
-    def _compute_n(self, a, b, s) -> int:
-        ha, hb = sum(a), sum(b)
+    def _compute_n(self, a: int, b: int, s: int) -> int:
+        n, neg, height = self.structure_constant, self.neg, self.height
+        ha, hb = height[a], height[b]
         if ha < 0 and hb < 0:
-            return -self.structure_constant(_vec_neg(a), _vec_neg(b))
+            return -n(neg[a], neg[b])
         if ha < 0 < hb:
-            return -self.structure_constant(b, a)
+            return -n(b, a)
         if ha > 0 > hb:
-            if sum(s) < 0:
-                return -self.structure_constant(_vec_neg(a), _vec_neg(b))
+            if height[s] < 0:
+                return -n(neg[a], neg[b])
             # a + b + (-s) = 0: N(a,b) (s-vee, s-vee) = N(b, -s) (a-vee, a-vee)
-            val = Fraction(self.structure_constant(b, _vec_neg(s)))
-            val *= Fraction(self.rs.coroot_norm(self.rs.coroot_of[a]),
-                            self.rs.coroot_norm(self.rs.coroot_of[s]))
-            return _integral(val, a, b)
+            return self._integral(n(b, neg[s]) * self.norm_of[a],
+                                  self.norm_of[s], a, b)
         # positive pair
-        if self._order[a] > self._order[b]:
-            return -self.structure_constant(b, a)
+        if a > b:
+            return -n(b, a)
         a1, b1 = self._extraspecial[s]
         if (a, b) == (a1, b1):
             return self._string_p(a1, b1) + 1
         # Jacobi on (-a1, a, b), whose sum is the root b1:
         #   N(-a1,a) N(a-a1,b) + N(a,b) N(s,-a1) + N(b,-a1) N(b-a1,a) = 0
         t1 = t2 = 0
-        if _vec_sub(a, a1) in self.root_set:
-            t1 = (self.structure_constant(_vec_neg(a1), a)
-                  * self.structure_constant(_vec_sub(a, a1), b))
-        if _vec_sub(b, a1) in self.root_set:
-            t2 = (self.structure_constant(b, _vec_neg(a1))
-                  * self.structure_constant(_vec_sub(b, a1), a))
-        denom = self.structure_constant(s, _vec_neg(a1))
-        return _integral(Fraction(-(t1 + t2), denom), a, b)
+        a_less = self.root_sum(a, neg[a1])
+        if a_less is not None:
+            t1 = n(neg[a1], a) * n(a_less, b)
+        b_less = self.root_sum(b, neg[a1])
+        if b_less is not None:
+            t2 = n(b, neg[a1]) * n(b_less, a)
+        return self._integral(-(t1 + t2), n(s, neg[a1]), a, b)
+
+    def _integral(self, num: int, den: int, a: int, b: int) -> int:
+        q, rem = divmod(num, den)
+        check("structure-constant-integral", rem == 0,
+              "N({}, {}) = {}/{} is not an integer", self.roots[a],
+              self.roots[b], num, den)
+        return q
 
     # ------------------------------------------------------------- brackets
 
@@ -150,7 +159,7 @@ class ChevalleyAlgebra:
                 if not out[idx]:
                     del out[idx]
 
-        r = self.rank
+        r, key, pos = self.rank, self.key, self._pos
         for i, ci in x.items():
             for j, cj in y.items():
                 c = ci * cj
@@ -161,37 +170,22 @@ class ChevalleyAlgebra:
                 elif j < r:
                     add(i, -c * self._pairings[i - r][j])
                 else:
-                    a, b = self.roots[i - r], self.roots[j - r]
-                    s = _vec_add(a, b)
-                    if not any(s):
-                        for k, ck in enumerate(self.rs.coroot_of[a]):
+                    a, b = i - r, j - r
+                    s = pos.get(key[a] + key[b])
+                    if s is not None:
+                        add(r + s, c * self.structure_constant(a, b))
+                    elif self.neg[a] == b:
+                        for k, ck in enumerate(self._coroots[a]):
                             add(k, c * ck)
-                    elif s in self.root_set:
-                        add(self.index[s], c * self.structure_constant(a, b))
         return out
 
-    def ad_rows(self, x: dict):
-        """Rows of ad(x) as dense integer lists (row index = output basis)."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            col = self.bracket(x, {j: 1})
-            for i, c in col.items():
-                rows[i][j] = c
-        return rows
-
     def centralizer_dim(self, x: dict) -> int:
-        return self.dim - integer_rank(self.ad_rows(x))
+        """dim g - rank ad(x), whose columns are the brackets [x, e_j]."""
+        return self.dim - integer_rank(
+            self.bracket(x, {j: 1}) for j in range(self.dim))
 
     def regular_nilpotent(self) -> dict:
-        simple = [tuple(1 if k == i else 0 for k in range(self.rank))
-                  for i in range(self.rank)]
-        return {self.index[s]: 1 for s in simple}
-
-
-def _integral(val: Fraction, a, b) -> int:
-    check("structure-constant-integral", val.denominator == 1,
-          "N({}, {}) = {} is not an integer", a, b, val)
-    return int(val)
+        return {self.index[s]: 1 for s in self.rs.simple_roots}
 
 
 @memo
@@ -240,10 +234,8 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
     target = len(alg.roots) // 2
     if rs.letter == "G":
         # short root: its coroot is long
-        top = max(rs.coroot_norm(rs.coroot_of[a]) for a in rs.roots)
-        short = min((a for a in rs.roots
-                     if sum(a) > 0 and rs.coroot_norm(rs.coroot_of[a]) == top),
-                    key=lambda a: (sum(a), a))
+        top = max(rs.norm_of.values())
+        short = next(a for a in rs.positive_roots if rs.norm_of[a] == top)
         v = {alg.index[short]: 1}
         dim = alg.centralizer_dim(v)
         witness = VClassWitness(rs.label, "short root vector", (short,), dim)
@@ -265,8 +257,7 @@ def orthogonal_quadruples(rs: RootSystem):
     Roots are ranked by (height, coordinates); each quadruple comes with
     its ranks increasing, and the quadruples in lexicographic rank order.
     """
-    pos = sorted((a for a in rs.roots if sum(a) > 0), key=lambda a: (sum(a), a))
-    crt = {a: rs.coroot_of[a] for a in pos}
+    pos, crt = rs.positive_roots, rs.coroot_of
 
     def orth(a, b):
         return rs.coroot_dot(crt[a], crt[b]) == 0
@@ -311,11 +302,9 @@ def _d_type_v_class(alg: ChevalleyAlgebra):
     rs = alg.rs
     m = rs.rank
     theta = rs.highest_root()[0]           # = e1 + e2
-    combo = [theta]
-    simple = [tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
-    combo.append(simple[0])                # e1 - e2
+    combo = [theta, rs.simple_roots[0]]    # e1 - e2
     for i in range(2, m - 1, 2):
-        combo.append(simple[i])            # e_{2t+1} - e_{2t+2}
+        combo.append(rs.simple_roots[i])   # e_{2t+1} - e_{2t+2}
     eps_pairs = [(1, -2)] + [(1, 2)] + [(i + 1, -(i + 2))
                                         for i in range(2, m - 1, 2)]
     nat = _natural_so_matrix(m, eps_pairs)
@@ -351,13 +340,13 @@ def _natural_so_matrix(m, eps_pairs):
 
 
 def _jordan_type(mat):
-    from .linalg import mat_mul
+    from .linalg import mat_mul, sparse_rows
 
     n = len(mat)
     ranks = [n]
     power = [row[:] for row in mat]
     while True:
-        r = integer_rank(power)
+        r = integer_rank(sparse_rows(power))
         ranks.append(r)
         if r == 0:
             break
@@ -431,14 +420,11 @@ def quasiminuscule_dims(label: str):
     if rs.label not in ("E7", "E8", "G2"):
         raise ValueError("quasi-minuscule bookkeeping covers E7, E8, G2")
     # short roots have long coroots
-    top = max(rs.coroot_norm(rs.coroot_of[a]) for a in rs.roots)
-    n_short = sum(1 for a in rs.roots
-                  if rs.coroot_norm(rs.coroot_of[a]) == top)
-    n_short_simple = sum(
-        1 for i in range(rs.rank)
-        if rs.coroot_norm(rs.coroot_of[
-            tuple(1 if k == i else 0 for k in range(rs.rank))]) == top)
+    top = max(rs.norm_of.values())
+    n_short = sum(1 for a in rs.roots if rs.norm_of[a] == top)
+    n_short_simple = sum(1 for a in rs.simple_roots if rs.norm_of[a] == top)
     qm_dim = n_short + n_short_simple
-    theta_vee = rs.highest_root()[1]
-    heis = sum(1 for b in rs.roots if rs.pair(b, theta_vee) >= 0)
+    # <b, theta-vee> = sum over k of b[k] <alpha_k, theta-vee>
+    theta_col = rs.copairing_of[rs.highest_root()[0]]
+    heis = sum(1 for b in rs.roots if sum(map(mul, b, theta_col)) >= 0)
     return qm_dim, rs.dim_y(), heis

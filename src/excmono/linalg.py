@@ -2,7 +2,9 @@
 
 Everything here is fraction-free: ranks and Smith forms are computed with
 integer cross-multiplication (rows re-scaled by their gcd to keep entries
-small), never with floating point.  F2 work uses int bitmasks, one mask per
+small), never with floating point.  The rank takes sparse rows,
+{column: entry} dicts, such as the brackets the Chevalley layer returns;
+`sparse_rows` converts dense ones.  F2 work uses int bitmasks, one mask per
 row.
 """
 
@@ -22,22 +24,22 @@ def _gcd_reduce(row: dict) -> None:
             row[k] //= g
 
 
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix (list of rows) by fraction-free elimination.
+def sparse_rows(mat) -> list[dict]:
+    """Dense integer rows as the sparse rows `integer_rank` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
-    Rows are held sparsely; the pivot rule (shortest row, then smallest
-    |entry|, then first seen) is deterministic, so repeated runs take the
-    same path.
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination.
+
+    Rows are sparse, {column: nonzero int}, and are not modified; the
+    pivot rule (shortest row, then smallest |entry|, then first seen) is
+    deterministic, so repeated runs take the same path.
     """
-    work = []
-    ncols = 0
-    for r in rows:
-        ncols = max(ncols, len(r))
-        d = {j: int(v) for j, v in enumerate(r) if v}
-        if d:
-            work.append(d)
+    work = [row for row in rows if row]
+    columns = sorted(set().union(*work))
     rank = 0
-    for col in range(ncols):
+    for col in columns:
         best = None
         for idx, row in enumerate(work):
             v = row.get(col)

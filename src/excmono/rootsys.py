@@ -5,6 +5,13 @@ vectors in the simple-coroot basis; the alpha <-> alpha-vee bijection is
 carried along explicitly through the reflection closure.  No ambient
 Euclidean coordinates and no floats anywhere.
 
+The closure carries each root's pairings n(b)_i = <b, alpha_i-vee> and
+m(b)_i = <alpha_i, b-vee>: s_i moves b by n(b)_i alpha_i and b-vee by
+m(b)_i alpha_i-vee, so a new root's n and m are its source's minus a
+multiple of row i, resp. column i, of the Cartan matrix, and n(b)_i = 0
+(s_i fixes b) forces m(b)_i = 0.  A reflection keeps the form, so a new
+coroot's norm is its source's, seeded from the simple coroots' norms.
+
 The invariant form lives on the coroot lattice and is normalized so that
 short coroots have squared length 2 (long coroots then have 4, or 6 in
 type G2).  ``form_gram`` is its Gram matrix in the simple-coroot basis.
@@ -32,6 +39,8 @@ class RootSystem:
     roots : all roots, each an integer tuple in the simple-root basis,
         sorted by (height, coordinates).
     coroot_of : dict mapping each root to its coroot (simple-coroot basis).
+    pairing_of, copairing_of : dicts mapping each root b to n(b), resp. m(b).
+    norm_of : dict mapping each root b to its coroot's norm (b-vee, b-vee).
     """
 
     def __init__(self, label: str):
@@ -60,21 +69,33 @@ class RootSystem:
     def _close_roots(self):
         r = self.rank
         a = self.cartan
+        cols = [tuple(row[i] for row in a) for i in range(r)]
         simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
-        pairs = {simple[i]: simple[i] for i in range(r)}
+        self.coroot_of = pairs = {s: s for s in simple}
+        self.pairing_of = pairing = {s: tuple(a[i]) for i, s in enumerate(simple)}
+        self.copairing_of = copairing = {s: cols[i] for i, s in enumerate(simple)}
+        self.norm_of = norm = {s: self.coroot_norms[i] for i, s in enumerate(simple)}
         frontier = list(simple)
         while frontier:
             nxt = []
             for root in frontier:
-                cr = pairs[root]
+                cr, nv, mv = pairs[root], pairing[root], copairing[root]
                 for i in range(r):
-                    # s_i on the root and on its coroot, in coordinates
-                    n = sum(root[k] * a[k][i] for k in range(r))
-                    new_root = tuple(v - (n if k == i else 0) for k, v in enumerate(root))
-                    m = sum(cr[k] * a[i][k] for k in range(r))
-                    new_cr = tuple(v - (m if k == i else 0) for k, v in enumerate(cr))
+                    # s_i moves root by n alpha_i and its coroot by m alpha_i-vee
+                    n, m = nv[i], mv[i]
+                    if not n:
+                        check("root-coroot-closure", not m,
+                              "root/coroot closure inconsistent")
+                        continue
+                    new_root = root[:i] + (root[i] - n,) + root[i + 1:]
+                    new_cr = cr[:i] + (cr[i] - m,) + cr[i + 1:]
                     if new_root not in pairs:
                         pairs[new_root] = new_cr
+                        pairing[new_root] = tuple(
+                            x - n * y for x, y in zip(nv, a[i]))
+                        copairing[new_root] = tuple(
+                            x - m * y for x, y in zip(mv, cols[i]))
+                        norm[new_root] = norm[root]
                         nxt.append(new_root)
                     else:
                         check("root-coroot-closure", pairs[new_root] == new_cr,
@@ -83,7 +104,6 @@ class RootSystem:
         neg = {tuple(-v for v in root) for root in pairs}
         check("roots-symmetric", neg == set(pairs),
               "root set not symmetric under negation")
-        self.coroot_of = pairs
         self.roots = sorted(pairs, key=lambda t: (sum(t), t))
         self.positive_roots = [t for t in self.roots if sum(t) > 0]
         self.simple_roots = simple
@@ -107,15 +127,6 @@ class RootSystem:
                     stack.append(j)
         return len(seen) == r
 
-    def pair(self, root, coroot):
-        """<root, coroot> via the Cartan data."""
-        a = self.cartan
-        r = self.rank
-        return sum(root[i] * a[i][j] * coroot[j] for i in range(r) for j in range(r))
-
-    def coroot_norm(self, coroot) -> int:
-        return self.coroot_dot(coroot, coroot)
-
     def coroot_dot(self, v, w) -> int:
         g = self.form_gram
         r = self.rank
@@ -123,13 +134,8 @@ class RootSystem:
 
     def two_rho_coroot(self):
         """2 rho-vee: sum of the positive coroots (kept doubled => integral)."""
-        r = self.rank
-        acc = [0] * r
-        for root in self.positive_roots:
-            cr = self.coroot_of[root]
-            for k in range(r):
-                acc[k] += cr[k]
-        return tuple(acc)
+        return tuple(map(sum, zip(*(self.coroot_of[t]
+                                    for t in self.positive_roots))))
 
     def highest_root(self):
         """Return (theta, theta-vee, comarks) for an irreducible system.
@@ -160,10 +166,7 @@ class RootSystem:
         """w0 as a matrix on root coordinates (greedy descent from 2 rho)."""
         r = self.rank
         a = self.cartan
-        x = [0] * r
-        for root in self.positive_roots:
-            for k in range(r):
-                x[k] += root[k]
+        x = list(map(sum, zip(*self.positive_roots)))  # 2 rho
         mat = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         while True:
             for i in range(r):

@@ -87,9 +87,7 @@ def criterion_lattice_quotients(seed=0):
 
 def _form_tables(rs, r):
     """Per-bitmask norms and pairing parities straight from the gram."""
-    basis = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    gram = [[rs.coroot_dot(basis[i], basis[j]) for j in range(r)]
-            for i in range(r)]
+    gram = rs.form_gram
     norms, parity = [], []
     for a in range(1 << r):
         idx = [i for i in range(r) if (a >> i) & 1]

@@ -11,8 +11,10 @@ permutations replaced as the test for a singular generator, exact
 Gaussian integers as (re, im) int pairs, the per-call form loops,
 per-pair law replay and echelon routine the two-group tables and row
 checks replaced, the `Fraction` alcove fold the integer fold replaced,
-the Coxeter number, and plain matrix powers, F2 ranks and a quadruple
-survey for the rest.
+the tuple reflection closure, tuple-keyed structure constants and dense
+ad(x) rank that the carried pairings, root positions and sparse bracket
+columns replaced, the Coxeter number, and plain matrix powers, F2 ranks
+and a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 
 from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
-from excmono.linalg import mat_mul
+from excmono.linalg import integer_rank, mat_mul, sparse_rows
 from excmono.obs import check
 from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
 from excmono.twogroup import _reduce_by
@@ -81,8 +83,133 @@ def invariant_form(alg, i: int, j: int) -> int:
     if i >= r and j >= r:
         a, b = alg.roots[i - r], alg.roots[j - r]
         if all(x + y == 0 for x, y in zip(a, b)):
-            return alg.rs.coroot_norm(alg.rs.coroot_of[a])
+            cr = alg.rs.coroot_of[a]
+            return alg.rs.coroot_dot(cr, cr)
     return 0
+
+
+# ------------------------------------------- the tuple routes of the roots
+
+def tuple_closure(cartan, coroot_norms):
+    """{root: (coroot, coroot norm)} by reflecting tuples, with every
+    pairing summed from the Cartan matrix and every norm from the form."""
+    r = len(cartan)
+    a = cartan
+    gram = [[a[j][i] * coroot_norms[j] // 2 for j in range(r)]
+            for i in range(r)]
+    simple = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    pairs = {s: s for s in simple}
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            cr = pairs[root]
+            for i in range(r):
+                n = sum(root[k] * a[k][i] for k in range(r))
+                new_root = tuple(v - (n if k == i else 0)
+                                 for k, v in enumerate(root))
+                m = sum(cr[k] * a[i][k] for k in range(r))
+                new_cr = tuple(v - (m if k == i else 0)
+                               for k, v in enumerate(cr))
+                if new_root not in pairs:
+                    pairs[new_root] = new_cr
+                    nxt.append(new_root)
+                else:
+                    assert pairs[new_root] == new_cr, (root, i)
+        frontier = nxt
+    return {root: (cr, sum(cr[i] * gram[i][j] * cr[j] for i in range(r)
+                           for j in range(r)))
+            for root, cr in pairs.items()}
+
+
+def _vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _vec_neg(a):
+    return tuple(-x for x in a)
+
+
+class TupleConstants:
+    """N(a, b) for root tuples by the extraspecial-pair recursion, keyed
+    by tuples, with `Fraction` arithmetic and norms from `coroot_dot`."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.root_set = set(rs.roots)
+        self.cache = {}
+        positives = [a for a in rs.roots if sum(a) > 0]
+        self.extraspecial = {}
+        for gamma in positives:
+            if sum(gamma) == 1:
+                continue
+            self.extraspecial[gamma] = next(
+                (a, _vec_sub(gamma, a)) for a in positives
+                if sum(a) < sum(gamma) and _vec_sub(gamma, a) in self.root_set)
+
+    def norm(self, a):
+        cr = self.rs.coroot_of[a]
+        return self.rs.coroot_dot(cr, cr)
+
+    def string_p(self, a, b) -> int:
+        p, cur = 0, _vec_sub(b, a)
+        while cur in self.root_set:
+            p, cur = p + 1, _vec_sub(cur, a)
+        return p
+
+    def n(self, a, b) -> int:
+        s = _vec_add(a, b)
+        assert any(s), "a + b = 0"
+        if s not in self.root_set:
+            return 0
+        if (a, b) not in self.cache:
+            self.cache[a, b] = self._compute(a, b, s)
+        return self.cache[a, b]
+
+    def _compute(self, a, b, s) -> int:
+        n, neg = self.n, _vec_neg
+        ha, hb = sum(a), sum(b)
+        if ha < 0 and hb < 0:
+            return -n(neg(a), neg(b))
+        if ha < 0 < hb:
+            return -n(b, a)
+        if ha > 0 > hb:
+            if sum(s) < 0:
+                return -n(neg(a), neg(b))
+            val = n(b, neg(s)) * Fraction(self.norm(a), self.norm(s))
+            assert val.denominator == 1
+            return int(val)
+        if (ha, a) > (hb, b):
+            return -n(b, a)
+        a1, b1 = self.extraspecial[s]
+        if (a, b) == (a1, b1):
+            return self.string_p(a1, b1) + 1
+        t1 = t2 = 0
+        if _vec_sub(a, a1) in self.root_set:
+            t1 = n(neg(a1), a) * n(_vec_sub(a, a1), b)
+        if _vec_sub(b, a1) in self.root_set:
+            t2 = n(b, neg(a1)) * n(_vec_sub(b, a1), a)
+        val = Fraction(-(t1 + t2), n(s, neg(a1)))
+        assert val.denominator == 1
+        return int(val)
+
+
+def ad_rows(alg, x):
+    """Rows of ad(x) as dense integer lists (row index = output basis)."""
+    rows = [[0] * alg.dim for _ in range(alg.dim)]
+    for j in range(alg.dim):
+        for i, c in alg.bracket(x, {j: 1}).items():
+            rows[i][j] = c
+    return rows
+
+
+def dense_centralizer_dim(alg, x) -> int:
+    """dim g - rank ad(x), the rank taken on the dense rows of ad(x)."""
+    return alg.dim - integer_rank(sparse_rows(ad_rows(alg, x)))
 
 
 def quadruple_dim_survey(alg, limit: int):
@@ -137,6 +264,13 @@ def irrep_matrix(ir, el: int):
     return out
 
 
+def pair(rs, root, coroot):
+    """<root, coroot>, summed over the Cartan matrix."""
+    a, r = rs.cartan, rs.rank
+    return sum(root[i] * a[i][j] * coroot[j] for i in range(r)
+               for j in range(r))
+
+
 def coxeter_number(rs) -> int:
     """h = 1 + the height of the highest root."""
     theta, _, _ = rs.highest_root()
@@ -159,7 +293,7 @@ def fraction_fold(rs):
                 break
         if moved:
             continue
-        t = rs.pair(theta, x)
+        t = pair(rs, theta, x)
         if t > 1:
             for k in range(r):
                 x[k] -= (t - 1) * theta_vee[k]

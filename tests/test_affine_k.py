@@ -16,7 +16,7 @@ from excmono.affine_k import (
 )
 from excmono.rootsys import root_system
 from excmono.verify import K_TYPE_TABLE
-from oracles import fraction_fold
+from oracles import fraction_fold, pair
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
 K_TABLE = {
@@ -71,7 +71,7 @@ def test_members_are_the_even_height_roots(label):
     sub = phi_k(rs)
     two_rho_vee = rs.two_rho_coroot()
     for t in sub.member_roots:
-        assert rs.pair(t, two_rho_vee) % 4 == 0  # <rho-vee, alpha> even
+        assert pair(rs, t, two_rho_vee) % 4 == 0  # <rho-vee, alpha> even
     assert len(sub.member_roots) == rs.num_roots // 2 - rs.rank
 
 
@@ -178,7 +178,7 @@ def test_integer_fold_matches_fraction_oracle(label):
     assert y == [4 * c for c in x]
     assert theta == rs.highest_root()[0]
     # the kept pairings are the pairings of the folded point
-    assert p == [rs.pair(rs.simple_roots[i], y) for i in range(rs.rank)]
+    assert p == [pair(rs, rs.simple_roots[i], y) for i in range(rs.rank)]
     obs.reset()
     sub = phi_k(rs)
     phi_k(rs)  # cached: no second build
@@ -186,10 +186,10 @@ def test_integer_fold_matches_fraction_oracle(label):
     assert runs["alcove-folding-terminates"] == 1
     # theta comes from the fold: one highest_root call, r maximality checks
     assert runs["highest-root-maximal"] == rs.rank
-    kept = [i for i in range(rs.rank) if rs.pair(rs.simple_roots[i], x) == 0]
+    kept = [i for i in range(rs.rank) if pair(rs, rs.simple_roots[i], x) == 0]
     assert sub.removed_nodes == tuple(i for i in range(rs.rank)
                                       if i not in kept)
-    assert sub.affine_node_used == (rs.pair(theta, x) == 1)
+    assert sub.affine_node_used == (pair(rs, theta, x) == 1)
 
 
 # ------------------------------------------------------------------ kappa --

@@ -12,6 +12,7 @@ from excmono.linalg import (
     integer_rank,
     mat_mul,
     smith_normal_form,
+    sparse_rows,
 )
 from oracles import echelonize, gf2_rank, mat_pow
 
@@ -125,13 +126,13 @@ small_matrix = st.integers(1, 5).flatmap(
 
 @given(small_matrix)
 def test_rank_matches_fraction_elimination(mat):
-    assert integer_rank(mat) == rank_by_fractions(mat)
+    assert integer_rank(sparse_rows(mat)) == rank_by_fractions(mat)
 
 
 @given(small_matrix)
 def test_rank_of_transpose(mat):
     t = [list(col) for col in zip(*mat)]
-    assert integer_rank(mat) == integer_rank(t)
+    assert integer_rank(sparse_rows(mat)) == integer_rank(sparse_rows(t))
 
 
 @given(small_matrix)
@@ -141,7 +142,16 @@ def test_smith_invariants_match_minor_gcds(mat):
 
 def test_duplicating_a_row_keeps_rank():
     mat = [[1, 2, 3], [4, 5, 6]]
-    assert integer_rank(mat + [mat[0]]) == integer_rank(mat)
+    assert integer_rank(sparse_rows(mat + [mat[0]])) \
+        == integer_rank(sparse_rows(mat)) == 2
+
+
+def test_rank_leaves_its_rows_alone_and_reads_any_columns():
+    rows = [{7: 2, 30: 4}, {7: 1, 30: 2}, {}, {-3: 5, 30: 1}]
+    copies = [dict(row) for row in rows]
+    assert integer_rank(iter(rows)) == 2
+    assert rows == copies
+    assert integer_rank([]) == integer_rank([{}, {}]) == 0
 
 
 def test_mat_mul_and_pow():
@@ -192,4 +202,4 @@ def test_gf2_echelon_matches_sorted_echelon_basis(masks):
                 min_size=1, max_size=6))
 def test_gf2_rank_bounded_by_integer_rank(mat):
     masks = [sum(b << i for i, b in enumerate(row)) for row in mat]
-    assert gf2_rank(masks) <= integer_rank(mat)
+    assert gf2_rank(masks) <= integer_rank(sparse_rows(mat))

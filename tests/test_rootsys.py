@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from excmono.linalg import mat_mul
 from excmono.rootsys import RootSystem, root_system
-from oracles import coxeter_number, mat_pow
+from oracles import coxeter_number, mat_pow, pair, tuple_closure
 
 ALL_LABELS = ["A1", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
               "D3", "D4", "D5", "D6", "D7", "D8", "E7", "E8", "F4", "G2"]
@@ -67,7 +67,7 @@ def short_vectors(gram, max_norm):
 def oracle_coroot_vectors(rs):
     norms = COROOT_NORMS[rs.letter]
     vecs = [v for v in short_vectors(rs.form_gram, max(norms))
-            if rs.coroot_norm(v) in norms]
+            if rs.coroot_dot(v, v) in norms]
     assert all(abs(c) <= 8 for v in vecs for c in v)
     return set(vecs)
 
@@ -105,11 +105,29 @@ def test_b_type_enumeration_only_bounds(label):
     coroots = {rs.coroot_of[t] for t in rs.roots}
     enum = oracle_coroot_vectors(rs)
     assert coroots < enum
-    short = {v for v in enum if rs.coroot_norm(v) == 2}
+    short = {v for v in enum if rs.coroot_dot(v, v) == 2}
     assert short == {rs.coroot_of[t] for t in rs.roots
-                     if rs.coroot_norm(rs.coroot_of[t]) == 2}
+                     if rs.norm_of[t] == 2}
     if label == "B4":
         assert len(enum) == 48
+
+
+@pytest.mark.parametrize("name", ALL_LABELS + ["F4 dual", "G2 dual"])
+def test_closure_matches_the_tuple_oracle(name):
+    label, _, dual = name.partition(" ")
+    rs = root_system(label).dual() if dual else root_system(label)
+    want = tuple_closure(rs.cartan, rs.coroot_norms)
+    assert set(rs.roots) == set(want) and len(rs.roots) == len(want)
+    assert rs.coroot_of == {t: cr for t, (cr, _) in want.items()}
+    assert rs.norm_of == {t: norm for t, (_, norm) in want.items()}
+    # the unit vectors are alpha_i in root and alpha_i-vee in coroot
+    # coordinates: n(t)_i = <t, alpha_i-vee>, m(t)_i = <alpha_i, t-vee>
+    units = rs.simple_roots
+    for t in rs.roots:
+        cr = rs.coroot_of[t]
+        assert rs.norm_of[t] == rs.coroot_dot(cr, cr)
+        assert rs.pairing_of[t] == tuple(pair(rs, t, e) for e in units)
+        assert rs.copairing_of[t] == tuple(pair(rs, e, cr) for e in units)
 
 
 COXETER = {"A1": (2, 2), "B3": (6, 5), "C3": (6, 4), "D4": (6, 6),
@@ -141,7 +159,7 @@ def test_highest_root_is_dominant():
         theta, _, _ = rs.highest_root()
         for i in range(rs.rank):
             cr = rs.coroot_of[rs.simple_roots[i]]
-            assert rs.pair(theta, cr) >= 0
+            assert pair(rs, theta, cr) >= 0
 
 
 def test_dim_y_values():
@@ -191,10 +209,10 @@ def test_pairing_against_normalized_form(label):
     rs = root_system(label)
     for a in rs.roots:
         av = rs.coroot_of[a]
-        na = rs.coroot_norm(av)
+        na = rs.coroot_dot(av, av)
         for b in rs.roots:
             bv = rs.coroot_of[b]
-            assert rs.pair(a, bv) * na == 2 * rs.coroot_dot(av, bv)
+            assert pair(rs, a, bv) * na == 2 * rs.coroot_dot(av, bv)
 
 
 @settings(max_examples=60)
@@ -204,7 +222,7 @@ def test_pairing_identity_sampled_on_e8(data):
     a = data.draw(st.sampled_from(rs.roots))
     b = data.draw(st.sampled_from(rs.roots))
     av, bv = rs.coroot_of[a], rs.coroot_of[b]
-    assert rs.pair(a, bv) * rs.coroot_norm(av) == 2 * rs.coroot_dot(av, bv)
+    assert pair(rs, a, bv) * rs.coroot_dot(av, av) == 2 * rs.coroot_dot(av, bv)
 
 
 @settings(max_examples=60)
@@ -213,7 +231,7 @@ def test_reflection_stays_inside(data):
     rs = root_system(data.draw(st.sampled_from(["G2", "F4", "E8"])))
     a = data.draw(st.sampled_from(rs.roots))
     b = data.draw(st.sampled_from(rs.roots))
-    n = rs.pair(a, rs.coroot_of[b])
+    n = pair(rs, a, rs.coroot_of[b])
     image = tuple(ai - n * bi for ai, bi in zip(a, b))
     assert image in rs.coroot_of
 
@@ -223,7 +241,7 @@ def test_two_rho_pairs_to_two_on_simples():
         rs = root_system(label)
         two_rho_vee = rs.two_rho_coroot()
         for s in rs.simple_roots:
-            assert rs.pair(s, two_rho_vee) == 2
+            assert pair(rs, s, two_rho_vee) == 2
 
 
 def test_reducible_d2():
