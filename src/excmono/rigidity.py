@@ -29,10 +29,10 @@ from .obs import check
 
 DEFAULT_CAP = 10 ** 7
 MAX_POINTS = 256  # entries in a bytes.translate table
-# A named group of known order whose elements, ell + 1 bytes each, would
-# take over this many bytes is refused before any closure: PGL2 and PSL2
-# pass up to ell = 61, PSL2 up to 73.  A group costs about 340 bytes per
-# element in all, so the bound keeps a closure under about 90 MB.
+# A group whose elements, one byte per point each, would take over this
+# many bytes is refused: a named one before any closure (PGL2 passes up
+# to ell = 61, PSL2 up to 73), a `file:` one as its closure grows.  A
+# group costs about 340 bytes per element in all: under about 90 MB.
 MAX_TABLE_BYTES = 1 << 24
 
 _IDENTITY_TABLE = bytes(range(MAX_POINTS))
@@ -145,6 +145,7 @@ class FiniteGroup:
         tables = [s + self._tail for s in self.generators]
         elements = [self.identity]
         index = {self.identity: 0}
+        degree = len(self.identity)
         for g in elements:  # grows while it is walked: breadth first
             for t in tables:
                 h = g.translate(t)
@@ -152,6 +153,9 @@ class FiniteGroup:
                     if len(elements) >= cap:
                         raise OverflowError(
                             f"group exceeds cap of {cap} elements")
+                    if (len(elements) + 1) * degree > MAX_TABLE_BYTES:
+                        raise _over_table_bytes(
+                            "the group", f"more than {len(elements)}", degree)
                     index[h] = len(elements)
                     elements.append(h)
         return elements, index
@@ -355,9 +359,12 @@ def _check_instance(ell: int, order: int, cap: int, name: str):
         raise OverflowError(f"{name} has {order} elements, over the cap "
                             f"of {cap}")
     if order * (ell + 1) > MAX_TABLE_BYTES:
-        raise OverflowError(
-            f"{name} has {order} elements of {ell + 1} bytes each, over "
-            f"the bound of {MAX_TABLE_BYTES} bytes")
+        raise _over_table_bytes(name, order, ell + 1)
+
+
+def _over_table_bytes(name: str, count, degree: int) -> OverflowError:
+    return OverflowError(f"{name} has {count} elements of {degree} bytes "
+                         f"each, over the bound of {MAX_TABLE_BYTES} bytes")
 
 
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"

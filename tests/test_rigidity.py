@@ -533,6 +533,41 @@ def test_frame_orbit_over_the_bound_is_refused():
     assert len(MatrixRep(257, 1).permutations([(3,)])[0]) == 256
 
 
+@pytest.mark.parametrize("bound,refused", [(24 * 4, False), (24 * 4 - 1, True),
+                                           (10 * 4, True)])
+def test_closure_refuses_once_its_elements_pass_the_table_bound(
+        monkeypatch, bound, refused):
+    # S4 on 4 points: 24 elements of 4 bytes each
+    monkeypatch.setattr(rigidity, "MAX_TABLE_BYTES", bound)
+    if not refused:
+        assert FiniteGroup(S4_GENS).order == 24
+        return
+    held = bound // 4
+    with pytest.raises(OverflowError, match=f"the group has more than {held} "
+                       f"elements of 4 bytes each, over the bound of {bound} "
+                       "bytes"):
+        FiniteGroup(S4_GENS)
+
+
+def test_file_group_over_the_table_bound_exits_2_quickly(tmp_path):
+    # PSL2(F_251) acts on the 252 points of P^1, so the frame orbit passes
+    # MAX_POINTS, and it is under the default cap, but its 7 906 500
+    # elements would take 2 GB; the closure stops at 2**24 // 252 = 66 576
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 251, "n": 2,
+                                "generators": [[1, 1, 0, 1], [0, 250, 1, 0]],
+                                "scalars": list(range(1, 251))}))
+    src = str(Path(rigidity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "excmono", "rigid", "--group", f"file:{path}"],
+        capture_output=True, text=True, env=env, timeout=1.0)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: the group has more than 66576 elements of "
+                           "252 bytes each, over the bound of 16777216 "
+                           "bytes\n")
+
+
 class _CountingIndex(dict):
     lookups = 0
 
