@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from .obs import check, memo
@@ -308,8 +308,7 @@ def _extension_table(index) -> tuple:
 
 # --------------------------------------------------------------- records
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     q: int
     lam: int
     t1: tuple  # (re, im)

@@ -12,16 +12,15 @@ coefficient in theta-vee is 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .linalg import gf2_nullspace, smith_normal_form
 from .obs import check, memo
-from .rootsys import RootSystem, root_system
+from .rootsys import RootSystem, root_key, root_system
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(NamedTuple):
     """Cokernel data of a lattice inclusion into the coroot lattice."""
 
     invariant_factors: tuple[int, ...]  # nonzero diagonal of the Smith form
@@ -33,8 +32,7 @@ class LatticeQuotient:
         return " + ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SubRootSystem:
+class SubRootSystem(NamedTuple):
     parent: str
     member_roots: tuple
     simple_members: tuple
@@ -99,15 +97,14 @@ def _fold_half_rho_vee(rs: RootSystem):
 
 
 def _simple_system(positive_members):
-    """Members of a positive subsystem that are not sums of two members."""
-    pos = set(positive_members)
-    out = []
-    for a in sorted(pos, key=lambda t: (sum(t), t)):
-        decomposable = any(
-            tuple(av - bv for av, bv in zip(a, b)) in pos for b in pos if b != a)
-        if not decomposable:
-            out.append(a)
-    return tuple(out)
+    """Members of a positive subsystem that are not sums of two members:
+    a is one exactly when no key(a) - key(b), b a member, is a member's
+    key (`root_key`; key(a) - key(a) = 0 is no root's)."""
+    ordered = sorted(positive_members, key=lambda t: (sum(t), t))
+    keys = [root_key(a) for a in ordered]
+    members = set(keys)
+    return tuple(a for a, ka in zip(ordered, keys)
+                 if not any(ka - kb in members for kb in keys))
 
 
 def _classify_components(rs: RootSystem, simple_roots):

@@ -12,23 +12,21 @@ from the input only for G2, where roots and coroots trade places.
 
 Brackets run on root positions: root p is ``roots[p]``, with basis index
 rank + p, and since the roots are sorted by (height, coordinates) that
-order is p < q.  Each root is also one int key, its coordinates as signed
-base-32 digits.  Root coordinates lie in [-6, 6], so a sum of two roots
-has digits in [-12, 12]; a balanced base-32 digit string with digits in
-(-16, 16) has only one value, so key[p] + key[q] is a root's key exactly
-when that root is roots[p] + roots[q].  Every lookup is of such a sum (a
-difference is a sum with the negated root): one int add, one dict get.
+order is p < q.  Each root is also one int key, `rootsys.root_key`, so
+key[p] + key[q] is a root's key exactly when that root is roots[p] +
+roots[q].  Every lookup is of such a sum (a difference is a sum with the
+negated root): one int add, one dict get.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .affine_k import kappa_character
 from .linalg import integer_rank
 from .obs import check, memo
-from .rootsys import RootSystem, root_system
+from .rootsys import RootSystem, root_key, root_system
 
 SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
@@ -43,7 +41,7 @@ class ChevalleyAlgebra:
         self.roots = list(rs_dual.roots)
         self.dim = self.rank + len(self.roots)
         self.index = {a: self.rank + i for i, a in enumerate(self.roots)}
-        self.key = [sum(v << 5 * k for k, v in enumerate(a)) for a in self.roots]
+        self.key = [root_key(a) for a in self.roots]
         self._pos = {key: p for p, key in enumerate(self.key)}
         self.neg = [self._pos[-key] for key in self.key]
         self.height = [sum(a) for a in self.roots]
@@ -221,8 +219,7 @@ def regular_nilpotent_centralizer(alg: ChevalleyAlgebra) -> int:
 
 # ------------------------------------------------------------------ v class
 
-@dataclass(frozen=True)
-class VClassWitness:
+class VClassWitness(NamedTuple):
     label: str
     description: str
     root_combination: tuple
@@ -365,8 +362,7 @@ def _jordan_type(mat):
 
 # ---------------------------------------------------------------- budgets
 
-@dataclass(frozen=True)
-class MonodromyBudget:
+class MonodromyBudget(NamedTuple):
     label: str
     d0: int
     d1: int

@@ -32,42 +32,45 @@ def sparse_rows(mat) -> list[dict]:
 def integer_rank(rows) -> int:
     """Rank of an integer matrix by fraction-free elimination.
 
-    Rows are sparse, {column: nonzero int}, and are not modified; the
-    pivot rule (shortest row, then smallest |entry|, then first seen) is
-    deterministic, so repeated runs take the same path.
+    Rows are sparse, {column: nonzero int}, and are not modified.  Each
+    column keeps the ids of the rows that hold it, so a pivot step visits
+    only those rows.  The pivot rule (shortest row, then smallest |entry|,
+    then earliest row id; a reduced row keeps its id) is deterministic,
+    so repeated runs take the same path.
     """
-    work = [row for row in rows if row]
-    columns = sorted(set().union(*work))
+    work = dict(enumerate(row for row in rows if row))
+    holders = {}
+    for idx, row in work.items():
+        for col in row:
+            holders.setdefault(col, set()).add(idx)
     rank = 0
-    for col in columns:
-        best = None
-        for idx, row in enumerate(work):
-            v = row.get(col)
-            if v:
-                key = (len(row), abs(v), idx)
-                if best is None or key < best[0]:
-                    best = (key, idx)
-        if best is None:
+    for col in sorted(holders):
+        ids = holders[col]
+        if not ids:
             continue
-        pidx = best[1]
+        pidx = min(ids, key=lambda i: (len(work[i]), abs(work[i][col]), i))
         pivot = work.pop(pidx)
+        for k in pivot:
+            holders[k].discard(pidx)
         pv = pivot[col]
         rank += 1
-        touched = []
-        for row in work:
-            f = row.get(col)
-            if not f:
-                touched.append(row)
-                continue
+        for idx in list(ids):
+            row = work[idx]
+            f = row[col]
             new = {}
             for k in row.keys() | pivot.keys():
                 val = pv * row.get(k, 0) - f * pivot.get(k, 0)
                 if val:
                     new[k] = val
+            for k in row.keys() - new.keys():
+                holders[k].discard(idx)
+            for k in new.keys() - row.keys():
+                holders[k].add(idx)
             if new:
                 _gcd_reduce(new)
-                touched.append(new)
-        work = touched
+                work[idx] = new
+            else:
+                del work[idx]
         if not work:
             break
     return rank

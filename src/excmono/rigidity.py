@@ -21,8 +21,8 @@ membership during the triple count an exact dictionary lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import is_prime, least_primitive_root
 from .obs import check
@@ -107,8 +107,7 @@ class MatrixRep:
 
 # ---------------------------------------------------------------- groups
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     label: str
     members: tuple
     size: int
@@ -249,8 +248,7 @@ class FiniteGroup:
 
 # ---------------------------------------------------------------- triples
 
-@dataclass(frozen=True)
-class TripleReport:
+class TripleReport(NamedTuple):
     group_order: int
     center_order: int
     class_labels: tuple
@@ -282,9 +280,11 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
                  cinf: ConjClass, g0=None, note: str = "") -> TripleReport:
     """Count solutions g0 g1 ginf = 1 with g_i in C_i, fixing one g0.
 
-    The total is |C0| times the count at fixed g0; generation is tested
-    for every solution at that representative.  Strict rigidity means the
-    conjugacy-normalized count is exactly 1 and every solution generates.
+    The total is |C0| times the count at fixed g0.  The centralizer C(g0)
+    permutes those solutions by conjugation, and <g0, c^-1 g1 c> is
+    conjugate to <g0, g1>, so generation is tested once per C(g0)-orbit.
+    Strict rigidity means the conjugacy-normalized count is exactly 1 and
+    every solution generates.
     """
     for cls in (c0, c1, cinf):
         if cls.rep not in group.class_of or \
@@ -300,9 +300,20 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
     hits = [g1 for g1 in c1.members
             if class_of[g0.translate(g1 + tail)] == target]
     solution_count = c0.size * len(hits)
-    gen_flags = [group.subgroup_generated(g0, g1) == group.order
-                 for g1 in hits]
+    gen_flags = {}  # solution -> whether it generates, one closure per orbit
+    if hits:
+        g0_table = g0 + tail
+        # c^-1 x c: relabel by c^-1, move by c
+        cent = [(group.inv(c), c + tail) for c in group.elements
+                if g0.translate(c + tail) == c.translate(g0_table)]
+        for g1 in hits:
+            if g1 not in gen_flags:
+                flag = group.subgroup_generated(g0, g1) == group.order
+                table = g1 + tail
+                for c_inv, c_table in cent:
+                    gen_flags[c_inv.translate(table).translate(c_table)] = flag
     normalized = Fraction(solution_count * len(group.center), group.order)
+    all_generate = bool(gen_flags) and all(gen_flags.values())
     return TripleReport(
         group_order=group.order,
         center_order=len(group.center),
@@ -310,10 +321,9 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
         class_sizes=(c0.size, c1.size, cinf.size),
         solution_count=solution_count,
         normalized_count=normalized,
-        generates=any(gen_flags),
-        all_generate=bool(gen_flags) and all(gen_flags),
-        strictly_rigid=(normalized == 1 and bool(gen_flags)
-                        and all(gen_flags)),
+        generates=any(gen_flags.values()),
+        all_generate=all_generate,
+        strictly_rigid=normalized == 1 and all_generate,
         note=note,
     )
 

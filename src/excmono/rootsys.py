@@ -162,31 +162,28 @@ class RootSystem:
         """2 h-vee - 2: the dimension attached to the quasi-minuscule orbit."""
         return 2 * self.dual_coxeter_number() - 2
 
-    def longest_element_matrix(self):
-        """w0 as a matrix on root coordinates (greedy descent from 2 rho)."""
+    def minus_one_in_weyl(self) -> bool:
+        """True iff the longest Weyl element acts as -1 on the root lattice.
+
+        Descends the dominant x with pairings p_k = <x, alpha_k-vee> = k+1
+        one simple reflection at a time, keeping only p (s_i subtracts
+        p_i times row i of the Cartan matrix); it ends at w0 x = -sigma(x),
+        sigma the diagram symmetry of w0, and the p_k are distinct, so
+        w0 = -1 exactly when p ends as -(k+1) for every k.
+        """
         r = self.rank
         a = self.cartan
-        x = list(map(sum, zip(*self.positive_roots)))  # 2 rho
-        mat = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        p = list(range(1, r + 1))
         while True:
             for i in range(r):
-                n = sum(x[k] * a[k][i] for k in range(r))
-                if n > 0:
-                    x[i] -= n
-                    # mat <- S_i . mat with S_i v = v - <v, alpha_i-vee> e_i
-                    mat[i] = [mat[i][c] - sum(a[k][i] * mat[k][c] for k in range(r))
-                              for c in range(r)]
+                v = p[i]
+                if v > 0:
+                    row = a[i]
+                    for k in range(r):
+                        p[k] -= v * row[k]
                     break
             else:
-                return mat
-
-    def minus_one_in_weyl(self) -> bool:
-        """True iff the longest Weyl element acts as -1 on the root lattice."""
-        w0 = self.longest_element_matrix()
-        r = self.rank
-        # the closure has checked that -1 stabilizes the root set
-        return all(w0[i][j] == (-1 if i == j else 0)
-                   for i in range(r) for j in range(r))
+                return p == [-k for k in range(1, r + 1)]
 
     def dual(self) -> "RootSystem":
         """The dual system, with node numbering kept: roots <-> coroots.
@@ -288,6 +285,22 @@ def _cartan_data(letter: str, rank: int):
         # alpha_1 short root (long coroot), alpha_2 long root (short coroot)
         return [[2, -1], [-3, 2]], [6, 2]
     raise ValueError(letter)
+
+
+def root_key(v) -> int:
+    """An integer vector as one int, its coordinates as signed base-32
+    digits: sum of v[k] * 32**k.
+
+    The key is additive, root_key(a) + root_key(b) = root_key(a + b), and
+    a balanced base-32 digit string with digits in (-16, 16) has only one
+    value, so on such vectors it is injective.  Root coordinates lie in
+    [-6, 6] (E8's highest root has the largest), so the coordinates of a
+    difference of two positive roots lie in [-6, 6] and those of a sum of
+    two roots in [-12, 12]: a sum or difference of two roots' keys is a
+    root's key exactly when the sum or difference of the roots is that
+    root, and a set or dict lookup of the key decides it.
+    """
+    return sum(x << 5 * k for k, x in enumerate(v))
 
 
 @memo

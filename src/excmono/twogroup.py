@@ -29,7 +29,7 @@ and `arith.UNIT_IM`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
@@ -177,20 +177,21 @@ def build_tilde_group(rs: RootSystem) -> TildeGroup:
 
 # ------------------------------------------------------------------ irreps --
 
-@dataclass
-class OddIrrep:
+class OddIrrep(NamedTuple):
     """Irreducible with central mu2-kernel acting by -1, induced from a
     character of the preimage of a Lagrangian; `characters` is its
     character as int lists (re, im) indexed by the element; the central
-    and Lagrangian characters map an element to the k of its value i^k."""
+    and Lagrangian characters map an element to the k of its value i^k.
+    `m_pivots` is the echelon form of the Lagrangian's preimage (radical
+    plus greedy Lagrangian) and `m_character` its character."""
 
     group: TildeGroup
     central_character: dict
     dimension: int
     transversal: tuple
     characters: tuple
-    _m_pivots: dict
-    _m_character: dict
+    m_pivots: dict
+    m_character: dict
 
 
 def _induced_character(tg: TildeGroup, transversal, m_character):
@@ -292,8 +293,8 @@ def odd_irreps(tg: TildeGroup, order=None):
             dimension=dim,
             transversal=transversal,
             characters=_induced_character(tg, transversal, m_character),
-            _m_pivots=m_pivots,
-            _m_character=m_character,
+            m_pivots=m_pivots,
+            m_character=m_character,
         ))
     check("sum-of-squares-is-2^r", sum(ir.dimension ** 2 for ir in out)
           == 1 << r, "odd irrep dimensions do not square-sum to 2^{}", r)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from operator import mul
 from time import perf_counter
+from typing import NamedTuple
 
 from .a1lab import scan
 from .affine_k import (k_fundamental_quotient, k_type_row,
@@ -269,8 +269,7 @@ CRITERIA = (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -13,8 +13,11 @@ per-pair law replay and echelon routine the two-group tables and row
 checks replaced, the `Fraction` alcove fold the integer fold replaced,
 the tuple reflection closure, tuple-keyed structure constants and dense
 ad(x) rank that the carried pairings, root positions and sparse bracket
-columns replaced, the Coxeter number, and plain matrix powers, F2 ranks
-and a quadruple survey for the rest.
+columns replaced, the longest-element matrix, tuple-difference simple
+system, scan-every-row rank and per-solution generation flags that the
+pairing descent, root keys, column index and centralizer orbits
+replaced, the Coxeter number, and plain matrix powers, F2 ranks and a
+quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -27,7 +30,7 @@ from pathlib import Path
 
 from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
-from excmono.linalg import integer_rank, mat_mul, sparse_rows
+from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
 from excmono.obs import check
 from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
 from excmono.twogroup import _reduce_by
@@ -258,9 +261,9 @@ def irrep_matrix(ir, el: int):
     out = [[(0, 0)] * n for _ in range(n)]
     for v, rep in enumerate(ir.transversal):
         moved = tg.mul(el, rep)
-        u_rep = _reduce_by(ir._m_pivots, moved & ((1 << tg.r) - 1))
+        u_rep = _reduce_by(ir.m_pivots, moved & ((1 << tg.r) - 1))
         m = tg.mul(tg.inverse(u_rep), moved)
-        out[ir.transversal.index(u_rep)][v] = i_power(ir._m_character[m])
+        out[ir.transversal.index(u_rep)][v] = i_power(ir.m_character[m])
     return out
 
 
@@ -303,6 +306,78 @@ def fraction_fold(rs):
     check("alcove-folding-terminates", not moved,
           "alcove folding failed to terminate")
     return x
+
+
+def longest_element_matrix(rs):
+    """w0 as a matrix on root coordinates (greedy descent from 2 rho)."""
+    r = rs.rank
+    a = rs.cartan
+    x = list(map(sum, zip(*rs.positive_roots)))  # 2 rho
+    mat = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    while True:
+        for i in range(r):
+            n = sum(x[k] * a[k][i] for k in range(r))
+            if n > 0:
+                x[i] -= n
+                # mat <- S_i . mat with S_i v = v - <v, alpha_i-vee> e_i
+                mat[i] = [mat[i][c] - sum(a[k][i] * mat[k][c] for k in range(r))
+                          for c in range(r)]
+                break
+        else:
+            return mat
+
+
+def tuple_simple_system(positive_members):
+    """Members of a positive subsystem that are not sums of two members,
+    by one tuple difference per pair."""
+    pos = set(positive_members)
+    out = []
+    for a in sorted(pos, key=lambda t: (sum(t), t)):
+        decomposable = any(
+            tuple(av - bv for av, bv in zip(a, b)) in pos for b in pos if b != a)
+        if not decomposable:
+            out.append(a)
+    return tuple(out)
+
+
+def scan_integer_rank(rows) -> int:
+    """integer_rank with the pivot of each column found by scanning
+    every remaining row."""
+    work = [row for row in rows if row]
+    columns = sorted(set().union(*work))
+    rank = 0
+    for col in columns:
+        best = None
+        for idx, row in enumerate(work):
+            v = row.get(col)
+            if v:
+                key = (len(row), abs(v), idx)
+                if best is None or key < best[0]:
+                    best = (key, idx)
+        if best is None:
+            continue
+        pidx = best[1]
+        pivot = work.pop(pidx)
+        pv = pivot[col]
+        rank += 1
+        touched = []
+        for row in work:
+            f = row.get(col)
+            if not f:
+                touched.append(row)
+                continue
+            new = {}
+            for k in row.keys() | pivot.keys():
+                val = pv * row.get(k, 0) - f * pivot.get(k, 0)
+                if val:
+                    new[k] = val
+            if new:
+                _gcd_reduce(new)
+                touched.append(new)
+        work = touched
+        if not work:
+            break
+    return rank
 
 
 def cycle_type(a):
@@ -477,6 +552,34 @@ def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> TripleReport:
         all_generate=bool(gen_flags) and all(gen_flags),
         strictly_rigid=(normalized == 1 and bool(gen_flags)
                         and all(gen_flags)),
+    )
+
+
+def per_solution_triple_count(group, c0, c1, cinf, g0=None,
+                              note: str = "") -> TripleReport:
+    """triple_count on a FiniteGroup with one `subgroup_generated` closure
+    for every solution at g0, not one per centralizer orbit."""
+    if g0 is None:
+        g0 = c0.rep
+    target = group.class_of[group.inv(cinf.rep)]
+    hits = [g1 for g1 in c1.members
+            if group.class_of[group.mul(g0, g1)] == target]
+    solution_count = c0.size * len(hits)
+    gen_flags = [group.subgroup_generated(g0, g1) == group.order
+                 for g1 in hits]
+    normalized = Fraction(solution_count * len(group.center), group.order)
+    return TripleReport(
+        group_order=group.order,
+        center_order=len(group.center),
+        class_labels=(c0.label, c1.label, cinf.label),
+        class_sizes=(c0.size, c1.size, cinf.size),
+        solution_count=solution_count,
+        normalized_count=normalized,
+        generates=any(gen_flags),
+        all_generate=bool(gen_flags) and all(gen_flags),
+        strictly_rigid=(normalized == 1 and bool(gen_flags)
+                        and all(gen_flags)),
+        note=note,
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from excmono import affine_k, obs
 from excmono.affine_k import (
     _fold_half_rho_vee,
+    _simple_system,
     k_fundamental_quotient,
     k_type_row,
     kappa_character,
@@ -16,7 +17,7 @@ from excmono.affine_k import (
 )
 from excmono.rootsys import root_system
 from excmono.verify import K_TYPE_TABLE
-from oracles import fraction_fold, pair
+from oracles import fraction_fold, pair, tuple_simple_system
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
 K_TABLE = {
@@ -190,6 +191,14 @@ def test_integer_fold_matches_fraction_oracle(label):
     assert sub.removed_nodes == tuple(i for i in range(rs.rank)
                                       if i not in kept)
     assert sub.affine_node_used == (pair(rs, theta, x) == 1)
+
+
+@pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))
+def test_simple_system_matches_tuple_difference_oracle(label):
+    rs = root_system(label)
+    pos = [t for t in rs.positive_roots if sum(t) % 2 == 0]
+    assert _simple_system(pos) == tuple_simple_system(pos)
+    assert phi_k(rs).simple_members == tuple_simple_system(pos)
 
 
 # ------------------------------------------------------------------ kappa --

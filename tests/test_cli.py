@@ -238,6 +238,8 @@ RIGID_DIGESTS = {
         "769fd01ddf562da9be17ff7c24f4e7e331752a1a5ba72d8376ad72c692077993",
     "rigid --group psl2 --ell 13 --classes 2A,3A,13A":
         "d3fe683def409da82b5a3278ee66d427f33809d03b8e1349901ba1f30bf565a3",
+    "rigid --group psl2 --ell 37 --classes 2A,3A,37A":
+        "f00eb6d3b2e1219d10ee1a7178e17a03d34959bde2a5b3549ea8a51c3bafb2f8",
 }
 
 

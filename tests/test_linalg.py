@@ -1,6 +1,7 @@
 """Exact linear algebra, checked against slow-but-obvious reference code."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from excmono.linalg import (
     smith_normal_form,
     sparse_rows,
 )
-from oracles import echelonize, gf2_rank, mat_pow
+from excmono import chevalley, obs, verify
+from oracles import echelonize, gf2_rank, mat_pow, scan_integer_rank
 
 
 # ---------------------------------------------------------------- oracles --
@@ -152,6 +154,66 @@ def test_rank_leaves_its_rows_alone_and_reads_any_columns():
     assert integer_rank(iter(rows)) == 2
     assert rows == copies
     assert integer_rank([]) == integer_rank([{}, {}]) == 0
+
+
+def seeded_sparse_rows(seed):
+    """Up to 40 sparse rows over scattered (some negative) columns, with
+    empty rows, repeated rows, sums of earlier rows and entries up to
+    10^12."""
+    rng = random.Random(seed)
+    cols = rng.sample(range(-5, 60), rng.randrange(1, 40))
+    rows = []
+    for _ in range(rng.randrange(40)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.3 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            f = rng.randint(-3, 3)
+            row = {k: a.get(k, 0) + f * b.get(k, 0)
+                   for k in a.keys() | b.keys()}
+            rows.append({k: v for k, v in row.items() if v})
+        else:
+            big = rng.random() < 0.3
+            width = rng.randint(1, min(6, len(cols)))
+            row = {c: rng.randint(-10 ** 12, 10 ** 12) if big
+                   else rng.choice((-3, -2, -1, 1, 2, 3))
+                   for c in rng.sample(cols, width)}
+            rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_matches_scan_oracle_on_seeded_sparse_rows(seed):
+    rows = seeded_sparse_rows(seed)
+    copies = [dict(row) for row in rows]
+    want = scan_integer_rank(rows)
+    assert integer_rank(rows) == want
+    assert rows == copies
+    cols = sorted(set().union(*rows))
+    assert want == rank_by_fractions([[row.get(c, 0) for c in cols]
+                                      for row in rows if row])
+
+
+def test_rank_matches_scan_oracle_on_criterion_5_ad_matrices(monkeypatch):
+    seen = []
+    real = chevalley.integer_rank
+
+    def recording(rows):
+        rows = list(rows)
+        seen.append((rows, real(rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(chevalley, "integer_rank", recording)
+    obs.reset()
+    verify.criterion_chevalley()
+    # a regular nilpotent per label, the v-class searches, Jordan types
+    assert len(seen) >= 13
+    assert any(len(rows) == 248 for rows, _ in seen)
+    for rows, rank in seen:
+        assert rank == scan_integer_rank(rows)
 
 
 def test_mat_mul_and_pow():

@@ -260,3 +260,22 @@ def test_subcommand_imports_only_its_own_layer(argv, layer):
     assert code == "0" and layer in loaded
     assert not {"excmono.rigidity", "excmono.chevalley", "excmono.twogroup",
                 "excmono.verify"} & set(loaded), loaded
+
+
+# the standard modules `cli.main` left loaded that cost startup time
+_HEAVY = """
+import sys
+from excmono.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["a1", "--primes", "5,13"]],
+                         ids=" ".join)
+def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _HEAVY, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"

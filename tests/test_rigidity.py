@@ -28,6 +28,7 @@ from oracles import (
     matrix_pgl2,
     matrix_psl2,
     matrix_triple_count,
+    per_solution_triple_count,
     projective_invariant,
     readme_group_text,
 )
@@ -480,6 +481,50 @@ def test_permutation_groups_match_matrix_oracle(case):
         assert triple_count(g, g.classes[i], g.classes[j], g.classes[l]) \
             == matrix_triple_count(m, m.classes[i], m.classes[j],
                                    m.classes[l]), (i, j, l)
+
+
+def _orbit_oracle_triples(case):
+    """(group, class triples): every triple for ell <= 7 and the file
+    groups, else every triple whose first class is 2A."""
+    g, _ = ORACLE_CASES[case]()
+    k = range(len(g.classes))
+    if g.order <= 336:
+        return g, list(itertools.product(k, k, k))
+    i = g.classes.index(g.class_by_label("2A"))
+    return g, [(i, j, l) for j in k for l in k]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_orbit_flags_match_per_solution_oracle(case):
+    g, triples = _orbit_oracle_triples(case)
+    generating = 0
+    for i, j, l in triples:
+        c0, c1, cinf = g.classes[i], g.classes[j], g.classes[l]
+        report = triple_count(g, c0, c1, cinf, note="n")
+        assert report == per_solution_triple_count(g, c0, c1, cinf,
+                                                   note="n"), (i, j, l)
+        generating += report.generates
+    assert generating
+
+
+def test_orbit_flags_match_per_solution_oracle_at_every_hurwitz_g0():
+    g, c2, c3, c7 = hurwitz_setup()
+    for g0 in c2.members[::7]:
+        assert triple_count(g, c2, c3, c7, g0=g0) == \
+            per_solution_triple_count(g, c2, c3, c7, g0=g0)
+
+
+def test_one_closure_per_centralizer_orbit(monkeypatch):
+    g = psl2_group(37)
+    calls = []
+    real = FiniteGroup.subgroup_generated
+    monkeypatch.setattr(FiniteGroup, "subgroup_generated",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    r = triple_count(g, g.class_by_label("2A"), g.class_by_label("3A"),
+                     g.class_by_label("37A"))
+    # the 36 solutions at g0 form one orbit of its centralizer
+    assert r.solution_count == 703 * 36 and r.strictly_rigid
+    assert len(calls) == 1
 
 
 def test_pgl2_group_touches_matrices_only_on_the_frame_orbit(monkeypatch):

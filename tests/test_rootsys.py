@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from excmono.linalg import mat_mul
 from excmono.rootsys import RootSystem, root_system
-from oracles import coxeter_number, mat_pow, pair, tuple_closure
+from oracles import (coxeter_number, longest_element_matrix, mat_pow, pair,
+                     tuple_closure)
 
 ALL_LABELS = ["A1", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
               "D3", "D4", "D5", "D6", "D7", "D8", "E7", "E8", "F4", "G2"]
@@ -180,10 +181,24 @@ def test_minus_one_in_weyl(label):
     assert root_system(label).minus_one_in_weyl() is MINUS_ONE[label]
 
 
+W0_LABELS = (["A1"] + [f"{x}{n}" for x in "BC" for n in range(2, 10)]
+             + [f"D{n}" for n in range(2, 12)] + ["E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", W0_LABELS + ["F4-dual", "G2-dual"])
+def test_minus_one_in_weyl_matches_longest_element_oracle(label):
+    rs = root_system(label.removesuffix("-dual"))
+    if label.endswith("-dual"):
+        rs = rs.dual()
+    r = rs.rank
+    minus_one = [[-1 if i == j else 0 for j in range(r)] for i in range(r)]
+    assert rs.minus_one_in_weyl() is (longest_element_matrix(rs) == minus_one)
+
+
 @pytest.mark.parametrize("label", ["A1", "B3", "D5", "E8", "F4", "G2"])
 def test_longest_element_is_an_involution(label):
     rs = root_system(label)
-    w0 = rs.longest_element_matrix()
+    w0 = longest_element_matrix(rs)
     ident = [[1 if i == j else 0 for j in range(rs.rank)] for i in range(rs.rank)]
     assert mat_mul(w0, w0) == ident
     assert mat_pow(w0, 2) == ident
