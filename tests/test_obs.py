@@ -238,13 +238,24 @@ def test_in_process_manifest_equals_fresh_process(capsys, argv):
         assert capsys.readouterr().out == fresh.stdout
 
 
-# `cli.main` in a fresh interpreter, then the excmono modules it loaded
+# `cli.main` in a fresh interpreter, then every module it loaded
 _LOADED = """
 import sys
 from excmono.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("excmono")))
+print(code, *sorted(sys.modules))
 """
+
+
+def loaded_modules(argv) -> set:
+    """The modules a fresh `cli.main(argv)` leaves loaded; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    return set(loaded)
 
 
 @pytest.mark.parametrize("argv, layer", [
@@ -252,30 +263,14 @@ print(code, *sorted(m for m in sys.modules if m.startswith("excmono")))
     (["roots", "A1"], "excmono.rootsys"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_subcommand_imports_only_its_own_layer(argv, layer):
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    code, *loaded = proc.stdout.splitlines()[-1].split()
-    assert code == "0" and layer in loaded
+    loaded = loaded_modules(argv)
+    assert layer in loaded
     assert not {"excmono.rigidity", "excmono.chevalley", "excmono.twogroup",
-                "excmono.verify"} & set(loaded), loaded
-
-
-# the standard modules `cli.main` left loaded that cost startup time
-_HEAVY = """
-import sys
-from excmono.cli import main
-code = main(sys.argv[1:])
-print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules)))
-"""
+                "excmono.verify"} & loaded
 
 
 @pytest.mark.parametrize("argv", [["verify-all"], ["a1", "--primes", "5,13"]],
                          ids=" ".join)
 def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", _HEAVY, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0"
+    # importing dataclasses imports inspect, milliseconds of startup
+    assert not {"dataclasses", "inspect"} & loaded_modules(argv)
