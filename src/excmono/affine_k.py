@@ -17,7 +17,19 @@ from typing import NamedTuple
 
 from .linalg import gf2_nullspace, smith_normal_form
 from .obs import check, memo
-from .rootsys import RootSystem, root_key, root_system
+from .rootsys import RootSystem, dynkin_components, root_key, root_system
+
+# the component-type table, one entry per family row, instantiated at
+# every rank this toolkit supports
+K_TYPE_TABLE = {
+    "A1": "Gm",
+    "B4": "A1xA1xB2", "B6": "A3xB3",            # B even: B_n x D_n
+    "B3": "A1xA1xA1", "B5": "B2xA3", "B7": "B3xD4",  # B odd: B_n x D_{n+1}
+    "B2": "A1xGm", "C2": "A1xGm", "C3": "A2xGm",     # C_n: A_{n-1} x Gm
+    "C4": "A3xGm", "C5": "A4xGm",
+    "D4": "A1xA1xA1xA1", "D6": "A3xA3", "D8": "D4xD4",  # D even: D_n x D_n
+    "E7": "A7", "E8": "D8", "F4": "A1xC3", "G2": "A1xA1",
+}
 
 
 class LatticeQuotient(NamedTuple):
@@ -109,30 +121,12 @@ def _simple_system(positive_members):
 
 def _classify_components(rs: RootSystem, simple_roots):
     """Cartan labels of the simple system, canonically ordered."""
-    k = len(simple_roots)
     # <b_i, b_j-vee> = sum over l of b_i[l] <alpha_l, b_j-vee>
     cols = [rs.copairing_of[b] for b in simple_roots]
-    a = [[sum(map(mul, simple_roots[i], cols[j])) for j in range(k)]
-         for i in range(k)]
+    a = [[sum(map(mul, b, col)) for col in cols] for b in simple_roots]
     norms = [rs.norm_of[b] for b in simple_roots]
-    comps = []
-    seen = set()
-    for s in range(k):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in range(k):
-                if v not in comp and u != v and a[u][v]:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(sorted(comp))
-    labels = []
-    for comp in comps:
-        labels.append(_component_label(a, norms, comp))
+    labels = [_component_label(a, norms, comp)
+              for comp in dynkin_components(a)]
     labels.sort(key=lambda s: (int(s[1:]), s[0]))
     return tuple(labels)
 

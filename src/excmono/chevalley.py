@@ -20,16 +20,18 @@ negated root): one int add, one dict get.
 
 from __future__ import annotations
 
+import random
 from operator import mul
 from typing import NamedTuple
 
 from .affine_k import kappa_character
 from .linalg import integer_rank
 from .obs import check, memo
-from .rootsys import RootSystem, root_key, root_system
+from .rootsys import RootSystem, require_covered, root_key, root_system
 
-SUPPORTED = "A1, D(2n) with 2n >= 4, E7, E8 or G2"
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
+# (dim of the quasi-minuscule representation, dim Y) as in the paper
+QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
 
 
 class ChevalleyAlgebra:
@@ -189,11 +191,23 @@ class ChevalleyAlgebra:
 @memo
 def build_algebra(label: str) -> ChevalleyAlgebra:
     rs = root_system(label)
-    ok = (rs.label == "A1" or rs.letter in ("E", "G")
-          or (rs.letter == "D" and rs.rank % 2 == 0 and rs.rank >= 4))
-    if not ok:
-        raise ValueError(f"{label}: Chevalley layer covers {SUPPORTED}")
+    require_covered(rs)
     return ChevalleyAlgebra(rs.dual())
+
+
+def jacobi_probe(alg: ChevalleyAlgebra, samples: int, seed: int) -> int:
+    """Spot-check the Jacobi identity on random basis triples."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y, z = ({rng.randrange(alg.dim): 1} for _ in range(3))
+        total = {}
+        for a, bc in ((x, alg.bracket(y, z)), (y, alg.bracket(z, x)),
+                      (z, alg.bracket(x, y))):
+            for k, v in alg.bracket(a, bc).items():
+                total[k] = total.get(k, 0) + v
+        check("jacobi-identity-sampled", not any(total.values()),
+              "Jacobi identity failed on sampled triple")
+    return samples
 
 
 def kappa_fixed_dim(alg: ChevalleyAlgebra, kappa) -> int:
@@ -413,8 +427,9 @@ def local_dims(label: str):
 def quasiminuscule_dims(label: str):
     """(dim of the quasi-minuscule representation, dim Y, Heisenberg count)."""
     rs = root_system(label)
-    if rs.label not in ("E7", "E8", "G2"):
-        raise ValueError("quasi-minuscule bookkeeping covers E7, E8, G2")
+    if rs.label not in QM_EXPECT:
+        raise ValueError("quasi-minuscule bookkeeping covers "
+                         + ", ".join(QM_EXPECT))
     # short roots have long coroots
     top = max(rs.norm_of.values())
     n_short = sum(1 for a in rs.roots if rs.norm_of[a] == top)

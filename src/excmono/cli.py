@@ -25,8 +25,7 @@ def _cmd_roots(args):
 
 
 def _cmd_k_type(args):
-    from .affine_k import k_type_row
-    from .verify import K_TYPE_TABLE
+    from .affine_k import K_TYPE_TABLE, k_type_row
     labels = sorted(K_TYPE_TABLE) if args.label == "all" else [args.label]
     rows = [k_type_row(label) for label in labels]
     return rows[0] if len(rows) == 1 else rows
@@ -52,9 +51,9 @@ def _cmd_atilde(args):
 
 
 def _cmd_monodromy(args):
-    from .chevalley import build_algebra, local_dims, quasiminuscule_dims
+    from .chevalley import (QM_EXPECT, build_algebra, jacobi_probe,
+                            local_dims, quasiminuscule_dims)
     from .rootsys import root_system
-    from .verify import QM_EXPECT, jacobi_probe
     if args.samples < 0:
         raise ValueError(f"--samples {args.samples} is negative")
     label = args.label
@@ -154,6 +153,9 @@ def _group_summary(group) -> dict:
 def _cmd_rigid(args):
     from .rigidity import predicted_triple, psl2_group, triple_count
     if args.group == "pgl2":
+        if args.classes:
+            raise ValueError("--classes needs --group psl2 or file:<path>; "
+                             "pgl2 reports its fixture triple")
         return predicted_triple(args.ell).json_dict()
     if args.group == "psl2":
         group = psl2_group(args.ell)
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pgl2, psl2, or file:<path> with generator matrices")
     p.add_argument("--ell", type=int, default=5)
     p.add_argument("--classes",
-                   help="comma list of class labels for a custom triple")
+                   help="comma list of class labels for a psl2 or file: "
+                        "triple")
     p.set_defaults(fn=_cmd_rigid)
 
     p = sub.add_parser("verify-all", parents=[common],

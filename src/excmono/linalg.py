@@ -93,6 +93,24 @@ def mat_mul(a, b):
     return out
 
 
+def _pivot_least(m, top: int) -> bool:
+    """Swap a nonzero entry of least |value| in the block of rows and
+    columns >= top to (top, top), the first such entry in row order;
+    False if the block is zero."""
+    best = None
+    for i in range(top, len(m)):
+        for j in range(top, len(m[i])):
+            if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
+                best = (abs(m[i][j]), i, j)
+    if best is None:
+        return False
+    _, bi, bj = best
+    m[top], m[bi] = m[bi], m[top]
+    for row in m:
+        row[top], row[bj] = row[bj], row[top]
+    return True
+
+
 def smith_normal_form(mat) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
@@ -105,18 +123,8 @@ def smith_normal_form(mat) -> list[int]:
     invariants = []
     top = 0
     while top < nr and top < nc:
-        # find a nonzero entry with least |value| to pivot at (top, top)
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
-                    best = (abs(m[i][j]), i, j)
-        if best is None:
+        if not _pivot_least(m, top):
             break
-        _, bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
         while True:
             # clear column, then row; restart if a division leaves residue
             p = m[top][top]
@@ -137,15 +145,7 @@ def smith_normal_form(mat) -> list[int]:
             if done:
                 break
             # residues are smaller than |p|, so this loop terminates
-            best = None
-            for i in range(top, nr):
-                for j in range(top, nc):
-                    if m[i][j] and (best is None or abs(m[i][j]) < best[0]):
-                        best = (abs(m[i][j]), i, j)
-            _, bi, bj = best
-            m[top], m[bi] = m[bi], m[top]
-            for row in m:
-                row[top], row[bj] = row[bj], row[top]
+            _pivot_least(m, top)
         invariants.append(abs(m[top][top]))
         top += 1
     # enforce the divisibility chain d1 | d2 | ...

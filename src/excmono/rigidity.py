@@ -21,7 +21,7 @@ membership during the triple count an exact dictionary lookup.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .arith import is_prime, least_primitive_root
@@ -254,7 +254,7 @@ class TripleReport(NamedTuple):
     class_labels: tuple
     class_sizes: tuple
     solution_count: int
-    normalized_count: Fraction
+    normalized_count: tuple  # (numerator, denominator) in lowest terms
     generates: bool
     all_generate: bool
     strictly_rigid: bool
@@ -267,8 +267,7 @@ class TripleReport(NamedTuple):
             "classes": list(self.class_labels),
             "class_sizes": list(self.class_sizes),
             "solution_count": self.solution_count,
-            "normalized_count": [self.normalized_count.numerator,
-                                 self.normalized_count.denominator],
+            "normalized_count": list(self.normalized_count),
             "generates": self.generates,
             "all_generate": self.all_generate,
             "strictly_rigid": self.strictly_rigid,
@@ -312,7 +311,9 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
                 table = g1 + tail
                 for c_inv, c_table in cent:
                     gen_flags[c_inv.translate(table).translate(c_table)] = flag
-    normalized = Fraction(solution_count * len(group.center), group.order)
+    num = solution_count * len(group.center)
+    g = gcd(num, group.order)
+    normalized = (num // g, group.order // g)
     all_generate = bool(gen_flags) and all(gen_flags.values())
     return TripleReport(
         group_order=group.order,
@@ -323,51 +324,46 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
         normalized_count=normalized,
         generates=any(gen_flags.values()),
         all_generate=all_generate,
-        strictly_rigid=normalized == 1 and all_generate,
+        strictly_rigid=normalized == (1, 1) and all_generate,
         note=note,
     )
 
 
 # ------------------------------------------------------------- instances
 
-def pgl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def pgl2_group(ell: int) -> FiniteGroup:
     """PGL2(F_ell) on P^1, generated by a unipotent, the Weyl element and
     diag(nu, 1) for the least primitive root nu."""
     name, order = f"PGL2(F_{ell})", ell * (ell - 1) * (ell + 1)
-    _check_instance(ell, order, cap, name)
+    _check_instance(ell, order, name)
     nu = least_primitive_root(ell)
     return _projective_line_group(
-        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)],
-        order, name, cap)
+        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0), (nu, 0, 0, 1)], order, name)
 
 
-def psl2_group(ell: int, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def psl2_group(ell: int) -> FiniteGroup:
     """PSL2(F_ell) inside PGL2(F_ell), generated by the images of the
     unipotent and the Weyl element of SL2(F_ell)."""
     name, order = f"PSL2(F_{ell})", ell * (ell - 1) * (ell + 1) // 2
-    _check_instance(ell, order, cap, name)
+    _check_instance(ell, order, name)
     return _projective_line_group(
-        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0)], order, name, cap)
+        ell, [(1, 1, 0, 1), (0, ell - 1, 1, 0)], order, name)
 
 
-def _projective_line_group(ell: int, gens, order: int, name: str,
-                           cap: int) -> FiniteGroup:
+def _projective_line_group(ell: int, gens, order: int,
+                           name: str) -> FiniteGroup:
     rep = MatrixRep(ell, 2, scalars=range(1, ell))
-    group = FiniteGroup(rep.permutations(gens), cap)
+    group = FiniteGroup(rep.permutations(gens))
     check("group-order", group.order == order,
           "{} closed to {} elements, want {}", name, group.order, order)
     return group
 
 
-def _check_instance(ell: int, order: int, cap: int, name: str):
-    """Refuse a bad ell, and a known order over the cap or whose
-    permutations of the ell + 1 points would take over MAX_TABLE_BYTES,
-    before any closure."""
+def _check_instance(ell: int, order: int, name: str):
+    """Refuse a bad ell, and a known order whose permutations of the
+    ell + 1 points would take over MAX_TABLE_BYTES, before any closure."""
     if not is_prime(ell) or ell == 2:
         raise ValueError(f"{ell} is not an odd prime")
-    if order > cap:
-        raise OverflowError(f"{name} has {order} elements, over the cap "
-                            f"of {cap}")
     if order * (ell + 1) > MAX_TABLE_BYTES:
         raise _over_table_bytes(name, order, ell + 1)
 
@@ -380,7 +376,7 @@ def _over_table_bytes(name: str, count, degree: int) -> OverflowError:
 SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"
 
 
-def predicted_triple(ell: int = 5, cap: int = DEFAULT_CAP) -> TripleReport:
+def predicted_triple(ell: int = 5) -> TripleReport:
     """The harness analog of the predicted triple in a PGL2 toy instance.
 
     C0 is the split involution (the image of diag(1, -1), whose
@@ -392,7 +388,7 @@ def predicted_triple(ell: int = 5, cap: int = DEFAULT_CAP) -> TripleReport:
     if not 3 <= ell <= 13 or not is_prime(ell):
         raise ValueError(f"unsupported instance; supported: "
                          f"{SUPPORTED_INSTANCES}")
-    group = pgl2_group(ell, cap)
+    group = pgl2_group(ell)
     unip, _, nu_diag = group.generators
     # diag(nu, 1)^((ell-1)/2) = diag(-1, 1), the image of diag(1, -1)
     invol = nu_diag

@@ -115,17 +115,7 @@ class RootSystem:
         return len(self.roots)
 
     def is_irreducible(self) -> bool:
-        # connectivity of the Dynkin diagram
-        r = self.rank
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(r):
-                if j not in seen and i != j and self.cartan[i][j]:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == r
+        return len(dynkin_components(self.cartan)) == 1
 
     def coroot_dot(self, v, w) -> int:
         g = self.form_gram
@@ -285,6 +275,34 @@ def _cartan_data(letter: str, rank: int):
         # alpha_1 short root (long coroot), alpha_2 long root (short coroot)
         return [[2, -1], [-3, 2]], [6, 2]
     raise ValueError(letter)
+
+
+def dynkin_components(a) -> list:
+    """The connected components of the Dynkin diagram of the square
+    Cartan-like matrix a, nodes i and j joined when a[i][j] != 0: each
+    a sorted list of node indices, the components ordered by least node."""
+    comps, seen = [], set()
+    for s in range(len(a)):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for u in comp:  # grows while it is walked
+            for v, x in enumerate(a[u]):
+                if x and v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def require_covered(rs: RootSystem) -> None:
+    """ValueError unless the two-group and Chevalley layers cover the type
+    of rs: one whose Weyl group holds -1 and whose dual has its type."""
+    if not (rs.letter in "AEG"
+            or rs.letter == "D" and rs.rank % 2 == 0 and rs.rank >= 4):
+        raise ValueError(f"{rs.label}: the two-group and Chevalley layers "
+                         "cover A1, D(2n) with 2n >= 4, E7, E8 or G2")
 
 
 def root_key(v) -> int:

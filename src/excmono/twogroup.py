@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
 from .obs import check, memo
-from .rootsys import RootSystem
+from .rootsys import RootSystem, require_covered
 
 
 def odd_sets(r: int) -> list:
@@ -51,13 +51,10 @@ def odd_sets(r: int) -> list:
 
 class TildeGroup:
     def __init__(self, rs: RootSystem):
-        letter, rank = rs.letter, rs.rank
-        supported = (letter in ("A", "G", "E")
-                     or (letter == "D" and rank % 2 == 0 and rank >= 4))
-        if not supported or not rs.minus_one_in_weyl():
-            raise ValueError(
-                f"{rs.label}: the two-group construction needs type "
-                "A1, D(2n), E7, E8 or G2")
+        require_covered(rs)
+        if not rs.minus_one_in_weyl():
+            raise ValueError(f"{rs.label}: -1 not in the Weyl group")
+        rank = rs.rank
         self.rs = rs
         self.r = rank
         g = rs.form_gram

@@ -547,7 +547,7 @@ def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> TripleReport:
         class_labels=(c0.label, c1.label, cinf.label),
         class_sizes=(c0.size, c1.size, cinf.size),
         solution_count=solution_count,
-        normalized_count=normalized,
+        normalized_count=(normalized.numerator, normalized.denominator),
         generates=any(gen_flags),
         all_generate=bool(gen_flags) and all(gen_flags),
         strictly_rigid=(normalized == 1 and bool(gen_flags)
@@ -574,7 +574,7 @@ def per_solution_triple_count(group, c0, c1, cinf, g0=None,
         class_labels=(c0.label, c1.label, cinf.label),
         class_sizes=(c0.size, c1.size, cinf.size),
         solution_count=solution_count,
-        normalized_count=normalized,
+        normalized_count=(normalized.numerator, normalized.denominator),
         generates=any(gen_flags),
         all_generate=bool(gen_flags) and all(gen_flags),
         strictly_rigid=(normalized == 1 and bool(gen_flags)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from excmono import affine_k, obs
 from excmono.affine_k import (
+    K_TYPE_TABLE,
     _fold_half_rho_vee,
     _simple_system,
     k_fundamental_quotient,
@@ -16,7 +17,6 @@ from excmono.affine_k import (
     removed_node_coefficient,
 )
 from excmono.rootsys import root_system
-from excmono.verify import K_TYPE_TABLE
 from oracles import fraction_fold, pair, tuple_simple_system
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)

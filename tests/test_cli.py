@@ -169,6 +169,15 @@ def test_rigid_pgl2_fixture(capsys):
     assert res["strictly_rigid"] is False
 
 
+@pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE"])
+def test_rigid_pgl2_refuses_classes(capsys, classes):
+    # pgl2 reports its fixture triple, so a triple of its own is refused
+    code, out, err = run_cli(capsys, "rigid", "--group", "pgl2", "--ell", "7",
+                             "--classes", classes)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_rigid_psl2_hurwitz(capsys):
     code, doc, _ = run_json(capsys, "rigid", "--group", "psl2", "--ell", "7",
                             "--classes", "2A,3A,7A")
@@ -258,10 +267,10 @@ HUGE = str(10 ** 18 + 9)
     ["a1", "--primes", f"5,{HUGE}"],
     ["rigid", "--ell", HUGE],
     ["rigid", "--group", "psl2", "--ell", HUGE],
-    # 8.5 M elements, under the cap, but 258 points on the projective line
+    # 8.5 M elements on 258 points of the projective line
     ["rigid", "--group", "psl2", "--ell", "257"],
     ["rigid", "--group", "file:huge.json"],
-    # 7.9 M elements of 252 bytes, under the cap and the point bound
+    # 7.9 M elements of 252 bytes, under the point bound
     ["rigid", "--group", "psl2", "--ell", "251"],
 ])
 def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):

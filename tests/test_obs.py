@@ -10,7 +10,7 @@ import pytest
 
 import excmono
 from excmono import obs, rootsys
-from excmono.cli import main
+from excmono.cli import build_parser, main
 from excmono.obs import CheckFailed, check
 
 SRC = Path(excmono.__file__).resolve().parent
@@ -258,19 +258,54 @@ def loaded_modules(argv) -> set:
     return set(loaded)
 
 
-@pytest.mark.parametrize("argv, layer", [
+LAYERS = {"a1lab", "affine_k", "arith", "chevalley", "linalg", "rigidity",
+          "rootsys", "twogroup", "verify"}
+# the layers each subcommand may load, besides the package, cli and obs
+MAY_LOAD = {
+    "roots": {"rootsys"},
+    "k-type": {"affine_k", "linalg", "rootsys"},
+    "atilde": {"arith", "linalg", "rootsys", "twogroup"},
+    "monodromy": {"affine_k", "chevalley", "linalg", "rootsys"},
+    "a1": {"a1lab", "arith"},
+    "rigid": {"arith", "rigidity"},
+    "verify-all": LAYERS,
+}
+
+
+# a fresh run of each subcommand and the layer it must load
+LAYER_RUNS = [
     (["a1", "--primes", "5,13"], "excmono.a1lab"),
     (["roots", "A1"], "excmono.rootsys"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    (["k-type", "all"], "excmono.affine_k"),
+    (["atilde", "A1"], "excmono.twogroup"),
+    (["monodromy", "G2", "--samples", "20"], "excmono.chevalley"),
+    (["rigid"], "excmono.rigidity"),
+    (["verify-all"], "excmono.verify"),
+]
+
+
+def test_every_subcommand_has_its_layers_pinned():
+    commands = next(a.choices for a in build_parser()._actions
+                    if a.dest == "command")
+    assert set(MAY_LOAD) == set(commands) == {
+        argv[0] for argv, _ in LAYER_RUNS}
+    assert set().union(*MAY_LOAD.values()) == LAYERS
+
+
+@pytest.mark.parametrize("argv, layer", LAYER_RUNS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else v)
 def test_subcommand_imports_only_its_own_layer(argv, layer):
-    loaded = loaded_modules(argv)
+    loaded = {m for m in loaded_modules(argv) if m.startswith("excmono.")}
     assert layer in loaded
-    assert not {"excmono.rigidity", "excmono.chevalley", "excmono.twogroup",
-                "excmono.verify"} & loaded
+    allowed = {"excmono.cli", "excmono.obs"} | {
+        f"excmono.{m}" for m in MAY_LOAD[argv[0]]}
+    assert loaded <= allowed, loaded - allowed
 
 
 @pytest.mark.parametrize("argv", [["verify-all"], ["a1", "--primes", "5,13"]],
                          ids=" ".join)
 def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
-    # importing dataclasses imports inspect, milliseconds of startup
-    assert not {"dataclasses", "inspect"} & loaded_modules(argv)
+    # importing dataclasses imports inspect, and fractions imports decimal
+    # and numbers: milliseconds of startup each
+    assert not {"dataclasses", "inspect", "fractions"} & loaded_modules(argv)

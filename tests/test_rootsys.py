@@ -14,8 +14,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from excmono.chevalley import build_algebra
 from excmono.linalg import mat_mul
-from excmono.rootsys import RootSystem, root_system
+from excmono.rootsys import (RootSystem, dynkin_components, require_covered,
+                             root_system)
+from excmono.twogroup import build_tilde_group
+from excmono.verify import COVERED_LABELS
 from oracles import (coxeter_number, longest_element_matrix, mat_pow, pair,
                      tuple_closure)
 
@@ -265,6 +269,34 @@ def test_reducible_d2():
     assert not rs.is_irreducible()
     with pytest.raises(ValueError):
         rs.highest_root()
+
+
+def test_dynkin_components():
+    assert dynkin_components(root_system("E8").cartan) == [list(range(8))]
+    assert dynkin_components(root_system("D2").cartan) == [[0], [1]]
+    # nodes 0 - 2 and 1 = 3 - 4, numbered out of diagram order
+    a = [[2, 0, -1, 0, 0], [0, 2, 0, -1, 0], [-1, 0, 2, 0, 0],
+         [0, -2, 0, 2, -1], [0, 0, 0, -1, 2]]
+    assert dynkin_components(a) == [[0, 2], [1, 3, 4]]
+    assert dynkin_components([]) == []
+
+
+def test_covered_types_are_one_set():
+    covered = set()
+    for label in ALL_LABELS + ["B6", "B7", "C6", "D9", "D10"]:
+        rs = root_system(label)
+        try:
+            require_covered(rs)
+        except ValueError as exc:
+            # the two layers refuse an uncovered type with the one message
+            for build in (lambda: build_tilde_group(rs),
+                          lambda: build_algebra(label)):
+                with pytest.raises(ValueError) as refused:
+                    build()
+                assert str(refused.value) == str(exc)
+            continue
+        covered.add(label)
+    assert covered == set(COVERED_LABELS) | {"D10"}
 
 
 @pytest.mark.parametrize("bad", ["A2", "A5", "E6", "E9", "B1", "C1", "D1",
