@@ -88,6 +88,22 @@ def test_cap_overflow_is_explicit():
         FiniteGroup(S4_GENS, cap=10)
 
 
+@pytest.mark.parametrize("build,ell,cap", [(psl2_group, 10007,
+                                            rigidity.DEFAULT_CAP)])
+def test_known_order_over_cap_refused_before_closure(monkeypatch, build,
+                                                     ell, cap):
+    # PSL2(F_10007) has more elements than the default cap; a named group's
+    # table-bytes bound refuses it from the known order, before any closure
+    assert ell * (ell * ell - 1) // 2 > cap
+
+    def no_closure(self, cap):
+        raise RuntimeError("closure ran")
+
+    monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
+    with pytest.raises(OverflowError, match="bytes each"):
+        build(ell)
+
+
 def test_enumeration_is_deterministic():
     a = FiniteGroup(S4_GENS)
     b = FiniteGroup(S4_GENS)
@@ -550,7 +566,7 @@ def test_psl2_over_the_table_bound_is_refused_before_closure(monkeypatch):
         raise RuntimeError("closure ran")
 
     monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
-    for ell in (79, 251, 10007):
+    for ell in (79, 251):
         with pytest.raises(OverflowError, match="bytes each"):
             psl2_group(ell)
 
