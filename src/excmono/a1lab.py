@@ -47,7 +47,6 @@ class FiniteFieldCtx:
         if p % 4 != 1:
             raise ValueError(f"q = {p} is 3 mod 4: no character of order 4")
         self.p = self.q = p
-        self._ext_sums = None  # filled by extension_sums
         self.generator = least_primitive_root(p)
         self.index = [4] * p
         z = 1
@@ -252,11 +251,12 @@ def _correlate(pairs, n: int, count: int) -> list:
     return list(zip(_kron_unpack(re, n, width), _kron_unpack(im, n, width)))
 
 
+@memo
 def extension_sums(ctx: FiniteFieldCtx) -> tuple:
     """E(lam) = sum of chi(Norm(f(x))) over the good x of F_{p^2}, for every
     lam in F_p as an (re, im) pair (None at lam = 0, 1); -E(lam) is the
-    trace of the squared Frobenius on the chi-piece.  Built once from
-    `ctx.index` and kept on ctx.
+    trace of the squared Frobenius on the chi-piece.  Built once per ctx
+    from `ctx.index`.
 
     With u = lam*x, f = lam(u-1)/(u(u-lam)), so with chi_N = chi o Norm
     and chi_N(0) = 0 (which drops the bad points u = 0, 1, lam)
@@ -267,9 +267,7 @@ def extension_sums(ctx: FiniteFieldCtx) -> tuple:
     g_b[a] = chi_N(u-1) conj(chi_N(u)) with chi_N(u); `_correlate` sums
     the p rows b.
     """
-    if ctx._ext_sums is None:
-        ctx._ext_sums = _extension_table(ctx.index)
-    return ctx._ext_sums
+    return _extension_table(ctx.index)
 
 
 def _extension_table(index) -> tuple:

@@ -32,6 +32,8 @@ from .rootsys import RootSystem, require_covered, root_key, root_system
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 # (dim of the quasi-minuscule representation, dim Y) as in the paper
 QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
+# a Jacobi sample takes about 10 us on E8: 10**5 of them about 1 s
+MAX_SAMPLES = 10 ** 5
 
 
 class ChevalleyAlgebra:

@@ -51,11 +51,12 @@ def _cmd_atilde(args):
 
 
 def _cmd_monodromy(args):
-    from .chevalley import (QM_EXPECT, build_algebra, jacobi_probe,
-                            local_dims, quasiminuscule_dims)
+    from .chevalley import (MAX_SAMPLES, QM_EXPECT, build_algebra,
+                            jacobi_probe, local_dims, quasiminuscule_dims)
     from .rootsys import root_system
-    if args.samples < 0:
-        raise ValueError(f"--samples {args.samples} is negative")
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples} is outside the bounds "
+                         f"0 .. MAX_SAMPLES = {MAX_SAMPLES}")
     label = args.label
     alg = build_algebra(label)
     rs = root_system(label)
@@ -104,24 +105,29 @@ def _load_file_group(path: str):
     """The `FiniteGroup` of a `file:` input; ValueError unless its shape
     is right and every generator is invertible."""
     from .arith import is_prime
-    from .rigidity import DEFAULT_CAP, FiniteGroup, MatrixRep
-    with open(path) as fh:
-        blob = json.load(fh)
+    from .rigidity import FiniteGroup, MatrixRep
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: want a JSON object, not a JSON "
                          f"{type(blob).__name__}")
-    p, n = blob.get("p"), blob.get("n")
+    p, n, gens, scalars = (blob.pop(key, None)
+                           for key in ("p", "n", "generators", "scalars"))
+    if blob:
+        raise ValueError(f"{path}: unknown key {next(iter(blob))!r}; want "
+                         "only p, n, generators, scalars")
     if not _is_int(p) or not is_prime(p):
         raise ValueError(f"{path}: p = {p!r} is not a prime")
     if not _is_int(n) or n < 1:
         raise ValueError(f"{path}: n = {n!r} is not an integer >= 1")
-    gens = blob.get("generators")
     if not isinstance(gens, list) or not all(
             isinstance(g, list) and len(g) == n * n and all(map(_is_int, g))
             for g in gens):
         raise ValueError(f"{path}: generators must be a list of lists of "
                          f"{n * n} integers")
-    scalars = blob.get("scalars")
     if scalars is not None and not (
             isinstance(scalars, list)
             and all(_is_int(s) and s % p for s in scalars)):
@@ -134,11 +140,8 @@ def _load_file_group(path: str):
                   or any(pow(s, len(units), p) != 1 for s in units)):
         raise ValueError(f"{path}: scalars are not a subgroup of the "
                          f"units mod {p}")
-    cap = blob.get("cap", DEFAULT_CAP)
-    if not _is_int(cap) or cap < 1:
-        raise ValueError(f"{path}: cap = {cap!r} is not an integer >= 1")
     rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    return FiniteGroup(rep.permutations(gens), cap=cap)
+    return FiniteGroup(rep.permutations(gens))
 
 
 def _group_summary(group) -> dict:
@@ -152,6 +155,16 @@ def _group_summary(group) -> dict:
 
 def _cmd_rigid(args):
     from .rigidity import predicted_triple, psl2_group, triple_count
+    if args.group.startswith("file:"):
+        if args.ell is not None:
+            raise ValueError("--ell needs --group pgl2 or psl2; a file: "
+                             "group gives its own p")
+        group = _load_file_group(args.group[5:])
+    elif args.group not in ("pgl2", "psl2"):
+        raise ValueError(
+            f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
+    elif args.ell is None:
+        args.ell = 5   # recorded in the manifest's parameters
     if args.group == "pgl2":
         if args.classes:
             raise ValueError("--classes needs --group psl2 or file:<path>; "
@@ -159,11 +172,6 @@ def _cmd_rigid(args):
         return predicted_triple(args.ell).json_dict()
     if args.group == "psl2":
         group = psl2_group(args.ell)
-    elif args.group.startswith("file:"):
-        group = _load_file_group(args.group[5:])
-    else:
-        raise ValueError(
-            f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
     result = _group_summary(group)
     if args.group == "psl2":
         result["label"] = f"psl2-{args.ell}"
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triple rigidity report for a small group")
     p.add_argument("--group", default="pgl2",
                    help="pgl2, psl2, or file:<path> with generator matrices")
-    p.add_argument("--ell", type=int, default=5)
+    p.add_argument("--ell", type=int, help="for pgl2 and psl2 only; default 5")
     p.add_argument("--classes",
                    help="comma list of class labels for a psl2 or file: "
                         "triple")
@@ -267,7 +275,7 @@ def main(argv=None) -> int:
     t0 = perf_counter()
     try:
         result = args.fn(args)
-    except (ValueError, OverflowError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except obs.CheckFailed as exc:

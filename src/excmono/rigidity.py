@@ -27,7 +27,6 @@ from typing import NamedTuple
 from .arith import is_prime, least_primitive_root
 from .obs import check
 
-DEFAULT_CAP = 10 ** 7
 MAX_POINTS = 256  # entries in a bytes.translate table
 # A group whose elements, one byte per point each, would take over this
 # many bytes is refused: a named one before any closure (PGL2 passes up
@@ -124,12 +123,12 @@ class FiniteGroup:
     Elements are `bytes`; `index` maps each to its id, its position in
     `elements`, and class members and `class_of` keys are those objects."""
 
-    def __init__(self, generators, cap: int = DEFAULT_CAP):
+    def __init__(self, generators):
         self.generators = [bytes(g) for g in generators]
         degree = len(self.generators[0]) if self.generators else 0
         self.identity = _IDENTITY_TABLE[:degree]
         self._tail = _IDENTITY_TABLE[degree:]  # pads an element to a table
-        self.elements, self.index = self._closure(cap)
+        self.elements, self.index = self._closure()
         self.order = len(self.elements)
         self.classes = self._conjugacy_classes()
         # z is central iff its class is {z}; the class equation checks both
@@ -140,7 +139,7 @@ class FiniteGroup:
                 self.class_of[g] = ci
         self._check_class_equation()
 
-    def _closure(self, cap: int):
+    def _closure(self):
         tables = [s + self._tail for s in self.generators]
         elements = [self.identity]
         index = {self.identity: 0}
@@ -149,9 +148,6 @@ class FiniteGroup:
             for t in tables:
                 h = g.translate(t)
                 if h not in index:
-                    if len(elements) >= cap:
-                        raise OverflowError(
-                            f"group exceeds cap of {cap} elements")
                     if (len(elements) + 1) * degree > MAX_TABLE_BYTES:
                         raise _over_table_bytes(
                             "the group", f"more than {len(elements)}", degree)
@@ -373,9 +369,6 @@ def _over_table_bytes(name: str, count, degree: int) -> OverflowError:
                          f"each, over the bound of {MAX_TABLE_BYTES} bytes")
 
 
-SUPPORTED_INSTANCES = "pgl2 with odd prime ell <= 13"
-
-
 def predicted_triple(ell: int = 5) -> TripleReport:
     """The harness analog of the predicted triple in a PGL2 toy instance.
 
@@ -385,9 +378,6 @@ def predicted_triple(ell: int = 5) -> TripleReport:
     single nontrivial unipotent class.  These choices are this harness's
     fixture, not classes named by any conjecture at this scale.
     """
-    if not 3 <= ell <= 13 or not is_prime(ell):
-        raise ValueError(f"unsupported instance; supported: "
-                         f"{SUPPORTED_INSTANCES}")
     group = pgl2_group(ell)
     unip, _, nu_diag = group.generators
     # diag(nu, 1)^((ell-1)/2) = diag(-1, 1), the image of diag(1, -1)

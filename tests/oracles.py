@@ -32,7 +32,7 @@ from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
 from excmono.obs import check
-from excmono.rigidity import DEFAULT_CAP, ConjClass, MatrixRep, TripleReport
+from excmono.rigidity import ConjClass, MatrixRep, TripleReport
 from excmono.twogroup import _reduce_by
 
 # recorded before the Ã and a1 layers were rewritten for single computation
@@ -443,9 +443,12 @@ class MatrixGroup:
     """The group that matrix generators close to, with canonical matrices
     as elements and every product a matrix product: the independent route
     for FiniteGroup, which works on permutations of the frame orbit.
-    Closure, classes, labels and subgroup orders follow the same rules."""
+    Closure, classes, labels and subgroup orders follow the same rules.
+    The oracle is for small groups: its closure stops at MAX_ELEMENTS."""
 
-    def __init__(self, rep, generators, cap: int = DEFAULT_CAP):
+    MAX_ELEMENTS = 10 ** 5
+
+    def __init__(self, rep, generators):
         self.rep = rep
         n = rep.n
         self.identity = rep.canon(tuple(int(i == j) for i in range(n)
@@ -457,7 +460,7 @@ class MatrixGroup:
             for s in self.generators:
                 h = self.mul(g, s)
                 if h not in seen:
-                    assert len(seen) < cap, "over the cap"
+                    assert len(seen) < self.MAX_ELEMENTS, "over the bound"
                     seen.add(h)
                     self.elements.append(h)
         self.index = {g: i for i, g in enumerate(self.elements)}

@@ -7,7 +7,7 @@ import pytest
 
 from excmono import verify
 from excmono.a1lab import render_csv, scan
-from excmono.chevalley import ChevalleyAlgebra
+from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
 from excmono.cli import build_parser, main
 from oracles import GOLDEN, README, readme_group_text, stdout_digest
 
@@ -124,6 +124,18 @@ def test_monodromy_negative_samples_is_usage_error(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def test_monodromy_samples_over_the_bound_is_refused_quickly(capsys):
+    # at about 10 us a sample on E8, 10**9 samples would run for hours
+    for samples in (MAX_SAMPLES + 1, 10 ** 9):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "monodromy", "E8", "--samples",
+                                 str(samples))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: --samples {samples} is outside the bounds " \
+            f"0 .. MAX_SAMPLES = {MAX_SAMPLES}\n", err
+
+
 def test_a1_json_records(capsys):
     code, doc, _ = run_json(capsys, "a1", "--primes", "5")
     assert code == 0
@@ -169,6 +181,15 @@ def test_rigid_pgl2_fixture(capsys):
     assert res["strictly_rigid"] is False
 
 
+def test_rigid_pgl2_above_thirteen(capsys):
+    # MAX_TABLE_BYTES alone bounds pgl2, so ell = 17 is admitted
+    code, doc, _ = run_json(capsys, "rigid", "--group", "pgl2", "--ell", "17")
+    assert code == 0
+    res = doc["result"]
+    assert res["group_order"] == 17 * 16 * 18 == 4896
+    assert res["class_sizes"][1] == 17 * 17 - 1 == 288
+
+
 @pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE"])
 def test_rigid_pgl2_refuses_classes(capsys, classes):
     # pgl2 reports its fixture triple, so a triple of its own is refused
@@ -198,6 +219,18 @@ def test_rigid_file_group(capsys, tmp_path):
     assert code == 0
     assert doc["result"]["order"] == 120
     assert doc["result"]["center_order"] == 2
+    # a file: group gives its own p, so no ell is recorded
+    assert doc["parameters"] == {"group": f"file:{path}"}
+
+
+def test_rigid_file_group_refuses_ell(capsys, tmp_path):
+    path = tmp_path / "sl25.json"
+    path.write_text(json.dumps(SL25))
+    code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}",
+                             "--ell", "13")
+    assert code == 2 and out == ""
+    assert err == "error: --ell needs --group pgl2 or psl2; a file: group " \
+        "gives its own p\n", err
 
 
 SL25 = {"p": 5, "n": 2, "generators": [[1, 1, 0, 1], [0, 4, 1, 0]]}
@@ -212,8 +245,9 @@ BAD_FILE_GROUPS = {
     "generators-missing": {"p": 5, "n": 2},
     "scalar-not-unit": dict(SL25, scalars=[1, 5]),
     "scalars-not-subgroup": dict(SL25, scalars=[1, 2]),
+    # "cap" is no key of a file: group; any unknown key is refused
     "cap-not-integer": dict(SL25, cap="many"),
-    # a singular generator would close a semigroup toward the cap
+    # a singular generator's image on the frame orbit is no permutation
     "generator-singular": {"p": 13, "n": 3, "generators": [
         [1, 1, 0, 0, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0, 0, 1, 0],
         [1, 0, 0, 0, 1, 0, 0, 0, 0]]},
@@ -222,19 +256,30 @@ BAD_FILE_GROUPS = {
     # SL2(F_17) moves e_1 to all 288 nonzero vectors, over the 256 bound
     "frame-orbit-over-bound": dict(SL25, p=17, generators=[[1, 1, 0, 1],
                                                            [0, 16, 1, 0]]),
+    # raw bytes, written as they are: neither is JSON
+    "empty-file": b"",
+    "not-utf8": b"\xff",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FILE_GROUPS))
 def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     path = tmp_path / "group.json"
-    path.write_text(json.dumps(BAD_FILE_GROUPS[case]))
+    blob = BAD_FILE_GROUPS[case]
+    if isinstance(blob, bytes):
+        path.write_bytes(blob)
+    else:
+        path.write_text(json.dumps(blob))
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}")
     assert time.perf_counter() - t0 < 1.0
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if isinstance(blob, bytes):
+        assert err.startswith(f"error: {path}: not JSON: "), err
+    if case == "cap-not-integer":
+        assert err.startswith(f"error: {path}: unknown key 'cap'"), err
 
 
 # stdout sha256 of rigidity runs larger than the README examples; every
@@ -285,9 +330,11 @@ def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_rigid_missing_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "rigid", "--group",
-                           f"file:{tmp_path}/nope.json")
-    assert code == 2
+    # a directory cannot be read as a file either
+    for path in (tmp_path / "nope.json", tmp_path):
+        code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and str(path) in err, err
 
 
 def test_rigid_unknown_group(capsys):

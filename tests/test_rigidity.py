@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from excmono import rigidity
+from excmono.cli import main
 from excmono.rigidity import (
     FiniteGroup,
     MatrixRep,
@@ -83,20 +84,28 @@ def test_sl2_f5_order():
     assert len(g.classes) == brute_class_count(g) == 9
 
 
-def test_cap_overflow_is_explicit():
-    with pytest.raises(OverflowError, match="cap of 10"):
-        FiniteGroup(S4_GENS, cap=10)
+def test_cap_overflow_is_explicit(capsys, tmp_path):
+    # a file: group has no element cap; one that sets "cap" is refused, so
+    # it cannot silently lose the bound it asked for
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps({"p": 5, "n": 2, "cap": 10,
+                                "generators": [[1, 1, 0, 1], [0, 4, 1, 0]]}))
+    assert main(["rigid", "--group", f"file:{path}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: unknown key 'cap'; want only p, n, "
+                   "generators, scalars\n")
 
 
-@pytest.mark.parametrize("build,ell,cap", [(psl2_group, 10007,
-                                            rigidity.DEFAULT_CAP)])
-def test_known_order_over_cap_refused_before_closure(monkeypatch, build,
-                                                     ell, cap):
-    # PSL2(F_10007) has more elements than the default cap; a named group's
-    # table-bytes bound refuses it from the known order, before any closure
-    assert ell * (ell * ell - 1) // 2 > cap
+# the id keeps the 10**7 element cap that this case was first written for
+@pytest.mark.parametrize("build,ell", [pytest.param(
+    psl2_group, 10007, id="psl2_group-10007-10000000")])
+def test_known_order_over_cap_refused_before_closure(monkeypatch, build, ell):
+    # a named group's table-bytes bound refuses PSL2(F_10007) from its
+    # known order, before any closure
+    assert ell * (ell * ell - 1) // 2 > rigidity.MAX_TABLE_BYTES // (ell + 1)
 
-    def no_closure(self, cap):
+    def no_closure(self):
         raise RuntimeError("closure ran")
 
     monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
@@ -407,10 +416,18 @@ def test_predicted_triple_empty_when_minus_one_not_square():
         assert not r.strictly_rigid
 
 
-def test_predicted_triple_unsupported_instances():
-    for ell in (4, 17):
-        with pytest.raises(ValueError, match="supported: pgl2"):
-            predicted_triple(ell)
+def test_predicted_triple_unsupported_instances(monkeypatch):
+    with pytest.raises(ValueError, match="4 is not an odd prime"):
+        predicted_triple(4)
+
+    def no_closure(self):
+        raise RuntimeError("closure ran")
+
+    # PGL2(F_67): 300 696 elements of 68 bytes, refused before any closure
+    monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
+    with pytest.raises(OverflowError, match="PGL2\\(F_67\\) has 300696 "
+                       "elements of 68 bytes each"):
+        predicted_triple(67)
 
 
 def test_predicted_triple_unipotent_class_size():
@@ -562,7 +579,7 @@ def test_table_bytes_bound_on_known_orders(ell, order, refused):
 
 
 def test_psl2_over_the_table_bound_is_refused_before_closure(monkeypatch):
-    def no_closure(self, cap):
+    def no_closure(self):
         raise RuntimeError("closure ran")
 
     monkeypatch.setattr(FiniteGroup, "_closure", no_closure)
@@ -599,8 +616,8 @@ def test_closure_refuses_once_its_elements_pass_the_table_bound(
 
 def test_file_group_over_the_table_bound_exits_2_quickly(tmp_path):
     # PSL2(F_251) acts on the 252 points of P^1, so the frame orbit passes
-    # MAX_POINTS, and it is under the default cap, but its 7 906 500
-    # elements would take 2 GB; the closure stops at 2**24 // 252 = 66 576
+    # MAX_POINTS, but its 7 906 500 elements would take 2 GB; the closure
+    # stops at 2**24 // 252 = 66 576
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"p": 251, "n": 2,
                                 "generators": [[1, 1, 0, 1], [0, 250, 1, 0]],
