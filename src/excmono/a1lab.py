@@ -380,6 +380,13 @@ def scan(primes):
             for q in sorted(primes) for lam in range(2, q)]
 
 
+def a1_result(primes) -> dict:
+    """The `a1` JSON result for `primes`."""
+    records = scan(primes)
+    return {"primes": list(primes), "fibers": len(records),
+            "records": [rec.json_dict() for rec in records]}
+
+
 CSV_HEADER = ["q", "lambda", "t1_re", "t1_im", "t2", "t3_re", "t3_im",
               "n_points", "sym2", "sym2_over_q"]
 

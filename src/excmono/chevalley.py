@@ -415,19 +415,39 @@ def rigidity_budget(label: str) -> MonodromyBudget:
     return budget
 
 
-def local_dims(label: str):
-    """(d0, d1, budget): for BUDGET_LABELS the budget, which computes d0,
-    d1 and the v-class witness once; otherwise d0 and d1 alone and None."""
-    if label in BUDGET_LABELS:
-        budget = rigidity_budget(label)
-        return budget.d0, budget.d1, budget
+def monodromy_result(label: str, samples: int, seed: int) -> dict:
+    """The `monodromy` result for `label`, with `samples` Jacobi checks."""
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"--samples {samples} is outside the bounds "
+                         f"0 .. MAX_SAMPLES = {MAX_SAMPLES}")
     alg = build_algebra(label)
-    d0 = kappa_fixed_dim(alg, kappa_character(root_system(label)))
-    return d0, regular_nilpotent_centralizer(alg), None
+    rs = root_system(label)
+    result = {"label": rs.label, "dim": alg.dim, "rank": alg.rank}
+    if label in BUDGET_LABELS:   # the budget finds d0 and d1 on its way
+        budget = rigidity_budget(label)
+        result.update(kappa_fixed_dim=budget.d0,
+                      regular_nilpotent_centralizer=budget.d1,
+                      v_class={"centralizer_dim": budget.dinf,
+                               "witness": budget.witness.description},
+                      budget={"d0": budget.d0, "d1": budget.d1,
+                              "dinf": budget.dinf})
+    else:
+        result["kappa_fixed_dim"] = kappa_fixed_dim(alg, kappa_character(rs))
+        result["regular_nilpotent_centralizer"] = (
+            regular_nilpotent_centralizer(alg))
+    if label in QM_EXPECT:
+        qm, y, heis = quasiminuscule_dims(label)
+        result["quasiminuscule"] = {"dim": qm, "y_dim": y,
+                                    "heisenberg_dim": heis}
+    result["jacobi_probe"] = {"samples": jacobi_probe(alg, samples, seed),
+                              "seed": seed}
+    return result
 
 
+@memo
 def quasiminuscule_dims(label: str):
-    """(dim of the quasi-minuscule representation, dim Y, Heisenberg count)."""
+    """(dim of the quasi-minuscule representation, dim Y, Heisenberg count);
+    cached, since criteria 5 and 6 of `verify-all` both read it."""
     rs = root_system(label)
     if rs.label not in QM_EXPECT:
         raise ValueError("quasi-minuscule bookkeeping covers "

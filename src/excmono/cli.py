@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from time import perf_counter
 
 from . import __version__, obs
@@ -32,69 +33,25 @@ def _cmd_k_type(args):
 
 
 def _cmd_atilde(args):
-    from .rootsys import root_system
-    from .twogroup import build_tilde_group, odd_irreps
-    rs = root_system(args.label)
-    tg = build_tilde_group(rs)   # construction verifies both group laws
-    factors, name = tg.center_structure()
-    irreps = odd_irreps(tg)
-    result = {
-        "label": rs.label,
-        "order": tg.order,
-        "radical_size": tg.radical_size_crosscheck(),
-        "center": name,
-        "center_invariant_factors": list(factors),
-        "odd_irreps": {"count": len(irreps),
-                       "dims": [ir.dimension for ir in irreps]},
-    }
-    return result
+    from .twogroup import atilde_result
+    return atilde_result(args.label)
 
 
 def _cmd_monodromy(args):
-    from .chevalley import (MAX_SAMPLES, QM_EXPECT, build_algebra,
-                            jacobi_probe, local_dims, quasiminuscule_dims)
-    from .rootsys import root_system
-    if not 0 <= args.samples <= MAX_SAMPLES:
-        raise ValueError(f"--samples {args.samples} is outside the bounds "
-                         f"0 .. MAX_SAMPLES = {MAX_SAMPLES}")
-    label = args.label
-    alg = build_algebra(label)
-    rs = root_system(label)
-    kappa, regular, budget = local_dims(label)
-    result = {
-        "label": rs.label,
-        "dim": alg.dim,
-        "rank": alg.rank,
-        "kappa_fixed_dim": kappa,
-        "regular_nilpotent_centralizer": regular,
-    }
-    if budget is not None:
-        wit = budget.witness
-        result["v_class"] = {"centralizer_dim": wit.centralizer_dim,
-                             "witness": wit.description}
-        result["budget"] = {"d0": budget.d0, "d1": budget.d1,
-                            "dinf": budget.dinf}
-    if label in QM_EXPECT:
-        qm, y, heis = quasiminuscule_dims(label)
-        result["quasiminuscule"] = {"dim": qm, "y_dim": y,
-                                    "heisenberg_dim": heis}
-    samples = jacobi_probe(alg, args.samples, args.seed)
-    result["jacobi_probe"] = {"samples": samples, "seed": args.seed}
-    return result
+    from .chevalley import monodromy_result
+    return monodromy_result(args.label, args.samples, args.seed)
 
 
 def _cmd_a1(args):
-    from .a1lab import render_csv, scan
+    from .a1lab import a1_result, render_csv, scan
     primes = [int(x) for x in args.primes.split(",") if x]
     if not primes:
         raise ValueError("--primes lists no prime")
     if len(set(primes)) != len(primes):
         raise ValueError(f"--primes {args.primes} lists a prime twice")
-    records = scan(primes)
     if args.format == "csv":
-        return render_csv(records)
-    return {"primes": primes, "fibers": len(records),
-            "records": [rec.json_dict() for rec in records]}
+        return render_csv(scan(primes))
+    return a1_result(primes)
 
 
 def _is_int(x) -> bool:
@@ -141,20 +98,15 @@ def _load_file_group(path: str):
         raise ValueError(f"{path}: scalars are not a subgroup of the "
                          f"units mod {p}")
     rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    return FiniteGroup(rep.permutations(gens))
-
-
-def _group_summary(group) -> dict:
-    return {
-        "order": group.order,
-        "center_order": len(group.center),
-        "classes": [{"label": c.label, "size": c.size}
-                    for c in group.classes],
-    }
+    try:
+        perms = rep.permutations(gens)
+    except (ValueError, OverflowError) as exc:   # singular, or too many points
+        raise type(exc)(f"{path}: {exc}") from None
+    return FiniteGroup(perms)
 
 
 def _cmd_rigid(args):
-    from .rigidity import predicted_triple, psl2_group, triple_count
+    from .rigidity import predicted_triple, psl2_group, rigid_result
     if args.group.startswith("file:"):
         if args.ell is not None:
             raise ValueError("--ell needs --group pgl2 or psl2; a file: "
@@ -172,15 +124,11 @@ def _cmd_rigid(args):
         return predicted_triple(args.ell).json_dict()
     if args.group == "psl2":
         group = psl2_group(args.ell)
-    result = _group_summary(group)
+    result = rigid_result(group, args.classes and args.classes.split(","))
     if args.group == "psl2":
         result["label"] = f"psl2-{args.ell}"
-    if args.classes:
-        cls = [group.class_by_label(lab) for lab in args.classes.split(",")]
-        report = triple_count(group, *cls)
-        result["triple"] = report.json_dict()
-        if args.group == "psl2":   # a file: triple is reported, not judged
-            obs.verdict("strictly-rigid", report.strictly_rigid)
+        if "triple" in result:   # a file: triple is reported, not judged
+            obs.verdict("strictly-rigid", result["triple"]["strictly_rigid"])
     return result
 
 
@@ -273,29 +221,33 @@ def main(argv=None) -> int:
     # the checks of this command alone, run from cold caches
     obs.reset()
     t0 = perf_counter()
-    try:
-        result = args.fn(args)
-    except (ValueError, OverflowError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except obs.CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    checks = obs.runs()
-    if args.command == "a1" and args.format == "csv":
-        payload = result
-    else:
-        payload = render_manifest({
-            "command": args.command,
-            "parameters": _parameters(args),
-            "version": __version__,
-            "result": result,
-            "checks": checks,
-        })
-    sys.stdout.write(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+    with ExitStack() as stack:
+        try:
+            # opened first, so a path that cannot be written costs no work,
+            # and to append, so a failed command leaves an old file whole
+            out = args.out and stack.enter_context(open(args.out, "a"))
+            result = args.fn(args)
+        except (ValueError, OverflowError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except obs.CheckFailed as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
+        checks = obs.runs()
+        if args.command == "a1" and args.format == "csv":
+            payload = result
+        else:
+            payload = render_manifest({
+                "command": args.command,
+                "parameters": _parameters(args),
+                "version": __version__,
+                "result": result,
+                "checks": checks,
+            })
+        sys.stdout.write(payload)
+        if out:
+            out.truncate(0)
+            out.write(payload)
     print(f"{args.command}: done in {perf_counter() - t0:.2f}s",
           file=sys.stderr)
     return 0 if all(c["passed"] for c in checks) else 1

@@ -325,6 +325,21 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
     )
 
 
+def rigid_result(group: FiniteGroup, labels=()) -> dict:
+    """The `rigid` result for `group`, with the report of the triple of
+    classes C0, C1, C_inf that `labels` names, if it names any."""
+    result = {"order": group.order, "center_order": len(group.center),
+              "classes": [{"label": c.label, "size": c.size}
+                          for c in group.classes]}
+    if labels:
+        if len(labels) != 3:
+            raise ValueError(f"--classes {','.join(labels)} names "
+                             f"{len(labels)} classes; a triple needs 3")
+        result["triple"] = triple_count(
+            group, *map(group.class_by_label, labels)).json_dict()
+    return result
+
+
 # ------------------------------------------------------------- instances
 
 def pgl2_group(ell: int) -> FiniteGroup:

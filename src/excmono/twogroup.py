@@ -29,12 +29,13 @@ and `arith.UNIT_IM`.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
 from .obs import check, memo
-from .rootsys import RootSystem, require_covered
+from .rootsys import RootSystem, require_covered, root_system
 
 
 def odd_sets(r: int) -> list:
@@ -172,6 +173,19 @@ def build_tilde_group(rs: RootSystem) -> TildeGroup:
     return TildeGroup(rs)
 
 
+@memo
+def atilde_result(label: str) -> dict:
+    """The `atilde` result for `label`, cached: callers must not change it."""
+    tg = build_tilde_group(root_system(label))   # checks both group laws
+    factors, name = tg.center_structure()
+    irreps = odd_irreps(tg)
+    return {"label": tg.rs.label, "order": tg.order,
+            "radical_size": tg.radical_size_crosscheck(), "center": name,
+            "center_invariant_factors": list(factors),
+            "odd_irreps": {"count": len(irreps),
+                           "dims": [ir.dimension for ir in irreps]}}
+
+
 # ------------------------------------------------------------------ irreps --
 
 class OddIrrep(NamedTuple):
@@ -295,6 +309,16 @@ def odd_irreps(tg: TildeGroup, order=None):
         ))
     check("sum-of-squares-is-2^r", sum(ir.dimension ** 2 for ir in out)
           == 1 << r, "odd irrep dimensions do not square-sum to 2^{}", r)
+    for i, (re_i, im_i) in enumerate(ir.characters for ir in out):
+        for j in range(i, len(out)):
+            re_j, im_j = out[j].characters
+            # sum of chi_i(g) * conj(chi_j(g)) over the group
+            real = sum(map(mul, re_i, re_j)) + sum(map(mul, im_i, im_j))
+            imag = sum(map(mul, im_i, re_j)) - sum(map(mul, re_i, im_j))
+            check("character-orthogonality",
+                  (real, imag) == (tg.order if i == j else 0, 0),
+                  "{}: <chi_{}, chi_{}> = {} + {}i", tg.rs.label, i, j,
+                  real, imag)
     return out
 
 

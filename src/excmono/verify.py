@@ -1,28 +1,27 @@
 """The full check suite behind `excmono verify-all`.
 
-Each criterion function recomputes its claim from scratch (no shared
-state beyond the `obs.memo` caches), checks it through `obs.check`,
-which raises CheckFailed on the first identity that fails, and returns
-its details, a JSON-ready dict with deterministic key order.  Timing
-never enters the details, so rendered manifests are byte-stable.
+Each criterion checks its claim through `obs.check`, which raises
+CheckFailed on the first identity that fails, and returns its details, a
+JSON-ready dict with deterministic key order.  Criteria 1, 3-5, 7 and 8
+check the subcommands' own results, calling each builder through its
+layer module as the CLI does.  Timing never enters the details, so
+rendered manifests are byte-stable.
 """
 
 from __future__ import annotations
 
 import json
-from operator import mul
+from collections import Counter
 from time import perf_counter
 from typing import NamedTuple
 
-from .a1lab import scan
-from .affine_k import (K_TYPE_TABLE, k_fundamental_quotient, k_type_row,
+from . import a1lab, affine_k, chevalley, rigidity, twogroup
+from .affine_k import (K_TYPE_TABLE, k_fundamental_quotient,
                        removed_node_coefficient)
-from .chevalley import (QM_EXPECT, build_algebra, jacobi_probe, local_dims,
-                        quasiminuscule_dims)
+from .chevalley import BUDGET_LABELS, QM_EXPECT, quasiminuscule_dims
 from .obs import check, clear_caches
 from .rootsys import root_system
-from .rigidity import predicted_triple, psl2_group, triple_count
-from .twogroup import build_tilde_group, odd_irreps, odd_sets
+from .twogroup import build_tilde_group, odd_sets
 
 TORSION_LABELS = ("B3", "B4", "B5", "B6", "B7", "D4", "D6", "D8",
                   "E7", "E8", "F4", "G2")
@@ -45,14 +44,15 @@ RIGID_ELLS = (3, 5, 7, 11, 13)
 
 
 def criterion_k_type_table(seed=0):
-    rows = {}
-    for label in sorted(K_TYPE_TABLE):
-        row = k_type_row(label)
-        rows[label] = row
-        want_pi1 = "Z" if label in FREE_LABELS else "Z/2"
-        check("k-type-row", (row["k"], row["pi1"])
-              == (K_TYPE_TABLE[label], want_pi1), "{}", row)
-    return {"rows": [rows[k] for k in sorted(rows)]}
+    labels = sorted(K_TYPE_TABLE)
+    rows = [affine_k.k_type_row(label) for label in labels]
+    for label, row in zip(labels, rows):
+        free = label in FREE_LABELS
+        want = {"g": label, "k": K_TYPE_TABLE[label],
+                "pi1": "Z" if free else "Z/2",
+                "c_alpha_prime": None if free else 2}
+        check("k-type-row", row == want, "{}", row)
+    return {"rows": rows}
 
 
 def criterion_lattice_quotients(seed=0):
@@ -107,7 +107,7 @@ def criterion_tilde_laws(seed=0):
             check("pairing-from-gram", tg.pairing_row(a) == odd[parity[a]],
                   "{}: pairing row {:#b}", label, a)
             pairs_checked += 1 << tg.r
-        size = tg.radical_size_crosscheck()
+        size = twogroup.atilde_result(label)["radical_size"]
         radical[label] = size
         check("radical-is-z(g)[2]", size == ZG2_SIZE[label],
               "{}: radical size {}", label, size)
@@ -116,50 +116,48 @@ def criterion_tilde_laws(seed=0):
 
 
 def criterion_center_table(seed=0):
+    # odd_irreps checks the irrep dimensions and character orthogonality
     centers, counts = {}, {}
     for label in COVERED_LABELS:
-        tg = build_tilde_group(root_system(label))
-        _, name = tg.center_structure()
-        irreps = odd_irreps(tg)   # checks that the dimensions square-sum
-        centers[label] = name
-        counts[label] = len(irreps)
-        check("center-and-irrep-count", (name, len(irreps))
-              == CENTER_EXPECT[label], "{}: {}, {}", label, name, len(irreps))
-        tables = [ir.characters for ir in irreps]
-        for i, (re_i, im_i) in enumerate(tables):
-            for j in range(i, len(tables)):
-                re_j, im_j = tables[j]
-                # sum of chi_i(g) * conj(chi_j(g)) over the group
-                real = sum(map(mul, re_i, re_j)) + sum(map(mul, im_i, im_j))
-                imag = sum(map(mul, im_i, re_j)) - sum(map(mul, re_i, im_j))
-                want = tg.order if i == j else 0
-                check("character-orthogonality", (real, imag) == (want, 0),
-                      "{}: <chi_{}, chi_{}> = {} + {}i", label, i, j, real, imag)
+        res = twogroup.atilde_result(label)
+        centers[label] = res["center"]
+        counts[label] = res["odd_irreps"]["count"]
+        check("center-and-irrep-count", (centers[label], counts[label])
+              == CENTER_EXPECT[label], "{}: {}, {}", label, centers[label],
+              counts[label])
     return {"centers": centers, "odd_irrep_counts": counts}
 
 
 def criterion_chevalley(seed=0):
-    # local_dims and the functions under it check their own identities
+    # the Jacobi identity is sampled on E8 alone
     dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
     for label in COVERED_LABELS:
-        alg = build_algebra(label)
+        res = chevalley.monodromy_result(label, 500 if label == "E8" else 0,
+                                         seed)
         rs = root_system(label)
-        dims[label] = alg.dim
-        check("dim-is-rank-plus-roots", alg.dim == rs.rank + rs.num_roots,
-              "{}: dim {}", label, alg.dim)
+        dims[label] = res["dim"]
+        check("dim-is-rank-plus-roots", res["dim"] == rs.rank + rs.num_roots,
+              "{}: dim {}", label, res["dim"])
         if label in PAPER_DIMS:
-            check("dim-as-in-the-paper", alg.dim == PAPER_DIMS[label],
-                  "{}: dim {}", label, alg.dim)
-        kappa[label], regular[label], budget = local_dims(label)
-        if budget is not None:
-            vclass[label] = budget.witness.centralizer_dim
-            budgets[label] = [budget.d0, budget.d1, budget.dinf]
-    probed = jacobi_probe(build_algebra("E8"), 500, seed)
+            check("dim-as-in-the-paper", res["dim"] == PAPER_DIMS[label],
+                  "{}: dim {}", label, res["dim"])
+        kappa[label] = res["kappa_fixed_dim"]
+        regular[label] = res["regular_nilpotent_centralizer"]
+        # kappa-fixed and v-class centralizers: half the roots; regular: rank
+        half = rs.num_roots // 2
+        local, want = [kappa[label], regular[label]], [half, rs.rank]
+        if label in BUDGET_LABELS:
+            vclass[label] = res["v_class"]["centralizer_dim"]
+            budgets[label] = [res["budget"][d] for d in ("d0", "d1", "dinf")]
+            local += [vclass[label], *budgets[label]]
+            want += [half, half, rs.rank, half]
+        check("local-dims-as-predicted", local == want, "{}: {}, want {}",
+              label, local, want)
+        if label == "E8":
+            probe = {"label": label, **res["jacobi_probe"]}
     return {"dims": dims, "kappa_fixed": kappa,
-                "regular_centralizer": regular, "v_class": vclass,
-                "budgets": budgets,
-                "jacobi_probe": {"label": "E8", "samples": probed,
-                                 "seed": seed}}
+            "regular_centralizer": regular, "v_class": vclass,
+            "budgets": budgets, "jacobi_probe": probe}
 
 
 def criterion_quasiminuscule(seed=0):
@@ -174,43 +172,39 @@ def criterion_quasiminuscule(seed=0):
 
 def criterion_a1_lab(seed=0):
     # every per-fiber identity is checked inside the scan itself
-    records = scan(list(A1_PRIMES))
-    per_prime = {}
-    for rec in records:
-        per_prime[rec.q] = per_prime.get(rec.q, 0) + 1
-    ratios = sorted({rec.sym2_trace // rec.q for rec in records})
-    check("one-record-per-fiber", per_prime == {q: q - 2 for q in A1_PRIMES},
-          "records per prime {}", per_prime)
-    return {"primes": list(A1_PRIMES), "fibers": len(records),
-                "per_prime": {str(q): n for q, n in sorted(per_prime.items())},
-                "sym2_over_q_values": ratios}
+    res = a1lab.a1_result(list(A1_PRIMES))
+    per_prime = Counter(rec["q"] for rec in res["records"])
+    want = {q: q - 2 for q in A1_PRIMES}
+    check("one-record-per-fiber", per_prime == want and res["fibers"]
+          == sum(want.values()) and res["primes"] == list(A1_PRIMES),
+          "records per prime {}, fibers {}", per_prime, res["fibers"])
+    return {"primes": res["primes"], "fibers": res["fibers"],
+            "per_prime": {str(q): n for q, n in sorted(per_prime.items())},
+            "sym2_over_q_values": sorted({rec["sym2_over_q"]
+                                          for rec in res["records"]})}
 
 
 def criterion_rigidity(seed=0):
-    g = psl2_group(7)
-    c2 = g.class_by_label("2A")
-    c3 = g.class_by_label("3A")
-    c7 = g.class_by_label("7A")
-    hurwitz = triple_count(g, c2, c3, c7)
-    check("hurwitz-strictly-rigid", hurwitz.strictly_rigid
-          and hurwitz.solution_count == 168, "{}", hurwitz)
+    g = rigidity.psl2_group(7)
+    labels = ("2A", "3A", "7A")
+    hurwitz = rigidity.rigid_result(g, labels)["triple"]
+    check("hurwitz-strictly-rigid", hurwitz["strictly_rigid"]
+          and hurwitz["solution_count"] == 168, "{}", hurwitz)
+    c2, c3, c7 = map(g.class_by_label, labels)
     invariant = all(
-        triple_count(g, c2, c3, c7, g0=alt).solution_count
-        == hurwitz.solution_count
+        rigidity.triple_count(g, c2, c3, c7, g0=alt).solution_count
+        == hurwitz["solution_count"]
         for alt in c2.members[1:4])
     check("representative-invariance", invariant,
           "the Hurwitz count changes with the representative of 2A")
     fixtures = {}
     for ell in RIGID_ELLS:
-        rep = predicted_triple(ell)
-        fixtures[str(ell)] = {
-            "solution_count": rep.solution_count,
-            "normalized": list(rep.normalized_count),
-            "strictly_rigid": rep.strictly_rigid,
-        }
-    return {"hurwitz": hurwitz.json_dict(),
-                "representative_invariance": invariant,
-                "pgl2_fixtures": fixtures}
+        rep = rigidity.predicted_triple(ell).json_dict()
+        fixtures[str(ell)] = {"solution_count": rep["solution_count"],
+                              "normalized": rep["normalized_count"],
+                              "strictly_rigid": rep["strictly_rigid"]}
+    return {"hurwitz": hurwitz, "representative_invariance": invariant,
+            "pgl2_fixtures": fixtures}
 
 
 def criterion_determinism(seed=0):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from excmono import verify
+from excmono import affine_k, twogroup
 from excmono.a1lab import render_csv, scan
 from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
 from excmono.cli import build_parser, main
@@ -190,6 +190,17 @@ def test_rigid_pgl2_above_thirteen(capsys):
     assert res["class_sizes"][1] == 17 * 17 - 1 == 288
 
 
+@pytest.mark.parametrize("classes", ["2A,3A", "2A,3A,7A,7B"])
+def test_rigid_triple_needs_three_classes(capsys, classes):
+    # two labels once raised a TypeError, and a fourth was taken as g0
+    code, out, err = run_cli(capsys, "rigid", "--group", "psl2", "--ell", "7",
+                             "--classes", classes)
+    assert code == 2 and out == ""
+    n = len(classes.split(","))
+    assert err == f"error: --classes {classes} names {n} classes; a " \
+        "triple needs 3\n", err
+
+
 @pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE"])
 def test_rigid_pgl2_refuses_classes(capsys, classes):
     # pgl2 reports its fixture triple, so a triple of its own is refused
@@ -276,6 +287,8 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    # every refusal names the file, the singular generators' too
+    assert err.startswith(f"error: {path}: "), err
     if isinstance(blob, bytes):
         assert err.startswith(f"error: {path}: not JSON: "), err
     if case == "cap-not-integer":
@@ -350,6 +363,36 @@ def test_out_flag_duplicates_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_unwritable_out_is_refused_before_the_command(capsys, tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "missing" / "x.json"
+    monkeypatch.setattr(affine_k, "k_type_row", lambda label: pytest.fail(
+        "the command ran although --out cannot be written"))
+    code, out, err = run_cli(capsys, "k-type", "G2", "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_failed_command_leaves_an_old_out_file_whole(capsys, tmp_path):
+    path = tmp_path / "row.json"
+    path.write_text("old\n")
+    code, out, _ = run_cli(capsys, "k-type", "Z9", "--out", str(path))
+    assert code == 2 and out == "" and path.read_text() == "old\n"
+    code, out, _ = run_cli(capsys, "k-type", "G2", "--out", str(path))
+    assert code == 0 and path.read_text() == out
+
+
+def test_key_error_in_a_layer_is_no_usage_error(capsys, monkeypatch):
+    # a KeyError is a bug in the program, not bad input: it is not exit 2
+    def broken(label):
+        raise KeyError(label)
+
+    monkeypatch.setattr(twogroup, "atilde_result", broken)
+    with pytest.raises(KeyError):
+        main(["atilde", "G2"])
+
+
 def test_manifest_is_sorted_and_stable(capsys):
     _, out1, _ = run_cli(capsys, "atilde", "D6")
     _, out2, _ = run_cli(capsys, "atilde", "D6")
@@ -413,27 +456,28 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
 
 
 def test_failed_check_in_verify_all_is_reported(capsys, monkeypatch):
-    real = verify.odd_irreps
+    # one wrong field in the atilde result fails criterion 4 alone
+    real = twogroup.atilde_result
 
-    def off_by_one(tg):
-        irreps = real(tg)
-        if tg.rs.label == "D6":
-            irreps[1].characters[0][37] += 1
-        return irreps
+    def off_by_one(label):
+        res = real(label)
+        if label != "D6":
+            return res
+        return dict(res, odd_irreps=dict(res["odd_irreps"], count=3))
 
-    monkeypatch.setattr(verify, "odd_irreps", off_by_one)
+    monkeypatch.setattr(twogroup, "atilde_result", off_by_one)
     code, doc, err = run_json(capsys, "verify-all")
     assert code == 1
     assert err.count("[PASS]") == 8 and err.count("[FAIL]") == 1
     crit = doc["result"]["criteria"][3]
     assert crit["passed"] is False and doc["result"]["all_passed"] is False
     assert crit["details"]["error"].startswith(
-        "CheckFailed: character-orthogonality: D6")
+        "CheckFailed: center-and-irrep-count: D6")
     checks = {c["name"]: c for c in doc["checks"]}
-    assert checks["character-orthogonality"]["passed"] is False
+    assert checks["center-and-irrep-count"]["passed"] is False
     assert checks["criterion-4-center-table-and-odd-irreps"] == {
         "name": "criterion-4-center-table-and-odd-irreps", "passed": False,
         "runs": 1}
     assert all(c["passed"] for name, c in checks.items()
-               if name not in ("character-orthogonality",
+               if name not in ("center-and-irrep-count",
                                "criterion-4-center-table-and-odd-irreps"))

@@ -364,16 +364,21 @@ def test_e8_character_table_sampled_traces():
 
 
 def test_changed_character_value_fails_criterion_4(monkeypatch):
-    real = verify.odd_irreps
+    # odd_irreps checks the characters of the atilde result it builds
+    real = twogroup._induced_character
+    built = []
 
-    def off_by_one(tg):
-        irreps = real(tg)
+    def off_by_one(tg, transversal, m_character):
+        re, im = real(tg, transversal, m_character)
         if tg.rs.label == "D6":
-            irreps[1].characters[0][37] += 1
-        return irreps
+            built.append(tg)
+            if len(built) == 2:   # the second odd irrep of D6
+                re[37] += 1
+        return re, im
 
     verify.criterion_center_table()
-    monkeypatch.setattr(verify, "odd_irreps", off_by_one)
+    monkeypatch.setattr(twogroup, "_induced_character", off_by_one)
+    obs.clear_caches()   # the atilde results are built again
     with pytest.raises(CheckFailed, match="character-orthogonality: D6"):
         verify.criterion_center_table()
 
