@@ -38,11 +38,6 @@ class LatticeQuotient(NamedTuple):
     invariant_factors: tuple[int, ...]  # nonzero diagonal of the Smith form
     free_rank: int
 
-    def describe(self) -> str:
-        torsion = [d for d in self.invariant_factors if d > 1]
-        parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in torsion]
-        return " + ".join(parts) if parts else "1"
-
 
 class SubRootSystem(NamedTuple):
     parent: str
@@ -77,7 +72,7 @@ def _fold_half_rho_vee(rs: RootSystem):
     r = rs.rank
     a = rs.cartan
     y = list(rs.two_rho_coroot())
-    theta, theta_vee, _ = rs.highest_root()
+    theta, theta_vee = rs.highest_root()
 
     def pairings():
         return [sum(a[i][j] * y[j] for j in range(r)) for i in range(r)]
@@ -232,8 +227,7 @@ def removed_node_coefficient(rs: RootSystem) -> int:
         raise ValueError(
             f"{rs.label}: no single deleted node (torus factors in K); "
             "not applicable for types A1 and Cn")
-    _, _, comarks = rs.highest_root()
-    c = comarks[node]
+    c = rs.highest_root()[1][node]
     check("c-alpha-prime-is-2", c == 2, "{}: theta-vee coefficient {} of the "
           "deleted node is not 2", rs.label, c)
     return c
@@ -292,12 +286,7 @@ def k_type_row(label: str) -> dict:
     rs = root_system(label)
     sub = phi_k(rs)
     quot = k_fundamental_quotient(rs)
-    torsion = [d for d in quot.invariant_factors if d > 1]
-    if quot.free_rank:
-        pi1 = "Z" if not torsion else quot.describe()
-    elif torsion:
-        pi1 = " x ".join(f"Z/{d}" for d in torsion)
-    else:
-        pi1 = "1"
+    pi1 = " x ".join(["Z"] * quot.free_rank + [
+        f"Z/{d}" for d in quot.invariant_factors if d > 1]) or "1"
     c = None if sub.deleted_node is None else removed_node_coefficient(rs)
     return {"g": rs.label, "k": sub.k_label(), "pi1": pi1, "c_alpha_prime": c}

@@ -376,44 +376,7 @@ def _jordan_type(mat):
     return tuple(sorted(out, reverse=True))
 
 
-# ---------------------------------------------------------------- budgets
-
-class MonodromyBudget(NamedTuple):
-    label: str
-    d0: int
-    d1: int
-    dinf: int
-    phi_count: int
-    h1_dim: int
-    witness: VClassWitness
-
-    def identity_holds(self) -> bool:
-        return self.d0 + self.dinf == self.phi_count and self.h1_dim == 0
-
-
-def rigidity_budget(label: str) -> MonodromyBudget:
-    """Local centralizer dimensions at 0, 1, infinity and the H^1 bookkeeping.
-
-    dim H^1 = dim g - d0 - d1 - dinf for three-point local systems; the
-    predicted classes give exactly 0, equivalently d0 + dinf = #Phi with
-    d1 = rank.
-    """
-    rs = root_system(label)
-    alg = build_algebra(label)
-    kappa = kappa_character(rs)
-    d0 = kappa_fixed_dim(alg, kappa)
-    d1 = regular_nilpotent_centralizer(alg)
-    witness = v_class_centralizer(alg)
-    dinf = witness.centralizer_dim
-    phi = rs.num_roots
-    h1 = alg.dim - d0 - d1 - dinf
-    budget = MonodromyBudget(label=rs.label, d0=d0, d1=d1, dinf=dinf,
-                             phi_count=phi, h1_dim=h1, witness=witness)
-    check("budget-d0-plus-dinf-is-roots", budget.identity_holds(),
-          "{}: d0 + dinf = {} + {}, #Phi = {}, dim H^1 = {}", rs.label, d0,
-          dinf, phi, h1)
-    return budget
-
+# ---------------------------------------------------------------- results
 
 def monodromy_result(label: str, samples: int, seed: int) -> dict:
     """The `monodromy` result for `label`, with `samples` Jacobi checks."""
@@ -422,20 +385,26 @@ def monodromy_result(label: str, samples: int, seed: int) -> dict:
                          f"0 .. MAX_SAMPLES = {MAX_SAMPLES}")
     alg = build_algebra(label)
     rs = root_system(label)
-    result = {"label": rs.label, "dim": alg.dim, "rank": alg.rank}
-    if label in BUDGET_LABELS:   # the budget finds d0 and d1 on its way
-        budget = rigidity_budget(label)
-        result.update(kappa_fixed_dim=budget.d0,
-                      regular_nilpotent_centralizer=budget.d1,
-                      v_class={"centralizer_dim": budget.dinf,
-                               "witness": budget.witness.description},
-                      budget={"d0": budget.d0, "d1": budget.d1,
-                              "dinf": budget.dinf})
-    else:
-        result["kappa_fixed_dim"] = kappa_fixed_dim(alg, kappa_character(rs))
-        result["regular_nilpotent_centralizer"] = (
-            regular_nilpotent_centralizer(alg))
-    if label in QM_EXPECT:
+    d0 = kappa_fixed_dim(alg, kappa_character(rs))
+    d1 = regular_nilpotent_centralizer(alg)
+    result = {"label": rs.label, "dim": alg.dim, "rank": alg.rank,
+              "kappa_fixed_dim": d0, "regular_nilpotent_centralizer": d1}
+    if rs.label in BUDGET_LABELS:
+        witness = v_class_centralizer(alg)
+        dinf = witness.centralizer_dim
+        # the local centralizer dimensions at 0, 1 and infinity: dim H^1 =
+        # dim g - d0 - d1 - dinf for three-point local systems, and the
+        # predicted classes give exactly 0, equivalently d0 + dinf = #Phi
+        # with d1 = rank
+        h1 = alg.dim - d0 - d1 - dinf
+        check("budget-d0-plus-dinf-is-roots",
+              d0 + dinf == rs.num_roots and h1 == 0,
+              "{}: d0 + dinf = {} + {}, #Phi = {}, dim H^1 = {}", rs.label,
+              d0, dinf, rs.num_roots, h1)
+        result.update(v_class={"centralizer_dim": dinf,
+                               "witness": witness.description},
+                      budget={"d0": d0, "d1": d1, "dinf": dinf})
+    if rs.label in QM_EXPECT:
         qm, y, heis = quasiminuscule_dims(label)
         result["quasiminuscule"] = {"dim": qm, "y_dim": y,
                                     "heisenberg_dim": heis}

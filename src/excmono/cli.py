@@ -98,11 +98,10 @@ def _load_file_group(path: str):
         raise ValueError(f"{path}: scalars are not a subgroup of the "
                          f"units mod {p}")
     rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    try:
-        perms = rep.permutations(gens)
-    except (ValueError, OverflowError) as exc:   # singular, or too many points
+    try:   # singular, too many points, or too many elements
+        return FiniteGroup(rep.permutations(gens))
+    except (ValueError, OverflowError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    return FiniteGroup(perms)
 
 
 def _cmd_rigid(args):
@@ -121,7 +120,7 @@ def _cmd_rigid(args):
         if args.classes:
             raise ValueError("--classes needs --group psl2 or file:<path>; "
                              "pgl2 reports its fixture triple")
-        return predicted_triple(args.ell).json_dict()
+        return predicted_triple(args.ell)
     if args.group == "psl2":
         group = psl2_group(args.ell)
     result = rigid_result(group, args.classes and args.classes.split(","))

@@ -244,36 +244,11 @@ class FiniteGroup:
 
 # ---------------------------------------------------------------- triples
 
-class TripleReport(NamedTuple):
-    group_order: int
-    center_order: int
-    class_labels: tuple
-    class_sizes: tuple
-    solution_count: int
-    normalized_count: tuple  # (numerator, denominator) in lowest terms
-    generates: bool
-    all_generate: bool
-    strictly_rigid: bool
-    note: str = ""
-
-    def json_dict(self):
-        return {
-            "group_order": self.group_order,
-            "center_order": self.center_order,
-            "classes": list(self.class_labels),
-            "class_sizes": list(self.class_sizes),
-            "solution_count": self.solution_count,
-            "normalized_count": list(self.normalized_count),
-            "generates": self.generates,
-            "all_generate": self.all_generate,
-            "strictly_rigid": self.strictly_rigid,
-            "note": self.note,
-        }
-
-
 def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
-                 cinf: ConjClass, g0=None, note: str = "") -> TripleReport:
-    """Count solutions g0 g1 ginf = 1 with g_i in C_i, fixing one g0.
+                 cinf: ConjClass, g0=None, note: str = "") -> dict:
+    """Count solutions g0 g1 ginf = 1 with g_i in C_i, fixing one g0; the
+    `rigid` triple dict, `normalized_count` a [numerator, denominator]
+    pair in lowest terms.
 
     The total is |C0| times the count at fixed g0.  The centralizer C(g0)
     permutes those solutions by conjugation, and <g0, c^-1 g1 c> is
@@ -309,20 +284,20 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
                     gen_flags[c_inv.translate(table).translate(c_table)] = flag
     num = solution_count * len(group.center)
     g = gcd(num, group.order)
-    normalized = (num // g, group.order // g)
+    normalized = [num // g, group.order // g]
     all_generate = bool(gen_flags) and all(gen_flags.values())
-    return TripleReport(
-        group_order=group.order,
-        center_order=len(group.center),
-        class_labels=(c0.label, c1.label, cinf.label),
-        class_sizes=(c0.size, c1.size, cinf.size),
-        solution_count=solution_count,
-        normalized_count=normalized,
-        generates=any(gen_flags.values()),
-        all_generate=all_generate,
-        strictly_rigid=normalized == (1, 1) and all_generate,
-        note=note,
-    )
+    return {
+        "group_order": group.order,
+        "center_order": len(group.center),
+        "classes": [c0.label, c1.label, cinf.label],
+        "class_sizes": [c0.size, c1.size, cinf.size],
+        "solution_count": solution_count,
+        "normalized_count": normalized,
+        "generates": any(gen_flags.values()),
+        "all_generate": all_generate,
+        "strictly_rigid": normalized == [1, 1] and all_generate,
+        "note": note,
+    }
 
 
 def rigid_result(group: FiniteGroup, labels=()) -> dict:
@@ -336,7 +311,7 @@ def rigid_result(group: FiniteGroup, labels=()) -> dict:
             raise ValueError(f"--classes {','.join(labels)} names "
                              f"{len(labels)} classes; a triple needs 3")
         result["triple"] = triple_count(
-            group, *map(group.class_by_label, labels)).json_dict()
+            group, *map(group.class_by_label, labels))
     return result
 
 
@@ -384,7 +359,7 @@ def _over_table_bytes(name: str, count, degree: int) -> OverflowError:
                          f"each, over the bound of {MAX_TABLE_BYTES} bytes")
 
 
-def predicted_triple(ell: int = 5) -> TripleReport:
+def predicted_triple(ell: int = 5) -> dict:
     """The harness analog of the predicted triple in a PGL2 toy instance.
 
     C0 is the split involution (the image of diag(1, -1), whose

@@ -22,6 +22,10 @@ from __future__ import annotations
 from .obs import check, memo
 
 SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
+# the largest rank admitted, refused in `_parse_label` before any closure:
+# `atilde` holds 2^r ints of 2^r bits, so D14 takes 0.4 s and 54 MB but
+# D16 3 s and 580 MB, and D18 would need about 8 GB
+MAX_RANK = 14
 
 # Bourbaki-numbered Dynkin edges for the exceptional types.
 _E7_EDGES = [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)]
@@ -128,11 +132,10 @@ class RootSystem:
                                     for t in self.positive_roots))))
 
     def highest_root(self):
-        """Return (theta, theta-vee, comarks) for an irreducible system.
+        """Return (theta, theta-vee) for an irreducible system.
 
-        ``comarks`` are the coefficients c(alpha) in
-        theta-vee = sum c(alpha) alpha-vee; theta's own coordinates are the
-        marks.
+        theta's coordinates are the marks, and theta-vee's the comarks,
+        the coefficients c(alpha) in theta-vee = sum c(alpha) alpha-vee.
         """
         if not self.is_irreducible():
             raise ValueError(f"{self.label} is reducible; no highest root")
@@ -142,11 +145,11 @@ class RootSystem:
             check("highest-root-maximal", up not in self.coroot_of,
                   "highest-root candidate not maximal")
         theta_vee = self.coroot_of[theta]
-        return theta, theta_vee, theta_vee
+        return theta, theta_vee
 
     def dual_coxeter_number(self) -> int:
-        _, theta_vee, _ = self.highest_root()
-        return 1 + sum(theta_vee)  # <rho, alpha_i-vee> = 1 for every i
+        # <rho, alpha_i-vee> = 1 for every i
+        return 1 + sum(self.highest_root()[1])
 
     def dim_y(self) -> int:
         """2 h-vee - 2: the dimension attached to the quasi-minuscule orbit."""
@@ -221,6 +224,9 @@ def _parse_label(label: str):
     if not digits.isdigit():
         raise ValueError(f"unsupported Cartan type {label!r}")
     rank = int(digits)
+    if rank > MAX_RANK:
+        raise ValueError(f"{label}: rank {rank} is above the bound "
+                         f"MAX_RANK = {MAX_RANK}")
     ok = {
         "A": rank == 1,
         "B": rank >= 2,

@@ -30,7 +30,8 @@ FREE_LABELS = ("A1", "B2", "C2", "C3", "C4", "C5")
 # the types `rootsys.require_covered` admits up to rank 8, in the order
 # criterion 3 prints
 COVERED_LABELS = ("A1", "D4", "D6", "D8", "E7", "E8", "G2")
-ZG2_SIZE = {"A1": 2, "D4": 4, "D6": 4, "D8": 4, "E7": 2, "E8": 1, "G2": 1}
+# (Z(G), |Z(G)[2]|): the odd irreps number as many as the radical of
+# A-tilde, which is Z(G)[2]
 CENTER_EXPECT = {
     "A1": ("mu4", 2), "G2": ("mu2", 1), "D4": ("mu2^3", 4),
     "D6": ("mu2 x mu4", 4), "D8": ("mu2^3", 4), "E7": ("mu4", 2),
@@ -109,7 +110,7 @@ def criterion_tilde_laws(seed=0):
             pairs_checked += 1 << tg.r
         size = twogroup.atilde_result(label)["radical_size"]
         radical[label] = size
-        check("radical-is-z(g)[2]", size == ZG2_SIZE[label],
+        check("radical-is-z(g)[2]", size == CENTER_EXPECT[label][1],
               "{}: radical size {}", label, size)
     return {"labels": list(COVERED_LABELS), "pairs_checked": pairs_checked,
             "radical_sizes": radical}
@@ -192,17 +193,23 @@ def criterion_rigidity(seed=0):
           and hurwitz["solution_count"] == 168, "{}", hurwitz)
     c2, c3, c7 = map(g.class_by_label, labels)
     invariant = all(
-        rigidity.triple_count(g, c2, c3, c7, g0=alt).solution_count
+        rigidity.triple_count(g, c2, c3, c7, g0=alt)["solution_count"]
         == hurwitz["solution_count"]
         for alt in c2.members[1:4])
     check("representative-invariance", invariant,
           "the Hurwitz count changes with the representative of 2A")
     fixtures = {}
     for ell in RIGID_ELLS:
-        rep = rigidity.predicted_triple(ell).json_dict()
+        rep = rigidity.predicted_triple(ell)
         fixtures[str(ell)] = {"solution_count": rep["solution_count"],
                               "normalized": rep["normalized_count"],
                               "strictly_rigid": rep["strictly_rigid"]}
+        # g1 and ginf are unipotent, so they and g0 = (g1 ginf)^-1 lie in
+        # PSL2(F_ell): no solution generates PGL2, and there is none unless
+        # diag(-1, 1) lies in PSL2, that is unless ell = 1 mod 4
+        check("pgl2-fixture-inside-psl2", (rep["solution_count"] == 0)
+              == (ell % 4 == 3) and not rep["generates"], "ell = {}: {}",
+              ell, rep)
     return {"hurwitz": hurwitz, "representative_invariance": invariant,
             "pgl2_fixtures": fixtures}
 

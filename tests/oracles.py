@@ -32,7 +32,7 @@ from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
 from excmono.obs import check
-from excmono.rigidity import ConjClass, MatrixRep, TripleReport
+from excmono.rigidity import ConjClass, MatrixRep
 from excmono.twogroup import _reduce_by
 
 # recorded before the Ã and a1 layers were rewritten for single computation
@@ -276,7 +276,7 @@ def pair(rs, root, coroot):
 
 def coxeter_number(rs) -> int:
     """h = 1 + the height of the highest root."""
-    theta, _, _ = rs.highest_root()
+    theta = rs.highest_root()[0]
     return 1 + sum(theta)
 
 
@@ -285,7 +285,7 @@ def fraction_fold(rs):
     r = rs.rank
     two_rho_vee = rs.two_rho_coroot()
     x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
-    theta, theta_vee, _ = rs.highest_root()
+    theta, theta_vee = rs.highest_root()
     for _ in range(100000):
         moved = False
         for i in range(r):
@@ -534,7 +534,7 @@ class MatrixGroup:
         return len(seen)
 
 
-def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> TripleReport:
+def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> dict:
     """triple_count by matrix products: g_inf = (g0 g1)^-1 for each g1."""
     g0 = c0.rep
     target = group.class_of[cinf.rep]
@@ -543,23 +543,11 @@ def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> TripleReport:
     solution_count = c0.size * len(hits)
     gen_flags = [group.subgroup_generated(g0, g1) == group.order
                  for g1 in hits]
-    normalized = Fraction(solution_count * len(group.center), group.order)
-    return TripleReport(
-        group_order=group.order,
-        center_order=len(group.center),
-        class_labels=(c0.label, c1.label, cinf.label),
-        class_sizes=(c0.size, c1.size, cinf.size),
-        solution_count=solution_count,
-        normalized_count=(normalized.numerator, normalized.denominator),
-        generates=any(gen_flags),
-        all_generate=bool(gen_flags) and all(gen_flags),
-        strictly_rigid=(normalized == 1 and bool(gen_flags)
-                        and all(gen_flags)),
-    )
+    return _triple_dict(group, (c0, c1, cinf), solution_count, gen_flags)
 
 
 def per_solution_triple_count(group, c0, c1, cinf, g0=None,
-                              note: str = "") -> TripleReport:
+                              note: str = "") -> dict:
     """triple_count on a FiniteGroup with one `subgroup_generated` closure
     for every solution at g0, not one per centralizer orbit."""
     if g0 is None:
@@ -570,20 +558,27 @@ def per_solution_triple_count(group, c0, c1, cinf, g0=None,
     solution_count = c0.size * len(hits)
     gen_flags = [group.subgroup_generated(g0, g1) == group.order
                  for g1 in hits]
+    return _triple_dict(group, (c0, c1, cinf), solution_count, gen_flags,
+                        note)
+
+
+def _triple_dict(group, classes, solution_count: int, gen_flags,
+                 note: str = "") -> dict:
+    """The `rigid` triple dict, normalized through `Fraction`."""
     normalized = Fraction(solution_count * len(group.center), group.order)
-    return TripleReport(
-        group_order=group.order,
-        center_order=len(group.center),
-        class_labels=(c0.label, c1.label, cinf.label),
-        class_sizes=(c0.size, c1.size, cinf.size),
-        solution_count=solution_count,
-        normalized_count=(normalized.numerator, normalized.denominator),
-        generates=any(gen_flags),
-        all_generate=bool(gen_flags) and all(gen_flags),
-        strictly_rigid=(normalized == 1 and bool(gen_flags)
-                        and all(gen_flags)),
-        note=note,
-    )
+    all_generate = bool(gen_flags) and all(gen_flags)
+    return {
+        "group_order": group.order,
+        "center_order": len(group.center),
+        "classes": [c.label for c in classes],
+        "class_sizes": [c.size for c in classes],
+        "solution_count": solution_count,
+        "normalized_count": [normalized.numerator, normalized.denominator],
+        "generates": any(gen_flags),
+        "all_generate": all_generate,
+        "strictly_rigid": normalized == 1 and all_generate,
+        "note": note,
+    }
 
 
 def matrix_pgl2(ell: int) -> MatrixGroup:

@@ -10,13 +10,12 @@ import subprocess
 import sys
 import time
 
-from excmono import obs, verify
+from excmono import chevalley, obs, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
     build_algebra,
     kappa_fixed_dim,
     regular_nilpotent_centralizer,
-    rigidity_budget,
     v_class_centralizer,
 )
 from excmono.rootsys import RootSystem, root_system
@@ -72,7 +71,8 @@ def test_criterion_5_chevalley():
              and kappa_fixed_dim(alg, kappa_character(rs)) == 120
              and regular_nilpotent_centralizer(alg) == 8
              and v_class_centralizer(alg).centralizer_dim == 120
-             and rigidity_budget("E8").identity_holds())
+             and chevalley.monodromy_result("E8", 0, 0)["budget"]
+             == {"d0": 120, "d1": 8, "dinf": 120})
     e8_dt = time.perf_counter() - t0
     passed = crit_dt < 10.0 and e8_ok and e8_dt < 120.0
     assert report(5, "Chevalley centralizers", passed,

@@ -109,12 +109,6 @@ def test_fundamental_quotients(label, factors, free):
     assert q.free_rank == free
 
 
-def test_quotient_description_strings():
-    assert k_fundamental_quotient(root_system("E8")).describe() == "Z/2"
-    assert k_fundamental_quotient(root_system("A1")).describe() == "Z"
-    assert k_fundamental_quotient(root_system("C3")).describe() == "Z"
-
-
 @pytest.mark.parametrize("label", ["B3", "B4", "D4", "D8", "E7", "E8", "F4", "G2"])
 def test_removed_node_coefficient_is_two(label):
     assert removed_node_coefficient(root_system(label)) == 2

@@ -15,14 +15,12 @@ import pytest
 from excmono import chevalley, cli, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
-    MonodromyBudget,
     _jordan_type,
     _natural_so_matrix,
     build_algebra,
     kappa_fixed_dim,
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
-    rigidity_budget,
     v_class_centralizer,
 )
 from excmono.rootsys import root_system
@@ -390,13 +388,14 @@ def test_d_type_jordan_partitions():
 
 @pytest.mark.parametrize("label", list(BUDGETS))
 def test_rigidity_budget(label):
-    b = rigidity_budget(label)
-    assert (b.d0, b.d1, b.dinf) == BUDGETS[label]
-    assert b.phi_count == root_system(label).num_roots
-    assert b.h1_dim == 0
-    assert b.identity_holds()
-    assert b.d0 + b.dinf == b.phi_count
-    assert b.d0 + b.d1 + b.dinf == build_algebra(label).dim
+    res = chevalley.monodromy_result(label, 0, 0)
+    d0, d1, dinf = (res["budget"][d] for d in ("d0", "d1", "dinf"))
+    assert (d0, d1, dinf) == BUDGETS[label]
+    assert (res["kappa_fixed_dim"], res["regular_nilpotent_centralizer"],
+            res["v_class"]["centralizer_dim"]) == (d0, d1, dinf)
+    # dim H^1 = dim g - d0 - d1 - dinf vanishes
+    assert d0 + dinf == root_system(label).num_roots
+    assert d0 + d1 + dinf == build_algebra(label).dim
 
 
 COUNTED = ("kappa_fixed_dim", "regular_nilpotent_centralizer",
@@ -420,7 +419,7 @@ def count_calls(monkeypatch):
 
 
 def test_criterion_5_computes_each_quantity_once(monkeypatch):
-    # one per label; the six budget labels read theirs from rigidity_budget
+    # one per label, the v class for the six budget labels alone
     counts = count_calls(monkeypatch)
     verify.criterion_chevalley()
     assert counts == {"kappa_fixed_dim": 7,
@@ -432,13 +431,6 @@ def test_monodromy_computes_each_quantity_once(monkeypatch, capsys):
     counts = count_calls(monkeypatch)
     assert cli.main(["monodromy", "E7", "--samples", "1"]) == 0
     assert counts == dict.fromkeys(COUNTED, 1)
-
-
-def test_budget_is_a_frozen_record():
-    b = rigidity_budget("G2")
-    assert isinstance(b, MonodromyBudget)
-    with pytest.raises(AttributeError):
-        b.d0 = 0
 
 
 # ---------------------------------------------------------- quasiminuscule

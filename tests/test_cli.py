@@ -88,6 +88,13 @@ def test_monodromy_report(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_monodromy_label_case_does_not_change_the_result(capsys):
+    # the budget and quasi-minuscule labels are matched against rs.label
+    _, upper, _ = run_json(capsys, "monodromy", "E7", "--samples", "0")
+    _, lower, _ = run_json(capsys, "monodromy", "e7", "--samples", "0")
+    assert lower["result"] == upper["result"]
+
+
 def test_failed_chevalley_identity_is_a_check_failure(capsys, monkeypatch):
     # a wrong centralizer dimension is a failed identity (exit 1), not a
     # usage error (exit 2)

@@ -66,6 +66,12 @@ def test_wrong_field_fails_its_criterion(capsys, monkeypatch, layer, builder,
                         off_by_one(getattr(layer, builder), path))
     assert field(printed(capsys, argv), path) == want + 1
 
+    fails_only(capsys, number, name)
+
+
+def fails_only(capsys, number, name):
+    """Criterion `number` fails on the check `name`, alone of all the
+    criteria, both when called and under verify-all."""
     _, criterion_name, criterion = verify.CRITERIA[number - 1]
     with pytest.raises(CheckFailed, match=f"^{re.escape(name)}: "):
         criterion()
@@ -77,3 +83,16 @@ def test_wrong_field_fails_its_criterion(capsys, monkeypatch, layer, builder,
     assert criteria[number - 1]["details"]["error"].startswith(
         f"CheckFailed: {name}: ")
     assert f"[FAIL] criterion {number} {criterion_name}" in captured.err
+
+
+@pytest.mark.parametrize("key, value", [("solution_count", 0),
+                                        ("generates", True)])
+def test_wrong_pgl2_fixture_fails_criterion_8(capsys, monkeypatch, key,
+                                              value):
+    # at ell = 5 = 1 mod 4 the fixture has solutions, none generating PGL2
+    real = rigidity.predicted_triple
+    monkeypatch.setattr(rigidity, "predicted_triple",
+                        lambda ell=5: {**real(ell), key: value})
+    argv = ["rigid", "--group", "pgl2", "--ell", "5"]
+    assert printed(capsys, argv)[key] == value
+    fails_only(capsys, 8, "pgl2-fixture-inside-psl2")

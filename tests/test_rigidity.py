@@ -318,16 +318,16 @@ def hurwitz_setup():
 def test_hurwitz_triple_is_strictly_rigid():
     g, c2, c3, c7 = hurwitz_setup()
     r = triple_count(g, c2, c3, c7)
-    assert r.solution_count == 168
-    assert r.normalized_count == (1, 1)
-    assert r.generates and r.all_generate and r.strictly_rigid
+    assert r["solution_count"] == 168
+    assert r["normalized_count"] == [1, 1]
+    assert r["generates"] and r["all_generate"] and r["strictly_rigid"]
 
 
 def test_hurwitz_other_seventh_class_matches():
     g = psl2_group(7)
     r = triple_count(g, g.class_by_label("2A"), g.class_by_label("3A"),
                      g.class_by_label("7B"))
-    assert r.solution_count == 168 and r.strictly_rigid
+    assert r["solution_count"] == 168 and r["strictly_rigid"]
 
 
 def test_count_invariant_under_representative_change():
@@ -335,8 +335,8 @@ def test_count_invariant_under_representative_change():
     base = triple_count(g, c2, c3, c7)
     for alt in c2.members[1:6]:
         r = triple_count(g, c2, c3, c7, g0=alt)
-        assert r.solution_count == base.solution_count
-        assert r.strictly_rigid == base.strictly_rigid
+        assert r["solution_count"] == base["solution_count"]
+        assert r["strictly_rigid"] == base["strictly_rigid"]
 
 
 def test_solution_count_naive_oracle_on_s4():
@@ -349,9 +349,9 @@ def test_solution_count_naive_oracle_on_s4():
                 for c in c4.members
                 if perm_mul(perm_mul(a, b), c) == tuple(range(4)))
     r = triple_count(g, c2, c3, c4)
-    assert r.solution_count == naive == 24
-    assert r.normalized_count == (1, 1)
-    assert r.strictly_rigid  # (2,3,4) transposition triple generates S4
+    assert r["solution_count"] == naive == 24
+    assert r["normalized_count"] == [1, 1]
+    assert r["strictly_rigid"]  # (2,3,4) transposition triple generates S4
 
 
 def test_triple_rejects_foreign_class():
@@ -372,9 +372,9 @@ def test_empty_triple_reports_zero():
     c4 = g.class_by_label("4A")
     c2b = g.class_by_label("2B")
     r = triple_count(g, c4, c4, c2b)
-    if r.solution_count == 0:
-        assert r.normalized_count == (0, 1)
-        assert not r.generates and not r.strictly_rigid
+    if r["solution_count"] == 0:
+        assert r["normalized_count"] == [0, 1]
+        assert not r["generates"] and not r["strictly_rigid"]
 
 
 def test_singleton_classes_in_cyclic_group():
@@ -386,34 +386,34 @@ def test_singleton_classes_in_cyclic_group():
     a, b = g.classes[1], g.classes[2]
     target = g.classes[g.class_of[g.inv(g.mul(a.rep, b.rep))]]
     r = triple_count(g, a, b, target)
-    assert r.solution_count == 1
-    assert r.normalized_count == (1, 1)
-    assert r.generates  # any nonidentity element generates C5
+    assert r["solution_count"] == 1
+    assert r["normalized_count"] == [1, 1]
+    assert r["generates"]  # any nonidentity element generates C5
     wrong = g.classes[1 if target is not g.classes[1] else 3]
     if wrong is not target:
         r0 = triple_count(g, a, b, wrong)
-        assert r0.solution_count == 0 and not r0.strictly_rigid
+        assert r0["solution_count"] == 0 and not r0["strictly_rigid"]
 
 
 # ----------------------------------------------------------- toy fixture
 
 def test_predicted_triple_pgl2_f5_frozen():
     r = predicted_triple(5)
-    assert r.group_order == 120 and r.center_order == 1
-    assert r.class_sizes == (15, 24, 24)
-    assert r.solution_count == 120
-    assert r.normalized_count == (1, 1)
+    assert r["group_order"] == 120 and r["center_order"] == 1
+    assert r["class_sizes"] == [15, 24, 24]
+    assert r["solution_count"] == 120
+    assert r["normalized_count"] == [1, 1]
     # solutions exist but all land inside the PSL2 subgroup
-    assert not r.generates and not r.strictly_rigid
-    assert "toy fixture" in r.note
+    assert not r["generates"] and not r["strictly_rigid"]
+    assert "toy fixture" in r["note"]
 
 
 def test_predicted_triple_empty_when_minus_one_not_square():
     # tr(g0 g1)^2 = -4 must be solvable, so ell = 3 mod 4 gives nothing
     for ell in (3, 7):
         r = predicted_triple(ell)
-        assert r.solution_count == 0
-        assert not r.strictly_rigid
+        assert r["solution_count"] == 0
+        assert not r["strictly_rigid"]
 
 
 def test_predicted_triple_unsupported_instances(monkeypatch):
@@ -432,13 +432,12 @@ def test_predicted_triple_unsupported_instances(monkeypatch):
 
 def test_predicted_triple_unipotent_class_size():
     r = predicted_triple(7)
-    assert r.class_sizes[1] == 7 * 7 - 1
-    assert r.class_labels[1] == r.class_labels[2]
+    assert r["class_sizes"][1] == 7 * 7 - 1
+    assert r["classes"][1] == r["classes"][2]
 
 
 def test_report_json_shape():
-    r = predicted_triple(5)
-    d = r.json_dict()
+    d = predicted_triple(5)
     assert d["solution_count"] == 120
     assert d["normalized_count"] == [1, 1]
     assert d["classes"][1] == d["classes"][2]
@@ -523,7 +522,7 @@ def test_orbit_flags_match_per_solution_oracle(case):
         report = triple_count(g, c0, c1, cinf, note="n")
         assert report == per_solution_triple_count(g, c0, c1, cinf,
                                                    note="n"), (i, j, l)
-        generating += report.generates
+        generating += report["generates"]
     assert generating
 
 
@@ -543,7 +542,7 @@ def test_one_closure_per_centralizer_orbit(monkeypatch):
     r = triple_count(g, g.class_by_label("2A"), g.class_by_label("3A"),
                      g.class_by_label("37A"))
     # the 36 solutions at g0 form one orbit of its centralizer
-    assert r.solution_count == 703 * 36 and r.strictly_rigid
+    assert r["solution_count"] == 703 * 36 and r["strictly_rigid"]
     assert len(calls) == 1
 
 
@@ -628,9 +627,9 @@ def test_file_group_over_the_table_bound_exits_2_quickly(tmp_path):
         [sys.executable, "-m", "excmono", "rigid", "--group", f"file:{path}"],
         capture_output=True, text=True, env=env, timeout=1.0)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == ("error: the group has more than 66576 elements of "
-                           "252 bytes each, over the bound of 16777216 "
-                           "bytes\n")
+    assert proc.stderr == (f"error: {path}: the group has more than 66576 "
+                           "elements of 252 bytes each, over the bound of "
+                           "16777216 bytes\n")
 
 
 class _CountingIndex(dict):

@@ -9,15 +9,19 @@ embedded D lattice), so there the oracle only bounds from above.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from excmono.chevalley import build_algebra
 from excmono.linalg import mat_mul
-from excmono.rootsys import (RootSystem, dynkin_components, require_covered,
-                             root_system)
+from excmono.rootsys import (MAX_RANK, RootSystem, dynkin_components,
+                             require_covered, root_system)
 from excmono.twogroup import build_tilde_group
 from excmono.verify import COVERED_LABELS
 from oracles import (coxeter_number, longest_element_matrix, mat_pow, pair,
@@ -150,10 +154,10 @@ def test_coxeter_numbers(label):
 def test_highest_root_coordinates():
     assert root_system("E7").highest_root()[0] == (2, 2, 3, 4, 3, 2, 1)
     assert root_system("E8").highest_root()[0] == (2, 3, 4, 6, 5, 4, 3, 2)
-    theta, theta_vee, comarks = root_system("F4").highest_root()
+    theta, comarks = root_system("F4").highest_root()
     assert theta == (2, 3, 4, 2)
     assert comarks == (2, 3, 2, 1)
-    theta, theta_vee, _ = root_system("G2").highest_root()
+    theta, theta_vee = root_system("G2").highest_root()
     assert theta == (3, 2)
     assert theta_vee == (1, 2)
 
@@ -161,7 +165,7 @@ def test_highest_root_coordinates():
 def test_highest_root_is_dominant():
     for label in ["E8", "F4", "G2", "B4"]:
         rs = root_system(label)
-        theta, _, _ = rs.highest_root()
+        theta = rs.highest_root()[0]
         for i in range(rs.rank):
             cr = rs.coroot_of[rs.simple_roots[i]]
             assert pair(rs, theta, cr) >= 0
@@ -304,6 +308,32 @@ def test_covered_types_are_one_set():
 def test_unsupported_labels_rejected(bad):
     with pytest.raises(ValueError):
         RootSystem(bad)
+
+
+def test_rank_over_the_bound_refused_before_closure(monkeypatch):
+    def no_closure(self):
+        raise RuntimeError("closure ran")
+
+    assert MAX_RANK >= 10   # D10, the largest label tested, is admitted
+    monkeypatch.setattr(RootSystem, "_close_roots", no_closure)
+    for letter in "BCD":
+        with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above "
+                           f"the bound MAX_RANK = {MAX_RANK}"):
+            RootSystem(f"{letter}{MAX_RANK + 1}")
+
+
+@pytest.mark.parametrize("command,letter", [
+    ("roots", "B"), ("k-type", "C"), ("atilde", "D"), ("monodromy", "D")])
+def test_first_refused_rank_exits_2_quickly(command, letter):
+    label = f"{letter}{MAX_RANK + 1}"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "excmono", command, label],
+        capture_output=True, text=True, timeout=1.0,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: {label}: rank {MAX_RANK + 1} is above "
+                           f"the bound MAX_RANK = {MAX_RANK}\n")
 
 
 def test_json_dict_shape():
