@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from .obs import check, memo
@@ -305,9 +306,36 @@ def _extension_table(index) -> tuple:
 
 # --------------------------------------------------------------- records
 
-def compute_record(ctx: FiniteFieldCtx, lam: int) -> dict:
-    """The `a1` record of the fiber at `lam`, every identity checked: the
-    sums t1 and t3 as [re, im], t2 by its real part."""
+class TraceRecord(NamedTuple):
+    q: int
+    lam: int
+    t1: tuple  # (re, im)
+    t2: tuple
+    t3: tuple
+    point_count_smooth: int
+    sym2_trace: int
+    sym2_symmetric: int
+
+    def csv_row(self):
+        return [self.q, self.lam, *self.t1, self.t2[0], *self.t3,
+                self.point_count_smooth,
+                self.sym2_trace, self.sym2_trace // self.q]
+
+    def json_dict(self):
+        return {
+            "q": self.q,
+            "lambda": self.lam,
+            "t1": list(self.t1),
+            "t2": self.t2[0],
+            "t3": list(self.t3),
+            "n_points": self.point_count_smooth,
+            "sym2": self.sym2_trace,
+            "sym2_over_q": self.sym2_trace // self.q,
+            "sym2_symmetric": self.sym2_symmetric,
+        }
+
+
+def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     values = fiber_values(ctx, lam)
     lam %= ctx.q
     sums = trace_sums(ctx, values)
@@ -322,11 +350,11 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> dict:
           "Lefschetz identity failed: {} != {} + 1 + {} + {}i", n, q, re, im)
     legendre_crosscheck(ctx, values, t2)
     ext_sum = extension_sums(ctx)[lam]
-    sym2 = sym2_trace(ctx, sums, ext_sum)
-    return {"q": q, "lambda": lam, "t1": list(t1), "t2": t2[0],
-            "t3": list(t3), "n_points": n, "sym2": sym2,
-            "sym2_over_q": sym2 // q,
-            "sym2_symmetric": sym2_symmetric_trace(ctx, sums, ext_sum)}
+    return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
+                       point_count_smooth=n,
+                       sym2_trace=sym2_trace(ctx, sums, ext_sum),
+                       sym2_symmetric=sym2_symmetric_trace(
+                           ctx, sums, ext_sum))
 
 
 @memo
@@ -340,8 +368,8 @@ MAX_Q = 1 << 10
 
 
 def scan(primes):
-    """The `compute_record` of every lambda outside {0, 1}, sorted by
-    (q, lambda) so serialized output is byte-stable."""
+    """TraceRecords for every lambda outside {0, 1}, all invariants checked,
+    sorted by (q, lambda) so serialized output is byte-stable."""
     for q in primes:
         if q > MAX_Q:
             raise ValueError(f"{q} is above the bound MAX_Q = {MAX_Q} "
@@ -356,7 +384,7 @@ def a1_result(primes) -> dict:
     """The `a1` JSON result for `primes`."""
     records = scan(primes)
     return {"primes": list(primes), "fibers": len(records),
-            "records": records}
+            "records": [rec.json_dict() for rec in records]}
 
 
 CSV_HEADER = ["q", "lambda", "t1_re", "t1_im", "t2", "t3_re", "t3_im",
@@ -364,7 +392,7 @@ CSV_HEADER = ["q", "lambda", "t1_re", "t1_im", "t2", "t3_re", "t3_im",
 
 
 def render_csv(records) -> str:
-    """The `scan` records as CSV with the `CSV_HEADER` columns.
+    """The records as CSV with the `CSV_HEADER` columns.
 
     `sym2_symmetric` is left out on purpose: the JSON records carry it,
     and the ten-column header is a fixed format that the benchmark's
@@ -374,8 +402,6 @@ def render_csv(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        writer.writerow([rec["q"], rec["lambda"], *rec["t1"], rec["t2"],
-                         *rec["t3"], rec["n_points"], rec["sym2"],
-                         rec["sym2_over_q"]])
+        writer.writerow(rec.csv_row())
     return buf.getvalue()
 

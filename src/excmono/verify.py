@@ -205,11 +205,16 @@ def criterion_rigidity(seed=0):
                               "normalized": rep["normalized_count"],
                               "strictly_rigid": rep["strictly_rigid"]}
         # g1 and ginf are unipotent, so they and g0 = (g1 ginf)^-1 lie in
-        # PSL2(F_ell): no solution generates PGL2, and there is none unless
-        # diag(-1, 1) lies in PSL2, that is unless ell = 1 mod 4
-        check("pgl2-fixture-inside-psl2", (rep["solution_count"] == 0)
-              == (ell % 4 == 3) and not rep["generates"], "ell = {}: {}",
-              ell, rep)
+        # PSL2(F_ell): no solution generates PGL2.  For g0 = diag(-1, 1) and
+        # g1 = [[p, q], [r, s]] unipotent, g0 g1 is unipotent exactly when
+        # s^2 = -p^2: no g1 unless ell = 1 mod 4, else 2(ell - 1) of them,
+        # |C(g0)|, so the count is |G| and, Z trivial, the normalized one 1
+        normalized = [1, 1] if ell % 4 == 1 else [0, 1]
+        check("pgl2-fixture-inside-psl2",
+              rep["normalized_count"] == normalized
+              and rep["solution_count"] == normalized[0] * rep["group_order"]
+              and not rep["generates"] and not rep["strictly_rigid"],
+              "ell = {}: {}", ell, rep)
     return {"hurwitz": hurwitz, "representative_invariance": invariant,
             "pgl2_fixtures": fixtures}
 

@@ -277,16 +277,11 @@ FROZEN_ROWS = {
 }
 
 
-def csv_row(rec):
-    """The CSV row that `render_csv` writes for `rec`, as ints."""
-    return [int(x) for x in render_csv([rec]).splitlines()[1].split(",")]
-
-
 @pytest.mark.parametrize("key", sorted(FROZEN_ROWS))
 def test_frozen_records(key):
     q, lam = key
     rec = compute_record(FiniteFieldCtx(q), lam)
-    assert csv_row(rec) == FROZEN_ROWS[key]
+    assert rec.csv_row() == FROZEN_ROWS[key]
 
 
 def test_lambda_reduction_mod_q():
@@ -448,7 +443,7 @@ def test_compute_record_sums_each_fiber_once(monkeypatch):
     ctx = FiniteFieldCtx(13)
     rec = compute_record(ctx, 3)
     assert calls == [13 - 3]
-    assert csv_row(rec) == FROZEN_ROWS[(13, 3)]
+    assert rec.csv_row() == FROZEN_ROWS[(13, 3)]
 
 
 @pytest.mark.parametrize("q,lam", [(5, 3), (13, 3), (17, 20)])
@@ -464,7 +459,7 @@ def test_compute_record_evaluates_f_once_per_point(monkeypatch, q, lam):
     rec = compute_record(FiniteFieldCtx(q), lam)
     assert len(calls) == len(set(calls)) == q - 3
     if (q, lam) in FROZEN_ROWS:
-        assert csv_row(rec) == FROZEN_ROWS[(q, lam)]
+        assert rec.csv_row() == FROZEN_ROWS[(q, lam)]
 
 
 # ----------------------------------------------------------- ramification
@@ -508,7 +503,7 @@ def test_ramification_orders_of_f(lam):
 def test_scan_row_count_and_order():
     recs = scan([5, 13])
     assert len(recs) == 3 + 11
-    keys = [(r["q"], r["lambda"]) for r in recs]
+    keys = [(r.q, r.lam) for r in recs]
     assert keys == sorted(keys)
 
 
@@ -570,6 +565,7 @@ def test_csv_and_json_shapes():
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + 3
-    assert [d["lambda"] for d in recs] == [2, 3, 4]
-    assert all(d["sym2_over_q"] == 1 for d in recs)
-    assert recs[1]["sym2_symmetric"] == -1
+    data = [rec.json_dict() for rec in recs]
+    assert [d["lambda"] for d in data] == [2, 3, 4]
+    assert all(d["sym2_over_q"] == 1 for d in data)
+    assert data[1]["sym2_symmetric"] == -1

@@ -85,8 +85,9 @@ def fails_only(capsys, number, name):
     assert f"[FAIL] criterion {number} {criterion_name}" in captured.err
 
 
-@pytest.mark.parametrize("key, value", [("solution_count", 0),
-                                        ("generates", True)])
+@pytest.mark.parametrize("key, value", [
+    ("solution_count", 0), ("solution_count", 119), ("generates", True),
+    ("strictly_rigid", True), ("normalized_count", [2, 1])])
 def test_wrong_pgl2_fixture_fails_criterion_8(capsys, monkeypatch, key,
                                               value):
     # at ell = 5 = 1 mod 4 the fixture has solutions, none generating PGL2
