@@ -24,8 +24,6 @@ second.
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
@@ -398,6 +396,8 @@ def render_csv(records) -> str:
     and the ten-column header is a fixed format that the benchmark's
     known-answer check (`perfbench/checks.py`) compares verbatim.
     """
+    import csv   # here, so JSON runs do not load it
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

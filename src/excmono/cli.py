@@ -6,12 +6,15 @@ parameters, the toolkit version, the result blob, and `checks`, the
 count, and each verdict (`strictly-rigid`, the verify-all criteria) with
 a count of 1.  Logs and timing go to stderr so stdout stays byte-stable
 across runs.  CSV output exists only for the a1 scan table.  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage.
+0 all checks passed, 1 a check failed, 2 usage.  `run` is the process
+entry of `python -m excmono` and of the installed `excmono` script;
+in-process callers use `main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import ExitStack
@@ -224,7 +227,8 @@ def main(argv=None) -> int:
         try:
             # opened first, so a path that cannot be written costs no work,
             # and to append, so a failed command leaves an old file whole
-            out = args.out and stack.enter_context(open(args.out, "a"))
+            out = args.out is not None and stack.enter_context(
+                open(args.out, "a"))
             result = args.fn(args)
         except (ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -243,14 +247,32 @@ def main(argv=None) -> int:
                 "result": result,
                 "checks": checks,
             })
-        sys.stdout.write(payload)
         if out:
-            out.truncate(0)
-            out.write(payload)
+            try:   # before stdout, so a failed write prints no manifest
+                out.truncate(0)
+                out.write(payload)
+                out.close()
+            except OSError as exc:
+                print(f"error: {args.out}: {exc}", file=sys.stderr)
+                return 2
+        sys.stdout.write(payload)
     print(f"{args.command}: done in {perf_counter() - t0:.2f}s",
           file=sys.stderr)
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Exit the process with `main`'s code, skipping the collector's
+    exit-time passes.
+
+    At exit CPython's finalization runs cyclic collections over every
+    module, function and class the process loaded.  `gc.freeze` moves
+    them all to the permanent generation, which no collection scans.
+    Everything else about exit is kept: `main` has closed `--out`, and
+    stdout, stderr and atexit are flushed and run as usual.  `main`
+    itself never freezes, so in-process callers keep their collector.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

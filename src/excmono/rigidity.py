@@ -121,7 +121,8 @@ class FiniteGroup:
     each given as `bytes` or a tuple: entry i is the image of i.  Products
     compose left to right, (a b)(i) = b(a(i)), the order of x -> x m.
     Elements are `bytes`; `index` maps each to its id, its position in
-    `elements`, and class members and `class_of` keys are those objects."""
+    `elements`, and class members and `class_of` keys are those objects.
+    `centralizers[i]` lists C(classes[i].rep) in element order."""
 
     def __init__(self, generators):
         self.generators = [bytes(g) for g in generators]
@@ -137,7 +138,7 @@ class FiniteGroup:
         for ci, cls in enumerate(self.classes):
             for g in cls.members:
                 self.class_of[g] = ci
-        self._check_class_equation()
+        self.centralizers = self._centralizers()
 
     def _closure(self):
         tables = [s + self._tail for s in self.generators]
@@ -196,8 +197,12 @@ class FiniteGroup:
             classes.append(ConjClass(label, members, len(members)))
         return classes
 
-    def _check_class_equation(self):
-        tail = self._tail
+    def _centralizers(self) -> list:
+        """C(c.rep) for each class c, by one commute test per element, and
+        the class equation checked on them.  A centralizer that is all of
+        G, the identity's for one, is `elements` itself, not a copy."""
+        elements, tail = self.elements, self._tail
+        centralizers = []
         total = 0
         for cls in self.classes:
             check("class-equation", self.order % cls.size == 0, "class {} of "
@@ -205,14 +210,16 @@ class FiniteGroup:
                   cls.size, self.order)
             r = cls.rep
             table = r + tail
-            cent = sum(x.translate(table) == r.translate(x + tail)
-                       for x in self.elements)
-            check("class-equation", cls.size * cent == self.order, "class {}: "
-                  "size {} times centralizer order {} is not the group order "
-                  "{}", cls.label, cls.size, cent, self.order)
+            cent = [x for x in elements
+                    if x.translate(table) == r.translate(x + tail)]
+            check("class-equation", cls.size * len(cent) == self.order,
+                  "class {}: size {} times centralizer order {} is not the "
+                  "group order {}", cls.label, cls.size, len(cent), self.order)
+            centralizers.append(elements if len(cent) == self.order else cent)
             total += cls.size
         check("class-equation", total == self.order, "class sizes sum to {}, "
               "not the group order {}", total, self.order)
+        return centralizers
 
     def class_by_label(self, label: str) -> ConjClass:
         for cls in self.classes:
@@ -272,15 +279,19 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
     solution_count = c0.size * len(hits)
     gen_flags = {}  # solution -> whether it generates, one closure per orbit
     if hits:
-        g0_table = g0 + tail
+        if g0 == c0.rep:   # the class-equation scan found C(g0)
+            cent = group.centralizers[class_of[g0]]
+        else:
+            g0_table = g0 + tail
+            cent = [c for c in group.elements
+                    if g0.translate(c + tail) == c.translate(g0_table)]
         # c^-1 x c: relabel by c^-1, move by c
-        cent = [(group.inv(c), c + tail) for c in group.elements
-                if g0.translate(c + tail) == c.translate(g0_table)]
+        conj = [(group.inv(c), c + tail) for c in cent]
         for g1 in hits:
             if g1 not in gen_flags:
                 flag = group.subgroup_generated(g0, g1) == group.order
                 table = g1 + tail
-                for c_inv, c_table in cent:
+                for c_inv, c_table in conj:
                     gen_flags[c_inv.translate(table).translate(c_table)] = flag
     num = solution_count * len(group.center)
     g = gcd(num, group.order)

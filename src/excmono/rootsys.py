@@ -181,13 +181,15 @@ class RootSystem:
     def dual(self) -> "RootSystem":
         """The dual system, with node numbering kept: roots <-> coroots.
 
-        For A/D/E the Cartan matrix is symmetric and for B/C the transpose
-        is the standard matrix of the other letter, so those go through the
-        cached factory.  F4 and G2 are self-dual only up to reversing the
-        diagram; keeping the numbering means building from the transposed
-        Cartan matrix directly.
+        For A/D/E the Cartan matrix is symmetric, so the system is its own
+        dual; for B/C the transpose is the standard matrix of the other
+        letter, which goes through the cached factory.  F4 and G2 are
+        self-dual only up to reversing the diagram; keeping the numbering
+        means building from the transposed Cartan matrix directly.
         """
-        if self.letter in ("F", "G"):
+        if self.letter in "ADE":
+            return self
+        if self.letter in "FG":
             out = object.__new__(RootSystem)
             out.letter, out.rank, out.label = self.letter, self.rank, self.label
             r = self.rank
@@ -195,8 +197,7 @@ class RootSystem:
             top = max(self.coroot_norms)
             out._setup(cartan, [2 * top // d for d in self.coroot_norms])
             return out
-        letter = {"B": "C", "C": "B"}.get(self.letter, self.letter)
-        return root_system(f"{letter}{self.rank}")
+        return root_system(f"{'C' if self.letter == 'B' else 'B'}{self.rank}")
 
     def json_dict(self) -> dict:
         return {

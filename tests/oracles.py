@@ -16,7 +16,8 @@ ad(x) rank that the carried pairings, root positions and sparse bracket
 columns replaced, the longest-element matrix, tuple-difference simple
 system, scan-every-row rank and per-solution generation flags that the
 pairing descent, root keys, column index and centralizer orbits
-replaced, the Coxeter number, and plain matrix powers, F2 ranks and a
+replaced, the per-g0 centralizer scan that the class-equation scan's
+kept centralizers replaced, the Coxeter number, and plain matrix powers, F2 ranks and a
 quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
@@ -544,6 +545,14 @@ def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> dict:
     gen_flags = [group.subgroup_generated(g0, g1) == group.order
                  for g1 in hits]
     return _triple_dict(group, (c0, c1, cinf), solution_count, gen_flags)
+
+
+def centralizer_by_scan(group, g) -> list:
+    """C(g) by one commute test per element, in element order: the scan
+    that `triple_count` ran for every g0 before the class-equation scan
+    kept what it found."""
+    return [x for x in group.elements
+            if group.mul(x, g) == group.mul(g, x)]
 
 
 def per_solution_triple_count(group, c0, c1, cinf, g0=None,

@@ -1,10 +1,16 @@
+import gc
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import excmono
 from excmono import affine_k, twogroup
 from excmono.a1lab import render_csv, scan
 from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
@@ -93,6 +99,8 @@ def test_monodromy_label_case_does_not_change_the_result(capsys):
     _, upper, _ = run_json(capsys, "monodromy", "E7", "--samples", "0")
     _, lower, _ = run_json(capsys, "monodromy", "e7", "--samples", "0")
     assert lower["result"] == upper["result"]
+    # e7's dual is the system itself, not a second build as E7
+    assert lower["checks"] == upper["checks"]
 
 
 def test_failed_chevalley_identity_is_a_check_failure(capsys, monkeypatch):
@@ -370,15 +378,37 @@ def test_out_flag_duplicates_stdout(capsys, tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "empty"])
 def test_unwritable_out_is_refused_before_the_command(capsys, tmp_path,
-                                                      monkeypatch):
-    path = tmp_path / "missing" / "x.json"
+                                                      monkeypatch, missing):
+    path = tmp_path / "missing" / "x.json" if missing else ""
     monkeypatch.setattr(affine_k, "k_type_row", lambda label: pytest.fail(
         "the command ran although --out cannot be written"))
     code, out, err = run_cli(capsys, "k-type", "G2", "--out", str(path))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert str(path) in err and "Traceback" not in err
+
+
+# a write past RLIMIT_FSIZE fails with EFBIG once SIGXFSZ is ignored: the
+# --out file takes the open and the first 64 bytes, then its close fails
+_OUT_OVER_FSIZE = """
+import resource, signal
+from excmono.cli import run
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+run()
+"""
+
+
+def test_failed_out_write_prints_no_manifest(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "row.json"
+    proc = fresh_python("-c", _OUT_OVER_FSIZE, "k-type", "G2", "--out",
+                        str(path))
+    err = proc.stderr.decode()
+    assert proc.returncode == 2 and proc.stdout == b"", err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
 
 def test_failed_command_leaves_an_old_out_file_whole(capsys, tmp_path):
@@ -388,6 +418,60 @@ def test_failed_command_leaves_an_old_out_file_whole(capsys, tmp_path):
     assert code == 2 and out == "" and path.read_text() == "old\n"
     code, out, _ = run_cli(capsys, "k-type", "G2", "--out", str(path))
     assert code == 0 and path.read_text() == out
+
+
+# ------------------------------------------------------------ exit path
+
+def fresh_python(*args):
+    """`python *args` in a fresh interpreter that imports this excmono."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(excmono.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=60)
+
+
+def test_main_never_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert main(["roots", "A1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["roots", "A1"], 0),
+    # PSL2(F_3) is A4; (1A, 1A, 1A) is no strictly rigid triple
+    (["rigid", "--group", "psl2", "--ell", "3", "--classes", "1A,1A,1A"], 1),
+    (["roots", "Z9"], 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_process_entry_exits_with_mains_code(tmp_path, argv, code):
+    out = tmp_path / "out.json"
+    proc = fresh_python("-m", "excmono", *argv, "--out", str(out))
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert bool(proc.stdout) == (code != 2)
+
+
+_RUN_WITH_ATEXIT = """
+import atexit, gc, sys
+from excmono.cli import run
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+sys.argv[1:] = ["roots", "A1"]
+run()
+"""
+
+
+def test_process_entry_freezes_and_still_runs_atexit():
+    proc = fresh_python("-c", _RUN_WITH_ATEXIT)
+    assert proc.returncode == 0, proc.stderr
+    manifest, atexit_line = proc.stdout.decode()[:-1].rsplit("\n", 1)
+    assert json.loads(manifest)["result"]["rank"] == 1
+    assert atexit_line == "frozen True"
+
+
+def test_installed_script_is_the_process_entry():
+    text = (README.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'excmono = "excmono.cli:run"'
 
 
 def test_key_error_in_a_layer_is_no_usage_error(capsys, monkeypatch):

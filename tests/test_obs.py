@@ -309,3 +309,10 @@ def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
     # importing dataclasses imports inspect, and fractions imports decimal
     # and numbers: milliseconds of startup each
     assert not {"dataclasses", "inspect", "fractions"} & loaded_modules(argv)
+
+
+@pytest.mark.parametrize("argv", [["verify-all"], ["a1", "--primes", "5,13"]],
+                         ids=" ".join)
+def test_json_subcommand_leaves_csv_unloaded(argv):
+    # only `a1 --format csv` renders CSV
+    assert "csv" not in loaded_modules(argv)

@@ -27,6 +27,7 @@ from oracles import (
     matrix_mul,
     matrix_pgl2,
     matrix_psl2,
+    centralizer_by_scan,
     matrix_triple_count,
     per_solution_triple_count,
     projective_invariant,
@@ -531,6 +532,40 @@ def test_orbit_flags_match_per_solution_oracle_at_every_hurwitz_g0():
     for g0 in c2.members:
         assert triple_count(g, c2, c3, c7, g0=g0) == \
             per_solution_triple_count(g, c2, c3, c7, g0=g0)
+
+
+@pytest.mark.parametrize("build", [lambda: psl2_group(7),
+                                   lambda: pgl2_group(13)])
+def test_kept_centralizers_match_the_per_element_scan(build):
+    g = build()
+    assert len(g.centralizers) == len(g.classes)
+    for cls, cent in zip(g.classes, g.centralizers):
+        assert cent == centralizer_by_scan(g, cls.rep), cls.label
+    assert g.centralizers[0] is g.elements   # the identity's: not a copy
+
+
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def test_triple_count_reads_c_g0_from_the_class_scan_at_the_rep():
+    g, c2, c3, c7 = hurwitz_setup()
+    g.centralizers = _Reads(g.centralizers)
+    at_rep = triple_count(g, c2, c3, c7)
+    assert g.centralizers.reads == [g.classes.index(c2)]
+    # another g0 of the class scans for its own centralizer
+    g.centralizers.reads.clear()
+    other = triple_count(g, c2, c3, c7, g0=c2.members[1])
+    assert g.centralizers.reads == []
+    assert at_rep == other == per_solution_triple_count(g, c2, c3, c7)
 
 
 def test_one_closure_per_centralizer_orbit(monkeypatch):
