@@ -40,10 +40,6 @@ class FiniteFieldCtx:
     """
 
     def __init__(self, p: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"{p} is not an odd prime")
-        if p % 4 != 1:
-            raise ValueError(f"q = {p} is 3 mod 4: no character of order 4")
         self.p = self.q = p
         self.generator = least_primitive_root(p)
         self.index = [4] * p
@@ -72,11 +68,9 @@ def _f_value(ctx: FiniteFieldCtx, lam, x):
 
 def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
     """f(x) at every unramified x, that is x outside {0, 1, 1/lam}, in
-    increasing x; f is evaluated once per x and vanishes at none of them."""
+    increasing x, for lam in 2 .. p - 1 (`scan` passes no other); f is
+    evaluated once per x and vanishes at none of them."""
     p = ctx.p
-    lam %= p
-    if lam in (0, 1):
-        raise ValueError("lambda in {0, 1} gives a degenerate fiber")
     bad = {0, 1, pow(lam, p - 2, p)}
     values = [_f_value(ctx, lam, x) for x in range(p) if x not in bad]
     check("f-nonzero-off-ramification", 0 not in values,
@@ -334,8 +328,8 @@ class TraceRecord(NamedTuple):
 
 
 def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
+    """The record of the fiber at lam, in 2 .. q - 1 as in `fiber_values`."""
     values = fiber_values(ctx, lam)
-    lam %= ctx.q
     sums = trace_sums(ctx, values)
     t1, t2, t3 = sums
     q = ctx.q

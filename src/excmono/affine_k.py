@@ -40,25 +40,14 @@ class LatticeQuotient(NamedTuple):
 
 
 class SubRootSystem(NamedTuple):
-    parent: str
-    member_roots: tuple
     simple_members: tuple
-    delta_k: tuple            # (Delta minus alpha') + {-theta}, via the alcove walk
-    removed_nodes: tuple      # 0-based indices of deleted finite nodes
-    affine_node_used: bool
+    deleted_node: int | None  # the one deleted finite node, 0-based, or None
     component_types: tuple
     torus_rank: int
 
     def k_label(self) -> str:
         parts = list(self.component_types) + ["Gm"] * self.torus_rank
         return "x".join(parts) if parts else "1"
-
-    @property
-    def deleted_node(self):
-        """The one deleted finite node; None unless exactly one finite node
-        is deleted and the affine node is kept (not for A1, B2 and Cn)."""
-        single = len(self.removed_nodes) == 1 and self.affine_node_used
-        return self.removed_nodes[0] if single else None
 
 
 def _fold_half_rho_vee(rs: RootSystem):
@@ -181,8 +170,7 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     if not rs.minus_one_in_weyl():
         raise ValueError(
             f"{rs.label}: -1 is not in the Weyl group; no symmetric subgroup here")
-    member_roots = tuple(t for t in rs.roots if sum(t) % 2 == 0)
-    pos = [t for t in member_roots if sum(t) > 0]
+    pos = [t for t in rs.positive_roots if sum(t) % 2 == 0]
     simple_members = _simple_system(pos)
 
     y, p, theta = _fold_half_rho_vee(rs)
@@ -191,19 +179,15 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     delta_k = tuple(rs.simple_roots[i] for i in kept)
     if affine:
         delta_k = delta_k + (tuple(-v for v in theta),)
-    removed = tuple(i for i in range(rs.rank) if i not in kept)
+    removed = [i for i in range(rs.rank) if p[i]]
 
     types_walk = _classify_components(rs, delta_k)
     types_parity = _classify_components(rs, simple_members)
     check("walk-matches-parity", types_walk == types_parity, "walk and parity "
           "classifications disagree: {} vs {}", types_walk, types_parity)
     return SubRootSystem(
-        parent=rs.label,
-        member_roots=member_roots,
         simple_members=simple_members,
-        delta_k=delta_k,
-        removed_nodes=removed,
-        affine_node_used=affine,
+        deleted_node=removed[0] if len(removed) == 1 and affine else None,
         component_types=types_walk,
         torus_rank=rs.rank - len(simple_members),
     )
@@ -220,13 +204,12 @@ def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
     return LatticeQuotient(invariants, rs.rank - len(invariants))
 
 
-def removed_node_coefficient(rs: RootSystem) -> int:
-    """The theta-vee coefficient of the deleted affine-diagram node."""
+def removed_node_coefficient(rs: RootSystem):
+    """The theta-vee coefficient of the deleted affine-diagram node; None
+    where no single node is deleted (torus factors in K: A1, B2 and Cn)."""
     node = phi_k(rs).deleted_node
     if node is None:
-        raise ValueError(
-            f"{rs.label}: no single deleted node (torus factors in K); "
-            "not applicable for types A1 and Cn")
+        return None
     c = rs.highest_root()[1][node]
     check("c-alpha-prime-is-2", c == 2, "{}: theta-vee coefficient {} of the "
           "deleted node is not 2", rs.label, c)
@@ -239,17 +222,10 @@ class KappaCharacter:
     Kernel: the lattice spanned by the coroots of Phi_K (index 2); for A1,
     where Phi_K is empty and the quotient is Z, the kernel is instead the
     index-2 sublattice 2 * Lambda-vee, which is what the squaring cover of
-    Gm pulls back to.
+    Gm pulls back to.  Built only past `require_covered`, so never for Cn.
     """
 
     def __init__(self, rs: RootSystem):
-        if rs.letter == "C":
-            raise ValueError(
-                "type Cn rejected: the double-cover lattice is not pinned down "
-                "for the Gm factor of K = A(n-1) x Gm")
-        if not rs.minus_one_in_weyl():
-            raise ValueError(f"{rs.label}: -1 not in the Weyl group")
-        self.rs = rs
         r = rs.rank
         if rs.label == "A1":
             self.functional = 1  # coordinate parity on the rank-1 lattice
@@ -288,5 +264,5 @@ def k_type_row(label: str) -> dict:
     quot = k_fundamental_quotient(rs)
     pi1 = " x ".join(["Z"] * quot.free_rank + [
         f"Z/{d}" for d in quot.invariant_factors if d > 1]) or "1"
-    c = None if sub.deleted_node is None else removed_node_coefficient(rs)
-    return {"g": rs.label, "k": sub.k_label(), "pi1": pi1, "c_alpha_prime": c}
+    return {"g": rs.label, "k": sub.k_label(), "pi1": pi1,
+            "c_alpha_prime": removed_node_coefficient(rs)}

@@ -95,16 +95,11 @@ class ChevalleyAlgebra:
 
     def structure_constant(self, a: int, b: int) -> int:
         """N(a, b) with [e_a, e_b] = N(a, b) e_{a+b} for root positions a
-        and b; 0 if a+b is not a root."""
-        total = self.key[a] + self.key[b]
-        s = self._pos.get(total)
-        if s is None:
-            if not total:
-                raise ValueError("a + b = 0 has an h-valued bracket, not an N")
-            return 0
+        and b whose sum is a root: every caller has found that sum first."""
         key = (a, b)
         got = self._ncache.get(key)
         if got is None:
+            s = self._pos[self.key[a] + self.key[b]]
             got = self._compute_n(a, b, s)
             check("structure-constant-nonzero", got != 0,
                   "N({}, {}) = 0 but {} is a root", self.roots[a],
@@ -236,13 +231,13 @@ def regular_nilpotent_centralizer(alg: ChevalleyAlgebra) -> int:
 # ------------------------------------------------------------------ v class
 
 class VClassWitness(NamedTuple):
-    label: str
     description: str
     root_combination: tuple
     centralizer_dim: int
 
 
 def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
+    """The v-class witness of a `BUDGET_LABELS` type: G2, D or E."""
     rs = alg.rs
     target = len(alg.roots) // 2
     if rs.letter == "G":
@@ -251,13 +246,11 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
         short = next(a for a in rs.positive_roots if rs.norm_of[a] == top)
         v = {alg.index[short]: 1}
         dim = alg.centralizer_dim(v)
-        witness = VClassWitness(rs.label, "short root vector", (short,), dim)
+        witness = VClassWitness("short root vector", (short,), dim)
     elif rs.letter == "E":
         witness = _orthogonal_quadruple_search(alg, target)
-    elif rs.letter == "D":
-        witness = _d_type_v_class(alg)
     else:
-        raise ValueError(f"no v-class recipe for type {rs.label}")
+        witness = _d_type_v_class(alg)
     check("v-class-centralizer", witness.centralizer_dim == target, "v-class "
           "prediction failed for {}: centralizer {} != {}", rs.label,
           witness.centralizer_dim, target)
@@ -300,8 +293,7 @@ def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
         if dim == target:
             break
     return VClassWitness(
-        rs.label, f"sum over an orthogonal quadruple (candidate #{tried})",
-        quad, dim)
+        f"sum over an orthogonal quadruple (candidate #{tried})", quad, dim)
 
 
 def _d_type_v_class(alg: ChevalleyAlgebra):
@@ -327,8 +319,8 @@ def _d_type_v_class(alg: ChevalleyAlgebra):
           "natural-representation Jordan type {} != {}", jordan, expected)
     v = {alg.index[a]: 1 for a in combo}
     dim = alg.centralizer_dim(v)
-    return VClassWitness(rs.label,
-                         f"Jordan type {expected} nilpotent", tuple(combo), dim)
+    return VClassWitness(f"Jordan type {expected} nilpotent", tuple(combo),
+                         dim)
 
 
 def _natural_so_matrix(m, eps_pairs):
@@ -415,12 +407,9 @@ def monodromy_result(label: str, samples: int, seed: int) -> dict:
 
 @memo
 def quasiminuscule_dims(label: str):
-    """(dim of the quasi-minuscule representation, dim Y, Heisenberg count);
-    cached, since criteria 5 and 6 of `verify-all` both read it."""
+    """(dim of the quasi-minuscule representation, dim Y, Heisenberg count)
+    for a `QM_EXPECT` label; cached: `verify-all` criteria 5 and 6 read it."""
     rs = root_system(label)
-    if rs.label not in QM_EXPECT:
-        raise ValueError("quasi-minuscule bookkeeping covers "
-                         + ", ".join(QM_EXPECT))
     # short roots have long coroots
     top = max(rs.norm_of.values())
     n_short = sum(1 for a in rs.roots if rs.norm_of[a] == top)

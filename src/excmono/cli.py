@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from contextlib import ExitStack
 from time import perf_counter
@@ -247,15 +248,18 @@ def main(argv=None) -> int:
                 "result": result,
                 "checks": checks,
             })
-        if out:
-            try:   # before stdout, so a failed write prints no manifest
+        where = args.out
+        try:   # the file first, so a failed write to it prints no manifest
+            if out:
                 out.truncate(0)
                 out.write(payload)
                 out.close()
-            except OSError as exc:
-                print(f"error: {args.out}: {exc}", file=sys.stderr)
-                return 2
-        sys.stdout.write(payload)
+            where = "stdout"
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: {where}: {exc}", file=sys.stderr)
+            return 2
     print(f"{args.command}: done in {perf_counter() - t0:.2f}s",
           file=sys.stderr)
     return 0 if all(c["passed"] for c in checks) else 1
@@ -271,8 +275,15 @@ def run() -> None:
     Everything else about exit is kept: `main` has closed `--out`, and
     stdout, stderr and atexit are flushed and run as usual.  `main`
     itself never freezes, so in-process callers keep their collector.
+    A stdout that `main` could not flush is pointed at os.devnull, so the
+    flush at exit does not fail again and change the exit code.
     """
     try:
-        sys.exit(main())
+        code = main()
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(code)
     finally:
         gc.freeze()

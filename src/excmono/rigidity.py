@@ -40,13 +40,11 @@ _IDENTITY_TABLE = bytes(range(MAX_POINTS))
 # ------------------------------------------------------- representations
 
 class MatrixRep:
-    """Flattened n x n matrices over F_p; if `scalars` is given the
+    """Flattened n x n matrices over F_p, p prime; if `scalars` is given the
     representation is projective and the canonical form of a matrix or a
     vector is its lexicographically least scalar multiple."""
 
     def __init__(self, p: int, n: int, scalars=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         self.p, self.n = p, n
         self.scalars = tuple(scalars) if scalars else None
         self._scale = {}  # first nonzero entry v -> the s making s*v least
@@ -253,9 +251,9 @@ class FiniteGroup:
 
 def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
                  cinf: ConjClass, g0=None, note: str = "") -> dict:
-    """Count solutions g0 g1 ginf = 1 with g_i in C_i, fixing one g0; the
-    `rigid` triple dict, `normalized_count` a [numerator, denominator]
-    pair in lowest terms.
+    """Count solutions g0 g1 ginf = 1 with g_i in C_i, classes of `group`,
+    fixing one g0 in C0; the `rigid` triple dict, `normalized_count` a
+    [numerator, denominator] pair in lowest terms.
 
     The total is |C0| times the count at fixed g0.  The centralizer C(g0)
     permutes those solutions by conjugation, and <g0, c^-1 g1 c> is
@@ -263,14 +261,8 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
     Strict rigidity means the conjugacy-normalized count is exactly 1 and
     every solution generates.
     """
-    for cls in (c0, c1, cinf):
-        if cls.rep not in group.class_of or \
-                group.classes[group.class_of[cls.rep]] is not cls:
-            raise ValueError(f"class {cls.label} does not belong to group")
     if g0 is None:
         g0 = c0.rep
-    elif group.class_of.get(g0) != group.class_of[c0.rep]:
-        raise ValueError("g0 is not in C0")
     # ginf = (g0 g1)^-1 lies in C_inf iff g0 g1 lies in the class of inverses
     target = group.class_of[group.inv(cinf.rep)]
     class_of, tail = group.class_of, group._tail

@@ -182,22 +182,20 @@ class RootSystem:
         """The dual system, with node numbering kept: roots <-> coroots.
 
         For A/D/E the Cartan matrix is symmetric, so the system is its own
-        dual; for B/C the transpose is the standard matrix of the other
-        letter, which goes through the cached factory.  F4 and G2 are
-        self-dual only up to reversing the diagram; keeping the numbering
-        means building from the transposed Cartan matrix directly.
+        dual.  Otherwise it is built from the transposed Cartan matrix and
+        the swapped coroot norms: the standard Cn for Bn and back, and F4
+        and G2 again, self-dual only up to reversing the diagram.
         """
         if self.letter in "ADE":
             return self
-        if self.letter in "FG":
-            out = object.__new__(RootSystem)
-            out.letter, out.rank, out.label = self.letter, self.rank, self.label
-            r = self.rank
-            cartan = [[self.cartan[j][i] for j in range(r)] for i in range(r)]
-            top = max(self.coroot_norms)
-            out._setup(cartan, [2 * top // d for d in self.coroot_norms])
-            return out
-        return root_system(f"{'C' if self.letter == 'B' else 'B'}{self.rank}")
+        out = object.__new__(RootSystem)
+        out.letter = {"B": "C", "C": "B"}.get(self.letter, self.letter)
+        out.rank = r = self.rank
+        out.label = f"{out.letter}{r}"
+        cartan = [[self.cartan[j][i] for j in range(r)] for i in range(r)]
+        top = max(self.coroot_norms)
+        out._setup(cartan, [2 * top // d for d in self.coroot_norms])
+        return out
 
     def json_dict(self) -> dict:
         return {
@@ -278,10 +276,9 @@ def _cartan_data(letter: str, rank: int):
         a[1][2] = -2
         a[2][1] = -1
         return a, [2, 2, 4, 4]
-    if letter == "G":
-        # alpha_1 short root (long coroot), alpha_2 long root (short coroot)
-        return [[2, -1], [-3, 2]], [6, 2]
-    raise ValueError(letter)
+    # G2, the last letter `_parse_label` admits: alpha_1 short root (long
+    # coroot), alpha_2 long root (short coroot)
+    return [[2, -1], [-3, 2]], [6, 2]
 
 
 def dynkin_components(a) -> list:
@@ -305,7 +302,10 @@ def dynkin_components(a) -> list:
 
 def require_covered(rs: RootSystem) -> None:
     """ValueError unless the two-group and Chevalley layers cover the type
-    of rs: one whose Weyl group holds -1 and whose dual has its type."""
+    of rs: one whose Weyl group holds -1 and whose dual has its type.  So
+    the layers, and `kappa_character` below them, test -1 in W no more and
+    meet no Cn, for which kappa is not pinned down on the Gm factor of
+    K = A(n-1) x Gm."""
     if not (rs.letter in "AEG"
             or rs.letter == "D" and rs.rank % 2 == 0 and rs.rank >= 4):
         raise ValueError(f"{rs.label}: the two-group and Chevalley layers "

@@ -52,9 +52,7 @@ def odd_sets(r: int) -> list:
 
 class TildeGroup:
     def __init__(self, rs: RootSystem):
-        require_covered(rs)
-        if not rs.minus_one_in_weyl():
-            raise ValueError(f"{rs.label}: -1 not in the Weyl group")
+        require_covered(rs)   # so -1 lies in the Weyl group
         rank = rs.rank
         self.rs = rs
         self.r = rank

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from excmono import affine_k, obs
+from excmono import obs
 from excmono.affine_k import (
     K_TYPE_TABLE,
     _fold_half_rho_vee,
@@ -16,7 +16,7 @@ from excmono.affine_k import (
     phi_k,
     removed_node_coefficient,
 )
-from excmono.rootsys import root_system
+from excmono.rootsys import require_covered, root_system
 from oracles import fraction_fold, pair, tuple_simple_system
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
@@ -58,28 +58,34 @@ def classical_root_count(label):
             "D": 2 * n * (n - 1), "F": 48, "G": 12}[letter]
 
 
+def member_roots(rs):
+    """The roots of K: those of even height."""
+    return [t for t in rs.roots if sum(t) % 2 == 0]
+
+
 @pytest.mark.parametrize("label", sorted(K_TABLE))
 def test_member_count_matches_component_root_counts(label):
     # oracle: total roots of the classified component types
-    sub = phi_k(root_system(label))
+    rs = root_system(label)
+    sub = phi_k(rs)
     expected = sum(classical_root_count(c) for c in sub.component_types)
-    assert len(sub.member_roots) == expected
+    assert len(member_roots(rs)) == expected
 
 
 @pytest.mark.parametrize("label", sorted(K_TABLE))
 def test_members_are_the_even_height_roots(label):
     rs = root_system(label)
-    sub = phi_k(rs)
+    members = member_roots(rs)
     two_rho_vee = rs.two_rho_coroot()
-    for t in sub.member_roots:
+    for t in members:
         assert pair(rs, t, two_rho_vee) % 4 == 0  # <rho-vee, alpha> even
-    assert len(sub.member_roots) == rs.num_roots // 2 - rs.rank
+    assert len(members) == rs.num_roots // 2 - rs.rank
 
 
 @pytest.mark.parametrize("label", ["G2", "F4", "E7"])
 def test_member_set_closed_under_negation_and_addition(label):
     rs = root_system(label)
-    members = set(phi_k(rs).member_roots)
+    members = set(member_roots(rs))
     allroots = set(rs.roots)
     for a in members:
         assert tuple(-v for v in a) in members
@@ -116,42 +122,36 @@ def test_removed_node_coefficient_is_two(label):
 
 def test_removed_node_positions():
     # Bourbaki numbering, 0-based
-    assert phi_k(root_system("E7")).removed_nodes == (1,)
-    assert phi_k(root_system("E8")).removed_nodes == (0,)
-    assert phi_k(root_system("F4")).removed_nodes == (0,)
-    assert phi_k(root_system("G2")).removed_nodes == (1,)
+    assert phi_k(root_system("E7")).deleted_node == 1
+    assert phi_k(root_system("E8")).deleted_node == 0
+    assert phi_k(root_system("F4")).deleted_node == 0
+    assert phi_k(root_system("G2")).deleted_node == 1
 
 
 @pytest.mark.parametrize("label", ["A1", "B2", "C2", "C3", "C5"])
 def test_removed_node_not_applicable(label):
-    with pytest.raises(ValueError):
-        removed_node_coefficient(root_system(label))
+    assert removed_node_coefficient(root_system(label)) is None
 
 
 def test_deleted_node_is_the_single_kept_affine_case():
     # None for the labels whose K has a torus factor, the removed node
-    # otherwise; the K-type row asks for a coefficient only where it is set
+    # otherwise
     for label in K_TYPE_TABLE:
         sub = phi_k(root_system(label))
         if label in ("A1", "B2", "C2", "C3", "C4", "C5"):
             assert sub.deleted_node is None, label
         else:
-            assert sub.removed_nodes == (sub.deleted_node,), label
-            assert sub.affine_node_used, label
+            assert sub.deleted_node in range(root_system(label).rank), label
 
 
-def test_k_type_row_asks_only_where_a_node_is_deleted(monkeypatch):
-    asked = []
-    real = affine_k.removed_node_coefficient
-
-    def recording(rs):
-        asked.append(rs.label)
-        return real(rs)
-
-    monkeypatch.setattr(affine_k, "removed_node_coefficient", recording)
+def test_k_type_row_asks_only_where_a_node_is_deleted():
+    # the coefficient is read, and checked to be 2, once per deleted node
+    obs.reset()
     rows = {label: k_type_row(label) for label in sorted(K_TYPE_TABLE)}
-    assert asked == [label for label in sorted(K_TYPE_TABLE)
-                     if phi_k(root_system(label)).deleted_node is not None]
+    runs = {e["name"]: e["runs"] for e in obs.runs()}
+    assert runs["c-alpha-prime-is-2"] == sum(
+        phi_k(root_system(label)).deleted_node is not None
+        for label in K_TYPE_TABLE)
     assert {label for label, row in rows.items()
             if row["c_alpha_prime"] is None} == {
                 "A1", "B2", "C2", "C3", "C4", "C5"}
@@ -181,10 +181,13 @@ def test_integer_fold_matches_fraction_oracle(label):
     assert runs["alcove-folding-terminates"] == 1
     # theta comes from the fold: one highest_root call, r maximality checks
     assert runs["highest-root-maximal"] == rs.rank
-    kept = [i for i in range(rs.rank) if pair(rs, rs.simple_roots[i], x) == 0]
-    assert sub.removed_nodes == tuple(i for i in range(rs.rank)
-                                      if i not in kept)
-    assert sub.affine_node_used == (pair(rs, theta, x) == 1)
+    # one finite node off the walls of the folded point, and the affine
+    # wall through it, name the deleted node
+    removed = [i for i in range(rs.rank)
+               if pair(rs, rs.simple_roots[i], x) != 0]
+    affine = pair(rs, theta, x) == 1
+    assert sub.deleted_node == (
+        removed[0] if len(removed) == 1 and affine else None)
 
 
 @pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))
@@ -248,9 +251,8 @@ def test_kappa_on_e8_by_lattice_membership():
 @pytest.mark.parametrize("label", ["G2", "E7", "D4", "F4", "B3"])
 def test_kappa_trivial_exactly_on_member_coroots(label):
     rs = root_system(label)
-    sub = phi_k(rs)
     kap = kappa_character(rs)
-    for t in sub.member_roots:
+    for t in member_roots(rs):
         assert kap(rs.coroot_of[t]) == 1
 
 
@@ -268,8 +270,10 @@ def test_kappa_a1_convention():
 
 
 def test_kappa_rejects_c_types_and_odd_d():
-    with pytest.raises(ValueError):
-        kappa_character(root_system("C3"))
+    # kappa is built only past require_covered, which refuses type Cn;
+    # phi_k refuses a type without -1 in its Weyl group
+    with pytest.raises(ValueError, match="cover A1"):
+        require_covered(root_system("C3"))
     with pytest.raises(ValueError):
         kappa_character(root_system("D5"))
 

@@ -169,8 +169,9 @@ def test_a1_bad_prime_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "a1", "--primes", "7")
     assert code == 2
     assert "7" in err
-    # no prime at all, and a prime listed twice
-    for primes in ("", ",", "5,5", "13,5,13"):
+    # no prime at all, a prime listed twice, the even prime and an odd
+    # composite, which `scan` refuses before any field context is built
+    for primes in ("", ",", "5,5", "13,5,13", "2", "9"):
         code, out, err = run_cli(capsys, "a1", "--primes", primes)
         assert code == 2, primes
         assert out == ""
@@ -357,6 +358,25 @@ def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+# each input is refused where it enters, by the function named above it;
+# no layer below tests it again
+@pytest.mark.parametrize("argv", [
+    # require_covered, before any two-group, algebra or kappa is built
+    ["monodromy", "C3"],
+    ["monodromy", "B3"],
+    ["monodromy", "D5"],
+    ["atilde", "D5"],
+    # _check_instance, before the matrices are built
+    ["rigid", "--group", "psl2", "--ell", "9"],
+    # class_by_label, before a triple is counted
+    ["rigid", "--group", "psl2", "--ell", "7", "--classes", "2A,3A,9Z"],
+], ids=" ".join)
+def test_input_is_refused_where_it_enters(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_rigid_missing_file(capsys, tmp_path):
     # a directory cannot be read as a file either
     for path in (tmp_path / "nope.json", tmp_path):
@@ -465,6 +485,27 @@ def test_process_entry_freezes_and_still_runs_atexit():
     manifest, atexit_line = proc.stdout.decode()[:-1].rsplit("\n", 1)
     assert json.loads(manifest)["result"]["rank"] == 1
     assert atexit_line == "frozen True"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_full_stdout_is_a_usage_error(unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to write to")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(excmono.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "excmono", "roots", "A1"],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    # one line, so no traceback, no "Exception ignored" and no "done" line
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: stdout: "), err
 
 
 def test_installed_script_is_the_process_entry():

@@ -115,6 +115,107 @@ def test_src_checks_only_through_obs():
     assert found == {}
 
 
+def _raise_sites(path) -> list:
+    """Every `raise` in one source file as module.Qualified.name:Exception,
+    the exception being what is raised or the callable that makes it; a
+    bare re-raise is `:reraise`."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                what = ast.unparse(exc) if exc is not None else "reraise"
+                out.append(f"{prefix[:-1]}:{what}")
+            visit(child, prefix)
+
+    visit(ast.parse(path.read_text(), str(path)), f"{path.stem}.")
+    return out
+
+
+def test_raise_scan_sees_each_site(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(x):\n    if x:\n        raise ValueError(x)\n"
+                   "    def g():\n        raise make_error()\n"
+                   "    return g\n"
+                   "class A:\n    def m(self):\n        try:\n"
+                   "            pass\n        except OSError:\n"
+                   "            raise\n        raise KeyError\n"
+                   "raise SystemExit(1)\n")
+    assert _raise_sites(mod) == [
+        "mod.f:ValueError", "mod.f.g:make_error", "mod.A.m:reraise",
+        "mod.A.m:KeyError", "mod:SystemExit"]
+
+
+# Every `raise` in src/, one entry per site: the input each refuses and
+# where that input enters.  A layer below an entry point states its
+# preconditions in its docstring and tests them no second time, so a new
+# site needs its own entry here and a reason that no entry gives yet.
+RAISE_SITES = [
+    ("a1lab._correlate:ValueError",
+     "more pairs than the packed digits were sized for would decode wrong"),
+    ("a1lab.scan:ValueError", "a1 --primes: a prime above MAX_Q"),
+    ("a1lab.scan:ValueError", "a1 --primes: not a prime that is 1 mod 4"),
+    ("affine_k.phi_k:ValueError",
+     "k-type: a label without -1 in its Weyl group (odd D)"),
+    ("arith.is_prime:OverflowError",
+     "an --ell, a1 prime or file: p at or above 2^31"),
+    ("chevalley.monodromy_result:ValueError",
+     "monodromy --samples outside 0 .. MAX_SAMPLES"),
+    ("cli._cmd_a1:ValueError", "a1 --primes lists no prime"),
+    ("cli._cmd_a1:ValueError", "a1 --primes lists a prime twice"),
+    ("cli._load_file_group:ValueError", "file: is not JSON"),
+    ("cli._load_file_group:ValueError", "file: is no JSON object"),
+    ("cli._load_file_group:ValueError", "file: has an unknown key"),
+    ("cli._load_file_group:ValueError", "file: p is not a prime"),
+    ("cli._load_file_group:ValueError", "file: n is not an integer >= 1"),
+    ("cli._load_file_group:ValueError",
+     "file: generators are not n*n integer lists"),
+    ("cli._load_file_group:ValueError", "file: scalars are not units mod p"),
+    ("cli._load_file_group:ValueError",
+     "file: scalars are not a subgroup of the units"),
+    ("cli._load_file_group:type(exc)",
+     "file: a refusal from the permutations or the closure, with the path"),
+    ("cli._cmd_rigid:ValueError", "rigid --ell with a file: group"),
+    ("cli._cmd_rigid:ValueError", "rigid --group is none of the three"),
+    ("cli._cmd_rigid:ValueError", "rigid --classes with pgl2"),
+    ("obs.check:CheckFailed", "a named identity failed (exit 1)"),
+    ("rigidity.MatrixRep.permutations.point_id:OverflowError",
+     "file: frame orbit over MAX_POINTS"),
+    ("rigidity.MatrixRep.permutations:ValueError",
+     "file: a singular generator"),
+    ("rigidity.FiniteGroup._closure:_over_table_bytes",
+     "file: a group outgrowing MAX_TABLE_BYTES"),
+    ("rigidity.FiniteGroup.class_by_label:ValueError",
+     "rigid --classes: a label the group has no class for"),
+    ("rigidity.rigid_result:ValueError",
+     "rigid --classes: other than three labels"),
+    ("rigidity._check_instance:ValueError", "rigid --ell: not an odd prime"),
+    ("rigidity._check_instance:_over_table_bytes",
+     "rigid --ell: a named group over MAX_TABLE_BYTES"),
+    ("rootsys.RootSystem.highest_root:ValueError",
+     "k-type D2: a reducible type has no highest root"),
+    ("rootsys._parse_label:ValueError", "a label of no supported letter"),
+    ("rootsys._parse_label:ValueError", "a label whose rank is no integer"),
+    ("rootsys._parse_label:ValueError", "a rank above MAX_RANK"),
+    ("rootsys._parse_label:ValueError", "a rank its letter does not have"),
+    ("rootsys.require_covered:ValueError",
+     "atilde, monodromy: a type the two layers do not cover"),
+]
+
+
+def test_src_raises_only_where_input_enters():
+    found = sorted(site for path in sorted(SRC.glob("*.py"))
+                   for site in _raise_sites(path))
+    assert found == sorted(site for site, _ in RAISE_SITES)
+
+
 def _names(node) -> Counter:
     """How often each name is read as a Name or an Attribute in node."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
