@@ -5,9 +5,10 @@ is the exponent k of i^k, k in 0..3, with k = 4 standing for chi(0) = 0;
 `FiniteFieldCtx.index` holds it for every element of F_p.  Sums of such
 values are Gaussian integers, kept as (re, im) int pairs whose terms are
 read from `arith.UNIT_RE` and `arith.UNIT_IM`.  All consistency
-identities (point counts, Weil bounds, symmetric-square descent) are
+identities (point counts, Weil bounds, symmetric-square integrality) are
 checked exactly, never with floats, through `obs.check`, which raises
-CheckFailed even under `python -O`.
+CheckFailed even under `python -O`.  The symmetric-square traces read
+t1 alone, since `trace_sums` checks t3 = conj(t1) (see `sym2_trace`).
 
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
@@ -104,14 +105,13 @@ def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
     the genus-3 Weil bound.  `values` are the `fiber_values`.
     """
     q = ctx.q
-    # sizes[k] = 1 + chi + chi^2 + chi^3 at chi = i^k
+    # sizes[k] = 1 + chi + chi^2 + chi^3 at chi = i^k; f vanishes at no
+    # unramified x, so every value has an index k in 0..3
     sizes = [_power_sum((1, 1, 1, 1), k) for k in range(4)]
-    count = _RAMIFIED
-    for v in values:
-        re, im = sizes[ctx.index[v]]
-        check("fiber-size-0-or-4", im == 0 and re in (0, 4),
-              "fiber over f(x) = {} has size {}", v, (re, im))
-        count += re
+    check("fiber-size-0-or-4", all(im == 0 and re in (0, 4)
+                                   for re, im in sizes),
+          "fiber sizes {} are not all 0 or 4", sizes)
+    count = _RAMIFIED + sum(sizes[ctx.index[v]][0] for v in values)
     check("genus-3-weil-bound", (count - q - 1) ** 2 <= 36 * q,
           "genus-3 Weil bound failed: {} points", count)
     return count
@@ -131,37 +131,32 @@ def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
     return count
 
 
-def _half_int(re: int, im: int) -> int:
+def _sym2_half(t1, ext_sum, sign: int) -> int:
+    """(t1^2 + sign*E)/2 for E = ext_sum, checked to be a rational integer."""
+    a, b = t1
+    re, im = a * a - b * b + sign * ext_sum[0], 2 * a * b + sign * ext_sum[1]
     check("even-rational-integer", im == 0 and re % 2 == 0,
           "{} + {}i is not an even rational integer", re, im)
     return re // 2
 
 
-def _sym2_halves(sums, ext_sum, sign: int):
-    """(t1^2 + sign*E)/2 and (t3^2 + sign*conj(E))/2, each checked to be a
-    rational integer, for sums = (t1, t2, t3) and E = ext_sum."""
-    (a, b), _, (c, d) = sums
-    e, f = sign * ext_sum[0], sign * ext_sum[1]
-    return (_half_int(a * a - b * b + e, 2 * a * b + f),
-            _half_int(c * c - d * d + e, 2 * c * d - f))
-
-
-def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
+def sym2_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     """s = (Tr^2 - Tr2)/2, both factors taken as traces.
 
     Tr = -t1 is the Frobenius trace on the chi-piece and Tr2 the trace of
     its square, so s is the product of the two Frobenius eigenvalues.
-    Exact checks: s is a rational integer, matches the value built
-    independently from the conjugate character, is divisible by q and
+    Exact checks: s is a rational integer, is divisible by q and
     q-normalizes into [-1, 3].  On every fiber tested the eigenvalue pair
     multiplies to exactly +q, which also forces t1 itself to be real.
 
-    `sums` is `trace_sums` of the fiber and `ext_sum` its entry of
-    `extension_sums(ctx)`.
+    t3 is not used again: `trace_sums` has checked t3 = conj(t1), so
+    (t3^2 + conj(E))/2 is the complex conjugate of (t1^2 + E)/2, and
+    equals it once that passes as a rational integer.
+
+    `t1` is the first of `trace_sums` of the fiber and `ext_sum` its
+    entry of `extension_sums(ctx)`.
     """
-    s, s_conj = _sym2_halves(sums, ext_sum, 1)
-    check("sym2-descent", s == s_conj, "descent mismatch: {} != {}",
-          s, s_conj)
+    s = _sym2_half(t1, ext_sum, 1)
     check("sym2-divisible-by-q", s % ctx.q == 0,
           "eigenvalue product {} not divisible by q", s)
     check("sym2-range", -ctx.q <= s <= 3 * ctx.q,
@@ -169,17 +164,15 @@ def sym2_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
     return s
 
 
-def sym2_symmetric_trace(ctx: FiniteFieldCtx, sums, ext_sum) -> int:
+def sym2_symmetric_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     """Trace of Frobenius on the symmetric square of the chi-piece.
 
     With eigenvalues a, b this is a^2 + ab + b^2 = (t1^2 - t1_sq)/2 for
     the plain character sums; q-normalized it lies in [-1, 3] but is an
     algebraic (not rational) integer ratio in general, so no divisibility
-    by q is imposed here.  `sums` and `ext_sum` are as in `sym2_trace`.
+    by q is imposed here.  `t1` and `ext_sum` are as in `sym2_trace`.
     """
-    s, s_conj = _sym2_halves(sums, ext_sum, -1)
-    check("sym2-symmetric-descent", s == s_conj,
-          "symmetric descent mismatch: {} != {}", s, s_conj)
+    s = _sym2_half(t1, ext_sum, -1)
     check("sym2-symmetric-range", -ctx.q <= s <= 3 * ctx.q,
           "symmetric-square trace {} outside [-q, 3q]", s)
     return s
@@ -220,14 +213,15 @@ def _correlate(pairs, n: int, count: int) -> list:
     """c[l] = sum over (x, y) in pairs of sum_a x[a] * conj(y[(a - l) % n]).
 
     x and y are lists of n indices k, each standing for i^k (k = 4 for 0);
-    `pairs` yields at most `count` of them, and c[l] is an (re, im) pair.
+    `pairs` yields at most `count` of them (its one caller: p rows, count
+    p), and c[l] is an (re, im) pair.
     Real and imaginary parts are four signed integer correlations per
     pair, each one exact big-int product of Kronecker-packed vectors
     (Harvey 2009).  The products are summed and decoded once; |Re c|,
     |Im c| <= count * n fixes the digit width.
     """
     width = ((count * n).bit_length() + 8) // 8   # bytes per digit
-    re = im = used = 0
+    re = im = 0
     for x, y in pairs:
         y = y[::-1]
         x_re = _kron_pack(x, _RE_POS, _RE_NEG, width)
@@ -237,9 +231,6 @@ def _correlate(pairs, n: int, count: int) -> list:
         # x * conj(y) = (x_re y_re + x_im y_im) + i (x_im y_re - x_re y_im)
         re += x_re * y_re + x_im * y_im
         im += x_im * y_re - x_re * y_im
-        used += 1
-    if used > count:
-        raise ValueError(f"{used} pairs given, digits sized for {count}")
     return list(zip(_kron_unpack(re, n, width), _kron_unpack(im, n, width)))
 
 
@@ -330,8 +321,7 @@ class TraceRecord(NamedTuple):
 def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     """The record of the fiber at lam, in 2 .. q - 1 as in `fiber_values`."""
     values = fiber_values(ctx, lam)
-    sums = trace_sums(ctx, values)
-    t1, t2, t3 = sums
+    t1, t2, t3 = trace_sums(ctx, values)
     q = ctx.q
     # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck
     check("weil-bound", t1[0] ** 2 + t1[1] ** 2 <= 4 * q,
@@ -344,9 +334,8 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     ext_sum = extension_sums(ctx)[lam]
     return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
                        point_count_smooth=n,
-                       sym2_trace=sym2_trace(ctx, sums, ext_sum),
-                       sym2_symmetric=sym2_symmetric_trace(
-                           ctx, sums, ext_sum))
+                       sym2_trace=sym2_trace(ctx, t1, ext_sum),
+                       sym2_symmetric=sym2_symmetric_trace(ctx, t1, ext_sum))
 
 
 @memo

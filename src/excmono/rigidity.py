@@ -197,15 +197,13 @@ class FiniteGroup:
 
     def _centralizers(self) -> list:
         """C(c.rep) for each class c, by one commute test per element, and
-        the class equation checked on them.  A centralizer that is all of
-        G, the identity's for one, is `elements` itself, not a copy."""
+        the class equation checked on them: each size times its
+        centralizer order is |G|, and the sizes sum to |G|.  A centralizer
+        that is all of G, the identity's for one, is `elements` itself."""
         elements, tail = self.elements, self._tail
         centralizers = []
         total = 0
         for cls in self.classes:
-            check("class-equation", self.order % cls.size == 0, "class {} of "
-                  "size {} does not divide the group order {}", cls.label,
-                  cls.size, self.order)
             r = cls.rep
             table = r + tail
             cent = [x for x in elements

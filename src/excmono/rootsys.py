@@ -131,11 +131,13 @@ class RootSystem:
         return tuple(map(sum, zip(*(self.coroot_of[t]
                                     for t in self.positive_roots))))
 
+    @memo
     def highest_root(self):
         """Return (theta, theta-vee) for an irreducible system.
 
         theta's coordinates are the marks, and theta-vee's the comarks,
         the coefficients c(alpha) in theta-vee = sum c(alpha) alpha-vee.
+        Found and checked once per system, until `obs.clear_caches`.
         """
         if not self.is_irreducible():
             raise ValueError(f"{self.label} is reducible; no highest root")

@@ -316,13 +316,13 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
 # `checks` holds the run counts of the named checks
 RIGID_DIGESTS = {
     "rigid --group pgl2 --ell 11":
-        "61b514b72e60805696f486f76507191ae263d1a2be6f728f4b5a9154f517e01e",
+        "9212a9a41c063cd7dda5182e43d92ae69166543ab4603660d2fbe4f96d736a2c",
     "rigid --group pgl2 --ell 13":
-        "769fd01ddf562da9be17ff7c24f4e7e331752a1a5ba72d8376ad72c692077993",
+        "4901dd11877fbaf4f7fb5e4297dddbe04c740b6a499fbd2d770be4471512f52b",
     "rigid --group psl2 --ell 13 --classes 2A,3A,13A":
-        "d3fe683def409da82b5a3278ee66d427f33809d03b8e1349901ba1f30bf565a3",
+        "e265ec83613ffbe21a71cc4b51351842540a3c1e92451bb5108abc4bbf64bc75",
     "rigid --group psl2 --ell 37 --classes 2A,3A,37A":
-        "f00eb6d3b2e1219d10ee1a7178e17a03d34959bde2a5b3549ea8a51c3bafb2f8",
+        "d01c72f6ad0aa2efdd4a63521c3b68c06a07e259b76c0c6a09fc8c2a3be66253",
 }
 
 
@@ -366,6 +366,8 @@ def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
     ["monodromy", "B3"],
     ["monodromy", "D5"],
     ["atilde", "D5"],
+    # highest_root, on every run: a refusal is not cached
+    ["k-type", "D2"],
     # _check_instance, before the matrices are built
     ["rigid", "--group", "psl2", "--ell", "9"],
     # class_by_label, before a triple is counted

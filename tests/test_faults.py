@@ -1,0 +1,428 @@
+"""Every named check in src/ is seen to fail.
+
+`FAULTS` maps each `check` name to one fault: a monkeypatch of a single
+input or intermediate, the code that must catch it, and, where a cheap
+command reaches that code, the command.  The fault must trip its own
+check before any other fires.  An AST scan keeps the table's keys equal
+to the set of check names in src/, so a new check needs a fault in the
+same change.  This is the fault-table form of mutation testing (DeMillo,
+Lipton and Sayward, "Hints on test data selection", IEEE Computer 11(4),
+1978), with one hand-placed mutant per check.
+"""
+
+import ast
+import itertools
+import json
+from pathlib import Path
+
+import pytest
+
+import excmono
+from excmono import (a1lab, affine_k, arith, chevalley, obs, rigidity,
+                     rootsys, twogroup, verify)
+from excmono.chevalley import ChevalleyAlgebra, build_algebra
+from excmono.cli import main
+from excmono.obs import CheckFailed
+from excmono.rootsys import RootSystem, root_system
+from excmono.twogroup import TildeGroup, build_tilde_group
+
+SRC = Path(excmono.__file__).resolve().parent
+
+A1_5 = ("a1", "--primes", "5")
+A1_13 = ("a1", "--primes", "13")
+ATILDE_A1 = ("atilde", "A1")
+MONODROMY_G2 = ("monodromy", "G2", "--samples", "0")
+PGL2_5 = ("rigid", "--group", "pgl2", "--ell", "5")
+
+
+def after(owner, attr, change):
+    """A fault: `owner.attr` returns change(result, *args) of the real
+    call in place of the result."""
+    def plant(mp):
+        real = getattr(owner, attr)
+        mp.setattr(owner, attr, lambda *args: change(real(*args), *args))
+    return plant
+
+
+def replace(owner, attr, value):
+    """A fault: `owner.attr` is `value`."""
+    return lambda mp: mp.setattr(owner, attr, value)
+
+
+def cartan(letter, data):
+    """A fault: the (cartan, coroot_norms) of `letter` are `data`."""
+    def plant(mp):
+        real = rootsys._cartan_data
+        mp.setattr(rootsys, "_cartan_data", lambda let, rank: (
+            data if let == letter else real(let, rank)))
+    return plant
+
+
+def power_sum(change):
+    """A fault: `a1lab._power_sum(counts, j)` moved by change(counts, j),
+    an (re, im) pair."""
+    def plant(mp):
+        real = a1lab._power_sum
+        mp.setattr(a1lab, "_power_sum", lambda counts, j: tuple(
+            map(sum, zip(real(counts, j), change(counts, j)))))
+    return plant
+
+
+def extension_shift(shift):
+    """A fault: every E(lam) of `a1lab.extension_sums` moved by
+    shift(q) in its real part."""
+    return after(a1lab, "extension_sums", lambda table, ctx: tuple(
+        e and (e[0] + shift(ctx.q), e[1]) for e in table))
+
+
+def scan(*primes):
+    return lambda: a1lab.scan(list(primes))
+
+
+def _drop_last_class(classes, group):
+    return classes[:-1]
+
+
+def _reversed_generators(group, ell):
+    group.generators.reverse()
+    return group
+
+
+def _shifted_index(mp):
+    # an even shift keeps nu, the least z of odd index; only counts move
+    real = a1lab._extension_table
+    mp.setattr(a1lab, "_extension_table",
+               lambda index: real([*index[:2], (index[2] + 2) % 4,
+                                   *index[3:]]))
+
+
+def _doubled_dimension(mp):
+    real = twogroup.OddIrrep
+    mp.setattr(twogroup, "OddIrrep", lambda **kw: real(
+        **dict(kw, dimension=2 * kw["dimension"])))
+
+
+def _square_roots_off(mp):
+    real = a1lab.FiniteFieldCtx.__init__
+
+    def init(ctx, p):
+        real(ctx, p)
+        ctx.square_roots = [n + 1 for n in ctx.square_roots]
+    mp.setattr(a1lab.FiniteFieldCtx, "__init__", init)
+
+
+def _count_moves_with_g0(mp):
+    real = rigidity.triple_count
+
+    def triple_count(*args, g0=None, **kw):
+        res = real(*args, g0=g0, **kw)
+        if g0 is not None:
+            res = dict(res, solution_count=res["solution_count"] + 1)
+        return res
+    mp.setattr(rigidity, "triple_count", triple_count)
+
+
+def _single_bracket_off(mp):
+    # [x, y] of two basis vectors gains h_0; ad of a sum of root vectors,
+    # which the centralizers of D and E types read, is left alone
+    real = ChevalleyAlgebra.bracket
+
+    def bracket(alg, x, y):
+        out = real(alg, x, y)
+        if len(x) == len(y) == 1:
+            out = dict(out)
+            out[0] = out.get(0, 0) + 1
+        return out
+    mp.setattr(ChevalleyAlgebra, "bracket", bracket)
+
+
+# name -> (plant(monkeypatch), the run that must catch it, a command or ())
+FAULTS = {
+    # ------------------------------------------------------------ arith
+    "primitive-root": (
+        after(arith, "prime_factors", lambda fs, n: [1]),
+        lambda: arith.least_primitive_root(13), A1_5),
+    # ---------------------------------------------------------- rootsys
+    "form-symmetric": (
+        cartan("B", ([[2, -2], [-1, 2]], [4, 2])),
+        lambda: RootSystem("B2"), ("roots", "B2")),
+    "root-coroot-closure": (
+        # a[0][1] = 0 but a[1][0] != 0, with the form kept symmetric by a
+        # zero norm: s_1 fixes alpha_0 but moves its coroot
+        cartan("B", ([[2, 0], [-1, 2]], [2, 0])),
+        lambda: RootSystem("B2"), ("roots", "B2")),
+    "roots-symmetric": (
+        cartan("A", ([[1]], [2])), lambda: RootSystem("A1"), ("roots", "A1")),
+    "highest-root-maximal": (
+        # the candidate is the lowest root
+        lambda mp: mp.setattr(rootsys, "max", min, raising=False),
+        lambda: root_system("G2").highest_root(), ("k-type", "G2")),
+    # --------------------------------------------------------- affine_k
+    "alcove-folding-terminates": (
+        after(RootSystem, "highest_root",
+              lambda hr, rs: (hr[0], (0,) * rs.rank)),
+        lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2")),
+    "walk-matches-parity": (
+        after(affine_k, "_simple_system", lambda simple, pos: simple[1:]),
+        lambda: affine_k.phi_k(root_system("E8")), ("k-type", "E8")),
+    "c-alpha-prime-is-2": (
+        # node 0 of D4 has theta-vee coefficient 1; the center node is 2
+        after(affine_k, "phi_k", lambda sub, rs: sub._replace(deleted_node=0)),
+        lambda: affine_k.removed_node_coefficient(root_system("D4")),
+        ("k-type", "D4")),
+    "kappa-kernel-index-2": (
+        after(affine_k, "gf2_nullspace", lambda null, rows, r: null * 2),
+        lambda: affine_k.KappaCharacter(root_system("G2")), MONODROMY_G2),
+    # --------------------------------------------------------- twogroup
+    "even-norm": (
+        cartan("A", ([[2]], [3])),
+        lambda: TildeGroup(RootSystem("A1")), ATILDE_A1),
+    "square-law": (
+        after(TildeGroup, "_beta", lambda beta, tg, a, b: 1 - beta),
+        lambda: TildeGroup(root_system("A1")), ATILDE_A1),
+    "commutator-law": (
+        after(twogroup, "odd_sets", lambda sets, r: [s ^ 1 for s in sets]),
+        lambda: TildeGroup(root_system("A1")), ATILDE_A1),
+    "radical-size": (
+        after(twogroup, "smith_normal_form", lambda fs, mat: [*fs, 2]),
+        lambda: build_tilde_group(root_system("A1")).radical_size_crosscheck(),
+        ATILDE_A1),
+    "lagrangian-found": (
+        replace(TildeGroup, "pairing", lambda tg, a, b: 1),
+        lambda: twogroup.odd_irreps(build_tilde_group(root_system("D6"))),
+        ("atilde", "D6")),
+    "lagrangian-cosets": (
+        replace(twogroup, "_reduce_by", lambda pivots, bits: bits),
+        lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
+        ATILDE_A1),
+    "sum-of-squares-is-2^r": (
+        _doubled_dimension,
+        lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
+        ATILDE_A1),
+    "character-orthogonality": (
+        after(twogroup, "_induced_character",
+              lambda ch, *args: ([ch[0][0] + 1, *ch[0][1:]], ch[1])),
+        lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
+        ATILDE_A1),
+    # -------------------------------------------------------- chevalley
+    "extraspecial-pair-found": (
+        replace(ChevalleyAlgebra, "root_sum", lambda alg, p, q: None),
+        lambda: build_algebra("G2"), MONODROMY_G2),
+    "structure-constant-nonzero": (
+        replace(ChevalleyAlgebra, "_compute_n", lambda alg, a, b, s: 0),
+        lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
+        MONODROMY_G2),
+    "structure-constant-integral": (
+        # each extraspecial pair's N is p + 2, not p + 1
+        after(ChevalleyAlgebra, "_string_p", lambda p, alg, a, b: p + 1),
+        lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
+        MONODROMY_G2),
+    "jacobi-identity-sampled": (
+        _single_bracket_off,
+        lambda: chevalley.jacobi_probe(build_algebra("D4"), 20, 0),
+        ("monodromy", "D4", "--samples", "20")),
+    "kappa-fixed-is-half-the-roots": (
+        replace(affine_k.KappaCharacter, "__call__", lambda kappa, v: 1),
+        lambda: chevalley.kappa_fixed_dim(
+            build_algebra("G2"), affine_k.kappa_character(root_system("G2"))),
+        MONODROMY_G2),
+    "regular-centralizer-is-rank": (
+        after(ChevalleyAlgebra, "regular_nilpotent",
+              lambda x, alg: dict(list(x.items())[1:])),
+        lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
+        MONODROMY_G2),
+    "v-class-centralizer": (
+        # four simple roots, which are not orthogonal, as the one candidate
+        replace(chevalley, "orthogonal_quadruples",
+                lambda rs: iter([tuple(rs.simple_roots[:4])])),
+        lambda: chevalley.v_class_centralizer(build_algebra("E7")),
+        ("monodromy", "E7", "--samples", "0")),
+    "natural-jordan-type": (
+        after(chevalley, "_natural_so_matrix",
+              lambda mat, m, pairs: [[0] * len(mat) for _ in mat]),
+        lambda: chevalley.v_class_centralizer(build_algebra("D4")),
+        ("monodromy", "D4", "--samples", "0")),
+    "budget-d0-plus-dinf-is-roots": (
+        replace(RootSystem, "num_roots",
+                property(lambda rs: len(rs.roots) + 2)),
+        lambda: chevalley.monodromy_result("G2", 0, 0), MONODROMY_G2),
+    # -------------------------------------------------------- rigidity
+    "class-equation": (
+        # the sum site; test_rigidity's size shift trips the per-class one
+        after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),
+        lambda: rigidity.psl2_group(5), ("rigid", "--group", "psl2",
+                                         "--ell", "5")),
+    "group-order": (
+        # diag(1, 1) in place of diag(nu, 1): the closure is PSL2
+        replace(rigidity, "least_primitive_root", lambda p: 1),
+        lambda: rigidity.pgl2_group(5), PGL2_5),
+    "unipotent-class-size": (
+        after(rigidity, "pgl2_group", _reversed_generators),
+        lambda: rigidity.predicted_triple(5), PGL2_5),
+    # ----------------------------------------------------------- a1lab
+    "character-order-4": (
+        # 4 = 2^2 has order 6 mod 13, so it misses half the indices
+        replace(a1lab, "least_primitive_root", lambda p: 4),
+        lambda: a1lab.FiniteFieldCtx(13), A1_13),
+    "f-nonzero-off-ramification": (
+        replace(a1lab, "_f_value", lambda ctx, lam, x: 0), scan(5), A1_5),
+    "t3-is-conj-t1": (
+        power_sum(lambda counts, j: (2 * (j == 3), 0)), scan(5), A1_5),
+    "t2-real": (
+        power_sum(lambda counts, j: (0, 2 * (j == 2))), scan(5), A1_5),
+    "weil-bound": (
+        # t1 and t3 = conj(t1) both moved by 10 > 2 sqrt(5)
+        power_sum(lambda counts, j: (10 * (j % 2), 0)), scan(5), A1_5),
+    "fiber-size-0-or-4": (
+        # only the fixed table of fiber sizes, built from a tuple
+        power_sum(lambda counts, j: (isinstance(counts, tuple), 0)),
+        scan(5), A1_5),
+    "genus-3-weil-bound": (
+        replace(a1lab, "_RAMIFIED", 104), scan(5), A1_5),
+    "lefschetz-identity": (
+        replace(a1lab, "_RAMIFIED", 8), scan(13), A1_13),
+    "legendre-identity": (_square_roots_off, scan(5), A1_5),
+    "genus-1-hasse-bound": (
+        # f takes only the values 1 and nu^2, whose chi^2 is 1: t2 = q - 3
+        # with t1 = t3 inside the Weil bound and every identity intact
+        replace(a1lab, "_f_value", lambda ctx, lam, x: pow(
+            ctx.generator, 2 * (x % 2), ctx.p)),
+        scan(13), A1_13),
+    "norm-character-order-4": (
+        _shifted_index, lambda: a1lab.extension_sums(a1lab.FiniteFieldCtx(13)),
+        A1_13),
+    "even-rational-integer": (
+        extension_shift(lambda q: 1), scan(5), A1_5),
+    "sym2-divisible-by-q": (
+        extension_shift(lambda q: 2), scan(5), A1_5),
+    "sym2-range": (
+        extension_shift(lambda q: 8 * q), scan(5), A1_5),
+    "sym2-symmetric-range": (
+        # s moves by 2q to 3q, the symmetric trace by -2q below -q
+        extension_shift(lambda q: 4 * q), scan(5), A1_5),
+    # ---------------------------------------------------------- verify
+    "k-type-row": (
+        after(affine_k, "k_type_row", lambda row, label: dict(row, pi1="Z/4")),
+        verify.criterion_k_type_table, ()),
+    "quotient-is-z/2": (
+        after(affine_k, "smith_normal_form", lambda fs, mat: [*fs[:-1], 4]),
+        verify.criterion_lattice_quotients, ()),
+    "quotient-is-z": (
+        # D4, whose quotient is Z/2, listed as a free type
+        replace(verify, "FREE_LABELS", (*verify.FREE_LABELS, "D4")),
+        verify.criterion_lattice_quotients, ()),
+    "even-norm-from-gram": (
+        after(verify, "_form_tables",
+              lambda tables, rs, r: ([tables[0][0] + 1, *tables[0][1:]],
+                                     tables[1])),
+        verify.criterion_tilde_laws, ()),
+    "q-from-gram": (
+        after(TildeGroup, "q", lambda q, tg, a: -q),
+        verify.criterion_tilde_laws, ()),
+    "pairing-from-gram": (
+        after(TildeGroup, "pairing_row", lambda row, tg, a: row ^ 1),
+        verify.criterion_tilde_laws, ()),
+    "radical-is-z(g)[2]": (
+        after(twogroup, "atilde_result",
+              lambda res, label: dict(res, radical_size=2 * res[
+                  "radical_size"])),
+        verify.criterion_tilde_laws, ()),
+    "center-and-irrep-count": (
+        after(twogroup, "atilde_result",
+              lambda res, label: dict(res, center="mu8")),
+        verify.criterion_center_table, ()),
+    "dim-is-rank-plus-roots": (
+        after(chevalley, "monodromy_result",
+              lambda res, *args: dict(res, dim=res["dim"] + 1)),
+        verify.criterion_chevalley, ()),
+    "dim-as-in-the-paper": (
+        replace(verify, "PAPER_DIMS", dict(verify.PAPER_DIMS, E8=249)),
+        verify.criterion_chevalley, ()),
+    "local-dims-as-predicted": (
+        after(chevalley, "monodromy_result",
+              lambda res, *args: dict(res, kappa_fixed_dim=res[
+                  "kappa_fixed_dim"] + 1)),
+        verify.criterion_chevalley, ()),
+    "quasiminuscule-dims": (
+        after(RootSystem, "dim_y", lambda y, rs: y + 1),
+        verify.criterion_quasiminuscule, ()),
+    "one-record-per-fiber": (
+        after(a1lab, "a1_result",
+              lambda res, primes: dict(res, fibers=res["fibers"] + 1)),
+        verify.criterion_a1_lab, ()),
+    "hurwitz-strictly-rigid": (
+        after(rigidity, "rigid_result", lambda res, *args: dict(
+            res, triple=dict(res["triple"], solution_count=169))),
+        verify.criterion_rigidity, ()),
+    "representative-invariance": (
+        _count_moves_with_g0, verify.criterion_rigidity, ()),
+    "pgl2-fixture-inside-psl2": (
+        after(rigidity, "predicted_triple",
+              lambda rep, ell: dict(rep, generates=True)),
+        verify.criterion_rigidity, ()),
+    "recomputed-details-equal": (
+        # a probe whose details change from one run to the next
+        replace(verify, "criterion_quasiminuscule",
+                lambda seed=0, n=itertools.count(): {"run": next(n)}),
+        verify.criterion_determinism, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_trips_its_check_first(capsys, monkeypatch, name):
+    plant, run, argv = FAULTS[name]
+    obs.reset()   # no cached result from before the fault
+    plant(monkeypatch)
+    try:
+        with pytest.raises(CheckFailed) as exc:
+            run()
+        assert str(exc.value).startswith(f"{name}: "), exc.value
+        if argv:
+            capsys.readouterr()
+            assert main(list(argv)) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert len(err.splitlines()) == 1, err
+            assert err.startswith(f"check failed: {name}: "), err
+    finally:
+        obs.reset()   # no cached result built under the fault
+
+
+def check_names(paths) -> set:
+    """The names of every `check(...)` and `obs.check(...)` call in
+    `paths`, each a string constant."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "check" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_check_scan_sees_each_name(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from excmono import obs\nfrom excmono.obs import check\n"
+                   "def f(x):\n    check('weil-bound', x, 'detail')\n"
+                   "    obs.check('unlisted-name', x, 'detail')\n"
+                   "    obs.verdict('a-verdict', x)\n")
+    assert check_names([mod]) == {"weil-bound", "unlisted-name"}
+    assert check_names([mod]) - set(FAULTS) == {"unlisted-name"}
+
+
+def test_every_check_has_a_fault():
+    assert set(FAULTS) == check_names(sorted(SRC.glob("*.py")))
+
+
+# run counts of checks on fixed data, each once per table or system
+@pytest.mark.parametrize("argv, name, runs", [
+    (["a1", "--primes", "5,13"], "fiber-size-0-or-4", 14),
+    (["a1", "--primes", "5,13"], "even-rational-integer", 28),
+    (["rigid", "--group", "psl2", "--ell", "7"], "class-equation", 7),
+    (["monodromy", "E8"], "highest-root-maximal", 8),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_check_runs_once_per_fixed_datum(capsys, argv, name, runs):
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["name"]: c["runs"] for c in checks}[name] == runs

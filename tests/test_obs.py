@@ -158,8 +158,6 @@ def test_raise_scan_sees_each_site(tmp_path):
 # preconditions in its docstring and tests them no second time, so a new
 # site needs its own entry here and a reason that no entry gives yet.
 RAISE_SITES = [
-    ("a1lab._correlate:ValueError",
-     "more pairs than the packed digits were sized for would decode wrong"),
     ("a1lab.scan:ValueError", "a1 --primes: a prime above MAX_Q"),
     ("a1lab.scan:ValueError", "a1 --primes: not a prime that is 1 mod 4"),
     ("affine_k.phi_k:ValueError",

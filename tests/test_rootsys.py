@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from excmono import obs
 from excmono.chevalley import build_algebra
 from excmono.linalg import mat_mul
 from excmono.rootsys import (MAX_RANK, RootSystem, dynkin_components,
@@ -271,8 +272,25 @@ def test_reducible_d2():
     rs = root_system("D2")
     assert rs.num_roots == 4
     assert not rs.is_irreducible()
-    with pytest.raises(ValueError):
-        rs.highest_root()
+    for _ in range(2):   # a refusal is not cached away
+        with pytest.raises(ValueError,
+                           match="^D2 is reducible; no highest root$"):
+            rs.highest_root()
+
+
+def test_highest_root_is_found_once_per_system():
+    def maximality_runs():
+        return {c["name"]: c["runs"] for c in obs.runs()}[
+            "highest-root-maximal"]
+
+    obs.reset()
+    rs = root_system("E8")
+    assert rs.highest_root() is rs.highest_root()
+    assert maximality_runs() == 8   # one per simple root
+    obs.clear_caches()   # as criterion 9 does: the same system recomputes
+    rs.highest_root()
+    assert maximality_runs() == 16
+    obs.reset()
 
 
 def test_dynkin_components():
