@@ -54,41 +54,45 @@ def _fold_half_rho_vee(rs: RootSystem):
     """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly.
 
     Runs on y = 4x, which starts at 2 rho-vee and stays integral, and
-    keeps the pairings p_i = <alpha_i, y> so that a simple reflection
-    costs O(r).  Returns (y, p, theta), theta the highest root; the
-    alcove is p_i >= 0 and <theta, y> <= 4.
+    keeps the pairings p_i = <alpha_i, y> so that a reflection costs
+    O(r).  Returns (y, p, theta), theta the highest root; the alcove is
+    p_i >= 0 and <theta, y> <= 4.
+
+    Each step reflects in a wall of the alcove that separates the point
+    from it, so it removes exactly that wall from the separating affine
+    walls H(alpha, k), alpha > 0: at x = rho-vee / 2, <alpha, x> =
+    ht(alpha) / 2, those with 0 < k < ht(alpha) / 2.  So the fold takes
+    exactly N = sum of floor((ht(alpha) - 1) / 2) steps, the Iwahori-
+    Matsumoto length formula (Publ. Math. IHES 25, 1965).
     """
     r = rs.rank
     a = rs.cartan
     y = list(rs.two_rho_coroot())
     theta, theta_vee = rs.highest_root()
 
-    def pairings():
-        return [sum(a[i][j] * y[j] for j in range(r)) for i in range(r)]
+    def pairings(v):  # <alpha_k, v> for each k, v in the coroot basis
+        return [sum(map(mul, row, v)) for row in a]
 
-    p = pairings()
-    for _ in range(100000):
-        moved = False
-        for i in range(r):
-            v = p[i]
-            if v < 0:
-                y[i] -= v  # s_i: y -> y - <alpha_i, y> alpha_i-vee
-                for k in range(r):
-                    p[k] -= v * a[k][i]
-                moved = True
-                break
-        if moved:
-            continue
-        t = sum(theta[i] * p[i] for i in range(r))
-        if t > 4:
+    p, theta_col = pairings(y), pairings(theta_vee)
+    n_walls = sum((sum(t) - 1) // 2 for t in rs.positive_roots)
+    for steps in range(n_walls + 1):
+        v = min(p)
+        if v < 0:
+            i = p.index(v)
+            y[i] -= v  # s_i: y -> y - <alpha_i, y> alpha_i-vee
             for k in range(r):
-                y[k] -= (t - 4) * theta_vee[k]
-            p = pairings()
-            moved = True
-        if not moved:
+                p[k] -= v * a[k][i]
+            continue
+        t = sum(map(mul, theta, p))
+        if t <= 4:
             break
-    check("alcove-folding-terminates", not moved,
-          "alcove folding failed to terminate")
+        for k in range(r):  # s_0: y -> y - (<theta, y> - 4) theta-vee
+            y[k] -= (t - 4) * theta_vee[k]
+            p[k] -= (t - 4) * theta_col[k]
+    else:
+        steps = f"over {n_walls}"   # not in the alcove after N steps
+    check("alcove-fold-length", steps == n_walls, "{}: the fold took {} "
+          "steps into the alcove, want N = {}", rs.label, steps, n_walls)
     return y, p, theta
 
 

@@ -326,8 +326,8 @@ def _d_type_v_class(alg: ChevalleyAlgebra):
 def _natural_so_matrix(m, eps_pairs):
     """Sum of root vectors of so(2m) w.r.t. the antidiagonal form.
 
-    eps_pairs lists roots as (i, j) meaning e_i - e_j for j > 0 ... encoded:
-    (i, -j) is e_i - e_j and (i, j) is e_i + e_j, indices 1-based.
+    eps_pairs lists roots as pairs of 1-based indices: (i, -j) is
+    e_i - e_j and (i, j) is e_i + e_j.
     """
     n = 2 * m
     mat = [[0] * n for _ in range(n)]
@@ -386,13 +386,12 @@ def monodromy_result(label: str, samples: int, seed: int) -> dict:
         dinf = witness.centralizer_dim
         # the local centralizer dimensions at 0, 1 and infinity: dim H^1 =
         # dim g - d0 - d1 - dinf for three-point local systems, and the
-        # predicted classes give exactly 0, equivalently d0 + dinf = #Phi
-        # with d1 = rank
-        h1 = alg.dim - d0 - d1 - dinf
-        check("budget-d0-plus-dinf-is-roots",
-              d0 + dinf == rs.num_roots and h1 == 0,
-              "{}: d0 + dinf = {} + {}, #Phi = {}, dim H^1 = {}", rs.label,
-              d0, dinf, rs.num_roots, h1)
+        # predicted classes give exactly 0.  The checks above fix d0 =
+        # dinf = #Phi-vee / 2 and d1 = rank, and dim g = rank + #Phi-vee,
+        # #Phi-vee even, so that holds; what is left is #Phi-vee = #Phi
+        check("budget-d0-plus-dinf-is-roots", d0 + dinf == rs.num_roots,
+              "{}: d0 + dinf = {} + {}, #Phi = {}", rs.label, d0, dinf,
+              rs.num_roots)
         result.update(v_class={"centralizer_dim": dinf,
                                "witness": witness.description},
                       budget={"d0": d0, "d1": d1, "dinf": dinf})

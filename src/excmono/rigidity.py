@@ -247,36 +247,37 @@ class FiniteGroup:
 
 # ---------------------------------------------------------------- triples
 
-def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
-                 cinf: ConjClass, g0=None, note: str = "") -> dict:
-    """Count solutions g0 g1 ginf = 1 with g_i in C_i, classes of `group`,
-    fixing one g0 in C0; the `rigid` triple dict, `normalized_count` a
-    [numerator, denominator] pair in lowest terms.
-
-    The total is |C0| times the count at fixed g0.  The centralizer C(g0)
-    permutes those solutions by conjugation, and <g0, c^-1 g1 c> is
-    conjugate to <g0, g1>, so generation is tested once per C(g0)-orbit.
-    Strict rigidity means the conjugacy-normalized count is exactly 1 and
-    every solution generates.
-    """
-    if g0 is None:
-        g0 = c0.rep
+def solutions_at(group: FiniteGroup, g0, c1: ConjClass,
+                 cinf: ConjClass) -> list:
+    """The g1 in C1 with g0 g1 ginf = 1 for some ginf in C_inf."""
     # ginf = (g0 g1)^-1 lies in C_inf iff g0 g1 lies in the class of inverses
     target = group.class_of[group.inv(cinf.rep)]
     class_of, tail = group.class_of, group._tail
-    hits = [g1 for g1 in c1.members
+    return [g1 for g1 in c1.members
             if class_of[g0.translate(g1 + tail)] == target]
+
+
+def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
+                 cinf: ConjClass, note: str = "") -> dict:
+    """Count solutions g0 g1 ginf = 1 with g_i in C_i, classes of `group`,
+    fixing g0 as C0's representative; the `rigid` triple dict,
+    `normalized_count` a [numerator, denominator] pair in lowest terms.
+
+    The total is |C0| times the count at fixed g0.  The centralizer C(g0),
+    kept by the class-equation scan, permutes those solutions by
+    conjugation, and <g0, c^-1 g1 c> is conjugate to <g0, g1>, so
+    generation is tested once per C(g0)-orbit.  Strict rigidity means the
+    conjugacy-normalized count is exactly 1 and every solution generates.
+    """
+    g0 = c0.rep
+    hits = solutions_at(group, g0, c1, cinf)
     solution_count = c0.size * len(hits)
     gen_flags = {}  # solution -> whether it generates, one closure per orbit
     if hits:
-        if g0 == c0.rep:   # the class-equation scan found C(g0)
-            cent = group.centralizers[class_of[g0]]
-        else:
-            g0_table = g0 + tail
-            cent = [c for c in group.elements
-                    if g0.translate(c + tail) == c.translate(g0_table)]
+        tail = group._tail
         # c^-1 x c: relabel by c^-1, move by c
-        conj = [(group.inv(c), c + tail) for c in cent]
+        conj = [(group.inv(c), c + tail)
+                for c in group.centralizers[group.class_of[g0]]]
         for g1 in hits:
             if g1 not in gen_flags:
                 flag = group.subgroup_generated(g0, g1) == group.order

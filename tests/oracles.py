@@ -32,7 +32,6 @@ from pathlib import Path
 from excmono.arith import least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
-from excmono.obs import check
 from excmono.rigidity import ConjClass, MatrixRep
 from excmono.twogroup import _reduce_by
 
@@ -282,31 +281,25 @@ def coxeter_number(rs) -> int:
 
 
 def fraction_fold(rs):
-    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly."""
+    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly:
+    (x, the number of reflections made), within a cap of 100000 passes."""
     r = rs.rank
     two_rho_vee = rs.two_rho_coroot()
     x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
     theta, theta_vee = rs.highest_root()
-    for _ in range(100000):
-        moved = False
+    for moves in range(100000):
         for i in range(r):
             v = sum(x[j] * rs.cartan[i][j] for j in range(r))
             if v < 0:
                 x[i] -= v  # s_i: x -> x - <alpha_i, x> alpha_i-vee
-                moved = True
                 break
-        if moved:
-            continue
-        t = pair(rs, theta, x)
-        if t > 1:
+        else:
+            t = pair(rs, theta, x)
+            if t <= 1:
+                return x, moves
             for k in range(r):
                 x[k] -= (t - 1) * theta_vee[k]
-            moved = True
-        if not moved:
-            break
-    check("alcove-folding-terminates", not moved,
-          "alcove folding failed to terminate")
-    return x
+    raise RuntimeError(f"{rs.label}: the fraction fold did not terminate")
 
 
 def longest_element_matrix(rs):

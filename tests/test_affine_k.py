@@ -16,7 +16,7 @@ from excmono.affine_k import (
     phi_k,
     removed_node_coefficient,
 )
-from excmono.rootsys import require_covered, root_system
+from excmono.rootsys import MAX_RANK, SUPPORTED, require_covered, root_system
 from oracles import fraction_fold, pair, tuple_simple_system
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
@@ -165,10 +165,32 @@ def test_odd_d_rejected(label):
 
 # -------------------------------------------------------- the alcove fold --
 
+def walls_crossed(rs) -> int:
+    """N: the affine walls H(alpha, k), alpha > 0, strictly between
+    rho-vee / 2 and the alcove, the k with 0 < 4k < <alpha, 2 rho-vee>."""
+    two_rho_vee = rs.two_rho_coroot()
+    return sum((pair(rs, t, two_rho_vee) - 1) // 4
+               for t in rs.positive_roots)
+
+
+def admitted_labels() -> list:
+    """Every label up to MAX_RANK that `phi_k` admits, each built once."""
+    labels = []
+    for letter in SUPPORTED:
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                phi_k(root_system(f"{letter}{rank}"))
+            except ValueError:
+                continue
+            labels.append(f"{letter}{rank}")
+    return labels
+
+
 @pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))
 def test_integer_fold_matches_fraction_oracle(label):
     rs = root_system(label)
-    x = fraction_fold(rs)
+    x, moves = fraction_fold(rs)
+    assert moves == walls_crossed(rs)
     y, p, theta = _fold_half_rho_vee(rs)
     assert y == [4 * c for c in x]
     assert theta == rs.highest_root()[0]
@@ -178,7 +200,8 @@ def test_integer_fold_matches_fraction_oracle(label):
     sub = phi_k(rs)
     phi_k(rs)  # cached: no second build
     runs = {e["name"]: e["runs"] for e in obs.runs()}
-    assert runs["alcove-folding-terminates"] == 1
+    # it ran once and passed: the integer fold also took N steps
+    assert runs["alcove-fold-length"] == 1
     # theta comes from the fold: one highest_root call, r maximality checks
     assert runs["highest-root-maximal"] == rs.rank
     # one finite node off the walls of the folded point, and the affine
@@ -188,6 +211,16 @@ def test_integer_fold_matches_fraction_oracle(label):
     affine = pair(rs, theta, x) == 1
     assert sub.deleted_node == (
         removed[0] if len(removed) == 1 and affine else None)
+
+
+def test_fold_length_holds_on_every_admitted_label():
+    obs.reset()
+    assert len(admitted_labels()) == 37
+    assert {e["name"]: (e["runs"], e["passed"]) for e in obs.runs()}[
+        "alcove-fold-length"] == (37, True)
+    assert {label: walls_crossed(root_system(label))
+            for label in ("G2", "E8", "B14", "C14")} == {
+        "G2": 4, "E8": 532, "B14": 819, "C14": 819}
 
 
 @pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))

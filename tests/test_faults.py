@@ -1,18 +1,22 @@
-"""Every named check in src/ is seen to fail.
+"""Every `check` site in src/ is seen to fail.
 
-`FAULTS` maps each `check` name to one fault: a monkeypatch of a single
-input or intermediate, the code that must catch it, and, where a cheap
-command reaches that code, the command.  The fault must trip its own
+`FAULTS` maps each `check` name to a fault, or to a list of faults, at
+least one per site of the name.  A fault is a monkeypatch of a single
+input or intermediate, the code that must catch it, the command that
+reaches that code where one is cheap, and, where a name has two sites,
+text of the detail that tells them apart.  The fault must trip its own
 check before any other fires.  An AST scan keeps the table's keys equal
-to the set of check names in src/, so a new check needs a fault in the
-same change.  This is the fault-table form of mutation testing (DeMillo,
-Lipton and Sayward, "Hints on test data selection", IEEE Computer 11(4),
-1978), with one hand-placed mutant per check.
+to the check names in src/ and counts each name's `check` calls, so a
+new check site needs a fault in the same change.  This is the
+fault-table form of mutation testing (DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer 11(4), 1978), with one
+hand-placed mutant per check site.
 """
 
 import ast
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,7 @@ A1_13 = ("a1", "--primes", "13")
 ATILDE_A1 = ("atilde", "A1")
 MONODROMY_G2 = ("monodromy", "G2", "--samples", "0")
 PGL2_5 = ("rigid", "--group", "pgl2", "--ell", "5")
+PSL2_5 = ("rigid", "--group", "psl2", "--ell", "5")
 
 
 def after(owner, attr, change):
@@ -111,15 +116,13 @@ def _square_roots_off(mp):
     mp.setattr(a1lab.FiniteFieldCtx, "__init__", init)
 
 
-def _count_moves_with_g0(mp):
-    real = rigidity.triple_count
+def _extra_solution_off_the_rep(hits, group, g0, c1, cinf):
+    # one more solution at every g0 but its class's representative
+    return hits + [c1.rep] * (g0 != group.classes[group.class_of[g0]].rep)
 
-    def triple_count(*args, g0=None, **kw):
-        res = real(*args, g0=g0, **kw)
-        if g0 is not None:
-            res = dict(res, solution_count=res["solution_count"] + 1)
-        return res
-    mp.setattr(rigidity, "triple_count", triple_count)
+
+def _grown_first_class(classes, group):
+    return [classes[0]._replace(size=classes[0].size + 1), *classes[1:]]
 
 
 def _single_bracket_off(mp):
@@ -136,7 +139,8 @@ def _single_bracket_off(mp):
     mp.setattr(ChevalleyAlgebra, "bracket", bracket)
 
 
-# name -> (plant(monkeypatch), the run that must catch it, a command or ())
+# name -> (plant(monkeypatch), the run that must catch it, a command or (),
+# [text of the detail]), or a list of such faults
 FAULTS = {
     # ------------------------------------------------------------ arith
     "primitive-root": (
@@ -158,10 +162,16 @@ FAULTS = {
         lambda mp: mp.setattr(rootsys, "max", min, raising=False),
         lambda: root_system("G2").highest_root(), ("k-type", "G2")),
     # --------------------------------------------------------- affine_k
-    "alcove-folding-terminates": (
-        after(RootSystem, "highest_root",
-              lambda hr, rs: (hr[0], (0,) * rs.rank)),
-        lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2")),
+    "alcove-fold-length": [
+        # s_0 moves nothing, so the fold never ends
+        (after(RootSystem, "highest_root",
+               lambda hr, rs: (hr[0], (0,) * rs.rank)),
+         lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2")),
+        # it starts at 0, in the alcove: it ends, after no step
+        (after(RootSystem, "two_rho_coroot", lambda v, rs: (0,) * rs.rank),
+         lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2"),
+         "took 0 steps"),
+    ],
     "walk-matches-parity": (
         after(affine_k, "_simple_system", lambda simple, pos: simple[1:]),
         lambda: affine_k.phi_k(root_system("E8")), ("k-type", "E8")),
@@ -247,11 +257,12 @@ FAULTS = {
                 property(lambda rs: len(rs.roots) + 2)),
         lambda: chevalley.monodromy_result("G2", 0, 0), MONODROMY_G2),
     # -------------------------------------------------------- rigidity
-    "class-equation": (
-        # the sum site; test_rigidity's size shift trips the per-class one
-        after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),
-        lambda: rigidity.psl2_group(5), ("rigid", "--group", "psl2",
-                                         "--ell", "5")),
+    "class-equation": [
+        (after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),
+         lambda: rigidity.psl2_group(5), PSL2_5, "sizes sum to"),
+        (after(rigidity.FiniteGroup, "_conjugacy_classes", _grown_first_class),
+         lambda: rigidity.psl2_group(5), PSL2_5, "times centralizer order"),
+    ],
     "group-order": (
         # diag(1, 1) in place of diag(nu, 1): the closure is PSL2
         replace(rigidity, "least_primitive_root", lambda p: 1),
@@ -355,7 +366,8 @@ FAULTS = {
             res, triple=dict(res["triple"], solution_count=169))),
         verify.criterion_rigidity, ()),
     "representative-invariance": (
-        _count_moves_with_g0, verify.criterion_rigidity, ()),
+        after(rigidity, "solutions_at", _extra_solution_off_the_rep),
+        verify.criterion_rigidity, ()),
     "pgl2-fixture-inside-psl2": (
         after(rigidity, "predicted_triple",
               lambda rep, ell: dict(rep, generates=True)),
@@ -368,15 +380,25 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FAULTS))
-def test_fault_trips_its_check_first(capsys, monkeypatch, name):
-    plant, run, argv = FAULTS[name]
+def faults(name) -> list:
+    """The faults of `name`, each (plant, run, argv, detail)."""
+    entry = FAULTS[name]
+    return [(*f, "")[:4] for f in (entry if isinstance(entry, list)
+                                    else [entry])]
+
+
+@pytest.mark.parametrize("name, k", [
+    pytest.param(name, k, id=f"{name}-{k + 1}" if k else name)
+    for name in sorted(FAULTS) for k in range(len(faults(name)))])
+def test_fault_trips_its_check_first(capsys, monkeypatch, name, k):
+    plant, run, argv, detail = faults(name)[k]
     obs.reset()   # no cached result from before the fault
     plant(monkeypatch)
     try:
         with pytest.raises(CheckFailed) as exc:
             run()
         assert str(exc.value).startswith(f"{name}: "), exc.value
+        assert detail in str(exc.value), exc.value
         if argv:
             capsys.readouterr()
             assert main(list(argv)) == 1
@@ -388,17 +410,17 @@ def test_fault_trips_its_check_first(capsys, monkeypatch, name):
         obs.reset()   # no cached result built under the fault
 
 
-def check_names(paths) -> set:
-    """The names of every `check(...)` and `obs.check(...)` call in
-    `paths`, each a string constant."""
-    names = set()
+def check_sites(paths) -> Counter:
+    """The number of `check(...)` and `obs.check(...)` calls in `paths`
+    per name, each name a string constant."""
+    sites = Counter()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and "check" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
-                names.add(node.args[0].value)
-    return names
+                sites[node.args[0].value] += 1
+    return sites
 
 
 def test_check_scan_sees_each_name(tmp_path):
@@ -406,13 +428,17 @@ def test_check_scan_sees_each_name(tmp_path):
     mod.write_text("from excmono import obs\nfrom excmono.obs import check\n"
                    "def f(x):\n    check('weil-bound', x, 'detail')\n"
                    "    obs.check('unlisted-name', x, 'detail')\n"
+                   "    check('unlisted-name', not x, 'detail')\n"
                    "    obs.verdict('a-verdict', x)\n")
-    assert check_names([mod]) == {"weil-bound", "unlisted-name"}
-    assert check_names([mod]) - set(FAULTS) == {"unlisted-name"}
+    assert check_sites([mod]) == {"weil-bound": 1, "unlisted-name": 2}
+    assert set(check_sites([mod])) - set(FAULTS) == {"unlisted-name"}
 
 
 def test_every_check_has_a_fault():
-    assert set(FAULTS) == check_names(sorted(SRC.glob("*.py")))
+    sites = check_sites(sorted(SRC.glob("*.py")))
+    assert set(FAULTS) == set(sites)
+    assert {name: n for name, n in sites.items()
+            if len(faults(name)) < n} == {}
 
 
 # run counts of checks on fixed data, each once per table or system
