@@ -13,18 +13,20 @@ t1 alone, since `trace_sums` checks t3 = conj(t1) (see `sym2_trace`).
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
 
-Per fiber, `fiber_values` evaluates f once at each unramified x; the F_p
-sums t1, t2, t3, the point count and the Legendre count are direct O(p)
-loops over those values.  The F_{p^2} sums of one prime come for every
-lambda at once from one exact cyclic correlation per row of
-F_{p^2} = F_p + F_p*w (`extension_sums`): each correlation is a
-Kronecker-packed big-int product, so a scan over all lambda costs O(p^2)
-Python steps instead of the direct O(p^3).  q = 101 takes well under a
-second.
+Per fiber, `fiber_values` evaluates f once at each unramified x through
+the context's table of inverses; t1, t2, t3, the point count and the
+Legendre count are O(p) table lookups over those values.  The F_{p^2}
+sums of one prime come for every lambda at once from one exact cyclic
+correlation per row of F_{p^2} = F_p + F_p*w (`extension_sums`), each
+row a bytes gather and each correlation a Kronecker-packed big-int
+product: a scan costs O(p^2) table steps, not the direct O(p^3).  In a
+fresh process on a 2-core machine, q = 101 takes about 0.1 s (mostly
+interpreter start) and q = 1021 about 2.3 s.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
@@ -38,16 +40,21 @@ class FiniteFieldCtx:
 
     Elements are ints mod p; chi(z) = i^index[z], where index[z] is the
     discrete log of z to the least primitive root, mod 4, and index[0] = 4.
+    inverse[z] is 1/z for every unit z (inverse[0] = 0).
     """
 
     def __init__(self, p: int):
         self.p = self.q = p
         self.generator = least_primitive_root(p)
         self.index = [4] * p
-        z = 1
-        for k in range(p - 1):  # z = generator^k
+        self.inverse = [0] * p
+        g_inv = pow(self.generator, p - 2, p)
+        z = z_inv = 1
+        for k in range(p - 1):  # z = generator^k, z_inv = generator^-k
             self.index[z] = k % 4
+            self.inverse[z] = z_inv
             z = z * self.generator % p
+            z_inv = z_inv * g_inv % p
         # exact order 4: each fourth root of unity is hit equally often
         counts = [self.index.count(k) for k in range(4)]
         check("character-order-4", counts == [(p - 1) // 4] * 4,
@@ -64,7 +71,7 @@ def _f_value(ctx: FiniteFieldCtx, lam, x):
     # (lam*x - 1) / (lam * x * (x - 1))
     p = ctx.p
     lx = lam * x
-    return (lx - 1) * pow(lx * (x - 1), p - 2, p) % p
+    return (lx - 1) * ctx.inverse[lx * (x - 1) % p] % p
 
 
 def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
@@ -72,7 +79,7 @@ def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
     increasing x, for lam in 2 .. p - 1 (`scan` passes no other); f is
     evaluated once per x and vanishes at none of them."""
     p = ctx.p
-    bad = {0, 1, pow(lam, p - 2, p)}
+    bad = {0, 1, ctx.inverse[lam % p]}
     values = [_f_value(ctx, lam, x) for x in range(p) if x not in bad]
     check("f-nonzero-off-ramification", 0 not in values,
           "f vanishes at a good point of lambda = {}", lam)
@@ -81,14 +88,17 @@ def fiber_values(ctx: FiniteFieldCtx, lam) -> list:
 
 def _power_sum(counts, j: int):
     """(re, im) of the sum over k of counts[k] * i^(j*k)."""
-    return (sum(c * UNIT_RE[j * k % 4] for k, c in enumerate(counts)),
-            sum(c * UNIT_IM[j * k % 4] for k, c in enumerate(counts)))
+    re = im = 0
+    for k, c in enumerate(counts):
+        re += c * UNIT_RE[j * k % 4]
+        im += c * UNIT_IM[j * k % 4]
+    return re, im
 
 
 def trace_sums(ctx: FiniteFieldCtx, values):
     """(t1, t2, t3): character sums of chi^j over the `fiber_values`, as
     (re, im) pairs, from the number of values of each index k."""
-    ks = [ctx.index[v] for v in values]
+    ks = bytes(map(ctx.index.__getitem__, values))
     counts = [ks.count(k) for k in range(4)]
     t1, t2, t3 = (_power_sum(counts, j) for j in (1, 2, 3))
     check("t3-is-conj-t1", t3 == (t1[0], -t1[1]),
@@ -111,7 +121,8 @@ def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
     check("fiber-size-0-or-4", all(im == 0 and re in (0, 4)
                                    for re, im in sizes),
           "fiber sizes {} are not all 0 or 4", sizes)
-    count = _RAMIFIED + sum(sizes[ctx.index[v]][0] for v in values)
+    count = _RAMIFIED + sum(map([re for re, _ in sizes].__getitem__,
+                                map(ctx.index.__getitem__, values)))
     check("genus-3-weil-bound", (count - q - 1) ** 2 <= 36 * q,
           "genus-3 Weil bound failed: {} points", count)
     return count
@@ -123,7 +134,7 @@ def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
 
     `values` are the `fiber_values` and t2 the second of `trace_sums`.
     """
-    count = _RAMIFIED + sum(ctx.square_roots[v] for v in values)
+    count = _RAMIFIED + sum(map(ctx.square_roots.__getitem__, values))
     check("legendre-identity", count == ctx.q + 1 + t2[0],
           "Legendre identity failed: {} != {} + 1 + {}", count, ctx.q, t2[0])
     check("genus-1-hasse-bound", t2[0] * t2[0] <= 4 * ctx.q,
@@ -178,18 +189,23 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     return s
 
 
-# where UNIT_RE and UNIT_IM are +1 and -1, as byte tables over k = 0..4
+# `bytes.translate` tables over k = 0..4: where UNIT_RE, UNIT_IM are +-1
 _RE_POS, _RE_NEG, _IM_POS, _IM_NEG = (
-    bytes(v == sign for v in unit)
+    bytes(v == sign for v in unit).ljust(256, b"\0")
     for unit in (UNIT_RE, UNIT_IM) for sign in (1, -1))
+# and g for the index pair (u, v) at byte 5*u + v: u - v mod 4, or 4 for a 0
+_G_OF_PAIR = bytes(4 if 4 in divmod(c, 5) else (c // 5 - c % 5) % 4
+                   for c in range(25)).ljust(256, b"\0")
 
 
 def _kron_pack(ks, pos: bytes, neg: bytes, width: int) -> int:
-    """sum_j v_j * 2^(8*width*j), v_j = pos[ks[j]] - neg[ks[j]]."""
+    """sum_j v_j * 2^(8*width*j), v_j = pos[ks[j]] - neg[ks[j]], for ks
+    bytes or a list of indices."""
+    ks = bytes(ks)
     hi = bytearray(len(ks) * width)
     lo = bytearray(len(ks) * width)
-    hi[::width] = bytes(map(pos.__getitem__, ks))
-    lo[::width] = bytes(map(neg.__getitem__, ks))
+    hi[::width] = ks.translate(pos)
+    lo[::width] = ks.translate(neg)
     return int.from_bytes(hi, "little") - int.from_bytes(lo, "little")
 
 
@@ -212,7 +228,7 @@ def _kron_unpack(total: int, n: int, width: int) -> list:
 def _correlate(pairs, n: int, count: int) -> list:
     """c[l] = sum over (x, y) in pairs of sum_a x[a] * conj(y[(a - l) % n]).
 
-    x and y are lists of n indices k, each standing for i^k (k = 4 for 0);
+    x and y are bytes or lists of n indices k, each i^k (k = 4 for 0);
     `pairs` yields at most `count` of them (its one caller: p rows, count
     p), and c[l] is an (re, im) pair.
     Real and imaginary parts are four signed integer correlations per
@@ -264,18 +280,20 @@ def _extension_table(index) -> tuple:
     """
     p = len(index)
     nu = next((z for z in range(1, p) if index[z] % 2), 0)
-    squares = [a * a % p for a in range(p)]
+    index2 = bytes(index) * 2
+    gather = itemgetter(*(a * a % p for a in range(p)))
     counts = [0] * 5
 
     def rows():
         for b in range(p):
-            nb2 = nu * b * b
-            row = [index[(a2 - nb2) % p] for a2 in squares]
+            off = -nu * b * b % p
+            row = bytes(gather(index2[off:off + p]))  # index[a^2 - nu*b^2]
             for k in range(5):
                 counts[k] += row.count(k)
-            g = [4 if 4 in (row[a - 1], row[a]) else (row[a - 1] - row[a]) % 4
-                 for a in range(p)]
-            yield g, row
+            # byte a of `pairs` is 5*row[a-1] + row[a] <= 24: no carries
+            pairs = 5 * int.from_bytes(row[-1:] + row[:-1], "little") \
+                + int.from_bytes(row, "little")
+            yield pairs.to_bytes(p, "little").translate(_G_OF_PAIR), row
 
     corr = _correlate(rows(), p, p)
     check("norm-character-order-4", counts == [(p * p - 1) // 4] * 4 + [1],
@@ -343,8 +361,8 @@ def _context(q: int) -> FiniteFieldCtx:
     return FiniteFieldCtx(q)
 
 
-# a scan costs O(q^2) Python steps; the largest admitted prime, 1021,
-# takes 6.2-6.7 s and 18 MB on a 2-core machine
+# a scan costs O(q^2) table steps; the largest admitted prime, 1021,
+# takes 2.2-2.5 s and 18 MB on a 2-core machine
 MAX_Q = 1 << 10
 
 

@@ -48,7 +48,12 @@ def _cmd_monodromy(args):
 
 def _cmd_a1(args):
     from .a1lab import a1_result, render_csv, scan
-    primes = [int(x) for x in args.primes.split(",") if x]
+    primes = []
+    for x in filter(None, args.primes.split(",")):
+        try:
+            primes.append(int(x))
+        except ValueError:
+            raise ValueError(f"--primes: {x!r} is not an integer") from None
     if not primes:
         raise ValueError("--primes lists no prime")
     if len(set(primes)) != len(primes):

@@ -17,8 +17,9 @@ columns replaced, the longest-element matrix, tuple-difference simple
 system, scan-every-row rank and per-solution generation flags that the
 pairing descent, root keys, column index and centralizer orbits
 replaced, the per-g0 centralizer scan that the class-equation scan's
-kept centralizers replaced, the Coxeter number, and plain matrix powers, F2 ranks and a
-quadruple survey for the rest.
+kept centralizers replaced, the per-entry extension rows that the a1
+lab's bytes gathers and pair table replaced, the Coxeter number, and
+plain matrix powers, F2 ranks and a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -29,7 +30,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from excmono.arith import least_primitive_root
+from excmono.a1lab import _correlate
+from excmono.arith import UNIT_RE, least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
 from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
 from excmono.rigidity import ConjClass, MatrixRep
@@ -51,6 +53,31 @@ def stdout_digest(out) -> str:
     """sha256 of captured stdout, given as str or bytes."""
     return hashlib.sha256(
         out.encode() if isinstance(out, str) else out).hexdigest()
+
+
+def list_extension_table(index) -> tuple:
+    """`a1lab._extension_table` with each row and its g built entry by
+    entry in list comprehensions, the route that the bytes gathers and
+    the 25-entry pair table replaced; the rows meet the same
+    `_correlate`, which has its own naive oracle."""
+    p = len(index)
+    nu = next((z for z in range(1, p) if index[z] % 2), 0)
+    squares = [a * a % p for a in range(p)]
+
+    def rows():
+        for b in range(p):
+            nb2 = nu * b * b
+            row = [index[(a2 - nb2) % p] for a2 in squares]
+            g = [4 if 4 in (row[a - 1], row[a]) else (row[a - 1] - row[a]) % 4
+                 for a in range(p)]
+            yield g, row
+
+    corr = _correlate(rows(), p, p)
+    table = [None, None]
+    for lam in range(2, p):
+        sign = UNIT_RE[2 * index[lam] % 4]  # chi(lam)^2 = +-1
+        table.append((sign * corr[lam][0], sign * corr[lam][1]))
+    return tuple(table)
 
 
 def mat_pow(a, e: int):

@@ -38,7 +38,8 @@ from excmono.a1lab import (
 )
 from excmono.arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from excmono.obs import CheckFailed
-from oracles import gauss_conj, gauss_mul, gauss_sum, i_power
+from oracles import (gauss_conj, gauss_mul, gauss_sum, i_power,
+                     list_extension_table)
 
 ACCEPT_PRIMES = [5, 13, 17, 29]
 
@@ -186,6 +187,12 @@ def test_character_has_exact_order_four(q):
         assert i_power(2 * ctx.index[z]) == ((1, 0) if euler == 1 else (-1, 0))
 
 
+def test_inverse_table_inverts_every_unit():
+    for p in (p for p in range(5, MAX_Q) if p % 4 == 1 and is_prime(p)):
+        ctx = FiniteFieldCtx(p)
+        assert all(ctx.inverse[z] * z % p == 1 for z in range(1, p)), p
+
+
 def test_conjugate_character_is_complex_conjugate():
     ctx = FiniteFieldCtx(13)
     for z in range(1, ctx.p):
@@ -209,7 +216,7 @@ def test_extension_field_arithmetic():
 
 # ------------------------------------------------------------- trace sums
 
-@pytest.mark.parametrize("q", [5, 13, 17])
+@pytest.mark.parametrize("q", [5, 13, 17, 41, 61])
 def test_fiber_values_match_naive_division(q):
     ctx = FiniteFieldCtx(q)
     for lam in [*range(2, q), q + 2]:
@@ -382,12 +389,18 @@ def test_extension_table_every_lambda(q):
         assert table[lam] == direct_extension_sum(ctx, lam), lam
 
 
-@pytest.mark.parametrize("q", [53, 61])
+@pytest.mark.parametrize("q", [41, 53, 61])
 def test_extension_table_seeded_lambdas(q):
     ctx = FiniteFieldCtx(q)
     table = extension_sums(ctx)
     for lam in random.Random(q).sample(range(2, q), 3):
         assert table[lam] == direct_extension_sum(ctx, lam), lam
+
+
+def test_extension_table_matches_list_rows():
+    for p in (p for p in range(5, 200) if p % 4 == 1 and is_prime(p)):
+        index = FiniteFieldCtx(p).index
+        assert _extension_table(index) == list_extension_table(index), p
 
 
 @pytest.mark.parametrize("q", [13, 17])

@@ -87,7 +87,7 @@ def test_criterion_6_quasiminuscule():
 def test_criterion_7_a1_lab():
     obs.clear_caches()
     details, dt = timed(verify.criterion_a1_lab)
-    assert report(7, "quartic trace lab", True, dt, 30.0), details
+    assert report(7, "quartic trace lab", True, dt, 2.0), details
 
 
 def test_criterion_8_rigidity():

@@ -178,6 +178,13 @@ def test_a1_bad_prime_is_usage_error(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+def test_a1_non_integer_prime_names_the_flag(capsys):
+    for primes, item in (("0x11", "0x11"), ("5,13a", "13a"), ("5, ,13", " ")):
+        code, out, err = run_cli(capsys, "a1", "--primes", primes)
+        assert code == 2 and out == ""
+        assert err == f"error: --primes: {item!r} is not an integer\n", err
+
+
 def test_a1_prime_over_the_bound_is_refused_quickly(capsys):
     # 1033 is a prime = 1 mod 4 just above MAX_Q; its scan would take 7 s
     for primes in ("1033", "5,1033"):

@@ -166,6 +166,7 @@ RAISE_SITES = [
      "an --ell, a1 prime or file: p at or above 2^31"),
     ("chevalley.monodromy_result:ValueError",
      "monodromy --samples outside 0 .. MAX_SAMPLES"),
+    ("cli._cmd_a1:ValueError", "a1 --primes: an item that is no integer"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists no prime"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists a prime twice"),
     ("cli._load_file_group:ValueError", "file: is not JSON"),
