@@ -362,7 +362,7 @@ def _context(q: int) -> FiniteFieldCtx:
 
 
 # a scan costs O(q^2) table steps; the largest admitted prime, 1021,
-# takes 2.2-2.5 s and 18 MB on a 2-core machine
+# takes 2.0-2.7 s and 18 MB on a 2-core machine
 MAX_Q = 1 << 10
 
 
