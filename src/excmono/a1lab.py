@@ -21,7 +21,7 @@ correlation per row of F_{p^2} = F_p + F_p*w (`extension_sums`), each
 row a bytes gather and each correlation a Kronecker-packed big-int
 product: a scan costs O(p^2) table steps, not the direct O(p^3).  In a
 fresh process on a 2-core machine, q = 101 takes about 0.1 s (mostly
-interpreter start) and q = 1021 about 2.3 s.
+interpreter start) and q = 1021 about 0.9 s.
 """
 
 from __future__ import annotations
@@ -225,28 +225,28 @@ def _kron_unpack(total: int, n: int, width: int) -> list:
             for lam in range(n)]
 
 
-def _correlate(pairs, n: int, count: int) -> list:
-    """c[l] = sum over (x, y) in pairs of sum_a x[a] * conj(y[(a - l) % n]).
+def _correlate(terms, n: int, count: int) -> list:
+    """c[l] = sum over (x, y, w) in terms of w * sum_a x[a] conj(y[a - l]).
 
-    x and y are bytes or lists of n indices k, each i^k (k = 4 for 0);
-    `pairs` yields at most `count` of them (its one caller: p rows, count
-    p), and c[l] is an (re, im) pair.
-    Real and imaginary parts are four signed integer correlations per
-    pair, each one exact big-int product of Kronecker-packed vectors
-    (Harvey 2009).  The products are summed and decoded once; |Re c|,
-    |Im c| <= count * n fixes the digit width.
+    x and y are bytes or lists of n indices k, each i^k (k = 4 for 0),
+    indexed mod n; the int weights w sum to at most `count` (its one
+    caller: (p + 1)/2 rows weighing p), and c[l] is an (re, im) pair.
+    x = A + iB and y = C + iD are Kronecker-packed big ints (Harvey 2009),
+    and x conj(y) = k1 - k3 + i(k1 + k2) takes three exact products, k1 =
+    C(A + B), k2 = A(-D - C) and k3 = B(C - D).  The products are summed
+    and decoded once; |Re c|, |Im c| <= count * n fixes the digit width.
     """
     width = ((count * n).bit_length() + 8) // 8   # bytes per digit
     re = im = 0
-    for x, y in pairs:
+    for x, y, w in terms:
         y = y[::-1]
-        x_re = _kron_pack(x, _RE_POS, _RE_NEG, width)
-        x_im = _kron_pack(x, _IM_POS, _IM_NEG, width)
-        y_re = _kron_pack(y, _RE_POS, _RE_NEG, width)
-        y_im = _kron_pack(y, _IM_POS, _IM_NEG, width)
-        # x * conj(y) = (x_re y_re + x_im y_im) + i (x_im y_re - x_re y_im)
-        re += x_re * y_re + x_im * y_im
-        im += x_im * y_re - x_re * y_im
+        a = _kron_pack(x, _RE_POS, _RE_NEG, width)
+        b = _kron_pack(x, _IM_POS, _IM_NEG, width)
+        c = _kron_pack(y, _RE_POS, _RE_NEG, width)
+        d = _kron_pack(y, _IM_POS, _IM_NEG, width)
+        k1 = c * (a + b)
+        re += w * (k1 - b * (c - d))
+        im += w * (k1 - a * (d + c))
     return list(zip(_kron_unpack(re, n, width), _kron_unpack(im, n, width)))
 
 
@@ -276,7 +276,8 @@ def _extension_table(index) -> tuple:
     On the way, chi_N = chi o Norm, Norm(a + b*w) = a^2 - nu*b^2, is checked
     to have exact order 4: over all u each k in 0..3 must occur (p^2-1)/4
     times and index 4 (Norm u = 0) only at u = 0, which also proves nu a
-    non-residue.
+    non-residue.  Rows b and p - b are the same row, so b runs over
+    0 .. (p-1)/2 and every row but b = 0 weighs 2.
     """
     p = len(index)
     nu = next((z for z in range(1, p) if index[z] % 2), 0)
@@ -285,15 +286,16 @@ def _extension_table(index) -> tuple:
     counts = [0] * 5
 
     def rows():
-        for b in range(p):
+        for b in range(p // 2 + 1):
             off = -nu * b * b % p
             row = bytes(gather(index2[off:off + p]))  # index[a^2 - nu*b^2]
+            w = 2 if b else 1
             for k in range(5):
-                counts[k] += row.count(k)
+                counts[k] += w * row.count(k)
             # byte a of `pairs` is 5*row[a-1] + row[a] <= 24: no carries
             pairs = 5 * int.from_bytes(row[-1:] + row[:-1], "little") \
                 + int.from_bytes(row, "little")
-            yield pairs.to_bytes(p, "little").translate(_G_OF_PAIR), row
+            yield pairs.to_bytes(p, "little").translate(_G_OF_PAIR), row, w
 
     corr = _correlate(rows(), p, p)
     check("norm-character-order-4", counts == [(p * p - 1) // 4] * 4 + [1],
@@ -362,7 +364,7 @@ def _context(q: int) -> FiniteFieldCtx:
 
 
 # a scan costs O(q^2) table steps; the largest admitted prime, 1021,
-# takes 2.0-2.7 s and 18 MB on a 2-core machine
+# takes 0.8-1.3 s and 18 MB on a 2-core machine
 MAX_Q = 1 << 10
 
 

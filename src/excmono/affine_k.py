@@ -74,14 +74,17 @@ def _fold_half_rho_vee(rs: RootSystem):
         return [sum(map(mul, row, v)) for row in a]
 
     p, theta_col = pairings(y), pairings(theta_vee)
+    # the nonzero entries (k, a[k][i]) of each column i of the Cartan matrix
+    cols = [[(k, row[i]) for k, row in enumerate(a) if row[i]]
+            for i in range(r)]
     n_walls = sum((sum(t) - 1) // 2 for t in rs.positive_roots)
     for steps in range(n_walls + 1):
         v = min(p)
         if v < 0:
             i = p.index(v)
             y[i] -= v  # s_i: y -> y - <alpha_i, y> alpha_i-vee
-            for k in range(r):
-                p[k] -= v * a[k][i]
+            for k, c in cols[i]:
+                p[k] -= v * c
             continue
         t = sum(map(mul, theta, p))
         if t <= 4:
@@ -176,6 +179,7 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     )
 
 
+@memo
 def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
     """Smith data of Z Phi_K-vee inside the coroot lattice."""
     sub = phi_k(rs)

@@ -172,6 +172,9 @@ class FiniteGroup:
         elements, index, tail = self.elements, self.index, self._tail
         # x -> s x s^-1, i -> s^-1(x(s(i))): relabel by s^-1, move by s
         conj = [(s, self.inv(s) + tail) for s in self.generators]
+        # the id of t_x, x = t_x r t_x^-1 for r the representative of the
+        # class of x, for `_centralizer`: y = s x s^-1 gets t_y = s t_x
+        self._conjugator = conjugator = [0] * self.order
         assigned = bytearray(self.order)  # classes are disjoint orbits
         classes = []
         per_order = {}
@@ -182,11 +185,13 @@ class FiniteGroup:
             orbit = [i]
             for j in orbit:  # grows while it is walked
                 x = elements[j]
+                t_table = elements[conjugator[j]] + tail
                 for s, sinv_table in conj:
                     k = index[s.translate(x.translate(sinv_table) + tail)]
                     if not assigned[k]:
                         assigned[k] = 1
                         orbit.append(k)
+                        conjugator[k] = index[s.translate(t_table)]
             orbit.sort()
             members = tuple(elements[k] for k in orbit)
             o = self.element_order(g)
@@ -196,26 +201,57 @@ class FiniteGroup:
         return classes
 
     def _centralizers(self) -> list:
-        """C(c.rep) for each class c, by one commute test per element, and
-        the class equation checked on them: each size times its
-        centralizer order is |G|, and the sizes sum to |G|.  A centralizer
-        that is all of G, the identity's for one, is `elements` itself."""
-        elements, tail = self.elements, self._tail
+        """C(c.rep) for each class c, and the class equation checked on
+        them: each size times its centralizer order is |G|, and the sizes
+        sum to |G|.  A class holds distinct conjugates of r and H <= C(r),
+        so the first holds only for a complete class and H = C(r)."""
+        conj = [(s, self.inv(s) + self._tail) for s in self.generators]
         centralizers = []
         total = 0
         for cls in self.classes:
-            r = cls.rep
-            table = r + tail
-            cent = [x for x in elements
-                    if x.translate(table) == r.translate(x + tail)]
+            cent = self._centralizer(cls, conj)
             check("class-equation", cls.size * len(cent) == self.order,
                   "class {}: size {} times centralizer order {} is not the "
                   "group order {}", cls.label, cls.size, len(cent), self.order)
-            centralizers.append(elements if len(cent) == self.order else cent)
+            centralizers.append(cent)
             total += cls.size
         check("class-equation", total == self.order, "class sizes sum to {}, "
               "not the group order {}", total, self.order)
+        del self._conjugator
         return centralizers
+
+    def _centralizer(self, cls, conj) -> list:
+        """C(r), r = cls.rep, in element order.  An orbit edge x -> y =
+        s x s^-1 gives t_y^-1 s t_x, which fixes r, and these generate C(r)
+        (Schreier's lemma; Seress, Permutation Group Algorithms, 2003).  A
+        new one that commutes with r joins H, closed again each time."""
+        elements, index, tail = self.elements, self.index, self._tail
+        if len(cls.members) == 1:  # r commutes with every generator
+            return elements
+        conjugator, r = self._conjugator, cls.rep
+        r_table = r + tail
+        in_h = bytearray(self.order)
+        in_h[0] = 1
+        h, tables = [0], []
+        for x in cls.members:
+            if cls.size * len(h) == self.order:
+                break
+            t_table = elements[conjugator[index[x]]] + tail
+            for s, sinv_table in conj:
+                t_y = elements[conjugator[index[
+                    s.translate(x.translate(sinv_table) + tail)]]]
+                c = self.inv(t_y).translate(s.translate(t_table) + tail)
+                if in_h[index[c]] or c.translate(r_table) != r.translate(
+                        c + tail):
+                    continue
+                tables.append(c + tail)
+                for j in h:  # grows while it is walked
+                    for t in tables:
+                        k = index[elements[j].translate(t)]
+                        if not in_h[k]:
+                            in_h[k] = 1
+                            h.append(k)
+        return [elements[k] for k in sorted(h)]
 
     def class_by_label(self, label: str) -> ConjClass:
         for cls in self.classes:
@@ -264,7 +300,7 @@ def triple_count(group: FiniteGroup, c0: ConjClass, c1: ConjClass,
     `normalized_count` a [numerator, denominator] pair in lowest terms.
 
     The total is |C0| times the count at fixed g0.  The centralizer C(g0),
-    kept by the class-equation scan, permutes those solutions by
+    read from `group.centralizers`, permutes those solutions by
     conjugation, and <g0, c^-1 g1 c> is conjugate to <g0, g1>, so
     generation is tested once per C(g0)-orbit.  Strict rigidity means the
     conjugacy-normalized count is exactly 1 and every solution generates.

@@ -19,6 +19,8 @@ type G2).  ``form_gram`` is its Gram matrix in the simple-coroot basis.
 
 from __future__ import annotations
 
+from operator import neg, sub
+
 from .obs import check, memo
 
 SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
@@ -86,25 +88,29 @@ class RootSystem:
                 cr, nv, mv = pairs[root], pairing[root], copairing[root]
                 for i in range(r):
                     # s_i moves root by n alpha_i and its coroot by m alpha_i-vee
-                    # n = 0 gives back root itself, known, and the check
-                    # below then fails exactly when m != 0
+                    # n = 0 gives back root itself, known, and its coroot
+                    # exactly when m = 0: build neither
                     n, m = nv[i], mv[i]
-                    new_root = root[:i] + (root[i] - n,) + root[i + 1:]
-                    new_cr = cr[:i] + (cr[i] - m,) + cr[i + 1:]
-                    if new_root not in pairs:
-                        pairs[new_root] = new_cr
-                        pairing[new_root] = tuple(
-                            x - n * y for x, y in zip(nv, a[i]))
-                        copairing[new_root] = tuple(
-                            x - m * y for x, y in zip(mv, cols[i]))
-                        norm[new_root] = norm[root]
-                        nxt.append(new_root)
+                    if n:
+                        new_root = root[:i] + (root[i] - n,) + root[i + 1:]
+                        new_cr = cr[:i] + (cr[i] - m,) + cr[i + 1:]
+                        if new_root not in pairs:
+                            pairs[new_root] = new_cr
+                            pairing[new_root] = tuple(
+                                map(sub, nv, map(n.__mul__, a[i])))
+                            copairing[new_root] = tuple(
+                                map(sub, mv, map(m.__mul__, cols[i])))
+                            norm[new_root] = norm[root]
+                            nxt.append(new_root)
+                            continue
+                        ok = pairs[new_root] == new_cr
                     else:
-                        check("root-coroot-closure", pairs[new_root] == new_cr,
-                              "root/coroot closure inconsistent")
+                        ok = m == 0
+                    check("root-coroot-closure", ok,
+                          "root/coroot closure inconsistent")
             frontier = nxt
-        neg = {tuple(-v for v in root) for root in pairs}
-        check("roots-symmetric", neg == set(pairs),
+        negated = {tuple(map(neg, root)) for root in pairs}
+        check("roots-symmetric", negated == set(pairs),
               "root set not symmetric under negation")
         self.roots = sorted(pairs, key=lambda t: (sum(t), t))
         self.positive_roots = [t for t in self.roots if sum(t) > 0]

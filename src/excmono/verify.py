@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from operator import add
 from time import perf_counter
 from typing import NamedTuple
 
@@ -75,17 +76,19 @@ def criterion_lattice_quotients(seed=0):
 
 
 def _form_tables(rs, r):
-    """Per-bitmask norms and pairing parities straight from the gram."""
+    """Per-bitmask norms and pairing parities from the gram, each mask a
+    grown from a without its lowest bit i, x below: (x + e_i, x + e_i) =
+    (x, x) + 2 (x, e_i) + (e_i, e_i), the parity row gains row i of the
+    gram mod 2, and the cross vector ((x, e_j))_j gains row i."""
     gram = rs.form_gram
-    norms, parity = [], []
-    for a in range(1 << r):
-        idx = [i for i in range(r) if (a >> i) & 1]
-        norms.append(sum(gram[i][j] for i in idx for j in idx))
-        mask = 0
-        for j in range(r):
-            if sum(gram[i][j] for i in idx) % 2:
-                mask |= 1 << j
-        parity.append(mask)
+    rows = [sum(1 << j for j, v in enumerate(row) if v % 2) for row in gram]
+    norms, parity, cross = [0], [0], [(0,) * r]
+    for a in range(1, 1 << r):
+        i = (a & -a).bit_length() - 1
+        x = a & (a - 1)
+        norms.append(norms[x] + 2 * cross[x][i] + gram[i][i])
+        parity.append(parity[x] ^ rows[i])
+        cross.append(tuple(map(add, cross[x], gram[i])))
     return norms, parity
 
 

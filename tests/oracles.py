@@ -16,10 +16,11 @@ ad(x) rank that the carried pairings, root positions and sparse bracket
 columns replaced, the longest-element matrix, tuple-difference simple
 system, scan-every-row rank and per-solution generation flags that the
 pairing descent, root keys, column index and centralizer orbits
-replaced, the per-g0 centralizer scan that the class-equation scan's
-kept centralizers replaced, the per-entry extension rows that the a1
-lab's bytes gathers and pair table replaced, the Coxeter number, and
-plain matrix powers, F2 ranks and a quadruple survey for the rest.
+replaced, the per-element centralizer scan that the Schreier generators
+replaced, the double-sum Gram tables that the lowest-bit recurrence
+replaced, the per-entry extension rows that the a1 lab's bytes gathers,
+pair table and half walk replaced, the Coxeter number, and plain matrix
+powers, F2 ranks and a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -56,10 +57,11 @@ def stdout_digest(out) -> str:
 
 
 def list_extension_table(index) -> tuple:
-    """`a1lab._extension_table` with each row and its g built entry by
-    entry in list comprehensions, the route that the bytes gathers and
-    the 25-entry pair table replaced; the rows meet the same
-    `_correlate`, which has its own naive oracle."""
+    """`a1lab._extension_table` with each of the p rows and its g built
+    entry by entry in list comprehensions, the route that the bytes
+    gathers, the 25-entry pair table and the half walk of doubled rows
+    replaced; the rows meet the same `_correlate`, each of weight 1, and
+    it has its own naive oracle."""
     p = len(index)
     nu = next((z for z in range(1, p) if index[z] % 2), 0)
     squares = [a * a % p for a in range(p)]
@@ -70,7 +72,7 @@ def list_extension_table(index) -> tuple:
             row = [index[(a2 - nb2) % p] for a2 in squares]
             g = [4 if 4 in (row[a - 1], row[a]) else (row[a - 1] - row[a]) % 4
                  for a in range(p)]
-            yield g, row
+            yield g, row, 1
 
     corr = _correlate(rows(), p, p)
     table = [None, None]
@@ -78,6 +80,23 @@ def list_extension_table(index) -> tuple:
         sign = UNIT_RE[2 * index[lam] % 4]  # chi(lam)^2 = +-1
         table.append((sign * corr[lam][0], sign * corr[lam][1]))
     return tuple(table)
+
+
+def double_sum_form_tables(rs, r):
+    """`verify._form_tables` straight from the gram: each norm and each
+    parity bit a double sum over the bits of the mask, the route that the
+    recurrence on the lowest bit replaced."""
+    gram = rs.form_gram
+    norms, parity = [], []
+    for a in range(1 << r):
+        idx = [i for i in range(r) if (a >> i) & 1]
+        norms.append(sum(gram[i][j] for i in idx for j in idx))
+        mask = 0
+        for j in range(r):
+            if sum(gram[i][j] for i in idx) % 2:
+                mask |= 1 << j
+        parity.append(mask)
+    return norms, parity
 
 
 def mat_pow(a, e: int):
@@ -569,8 +588,8 @@ def matrix_triple_count(group: MatrixGroup, c0, c1, cinf) -> dict:
 
 def centralizer_by_scan(group, g) -> list:
     """C(g) by one commute test per element, in element order: the scan
-    that `triple_count` ran for every g0 before the class-equation scan
-    kept what it found."""
+    that `FiniteGroup._centralizers` ran for every class before it built
+    each centralizer from Schreier generators."""
     return [x for x in group.elements
             if group.mul(x, g) == group.mul(g, x)]
 

@@ -123,12 +123,14 @@ def direct_extension_sum(ctx, lam):
     return gauss_sum(out)
 
 
-def naive_correlation(pairs, n):
-    """sum over (x, y) of sum_a x[a] * conj(y[(a - l) % n]), in O(n^2)."""
+def naive_correlation(terms, n):
+    """sum over (x, y, w) of w * sum_a x[a] * conj(y[(a - l) % n]), in
+    O(w n^2)."""
     units = [i_power(k) for k in range(4)] + [(0, 0)]
     return [gauss_sum(gauss_mul(units[x[a]],
                                 gauss_conj(units[y[(a - lam) % n]]))
-                      for x, y in pairs for a in range(n))
+                      for x, y, w in terms for _ in range(w)
+                      for a in range(n))
             for lam in range(n)]
 
 
@@ -352,19 +354,22 @@ def test_symmetric_square_not_always_divisible():
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (5, 2), (13, 3), (31, 4)])
 def test_correlation_matches_naive_signed(n, seed):
     rng = random.Random(seed)
-    pairs = [([rng.choice((0, 2, 4)) for _ in range(n)],
-              [rng.choice((0, 2, 4)) for _ in range(n)]) for _ in range(3)]
-    assert _correlate(pairs, n, len(pairs)) == naive_correlation(pairs, n)
-    assert _correlate(iter(pairs), n, len(pairs)) == \
-        naive_correlation(pairs, n)
+    terms = [([rng.choice((0, 2, 4)) for _ in range(n)],
+              [rng.choice((0, 2, 4)) for _ in range(n)], rng.randint(1, 3))
+             for _ in range(3)]
+    count = sum(w for _, _, w in terms)
+    assert _correlate(terms, n, count) == naive_correlation(terms, n)
+    assert _correlate(iter(terms), n, count) == naive_correlation(terms, n)
 
 
 @pytest.mark.parametrize("n,seed", [(7, 5), (17, 6)])
 def test_correlation_matches_naive_gaussian(n, seed):
     rng = random.Random(seed)
-    pairs = [([rng.randrange(5) for _ in range(n)],
-              [rng.randrange(5) for _ in range(n)]) for _ in range(4)]
-    assert _correlate(pairs, n, len(pairs)) == naive_correlation(pairs, n)
+    terms = [([rng.randrange(5) for _ in range(n)],
+              [rng.randrange(5) for _ in range(n)], rng.randint(1, 3))
+             for _ in range(4)]
+    count = sum(w for _, _, w in terms)
+    assert _correlate(terms, n, count) == naive_correlation(terms, n)
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (1, 127), (127, 1), (1, 128),
@@ -374,10 +379,13 @@ def test_correlation_matches_naive_gaussian(n, seed):
 def test_correlation_at_carry_boundaries(n, count, kx, ky):
     # constant vectors give |Re c| or |Im c| = count * n, the extreme the
     # digit width is sized for; 127 and 32767 = 7 * 4681 sit right under
-    # the sign bit of a one- and a two-byte digit
-    pairs = [([kx] * n, [ky] * n)] * count
-    re, im = naive_correlation(pairs[:1], n)[0]
-    assert _correlate(pairs, n, count) == [(re * count, im * count)] * n
+    # the sign bit of a one- and a two-byte digit; count terms of weight 1
+    # and one term of weight count reach it alike
+    term = ([kx] * n, [ky] * n)
+    re, im = naive_correlation([(*term, 1)], n)[0]
+    want = [(re * count, im * count)] * n
+    assert _correlate([(*term, 1)] * count, n, count) == want
+    assert _correlate([(*term, count)], n, count) == want
 
 
 @pytest.mark.parametrize("q", [5, 13, 17, 29, 37])

@@ -25,7 +25,7 @@ from oracles import GOLDEN, stdout_digest
 def report(number, name, passed, elapsed, budget):
     ok = passed and elapsed < budget
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({name}): "
-          f"{elapsed:.2f}s of {budget:.0f}s budget")
+          f"{elapsed:.2f}s of {budget:g}s budget")
     return ok
 
 
@@ -50,7 +50,7 @@ def test_criterion_2_lattice_quotients():
 def test_criterion_3_tilde_laws():
     obs.clear_caches()
     details, dt = timed(verify.criterion_tilde_laws)
-    assert report(3, "two-group laws and radical", True, dt, 1.0), details
+    assert report(3, "two-group laws and radical", True, dt, 0.5), details
 
 
 def test_criterion_4_center_table():
@@ -92,7 +92,7 @@ def test_criterion_7_a1_lab():
 
 def test_criterion_8_rigidity():
     details, dt = timed(verify.criterion_rigidity)
-    assert report(8, "rigidity harness", True, dt, 60.0), details
+    assert report(8, "rigidity harness", True, dt, 2.0), details
 
 
 def test_criterion_9_determinism():

@@ -16,7 +16,8 @@ from excmono.affine_k import (
     phi_k,
     removed_node_coefficient,
 )
-from excmono.rootsys import MAX_RANK, SUPPORTED, require_covered, root_system
+from excmono.rootsys import (MAX_RANK, SUPPORTED, RootSystem, require_covered,
+                             root_system)
 from oracles import fraction_fold, pair, tuple_simple_system
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
@@ -221,6 +222,22 @@ def test_fold_length_holds_on_every_admitted_label():
     assert {label: walls_crossed(root_system(label))
             for label in ("G2", "E8", "B14", "C14")} == {
         "G2": 4, "E8": 532, "B14": 819, "C14": 819}
+
+
+def test_closure_check_runs_on_every_known_reflection_of_every_label():
+    # n = <b, alpha_i-vee> = 0 builds no tuple yet still runs the check:
+    # every (root, i) but the |Phi| - r that find a new root runs it once
+    runs = {}
+    for label in admitted_labels():
+        obs.reset()
+        rs = RootSystem(label)
+        runs[label] = ({e["name"]: e["runs"] for e in obs.runs()}[
+            "root-coroot-closure"], rs.num_roots * rs.rank - rs.num_roots
+            + rs.rank)
+    obs.reset()
+    assert len(runs) == 37
+    assert {label: n for label, (n, want) in runs.items() if n != want} == {}
+    assert runs["E8"][0] == 1688
 
 
 @pytest.mark.parametrize("label", sorted(K_TYPE_TABLE))

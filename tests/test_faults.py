@@ -125,6 +125,15 @@ def _grown_first_class(classes, group):
     return [classes[0]._replace(size=classes[0].size + 1), *classes[1:]]
 
 
+def _conjugators_times_a_generator(classes, group):
+    # t_x z for every member x: each t_y^-1 s t_x then fixes z^-1 r z, not
+    # r, and only the commute test with r keeps C(z^-1 r z) out of H
+    z_table = group.generators[-1] + group._tail
+    group._conjugator = [group.index[group.elements[t].translate(z_table)]
+                         for t in group._conjugator]
+    return classes
+
+
 def _single_bracket_off(mp):
     # [x, y] of two basis vectors gains h_0; ad of a sum of root vectors,
     # which the centralizers of D and E types read, is left alone
@@ -261,6 +270,9 @@ FAULTS = {
         (after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),
          lambda: rigidity.psl2_group(5), PSL2_5, "sizes sum to"),
         (after(rigidity.FiniteGroup, "_conjugacy_classes", _grown_first_class),
+         lambda: rigidity.psl2_group(5), PSL2_5, "times centralizer order"),
+        (after(rigidity.FiniteGroup, "_conjugacy_classes",
+               _conjugators_times_a_generator),
          lambda: rigidity.psl2_group(5), PSL2_5, "times centralizer order"),
     ],
     "group-order": (

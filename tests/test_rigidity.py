@@ -518,14 +518,27 @@ def test_orbit_flags_match_per_solution_oracle_at_every_hurwitz_g0():
             per_solution_triple_count(g, c2, c3, c7, g0=g0)["solution_count"]
 
 
-@pytest.mark.parametrize("build", [lambda: psl2_group(7),
-                                   lambda: pgl2_group(13)])
-def test_kept_centralizers_match_the_per_element_scan(build):
-    g = build()
+def _centralizer_cases():
+    for ell in (3, 5, 7, 11, 13):
+        yield f"pgl2-{ell}", lambda ell=ell: pgl2_group(ell)
+        yield f"psl2-{ell}", lambda ell=ell: psl2_group(ell)
+    for name, blob in ORACLE_FILE_GROUPS.items():
+        yield name, lambda blob=blob: FiniteGroup(MatrixRep(
+            blob["p"], blob["n"], scalars=blob.get("scalars")).permutations(
+                blob["generators"]))
+
+
+CENTRALIZER_CASES = dict(_centralizer_cases())
+
+
+@pytest.mark.parametrize("case", CENTRALIZER_CASES)
+def test_schreier_centralizers_match_the_per_element_scan(case):
+    g = CENTRALIZER_CASES[case]()
     assert len(g.centralizers) == len(g.classes)
     for cls, cent in zip(g.classes, g.centralizers):
         assert cent == centralizer_by_scan(g, cls.rep), cls.label
     assert g.centralizers[0] is g.elements   # the identity's: not a copy
+    assert not hasattr(g, "_conjugator")     # the transversal is freed
 
 
 class _Reads(list):

@@ -14,6 +14,7 @@ from excmono.obs import CheckFailed
 from excmono.rootsys import root_system
 from excmono.twogroup import build_tilde_group, odd_irreps, odd_sets
 from oracles import (
+    double_sum_form_tables,
     gauss_conj,
     gauss_mul,
     gauss_sum,
@@ -95,6 +96,14 @@ def test_form_tables_match_row_loops_exhaustive(label):
         for b in range(1 << tg.r):
             assert tg.pairing(a, b) == loop_pairing(tg, a, b)
             assert tg._beta(a, b) == loop_beta(tg, a, b)
+
+
+@pytest.mark.parametrize("label", verify.COVERED_LABELS)
+def test_gram_tables_by_recurrence_match_the_double_sums(label):
+    # criterion 3's norms and parity rows, grown one lowest bit at a time
+    rs = root_system(label)
+    assert verify._form_tables(rs, rs.rank) == double_sum_form_tables(
+        rs, rs.rank)
 
 
 @settings(max_examples=60, deadline=None)
