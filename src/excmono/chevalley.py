@@ -263,10 +263,11 @@ def orthogonal_quadruples(rs: RootSystem):
     Roots are ranked by (height, coordinates); each quadruple comes with
     its ranks increasing, and the quadruples in lexicographic rank order.
     """
-    pos, crt = rs.positive_roots, rs.coroot_of
+    pos, cop = rs.positive_roots, rs.copairing_of
 
     def orth(a, b):
-        return rs.coroot_dot(crt[a], crt[b]) == 0
+        # <a, b-vee> = sum_k a_k <alpha_k, b-vee>, zero iff (a, b) is
+        return not sum(map(mul, a, cop[b]))
 
     n = len(pos)
     for i in range(n):

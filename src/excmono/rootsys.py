@@ -125,11 +125,6 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(dynkin_components(self.cartan)) == 1
 
-    def coroot_dot(self, v, w) -> int:
-        g = self.form_gram
-        r = self.rank
-        return sum(v[i] * g[i][j] * w[j] for i in range(r) for j in range(r))
-
     def two_rho_coroot(self):
         """2 rho-vee: sum of the positive coroots (kept doubled => integral)."""
         return tuple(map(sum, zip(*(self.coroot_of[t]

@@ -86,7 +86,6 @@ class TildeGroup:
                   a, norm)
             self._norm[a] = norm
         self._bits = n - 1
-        self._odd_set = odd_sets(rank)
         self.radical_basis = gf2_nullspace(gram_rows, rank)
         self._check_laws()
 
@@ -95,10 +94,6 @@ class TildeGroup:
     def pairing(self, a: int, b: int) -> int:
         """(a, b) mod 2."""
         return (self._pair_mask[a] & b).bit_count() & 1
-
-    def pairing_row(self, a: int) -> int:
-        """{b : (a, b) odd} as a 2^r-bit int: bit b is (a, b) mod 2."""
-        return self._odd_set[self._pair_mask[a]]
 
     def _beta(self, a: int, b: int) -> int:
         return (self._cocycle_mask[a] & b).bit_count() & 1
@@ -122,16 +117,20 @@ class TildeGroup:
 
     def _check_laws(self) -> None:
         """Both laws for every pair (a, b), one row of 2^r pairs (a, b) per
-        run of each check.  With beta bilinear, the square of (+, a) is
+        run of each check, the pairs the commutator rows covered counted
+        in `pairs_checked`.  With beta bilinear, the square of (+, a) is
         beta(a, a) and the commutator of (+, a) and (+, b) is
         beta(a, b) + beta(b, a)."""
-        odd = self._odd_set
-        for a in range(1 << self.r):
+        n = 1 << self.r
+        odd = odd_sets(self.r)
+        self.pairs_checked = 0
+        for a in range(n):
             check("square-law", self._beta(a, a) == (self._norm[a] >> 1) & 1,
                   "square law broken by the cocycle at class {:#b}", a)
             check("commutator-law", odd[self._cocycle_mask[a]] ^ odd[
                 self._cocycle_t_mask[a]] == odd[self._pair_mask[a]],
                 "commutator law broken in row {:#b}", a)
+            self.pairs_checked += n
 
     # ------------------------------------------------------------ radical --
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from operator import add
 from time import perf_counter
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ from .affine_k import (K_TYPE_TABLE, k_fundamental_quotient,
 from .chevalley import BUDGET_LABELS, QM_EXPECT, quasiminuscule_dims
 from .obs import check, clear_caches
 from .rootsys import root_system
-from .twogroup import build_tilde_group, odd_sets
+from .twogroup import build_tilde_group
 
 TORSION_LABELS = ("B3", "B4", "B5", "B6", "B7", "D4", "D6", "D8",
                   "E7", "E8", "F4", "G2")
@@ -75,42 +74,12 @@ def criterion_lattice_quotients(seed=0):
     return {"torsion": torsion, "free_rank": free, "c_alpha_prime": coeffs}
 
 
-def _form_tables(rs, r):
-    """Per-bitmask norms and pairing parities from the gram, each mask a
-    grown from a without its lowest bit i, x below: (x + e_i, x + e_i) =
-    (x, x) + 2 (x, e_i) + (e_i, e_i), the parity row gains row i of the
-    gram mod 2, and the cross vector ((x, e_j))_j gains row i."""
-    gram = rs.form_gram
-    rows = [sum(1 << j for j, v in enumerate(row) if v % 2) for row in gram]
-    norms, parity, cross = [0], [0], [(0,) * r]
-    for a in range(1, 1 << r):
-        i = (a & -a).bit_length() - 1
-        x = a & (a - 1)
-        norms.append(norms[x] + 2 * cross[x][i] + gram[i][i])
-        parity.append(parity[x] ^ rows[i])
-        cross.append(tuple(map(add, cross[x], gram[i])))
-    return norms, parity
-
-
 def criterion_tilde_laws(seed=0):
     radical = {}
     pairs_checked = 0
     for label in COVERED_LABELS:
-        rs = root_system(label)
-        tg = build_tilde_group(rs)   # construction checks both group laws
-        norms, parity = _form_tables(rs, tg.r)
-        for a in range(1 << tg.r):
-            check("even-norm-from-gram", norms[a] % 2 == 0,
-                  "{}: class {:#b} has odd norm", label, a)
-            check("q-from-gram", tg.q(a) == (-1 if (norms[a] // 2) % 2 else 1),
-                  "{}: q({:#b}) against the norm {}", label, a, norms[a])
-        # each pairing row against the parity row of the Gram table, as
-        # 2^r-bit sets of b
-        odd = odd_sets(tg.r)
-        for a in range(1 << tg.r):
-            check("pairing-from-gram", tg.pairing_row(a) == odd[parity[a]],
-                  "{}: pairing row {:#b}", label, a)
-            pairs_checked += 1 << tg.r
+        # construction checks even norms and both group laws, row by row
+        pairs_checked += build_tilde_group(root_system(label)).pairs_checked
         size = twogroup.atilde_result(label)["radical_size"]
         radical[label] = size
         check("radical-is-z(g)[2]", size == CENTER_EXPECT[label][1],

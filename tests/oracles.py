@@ -17,10 +17,12 @@ columns replaced, the longest-element matrix, tuple-difference simple
 system, scan-every-row rank and per-solution generation flags that the
 pairing descent, root keys, column index and centralizer orbits
 replaced, the per-element centralizer scan that the Schreier generators
-replaced, the double-sum Gram tables that the lowest-bit recurrence
-replaced, the per-entry extension rows that the a1 lab's bytes gathers,
-pair table and half walk replaced, the Coxeter number, and plain matrix
-powers, F2 ranks and a quadruple survey for the rest.
+replaced, the double-sum Gram tables that the two-group's top-bit
+recurrence replaced, the Gram double sum that the copairing
+orthogonality test replaced, the per-entry extension rows that the a1
+lab's bytes gathers, pair table and half walk replaced, the Coxeter
+number, and plain matrix powers, F2 ranks, a quadruple enumeration and
+a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -83,9 +85,10 @@ def list_extension_table(index) -> tuple:
 
 
 def double_sum_form_tables(rs, r):
-    """`verify._form_tables` straight from the gram: each norm and each
-    parity bit a double sum over the bits of the mask, the route that the
-    recurrence on the lowest bit replaced."""
+    """The norms and pairing masks that `twogroup.TildeGroup` tabulates,
+    straight from the gram: each norm and each parity bit a double sum
+    over the bits of the mask, the route that the recurrence on the top
+    bit replaced."""
     gram = rs.form_gram
     norms, parity = [], []
     for a in range(1 << r):
@@ -133,7 +136,7 @@ def invariant_form(alg, i: int, j: int) -> int:
         a, b = alg.roots[i - r], alg.roots[j - r]
         if all(x + y == 0 for x, y in zip(a, b)):
             cr = alg.rs.coroot_of[a]
-            return alg.rs.coroot_dot(cr, cr)
+            return coroot_dot(alg.rs, cr, cr)
     return 0
 
 
@@ -202,7 +205,7 @@ class TupleConstants:
 
     def norm(self, a):
         cr = self.rs.coroot_of[a]
-        return self.rs.coroot_dot(cr, cr)
+        return coroot_dot(self.rs, cr, cr)
 
     def string_p(self, a, b) -> int:
         p, cur = 0, _vec_sub(b, a)
@@ -259,6 +262,17 @@ def ad_rows(alg, x):
 def dense_centralizer_dim(alg, x) -> int:
     """dim g - rank ad(x), the rank taken on the dense rows of ad(x)."""
     return alg.dim - integer_rank(sparse_rows(ad_rows(alg, x)))
+
+
+def quadruples_by_gram(rs) -> list:
+    """Every quadruple of pairwise orthogonal positive roots, each pair
+    tested by `coroot_dot` on its coroots, in `orthogonal_quadruples`'s
+    order."""
+    pos = rs.positive_roots
+    orth = {(a, b) for a, b in itertools.combinations(pos, 2)
+            if coroot_dot(rs, rs.coroot_of[a], rs.coroot_of[b]) == 0}
+    return [quad for quad in itertools.combinations(pos, 4)
+            if all(pair in orth for pair in itertools.combinations(quad, 2))]
 
 
 def quadruple_dim_survey(alg, limit: int):
@@ -318,6 +332,13 @@ def pair(rs, root, coroot):
     a, r = rs.cartan, rs.rank
     return sum(root[i] * a[i][j] * coroot[j] for i in range(r)
                for j in range(r))
+
+
+def coroot_dot(rs, v, w) -> int:
+    """(v, w) for coroot-lattice vectors, summed over the Gram matrix: the
+    route that the orthogonality test on copairings replaced."""
+    g, r = rs.form_gram, rs.rank
+    return sum(v[i] * g[i][j] * w[j] for i in range(r) for j in range(r))
 
 
 def coxeter_number(rs) -> int:
@@ -702,11 +723,16 @@ def loop_beta(tg, a: int, b: int) -> int:
     return _row_form(form_rows(tg)[1], a, b)
 
 
-def loop_q(tg, a: int) -> int:
-    """(-1)^((a,a)/2) from the double sum over the bits of a."""
+def loop_norm(tg, a: int) -> int:
+    """(a, a), the double sum over the bits of a."""
     g, r = tg.rs.form_gram, tg.r
-    norm = sum(g[i][j] for i in range(r) for j in range(r)
+    return sum(g[i][j] for i in range(r) for j in range(r)
                if (a >> i) & 1 and (a >> j) & 1)
+
+
+def loop_q(tg, a: int) -> int:
+    """(-1)^((a,a)/2) from `loop_norm`."""
+    norm = loop_norm(tg, a)
     assert norm % 2 == 0, (a, norm)
     return -1 if (norm // 2) % 2 else 1
 

@@ -7,6 +7,7 @@ O(n^2), reverify the ramification orders of f symbolically over Q, and
 freeze a handful of records computed once with both methods agreeing.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import excmono
 from excmono import a1lab, obs
@@ -242,6 +244,18 @@ def test_lefschetz_identity_every_fiber(q):
             assert gauss_mul(t, gauss_conj(t))[0] <= 4 * q
 
 
+@given(st.integers(1, 10 ** 9), st.data())
+def test_genus_3_weil_bound_follows_from_the_fiber_checks(q, data):
+    # |t1|^2 <= 4q (weil-bound) leaves |Re t1| <= 2 sqrt(q), t2^2 <= 4q
+    # (genus-1-hasse-bound), and lefschetz-identity with t3 = conj(t1)
+    # gives n - q - 1 = 2 Re t1 + t2: so |n - q - 1| <= 6 sqrt(q)
+    bound = math.isqrt(4 * q)
+    t1_re = data.draw(st.integers(-bound, bound))
+    t2 = data.draw(st.integers(-bound, bound))
+    n = q + 1 + 2 * t1_re + t2
+    assert (n - q - 1) ** 2 <= 36 * q
+
+
 @pytest.mark.parametrize("q,lam", [(5, 2), (5, 3), (13, 3), (17, 9), (29, 7)])
 def test_counts_match_naive_oracle(q, lam):
     ctx = FiniteFieldCtx(q)
@@ -257,7 +271,7 @@ def test_fiber_sizes_match_character_sums(q, lam):
         v = values[x]
         k = ctx.index[v]
         char_sum = gauss_sum(i_power(j * k) for j in range(4))
-        assert char_sum[1] == 0 and char_sum[0] == size
+        assert char_sum[1] == 0 and char_sum[0] == size == ctx.fiber_size[k]
         assert size in (0, 4)
 
 

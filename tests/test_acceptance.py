@@ -51,6 +51,9 @@ def test_criterion_3_tilde_laws():
     obs.clear_caches()
     details, dt = timed(verify.criterion_tilde_laws)
     assert report(3, "two-group laws and radical", True, dt, 0.5), details
+    # each group's law checks cover all 2^r * 2^r pairs
+    assert details["pairs_checked"] == sum(
+        4 ** root_system(label).rank for label in verify.COVERED_LABELS)
 
 
 def test_criterion_4_center_table():
@@ -62,7 +65,7 @@ def test_criterion_4_center_table():
 def test_criterion_5_chevalley():
     obs.clear_caches()
     details, crit_dt = timed(verify.criterion_chevalley)
-    # the E8 values again, from a cold cache, on their own budget
+    # the E8 values again, from a cold cache, within the same budget
     obs.clear_caches()
     t0 = time.perf_counter()
     alg = build_algebra("E8")
@@ -74,9 +77,8 @@ def test_criterion_5_chevalley():
              and chevalley.monodromy_result("E8", 0, 0)["budget"]
              == {"d0": 120, "d1": 8, "dinf": 120})
     e8_dt = time.perf_counter() - t0
-    passed = crit_dt < 10.0 and e8_ok and e8_dt < 120.0
-    assert report(5, "Chevalley centralizers", passed,
-                  crit_dt + e8_dt, 130.0), details
+    assert report(5, "Chevalley centralizers", e8_ok,
+                  crit_dt + e8_dt, 5.0), details
 
 
 def test_criterion_6_quasiminuscule():
@@ -104,7 +106,7 @@ def test_criterion_9_determinism():
     passed = (first.returncode == 0 and second.returncode == 0
               and first.stdout == second.stdout
               and stdout_digest(first.stdout) == GOLDEN["verify-all"])
-    assert report(9, "byte-stable manifests", passed, dt, 120.0), (
+    assert report(9, "byte-stable manifests", passed, dt, 10.0), (
         first.returncode, second.returncode)
 
 

@@ -19,6 +19,7 @@ from excmono.chevalley import (
     _natural_so_matrix,
     build_algebra,
     kappa_fixed_dim,
+    orthogonal_quadruples,
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
     v_class_centralizer,
@@ -26,11 +27,13 @@ from excmono.chevalley import (
 from excmono.rootsys import root_system
 from oracles import (
     TupleConstants,
+    coroot_dot,
     coxeter_number,
     dense_centralizer_dim,
     invariant_form,
     pair,
     quadruple_dim_survey,
+    quadruples_by_gram,
 )
 
 ALL_TYPES = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
@@ -137,7 +140,7 @@ def test_triple_sum_zero_identity(label):
 
     def cn(a):
         cr = rs.coroot_of[alg.roots[a]]
-        return rs.coroot_dot(cr, cr)
+        return coroot_dot(rs, cr, cr)
 
     for a in range(len(alg.roots)):
         for b in range(len(alg.roots)):
@@ -293,6 +296,15 @@ def test_v_class_centralizer(label):
     assert w.centralizer_dim > alg.rank
 
 
+@pytest.mark.parametrize("label, count", [
+    ("G2", 0), ("D4", 3), ("D6", 225), ("E7", 4725)])
+def test_orthogonal_quadruples_match_the_gram_route(label, count):
+    rs = root_system(label)
+    quads = list(orthogonal_quadruples(rs))
+    assert quads == quadruples_by_gram(rs)
+    assert len(quads) == count
+
+
 def test_v_class_witnesses_are_orthogonal_in_e_types():
     for label in ("E7", "E8"):
         alg = build_algebra(label)
@@ -303,8 +315,8 @@ def test_v_class_witnesses_are_orthogonal_in_e_types():
         assert list(quad) == sorted(quad, key=lambda a: (sum(a), a))
         for i in range(4):
             for j in range(i + 1, 4):
-                assert rs.coroot_dot(rs.coroot_of[quad[i]],
-                                     rs.coroot_of[quad[j]]) == 0
+                assert coroot_dot(rs, rs.coroot_of[quad[i]],
+                                  rs.coroot_of[quad[j]]) == 0
 
 
 def test_quadruple_survey_sees_two_values():

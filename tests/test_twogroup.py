@@ -22,6 +22,7 @@ from oracles import (
     law_failures,
     loop_beta,
     loop_mul,
+    loop_norm,
     loop_pairing,
     loop_q,
 )
@@ -88,10 +89,18 @@ def test_polarization_identity_exhaustive(label):
             assert lhs == q[a ^ b] * q[a] * q[b]
 
 
+def pair_mask_by_loops(tg, a):
+    """The mask of (a, -) mod 2 from the per-call pairing loop."""
+    return sum(loop_pairing(tg, a, 1 << j) << j for j in range(tg.r))
+
+
+# the two row-loop tests together cover every type of verify.COVERED_LABELS
 @pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
 def test_form_tables_match_row_loops_exhaustive(label):
     tg = group(label)
     for a in range(1 << tg.r):
+        assert tg._norm[a] == loop_norm(tg, a)
+        assert tg._pair_mask[a] == pair_mask_by_loops(tg, a)
         assert tg.q(a) == loop_q(tg, a)
         for b in range(1 << tg.r):
             assert tg.pairing(a, b) == loop_pairing(tg, a, b)
@@ -100,10 +109,9 @@ def test_form_tables_match_row_loops_exhaustive(label):
 
 @pytest.mark.parametrize("label", verify.COVERED_LABELS)
 def test_gram_tables_by_recurrence_match_the_double_sums(label):
-    # criterion 3's norms and parity rows, grown one lowest bit at a time
-    rs = root_system(label)
-    assert verify._form_tables(rs, rs.rank) == double_sum_form_tables(
-        rs, rs.rank)
+    # the group's norms and pairing masks, grown one top bit at a time
+    tg = group(label)
+    assert (tg._norm, tg._pair_mask) == double_sum_form_tables(tg.rs, tg.r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,6 +120,8 @@ def test_form_tables_match_row_loops_sampled(data):
     tg = group(data.draw(st.sampled_from(["D8", "E7", "E8"])))
     bits = st.integers(0, (1 << tg.r) - 1)
     a, b = data.draw(bits), data.draw(bits)
+    assert tg._norm[a] == loop_norm(tg, a)
+    assert tg._pair_mask[a] == pair_mask_by_loops(tg, a)
     assert tg.q(a) == loop_q(tg, a)
     assert tg.pairing(a, b) == loop_pairing(tg, a, b)
     assert tg._beta(a, b) == loop_beta(tg, a, b)
@@ -129,9 +139,11 @@ def test_odd_sets_match_parities(r):
 
 @pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
 def test_pairing_rows_match_pairings(label):
+    # the commutator law's pairing row of a, {b : (a, b) odd}
     tg = group(label)
+    odd = odd_sets(tg.r)
     for a in range(1 << tg.r):
-        row = tg.pairing_row(a)
+        row = odd[tg._pair_mask[a]]
         assert all((row >> b) & 1 == loop_pairing(tg, a, b)
                    for b in range(1 << tg.r))
 
