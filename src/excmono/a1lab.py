@@ -4,24 +4,25 @@ Everything is integer arithmetic.  A value of the quartic character chi
 is the exponent k of i^k, k in 0..3, with k = 4 standing for chi(0) = 0;
 `FiniteFieldCtx.index` holds it for every element of F_p.  Sums of such
 values are Gaussian integers, kept as (re, im) int pairs whose terms are
-read from `arith.UNIT_RE` and `arith.UNIT_IM`.  All consistency
-identities (point counts, Weil bounds, symmetric-square integrality) are
-checked exactly, never with floats, through `obs.check`, which raises
-CheckFailed even under `python -O`.  The symmetric-square traces read
-t1 alone, since `trace_sums` checks t3 = conj(t1) (see `sym2_trace`).
+read from `arith.UNIT_RE` and `arith.UNIT_IM`.  The Weil bounds, the
+Legendre count and symmetric-square integrality are checked exactly,
+never with floats, through `obs.check`, which raises CheckFailed even
+under `python -O`; t3 = conj(t1), t2 real and the point count hold by
+algebra on the character counts, so they are read, not checked.
 
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
 
 Per fiber, `fiber_values` evaluates f once at each unramified x through
-the context's table of inverses; t1, t2, t3, the point count and the
-Legendre count are O(p) table lookups over those values.  The F_{p^2}
-sums of one prime come for every lambda at once from one exact cyclic
-correlation per row of F_{p^2} = F_p + F_p*w (`extension_sums`), each
-row a bytes gather and each correlation a Kronecker-packed big-int
-product: a scan costs O(p^2) table steps, not the direct O(p^3).  In a
-fresh process on a 2-core machine, q = 101 takes about 0.1 s (mostly
-interpreter start) and q = 1021 about 0.9 s.
+the context's table of inverses; the counts of each character value,
+which give t1, t2, t3 and the point count, and the Legendre count are
+O(p) table lookups over those values.  The F_{p^2} sums of one prime
+come for every lambda at once from one exact cyclic correlation per row
+of F_{p^2} = F_p + F_p*w (`extension_sums`), each row a bytes gather and
+each correlation a Kronecker-packed big-int product: a scan costs O(p^2)
+table steps, not the direct O(p^3).  In a fresh process on a 2-core
+machine, q = 101 takes about 0.1 s (mostly interpreter start) and
+q = 1021 about 0.9 s.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 from .arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
 from .obs import check, memo
 
-_RAMIFIED = 4  # x in {0, 1, 1/lam, infinity}, one point each on the 4-cover
+_RAMIFIED = 4  # x in {0, 1, 1/lam, infinity}, one point over each
 
 
 class FiniteFieldCtx:
@@ -40,8 +41,7 @@ class FiniteFieldCtx:
 
     Elements are ints mod p; chi(z) = i^index[z], where index[z] is the
     discrete log of z to the least primitive root, mod 4, and index[0] = 4.
-    inverse[z] is 1/z for every unit z (inverse[0] = 0), and fiber_size[k]
-    the number of points over an unramified x with f(x) of index k.
+    inverse[z] is 1/z for every unit z (inverse[0] = 0).
     """
 
     def __init__(self, p: int):
@@ -60,12 +60,6 @@ class FiniteFieldCtx:
         counts = [self.index.count(k) for k in range(4)]
         check("character-order-4", counts == [(p - 1) // 4] * 4,
               "character is not of exact order 4: {}", counts)
-        # 1 + chi + chi^2 + chi^3 at chi = i^k, for each index k in 0..3
-        sizes = [_power_sum((1, 1, 1, 1), k) for k in range(4)]
-        check("fiber-size-0-or-4", all(im == 0 and re in (0, 4)
-                                       for re, im in sizes),
-              "fiber sizes {} are not all 0 or 4", sizes)
-        self.fiber_size = [re for re, _ in sizes]
         # square_roots[v] = #{y : y^2 = v}, for the Legendre count
         self.square_roots = [0] * p
         for y in range(p):
@@ -104,29 +98,18 @@ def _power_sum(counts, j: int):
 
 def trace_sums(ctx: FiniteFieldCtx, values):
     """(t1, t2, t3): character sums of chi^j over the `fiber_values`, as
-    (re, im) pairs, from the number of values of each index k."""
+    (re, im) pairs, from the counts c_k of values of each index k.
+
+    For any counts, t3 = conj(t1) as i^(3k) = conj(i^k), t2 is real as
+    i^(2k) = +-1, and the smooth 4-cover has n = q + 1 + 2 Re t1 + t2
+    points: sum_{j=0..3} i^(jk) = 4[k = 0] of them lie over an x with f(x)
+    of index k and one over each ramified x, so n = 4 + sum_j sum_k c_k
+    i^(jk) = 4 + (q - 3) + t1 + t2 + t3.
+    """
     ks = bytes(map(ctx.index.__getitem__, values))
     counts = [ks.count(k) for k in range(4)]
-    t1, t2, t3 = (_power_sum(counts, j) for j in (1, 2, 3))
-    check("t3-is-conj-t1", t3 == (t1[0], -t1[1]),
-          "t3 = {} is not conj(t1), t1 = {}", t3, t1)
-    check("t2-real", t2[1] == 0, "t2 = {} is not real", t2)
-    return t1, t2, t3
-
-
-def smooth_point_count(ctx: FiniteFieldCtx, values) -> int:
-    """Points of the smooth projective 4-cover over F_q.
-
-    Each unramified fiber has size sum_{j=0..3} chi^j(f(x)), read from
-    `ctx.fiber_size`; the four ramified x contribute one point each.
-    `values` are the `fiber_values`.  No bound is checked here:
-    `compute_record` checks |t1|^2 <= 4q, t2^2 <= 4q and the Lefschetz
-    identity n = q + 1 + 2 Re t1 + t2, so the genus-3 Weil bound
-    |n - q - 1| <= 6 sqrt(q) follows.
-    """
-    # f vanishes at no unramified x, so every value has an index in 0..3
-    return _RAMIFIED + sum(map(ctx.fiber_size.__getitem__,
-                               map(ctx.index.__getitem__, values)))
+    t1, t2 = _power_sum(counts, 1), _power_sum(counts, 2)
+    return t1, t2, (t1[0], -t1[1])
 
 
 def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
@@ -161,7 +144,7 @@ def sym2_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     q-normalizes into [-1, 3].  On every fiber tested the eigenvalue pair
     multiplies to exactly +q, which also forces t1 itself to be real.
 
-    t3 is not used again: `trace_sums` has checked t3 = conj(t1), so
+    t3 is not used again: t3 = conj(t1) (see `trace_sums`), so
     (t3^2 + conj(E))/2 is the complex conjugate of (t1^2 + E)/2, and
     equals it once that passes as a rational integer.
 
@@ -344,17 +327,14 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     values = fiber_values(ctx, lam)
     t1, t2, t3 = trace_sums(ctx, values)
     q = ctx.q
-    # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck
+    # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck;
+    # so |n - q - 1| = |2 Re t1 + t2| <= 6 sqrt(q), n as in `trace_sums`
     check("weil-bound", t1[0] ** 2 + t1[1] ** 2 <= 4 * q,
           "Weil bound failed: |{}|^2 > 4q", t1)
-    n = smooth_point_count(ctx, values)
-    re, im = map(sum, zip(t1, t2, t3))
-    check("lefschetz-identity", im == 0 and n == q + 1 + re,
-          "Lefschetz identity failed: {} != {} + 1 + {} + {}i", n, q, re, im)
     legendre_crosscheck(ctx, values, t2)
     ext_sum = extension_sums(ctx)[lam]
     return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
-                       point_count_smooth=n,
+                       point_count_smooth=q + 1 + 2 * t1[0] + t2[0],
                        sym2_trace=sym2_trace(ctx, t1, ext_sum),
                        sym2_symmetric=sym2_symmetric_trace(ctx, t1, ext_sum))
 

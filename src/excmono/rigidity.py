@@ -129,14 +129,16 @@ class FiniteGroup:
         self._tail = _IDENTITY_TABLE[degree:]  # pads an element to a table
         self.elements, self.index = self._closure()
         self.order = len(self.elements)
-        self.classes = self._conjugacy_classes()
+        # x -> s x s^-1, i -> s^-1(x(s(i))): relabel by s^-1, move by s
+        conj = [(s, self.inv(s) + self._tail) for s in self.generators]
+        self.classes, conjugator = self._conjugacy_classes(conj)
         # z is central iff its class is {z}; the class equation checks both
         self.center = [c.rep for c in self.classes if len(c.members) == 1]
         self.class_of = {}
         for ci, cls in enumerate(self.classes):
             for g in cls.members:
                 self.class_of[g] = ci
-        self.centralizers = self._centralizers()
+        self.centralizers = self._centralizers(conj, conjugator)
 
     def _closure(self):
         tables = [s + self._tail for s in self.generators]
@@ -168,13 +170,11 @@ class FiniteGroup:
             n += 1
         return n
 
-    def _conjugacy_classes(self):
+    def _conjugacy_classes(self, conj):
+        """(classes, conjugator): the orbits under `conj`, and for each id
+        x the id of a t_x with x = t_x r t_x^-1, r the class's rep."""
         elements, index, tail = self.elements, self.index, self._tail
-        # x -> s x s^-1, i -> s^-1(x(s(i))): relabel by s^-1, move by s
-        conj = [(s, self.inv(s) + tail) for s in self.generators]
-        # the id of t_x, x = t_x r t_x^-1 for r the representative of the
-        # class of x, for `_centralizer`: y = s x s^-1 gets t_y = s t_x
-        self._conjugator = conjugator = [0] * self.order
+        conjugator = [0] * self.order  # y = s x s^-1 gets t_y = s t_x
         assigned = bytearray(self.order)  # classes are disjoint orbits
         classes = []
         per_order = {}
@@ -198,18 +198,17 @@ class FiniteGroup:
             per_order[o] = per_order.get(o, 0) + 1
             label = f"{o}{chr(ord('A') + per_order[o] - 1)}"
             classes.append(ConjClass(label, members, len(members)))
-        return classes
+        return classes, conjugator
 
-    def _centralizers(self) -> list:
+    def _centralizers(self, conj, conjugator) -> list:
         """C(c.rep) for each class c, and the class equation checked on
         them: each size times its centralizer order is |G|, and the sizes
         sum to |G|.  A class holds distinct conjugates of r and H <= C(r),
         so the first holds only for a complete class and H = C(r)."""
-        conj = [(s, self.inv(s) + self._tail) for s in self.generators]
         centralizers = []
         total = 0
         for cls in self.classes:
-            cent = self._centralizer(cls, conj)
+            cent = self._centralizer(cls, conj, conjugator)
             check("class-equation", cls.size * len(cent) == self.order,
                   "class {}: size {} times centralizer order {} is not the "
                   "group order {}", cls.label, cls.size, len(cent), self.order)
@@ -217,10 +216,9 @@ class FiniteGroup:
             total += cls.size
         check("class-equation", total == self.order, "class sizes sum to {}, "
               "not the group order {}", total, self.order)
-        del self._conjugator
         return centralizers
 
-    def _centralizer(self, cls, conj) -> list:
+    def _centralizer(self, cls, conj, conjugator) -> list:
         """C(r), r = cls.rep, in element order.  An orbit edge x -> y =
         s x s^-1 gives t_y^-1 s t_x, which fixes r, and these generate C(r)
         (Schreier's lemma; Seress, Permutation Group Algorithms, 2003).  A
@@ -228,8 +226,7 @@ class FiniteGroup:
         elements, index, tail = self.elements, self.index, self._tail
         if len(cls.members) == 1:  # r commutes with every generator
             return elements
-        conjugator, r = self._conjugator, cls.rep
-        r_table = r + tail
+        r, r_table = cls.rep, cls.rep + tail
         in_h = bytearray(self.order)
         in_h[0] = 1
         h, tables = [0], []
@@ -245,12 +242,7 @@ class FiniteGroup:
                         c + tail):
                     continue
                 tables.append(c + tail)
-                for j in h:  # grows while it is walked
-                    for t in tables:
-                        k = index[elements[j].translate(t)]
-                        if not in_h[k]:
-                            in_h[k] = 1
-                            h.append(k)
+                self._close_ids(h, in_h, tables, self.order)
         return [elements[k] for k in sorted(h)]
 
     def class_by_label(self, label: str) -> ConjClass:
@@ -264,11 +256,17 @@ class FiniteGroup:
         """Order of <a, b>.  The closure stops once it holds more than half
         the group: by Lagrange no proper subgroup is that large, so <a, b>
         is then the whole group."""
-        elements, index = self.elements, self.index
-        tables = (a + self._tail, b + self._tail)
         seen = bytearray(self.order)
         seen[0] = 1
         found = [0]
+        self._close_ids(found, seen, (a + self._tail, b + self._tail),
+                        self.order // 2)
+        return self.order if 2 * len(found) > self.order else len(found)
+
+    def _close_ids(self, found, seen, tables, limit: int):
+        """Close the ids in `found`, marked in `seen`, under products with
+        the padded `tables`, breadth first; stop once over `limit` ids."""
+        elements, index = self.elements, self.index
         for i in found:  # grows while it is walked
             g = elements[i]
             for t in tables:
@@ -276,9 +274,8 @@ class FiniteGroup:
                 if not seen[j]:
                     seen[j] = 1
                     found.append(j)
-            if 2 * len(found) > self.order:
-                return self.order
-        return len(found)
+            if len(found) > limit:
+                return
 
 
 # ---------------------------------------------------------------- triples

@@ -304,8 +304,6 @@ def odd_irreps(tg: TildeGroup, order=None):
             m_pivots=m_pivots,
             m_character=m_character,
         ))
-    check("sum-of-squares-is-2^r", sum(ir.dimension ** 2 for ir in out)
-          == 1 << r, "odd irrep dimensions do not square-sum to 2^{}", r)
     for i, (re_i, im_i) in enumerate(ir.characters for ir in out):
         for j in range(i, len(out)):
             re_j, im_j = out[j].characters

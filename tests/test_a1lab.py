@@ -30,7 +30,6 @@ from excmono.a1lab import (
     legendre_crosscheck,
     render_csv,
     scan,
-    smooth_point_count,
     sym2_symmetric_trace,
     sym2_trace,
     trace_sums,
@@ -39,7 +38,6 @@ from excmono.a1lab import (
     _extension_table,
 )
 from excmono.arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
-from excmono.obs import CheckFailed
 from oracles import (gauss_conj, gauss_mul, gauss_sum, i_power,
                      list_extension_table)
 
@@ -231,17 +229,41 @@ def test_fiber_values_match_naive_division(q):
 
 @pytest.mark.parametrize("q", ACCEPT_PRIMES)
 def test_lefschetz_identity_every_fiber(q):
+    # the reported n, read from the traces, against y-loops
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
-        values = fiber_values(ctx, lam)
-        t1, t2, t3 = trace_sums(ctx, values)
-        assert t3 == gauss_conj(t1)
-        assert t2[1] == 0
-        n = smooth_point_count(ctx, values)
+        t1, t2, t3 = trace_sums(ctx, fiber_values(ctx, lam))
+        n = compute_record(ctx, lam).point_count_smooth
+        assert n == naive_quartic_count(ctx, lam), lam
         assert n == q + 1 + gauss_sum((t1, t2, t3))[0]
         assert (n - q - 1) ** 2 <= 36 * q  # genus-3 Weil bound
         for t in (t1, t2, t3):
             assert gauss_mul(t, gauss_conj(t))[0] <= 4 * q
+
+
+@given(st.sampled_from([5, 13, 17, 29, 37]), st.data())
+def test_trace_identities_hold_for_any_counts(q, data):
+    # any counts c_k of values of index k with sum q - 3, not only those
+    # of a fiber: t3 = conj(t1) and t2 real need no check, and the
+    # Lefschetz formula is the fourth-root count 4 + sum_x #{y^4 = f(x)}
+    ctx = _context(q)
+    left = q - 3
+    counts = []
+    for _ in range(3):
+        counts.append(data.draw(st.integers(0, left)))
+        left -= counts[-1]
+    counts.append(left)
+    values = [z for k, c in enumerate(counts)
+              for z in [pow(ctx.generator, k, q)] * c]
+    t1, t2, t3 = trace_sums(ctx, values)
+    sums = [gauss_sum(i_power(j * k) for k, c in enumerate(counts)
+                      for _ in range(c)) for j in range(4)]
+    assert (t1, t2, t3) == tuple(sums[1:])
+    assert t3 == gauss_conj(t1) and t2[1] == 0
+    fourth_roots = [sum(pow(y, 4, q) == v for y in range(q))
+                    for v in range(q)]
+    n = 4 + sum(fourth_roots[v] for v in values)
+    assert n == 4 + 4 * counts[0] == q + 1 + 2 * t1[0] + t2[0]
 
 
 @given(st.integers(1, 10 ** 9), st.data())
@@ -259,7 +281,7 @@ def test_genus_3_weil_bound_follows_from_the_fiber_checks(q, data):
 @pytest.mark.parametrize("q,lam", [(5, 2), (5, 3), (13, 3), (17, 9), (29, 7)])
 def test_counts_match_naive_oracle(q, lam):
     ctx = FiniteFieldCtx(q)
-    assert smooth_point_count(ctx, fiber_values(ctx, lam)) == \
+    assert compute_record(ctx, lam).point_count_smooth == \
         naive_quartic_count(ctx, lam)
 
 
@@ -271,8 +293,8 @@ def test_fiber_sizes_match_character_sums(q, lam):
         v = values[x]
         k = ctx.index[v]
         char_sum = gauss_sum(i_power(j * k) for j in range(4))
-        assert char_sum[1] == 0 and char_sum[0] == size == ctx.fiber_size[k]
-        assert size in (0, 4)
+        assert char_sum == (size, 0)
+        assert size == 4 * (k == 0)
 
 
 FROZEN_ROWS = {
@@ -312,7 +334,7 @@ def test_legendre_crosscheck_every_fiber(q):
 # -------------------------------------------------------------------- sym2
 
 @pytest.mark.parametrize("q", ACCEPT_PRIMES)
-def test_sym2_descent_every_fiber(q, monkeypatch):
+def test_sym2_descent_every_fiber(q):
     ctx = FiniteFieldCtx(q)
     for lam in range(2, q):
         values = fiber_values(ctx, lam)
@@ -325,12 +347,6 @@ def test_sym2_descent_every_fiber(q, monkeypatch):
         # longer builds, is the same rational integer
         (c, d), (e, f) = t3, ext_sum
         assert (c * c - d * d + e, 2 * c * d - f) == (2 * s, 0)
-    # a t3 off by 2 is caught where it is made, before any sym2 route
-    power_sum = a1lab._power_sum
-    monkeypatch.setattr(a1lab, "_power_sum", lambda counts, j: gauss_sum(
-        (power_sum(counts, j), (2 * (j == 3), 0))))
-    with pytest.raises(CheckFailed, match="^t3-is-conj-t1: "):
-        trace_sums(ctx, values)
 
 
 @pytest.mark.parametrize("q", [5, 13])

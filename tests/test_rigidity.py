@@ -254,11 +254,11 @@ import sys
 from excmono import rigidity
 from excmono.cli import main
 real = rigidity.FiniteGroup._conjugacy_classes
-def corrupted(self):
-    classes = real(self)
+def corrupted(self, conj):
+    classes, conjugator = real(self, conj)
     c = classes[-1]
     classes[-1] = rigidity.ConjClass(c.label, c.members, c.size + {shift})
-    return classes
+    return classes, conjugator
 rigidity.FiniteGroup._conjugacy_classes = corrupted
 sys.exit(main(["rigid", "--group", "psl2", "--ell", "7"]))
 """
@@ -538,7 +538,10 @@ def test_schreier_centralizers_match_the_per_element_scan(case):
     for cls, cent in zip(g.classes, g.centralizers):
         assert cent == centralizer_by_scan(g, cls.rep), cls.label
     assert g.centralizers[0] is g.elements   # the identity's: not a copy
-    assert not hasattr(g, "_conjugator")     # the transversal is freed
+    # no transversal or conjugation table is kept on the group
+    assert set(vars(g)) == {"generators", "identity", "_tail", "elements",
+                            "index", "order", "classes", "center",
+                            "class_of", "centralizers"}
 
 
 class _Reads(list):
