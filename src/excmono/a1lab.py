@@ -45,7 +45,7 @@ class FiniteFieldCtx:
     """
 
     def __init__(self, p: int):
-        self.p = self.q = p
+        self.p = p
         self.generator = least_primitive_root(p)
         self.index = [4] * p
         self.inverse = [0] * p
@@ -119,9 +119,9 @@ def legendre_crosscheck(ctx: FiniteFieldCtx, values, t2) -> int:
     `values` are the `fiber_values` and t2 the second of `trace_sums`.
     """
     count = _RAMIFIED + sum(map(ctx.square_roots.__getitem__, values))
-    check("legendre-identity", count == ctx.q + 1 + t2[0],
-          "Legendre identity failed: {} != {} + 1 + {}", count, ctx.q, t2[0])
-    check("genus-1-hasse-bound", t2[0] * t2[0] <= 4 * ctx.q,
+    check("legendre-identity", count == ctx.p + 1 + t2[0],
+          "Legendre identity failed: {} != {} + 1 + {}", count, ctx.p, t2[0])
+    check("genus-1-hasse-bound", t2[0] * t2[0] <= 4 * ctx.p,
           "genus-1 Hasse bound failed: t2 = {}", t2)
     return count
 
@@ -152,9 +152,9 @@ def sym2_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     entry of `extension_sums(ctx)`.
     """
     s = _sym2_half(t1, ext_sum, 1)
-    check("sym2-divisible-by-q", s % ctx.q == 0,
+    check("sym2-divisible-by-q", s % ctx.p == 0,
           "eigenvalue product {} not divisible by q", s)
-    check("sym2-range", -ctx.q <= s <= 3 * ctx.q,
+    check("sym2-range", -ctx.p <= s <= 3 * ctx.p,
           "eigenvalue product {} outside [-q, 3q]", s)
     return s
 
@@ -168,7 +168,7 @@ def sym2_symmetric_trace(ctx: FiniteFieldCtx, t1, ext_sum) -> int:
     by q is imposed here.  `t1` and `ext_sum` are as in `sym2_trace`.
     """
     s = _sym2_half(t1, ext_sum, -1)
-    check("sym2-symmetric-range", -ctx.q <= s <= 3 * ctx.q,
+    check("sym2-symmetric-range", -ctx.p <= s <= 3 * ctx.p,
           "symmetric-square trace {} outside [-q, 3q]", s)
     return s
 
@@ -326,7 +326,7 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     """The record of the fiber at lam, in 2 .. q - 1 as in `fiber_values`."""
     values = fiber_values(ctx, lam)
     t1, t2, t3 = trace_sums(ctx, values)
-    q = ctx.q
+    q = ctx.p
     # t3 = conj(t1), and t2 meets the Hasse bound in legendre_crosscheck;
     # so |n - q - 1| = |2 Re t1 + t2| <= 6 sqrt(q), n as in `trace_sums`
     check("weil-bound", t1[0] ** 2 + t1[1] ** 2 <= 4 * q,

@@ -71,7 +71,7 @@ def _load_file_group(path: str):
     """The `FiniteGroup` of a `file:` input; ValueError unless its shape
     is right and every generator is invertible."""
     from .arith import is_prime
-    from .rigidity import FiniteGroup, MatrixRep
+    from .rigidity import MAX_POINTS, FiniteGroup, MatrixRep
     try:
         with open(path) as fh:
             blob = json.load(fh)
@@ -87,8 +87,10 @@ def _load_file_group(path: str):
                          "only p, n, generators, scalars")
     if not _is_int(p) or not is_prime(p):
         raise ValueError(f"{path}: p = {p!r} is not a prime")
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"{path}: n = {n!r} is not an integer >= 1")
+    # the n basis vectors are n points of the frame orbit
+    if not _is_int(n) or not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"{path}: n = {n!r} is not an integer in 1 .. "
+                         f"{MAX_POINTS}")
     if not isinstance(gens, list) or not all(
             isinstance(g, list) and len(g) == n * n and all(map(_is_int, g))
             for g in gens):

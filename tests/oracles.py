@@ -9,20 +9,20 @@ the lex-least scalar multiple that the projective canonical form
 replaced, the matrix inverse by elimination that the frame-orbit
 permutations replaced as the test for a singular generator, exact
 Gaussian integers as (re, im) int pairs, the per-call form loops,
-per-pair law replay and echelon routine the two-group tables and row
-checks replaced, the `Fraction` alcove fold the integer fold replaced,
-the tuple reflection closure, tuple-keyed structure constants and dense
-ad(x) rank that the carried pairings, root positions and sparse bracket
-columns replaced, the longest-element matrix, tuple-difference simple
-system, scan-every-row rank and per-solution generation flags that the
-pairing descent, root keys, column index and centralizer orbits
-replaced, the per-element centralizer scan that the Schreier generators
-replaced, the double-sum Gram tables that the two-group's top-bit
-recurrence replaced, the Gram double sum that the copairing
-orthogonality test replaced, the per-entry extension rows that the a1
-lab's bytes gathers, pair table and half walk replaced, the Coxeter
-number, and plain matrix powers, F2 ranks, a quadruple enumeration and
-a quadruple survey for the rest.
+per-pair law replay, bitslice odd sets and echelon routine the two-group
+tables and row checks replaced, the `Fraction` alcove fold the integer
+fold replaced, the tuple reflection closure, tuple-keyed structure
+constants and dense ad(x) rank that the carried pairings, root positions
+and sparse bracket columns replaced, the longest-element matrix,
+tuple-difference simple system, scan-every-row rank and per-solution
+generation flags that the pairing descent, root keys, column index and
+centralizer orbits replaced, the per-element centralizer scan that the
+Schreier generators replaced, the double-sum Gram tables that the
+two-group's top-bit recurrence replaced, the Gram double sum that the
+copairing orthogonality test replaced, the per-entry extension rows that
+the a1 lab's bytes gathers, pair table and half walk replaced, the
+Coxeter number, and plain matrix powers, F2 ranks, a quadruple
+enumeration and a quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -757,6 +757,20 @@ def law_failures(tg, pairs) -> list:
                 or comm != (minus if loop_pairing(tg, a, b) else 0)):
             bad.append((a, b))
     return bad
+
+
+def odd_sets(r: int) -> list:
+    """For each r-bit mask m, the set {b < 2^r : m.b odd} as a 2^r-bit int
+    (bit b set), grown from m with its top bit j removed by XOR with
+    B_j = {b : bit j of b is 1}: the bitslice layout in which the
+    commutator law of a row was one big-int compare."""
+    n = 1 << r
+    basis = [sum(1 << b for b in range(n) if (b >> j) & 1) for j in range(r)]
+    out = [0] * n
+    for m in range(1, n):
+        j = m.bit_length() - 1
+        out[m] = out[m ^ (1 << j)] ^ basis[j]
+    return out
 
 
 def echelonize(vectors):

@@ -15,6 +15,7 @@ from excmono import affine_k, twogroup
 from excmono.a1lab import render_csv, scan
 from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
 from excmono.cli import build_parser, main
+from excmono.rigidity import MAX_POINTS
 from oracles import GOLDEN, README, readme_group_text, stdout_digest
 
 
@@ -274,6 +275,9 @@ BAD_FILE_GROUPS = {
     "p-not-prime": dict(SL25, p=6),
     "p-not-integer": dict(SL25, p="5"),
     "n-below-one": dict(SL25, n=0, generators=[]),
+    # n basis vectors are n frame points, so n > MAX_POINTS never passes;
+    # refused before the n x n frame is built
+    "n-over-max-points": dict(SL25, n=10 ** 6, generators=[]),
     "generator-wrong-length": dict(SL25, generators=[[1, 1, 0]]),
     "generator-not-integer": dict(SL25, generators=[[1, 1, 0, 1.5]]),
     "generators-missing": {"p": 5, "n": 2},
@@ -316,6 +320,9 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
         assert err.startswith(f"error: {path}: not JSON: "), err
     if case == "cap-not-integer":
         assert err.startswith(f"error: {path}: unknown key 'cap'"), err
+    if case == "n-over-max-points":
+        assert err == (f"error: {path}: n = 1000000 is not an integer in "
+                       f"1 .. {MAX_POINTS}\n"), err
 
 
 # stdout sha256 of rigidity runs larger than the README examples; every

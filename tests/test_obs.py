@@ -173,7 +173,8 @@ RAISE_SITES = [
     ("cli._load_file_group:ValueError", "file: is no JSON object"),
     ("cli._load_file_group:ValueError", "file: has an unknown key"),
     ("cli._load_file_group:ValueError", "file: p is not a prime"),
-    ("cli._load_file_group:ValueError", "file: n is not an integer >= 1"),
+    ("cli._load_file_group:ValueError",
+     "file: n is not an integer in 1 .. MAX_POINTS"),
     ("cli._load_file_group:ValueError",
      "file: generators are not n*n integer lists"),
     ("cli._load_file_group:ValueError", "file: scalars are not units mod p"),

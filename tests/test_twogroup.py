@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from excmono import obs, twogroup, verify
 from excmono.obs import CheckFailed
 from excmono.rootsys import root_system
-from excmono.twogroup import build_tilde_group, odd_irreps, odd_sets
+from excmono.twogroup import build_tilde_group, odd_irreps
 from oracles import (
     double_sum_form_tables,
     gauss_conj,
@@ -25,6 +26,7 @@ from oracles import (
     loop_norm,
     loop_pairing,
     loop_q,
+    odd_sets,
 )
 
 SUPPORTED = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
@@ -148,6 +150,38 @@ def test_pairing_rows_match_pairings(label):
                    for b in range(1 << tg.r))
 
 
+def bitslice_rows_hold(tg, odd):
+    """For each row a, the commutator law as the bitslice compare of the
+    2^r-bit odd sets of its beta row, transposed beta row and pairing row."""
+    return [odd[tg._cocycle_mask[a]] ^ odd[tg._cocycle_t_mask[a]]
+            == odd[tg._pair_mask[a]] for a in range(1 << tg.r)]
+
+
+def mask_rows_hold(tg):
+    """For each row a, the commutator law as the r-bit mask compare."""
+    return [tg._cocycle_mask[a] ^ tg._cocycle_t_mask[a] == tg._pair_mask[a]
+            for a in range(1 << tg.r)]
+
+
+@pytest.mark.parametrize("label", SUPPORTED)
+def test_mask_compare_matches_the_bitslice_compare(label):
+    # mask -> odd set is F2-linear and one-to-one, so the two compares
+    # agree on every row, also once one bit of one table row is flipped
+    tg = twogroup.TildeGroup(root_system(label))
+    odd = odd_sets(tg.r)
+    assert mask_rows_hold(tg) == bitslice_rows_hold(tg, odd)
+    assert all(mask_rows_hold(tg))
+    for table in ("_cocycle_mask", "_cocycle_t_mask", "_pair_mask"):
+        rows = getattr(tg, table)
+        for a in range(1 << tg.r):
+            bit = 1 << (a % tg.r)
+            rows[a] ^= bit
+            held = mask_rows_hold(tg)
+            assert held == bitslice_rows_hold(tg, odd)
+            assert held.count(False) == 1 and not held[a]
+            rows[a] ^= bit
+
+
 @pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
 def test_law_replay_exhaustive(label):
     tg = group(label)
@@ -162,6 +196,19 @@ def test_row_checks_cover_every_pair(label):
     tg = twogroup.TildeGroup(root_system(label))
     runs = {c["name"]: c["runs"] for c in obs.runs()}
     assert runs["square-law"] == runs["commutator-law"] == 1 << tg.r
+
+
+def test_d14_build_stays_small():
+    # the tables are 4 * 2^14 ints of at most 14 bits; the 2^r-bit odd
+    # sets the row check once built took a 36.7 MB peak here
+    rs = root_system("D14")
+    tracemalloc.start()
+    try:
+        twogroup.TildeGroup(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 @settings(max_examples=60, deadline=None)
