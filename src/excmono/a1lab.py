@@ -20,9 +20,7 @@ O(p) table lookups over those values.  The F_{p^2} sums of one prime
 come for every lambda at once from one exact cyclic correlation per row
 of F_{p^2} = F_p + F_p*w (`extension_sums`), each row a bytes gather and
 each correlation a Kronecker-packed big-int product: a scan costs O(p^2)
-table steps, not the direct O(p^3).  In a fresh process on a 2-core
-machine, q = 101 takes about 0.1 s (mostly interpreter start) and
-q = 1021 about 0.9 s.
+table steps, not the direct O(p^3).
 """
 
 from __future__ import annotations
@@ -344,9 +342,11 @@ def _context(q: int) -> FiniteFieldCtx:
     return FiniteFieldCtx(q)
 
 
-# a scan costs O(q^2) table steps; the largest admitted prime, 1021,
-# takes 0.8-1.3 s and 18 MB on a 2-core machine
+# a scan of q costs O(q^2) table steps: MAX_Q bounds each prime, and
+# MAX_SUM_Q2 = 4 MAX_Q^2 the list, which admits the four largest primes
+# together; the README's bounds table gives their measured cost
 MAX_Q = 1 << 10
+MAX_SUM_Q2 = 1 << 22
 
 
 def scan(primes):
@@ -358,6 +358,10 @@ def scan(primes):
                              f"on the a1 prime")
         if not is_prime(q) or q % 4 != 1:
             raise ValueError(f"{q} is not a prime that is 1 mod 4")
+    total = sum(q * q for q in primes)
+    if total > MAX_SUM_Q2:
+        raise ValueError(f"the a1 primes' squares sum to {total}, above the "
+                         f"bound MAX_SUM_Q2 = {MAX_SUM_Q2}")
     return [compute_record(_context(q), lam)
             for q in sorted(primes) for lam in range(2, q)]
 

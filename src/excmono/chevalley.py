@@ -27,7 +27,8 @@ from typing import NamedTuple
 from .affine_k import kappa_character
 from .linalg import integer_rank
 from .obs import check, memo
-from .rootsys import RootSystem, require_covered, root_key, root_system
+from .rootsys import (RootSystem, fold_dominant, require_covered,
+                      root_key, root_system)
 
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 # (dim of the quasi-minuscule representation, dim Y) as in the paper
@@ -176,6 +177,11 @@ class ChevalleyAlgebra:
                             add(k, c * ck)
         return out
 
+    def grading(self, h) -> list:
+        """<alpha, h> for each root alpha, in root order: the eigenvalue of
+        ad(h) on e_alpha, for h in the simple-coroot basis."""
+        return [sum(map(mul, p, h)) for p in self._pairings]
+
     def centralizer_dim(self, x: dict) -> int:
         """dim g - rank ad(x), whose columns are the brackets [x, e_j]."""
         return self.dim - integer_rank(
@@ -237,23 +243,54 @@ class VClassWitness(NamedTuple):
 
 
 def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
-    """The v-class witness of a `BUDGET_LABELS` type: G2, D or E."""
+    """The v-class witness of a `BUDGET_LABELS` type: G2, D or E.
+
+    Each letter picks pairwise strongly orthogonal roots beta, and the
+    witness is e = sum of e_beta.  With h = sum of beta-vee and f = sum
+    of e_-beta, (e, h, f) is an sl2-triple, so dim g^e = dim g_0 + dim
+    g_1 for the grading g_j = {x : [h, x] = j x}, that is rank +
+    #{alpha : <alpha, h> in {0, 1}} (Collingwood and McGovern, Nilpotent
+    Orbits in Semisimple Lie Algebras, 1993, ch. 3).  The check compares
+    that count with the rank of ad(e) and #Phi/2.  For D the labels of
+    h folded to the dominant chamber, its weighted Dynkin diagram, also
+    name the class.
+    """
     rs = alg.rs
-    target = len(alg.roots) // 2
+    diagram = None
     if rs.letter == "G":
         # short root: its coroot is long
         top = max(rs.norm_of.values())
-        short = next(a for a in rs.positive_roots if rs.norm_of[a] == top)
-        v = {alg.index[short]: 1}
-        dim = alg.centralizer_dim(v)
-        witness = VClassWitness("short root vector", (short,), dim)
+        roots = (next(a for a in rs.positive_roots if rs.norm_of[a] == top),)
+        description = "short root vector"
     elif rs.letter == "E":
-        witness = _orthogonal_quadruple_search(alg, target)
+        roots = next(orthogonal_quadruples(rs))
+        description = "sum over an orthogonal quadruple (candidate #1)"
     else:
-        witness = _d_type_v_class(alg)
-    check("v-class-centralizer", witness.centralizer_dim == target, "v-class "
-          "prediction failed for {}: centralizer {} != {}", rs.label,
-          witness.centralizer_dim, target)
+        # partition (3, 2, ..., 2, 1) of so(2m), m even:
+        # X(e1+e2) + X(e1-e2) + X(e3-e4) + ... + X(e_{m-1}-e_m), whose h
+        # folds to epsilon coordinates (2, 1, ..., 1, 0): labels
+        # (1, 0, ..., 0, 1, 1)
+        m = rs.rank
+        roots = (rs.highest_root()[0], *rs.simple_roots[0:m - 1:2])
+        description = f"Jordan type {(3, *[2] * (m - 2), 1)} nilpotent"
+        diagram = [1, *[0] * (m - 3), 1, 1]
+    witness = VClassWitness(description, roots, alg.centralizer_dim(
+        {alg.index[b]: 1 for b in roots}))
+    h = [sum(c) for c in zip(*(rs.coroot_of[b]
+                               for b in witness.root_combination))]
+    labels = alg.grading(h)
+    graded = alg.rank + labels.count(0) + labels.count(1)
+    target = len(alg.roots) // 2
+    check("v-class-centralizer", witness.centralizer_dim == graded == target,
+          "v-class prediction failed for {}: centralizer {}, graded {}, "
+          "want {}", rs.label, witness.centralizer_dim, graded, target)
+    if diagram is not None:
+        # D is simply laced: the labels of h fold as a weight's pairings
+        folded = fold_dominant(rs.cartan, [labels[alg.index[s] - alg.rank]
+                                           for s in rs.simple_roots])
+        check("v-class-weighted-diagram", folded == diagram,
+              "{}: weighted Dynkin diagram {} != {}", rs.label, folded,
+              diagram)
     return witness
 
 
@@ -281,92 +318,6 @@ def orthogonal_quadruples(rs: RootSystem):
                     quad = (pos[i], pos[j], pos[k], pos[l])
                     if all(orth(quad[t], quad[3]) for t in range(3)):
                         yield quad
-
-
-def _orthogonal_quadruple_search(alg: ChevalleyAlgebra, target: int):
-    """Lexicographically first orthogonal quadruple of positive roots
-    whose root-vector sum centralizes exactly `target` dimensions, or the
-    last one tried if none does (E7 and E8 have quadruples), which then
-    fails the v-class check."""
-    rs = alg.rs
-    for tried, quad in enumerate(orthogonal_quadruples(rs), 1):
-        dim = alg.centralizer_dim({alg.index[a]: 1 for a in quad})
-        if dim == target:
-            break
-    return VClassWitness(
-        f"sum over an orthogonal quadruple (candidate #{tried})", quad, dim)
-
-
-def _d_type_v_class(alg: ChevalleyAlgebra):
-    """Partition (3, 2, ..., 2, 1) nilpotent for so(2m), m even.
-
-    In epsilon coordinates the representative is
-    X(e1+e2) + X(e1-e2) + X(e3-e4) + ... + X(e_{m-1}-e_m); its Jordan type
-    in the natural representation is verified before the adjoint kernel is
-    measured.
-    """
-    rs = alg.rs
-    m = rs.rank
-    theta = rs.highest_root()[0]           # = e1 + e2
-    combo = [theta, rs.simple_roots[0]]    # e1 - e2
-    for i in range(2, m - 1, 2):
-        combo.append(rs.simple_roots[i])   # e_{2t+1} - e_{2t+2}
-    eps_pairs = [(1, -2)] + [(1, 2)] + [(i + 1, -(i + 2))
-                                        for i in range(2, m - 1, 2)]
-    nat = _natural_so_matrix(m, eps_pairs)
-    jordan = _jordan_type(nat)
-    expected = tuple([3] + [2] * (m - 2) + [1])
-    check("natural-jordan-type", jordan == expected,
-          "natural-representation Jordan type {} != {}", jordan, expected)
-    v = {alg.index[a]: 1 for a in combo}
-    dim = alg.centralizer_dim(v)
-    return VClassWitness(f"Jordan type {expected} nilpotent", tuple(combo),
-                         dim)
-
-
-def _natural_so_matrix(m, eps_pairs):
-    """Sum of root vectors of so(2m) w.r.t. the antidiagonal form.
-
-    eps_pairs lists roots as pairs of 1-based indices: (i, -j) is
-    e_i - e_j and (i, j) is e_i + e_j.
-    """
-    n = 2 * m
-    mat = [[0] * n for _ in range(n)]
-
-    def emb(r, c, val):
-        mat[r - 1][c - 1] += val
-        mat[n - c][n - r] -= val
-
-    for (i, j) in eps_pairs:
-        if j < 0:
-            emb(i, -j, 1)          # E_{i,j} - E_{2m+1-j,2m+1-i}
-        else:
-            emb(i, n + 1 - j, 1)   # E_{i,2m+1-j} - E_{j,2m+1-i}
-    return mat
-
-
-def _jordan_type(mat):
-    from .linalg import mat_mul, sparse_rows
-
-    n = len(mat)
-    ranks = [n]
-    power = [row[:] for row in mat]
-    while True:
-        r = integer_rank(sparse_rows(power))
-        ranks.append(r)
-        if r == 0:
-            break
-        power = mat_mul(power, mat)
-    # number of Jordan blocks of size >= k is rank(A^{k-1}) - rank(A^k)
-    blocks = []
-    for k in range(1, len(ranks)):
-        at_least_k = ranks[k - 1] - ranks[k]
-        blocks.append(at_least_k)
-    out = []
-    for k in range(len(blocks), 0, -1):
-        exactly = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
-        out.extend([k] * exactly)
-    return tuple(sorted(out, reverse=True))
 
 
 # ---------------------------------------------------------------- results

@@ -3,9 +3,8 @@
 Everything here is fraction-free: ranks and Smith forms are computed with
 integer cross-multiplication (rows re-scaled by their gcd to keep entries
 small), never with floating point.  The rank takes sparse rows,
-{column: entry} dicts, such as the brackets the Chevalley layer returns;
-`sparse_rows` converts dense ones.  F2 work uses int bitmasks, one mask per
-row.
+{column: entry} dicts, such as the brackets the Chevalley layer returns.
+F2 work uses int bitmasks, one mask per row.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ def _gcd_reduce(row: dict) -> None:
     if g > 1:
         for k in row:
             row[k] //= g
-
-
-def sparse_rows(mat) -> list[dict]:
-    """Dense integer rows as the sparse rows `integer_rank` takes."""
-    return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
 
 def integer_rank(rows) -> int:
@@ -74,23 +68,6 @@ def integer_rank(rows) -> int:
         if not work:
             break
     return rank
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += v * bt[j]
-    return out
 
 
 def _pivot_least(m, top: int) -> bool:

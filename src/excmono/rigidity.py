@@ -250,7 +250,7 @@ class FiniteGroup:
             if cls.label == label:
                 return cls
         raise ValueError(
-            f"no class {label}; have {[c.label for c in self.classes]}")
+            f"no class {label!r}; have {[c.label for c in self.classes]}")
 
     def subgroup_generated(self, a, b) -> int:
         """Order of <a, b>.  The closure stops once it holds more than half

@@ -159,25 +159,13 @@ class RootSystem:
     def minus_one_in_weyl(self) -> bool:
         """True iff the longest Weyl element acts as -1 on the root lattice.
 
-        Descends the dominant x with pairings p_k = <x, alpha_k-vee> = k+1
-        one simple reflection at a time, keeping only p (s_i subtracts
-        p_i times row i of the Cartan matrix); it ends at w0 x = -sigma(x),
-        sigma the diagram symmetry of w0, and the p_k are distinct, so
-        w0 = -1 exactly when p ends as -(k+1) for every k.
+        The x with pairings p_k = <x, alpha_k-vee> = k+1 is dominant and
+        regular.  The dominant weight in the orbit of -x is -w0 x =
+        sigma(x), sigma the diagram symmetry -w0, and the p_k are
+        distinct, so w0 = -1 exactly when folding -x gives back x.
         """
-        r = self.rank
-        a = self.cartan
-        p = list(range(1, r + 1))
-        while True:
-            for i in range(r):
-                v = p[i]
-                if v > 0:
-                    row = a[i]
-                    for k in range(r):
-                        p[k] -= v * row[k]
-                    break
-            else:
-                return p == [-k for k in range(1, r + 1)]
+        x = list(range(1, self.rank + 1))
+        return fold_dominant(self.cartan, [-k for k in x]) == x
 
     def dual(self) -> "RootSystem":
         """The dual system, with node numbering kept: roots <-> coroots.
@@ -296,6 +284,28 @@ def dynkin_components(a) -> list:
                     comp.append(v)
         comps.append(sorted(comp))
     return comps
+
+
+def fold_dominant(cartan, p) -> list:
+    """The pairings of the dominant weight in the Weyl orbit of the weight
+    x whose pairings p_k = <x, alpha_k-vee> are given.
+
+    While some p_i < 0, s_i sends x to x - p_i alpha_i, which lies above
+    x, so p loses p_i times row i of the Cartan matrix; an orbit is
+    finite, so the climb ends, at the orbit's one dominant weight.
+    """
+    p = list(p)
+    r = len(p)
+    while True:
+        for i in range(r):
+            v = p[i]
+            if v < 0:
+                row = cartan[i]
+                for k in range(r):
+                    p[k] -= v * row[k]
+                break
+        else:
+            return p
 
 
 def require_covered(rs: RootSystem) -> None:

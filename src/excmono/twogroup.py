@@ -174,18 +174,10 @@ def atilde_result(label: str) -> dict:
 class OddIrrep(NamedTuple):
     """Irreducible with central mu2-kernel acting by -1, induced from a
     character of the preimage of a Lagrangian; `characters` is its
-    character as int lists (re, im) indexed by the element; the central
-    and Lagrangian characters map an element to the k of its value i^k.
-    `m_pivots` is the echelon form of the Lagrangian's preimage (radical
-    plus greedy Lagrangian) and `m_character` its character."""
+    character as int lists (re, im) indexed by the element."""
 
-    group: TildeGroup
-    central_character: dict
     dimension: int
-    transversal: tuple
     characters: tuple
-    m_pivots: dict
-    m_character: dict
 
 
 def _induced_character(tg: TildeGroup, transversal, m_character):
@@ -250,18 +242,17 @@ def _extend_character(tg: TildeGroup, table: dict, generators, choices=None):
     return table
 
 
-def odd_irreps(tg: TildeGroup, order=None):
+def odd_irreps(tg: TildeGroup):
     """All irreducibles where the central -1 acts by -1 (Stone-von Neumann).
 
-    ``order`` overrides the vector ordering used for the greedy Lagrangian;
-    the default is lexicographic.  The central characters and the output
-    irreps do not depend on it (up to equality of character functions).
+    Each is induced from a character of the preimage of the greedy
+    Lagrangian taken in lexicographic order; another order gives the same
+    irreps (up to equality of character functions).
     """
     r = tg.r
     s = len(tg.radical_basis)
-    if order is None:
-        order = range(1, 1 << r)
-    m_pivots = gf2_echelon(tg.radical_basis + _greedy_lagrangian(tg, order))
+    m_pivots = gf2_echelon(tg.radical_basis
+                           + _greedy_lagrangian(tg, range(1, 1 << r)))
 
     # central characters: start from the forced value on the central -1
     base = {0: 0, 1 << r: 2}
@@ -278,18 +269,9 @@ def odd_irreps(tg: TildeGroup, order=None):
     check("lagrangian-cosets", len(transversal) == dim,
           "{} cosets of the Lagrangian, want {}", len(transversal), dim)
 
-    out = []
-    for chi in central_chars:
-        m_character = _extend_character(tg, chi, lag_gens)
-        out.append(OddIrrep(
-            group=tg,
-            central_character=chi,
-            dimension=dim,
-            transversal=transversal,
-            characters=_induced_character(tg, transversal, m_character),
-            m_pivots=m_pivots,
-            m_character=m_character,
-        ))
+    out = [OddIrrep(dimension=dim, characters=_induced_character(
+        tg, transversal, _extend_character(tg, chi, lag_gens)))
+        for chi in central_chars]
     for i, (re_i, im_i) in enumerate(ir.characters for ir in out):
         for j in range(i, len(out)):
             re_j, im_j = out[j].characters

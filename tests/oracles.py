@@ -21,8 +21,11 @@ Schreier generators replaced, the double-sum Gram tables that the
 two-group's top-bit recurrence replaced, the Gram double sum that the
 copairing orthogonality test replaced, the per-entry extension rows that
 the a1 lab's bytes gathers, pair table and half walk replaced, the
-Coxeter number, and plain matrix powers, F2 ranks, a quadruple
-enumeration and a quadruple survey for the rest.
+Coxeter number, the natural-representation matrix and Jordan type that
+the weighted Dynkin diagram replaced as the D class check, the coset
+basis the odd irreps are induced on, and dense-to-sparse rows, plain
+matrix products and powers, F2 ranks, a quadruple enumeration and a
+quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
 
@@ -32,13 +35,15 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from excmono.a1lab import _correlate
 from excmono.arith import UNIT_RE, least_primitive_root
 from excmono.chevalley import orthogonal_quadruples
-from excmono.linalg import _gcd_reduce, integer_rank, mat_mul, sparse_rows
+from excmono.linalg import _gcd_reduce, gf2_echelon, integer_rank
 from excmono.rigidity import ConjClass, MatrixRep
-from excmono.twogroup import _reduce_by
+from excmono.twogroup import (_extend_character, _greedy_lagrangian,
+                               _reduce_by)
 
 # recorded before the Ã and a1 layers were rewritten for single computation
 GOLDEN = json.loads(
@@ -100,6 +105,28 @@ def double_sum_form_tables(rs, r):
                 mask |= 1 << j
         parity.append(mask)
     return norms, parity
+
+
+def sparse_rows(mat) -> list[dict]:
+    """Dense integer rows as the sparse rows `integer_rank` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in mat]
+
+
+def mat_mul(a, b):
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            v = ai[t]
+            if v:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += v * bt[j]
+    return out
 
 
 def mat_pow(a, e: int):
@@ -264,6 +291,50 @@ def dense_centralizer_dim(alg, x) -> int:
     return alg.dim - integer_rank(sparse_rows(ad_rows(alg, x)))
 
 
+def natural_so_matrix(m, eps_pairs):
+    """Sum of root vectors of so(2m) w.r.t. the antidiagonal form, the
+    natural-representation route that the weighted Dynkin diagram
+    replaced as the class check of the D witness.
+
+    eps_pairs lists roots as pairs of 1-based indices: (i, -j) is
+    e_i - e_j and (i, j) is e_i + e_j.
+    """
+    n = 2 * m
+    mat = [[0] * n for _ in range(n)]
+
+    def emb(r, c, val):
+        mat[r - 1][c - 1] += val
+        mat[n - c][n - r] -= val
+
+    for (i, j) in eps_pairs:
+        if j < 0:
+            emb(i, -j, 1)          # E_{i,j} - E_{2m+1-j,2m+1-i}
+        else:
+            emb(i, n + 1 - j, 1)   # E_{i,2m+1-j} - E_{j,2m+1-i}
+    return mat
+
+
+def jordan_type(mat):
+    """Jordan block sizes of a nilpotent integer matrix, largest first,
+    from the ranks of its powers."""
+    n = len(mat)
+    ranks = [n]
+    power = [row[:] for row in mat]
+    while True:
+        r = integer_rank(sparse_rows(power))
+        ranks.append(r)
+        if r == 0:
+            break
+        power = mat_mul(power, mat)
+    # number of Jordan blocks of size >= k is rank(A^{k-1}) - rank(A^k)
+    blocks = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    out = []
+    for k in range(len(blocks), 0, -1):
+        exactly = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
+        out.extend([k] * exactly)
+    return tuple(sorted(out, reverse=True))
+
+
 def quadruples_by_gram(rs) -> list:
     """Every quadruple of pairwise orthogonal positive roots, each pair
     tested by `coroot_dot` on its coroots, in `orthogonal_quadruples`'s
@@ -313,11 +384,44 @@ def i_power(k: int):
     return z
 
 
+class InducedIrrep(NamedTuple):
+    """An odd irrep as the data it is induced from: the echelon form
+    `m_pivots` of the Lagrangian's preimage (radical plus greedy
+    Lagrangian), the coset representatives `transversal` it leaves, and
+    the character `m_character` of the preimage, mapping an element to
+    the k of its value i^k."""
+
+    group: object
+    transversal: tuple
+    m_pivots: dict
+    m_character: dict
+
+
+def induced_irreps(tg, order=None) -> list:
+    """The odd irreps of `tg` as `InducedIrrep`s, in the order of
+    `twogroup.odd_irreps`, one per central character; the greedy
+    Lagrangian is taken in `order`, lexicographic by default as there."""
+    r, s = tg.r, len(tg.radical_basis)
+    if order is None:
+        order = range(1, 1 << r)
+    pivots = gf2_echelon(tg.radical_basis + _greedy_lagrangian(tg, order))
+    transversal = tuple(sorted({_reduce_by(pivots, x)
+                                for x in range(1 << r)}))
+    lag_gens = sorted(pivots.values(), reverse=True)
+    out = []
+    for mask in range(1 << s):
+        central = _extend_character(tg, {0: 0, 1 << r: 2}, tg.radical_basis,
+                                    [(mask >> i) & 1 for i in range(s)])
+        out.append(InducedIrrep(tg, transversal, pivots,
+                                _extend_character(tg, central, lag_gens)))
+    return out
+
+
 def irrep_matrix(ir, el: int):
-    """The matrix of the odd irrep `ir` at the int element `el`, on its
-    coset basis, with (re, im) pair entries."""
+    """The matrix of the `InducedIrrep` `ir` at the int element `el`, on
+    its coset basis, with (re, im) pair entries."""
     tg = ir.group
-    n = ir.dimension
+    n = len(ir.transversal)
     out = [[(0, 0)] * n for _ in range(n)]
     for v, rep in enumerate(ir.transversal):
         moved = tg.mul(el, rep)

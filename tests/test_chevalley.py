@@ -15,8 +15,6 @@ import pytest
 from excmono import chevalley, cli, verify
 from excmono.affine_k import kappa_character
 from excmono.chevalley import (
-    _jordan_type,
-    _natural_so_matrix,
     build_algebra,
     kappa_fixed_dim,
     orthogonal_quadruples,
@@ -24,16 +22,21 @@ from excmono.chevalley import (
     regular_nilpotent_centralizer,
     v_class_centralizer,
 )
-from excmono.rootsys import root_system
+from excmono.linalg import integer_rank
+from excmono.rootsys import fold_dominant, root_system
 from oracles import (
     TupleConstants,
     coroot_dot,
     coxeter_number,
     dense_centralizer_dim,
     invariant_form,
+    jordan_type,
+    mat_mul,
+    natural_so_matrix,
     pair,
     quadruple_dim_survey,
     quadruples_by_gram,
+    sparse_rows,
 )
 
 ALL_TYPES = ["A1", "G2", "D4", "D6", "D8", "E7", "E8"]
@@ -252,8 +255,6 @@ def test_form_invariance_sampled_e7():
 
 
 def test_form_is_nondegenerate_on_g2():
-    from excmono.linalg import integer_rank, sparse_rows
-
     alg = build_algebra("G2")
     gram = [[invariant_form(alg, i, j) for j in range(alg.dim)]
             for i in range(alg.dim)]
@@ -326,13 +327,64 @@ def test_quadruple_survey_sees_two_values():
     assert quadruple_dim_survey(build_algebra("E8"), 25) == {120: 23, 134: 2}
 
 
+# every even D from D4 to MAX_RANK, and the other budget types
+GRADED_LABELS = ["G2", "E7", "E8", "D4", "D6", "D8", "D10", "D12", "D14"]
+
+
+@pytest.mark.parametrize("label", GRADED_LABELS)
+def test_grading_route_equals_rank_route(label):
+    alg = build_algebra(label)
+    rs = alg.rs
+    w = v_class_centralizer(alg)
+    # h = sum of beta-vee over the witness's roots, and its grading
+    h = [sum(c) for c in zip(*(rs.coroot_of[b] for b in w.root_combination))]
+    labels = alg.grading(h)
+    assert labels == [sum(x * y for x, y in zip(rs.pairing_of[a], h))
+                      for a in alg.roots]
+    e = {alg.index[b]: 1 for b in w.root_combination}
+    assert alg.rank + labels.count(0) + labels.count(1) \
+        == alg.centralizer_dim(e) == w.centralizer_dim == len(alg.roots) // 2
+    if rs.letter == "D":
+        # the partition (3, 2, ..., 2, 1) puts h at epsilon coordinates
+        # (2, 1, ..., 1, 0); alpha_i = e_i - e_{i+1}, alpha_m = e_{m-1} + e_m
+        m = rs.rank
+        eps = [2, *[1] * (m - 2), 0]
+        want = [eps[i] - eps[i + 1] for i in range(m - 1)] \
+            + [eps[m - 2] + eps[m - 1]]
+        assert want == [1, *[0] * (m - 3), 1, 1]
+        simple = [labels[alg.index[s] - alg.rank] for s in rs.simple_roots]
+        assert fold_dominant(rs.cartan, simple) == want
+
+
 # --------------------------------------------------- natural representation
+
+def _eps_pair(root, m):
+    """A positive root of D_m, sum of c_i alpha_i, as the pair (i, -j) for
+    e_i - e_j or (i, j) for e_i + e_j, i < j 1-based."""
+    eps = [0] * m
+    for i, c in enumerate(root[:-1]):
+        eps[i] += c
+        eps[i + 1] -= c
+    eps[m - 2] += root[-1]
+    eps[m - 1] += root[-1]
+    (i, _), (j, b) = [(k + 1, v) for k, v in enumerate(eps) if v]
+    return i, j if b > 0 else -j
+
+
+@pytest.mark.parametrize("label", ["D4", "D6", "D8"])
+def test_d_witness_has_the_jordan_type_of_its_diagram(label):
+    # the natural-representation route, which the diagram check replaced
+    alg = build_algebra(label)
+    m = alg.rank
+    pairs = [_eps_pair(b, m) for b in v_class_centralizer(alg).root_combination]
+    assert jordan_type(natural_so_matrix(m, pairs)) == (3, *[2] * (m - 2), 1)
+
 
 def test_natural_so_matrix_is_skew_adjoint():
     for m in (4, 6, 8):
         pairs = [(1, -2), (1, 2)] + [(i + 1, -(i + 2))
                                      for i in range(2, m - 1, 2)]
-        mat = _natural_so_matrix(m, pairs)
+        mat = natural_so_matrix(m, pairs)
         n = 2 * m
         for i in range(n):
             for j in range(n):
@@ -348,9 +400,7 @@ def test_jordan_type_oracle():
             [0, 0, 0, 0, 1, 0],
             [0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0]]
-    assert _jordan_type(base) == (3, 2, 1)
-    from excmono.linalg import mat_mul
-
+    assert jordan_type(base) == (3, 2, 1)
     upper = [[1, 2, 0, 0, 1, 0],
              [0, 1, 3, 0, 0, 0],
              [0, 0, 1, 0, 2, 1],
@@ -368,7 +418,7 @@ def test_jordan_type_oracle():
     # p has determinant 1; conjugation preserves the Jordan type
     pinv = _inverse_unimodular(p)
     conj = mat_mul(mat_mul(p, base), pinv)
-    assert _jordan_type(conj) == (3, 2, 1)
+    assert jordan_type(conj) == (3, 2, 1)
 
 
 def _inverse_unimodular(p):
@@ -478,8 +528,6 @@ def test_principal_grading_e8():
 
 
 def _check_hard_lefschetz(alg, h):
-    from excmono.linalg import integer_rank, sparse_rows
-
     grade = {}
     for a in alg.roots:
         grade.setdefault(sum(a), []).append(alg.index[a])

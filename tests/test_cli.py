@@ -12,7 +12,8 @@ import pytest
 
 import excmono
 from excmono import affine_k, twogroup
-from excmono.a1lab import render_csv, scan
+from excmono.a1lab import MAX_Q, MAX_SUM_Q2, render_csv, scan
+from excmono.arith import is_prime
 from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
 from excmono.cli import build_parser, main
 from excmono.rigidity import MAX_POINTS
@@ -197,6 +198,19 @@ def test_a1_prime_over_the_bound_is_refused_quickly(capsys):
             "on the a1 prime\n", err
 
 
+def test_a1_list_over_the_squares_bound_is_refused_quickly(capsys):
+    # all 83 admitted primes: their scans once took 28.8 s and 128 MB
+    primes = [q for q in range(5, MAX_Q + 1, 4) if is_prime(q)]
+    assert len(primes) == 83
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "a1", "--primes",
+                             ",".join(map(str, primes)))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: the a1 primes' squares sum to 26685419, above " \
+        f"the bound MAX_SUM_Q2 = {MAX_SUM_Q2}\n", err
+
+
 def test_rigid_pgl2_fixture(capsys):
     code, doc, _ = run_json(capsys, "rigid", "--group", "pgl2", "--ell", "5")
     assert code == 0
@@ -370,6 +384,15 @@ def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_rigid_empty_class_label_is_quoted(capsys):
+    # the empty label once printed as "no class ; have [...]"
+    code, out, err = run_cli(capsys, "rigid", "--group", "psl2", "--ell", "7",
+                             "--classes", "2A,,7A")
+    assert code == 2 and out == ""
+    assert err == "error: no class ''; have ['1A', '7A', '2A', '3A', '7B', " \
+        "'4A']\n", err
 
 
 # each input is refused where it enters, by the function named above it;

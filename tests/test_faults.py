@@ -35,6 +35,7 @@ SRC = Path(excmono.__file__).resolve().parent
 A1_5 = ("a1", "--primes", "5")
 A1_13 = ("a1", "--primes", "13")
 ATILDE_A1 = ("atilde", "A1")
+MONODROMY_D4 = ("monodromy", "D4", "--samples", "0")
 MONODROMY_G2 = ("monodromy", "G2", "--samples", "0")
 PGL2_5 = ("rigid", "--group", "pgl2", "--ell", "5")
 PSL2_5 = ("rigid", "--group", "psl2", "--ell", "5")
@@ -139,6 +140,12 @@ def _flipped_transposed_cocycle_bit(mp):
         tg._cocycle_t_mask[1] ^= 1
         real(tg)
     mp.setattr(TildeGroup, "_check_laws", check_laws)
+
+
+def _first_zero_read_as_two(labels, alg, h):
+    labels = list(labels)
+    labels[labels.index(0)] = 2
+    return labels
 
 
 def _single_bracket_off(mp):
@@ -253,17 +260,23 @@ FAULTS = {
               lambda x, alg: dict(list(x.items())[1:])),
         lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
         MONODROMY_G2),
-    "v-class-centralizer": (
-        # four simple roots, which are not orthogonal, as the one candidate
-        replace(chevalley, "orthogonal_quadruples",
-                lambda rs: iter([tuple(rs.simple_roots[:4])])),
-        lambda: chevalley.v_class_centralizer(build_algebra("E7")),
-        ("monodromy", "E7", "--samples", "0")),
-    "natural-jordan-type": (
-        after(chevalley, "_natural_so_matrix",
-              lambda mat, m, pairs: [[0] * len(mat) for _ in mat]),
+    "v-class-centralizer": [
+        # four simple roots, which are not orthogonal, as the witness
+        (replace(chevalley, "orthogonal_quadruples",
+                 lambda rs: iter([tuple(rs.simple_roots[:4])])),
+         lambda: chevalley.v_class_centralizer(build_algebra("E7")),
+         ("monodromy", "E7", "--samples", "0")),
+        # the grading count alone moves: one label 0 read as 2
+        (after(ChevalleyAlgebra, "grading", _first_zero_read_as_two),
+         lambda: chevalley.v_class_centralizer(build_algebra("D4")),
+         MONODROMY_D4, "graded 11"),
+    ],
+    "v-class-weighted-diagram": (
+        # one label flipped after the fold; the -1 test folds unpatched
+        after(chevalley, "fold_dominant",
+              lambda folded, cartan, p: [1 - folded[0], *folded[1:]]),
         lambda: chevalley.v_class_centralizer(build_algebra("D4")),
-        ("monodromy", "D4", "--samples", "0")),
+        MONODROMY_D4),
     "budget-d0-plus-dinf-is-roots": (
         replace(RootSystem, "num_roots",
                 property(lambda rs: len(rs.roots) + 2)),

@@ -11,12 +11,11 @@ from excmono.linalg import (
     gf2_echelon,
     gf2_nullspace,
     integer_rank,
-    mat_mul,
     smith_normal_form,
-    sparse_rows,
 )
 from excmono import chevalley, obs, verify
-from oracles import echelonize, gf2_rank, mat_pow, scan_integer_rank
+from oracles import (echelonize, gf2_rank, mat_mul, mat_pow,
+                     scan_integer_rank, sparse_rows)
 
 
 # ---------------------------------------------------------------- oracles --

@@ -160,6 +160,8 @@ def test_raise_scan_sees_each_site(tmp_path):
 RAISE_SITES = [
     ("a1lab.scan:ValueError", "a1 --primes: a prime above MAX_Q"),
     ("a1lab.scan:ValueError", "a1 --primes: not a prime that is 1 mod 4"),
+    ("a1lab.scan:ValueError",
+     "a1 --primes: squares summing above MAX_SUM_Q2"),
     ("affine_k.phi_k:ValueError",
      "k-type: a label without -1 in its Weyl group (odd D)"),
     ("arith.is_prime:OverflowError",
@@ -223,13 +225,23 @@ def _names(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _is_named_tuple(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        (base.id if isinstance(base, ast.Name) else
+         getattr(base, "attr", None)) == "NamedTuple" for base in node.bases)
+
+
 def _unreferenced(paths) -> list:
     """Functions, methods and classes defined in `paths` whose name is read
     as a Name or an Attribute nowhere in `paths` outside the definition
-    itself, as module.Qualified.name; dunder methods are exempt."""
+    itself, and NamedTuple fields whose name no Attribute in `paths`
+    reads (building by keyword is no read), as module.Qualified.name;
+    dunder methods are exempt."""
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in paths}
     total = sum((_names(tree) for tree in trees.values()), Counter())
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     out = []
 
     def visit(node, prefix):
@@ -242,6 +254,11 @@ def _unreferenced(paths) -> list:
             dunder = name.startswith("__") and name.endswith("__")
             if not dunder and total[name] == _names(child)[name]:
                 out.append(prefix + name)
+            if _is_named_tuple(child):
+                out.extend(f"{prefix}{name}.{field.target.id}"
+                           for field in child.body
+                           if isinstance(field, ast.AnnAssign)
+                           and field.target.id not in read)
             visit(child, f"{prefix}{name}.")
 
     for stem, tree in trees.items():
@@ -257,6 +274,16 @@ def test_dead_definition_scan_sees_each_offence(tmp_path):
                    "    def __len__(self):\n        return 0\n"
                    "def f():\n    return A().used()\n")
     assert _unreferenced([mod]) == ["mod.A.recursive", "mod.f"]
+
+
+def test_dead_definition_scan_sees_an_unread_field(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import typing\nfrom typing import NamedTuple\n"
+                   "class P(NamedTuple):\n    read: int\n    built: int\n"
+                   "class Q(typing.NamedTuple):\n    unread: int\n"
+                   "class R:\n    plain: int\n"
+                   "def f():\n    return P(read=1, built=2).read, Q(0), R\n")
+    assert _unreferenced([mod]) == ["mod.P.built", "mod.Q.unread", "mod.f"]
 
 
 def test_every_src_definition_is_referenced():

@@ -278,7 +278,7 @@ def test_class_equation_checked_under_optimize(shift, code):
 
 def test_class_by_label_unknown():
     g = FiniteGroup(S4_GENS)
-    with pytest.raises(ValueError, match="no class 9Z"):
+    with pytest.raises(ValueError, match="no class '9Z'"):
         g.class_by_label("9Z")
 
 

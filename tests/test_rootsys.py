@@ -20,13 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 from excmono import obs
 from excmono.chevalley import build_algebra
-from excmono.linalg import mat_mul
 from excmono.rootsys import (MAX_RANK, RootSystem, dynkin_components,
                              require_covered, root_system)
 from excmono.twogroup import build_tilde_group
 from excmono.verify import COVERED_LABELS
 from oracles import (coroot_dot, coxeter_number, longest_element_matrix,
-                     mat_pow, pair, tuple_closure)
+                     mat_mul, mat_pow, pair, tuple_closure)
 
 ALL_LABELS = ["A1", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
               "D3", "D4", "D5", "D6", "D7", "D8", "E7", "E8", "F4", "G2"]

@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 from excmono import obs, twogroup, verify
 from excmono.obs import CheckFailed
 from excmono.rootsys import root_system
-from excmono.twogroup import build_tilde_group, odd_irreps
+from excmono.twogroup import _induced_character, build_tilde_group, odd_irreps
 from oracles import (
     double_sum_form_tables,
     gauss_conj,
     gauss_mul,
     gauss_sum,
+    induced_irreps,
     irrep_matrix,
     law_failures,
     loop_beta,
@@ -356,8 +357,8 @@ def test_irrep_census(label):
 def test_irreps_are_odd(label):
     tg = group(label)
     minus = element(tg, -1, 0)
-    for ir in odd_irreps(tg):
-        mat = irrep_matrix(ir, minus)
+    for ir, ind in zip(odd_irreps(tg), induced_irreps(tg), strict=True):
+        mat = irrep_matrix(ind, minus)
         n = ir.dimension
         assert all(mat[i][j] == ((-1, 0) if i == j else (0, 0))
                    for i in range(n) for j in range(n))
@@ -368,8 +369,8 @@ def test_irreps_are_odd(label):
 @pytest.mark.parametrize("label", ["A1", "G2", "D4"])
 def test_irrep_homomorphism_exhaustive(label):
     tg = group(label)
-    for ir in odd_irreps(tg):
-        mats = {el: irrep_matrix(ir, el) for el in range(tg.order)}
+    for ind in induced_irreps(tg):
+        mats = {el: irrep_matrix(ind, el) for el in range(tg.order)}
         for x in range(tg.order):
             for y in range(tg.order):
                 assert zmat_mul(mats[x], mats[y]) == mats[tg.mul(x, y)]
@@ -380,7 +381,7 @@ def test_irrep_homomorphism_exhaustive(label):
 def test_irrep_homomorphism_sampled_large(data):
     label = data.draw(st.sampled_from(["E7", "E8"]))
     tg = group(label)
-    ir = data.draw(st.sampled_from(odd_irreps(tg)))
+    ir = data.draw(st.sampled_from(induced_irreps(tg)))
     bits = st.integers(0, (1 << tg.r) - 1)
     signs = st.sampled_from([1, -1])
     x = element(tg, data.draw(signs), data.draw(bits))
@@ -391,10 +392,10 @@ def test_irrep_homomorphism_sampled_large(data):
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_irrep_inverses(label):
     tg = group(label)
-    for ir in odd_irreps(tg):
+    for ind in induced_irreps(tg):
         for bits in (0, 1, (1 << tg.r) - 1):
             assert zmat_eq_identity(zmat_mul(
-                irrep_matrix(ir, bits), irrep_matrix(ir, tg.inverse(bits))))
+                irrep_matrix(ind, bits), irrep_matrix(ind, tg.inverse(bits))))
 
 
 @pytest.mark.parametrize("label", SUPPORTED)
@@ -416,19 +417,20 @@ def _trace(mat):
 @pytest.mark.parametrize("label", ["D4", "D6"])
 def test_character_tables_are_matrix_traces(label):
     tg = group(label)
-    for ir in odd_irreps(tg):
+    for ir, ind in zip(odd_irreps(tg), induced_irreps(tg), strict=True):
         re, im = ir.characters
         assert len(re) == len(im) == tg.order
         for el in range(tg.order):
-            assert (re[el], im[el]) == _trace(irrep_matrix(ir, el))
+            assert (re[el], im[el]) == _trace(irrep_matrix(ind, el))
 
 
 def test_e8_character_table_sampled_traces():
     tg = group("E8")
     (ir,) = odd_irreps(tg)
+    (ind,) = induced_irreps(tg)
     re, im = ir.characters
     for el in random.Random(8).sample(range(tg.order), 40):
-        assert (re[el], im[el]) == _trace(irrep_matrix(ir, el))
+        assert (re[el], im[el]) == _trace(irrep_matrix(ind, el))
 
 
 def test_changed_character_value_fails_criterion_4(monkeypatch):
@@ -453,15 +455,13 @@ def test_changed_character_value_fails_criterion_4(monkeypatch):
 
 @pytest.mark.parametrize("label", ["G2", "E7", "D6"])
 def test_characters_do_not_depend_on_lagrangian(label):
-    # Stone-von Neumann: same central character => same irrep; build with
-    # the reversed greedy order and compare whole character functions
+    # Stone-von Neumann: same central character => same irrep; induce
+    # from the reversed greedy order and compare whole character functions
     tg = group(label)
-    first = odd_irreps(tg)
-    second = odd_irreps(tg, order=range((1 << tg.r) - 1, 0, -1))
-    assert len(first) == len(second)
-    for a, b in zip(first, second):
-        assert a.central_character == b.central_character
-        assert a.characters == b.characters
+    first = [ir.characters for ir in odd_irreps(tg)]
+    second = [_induced_character(tg, ind.transversal, ind.m_character)
+              for ind in induced_irreps(tg, range((1 << tg.r) - 1, 0, -1))]
+    assert first == second
 
 
 def test_a1_is_cyclic_of_order_four():
