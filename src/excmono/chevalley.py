@@ -340,10 +340,7 @@ def monodromy_result(label: str, samples: int, seed: int) -> dict:
         # dim g - d0 - d1 - dinf for three-point local systems, and the
         # predicted classes give exactly 0.  The checks above fix d0 =
         # dinf = #Phi-vee / 2 and d1 = rank, and dim g = rank + #Phi-vee,
-        # #Phi-vee even, so that holds; what is left is #Phi-vee = #Phi
-        check("budget-d0-plus-dinf-is-roots", d0 + dinf == rs.num_roots,
-              "{}: d0 + dinf = {} + {}, #Phi = {}", rs.label, d0, dinf,
-              rs.num_roots)
+        # #Phi-vee even, so that holds
         result.update(v_class={"centralizer_dim": dinf,
                                "witness": witness.description},
                       budget={"d0": d0, "d1": d1, "dinf": dinf})

@@ -143,8 +143,8 @@ def _cmd_rigid(args):
 
 
 def _cmd_verify_all(args):
-    from .verify import run_all
-    results = run_all(seed=args.seed)
+    from .verify import CriterionResult, run_all
+    results: list[CriterionResult] = run_all(seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number} {res.name} "

@@ -91,11 +91,14 @@ class MatrixRep:
         for v in frame:
             point_id(canon(v))
         images = [bytearray() for _ in matrices]
+        zero = (0,) * n  # x = 0, which a singular m reaches, has no support
         for x in points:  # grows while it is walked
+            # x m sums only the rows k of m where x[k] is nonzero
+            support = [(v, k * n) for k, v in enumerate(x) if v]
             for m, img in zip(matrices, images):
+                rows = [map(v.__mul__, m[k:k + n]) for v, k in support]
                 img.append(point_id(canon(tuple(
-                    sum(x[k] * m[k * n + j] for k in range(n)) % p
-                    for j in range(n)))))
+                    s % p for s in map(sum, zip(zero, *rows))))))
         for i, img in enumerate(images):
             if len(set(img)) < len(points):
                 raise ValueError(f"generator {i} is singular mod {p}")

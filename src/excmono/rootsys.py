@@ -2,8 +2,9 @@
 
 Roots are integer vectors in the simple-root basis and coroots integer
 vectors in the simple-coroot basis; the alpha <-> alpha-vee bijection is
-carried along explicitly through the reflection closure.  No ambient
-Euclidean coordinates and no floats anywhere.
+carried along explicitly through the reflection closure, so a dual system
+is a relabeling, and Cn is Bn's dual.  No ambient Euclidean coordinates
+and no floats anywhere.
 
 The closure carries each root's pairings n(b)_i = <b, alpha_i-vee> and
 m(b)_i = <alpha_i, b-vee>: s_i moves b by n(b)_i alpha_i and b-vee by
@@ -11,6 +12,9 @@ m(b)_i alpha_i-vee, so a new root's n and m are its source's minus a
 multiple of row i, resp. column i, of the Cartan matrix, and n(b)_i = 0
 (s_i fixes b) forces m(b)_i = 0.  A reflection keeps the form, so a new
 coroot's norm is its source's, seeded from the simple coroots' norms.
+Only the positive roots are closed: s_i sends alpha_i, and no other
+positive root, below zero.  Each negative root -b takes b's data negated
+(Bourbaki, Lie Groups and Lie Algebras, ch. VI, 1.6: Phi = Phi+ u -Phi+).
 
 The invariant form lives on the coroot lattice and is normalized so that
 short coroots have squared length 2 (long coroots then have 4, or 6 in
@@ -51,24 +55,26 @@ class RootSystem:
 
     def __init__(self, label: str):
         letter, rank = _parse_label(label)
+        if letter == "C":   # Bn's dual
+            self._relabel(root_system(f"B{rank}"))
+            return
         self.letter = letter
         self.rank = rank
         self.label = f"{letter}{rank}"
-        cartan, norms = _cartan_data(letter, rank)
-        self._setup(cartan, norms)
-
-    def _setup(self, cartan, coroot_norms):
-        self.cartan = cartan
-        self.coroot_norms = coroot_norms
-        r = self.rank
-        a, d = cartan, coroot_norms
-        # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
-        self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)] for i in range(r)]
+        self._set_form(*_cartan_data(letter, rank))
         g = self.form_gram
-        check("form-symmetric", all(g[i][j] == g[j][i] for i in range(r)
-                                    for j in range(r)),
+        check("form-symmetric", all(g[i][j] == g[j][i] for i in range(rank)
+                                    for j in range(rank)),
               "invariant form failed to symmetrize")
         self._close_roots()
+
+    def _set_form(self, cartan, coroot_norms):
+        self.cartan = a = cartan
+        self.coroot_norms = d = coroot_norms
+        r = len(a)
+        # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
+        self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)]
+                          for i in range(r)]
 
     # ------------------------------------------------------------------
 
@@ -88,13 +94,18 @@ class RootSystem:
                 cr, nv, mv = pairs[root], pairing[root], copairing[root]
                 for i in range(r):
                     # s_i moves root by n alpha_i and its coroot by m alpha_i-vee
-                    # n = 0 gives back root itself, known, and its coroot
-                    # exactly when m = 0: build neither
                     n, m = nv[i], mv[i]
-                    if n:
+                    if root == simple[i]:
+                        # s_i alpha_i = -alpha_i, with coroot -alpha_i-vee
+                        ok = n == m == 2
+                    elif n:
                         new_root = root[:i] + (root[i] - n,) + root[i + 1:]
                         new_cr = cr[:i] + (cr[i] - m,) + cr[i + 1:]
-                        if new_root not in pairs:
+                        if new_root in pairs:
+                            ok = pairs[new_root] == new_cr
+                        else:
+                            # s_i keeps every other positive root positive
+                            ok = root[i] >= n
                             pairs[new_root] = new_cr
                             pairing[new_root] = tuple(
                                 map(sub, nv, map(n.__mul__, a[i])))
@@ -102,19 +113,39 @@ class RootSystem:
                                 map(sub, mv, map(m.__mul__, cols[i])))
                             norm[new_root] = norm[root]
                             nxt.append(new_root)
-                            continue
-                        ok = pairs[new_root] == new_cr
                     else:
+                        # s_i fixes root, so it fixes its coroot
                         ok = m == 0
                     check("root-coroot-closure", ok,
                           "root/coroot closure inconsistent")
             frontier = nxt
-        negated = {tuple(map(neg, root)) for root in pairs}
-        check("roots-symmetric", negated == set(pairs),
-              "root set not symmetric under negation")
-        self.roots = sorted(pairs, key=lambda t: (sum(t), t))
-        self.positive_roots = [t for t in self.roots if sum(t) > 0]
+        for root in list(pairs):  # -b takes b's data negated
+            low = tuple(map(neg, root))
+            for data in (pairs, pairing, copairing):
+                data[low] = tuple(map(neg, data[root]))
+            norm[low] = norm[root]
+        self._sort_roots()
         self.simple_roots = simple
+
+    def _relabel(self, rs: "RootSystem"):
+        """Fill self in as the dual of rs: see `dual`."""
+        self.letter = {"B": "C", "C": "B"}.get(rs.letter, rs.letter)
+        self.rank = r = rs.rank
+        self.label = f"{self.letter}{r}"
+        top = max(rs.coroot_norms)
+        self._set_form([[rs.cartan[j][i] for j in range(r)] for i in range(r)],
+                       [2 * top // d for d in rs.coroot_norms])
+        up = rs.coroot_of
+        self.coroot_of = {up[t]: t for t in rs.roots}
+        self.pairing_of = {up[t]: m for t, m in rs.copairing_of.items()}
+        self.copairing_of = {up[t]: n for t, n in rs.pairing_of.items()}
+        self.norm_of = {up[t]: 2 * top // d for t, d in rs.norm_of.items()}
+        self._sort_roots()
+        self.simple_roots = rs.simple_roots
+
+    def _sort_roots(self):
+        self.roots = sorted(self.coroot_of, key=lambda t: (sum(t), t))
+        self.positive_roots = [t for t in self.roots if sum(t) > 0]
 
     # ------------------------------------------------------------------
 
@@ -136,17 +167,13 @@ class RootSystem:
 
         theta's coordinates are the marks, and theta-vee's the comarks,
         the coefficients c(alpha) in theta-vee = sum c(alpha) alpha-vee.
-        Found and checked once per system, until `obs.clear_caches`.
+        Found once per system, until `obs.clear_caches`.
         """
         if not self.is_irreducible():
             raise ValueError(f"{self.label} is reducible; no highest root")
-        theta = max(self.roots, key=lambda t: (sum(t), t))
-        for i in range(self.rank):
-            up = tuple(v + (1 if k == i else 0) for k, v in enumerate(theta))
-            check("highest-root-maximal", up not in self.coroot_of,
-                  "highest-root candidate not maximal")
-        theta_vee = self.coroot_of[theta]
-        return theta, theta_vee
+        # the one root of greatest height: the roots are sorted by height
+        theta = self.roots[-1]
+        return theta, self.coroot_of[theta]
 
     def dual_coxeter_number(self) -> int:
         # <rho, alpha_i-vee> = 1 for every i
@@ -171,19 +198,16 @@ class RootSystem:
         """The dual system, with node numbering kept: roots <-> coroots.
 
         For A/D/E the Cartan matrix is symmetric, so the system is its own
-        dual.  Otherwise it is built from the transposed Cartan matrix and
-        the swapped coroot norms: the standard Cn for Bn and back, and F4
+        dual.  Otherwise the closure is relabeled, with no reflection: the
+        roots are the coroots, a pairing is a copairing and back, the Cartan
+        matrix is transposed and every norm rescaled so that short coroots
+        have norm 2.  That gives the standard Cn for Bn and back, and F4
         and G2 again, self-dual only up to reversing the diagram.
         """
         if self.letter in "ADE":
             return self
         out = object.__new__(RootSystem)
-        out.letter = {"B": "C", "C": "B"}.get(self.letter, self.letter)
-        out.rank = r = self.rank
-        out.label = f"{out.letter}{r}"
-        cartan = [[self.cartan[j][i] for j in range(r)] for i in range(r)]
-        top = max(self.coroot_norms)
-        out._setup(cartan, [2 * top // d for d in self.coroot_norms])
+        out._relabel(self)
         return out
 
     def json_dict(self) -> dict:
@@ -234,7 +258,7 @@ def _chain_cartan(rank, edges):
 
 
 def _cartan_data(letter: str, rank: int):
-    """(cartan, coroot_norms) in Bourbaki numbering."""
+    """(cartan, coroot_norms) in Bourbaki numbering; Cn is Bn's dual."""
     n = rank
     if letter == "A":
         return [[2]], [2]
@@ -244,11 +268,6 @@ def _cartan_data(letter: str, rank: int):
         a[n - 2][n - 1] = -2
         a[n - 1][n - 2] = -1
         return a, [2] * (n - 1) + [4]
-    if letter == "C":
-        a = _chain_cartan(n, [(i, i + 1) for i in range(1, n)])
-        a[n - 2][n - 1] = -1
-        a[n - 1][n - 2] = -2
-        return a, [4] * (n - 1) + [2]
     if letter == "D":
         if n == 2:
             return [[2, 0], [0, 2]], [2, 2]

@@ -6,6 +6,7 @@ homomorphism tests, conjugation invariants behind the class tests,
 groups, classes and triple counts by matrix products behind the
 permutation groups of the rigidity layer, the README's `file:` group,
 the lex-least scalar multiple that the projective canonical form
+replaced, the dense frame images that the sums over a point's support
 replaced, the matrix inverse by elimination that the frame-orbit
 permutations replaced as the test for a singular generator, exact
 Gaussian integers as (re, im) int pairs, the per-call form loops,
@@ -168,6 +169,16 @@ def invariant_form(alg, i: int, j: int) -> int:
 
 
 # ------------------------------------------- the tuple routes of the roots
+
+def bourbaki_cn(n: int):
+    """Bourbaki's (cartan, coroot_norms) for Cn, the branch of
+    `rootsys._cartan_data` that Bn's dual replaced: alpha_n is the long
+    root, so its coroot is the short one."""
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    a[n - 1][n - 2] = -2
+    return a, [4] * (n - 1) + [2]
+
 
 def tuple_closure(cartan, coroot_norms):
     """{root: (coroot, coroot norm)} by reflecting tuples, with every
@@ -602,6 +613,34 @@ def matrix_mul(rep, a, b):
                 for j in range(n):
                     out[base + j] += aik * b[kb + j]
     return rep.canon(tuple(x % p for x in out))
+
+
+def dense_permutations(rep, matrices) -> list:
+    """`MatrixRep.permutations` of invertible matrices with each image
+    x m summed over every row of m, the dense product that the sum over
+    the support of x replaced; the walk is the same breadth-first one, so
+    the point ids are too."""
+    n, p = rep.n, rep.p
+    points, where = [], {}
+
+    def point_id(y):
+        y = rep.canon(y)
+        if y not in where:
+            where[y] = len(points)
+            points.append(y)
+        return where[y]
+
+    for i in range(n):
+        point_id(tuple(int(i == j) for j in range(n)))
+    if rep.scalars:
+        point_id((1,) * n)
+    images = [bytearray() for _ in matrices]
+    for x in points:
+        for m, img in zip(matrices, images):
+            img.append(point_id(tuple(
+                sum(x[k] * m[k * n + j] for k in range(n)) % p
+                for j in range(n))))
+    return [bytes(img) for img in images]
 
 
 class MatrixGroup:

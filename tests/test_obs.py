@@ -234,14 +234,23 @@ def _is_named_tuple(node) -> bool:
 def _unreferenced(paths) -> list:
     """Functions, methods and classes defined in `paths` whose name is read
     as a Name or an Attribute nowhere in `paths` outside the definition
-    itself, and NamedTuple fields whose name no Attribute in `paths`
-    reads (building by keyword is no read), as module.Qualified.name;
-    dunder methods are exempt."""
+    itself, and NamedTuple fields whose name no Attribute reads in a
+    module that defines or imports the field's class (building by keyword
+    is no read), as module.Qualified.name; dunder methods are exempt."""
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in paths}
     total = sum((_names(tree) for tree in trees.values()), Counter())
-    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    # per module: the attributes it reads, and the classes it defines or
+    # imports, whose fields those reads may be
+    reads, knows = {}, {}
+    for stem, tree in trees.items():
+        reads[stem] = {n.attr for n in ast.walk(tree)
+                       if isinstance(n, ast.Attribute)
+                       and isinstance(n.ctx, ast.Load)}
+        knows[stem] = {n.name for n in ast.walk(tree)
+                       if isinstance(n, ast.ClassDef)} | {
+            alias.name for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) for alias in n.names}
     out = []
 
     def visit(node, prefix):
@@ -255,6 +264,8 @@ def _unreferenced(paths) -> list:
             if not dunder and total[name] == _names(child)[name]:
                 out.append(prefix + name)
             if _is_named_tuple(child):
+                read = set().union(*(reads[stem] for stem in trees
+                                     if name in knows[stem]))
                 out.extend(f"{prefix}{name}.{field.target.id}"
                            for field in child.body
                            if isinstance(field, ast.AnnAssign)
@@ -274,6 +285,20 @@ def test_dead_definition_scan_sees_each_offence(tmp_path):
                    "    def __len__(self):\n        return 0\n"
                    "def f():\n    return A().used()\n")
     assert _unreferenced([mod]) == ["mod.A.recursive", "mod.f"]
+    # a field whose name is read only on an object of another class, in a
+    # module that neither defines nor imports the field's class
+    irreps, cli = tmp_path / "irreps.py", tmp_path / "cli.py"
+    irreps.write_text("from typing import NamedTuple\n"
+                      "class OddIrrep(NamedTuple):\n"
+                      "    dimension: int\n    group: object\n"
+                      "def degree(ir: OddIrrep):\n    return ir.dimension\n")
+    cli.write_text("from irreps import degree\n"
+                   "print(degree(IRREP), args.group)\n")
+    assert _unreferenced([irreps, cli]) == ["irreps.OddIrrep.group"]
+    # in a module that imports the class, any read of the name counts
+    cli.write_text("from irreps import OddIrrep, degree\n"
+                   "print(degree(OddIrrep(1, 2)), args.group)\n")
+    assert _unreferenced([irreps, cli]) == []
 
 
 def test_dead_definition_scan_sees_an_unread_field(tmp_path):

@@ -23,6 +23,7 @@ from oracles import (
     S4_GENS,
     MatrixGroup,
     cycle_type,
+    dense_permutations,
     lex_least_multiple,
     matrix_inv,
     matrix_mul,
@@ -482,6 +483,28 @@ def test_permutation_groups_match_matrix_oracle(case):
         assert triple_count(g, g.classes[i], g.classes[j], g.classes[l]) \
             == matrix_triple_count(m, m.classes[i], m.classes[j],
                                    m.classes[l]), (i, j, l)
+
+
+# the generators that pgl2_group and psl2_group put on P^1(F_ell); 2 is
+# the least primitive root mod 13
+PROJECTIVE_LINE = {
+    "pgl2-13": (pgl2_group, 13, [(1, 1, 0, 1), (0, 12, 1, 0), (2, 0, 0, 1)]),
+    "psl2-7-hurwitz": (psl2_group, 7, [(1, 1, 0, 1), (0, 6, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("case", ["readme-gens-json", *PROJECTIVE_LINE])
+def test_frame_images_match_the_dense_product(case):
+    if case in PROJECTIVE_LINE:
+        build, ell, gens = PROJECTIVE_LINE[case]
+        rep = MatrixRep(ell, 2, scalars=range(1, ell))
+        images = build(ell).generators
+    else:
+        blob = ORACLE_FILE_GROUPS[case]
+        rep = MatrixRep(blob["p"], blob["n"], scalars=blob.get("scalars"))
+        gens = blob["generators"]
+        images = rep.permutations(gens)
+    assert images == dense_permutations(rep, gens)
 
 
 def _orbit_oracle_triples(case):

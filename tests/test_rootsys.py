@@ -24,8 +24,9 @@ from excmono.rootsys import (MAX_RANK, RootSystem, dynkin_components,
                              require_covered, root_system)
 from excmono.twogroup import build_tilde_group
 from excmono.verify import COVERED_LABELS
-from oracles import (coroot_dot, coxeter_number, longest_element_matrix,
-                     mat_mul, mat_pow, pair, tuple_closure)
+from oracles import (bourbaki_cn, coroot_dot, coxeter_number,
+                     longest_element_matrix, mat_mul, mat_pow, pair,
+                     tuple_closure)
 
 ALL_LABELS = ["A1", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
               "D3", "D4", "D5", "D6", "D7", "D8", "E7", "E8", "F4", "G2"]
@@ -121,11 +122,8 @@ def test_b_type_enumeration_only_bounds(label):
         assert len(enum) == 48
 
 
-@pytest.mark.parametrize("name", ALL_LABELS + ["F4 dual", "G2 dual"])
-def test_closure_matches_the_tuple_oracle(name):
-    label, _, dual = name.partition(" ")
-    rs = root_system(label).dual() if dual else root_system(label)
-    want = tuple_closure(rs.cartan, rs.coroot_norms)
+def assert_matches_tuple_closure(rs, cartan, coroot_norms):
+    want = tuple_closure(cartan, coroot_norms)
     assert set(rs.roots) == set(want) and len(rs.roots) == len(want)
     assert rs.coroot_of == {t: cr for t, (cr, _) in want.items()}
     assert rs.norm_of == {t: norm for t, (_, norm) in want.items()}
@@ -137,6 +135,47 @@ def test_closure_matches_the_tuple_oracle(name):
         assert rs.norm_of[t] == coroot_dot(rs, cr, cr)
         assert rs.pairing_of[t] == tuple(pair(rs, t, e) for e in units)
         assert rs.copairing_of[t] == tuple(pair(rs, e, cr) for e in units)
+
+
+@pytest.mark.parametrize("name", ALL_LABELS + [
+    f"{label} dual" for label in ALL_LABELS if label[0] in "BCFG"])
+def test_closure_matches_the_tuple_oracle(name):
+    label, _, dual = name.partition(" ")
+    rs = root_system(label).dual() if dual else root_system(label)
+    assert_matches_tuple_closure(rs, rs.cartan, rs.coroot_norms)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_RANK + 1))
+def test_cn_relabeled_from_bn_matches_bourbaki(n):
+    rs = root_system(f"C{n}")
+    cartan, coroot_norms = bourbaki_cn(n)
+    assert (rs.letter, rs.rank, rs.label) == ("C", n, f"C{n}")
+    assert rs.cartan == cartan and rs.coroot_norms == coroot_norms
+    # (alpha_i-vee, alpha_j-vee) = <alpha_i, alpha_j-vee> (alpha_i-vee,
+    # alpha_i-vee) / 2, read along the row
+    assert rs.form_gram == [[cartan[i][j] * coroot_norms[i] // 2
+                             for j in range(n)] for i in range(n)]
+    assert rs.roots == sorted(rs.roots, key=lambda t: (sum(t), t))
+    assert_matches_tuple_closure(rs, cartan, coroot_norms)
+
+
+def test_cn_and_duals_run_no_closure():
+    def closure_runs():
+        return {c["name"]: c["runs"] for c in obs.runs()}.get(
+            "root-coroot-closure", 0)
+
+    obs.reset()
+    closed = [root_system(f"B{n}") for n in range(2, MAX_RANK + 1)]
+    g2 = root_system("G2")
+    closed.append(g2)
+    built = closure_runs()
+    assert built == sum(rs.rank * len(rs.positive_roots) for rs in closed)
+    for n in range(2, MAX_RANK + 1):
+        root_system(f"C{n}")
+        root_system(f"C{n}").dual()
+    g2.dual()
+    assert closure_runs() == built
+    obs.reset()
 
 
 COXETER = {"A1": (2, 2), "B3": (6, 5), "C3": (6, 4), "D4": (6, 6),
@@ -279,17 +318,15 @@ def test_reducible_d2():
 
 
 def test_highest_root_is_found_once_per_system():
-    def maximality_runs():
-        return {c["name"]: c["runs"] for c in obs.runs()}[
-            "highest-root-maximal"]
-
+    found = RootSystem.highest_root.cache_info
     obs.reset()
     rs = root_system("E8")
-    assert rs.highest_root() is rs.highest_root()
-    assert maximality_runs() == 8   # one per simple root
+    first = rs.highest_root()
+    assert rs.highest_root() is first
+    assert found().misses == 1
     obs.clear_caches()   # as criterion 9 does: the same system recomputes
-    rs.highest_root()
-    assert maximality_runs() == 16
+    again = rs.highest_root()
+    assert again == first and again is not first and found().misses == 1
     obs.reset()
 
 
