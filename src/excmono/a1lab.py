@@ -5,22 +5,23 @@ is the exponent k of i^k, k in 0..3, with k = 4 standing for chi(0) = 0;
 `FiniteFieldCtx.index` holds it for every element of F_p.  Sums of such
 values are Gaussian integers, kept as (re, im) int pairs whose terms are
 read from `arith.UNIT_RE` and `arith.UNIT_IM`.  The Weil bounds, the
-Legendre count and symmetric-square integrality are checked exactly,
-never with floats, through `obs.check`, which raises CheckFailed even
-under `python -O`; t3 = conj(t1), t2 real and the point count hold by
-algebra on the character counts, so they are read, not checked.
+Legendre count, the point count from fourth roots and symmetric-square
+integrality are checked exactly, never with floats, through `obs.check`,
+which raises CheckFailed even under `python -O`; t3 = conj(t1) and t2
+real hold by algebra on the character counts, so they are read, not
+checked.
 
 The field context is F_p for a prime p = 1 mod 4.  F_{p^2} enters only
 through `extension_sums`, as rows a + b*w of its elements.
 
 Per fiber, `fiber_values` evaluates f once at each unramified x through
 the context's table of inverses; the counts of each character value,
-which give t1, t2, t3 and the point count, and the Legendre count are
-O(p) table lookups over those values.  The F_{p^2} sums of one prime
-come for every lambda at once from one exact cyclic correlation per row
-of F_{p^2} = F_p + F_p*w (`extension_sums`), each row a bytes gather and
-each correlation a Kronecker-packed big-int product: a scan costs O(p^2)
-table steps, not the direct O(p^3).
+which give t1, t2, t3 and the point count, and the Legendre and
+fourth-root counts are O(p) table lookups over those values.  The
+F_{p^2} sums of one prime come for every lambda at once from one exact
+cyclic correlation per row of F_{p^2} = F_p + F_p*w (`extension_sums`),
+each row a bytes gather and each correlation a Kronecker-packed big-int
+product: a scan costs O(p^2) table steps, not the direct O(p^3).
 """
 
 from __future__ import annotations
@@ -58,10 +59,14 @@ class FiniteFieldCtx:
         counts = [self.index.count(k) for k in range(4)]
         check("character-order-4", counts == [(p - 1) // 4] * 4,
               "character is not of exact order 4: {}", counts)
-        # square_roots[v] = #{y : y^2 = v}, for the Legendre count
+        # square_roots[v] = #{y : y^2 = v}, for the Legendre count, and
+        # fourth_roots[v] = #{y : y^4 = v}, for the point count
         self.square_roots = [0] * p
+        self.fourth_roots = [0] * p
         for y in range(p):
-            self.square_roots[y * y % p] += 1
+            y2 = y * y % p
+            self.square_roots[y2] += 1
+            self.fourth_roots[y2 * y2 % p] += 1
 
 
 # ----------------------------------------------------------------- sums
@@ -330,9 +335,14 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
     check("weil-bound", t1[0] ** 2 + t1[1] ** 2 <= 4 * q,
           "Weil bound failed: |{}|^2 > 4q", t1)
     legendre_crosscheck(ctx, values, t2)
+    n = q + 1 + 2 * t1[0] + t2[0]
+    # the same points counted from fourth roots, without characters
+    count = _RAMIFIED + sum(map(ctx.fourth_roots.__getitem__, values))
+    check("point-count-by-fourth-roots", count == n, "lambda = {}: {} "
+          "points over the fiber, want n = {}", lam, count, n)
     ext_sum = extension_sums(ctx)[lam]
     return TraceRecord(q=q, lam=lam, t1=t1, t2=t2, t3=t3,
-                       point_count_smooth=q + 1 + 2 * t1[0] + t2[0],
+                       point_count_smooth=n,
                        sym2_trace=sym2_trace(ctx, t1, ext_sum),
                        sym2_symmetric=sym2_symmetric_trace(ctx, t1, ext_sum))
 

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 from .linalg import gf2_nullspace, smith_normal_form
 from .obs import check, memo
-from .rootsys import RootSystem, dynkin_components, root_key, root_system
+from .rootsys import (RootSystem, dynkin_components, fold_dominant,
+                      root_key, root_system)
 
 # the component-type table, one entry per family row, instantiated at
 # every rank this toolkit supports
@@ -51,52 +52,33 @@ class SubRootSystem(NamedTuple):
 
 
 def _fold_half_rho_vee(rs: RootSystem):
-    """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly.
+    """The pairings of (1/2) rho-vee folded into the closed fundamental
+    alcove, run on y = 4x, which starts at 2 rho-vee and stays integral.
 
-    Runs on y = 4x, which starts at 2 rho-vee and stays integral, and
-    keeps the pairings p_i = <alpha_i, y> so that a reflection costs
-    O(r).  Returns (y, p, theta), theta the highest root; the alcove is
-    p_i >= 0 and <theta, y> <= 4.
+    Returns p, with p_i = <alpha_i, y> for each simple root and, last,
+    p_0 = 4 - <theta, y> for alpha_0 = delta - theta at level 4; the
+    alcove is p >= 0, so the walk is `fold_dominant` on the transposed
+    affine Cartan matrix: s_i takes y to y - p_i alpha_i-vee, and s_0 to
+    y + p_0 theta-vee.  It starts at p_i = <alpha_i, 2 rho-vee> = 2 and
+    p_0 = 4 - 2 ht(theta).
 
-    Each step reflects in a wall of the alcove that separates the point
-    from it, so it removes exactly that wall from the separating affine
-    walls H(alpha, k), alpha > 0: at x = rho-vee / 2, <alpha, x> =
+    Each step crosses exactly one affine wall H(alpha, k), alpha > 0,
+    between the point and the alcove: at x = rho-vee / 2, <alpha, x> =
     ht(alpha) / 2, those with 0 < k < ht(alpha) / 2.  So the fold takes
     exactly N = sum of floor((ht(alpha) - 1) / 2) steps, the Iwahori-
     Matsumoto length formula (Publ. Math. IHES 25, 1965).
     """
     r = rs.rank
-    a = rs.cartan
-    y = list(rs.two_rho_coroot())
-    theta, theta_vee = rs.highest_root()
-
-    def pairings(v):  # <alpha_k, v> for each k, v in the coroot basis
-        return [sum(map(mul, row, v)) for row in a]
-
-    p, theta_col = pairings(y), pairings(theta_vee)
-    # the nonzero entries (k, a[k][i]) of each column i of the Cartan matrix
-    cols = [[(k, row[i]) for k, row in enumerate(a) if row[i]]
-            for i in range(r)]
+    theta = rs.highest_root()[0]
+    n, m = rs.pairing_of[theta], rs.copairing_of[theta]
+    # matrix[i][k] = <alpha_k, alpha_i-vee>, node r standing for alpha_0
+    matrix = [[row[i] for row in rs.cartan] + [-n[i]] for i in range(r)]
+    matrix.append([-c for c in m] + [2])
     n_walls = sum((sum(t) - 1) // 2 for t in rs.positive_roots)
-    for steps in range(n_walls + 1):
-        v = min(p)
-        if v < 0:
-            i = p.index(v)
-            y[i] -= v  # s_i: y -> y - <alpha_i, y> alpha_i-vee
-            for k, c in cols[i]:
-                p[k] -= v * c
-            continue
-        t = sum(map(mul, theta, p))
-        if t <= 4:
-            break
-        for k in range(r):  # s_0: y -> y - (<theta, y> - 4) theta-vee
-            y[k] -= (t - 4) * theta_vee[k]
-            p[k] -= (t - 4) * theta_col[k]
-    else:
-        steps = f"over {n_walls}"   # not in the alcove after N steps
+    p, steps = fold_dominant(matrix, [2] * r + [4 - 2 * sum(theta)], n_walls)
     check("alcove-fold-length", steps == n_walls, "{}: the fold took {} "
           "steps into the alcove, want N = {}", rs.label, steps, n_walls)
-    return y, p, theta
+    return p
 
 
 def _simple_system(positive_members):
@@ -159,12 +141,12 @@ def phi_k(rs: RootSystem) -> SubRootSystem:
     pos = [t for t in rs.positive_roots if sum(t) % 2 == 0]
     simple_members = _simple_system(pos)
 
-    y, p, theta = _fold_half_rho_vee(rs)
+    p = _fold_half_rho_vee(rs)
     kept = [i for i in range(rs.rank) if p[i] == 0]
-    affine = sum(map(mul, rs.pairing_of[theta], y)) == 4   # <theta, y>
+    affine = p[-1] == 0   # the point lies on the affine wall <theta, x> = 1
     delta_k = tuple(rs.simple_roots[i] for i in kept)
     if affine:
-        delta_k = delta_k + (tuple(-v for v in theta),)
+        delta_k = delta_k + (tuple(-v for v in rs.highest_root()[0]),)
     removed = [i for i in range(rs.rank) if p[i]]
 
     types_walk = _classify_components(rs, delta_k)

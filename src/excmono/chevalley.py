@@ -286,8 +286,8 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
           "want {}", rs.label, witness.centralizer_dim, graded, target)
     if diagram is not None:
         # D is simply laced: the labels of h fold as a weight's pairings
-        folded = fold_dominant(rs.cartan, [labels[alg.index[s] - alg.rank]
-                                           for s in rs.simple_roots])
+        simple = [labels[alg.index[s] - alg.rank] for s in rs.simple_roots]
+        folded, _ = fold_dominant(rs.cartan, simple, len(rs.positive_roots))
         check("v-class-weighted-diagram", folded == diagram,
               "{}: weighted Dynkin diagram {} != {}", rs.label, folded,
               diagram)
@@ -363,7 +363,18 @@ def quasiminuscule_dims(label: str):
     n_short = sum(1 for a in rs.roots if rs.norm_of[a] == top)
     n_short_simple = sum(1 for a in rs.simple_roots if rs.norm_of[a] == top)
     qm_dim = n_short + n_short_simple
+    heis = heisenberg_dim(rs)
+    # <b, theta-vee> < 0 only at -theta (-2) and at 2 h-vee - 4 roots (-1),
+    # h-vee = 1 + the comark sum; so heis + dim Y = #Phi + 1
+    below, want = rs.num_roots - heis, 2 * rs.dual_coxeter_number() - 3
+    check("heisenberg-count-by-comarks", below == want, "{}: {} roots b "
+          "with <b, theta-vee> < 0, want 2 h-vee - 3 = {}", rs.label, below,
+          want)
+    return qm_dim, rs.dim_y(), heis
+
+
+def heisenberg_dim(rs: RootSystem) -> int:
+    """The number of roots b with <b, theta-vee> >= 0."""
     # <b, theta-vee> = sum over k of b[k] <alpha_k, theta-vee>
     theta_col = rs.copairing_of[rs.highest_root()[0]]
-    heis = sum(1 for b in rs.roots if sum(map(mul, b, theta_col)) >= 0)
-    return qm_dim, rs.dim_y(), heis
+    return sum(1 for b in rs.roots if sum(map(mul, b, theta_col)) >= 0)

@@ -126,6 +126,13 @@ class RootSystem:
             norm[low] = norm[root]
         self._sort_roots()
         self.simple_roots = simple
+        if self.is_irreducible():
+            # |Phi| = r h, h = ht(theta) + 1 (Humphreys, Reflection Groups
+            # and Coxeter Groups, 3.18), theta the last root by height
+            h = sum(self.roots[-1]) + 1
+            check("root-count-is-rank-times-coxeter", len(self.roots) == r * h,
+                  "{}: {} roots, want rank {} times h = {}", self.label,
+                  len(self.roots), r, h)
 
     def _relabel(self, rs: "RootSystem"):
         """Fill self in as the dual of rs: see `dual`."""
@@ -156,11 +163,6 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(dynkin_components(self.cartan)) == 1
 
-    def two_rho_coroot(self):
-        """2 rho-vee: sum of the positive coroots (kept doubled => integral)."""
-        return tuple(map(sum, zip(*(self.coroot_of[t]
-                                    for t in self.positive_roots))))
-
     @memo
     def highest_root(self):
         """Return (theta, theta-vee) for an irreducible system.
@@ -189,10 +191,12 @@ class RootSystem:
         The x with pairings p_k = <x, alpha_k-vee> = k+1 is dominant and
         regular.  The dominant weight in the orbit of -x is -w0 x =
         sigma(x), sigma the diagram symmetry -w0, and the p_k are
-        distinct, so w0 = -1 exactly when folding -x gives back x.
+        distinct, so w0 = -1 exactly when folding -x gives back x.  -x
+        lies across every positive root's wall: the fold takes #Phi+ steps.
         """
         x = list(range(1, self.rank + 1))
-        return fold_dominant(self.cartan, [-k for k in x]) == x
+        return fold_dominant(self.cartan, [-k for k in x],
+                             len(self.positive_roots))[0] == x
 
     def dual(self) -> "RootSystem":
         """The dual system, with node numbering kept: roots <-> coroots.
@@ -305,26 +309,27 @@ def dynkin_components(a) -> list:
     return comps
 
 
-def fold_dominant(cartan, p) -> list:
-    """The pairings of the dominant weight in the Weyl orbit of the weight
-    x whose pairings p_k = <x, alpha_k-vee> are given.
+def fold_dominant(matrix, p, limit):
+    """(p', steps): the pairings p' of the dominant point in the orbit of
+    the point with pairings p, and the number of reflections taken.
 
-    While some p_i < 0, s_i sends x to x - p_i alpha_i, which lies above
-    x, so p loses p_i times row i of the Cartan matrix; an orbit is
-    finite, so the climb ends, at the orbit's one dominant weight.
+    Reflection i subtracts p_i times row i of `matrix` from p: row i of
+    the Cartan matrix for a weight's pairings <x, alpha_k-vee>, column i
+    for a coroot-lattice point's <alpha_k, y>.  Each step reflects in the
+    most negative p_i, a wall between the point and the chamber, and
+    crosses no other such wall, so the walk takes one step per separating
+    wall and ends at the orbit's dominant point, whatever the pivot.  It
+    stops after limit + 1 reflections, dominant or not.
     """
     p = list(p)
-    r = len(p)
-    while True:
-        for i in range(r):
-            v = p[i]
-            if v < 0:
-                row = cartan[i]
-                for k in range(r):
-                    p[k] -= v * row[k]
-                break
-        else:
-            return p
+    rows = [[(k, c) for k, c in enumerate(row) if c] for row in matrix]
+    for steps in range(limit + 1):
+        v = min(p)
+        if v >= 0:
+            return p, steps
+        for k, c in rows[p.index(v)]:
+            p[k] -= v * c
+    return p, limit + 1
 
 
 def require_covered(rs: RootSystem) -> None:

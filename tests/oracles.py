@@ -462,11 +462,18 @@ def coxeter_number(rs) -> int:
     return 1 + sum(theta)
 
 
+def two_rho_coroot(rs) -> tuple:
+    """2 rho-vee, the sum of the positive coroots, in the simple-coroot
+    basis: the start of the alcove walk, of which `_fold_half_rho_vee`
+    keeps only the pairings."""
+    return tuple(map(sum, zip(*(rs.coroot_of[t] for t in rs.positive_roots))))
+
+
 def fraction_fold(rs):
     """Reduce (1/2) rho-vee into the closed fundamental alcove, exactly:
     (x, the number of reflections made), within a cap of 100000 passes."""
     r = rs.rank
-    two_rho_vee = rs.two_rho_coroot()
+    two_rho_vee = two_rho_coroot(rs)
     x = [Fraction(c, 4) for c in two_rho_vee]  # (1/2) * (2 rho-vee) / 2
     theta, theta_vee = rs.highest_root()
     for moves in range(100000):

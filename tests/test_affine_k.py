@@ -18,7 +18,7 @@ from excmono.affine_k import (
 )
 from excmono.rootsys import (MAX_RANK, SUPPORTED, RootSystem, require_covered,
                              root_system)
-from oracles import fraction_fold, pair, tuple_simple_system
+from oracles import fraction_fold, pair, tuple_simple_system, two_rho_coroot
 
 # label -> (component types, torus rank, pi1 as invariant factors + free rank)
 K_TABLE = {
@@ -77,7 +77,7 @@ def test_member_count_matches_component_root_counts(label):
 def test_members_are_the_even_height_roots(label):
     rs = root_system(label)
     members = member_roots(rs)
-    two_rho_vee = rs.two_rho_coroot()
+    two_rho_vee = two_rho_coroot(rs)
     for t in members:
         assert pair(rs, t, two_rho_vee) % 4 == 0  # <rho-vee, alpha> even
     assert len(members) == rs.num_roots // 2 - rs.rank
@@ -169,7 +169,7 @@ def test_odd_d_rejected(label):
 def walls_crossed(rs) -> int:
     """N: the affine walls H(alpha, k), alpha > 0, strictly between
     rho-vee / 2 and the alcove, the k with 0 < 4k < <alpha, 2 rho-vee>."""
-    two_rho_vee = rs.two_rho_coroot()
+    two_rho_vee = two_rho_coroot(rs)
     return sum((pair(rs, t, two_rho_vee) - 1) // 4
                for t in rs.positive_roots)
 
@@ -192,18 +192,19 @@ def test_integer_fold_matches_fraction_oracle(label):
     rs = root_system(label)
     x, moves = fraction_fold(rs)
     assert moves == walls_crossed(rs)
-    y, p, theta = _fold_half_rho_vee(rs)
-    assert y == [4 * c for c in x]
-    assert theta == rs.highest_root()[0]
-    # the kept pairings are the pairings of the folded point
-    assert p == [pair(rs, rs.simple_roots[i], y) for i in range(rs.rank)]
+    # all r + 1 pairings of the folded point 4x: they fix it, as the
+    # simple ones alone do
+    theta = rs.highest_root()[0]
+    y = [4 * c for c in x]
+    assert _fold_half_rho_vee(rs) == [
+        pair(rs, s, y) for s in rs.simple_roots] + [4 - pair(rs, theta, y)]
     obs.reset()
     sub = phi_k(rs)
     phi_k(rs)  # cached: no second build
     runs = {e["name"]: e["runs"] for e in obs.runs()}
     # it ran once and passed: the integer fold also took N steps
     assert runs["alcove-fold-length"] == 1
-    # theta comes from the fold: highest_root is found once
+    # the fold and phi_k both read theta: highest_root is found once
     assert RootSystem.highest_root.cache_info().misses == 1
     # one finite node off the walls of the folded point, and the affine
     # wall through it, name the deleted node

@@ -353,7 +353,8 @@ def test_grading_route_equals_rank_route(label):
             + [eps[m - 2] + eps[m - 1]]
         assert want == [1, *[0] * (m - 3), 1, 1]
         simple = [labels[alg.index[s] - alg.rank] for s in rs.simple_roots]
-        assert fold_dominant(rs.cartan, simple) == want
+        assert fold_dominant(rs.cartan, simple,
+                             len(rs.positive_roots))[0] == want
 
 
 # --------------------------------------------------- natural representation

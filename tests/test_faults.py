@@ -50,6 +50,15 @@ def after(owner, attr, change):
     return plant
 
 
+def before(owner, attr, change):
+    """A fault: `owner.attr` is called with change(*args) in place of
+    its arguments."""
+    def plant(mp):
+        real = getattr(owner, attr)
+        mp.setattr(owner, attr, lambda *args: real(*change(*args)))
+    return plant
+
+
 def replace(owner, attr, value):
     """A fault: `owner.attr` is `value`."""
     return lambda mp: mp.setattr(owner, attr, value)
@@ -83,6 +92,16 @@ def extension_shift(shift):
 
 def scan(*primes):
     return lambda: a1lab.scan(list(primes))
+
+
+def _closure_loses_a_root(mp):
+    # alpha_1 goes missing from the sorted roots of every closure
+    real = RootSystem._sort_roots
+
+    def sort_roots(rs):
+        real(rs)
+        rs.roots.remove(rs.positive_roots[0])
+    mp.setattr(RootSystem, "_sort_roots", sort_roots)
 
 
 def _drop_last_class(found, group, conj):
@@ -185,14 +204,18 @@ FAULTS = {
         (cartan("B", ([[2, 1], [1, 2]], [2, 2])),
          lambda: RootSystem("B2"), ("roots", "B2")),
     ],
+    "root-count-is-rank-times-coxeter": (
+        _closure_loses_a_root, lambda: RootSystem("G2"), ("roots", "G2")),
     # --------------------------------------------------------- affine_k
     "alcove-fold-length": [
-        # s_0 moves nothing, so the fold never ends
-        (after(RootSystem, "highest_root",
-               lambda hr, rs: (hr[0], (0,) * rs.rank)),
-         lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2")),
+        # s_0 moves nothing, so the fold ends only at its bound, N + 1 = 5
+        (before(affine_k, "fold_dominant", lambda matrix, p, limit: (
+            [*matrix[:-1], [0] * len(p)], p, limit)),
+         lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2"),
+         "took 5 steps"),
         # it starts at 0, in the alcove: it ends, after no step
-        (after(RootSystem, "two_rho_coroot", lambda v, rs: (0,) * rs.rank),
+        (before(affine_k, "fold_dominant", lambda matrix, p, limit: (
+            matrix, [0] * (len(p) - 1) + [4], limit)),
          lambda: affine_k.phi_k(root_system("G2")), ("k-type", "G2"),
          "took 0 steps"),
     ],
@@ -274,10 +297,14 @@ FAULTS = {
     ],
     "v-class-weighted-diagram": (
         # one label flipped after the fold; the -1 test folds unpatched
-        after(chevalley, "fold_dominant",
-              lambda folded, cartan, p: [1 - folded[0], *folded[1:]]),
+        after(chevalley, "fold_dominant", lambda folded, cartan, p, limit: (
+            [1 - folded[0][0], *folded[0][1:]], folded[1])),
         lambda: chevalley.v_class_centralizer(build_algebra("D4")),
         MONODROMY_D4),
+    "heisenberg-count-by-comarks": (
+        after(chevalley, "heisenberg_dim", lambda heis, rs: heis + 1),
+        lambda: chevalley.quasiminuscule_dims("E7"),
+        ("monodromy", "E7", "--samples", "0")),
     # -------------------------------------------------------- rigidity
     "class-equation": [
         (after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),
@@ -306,6 +333,12 @@ FAULTS = {
         # t1, and so t3 = conj(t1), moved by 10 > 2 sqrt(5)
         power_sum(lambda j: (10 * (j == 1), 0)), scan(5), A1_5),
     "legendre-identity": (_square_roots_off, scan(5), A1_5),
+    "point-count-by-fourth-roots": (
+        # n = q + 1 + 2 Re t1 + t2 moves; the Weil bound and sym2, which
+        # read |t1| and t1^2, do not
+        after(a1lab, "trace_sums",
+              lambda ts, ctx, values: ((-ts[0][0], -ts[0][1]), *ts[1:])),
+        scan(13), A1_13),
     "genus-1-hasse-bound": (
         # f takes only the values 1 and nu^2, whose chi^2 is 1: t2 = q - 3
         # with t1 = t3 inside the Weil bound and the Legendre count intact

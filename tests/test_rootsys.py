@@ -10,6 +10,7 @@ embedded D lattice), so there the oracle only bounds from above.
 
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,12 +22,12 @@ from hypothesis import given, settings, strategies as st
 from excmono import obs
 from excmono.chevalley import build_algebra
 from excmono.rootsys import (MAX_RANK, RootSystem, dynkin_components,
-                             require_covered, root_system)
+                             fold_dominant, require_covered, root_system)
 from excmono.twogroup import build_tilde_group
 from excmono.verify import COVERED_LABELS
 from oracles import (bourbaki_cn, coroot_dot, coxeter_number,
                      longest_element_matrix, mat_mul, mat_pow, pair,
-                     tuple_closure)
+                     tuple_closure, two_rho_coroot)
 
 ALL_LABELS = ["A1", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
               "D3", "D4", "D5", "D6", "D7", "D8", "E7", "E8", "F4", "G2"]
@@ -242,6 +243,43 @@ def test_minus_one_in_weyl_matches_longest_element_oracle(label):
     assert rs.minus_one_in_weyl() is (longest_element_matrix(rs) == minus_one)
 
 
+EVERY_LABEL = (["A1"] + [f"{x}{n}" for x in "BCD"
+                         for n in range(2, MAX_RANK + 1)]
+               + ["E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", EVERY_LABEL)
+def test_fold_of_minus_a_regular_weight_takes_a_step_per_positive_root(label):
+    # -x, x with pairings 1..r, lies across the wall of every positive
+    # root, and each step crosses one: #Phi+ steps, ending at sigma(x),
+    # sigma the diagram symmetry -w0
+    rs = root_system(label)
+    x = list(range(1, rs.rank + 1))
+    n = len(rs.positive_roots)
+    folded, steps = fold_dominant(rs.cartan, [-k for k in x], n)
+    assert steps == n
+    assert sorted(folded) == x
+    assert (folded == x) is rs.minus_one_in_weyl()
+
+
+def test_fold_on_a_matrix_of_infinite_type_stops_at_its_bound():
+    # [[2, -3], [-3, 2]] is no finite type's Cartan matrix: from (-1, -1)
+    # each reflection leaves a larger negative pairing, so only the bound
+    # ends the walk
+    def too_slow(signum, frame):
+        raise TimeoutError("the fold ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        p, steps = fold_dominant([[2, -3], [-3, 2]], [-1, -1], 1000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert steps == 1001
+    assert min(p) < 0
+
+
 @pytest.mark.parametrize("label", ["A1", "B3", "D5", "E8", "F4", "G2"])
 def test_longest_element_is_an_involution(label):
     rs = root_system(label)
@@ -302,7 +340,7 @@ def test_reflection_stays_inside(data):
 def test_two_rho_pairs_to_two_on_simples():
     for label in ALL_LABELS:
         rs = root_system(label)
-        two_rho_vee = rs.two_rho_coroot()
+        two_rho_vee = two_rho_coroot(rs)
         for s in rs.simple_roots:
             assert pair(rs, s, two_rho_vee) == 2
 
