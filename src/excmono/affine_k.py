@@ -173,6 +173,7 @@ def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
     return LatticeQuotient(invariants, rs.rank - len(invariants))
 
 
+@memo
 def removed_node_coefficient(rs: RootSystem):
     """The theta-vee coefficient of the deleted affine-diagram node; None
     where no single node is deleted (torus factors in K: A1, B2 and Cn)."""
@@ -188,30 +189,24 @@ def removed_node_coefficient(rs: RootSystem):
 class KappaCharacter:
     """The order-two character of the coroot lattice attached to K's double cover.
 
-    Kernel: the lattice spanned by the coroots of Phi_K (index 2); for A1,
-    where Phi_K is empty and the quotient is Z, the kernel is instead the
-    index-2 sublattice 2 * Lambda-vee, which is what the squaring cover of
-    Gm pulls back to.  Built only past `require_covered`, so never for Cn.
+    Kernel: the span of the coroots of Phi_K and 2 * Lambda-vee, of index
+    2 for every covered type.  For A1, Phi_K is empty and the functional
+    is coordinate parity: 2 * Lambda-vee is what the squaring cover of Gm
+    pulls back to.  Built only past `require_covered`, so never for Cn.
     """
 
     def __init__(self, rs: RootSystem):
-        r = rs.rank
-        if rs.label == "A1":
-            self.functional = 1  # coordinate parity on the rank-1 lattice
-        else:
-            sub = phi_k(rs)
-            coroots = [rs.coroot_of[b] for b in sub.simple_members]
-            masks = []
-            for c in coroots:
-                m = 0
-                for i, v in enumerate(c):
-                    if v % 2:
-                        m |= 1 << i
-                masks.append(m)
-            null = gf2_nullspace(masks, r)
-            check("kappa-kernel-index-2", len(null) == 1, "{}: kernel lattice "
-                  "not of index 2 (nullity {})", rs.label, len(null))
-            self.functional = null[0]
+        masks = []
+        for b in phi_k(rs).simple_members:
+            m = 0
+            for i, v in enumerate(rs.coroot_of[b]):
+                if v % 2:
+                    m |= 1 << i
+            masks.append(m)
+        null = gf2_nullspace(masks, rs.rank)
+        check("kappa-kernel-index-2", len(null) == 1, "{}: kernel lattice "
+              "not of index 2 (nullity {})", rs.label, len(null))
+        self.functional = null[0]
 
     def __call__(self, coroot_vector) -> int:
         acc = 0

@@ -35,6 +35,9 @@ BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
 # a Jacobi sample takes about 10 us on E8: 10**5 of them about 1 s
 MAX_SAMPLES = 10 ** 5
+# the v-class witness of E7 and E8: pairwise orthogonal simple roots, as
+# Bourbaki nodes, in (height, coordinates) order
+E_QUADRUPLE = {7: (7, 5, 3, 2), 8: (8, 6, 4, 1)}
 
 
 class ChevalleyAlgebra:
@@ -245,7 +248,7 @@ class VClassWitness(NamedTuple):
 def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
     """The v-class witness of a `BUDGET_LABELS` type: G2, D or E.
 
-    Each letter picks pairwise strongly orthogonal roots beta, and the
+    Each letter names pairwise strongly orthogonal roots beta, and the
     witness is e = sum of e_beta.  With h = sum of beta-vee and f = sum
     of e_-beta, (e, h, f) is an sl2-triple, so dim g^e = dim g_0 + dim
     g_1 for the grading g_j = {x : [h, x] = j x}, that is rank +
@@ -258,12 +261,11 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
     rs = alg.rs
     diagram = None
     if rs.letter == "G":
-        # short root: its coroot is long
-        top = max(rs.norm_of.values())
-        roots = (next(a for a in rs.positive_roots if rs.norm_of[a] == top),)
+        # alpha_2 of the dual has the long coroot: it is the short root
+        roots = (rs.simple_roots[1],)
         description = "short root vector"
     elif rs.letter == "E":
-        roots = next(orthogonal_quadruples(rs))
+        roots = tuple(rs.simple_roots[i - 1] for i in E_QUADRUPLE[rs.rank])
         description = "sum over an orthogonal quadruple (candidate #1)"
     else:
         # partition (3, 2, ..., 2, 1) of so(2m), m even:
@@ -292,32 +294,6 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
               "{}: weighted Dynkin diagram {} != {}", rs.label, folded,
               diagram)
     return witness
-
-
-def orthogonal_quadruples(rs: RootSystem):
-    """Every quadruple of pairwise orthogonal positive roots.
-
-    Roots are ranked by (height, coordinates); each quadruple comes with
-    its ranks increasing, and the quadruples in lexicographic rank order.
-    """
-    pos, cop = rs.positive_roots, rs.copairing_of
-
-    def orth(a, b):
-        # <a, b-vee> = sum_k a_k <alpha_k, b-vee>, zero iff (a, b) is
-        return not sum(map(mul, a, cop[b]))
-
-    n = len(pos)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not orth(pos[i], pos[j]):
-                continue
-            for k in range(j + 1, n):
-                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
-                    continue
-                for l in range(k + 1, n):
-                    quad = (pos[i], pos[j], pos[k], pos[l])
-                    if all(orth(quad[t], quad[3]) for t in range(3)):
-                        yield quad
 
 
 # ---------------------------------------------------------------- results

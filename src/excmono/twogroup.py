@@ -215,8 +215,6 @@ def _greedy_lagrangian(tg: TildeGroup, order):
         if all(tg.pairing(v, w) == 0 for w in picked):
             picked.append(v)
             span = _span(tg.radical_basis + picked)
-    check("lagrangian-found", len(picked) == m,
-          "maximal isotropic extension not found")
     return picked
 
 
@@ -266,6 +264,8 @@ def odd_irreps(tg: TildeGroup):
     transversal = tuple(sorted({_reduce_by(m_pivots, x)
                                 for x in range(1 << r)}))
     dim = 1 << ((r - s) // 2)
+    # each pick lies outside the span so far: 2^(r - s - #picks) cosets,
+    # so 2^m of them means the greedy lift found all m = (r - s) / 2
     check("lagrangian-cosets", len(transversal) == dim,
           "{} cosets of the Lagrangian, want {}", len(transversal), dim)
 

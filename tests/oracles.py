@@ -23,9 +23,10 @@ two-group's top-bit recurrence replaced, the Gram double sum that the
 copairing orthogonality test replaced, the per-entry extension rows that
 the a1 lab's bytes gathers, pair table and half walk replaced, the
 Coxeter number, the natural-representation matrix and Jordan type that
-the weighted Dynkin diagram replaced as the D class check, the coset
-basis the odd irreps are induced on, and dense-to-sparse rows, plain
-matrix products and powers, F2 ranks, a quadruple enumeration and a
+the weighted Dynkin diagram replaced as the D class check, the
+orthogonal quadruple enumeration that the named E witness roots
+replaced, the coset basis the odd irreps are induced on, and
+dense-to-sparse rows, plain matrix products and powers, F2 ranks and a
 quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
 """
@@ -33,6 +34,7 @@ quadruple survey for the rest.
 import hashlib
 import itertools
 import json
+import operator
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +42,6 @@ from typing import NamedTuple
 
 from excmono.a1lab import _correlate
 from excmono.arith import UNIT_RE, least_primitive_root
-from excmono.chevalley import orthogonal_quadruples
 from excmono.linalg import _gcd_reduce, gf2_echelon, integer_rank
 from excmono.rigidity import ConjClass, MatrixRep
 from excmono.twogroup import (_extend_character, _greedy_lagrangian,
@@ -344,6 +345,32 @@ def jordan_type(mat):
         exactly = blocks[k - 1] - (blocks[k] if k < len(blocks) else 0)
         out.extend([k] * exactly)
     return tuple(sorted(out, reverse=True))
+
+
+def orthogonal_quadruples(rs):
+    """Every quadruple of pairwise orthogonal positive roots.
+
+    Roots are ranked by (height, coordinates); each quadruple comes with
+    its ranks increasing, and the quadruples in lexicographic rank order.
+    """
+    pos, cop = rs.positive_roots, rs.copairing_of
+
+    def orth(a, b):
+        # <a, b-vee> = sum_k a_k <alpha_k, b-vee>, zero iff (a, b) is
+        return not sum(map(operator.mul, a, cop[b]))
+
+    n = len(pos)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not orth(pos[i], pos[j]):
+                continue
+            for k in range(j + 1, n):
+                if not (orth(pos[i], pos[k]) and orth(pos[j], pos[k])):
+                    continue
+                for l in range(k + 1, n):
+                    quad = (pos[i], pos[j], pos[k], pos[l])
+                    if all(orth(quad[t], quad[3]) for t in range(3)):
+                        yield quad
 
 
 def quadruples_by_gram(rs) -> list:

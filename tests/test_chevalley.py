@@ -17,7 +17,6 @@ from excmono.affine_k import kappa_character
 from excmono.chevalley import (
     build_algebra,
     kappa_fixed_dim,
-    orthogonal_quadruples,
     quasiminuscule_dims,
     regular_nilpotent_centralizer,
     v_class_centralizer,
@@ -33,6 +32,7 @@ from oracles import (
     jordan_type,
     mat_mul,
     natural_so_matrix,
+    orthogonal_quadruples,
     pair,
     quadruple_dim_survey,
     quadruples_by_gram,
@@ -318,6 +318,22 @@ def test_v_class_witnesses_are_orthogonal_in_e_types():
             for j in range(i + 1, 4):
                 assert coroot_dot(rs, rs.coroot_of[quad[i]],
                                   rs.coroot_of[quad[j]]) == 0
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_named_e_quadruple_is_the_first_orthogonal_quadruple(label):
+    alg = build_algebra(label)
+    assert v_class_centralizer(alg).root_combination == next(
+        orthogonal_quadruples(alg.rs))
+
+
+def test_named_g2_root_is_the_first_short_root():
+    # short roots of the dual have the long coroots
+    alg = build_algebra("G2")
+    rs = alg.rs
+    top = max(rs.norm_of.values())
+    first = next(a for a in rs.positive_roots if rs.norm_of[a] == top)
+    assert v_class_centralizer(alg).root_combination == (first,)
 
 
 def test_quadruple_survey_sees_two_values():

@@ -244,14 +244,15 @@ FAULTS = {
         after(twogroup, "smith_normal_form", lambda fs, mat: [*fs, 2]),
         lambda: build_tilde_group(root_system("A1")).radical_size_crosscheck(),
         ATILDE_A1),
-    "lagrangian-found": (
-        replace(TildeGroup, "pairing", lambda tg, a, b: 1),
-        lambda: twogroup.odd_irreps(build_tilde_group(root_system("D6"))),
-        ("atilde", "D6")),
-    "lagrangian-cosets": (
-        replace(twogroup, "_reduce_by", lambda pivots, bits: bits),
-        lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
-        ATILDE_A1),
+    "lagrangian-cosets": [
+        (replace(twogroup, "_reduce_by", lambda pivots, bits: bits),
+         lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
+         ATILDE_A1),
+        # no two vectors pair to 0: the greedy lift stops short of m picks
+        (replace(TildeGroup, "pairing", lambda tg, a, b: 1),
+         lambda: twogroup.odd_irreps(build_tilde_group(root_system("D6"))),
+         ("atilde", "D6"), "8 cosets of the Lagrangian, want 4"),
+    ],
     "character-orthogonality": (
         after(twogroup, "_induced_character",
               lambda ch, *args: ([ch[0][0] + 1, *ch[0][1:]], ch[1])),
@@ -285,9 +286,8 @@ FAULTS = {
         lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
         MONODROMY_G2),
     "v-class-centralizer": [
-        # four simple roots, which are not orthogonal, as the witness
-        (replace(chevalley, "orthogonal_quadruples",
-                 lambda rs: iter([tuple(rs.simple_roots[:4])])),
+        # nodes 1 to 4, which are not orthogonal, as the witness
+        (replace(chevalley, "E_QUADRUPLE", {7: (1, 2, 3, 4)}),
          lambda: chevalley.v_class_centralizer(build_algebra("E7")),
          ("monodromy", "E7", "--samples", "0")),
         # the grading count alone moves: one label 0 read as 2
@@ -481,6 +481,7 @@ def test_every_check_has_a_fault():
     (["a1", "--primes", "5,13"], "character-order-4", 2),
     (["a1", "--primes", "5,13"], "even-rational-integer", 28),
     (["rigid", "--group", "psl2", "--ell", "7"], "class-equation", 7),
+    (["verify-all"], "c-alpha-prime-is-2", 24),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_check_runs_once_per_fixed_datum(capsys, argv, name, runs):
     assert main(argv) == 0
