@@ -105,9 +105,6 @@ class ChevalleyAlgebra:
         if got is None:
             s = self._pos[self.key[a] + self.key[b]]
             got = self._compute_n(a, b, s)
-            check("structure-constant-nonzero", got != 0,
-                  "N({}, {}) = 0 but {} is a root", self.roots[a],
-                  self.roots[b], self.roots[s])
             self._ncache[key] = got
         return got
 
@@ -142,9 +139,10 @@ class ChevalleyAlgebra:
         return self._integral(-(t1 + t2), n(s, neg[a1]), a, b)
 
     def _integral(self, num: int, den: int, a: int, b: int) -> int:
+        # only here can an N be 0: the other branches give p + 1 or -N
         q, rem = divmod(num, den)
-        check("structure-constant-integral", rem == 0,
-              "N({}, {}) = {}/{} is not an integer", self.roots[a],
+        check("structure-constant-integral", rem == 0 and q != 0,
+              "N({}, {}) = {}/{} is not a nonzero integer", self.roots[a],
               self.roots[b], num, den)
         return q
 
@@ -266,7 +264,8 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
         description = "short root vector"
     elif rs.letter == "E":
         roots = tuple(rs.simple_roots[i - 1] for i in E_QUADRUPLE[rs.rank])
-        description = "sum over an orthogonal quadruple (candidate #1)"
+        description = ("sum over the orthogonal simple roots "
+                       f"{E_QUADRUPLE[rs.rank]}")
     else:
         # partition (3, 2, ..., 2, 1) of so(2m), m even:
         # X(e1+e2) + X(e1-e2) + X(e3-e4) + ... + X(e_{m-1}-e_m), whose h

@@ -128,13 +128,14 @@ def _cmd_rigid(args):
     elif args.ell is None:
         args.ell = 5   # recorded in the manifest's parameters
     if args.group == "pgl2":
-        if args.classes:
+        if args.classes is not None:
             raise ValueError("--classes needs --group psl2 or file:<path>; "
                              "pgl2 reports its fixture triple")
         return predicted_triple(args.ell)
     if args.group == "psl2":
         group = psl2_group(args.ell)
-    result = rigid_result(group, args.classes and args.classes.split(","))
+    labels = () if args.classes is None else args.classes.split(",")
+    result = rigid_result(group, labels)
     if args.group == "psl2":
         result["label"] = f"psl2-{args.ell}"
         if "triple" in result:   # a file: triple is reported, not judged

@@ -19,17 +19,18 @@ the commutator law for a is one r-bit mask compare of its beta row, its
 transposed beta row and its pairing row, since the map from a mask m to
 the set {b : m.b odd} is linear and one-to-one over F_2.
 
-The odd irreps reduce modulo a Lagrangian through its reduced echelon
-form from `linalg.gf2_echelon`.  Characters of abelian subgroups are
-kept as exponents k of i^k; each odd irrep's character is tabulated once,
-as int lists (re, im) indexed by the element, read from `arith.UNIT_RE`
-and `arith.UNIT_IM`.
+The odd irreps are induced from the preimage of a Lagrangian: the masks
+that set no pivot column of its reduced echelon form from
+`linalg.gf2_echelon` represent the cosets, and the checked commutator
+law conjugates, t m t^-1 = (-1)^(t, m) m.  Characters of abelian
+subgroups are kept as exponents k of i^k; each odd irrep is its
+character, tabulated once as int lists (re, im) indexed by the element,
+read from `arith.UNIT_RE` and `arith.UNIT_IM`, so its degree is re[0].
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import NamedTuple
 
 from .arith import UNIT_IM, UNIT_RE
 from .linalg import gf2_echelon, gf2_nullspace, smith_normal_form
@@ -44,6 +45,9 @@ class TildeGroup:
         self.rs = rs
         self.r = rank
         g = rs.form_gram
+        # (a, a) is the sum of g_ii over the bits i of a, mod 2
+        check("even-norm", not any(g[i][i] % 2 for i in range(rank)),
+              "{}: odd norm on the Gram diagonal", rs.label)
         # row i of the Gram form mod 2 and of the cocycle, as masks, and
         # column i of the cocycle: the j with beta(e_j, e_i) = 1
         gram_rows = [sum(1 << j for j in range(rank) if g[i][j] % 2)
@@ -67,11 +71,8 @@ class TildeGroup:
             self._cocycle_mask[a] = self._cocycle_mask[rest] ^ cocycle_rows[i]
             self._cocycle_t_mask[a] = (self._cocycle_t_mask[rest]
                                        ^ cocycle_cols[i])
-            norm = self._norm[rest] + g[i][i] + 2 * sum(
+            self._norm[a] = self._norm[rest] + g[i][i] + 2 * sum(
                 g[i][j] for j in range(i) if (rest >> j) & 1)
-            check("even-norm", norm % 2 == 0, "class {:#b} has odd norm {}",
-                  a, norm)
-            self._norm[a] = norm
         self._bits = n - 1
         self.radical_basis = gf2_nullspace(gram_rows, rank)
         self._check_laws()
@@ -93,10 +94,6 @@ class TildeGroup:
         # the cocycle mask has r bits, so the sign bit of y never counts
         return x ^ y ^ ((self._cocycle_mask[x & self._bits] & y).bit_count()
                         & 1) << self.r
-
-    def inverse(self, x: int) -> int:
-        # x * x = q(bits) with (a, a)/2 odd iff bit 1 of the norm is set
-        return x ^ (self._norm[x & self._bits] & 2) << (self.r - 1)
 
     @property
     def order(self) -> int:
@@ -166,28 +163,19 @@ def atilde_result(label: str) -> dict:
             "radical_size": tg.radical_size_crosscheck(), "center": name,
             "center_invariant_factors": list(factors),
             "odd_irreps": {"count": len(irreps),
-                           "dims": [ir.dimension for ir in irreps]}}
+                           "dims": [re[0] for re, _ in irreps]}}
 
 
 # ------------------------------------------------------------------ irreps --
 
-class OddIrrep(NamedTuple):
-    """Irreducible with central mu2-kernel acting by -1, induced from a
-    character of the preimage of a Lagrangian; `characters` is its
-    character as int lists (re, im) indexed by the element."""
-
-    dimension: int
-    characters: tuple
-
-
 def _induced_character(tg: TildeGroup, transversal, m_character):
     """chi(x) = sum over t in the transversal of psi(t^-1 x t), with psi
-    zero off its subgroup: each t and m add psi(m) at x = t m t^-1."""
+    zero off its subgroup: each t and m add psi(m) at x = t m t^-1,
+    which is m with its sign flipped by (t, m)."""
     re, im = [0] * tg.order, [0] * tg.order
     for t in transversal:
-        t_inv = tg.inverse(t)
         for m, val in m_character.items():
-            x = tg.mul(tg.mul(t, m), t_inv)
+            x = m ^ (tg.pairing(t, m) << tg.r)
             re[x] += UNIT_RE[val]
             im[x] += UNIT_IM[val]
     return re, im
@@ -202,9 +190,7 @@ def _span(vectors):
 
 def _greedy_lagrangian(tg: TildeGroup, order):
     """Maximal isotropic lift: extend the radical by lex-least vectors."""
-    r = tg.r
-    s = len(tg.radical_basis)
-    m = (r - s) // 2
+    m = (tg.r - len(tg.radical_basis)) // 2
     picked = []
     span = _span(tg.radical_basis)
     for v in order:
@@ -241,7 +227,8 @@ def _extend_character(tg: TildeGroup, table: dict, generators, choices=None):
 
 
 def odd_irreps(tg: TildeGroup):
-    """All irreducibles where the central -1 acts by -1 (Stone-von Neumann).
+    """All irreducibles where the central -1 acts by -1 (Stone-von Neumann),
+    each as its character tables (re, im).
 
     Each is induced from a character of the preimage of the greedy
     Lagrangian taken in lexicographic order; another order gives the same
@@ -261,20 +248,21 @@ def odd_irreps(tg: TildeGroup):
             _extend_character(tg, base, tg.radical_basis, flips))
 
     lag_gens = sorted(m_pivots.values(), reverse=True)
-    transversal = tuple(sorted({_reduce_by(m_pivots, x)
-                                for x in range(1 << r)}))
+    # reduced echelon: x with its pivot columns cleared represents its coset
+    pivot_cols = sum(1 << c for c in m_pivots)
+    transversal = tuple(x for x in range(1 << r) if not x & pivot_cols)
     dim = 1 << ((r - s) // 2)
     # each pick lies outside the span so far: 2^(r - s - #picks) cosets,
     # so 2^m of them means the greedy lift found all m = (r - s) / 2
     check("lagrangian-cosets", len(transversal) == dim,
           "{} cosets of the Lagrangian, want {}", len(transversal), dim)
 
-    out = [OddIrrep(dimension=dim, characters=_induced_character(
-        tg, transversal, _extend_character(tg, chi, lag_gens)))
-        for chi in central_chars]
-    for i, (re_i, im_i) in enumerate(ir.characters for ir in out):
+    out = [_induced_character(tg, transversal,
+                              _extend_character(tg, chi, lag_gens))
+           for chi in central_chars]
+    for i, (re_i, im_i) in enumerate(out):
         for j in range(i, len(out)):
-            re_j, im_j = out[j].characters
+            re_j, im_j = out[j]
             # sum of chi_i(g) * conj(chi_j(g)) over the group
             real = sum(map(mul, re_i, re_j)) + sum(map(mul, im_i, im_j))
             imag = sum(map(mul, im_i, re_j)) - sum(map(mul, re_i, im_j))
@@ -283,11 +271,3 @@ def odd_irreps(tg: TildeGroup):
                   "{}: <chi_{}, chi_{}> = {} + {}i", tg.rs.label, i, j,
                   real, imag)
     return out
-
-
-def _reduce_by(pivots, bits):
-    """The coset representative of bits with every pivot column cleared."""
-    for c, row in pivots.items():
-        if (bits >> c) & 1:
-            bits ^= row
-    return bits

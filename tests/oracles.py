@@ -25,7 +25,9 @@ the a1 lab's bytes gathers, pair table and half walk replaced, the
 Coxeter number, the natural-representation matrix and Jordan type that
 the weighted Dynkin diagram replaced as the D class check, the
 orthogonal quadruple enumeration that the named E witness roots
-replaced, the coset basis the odd irreps are induced on, and
+replaced, the coset basis the odd irreps are induced on, the coset
+reduction and group inverse that the pivot-mask transversal and the
+commutator-law conjugation replaced, and
 dense-to-sparse rows, plain matrix products and powers, F2 ranks and a
 quadruple survey for the rest.
 `GOLDEN` holds the sha256 of the stdout of every README example.
@@ -44,8 +46,7 @@ from excmono.a1lab import _correlate
 from excmono.arith import UNIT_RE, least_primitive_root
 from excmono.linalg import _gcd_reduce, gf2_echelon, integer_rank
 from excmono.rigidity import ConjClass, MatrixRep
-from excmono.twogroup import (_extend_character, _greedy_lagrangian,
-                               _reduce_by)
+from excmono.twogroup import _extend_character, _greedy_lagrangian
 
 # recorded before the Ã and a1 layers were rewritten for single computation
 GOLDEN = json.loads(
@@ -455,6 +456,23 @@ def induced_irreps(tg, order=None) -> list:
     return out
 
 
+def _reduce_by(pivots, bits):
+    """The coset representative of bits with every pivot column cleared,
+    the route the pivot-mask transversal of `twogroup.odd_irreps`
+    replaced."""
+    for c, row in pivots.items():
+        if (bits >> c) & 1:
+            bits ^= row
+    return bits
+
+
+def inverse(tg, x: int) -> int:
+    """x^-1 in the two-group `tg`, for the conjugations t m t^-1 that the
+    commutator law replaced: x * x = q(bits) is central of order at most
+    2, so x^-1 is x with its sign flipped where q(bits) = -1."""
+    return x ^ (tg.q(x & ((1 << tg.r) - 1)) == -1) << tg.r
+
+
 def irrep_matrix(ir, el: int):
     """The matrix of the `InducedIrrep` `ir` at the int element `el`, on
     its coset basis, with (re, im) pair entries."""
@@ -464,7 +482,7 @@ def irrep_matrix(ir, el: int):
     for v, rep in enumerate(ir.transversal):
         moved = tg.mul(el, rep)
         u_rep = _reduce_by(ir.m_pivots, moved & ((1 << tg.r) - 1))
-        m = tg.mul(tg.inverse(u_rep), moved)
+        m = tg.mul(inverse(tg, u_rep), moved)
         out[ir.transversal.index(u_rep)][v] = i_power(ir.m_character[m])
     return out
 
@@ -922,14 +940,14 @@ def loop_mul(tg, x: int, y: int) -> int:
 
 def law_failures(tg, pairs) -> list:
     """The pairs (a, b) at which a group law fails, replayed one pair at a
-    time through tg.mul and tg.inverse, the route the row check replaced:
+    time through tg.mul and `inverse`, the route the row check replaced:
     (+, a) must square to q(a), and the commutator of (+, a) and (+, b)
     must be (-1)^(a, b), both read from the per-call loops."""
     minus = 1 << tg.r
     bad = []
     for a, b in pairs:
         square = tg.mul(a, a)
-        comm = tg.mul(tg.mul(a, b), tg.mul(tg.inverse(a), tg.inverse(b)))
+        comm = tg.mul(tg.mul(a, b), tg.mul(inverse(tg, a), inverse(tg, b)))
         if (square != (minus if loop_q(tg, a) == -1 else 0)
                 or comm != (minus if loop_pairing(tg, a, b) else 0)):
             bad.append((a, b))

@@ -228,7 +228,7 @@ def test_rigid_pgl2_above_thirteen(capsys):
     assert res["class_sizes"][1] == 17 * 17 - 1 == 288
 
 
-@pytest.mark.parametrize("classes", ["2A,3A", "2A,3A,7A,7B"])
+@pytest.mark.parametrize("classes", ["2A,3A", "2A,3A,7A,7B", ""])
 def test_rigid_triple_needs_three_classes(capsys, classes):
     # two labels once raised a TypeError, and a fourth was taken as g0
     code, out, err = run_cli(capsys, "rigid", "--group", "psl2", "--ell", "7",
@@ -239,7 +239,7 @@ def test_rigid_triple_needs_three_classes(capsys, classes):
         "triple needs 3\n", err
 
 
-@pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE"])
+@pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE", ""])
 def test_rigid_pgl2_refuses_classes(capsys, classes):
     # pgl2 reports its fixture triple, so a triple of its own is refused
     code, out, err = run_cli(capsys, "rigid", "--group", "pgl2", "--ell", "7",
@@ -256,6 +256,16 @@ def test_rigid_psl2_hurwitz(capsys):
     assert doc["result"]["triple"]["strictly_rigid"] is True
     assert {"name": "strictly-rigid", "passed": True, "runs": 1} \
         in doc["checks"]
+
+
+def test_rigid_file_group_refuses_empty_classes(capsys, tmp_path):
+    # "" names one empty label, so it is refused as a triple, not ignored
+    path = tmp_path / "gens.json"
+    path.write_text(readme_group_text())
+    code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}",
+                             "--classes", "")
+    assert code == 2 and out == ""
+    assert err == "error: --classes  names 1 classes; a triple needs 3\n"
 
 
 def test_rigid_file_group(capsys, tmp_path):

@@ -245,9 +245,10 @@ FAULTS = {
         lambda: build_tilde_group(root_system("A1")).radical_size_crosscheck(),
         ATILDE_A1),
     "lagrangian-cosets": [
-        (replace(twogroup, "_reduce_by", lambda pivots, bits: bits),
+        # no pivot column: every class reads as its own coset
+        (replace(twogroup, "gf2_echelon", lambda rows: {}),
          lambda: twogroup.odd_irreps(build_tilde_group(root_system("A1"))),
-         ATILDE_A1),
+         ATILDE_A1, "2 cosets of the Lagrangian, want 1"),
         # no two vectors pair to 0: the greedy lift stops short of m picks
         (replace(TildeGroup, "pairing", lambda tg, a, b: 1),
          lambda: twogroup.odd_irreps(build_tilde_group(root_system("D6"))),
@@ -262,15 +263,17 @@ FAULTS = {
     "extraspecial-pair-found": (
         replace(ChevalleyAlgebra, "root_sum", lambda alg, p, q: None),
         lambda: build_algebra("G2"), MONODROMY_G2),
-    "structure-constant-nonzero": (
-        replace(ChevalleyAlgebra, "_compute_n", lambda alg, a, b, s: 0),
-        lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
-        MONODROMY_G2),
-    "structure-constant-integral": (
+    "structure-constant-integral": [
         # each extraspecial pair's N is p + 2, not p + 1
-        after(ChevalleyAlgebra, "_string_p", lambda p, alg, a, b: p + 1),
-        lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
-        MONODROMY_G2),
+        (after(ChevalleyAlgebra, "_string_p", lambda p, alg, a, b: p + 1),
+         lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
+         MONODROMY_G2),
+        # a zero numerator: an exact quotient, but N = 0 at a root sum
+        (before(ChevalleyAlgebra, "_integral",
+                lambda alg, num, den, a, b: (alg, 0, den, a, b)),
+         lambda: chevalley.regular_nilpotent_centralizer(build_algebra("G2")),
+         MONODROMY_G2, " = 0/"),
+    ],
     "jacobi-identity-sampled": (
         _single_bracket_off,
         lambda: chevalley.jacobi_probe(build_algebra("D4"), 20, 0),
@@ -482,6 +485,8 @@ def test_every_check_has_a_fault():
     (["a1", "--primes", "5,13"], "even-rational-integer", 28),
     (["rigid", "--group", "psl2", "--ell", "7"], "class-equation", 7),
     (["verify-all"], "c-alpha-prime-is-2", 24),
+    (["atilde", "D6"], "even-norm", 1),
+    (["verify-all"], "even-norm", 7),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_check_runs_once_per_fixed_datum(capsys, argv, name, runs):
     assert main(argv) == 0

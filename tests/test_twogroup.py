@@ -1,5 +1,6 @@
 """Central extension laws, center structure, and Stone-von-Neumann irreps."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -19,7 +20,9 @@ from oracles import (
     gauss_conj,
     gauss_mul,
     gauss_sum,
+    _reduce_by,
     induced_irreps,
+    inverse,
     irrep_matrix,
     law_failures,
     loop_beta,
@@ -300,7 +303,7 @@ def test_group_axioms_small(label):
     tg = group(label)
     els = range(tg.order)
     for x in els:
-        assert tg.mul(x, tg.inverse(x)) == 0
+        assert tg.mul(x, inverse(tg, x)) == 0
         assert tg.mul(0, x) == x
         for y in els:
             assert tg.mul(x, y) == loop_mul(tg, x, y)
@@ -319,7 +322,7 @@ def test_commutator_matches_pairing(data):
     a, b = data.draw(bits), data.draw(bits)
     x = element(tg, data.draw(signs), a)
     y = element(tg, data.draw(signs), b)
-    comm = tg.mul(tg.mul(x, y), tg.mul(tg.inverse(x), tg.inverse(y)))
+    comm = tg.mul(tg.mul(x, y), tg.mul(inverse(tg, x), inverse(tg, y)))
     assert comm == element(tg, -1 if tg.pairing(a, b) else 1, 0)
 
 
@@ -349,8 +352,8 @@ def test_irrep_census(label):
     irs = odd_irreps(tg)
     _, _, _, count, dim = CENTER_TABLE[label]
     assert len(irs) == count
-    assert all(ir.dimension == dim for ir in irs)
-    assert sum(ir.dimension ** 2 for ir in irs) == 1 << tg.r
+    assert all(re[0] == dim for re, _ in irs)
+    assert sum(re[0] ** 2 for re, _ in irs) == 1 << tg.r
 
 
 @pytest.mark.parametrize("label", SUPPORTED)
@@ -359,10 +362,10 @@ def test_irreps_are_odd(label):
     minus = element(tg, -1, 0)
     for ir, ind in zip(odd_irreps(tg), induced_irreps(tg), strict=True):
         mat = irrep_matrix(ind, minus)
-        n = ir.dimension
+        re, im = ir
+        n = re[0]
         assert all(mat[i][j] == ((-1, 0) if i == j else (0, 0))
                    for i in range(n) for j in range(n))
-        re, im = ir.characters
         assert (re[minus], im[minus]) == (-n, 0)
 
 
@@ -395,14 +398,14 @@ def test_irrep_inverses(label):
     for ind in induced_irreps(tg):
         for bits in (0, 1, (1 << tg.r) - 1):
             assert zmat_eq_identity(zmat_mul(
-                irrep_matrix(ind, bits), irrep_matrix(ind, tg.inverse(bits))))
+                irrep_matrix(ind, bits), irrep_matrix(ind, inverse(tg, bits))))
 
 
 @pytest.mark.parametrize("label", SUPPORTED)
 def test_character_orthogonality_exact(label):
     tg = group(label)
     irs = odd_irreps(tg)
-    tables = [list(zip(*ir.characters)) for ir in irs]
+    tables = [list(zip(*ir)) for ir in irs]
     for i, ti in enumerate(tables):
         for j, tj in enumerate(tables):
             inner = gauss_sum(gauss_mul(x, gauss_conj(y))
@@ -417,8 +420,7 @@ def _trace(mat):
 @pytest.mark.parametrize("label", ["D4", "D6"])
 def test_character_tables_are_matrix_traces(label):
     tg = group(label)
-    for ir, ind in zip(odd_irreps(tg), induced_irreps(tg), strict=True):
-        re, im = ir.characters
+    for (re, im), ind in zip(odd_irreps(tg), induced_irreps(tg), strict=True):
         assert len(re) == len(im) == tg.order
         for el in range(tg.order):
             assert (re[el], im[el]) == _trace(irrep_matrix(ind, el))
@@ -426,9 +428,8 @@ def test_character_tables_are_matrix_traces(label):
 
 def test_e8_character_table_sampled_traces():
     tg = group("E8")
-    (ir,) = odd_irreps(tg)
+    ((re, im),) = odd_irreps(tg)
     (ind,) = induced_irreps(tg)
-    re, im = ir.characters
     for el in random.Random(8).sample(range(tg.order), 40):
         assert (re[el], im[el]) == _trace(irrep_matrix(ind, el))
 
@@ -458,10 +459,54 @@ def test_characters_do_not_depend_on_lagrangian(label):
     # Stone-von Neumann: same central character => same irrep; induce
     # from the reversed greedy order and compare whole character functions
     tg = group(label)
-    first = [ir.characters for ir in odd_irreps(tg)]
+    first = odd_irreps(tg)
     second = [_induced_character(tg, ind.transversal, ind.m_character)
               for ind in induced_irreps(tg, range((1 << tg.r) - 1, 0, -1))]
     assert first == second
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6", "D8", "D10",
+                                   "D12", "D14", "E7", "E8"])
+def test_transversal_is_the_reduce_by_route(label, monkeypatch):
+    # odd_irreps takes the masks that set no pivot column; the oracle
+    # clears the pivot columns of every class
+    tg = group(label)
+    real = twogroup._induced_character
+    seen = set()
+
+    def spy(tg, transversal, m_character):
+        seen.add(transversal)
+        return real(tg, transversal, m_character)
+
+    monkeypatch.setattr(twogroup, "_induced_character", spy)
+    odd_irreps(tg)
+    m_pivots = induced_irreps(tg)[0].m_pivots
+    assert seen == {tuple(sorted({_reduce_by(m_pivots, x)
+                                  for x in range(1 << tg.r)}))}
+
+
+def _conjugation_pairs_agree(tg, pairs):
+    for t, m in pairs:
+        assert m ^ (tg.pairing(t, m) << tg.r) == \
+            tg.mul(tg.mul(t, m), inverse(tg, t)), (t, m)
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
+def test_conjugation_by_pairing_is_the_product_route(label):
+    # t m t^-1 = m with its sign flipped by (t, m), for every class t and
+    # every element m
+    tg = group(label)
+    _conjugation_pairs_agree(tg, itertools.product(range(1 << tg.r),
+                                                   range(tg.order)))
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_conjugation_by_pairing_is_the_product_route_sampled(label):
+    tg = group(label)
+    rng = random.Random(tg.r)
+    _conjugation_pairs_agree(tg, [(rng.randrange(1 << tg.r),
+                                   rng.randrange(tg.order))
+                                  for _ in range(500)])
 
 
 def test_a1_is_cyclic_of_order_four():
@@ -471,8 +516,7 @@ def test_a1_is_cyclic_of_order_four():
     while powers[-1] != 0:
         powers.append(tg.mul(powers[-1], g))
     assert len(powers) == 4
-    chars = [(ir.characters[0][g], ir.characters[1][g])
-             for ir in odd_irreps(tg)]
+    chars = [(re[g], im[g]) for re, im in odd_irreps(tg)]
     assert all(re == 0 for re, _ in chars)
     assert sorted(im for _, im in chars) == [-1, 1]  # values are +-i
 
