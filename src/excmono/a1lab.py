@@ -306,11 +306,6 @@ class TraceRecord(NamedTuple):
     sym2_trace: int
     sym2_symmetric: int
 
-    def csv_row(self):
-        return [self.q, self.lam, *self.t1, self.t2[0], *self.t3,
-                self.point_count_smooth,
-                self.sym2_trace, self.sym2_trace // self.q]
-
     def json_dict(self):
         return {
             "q": self.q,
@@ -347,11 +342,6 @@ def compute_record(ctx: FiniteFieldCtx, lam: int) -> TraceRecord:
                        sym2_symmetric=sym2_symmetric_trace(ctx, t1, ext_sum))
 
 
-@memo
-def _context(q: int) -> FiniteFieldCtx:
-    return FiniteFieldCtx(q)
-
-
 # a scan of q costs O(q^2) table steps: MAX_Q bounds each prime, and
 # MAX_SUM_Q2 = 4 MAX_Q^2 the list, which admits the four largest primes
 # together; the README's bounds table gives their measured cost
@@ -372,8 +362,9 @@ def scan(primes):
     if total > MAX_SUM_Q2:
         raise ValueError(f"the a1 primes' squares sum to {total}, above the "
                          f"bound MAX_SUM_Q2 = {MAX_SUM_Q2}")
-    return [compute_record(_context(q), lam)
-            for q in sorted(primes) for lam in range(2, q)]
+    return [compute_record(ctx, lam)
+            for ctx in map(FiniteFieldCtx, sorted(primes))
+            for lam in range(2, ctx.p)]
 
 
 def a1_result(primes) -> dict:
@@ -388,18 +379,15 @@ CSV_HEADER = ["q", "lambda", "t1_re", "t1_im", "t2", "t3_re", "t3_im",
 
 
 def render_csv(records) -> str:
-    """The records as CSV with the `CSV_HEADER` columns.
+    """The `a1_result` records as CSV with the `CSV_HEADER` columns.
 
     `sym2_symmetric` is left out on purpose: the JSON records carry it,
     and the ten-column header is a fixed format that the benchmark's
-    known-answer check (`perfbench/checks.py`) compares verbatim.
+    known-answer check (`perfbench/checks.py`) compares verbatim.  Every
+    cell is an int or a header name, so none needs quoting.
     """
-    import csv   # here, so JSON runs do not load it
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.csv_row())
-    return buf.getvalue()
+    rows = [CSV_HEADER] + [
+        [r["q"], r["lambda"], *r["t1"], r["t2"], *r["t3"], r["n_points"],
+         r["sym2"], r["sym2_over_q"]] for r in records]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 

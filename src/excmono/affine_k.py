@@ -216,11 +216,6 @@ class KappaCharacter:
         return -1 if acc % 2 else 1
 
 
-@memo
-def kappa_character(rs: RootSystem) -> KappaCharacter:
-    return KappaCharacter(rs)
-
-
 def k_type_row(label: str) -> dict:
     """One row of the K-type table, as the CLI emits it."""
     rs = root_system(label)

@@ -24,7 +24,7 @@ import random
 from operator import mul
 from typing import NamedTuple
 
-from .affine_k import kappa_character
+from .affine_k import KappaCharacter
 from .linalg import integer_rank
 from .obs import check, memo
 from .rootsys import (RootSystem, fold_dominant, require_covered,
@@ -33,8 +33,6 @@ from .rootsys import (RootSystem, fold_dominant, require_covered,
 BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 # (dim of the quasi-minuscule representation, dim Y) as in the paper
 QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
-# a Jacobi sample takes about 10 us on E8: 10**5 of them about 1 s
-MAX_SAMPLES = 10 ** 5
 # the v-class witness of E7 and E8: pairwise orthogonal simple roots, as
 # Bourbaki nodes, in (height, coordinates) order
 E_QUADRUPLE = {7: (7, 5, 3, 2), 8: (8, 6, 4, 1)}
@@ -297,14 +295,11 @@ def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
 
 # ---------------------------------------------------------------- results
 
-def monodromy_result(label: str, samples: int, seed: int) -> dict:
+def monodromy_result(label: str, seed: int, samples: int) -> dict:
     """The `monodromy` result for `label`, with `samples` Jacobi checks."""
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"--samples {samples} is outside the bounds "
-                         f"0 .. MAX_SAMPLES = {MAX_SAMPLES}")
     alg = build_algebra(label)
     rs = root_system(label)
-    d0 = kappa_fixed_dim(alg, kappa_character(rs))
+    d0 = kappa_fixed_dim(alg, KappaCharacter(rs))
     d1 = regular_nilpotent_centralizer(alg)
     result = {"label": rs.label, "dim": alg.dim, "rank": alg.rank,
               "kappa_fixed_dim": d0, "regular_nilpotent_centralizer": d1}

@@ -43,11 +43,11 @@ def _cmd_atilde(args):
 
 def _cmd_monodromy(args):
     from .chevalley import monodromy_result
-    return monodromy_result(args.label, args.samples, args.seed)
+    return monodromy_result(args.label, args.seed, 500)
 
 
 def _cmd_a1(args):
-    from .a1lab import a1_result, render_csv, scan
+    from .a1lab import a1_result, render_csv
     primes = []
     for x in filter(None, args.primes.split(",")):
         try:
@@ -58,9 +58,10 @@ def _cmd_a1(args):
         raise ValueError("--primes lists no prime")
     if len(set(primes)) != len(primes):
         raise ValueError(f"--primes {args.primes} lists a prime twice")
+    result = a1_result(primes)
     if args.format == "csv":
-        return render_csv(scan(primes))
-    return a1_result(primes)
+        return render_csv(result["records"])
+    return result
 
 
 def _is_int(x) -> bool:
@@ -189,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Chevalley centralizer dims and rigidity budget")
     p.add_argument("label")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=500)
     p.set_defaults(fn=_cmd_monodromy)
 
     p = sub.add_parser("a1", parents=[common],

@@ -346,8 +346,9 @@ def rigid_result(group: FiniteGroup, labels=()) -> dict:
                           for c in group.classes]}
     if labels:
         if len(labels) != 3:
-            raise ValueError(f"--classes {','.join(labels)} names "
-                             f"{len(labels)} classes; a triple needs 3")
+            noun = "class" if len(labels) == 1 else "classes"
+            raise ValueError(f"--classes {','.join(labels)!r} names "
+                             f"{len(labels)} {noun}; a triple needs 3")
         result["triple"] = triple_count(
             group, *map(group.class_by_label, labels))
     return result

@@ -27,7 +27,6 @@ from operator import neg, sub
 
 from .obs import check, memo
 
-SUPPORTED = ("A", "B", "C", "D", "E", "F", "G")
 # the largest rank admitted, refused in `_parse_label` before any closure:
 # `atilde D14` takes 0.3 s and 19 MB, D16 1.2 s and 31 MB, on 2 cores; the
 # paper needs no rank above 8, and 14 keeps every label well under a second
@@ -231,16 +230,11 @@ class RootSystem:
 
 def _parse_label(label: str):
     s = str(label).strip().upper().replace("_", "")
-    if len(s) < 2 or s[0] not in SUPPORTED:
-        raise ValueError(f"unsupported Cartan type {label!r}")
-    letter, digits = s[0], s[1:]
-    if not digits.isdigit():
-        raise ValueError(f"unsupported Cartan type {label!r}")
-    rank = int(digits)
-    if rank > MAX_RANK:
-        raise ValueError(f"{label}: rank {rank} is above the bound "
-                         f"MAX_RANK = {MAX_RANK}")
-    ok = {
+    letter, digits = s[:1], s[1:]
+    # ASCII digits only: str.isdigit admits '²', which int refuses; no
+    # letter has rank 0, so a label without a rank is refused below
+    rank = int(digits) if digits.isascii() and digits.isdigit() else 0
+    has_rank = {
         "A": rank == 1,
         "B": rank >= 2,
         "C": rank >= 2,
@@ -248,8 +242,11 @@ def _parse_label(label: str):
         "E": rank in (7, 8),
         "F": rank == 4,
         "G": rank == 2,
-    }[letter]
-    if not ok:
+    }
+    if letter in has_rank and rank > MAX_RANK:
+        raise ValueError(f"{label}: rank {rank} is above the bound "
+                         f"MAX_RANK = {MAX_RANK}")
+    if not has_rank.get(letter):
         raise ValueError(f"unsupported Cartan type {label!r}")
     return letter, rank
 
@@ -335,7 +332,7 @@ def fold_dominant(matrix, p, limit):
 def require_covered(rs: RootSystem) -> None:
     """ValueError unless the two-group and Chevalley layers cover the type
     of rs: one whose Weyl group holds -1 and whose dual has its type.  So
-    the layers, and `kappa_character` below them, test -1 in W no more and
+    the layers, and `KappaCharacter` below them, test -1 in W no more and
     meet no Cn, for which kappa is not pinned down on the Gm factor of
     K = A(n-1) x Gm."""
     if not (rs.letter in "AEG"

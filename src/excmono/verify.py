@@ -105,8 +105,8 @@ def criterion_chevalley(seed=0):
     # the Jacobi identity is sampled on E8 alone
     dims, kappa, regular, vclass, budgets = {}, {}, {}, {}, {}
     for label in COVERED_LABELS:
-        res = chevalley.monodromy_result(label, 500 if label == "E8" else 0,
-                                         seed)
+        res = chevalley.monodromy_result(label, seed,
+                                         500 if label == "E8" else 0)
         rs = root_system(label)
         dims[label] = res["dim"]
         check("dim-is-rank-plus-roots", res["dim"] == rs.rank + rs.num_roots,

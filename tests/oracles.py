@@ -38,6 +38,7 @@ import itertools
 import json
 import operator
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -58,6 +59,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def readme_group_text() -> str:
     """The JSON of the README's example `file:` group, gens.json."""
     return re.search(r"`(\{\"p\".*?\})`", README.read_text(), re.S).group(1)
+
+
+def readme_examples() -> list:
+    """argv of every `excmono ...` line in the README's sh blocks."""
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            cmd = line.split("#", 1)[0].strip()
+            if cmd.startswith("excmono "):
+                out.append(shlex.split(cmd)[1:])
+    return out
 
 
 def stdout_digest(out) -> str:

@@ -7,6 +7,7 @@ O(n^2), reverify the ramification orders of f symbolically over Q, and
 freeze a handful of records computed once with both methods agreeing.
 """
 
+import json
 import math
 import os
 import random
@@ -19,11 +20,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import excmono
-from excmono import a1lab, obs
+from excmono import a1lab
 from excmono.a1lab import (
     CSV_HEADER,
     MAX_Q,
     FiniteFieldCtx,
+    a1_result,
     compute_record,
     extension_sums,
     fiber_values,
@@ -33,11 +35,11 @@ from excmono.a1lab import (
     sym2_symmetric_trace,
     sym2_trace,
     trace_sums,
-    _context,
     _correlate,
     _extension_table,
 )
 from excmono.arith import UNIT_IM, UNIT_RE, is_prime, least_primitive_root
+from excmono.cli import main
 from oracles import (gauss_conj, gauss_mul, gauss_sum, i_power,
                      list_extension_table)
 
@@ -246,7 +248,7 @@ def test_trace_identities_hold_for_any_counts(q, data):
     # any counts c_k of values of index k with sum q - 3, not only those
     # of a fiber: t3 = conj(t1) and t2 real need no check, and the
     # Lefschetz formula is the fourth-root count 4 + sum_x #{y^4 = f(x)}
-    ctx = _context(q)
+    ctx = FiniteFieldCtx(q)
     left = q - 3
     counts = []
     for _ in range(3):
@@ -297,6 +299,12 @@ def test_fiber_sizes_match_character_sums(q, lam):
         assert size == 4 * (k == 0)
 
 
+def csv_row(rec):
+    """The `render_csv` row of one record, as ints."""
+    line = render_csv([rec.json_dict()]).splitlines()[1]
+    return [int(cell) for cell in line.split(",")]
+
+
 FROZEN_ROWS = {
     (5, 2): [5, 2, 0, 0, -2, 0, 0, 4, 5, 1],
     (5, 3): [5, 3, 2, 0, 2, 2, 0, 12, 5, 1],
@@ -310,7 +318,7 @@ FROZEN_ROWS = {
 def test_frozen_records(key):
     q, lam = key
     rec = compute_record(FiniteFieldCtx(q), lam)
-    assert rec.csv_row() == FROZEN_ROWS[key]
+    assert csv_row(rec) == FROZEN_ROWS[key]
 
 
 # ---------------------------------------------------------------- legendre
@@ -471,7 +479,7 @@ def test_compute_record_sums_each_fiber_once(monkeypatch):
     ctx = FiniteFieldCtx(13)
     rec = compute_record(ctx, 3)
     assert calls == [13 - 3]
-    assert rec.csv_row() == FROZEN_ROWS[(13, 3)]
+    assert csv_row(rec) == FROZEN_ROWS[(13, 3)]
 
 
 @pytest.mark.parametrize("q,lam", [(5, 3), (13, 3), (17, 16)])
@@ -487,7 +495,7 @@ def test_compute_record_evaluates_f_once_per_point(monkeypatch, q, lam):
     rec = compute_record(FiniteFieldCtx(q), lam)
     assert len(calls) == len(set(calls)) == q - 3
     if (q, lam) in FROZEN_ROWS:
-        assert rec.csv_row() == FROZEN_ROWS[(q, lam)]
+        assert csv_row(rec) == FROZEN_ROWS[(q, lam)]
 
 
 # ----------------------------------------------------------- ramification
@@ -541,13 +549,30 @@ def test_scan_rejects_bad_primes():
             scan(bad)
 
 
-def test_scan_refuses_q_over_the_bound_before_any_context():
+def test_scan_refuses_q_over_the_bound_before_any_context(monkeypatch):
     assert is_prime(1021) and 1021 % 4 == 1 and 1021 <= MAX_Q < 1033
-    obs.clear_caches()
+
+    def no_context(p):
+        raise RuntimeError(f"a context for {p} was built")
+
+    monkeypatch.setattr(a1lab, "FiniteFieldCtx", no_context)
     for bad in ([1033], [5, 1033], [1033, 5], [10 ** 18 + 9]):
         with pytest.raises(ValueError, match=f"bound MAX_Q = {MAX_Q}"):
             scan(bad)
-        assert _context.cache_info().currsize == 0
+
+
+def test_scan_builds_one_context_per_prime(monkeypatch, capsys):
+    built = []
+
+    class Counting(FiniteFieldCtx):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(a1lab, "FiniteFieldCtx", Counting)
+    assert main(["a1", "--primes", "5,13"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["fibers"] == 3 + 11
+    assert built == [5, 13]
 
 
 # Under -O no assert statement runs; every identity must still be checked.
@@ -584,16 +609,15 @@ def test_identities_checked_under_optimize(shift, code):
 
 
 def test_scan_deterministic():
-    assert render_csv(scan([5, 13])) == render_csv(scan([5, 13]))
+    assert render_csv(a1_result([5, 13])["records"]) == \
+        render_csv(a1_result([5, 13])["records"])
 
 
 def test_csv_and_json_shapes():
-    recs = scan([5])
-    text = render_csv(recs)
-    lines = text.splitlines()
+    data = a1_result([5])["records"]
+    lines = render_csv(data).splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + 3
-    data = [rec.json_dict() for rec in recs]
     assert [d["lambda"] for d in data] == [2, 3, 4]
     assert all(d["sym2_over_q"] == 1 for d in data)
     assert data[1]["sym2_symmetric"] == -1

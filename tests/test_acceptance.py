@@ -11,7 +11,7 @@ import sys
 import time
 
 from excmono import chevalley, obs, verify
-from excmono.affine_k import kappa_character
+from excmono.affine_k import KappaCharacter
 from excmono.chevalley import (
     build_algebra,
     kappa_fixed_dim,
@@ -71,10 +71,10 @@ def test_criterion_5_chevalley():
     alg = build_algebra("E8")
     rs = root_system("E8")
     e8_ok = (alg.dim == 248
-             and kappa_fixed_dim(alg, kappa_character(rs)) == 120
+             and kappa_fixed_dim(alg, KappaCharacter(rs)) == 120
              and regular_nilpotent_centralizer(alg) == 8
              and v_class_centralizer(alg).centralizer_dim == 120
-             and chevalley.monodromy_result("E8", 0, 0)["budget"]
+             and chevalley.monodromy_result("E8", 0, samples=0)["budget"]
              == {"d0": 120, "d1": 8, "dinf": 120})
     e8_dt = time.perf_counter() - t0
     assert report(5, "Chevalley centralizers", e8_ok,

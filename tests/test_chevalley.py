@@ -13,7 +13,7 @@ import random
 import pytest
 
 from excmono import chevalley, cli, verify
-from excmono.affine_k import kappa_character
+from excmono.affine_k import KappaCharacter
 from excmono.chevalley import (
     build_algebra,
     kappa_fixed_dim,
@@ -283,7 +283,7 @@ def test_centralizer_dims_match_the_dense_oracle(label):
 @pytest.mark.parametrize("label", ALL_TYPES)
 def test_kappa_fixed_dim_is_half_the_roots(label):
     alg = build_algebra(label)
-    kappa = kappa_character(root_system(label))
+    kappa = KappaCharacter(root_system(label))
     assert kappa_fixed_dim(alg, kappa) == len(alg.roots) // 2
 
 
@@ -468,7 +468,7 @@ def test_d_type_jordan_partitions():
 
 @pytest.mark.parametrize("label", list(BUDGETS))
 def test_rigidity_budget(label):
-    res = chevalley.monodromy_result(label, 0, 0)
+    res = chevalley.monodromy_result(label, 0, samples=0)
     d0, d1, dinf = (res["budget"][d] for d in ("d0", "d1", "dinf"))
     assert (d0, d1, dinf) == BUDGETS[label]
     assert (res["kappa_fixed_dim"], res["regular_nilpotent_centralizer"],
@@ -509,7 +509,7 @@ def test_criterion_5_computes_each_quantity_once(monkeypatch):
 
 def test_monodromy_computes_each_quantity_once(monkeypatch, capsys):
     counts = count_calls(monkeypatch)
-    assert cli.main(["monodromy", "E7", "--samples", "1"]) == 0
+    assert cli.main(["monodromy", "E7"]) == 0
     assert counts == dict.fromkeys(COUNTED, 1)
 
 

@@ -1,7 +1,6 @@
 import gc
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -11,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import excmono
-from excmono import affine_k, twogroup
-from excmono.a1lab import MAX_Q, MAX_SUM_Q2, render_csv, scan
+from excmono import affine_k, obs, twogroup
+from excmono.a1lab import MAX_Q, MAX_SUM_Q2, a1_result, render_csv
 from excmono.arith import is_prime
-from excmono.chevalley import MAX_SAMPLES, ChevalleyAlgebra
+from excmono.chevalley import ChevalleyAlgebra, monodromy_result
 from excmono.cli import build_parser, main
 from excmono.rigidity import MAX_POINTS
-from oracles import GOLDEN, README, readme_group_text, stdout_digest
+from oracles import (GOLDEN, README, readme_examples, readme_group_text,
+                     stdout_digest)
 
 
 
@@ -98,8 +98,8 @@ def test_monodromy_report(capsys):
 
 def test_monodromy_label_case_does_not_change_the_result(capsys):
     # the budget and quasi-minuscule labels are matched against rs.label
-    _, upper, _ = run_json(capsys, "monodromy", "E7", "--samples", "0")
-    _, lower, _ = run_json(capsys, "monodromy", "e7", "--samples", "0")
+    _, upper, _ = run_json(capsys, "monodromy", "E7")
+    _, lower, _ = run_json(capsys, "monodromy", "e7")
     assert lower["result"] == upper["result"]
     # e7's dual is the system itself, not a second build as E7
     assert lower["checks"] == upper["checks"]
@@ -118,39 +118,20 @@ def test_failed_chevalley_identity_is_a_check_failure(capsys, monkeypatch):
 
 
 def test_monodromy_seed_is_recorded(capsys):
-    code, doc, _ = run_json(capsys, "monodromy", "G2",
-                            "--seed", "7", "--samples", "50")
+    code, doc, _ = run_json(capsys, "monodromy", "G2", "--seed", "7")
     assert code == 0
-    assert doc["result"]["jacobi_probe"] == {"samples": 50, "seed": 7}
-    assert doc["parameters"]["seed"] == 7
+    assert doc["result"]["jacobi_probe"] == {"samples": 500, "seed": 7}
+    assert doc["parameters"] == {"label": "G2", "seed": 7}
     assert {"name": "jacobi-identity-sampled", "passed": True,
-            "runs": 50} in doc["checks"]
+            "runs": 500} in doc["checks"]
 
 
-def test_monodromy_zero_samples_runs_no_jacobi_check(capsys):
-    code, doc, _ = run_json(capsys, "monodromy", "G2", "--samples", "0")
-    assert code == 0
-    assert doc["result"]["jacobi_probe"] == {"samples": 0, "seed": 0}
-    assert "jacobi-identity-sampled" not in [c["name"] for c in doc["checks"]]
-
-
-def test_monodromy_negative_samples_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "monodromy", "A1", "--samples", "-3")
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-
-
-def test_monodromy_samples_over_the_bound_is_refused_quickly(capsys):
-    # at about 10 us a sample on E8, 10**9 samples would run for hours
-    for samples in (MAX_SAMPLES + 1, 10 ** 9):
-        t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, "monodromy", "E8", "--samples",
-                                 str(samples))
-        assert time.perf_counter() - t0 < 1.0
-        assert code == 2 and out == ""
-        assert err == f"error: --samples {samples} is outside the bounds " \
-            f"0 .. MAX_SAMPLES = {MAX_SAMPLES}\n", err
+def test_monodromy_zero_samples_runs_no_jacobi_check():
+    # verify-all criterion 5 samples E8 alone, so the other labels take 0
+    obs.reset()
+    res = monodromy_result("G2", 0, samples=0)
+    assert res["jacobi_probe"] == {"samples": 0, "seed": 0}
+    assert "jacobi-identity-sampled" not in [c["name"] for c in obs.runs()]
 
 
 def test_a1_json_records(capsys):
@@ -163,7 +144,7 @@ def test_a1_json_records(capsys):
 def test_a1_csv_matches_library(capsys):
     code, out, _ = run_cli(capsys, "a1", "--primes", "5,13", "--format", "csv")
     assert code == 0
-    assert out == render_csv(scan([5, 13]))
+    assert out == render_csv(a1_result([5, 13])["records"])
     assert out.splitlines()[0].startswith("q,lambda,t1_re")
 
 
@@ -234,9 +215,10 @@ def test_rigid_triple_needs_three_classes(capsys, classes):
     code, out, err = run_cli(capsys, "rigid", "--group", "psl2", "--ell", "7",
                              "--classes", classes)
     assert code == 2 and out == ""
-    n = len(classes.split(","))
-    assert err == f"error: --classes {classes} names {n} classes; a " \
-        "triple needs 3\n", err
+    named = {"2A,3A": "'2A,3A' names 2 classes",
+             "2A,3A,7A,7B": "'2A,3A,7A,7B' names 4 classes",
+             "": "'' names 1 class"}[classes]
+    assert err == f"error: --classes {named}; a triple needs 3\n", err
 
 
 @pytest.mark.parametrize("classes", ["2A,3A,7A", "NOPE", ""])
@@ -265,7 +247,7 @@ def test_rigid_file_group_refuses_empty_classes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}",
                              "--classes", "")
     assert code == 2 and out == ""
-    assert err == "error: --classes  names 1 classes; a triple needs 3\n"
+    assert err == "error: --classes '' names 1 class; a triple needs 3\n"
 
 
 def test_rigid_file_group(capsys, tmp_path):
@@ -601,18 +583,6 @@ def test_verify_all_has_no_fast_flag(capsys):
 
 
 # ------------------------------------------------------------ README
-
-def readme_examples():
-    """argv of every `excmono ...` line in the README's sh blocks."""
-    text = README.read_text()
-    out = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
-        for line in block.splitlines():
-            cmd = line.split("#", 1)[0].strip()
-            if cmd.startswith("excmono "):
-                out.append(shlex.split(cmd)[1:])
-    return out
-
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     # the README's example file group, where its examples expect gens.json;

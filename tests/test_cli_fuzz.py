@@ -6,7 +6,7 @@ prime lists with empty, repeated, negative and composite items, `--ell`
 near its bounds, `--classes` lists of 0-5 labels, small random JSON for
 `file:` groups and unwritable `--out` paths.  An argv has at most one
 fault, so most drawn commands run.  The inputs stay cheap (ell <= 13,
-primes <= 61, samples <= 50); a costlier one is drawn only where it is
+primes <= 61); a costlier one is drawn only where it is
 refused before any work.  For every argv the exit code is
 0, 1 or 2; exit 2 means empty stdout and one `error:` line; exit 1 means
 a `check failed:` line or a manifest with a failed check or verdict.
@@ -127,10 +127,8 @@ def argvs(draw):
     elif command == "atilde":
         argv.append(_label(draw, fault, COVERED_LABELS))
     elif command == "monodromy":
-        samples = st.integers(-3, -1) if bad else st.integers(0, 50)
         argv += [_label(draw, fault, COVERED_LABELS),
-                 *draw(_opt("--seed", seeds)),
-                 *draw(_opt("--samples", samples.map(str)))]
+                 *draw(_opt("--seed", seeds))]
     elif command == "a1":
         items = st.lists(st.sampled_from(A1_PRIMES), min_size=1, max_size=3,
                          unique=True)

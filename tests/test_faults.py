@@ -35,8 +35,8 @@ SRC = Path(excmono.__file__).resolve().parent
 A1_5 = ("a1", "--primes", "5")
 A1_13 = ("a1", "--primes", "13")
 ATILDE_A1 = ("atilde", "A1")
-MONODROMY_D4 = ("monodromy", "D4", "--samples", "0")
-MONODROMY_G2 = ("monodromy", "G2", "--samples", "0")
+MONODROMY_D4 = ("monodromy", "D4")
+MONODROMY_G2 = ("monodromy", "G2")
 PGL2_5 = ("rigid", "--group", "pgl2", "--ell", "5")
 PSL2_5 = ("rigid", "--group", "psl2", "--ell", "5")
 
@@ -277,11 +277,11 @@ FAULTS = {
     "jacobi-identity-sampled": (
         _single_bracket_off,
         lambda: chevalley.jacobi_probe(build_algebra("D4"), 20, 0),
-        ("monodromy", "D4", "--samples", "20")),
+        MONODROMY_D4),
     "kappa-fixed-is-half-the-roots": (
         replace(affine_k.KappaCharacter, "__call__", lambda kappa, v: 1),
         lambda: chevalley.kappa_fixed_dim(
-            build_algebra("G2"), affine_k.kappa_character(root_system("G2"))),
+            build_algebra("G2"), affine_k.KappaCharacter(root_system("G2"))),
         MONODROMY_G2),
     "regular-centralizer-is-rank": (
         after(ChevalleyAlgebra, "regular_nilpotent",
@@ -292,7 +292,7 @@ FAULTS = {
         # nodes 1 to 4, which are not orthogonal, as the witness
         (replace(chevalley, "E_QUADRUPLE", {7: (1, 2, 3, 4)}),
          lambda: chevalley.v_class_centralizer(build_algebra("E7")),
-         ("monodromy", "E7", "--samples", "0")),
+         ("monodromy", "E7")),
         # the grading count alone moves: one label 0 read as 2
         (after(ChevalleyAlgebra, "grading", _first_zero_read_as_two),
          lambda: chevalley.v_class_centralizer(build_algebra("D4")),
@@ -307,7 +307,7 @@ FAULTS = {
     "heisenberg-count-by-comarks": (
         after(chevalley, "heisenberg_dim", lambda heis, rs: heis + 1),
         lambda: chevalley.quasiminuscule_dims("E7"),
-        ("monodromy", "E7", "--samples", "0")),
+        ("monodromy", "E7")),
     # -------------------------------------------------------- rigidity
     "class-equation": [
         (after(rigidity.FiniteGroup, "_conjugacy_classes", _drop_last_class),

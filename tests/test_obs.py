@@ -9,9 +9,10 @@ from string import Formatter
 import pytest
 
 import excmono
-from excmono import obs, rootsys
+from excmono import obs, rootsys, verify
 from excmono.cli import build_parser, main
 from excmono.obs import CheckFailed, check
+from oracles import readme_examples, readme_group_text
 
 SRC = Path(excmono.__file__).resolve().parent
 
@@ -166,8 +167,6 @@ RAISE_SITES = [
      "k-type: a label without -1 in its Weyl group (odd D)"),
     ("arith.is_prime:OverflowError",
      "an --ell, a1 prime or file: p at or above 2^31"),
-    ("chevalley.monodromy_result:ValueError",
-     "monodromy --samples outside 0 .. MAX_SAMPLES"),
     ("cli._cmd_a1:ValueError", "a1 --primes: an item that is no integer"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists no prime"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists a prime twice"),
@@ -203,10 +202,10 @@ RAISE_SITES = [
      "rigid --ell: a named group over MAX_TABLE_BYTES"),
     ("rootsys.RootSystem.highest_root:ValueError",
      "k-type D2: a reducible type has no highest root"),
-    ("rootsys._parse_label:ValueError", "a label of no supported letter"),
-    ("rootsys._parse_label:ValueError", "a label whose rank is no integer"),
     ("rootsys._parse_label:ValueError", "a rank above MAX_RANK"),
-    ("rootsys._parse_label:ValueError", "a rank its letter does not have"),
+    ("rootsys._parse_label:ValueError",
+     "a label of no supported letter, or of a rank its letter does not "
+     "have or in other than ASCII digits"),
     ("rootsys.require_covered:ValueError",
      "atilde, monodromy: a type the two layers do not cover"),
 ]
@@ -347,6 +346,43 @@ def test_every_cache_is_an_obs_memo():
     assert _cache_offences(SRC / "obs.py")   # the scan reads the real tree
 
 
+# a cache stays where a second call site reads it; these are never hit by
+# verify-all or a README example, and stay for the reason given
+NEVER_HIT = {
+    "excmono.chevalley.build_algebra":
+        "perfbench/spans.py CACHED reads its cache_info (ROADMAP item 10)",
+}
+
+
+def test_every_memo_is_read_again(capsys, monkeypatch, tmp_path):
+    # hits summed over every clear: each command's reset and verify-all's
+    # clear before its second pass
+    hits = Counter()
+
+    def count_hits():
+        for cached in obs._caches:
+            name = f"{cached.__module__}.{cached.__qualname__}"
+            hits[name] += cached.cache_info().hits
+
+    def counting_clear(real=obs.clear_caches):
+        count_hits()
+        real()
+
+    obs.clear_caches()
+    monkeypatch.setattr(obs, "clear_caches", counting_clear)
+    monkeypatch.setattr(verify, "clear_caches", counting_clear)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gens.json").write_text(readme_group_text())
+    examples = readme_examples()
+    assert ["verify-all"] in examples
+    for argv in examples:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    count_hits()
+    assert sorted(name for name, n in hits.items() if not n) == \
+        sorted(NEVER_HIT)
+
+
 def test_every_detail_formats_with_its_arguments():
     # a failing check must raise CheckFailed, not an error from format()
     calls = 0
@@ -370,7 +406,7 @@ def test_every_detail_formats_with_its_arguments():
 FRESH_COMMANDS = [
     ["atilde", "D6"],
     ["a1", "--primes", "5,13"],
-    ["monodromy", "G2", "--samples", "20"],
+    ["monodromy", "G2"],
     ["k-type", "all"],
     ["rigid", "--group", "psl2", "--ell", "7", "--classes", "2A,3A,7A"],
     ["a1", "--primes", "5,13", "--format", "csv"],
@@ -431,7 +467,7 @@ LAYER_RUNS = [
     (["roots", "A1"], "excmono.rootsys"),
     (["k-type", "all"], "excmono.affine_k"),
     (["atilde", "A1"], "excmono.twogroup"),
-    (["monodromy", "G2", "--samples", "20"], "excmono.chevalley"),
+    (["monodromy", "G2"], "excmono.chevalley"),
     (["rigid"], "excmono.rigidity"),
     (["verify-all"], "excmono.verify"),
 ]
@@ -464,8 +500,8 @@ def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
     assert not {"dataclasses", "inspect", "fractions"} & loaded_modules(argv)
 
 
-@pytest.mark.parametrize("argv", [["verify-all"], ["a1", "--primes", "5,13"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [argv for argv, _ in LAYER_RUNS] + [
+    ["a1", "--primes", "5,13", "--format", "csv"]], ids=" ".join)
 def test_json_subcommand_leaves_csv_unloaded(argv):
-    # only `a1 --format csv` renders CSV
+    # `a1 --format csv` joins int cells itself, so no command loads csv
     assert "csv" not in loaded_modules(argv)

@@ -397,9 +397,11 @@ def test_covered_types_are_one_set():
 
 
 @pytest.mark.parametrize("bad", ["A2", "A5", "E6", "E9", "B1", "C1", "D1",
-                                 "G3", "F5", "H4", "X3", "B", "42", ""])
+                                 "G3", "F5", "H4", "X3", "B", "42", "",
+                                 "Z99", "E\u00b2", "E\u0668"])
 def test_unsupported_labels_rejected(bad):
-    with pytest.raises(ValueError):
+    # '²' and the Arabic-Indic '٨' pass str.isdigit, but are no rank
+    with pytest.raises(ValueError, match="^unsupported Cartan type "):
         RootSystem(bad)
 
 
@@ -409,7 +411,7 @@ def test_rank_over_the_bound_refused_before_closure(monkeypatch):
 
     assert MAX_RANK >= 10   # D10, the largest label tested, is admitted
     monkeypatch.setattr(RootSystem, "_close_roots", no_closure)
-    for letter in "BCD":
+    for letter in "ABCDEFG":
         with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above "
                            f"the bound MAX_RANK = {MAX_RANK}"):
             RootSystem(f"{letter}{MAX_RANK + 1}")
