@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .obs import check
+from .obs import check, clip
 
 # Re and Im of i^k for k = 0..3; k = 4 stands for chi(0) = 0
 UNIT_RE = (1, 0, -1, 0, 0)
@@ -16,7 +16,7 @@ def is_prime(n: int) -> bool:
     where 10^18 would take minutes); OverflowError from 2^31 on."""
     if n >= 1 << 31:
         raise OverflowError(
-            f"{n} is at or above the bound 2^31 for prime tests")
+            f"{clip(str(n))} is at or above the bound 2^31 for prime tests")
     if n < 2:
         return False
     if n % 2 == 0:

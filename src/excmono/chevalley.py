@@ -146,35 +146,29 @@ class ChevalleyAlgebra:
 
     # ------------------------------------------------------------- brackets
 
-    def bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of elements given as {basis index: coefficient}."""
+    def bracket(self, i: int, j: int) -> dict:
+        """[b_i, b_j] as {basis index: nonzero coefficient}."""
+        r = self.rank
+        if i < r or j < r:
+            if i >= r:
+                return {k: -c for k, c in self.bracket(j, i).items()}
+            c = 0 if j < r else self._pairings[j - r][i]
+            return {j: c} if c else {}
+        a, b = i - r, j - r
+        s = self.root_sum(a, b)
+        if s is not None:
+            return {r + s: self.structure_constant(a, b)}
+        if self.neg[a] == b:
+            return {k: c for k, c in enumerate(self._coroots[a]) if c}
+        return {}
+
+    def bracket_sum(self, terms) -> dict:
+        """Sum of c [b_i, b_j] over (i, j, c) in terms, zeros dropped."""
         out = {}
-
-        def add(idx, c):
-            if c:
-                out[idx] = out.get(idx, 0) + c
-                if not out[idx]:
-                    del out[idx]
-
-        r, key, pos = self.rank, self.key, self._pos
-        for i, ci in x.items():
-            for j, cj in y.items():
-                c = ci * cj
-                if i < r and j < r:
-                    continue
-                if i < r:
-                    add(j, c * self._pairings[j - r][i])
-                elif j < r:
-                    add(i, -c * self._pairings[i - r][j])
-                else:
-                    a, b = i - r, j - r
-                    s = pos.get(key[a] + key[b])
-                    if s is not None:
-                        add(r + s, c * self.structure_constant(a, b))
-                    elif self.neg[a] == b:
-                        for k, ck in enumerate(self._coroots[a]):
-                            add(k, c * ck)
-        return out
+        for i, j, c in terms:
+            for k, v in self.bracket(i, j).items():
+                out[k] = out.get(k, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
     def grading(self, h) -> list:
         """<alpha, h> for each root alpha, in root order: the eigenvalue of
@@ -182,9 +176,10 @@ class ChevalleyAlgebra:
         return [sum(map(mul, p, h)) for p in self._pairings]
 
     def centralizer_dim(self, x: dict) -> int:
-        """dim g - rank ad(x), whose columns are the brackets [x, e_j]."""
+        """dim g - rank ad(x), column j summing c [b_i, b_j] over x's terms."""
         return self.dim - integer_rank(
-            self.bracket(x, {j: 1}) for j in range(self.dim))
+            self.bracket_sum((i, j, c) for i, c in x.items())
+            for j in range(self.dim))
 
     def regular_nilpotent(self) -> dict:
         return {self.index[s]: 1 for s in self.rs.simple_roots}
@@ -201,13 +196,11 @@ def jacobi_probe(alg: ChevalleyAlgebra, samples: int, seed: int) -> int:
     """Spot-check the Jacobi identity on random basis triples."""
     rng = random.Random(seed)
     for _ in range(samples):
-        x, y, z = ({rng.randrange(alg.dim): 1} for _ in range(3))
-        total = {}
-        for a, bc in ((x, alg.bracket(y, z)), (y, alg.bracket(z, x)),
-                      (z, alg.bracket(x, y))):
-            for k, v in alg.bracket(a, bc).items():
-                total[k] = total.get(k, 0) + v
-        check("jacobi-identity-sampled", not any(total.values()),
+        x, y, z = (rng.randrange(alg.dim) for _ in range(3))
+        total = alg.bracket_sum(
+            (a, k, c) for a, b, d in ((x, y, z), (y, z, x), (z, x, y))
+            for k, c in alg.bracket(b, d).items())
+        check("jacobi-identity-sampled", not total,
               "Jacobi identity failed on sampled triple")
     return samples
 

@@ -47,13 +47,19 @@ def _cmd_monodromy(args):
 
 
 def _cmd_a1(args):
-    from .a1lab import a1_result, render_csv
+    from .a1lab import MAX_Q, a1_result, render_csv
     primes = []
     for x in filter(None, args.primes.split(",")):
+        # a longer decimal is above MAX_Q; int refuses 4 300 digits
+        digits = x.strip().lstrip("+").lstrip("0")
+        if digits.isdecimal() and len(digits) > len(str(MAX_Q)):
+            raise ValueError(f"{obs.clip(x)} is above the bound MAX_Q = "
+                             f"{MAX_Q} on the a1 prime")
         try:
             primes.append(int(x))
         except ValueError:
-            raise ValueError(f"--primes: {x!r} is not an integer") from None
+            raise ValueError(
+                f"--primes: {obs.clip(x)!r} is not an integer") from None
     if not primes:
         raise ValueError("--primes lists no prime")
     if len(set(primes)) != len(primes):

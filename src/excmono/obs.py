@@ -28,6 +28,11 @@ def check(name: str, ok, detail: str, *args) -> None:
         raise CheckFailed(f"{name}: " + detail.format(*args))
 
 
+def clip(text: str) -> str:
+    """An input echoed in a refusal, cut to 24 characters and "..."."""
+    return text if len(text) <= 24 else text[:24] + "..."
+
+
 def verdict(name: str, passed: bool) -> None:
     _runs[name] += 1
     if not passed:

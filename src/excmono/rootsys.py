@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import neg, sub
 
-from .obs import check, memo
+from .obs import check, clip, memo
 
 # the largest rank admitted, refused in `_parse_label` before any closure:
 # `atilde D14` takes 0.3 s and 19 MB, D16 1.2 s and 31 MB, on 2 cores; the
@@ -74,6 +74,7 @@ class RootSystem:
         # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
         self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)]
                           for i in range(r)]
+        self.irreducible = len(dynkin_components(a)) == 1
 
     # ------------------------------------------------------------------
 
@@ -125,7 +126,7 @@ class RootSystem:
             norm[low] = norm[root]
         self._sort_roots()
         self.simple_roots = simple
-        if self.is_irreducible():
+        if self.irreducible:
             # |Phi| = r h, h = ht(theta) + 1 (Humphreys, Reflection Groups
             # and Coxeter Groups, 3.18), theta the last root by height
             h = sum(self.roots[-1]) + 1
@@ -159,22 +160,16 @@ class RootSystem:
     def num_roots(self) -> int:
         return len(self.roots)
 
-    def is_irreducible(self) -> bool:
-        return len(dynkin_components(self.cartan)) == 1
-
-    @memo
     def highest_root(self):
         """Return (theta, theta-vee) for an irreducible system.
 
         theta's coordinates are the marks, and theta-vee's the comarks,
         the coefficients c(alpha) in theta-vee = sum c(alpha) alpha-vee.
-        Found once per system, until `obs.clear_caches`.
         """
-        if not self.is_irreducible():
+        if not self.irreducible:
             raise ValueError(f"{self.label} is reducible; no highest root")
         # the one root of greatest height: the roots are sorted by height
-        theta = self.roots[-1]
-        return theta, self.coroot_of[theta]
+        return self.roots[-1], self.coroot_of[self.roots[-1]]
 
     def dual_coxeter_number(self) -> int:
         # <rho, alpha_i-vee> = 1 for every i
@@ -230,10 +225,12 @@ class RootSystem:
 
 def _parse_label(label: str):
     s = str(label).strip().upper().replace("_", "")
-    letter, digits = s[:1], s[1:]
+    letter, digits = s[:1], s[1:].lstrip("0")
     # ASCII digits only: str.isdigit admits '²', which int refuses; no
-    # letter has rank 0, so a label without a rank is refused below
-    rank = int(digits) if digits.isascii() and digits.isdigit() else 0
+    # letter has rank 0, so a label without a rank is refused below; one
+    # digit more than MAX_RANK has exceeds it, and int refuses 4 300
+    rank = (int(digits[:len(str(MAX_RANK)) + 1])
+            if digits.isascii() and digits.isdigit() else 0)
     has_rank = {
         "A": rank == 1,
         "B": rank >= 2,
@@ -244,10 +241,10 @@ def _parse_label(label: str):
         "G": rank == 2,
     }
     if letter in has_rank and rank > MAX_RANK:
-        raise ValueError(f"{label}: rank {rank} is above the bound "
-                         f"MAX_RANK = {MAX_RANK}")
+        raise ValueError(f"{clip(label)}: rank {clip(digits)} is above the "
+                         f"bound MAX_RANK = {MAX_RANK}")
     if not has_rank.get(letter):
-        raise ValueError(f"unsupported Cartan type {label!r}")
+        raise ValueError(f"unsupported Cartan type {clip(label)!r}")
     return letter, rank
 
 

@@ -196,11 +196,9 @@ def _greedy_lagrangian(tg: TildeGroup, order):
     for v in order:
         if len(picked) == m:
             break
-        if v in span:
-            continue
-        if all(tg.pairing(v, w) == 0 for w in picked):
+        if v not in span and all(tg.pairing(v, w) == 0 for w in picked):
             picked.append(v)
-            span = _span(tg.radical_basis + picked)
+            span |= {x ^ v for x in span}
     return picked
 
 

@@ -14,7 +14,8 @@ per-pair law replay, bitslice odd sets and echelon routine the two-group
 tables and row checks replaced, the `Fraction` alcove fold the integer
 fold replaced, the tuple reflection closure, tuple-keyed structure
 constants and dense ad(x) rank that the carried pairings, root positions
-and sparse bracket columns replaced, the longest-element matrix,
+and sparse bracket columns replaced, the dict-by-dict bracket that the
+basis products replaced, the longest-element matrix,
 tuple-difference simple system, scan-every-row rank and per-solution
 generation flags that the pairing descent, root keys, column index and
 centralizer orbits replaced, the per-element centralizer scan that the
@@ -302,11 +303,43 @@ class TupleConstants:
         return int(val)
 
 
+def dict_bracket(alg, x: dict, y: dict) -> dict:
+    """Bracket of elements given as {basis index: coefficient}: the
+    dict-by-dict bracket that the basis products replaced."""
+    out = {}
+
+    def add(idx, c):
+        if c:
+            out[idx] = out.get(idx, 0) + c
+            if not out[idx]:
+                del out[idx]
+
+    r, key, pos = alg.rank, alg.key, alg._pos
+    for i, ci in x.items():
+        for j, cj in y.items():
+            c = ci * cj
+            if i < r and j < r:
+                continue
+            if i < r:
+                add(j, c * alg._pairings[j - r][i])
+            elif j < r:
+                add(i, -c * alg._pairings[i - r][j])
+            else:
+                a, b = i - r, j - r
+                s = pos.get(key[a] + key[b])
+                if s is not None:
+                    add(r + s, c * alg.structure_constant(a, b))
+                elif alg.neg[a] == b:
+                    for k, ck in enumerate(alg._coroots[a]):
+                        add(k, c * ck)
+    return out
+
+
 def ad_rows(alg, x):
     """Rows of ad(x) as dense integer lists (row index = output basis)."""
     rows = [[0] * alg.dim for _ in range(alg.dim)]
     for j in range(alg.dim):
-        for i, c in alg.bracket(x, {j: 1}).items():
+        for i, c in dict_bracket(alg, x, {j: 1}).items():
             rows[i][j] = c
     return rows
 

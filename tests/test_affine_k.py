@@ -204,8 +204,8 @@ def test_integer_fold_matches_fraction_oracle(label):
     runs = {e["name"]: e["runs"] for e in obs.runs()}
     # it ran once and passed: the integer fold also took N steps
     assert runs["alcove-fold-length"] == 1
-    # the fold and phi_k both read theta: highest_root is found once
-    assert RootSystem.highest_root.cache_info().misses == 1
+    # the fold and phi_k both read theta, the last root by height
+    assert theta == rs.roots[-1]
     # one finite node off the walls of the folded point, and the affine
     # wall through it, name the deleted node
     removed = [i for i in range(rs.rank)

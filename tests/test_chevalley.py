@@ -9,6 +9,7 @@ d1 = rank, and frozen below.
 """
 
 import random
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from oracles import (
     coroot_dot,
     coxeter_number,
     dense_centralizer_dim,
+    dict_bracket,
     invariant_form,
     jordan_type,
     mat_mul,
@@ -192,13 +194,33 @@ def test_structure_constants_match_the_tuple_oracle(label):
                           for a in alg.roots for b in alg.roots)
 
 
+@pytest.mark.parametrize("label", ["A1", "G2", "D4", "D6"])
+def test_bracket_matches_the_dict_bracket_on_every_pair(label):
+    alg = build_algebra(label)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert alg.bracket(i, j) == dict_bracket(alg, {i: 1}, {j: 1})
+
+
+def test_bracket_matches_the_dict_bracket_sampled_e8():
+    alg = build_algebra("E8")
+    rng = random.Random(20000)
+    pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim))
+             for _ in range(20000)]
+    t0 = time.perf_counter()
+    for i, j in pairs:
+        assert alg.bracket(i, j) == dict_bracket(alg, {i: 1}, {j: 1})
+    assert time.perf_counter() - t0 < 1.0
+
+
 def _jacobi_defect(alg, i, j, k):
-    x, y, z = {i: 1}, {j: 1}, {k: 1}
-    total = alg.bracket(alg.bracket(x, y), z)
-    for key, c in alg.bracket(alg.bracket(y, z), x).items():
-        total[key] = total.get(key, 0) + c
-    for key, c in alg.bracket(alg.bracket(z, x), y).items():
-        total[key] = total.get(key, 0) + c
+    # [[x, y], z] + [[y, z], x] + [[z, x], y], each outer bracket taken
+    # term by term on the inner one's basis products
+    total = {}
+    for (p, q), r in (((i, j), k), ((j, k), i), ((k, i), j)):
+        for t, c in alg.bracket(p, q).items():
+            for key, v in alg.bracket(t, r).items():
+                total[key] = total.get(key, 0) + c * v
     return {key: c for key, c in total.items() if c}
 
 
@@ -222,7 +244,7 @@ def test_jacobi_sampled_e8():
 def test_bracket_of_opposite_root_vectors_is_the_coroot():
     alg = build_algebra("G2")
     for a in alg.roots:
-        got = alg.bracket({alg.index[a]: 1}, {alg.index[_neg(a)]: 1})
+        got = alg.bracket(alg.index[a], alg.index[_neg(a)])
         want = {i: c for i, c in enumerate(alg.rs.coroot_of[a]) if c}
         assert got == want
 
@@ -234,10 +256,10 @@ def test_form_invariance_exhaustive(label):
     alg = build_algebra(label)
     for i in range(alg.dim):
         for j in range(alg.dim):
-            xj = alg.bracket({i: 1}, {j: 1})
+            xj = alg.bracket(i, j)
             for k in range(alg.dim):
                 lhs = sum(c * invariant_form(alg, t, k) for t, c in xj.items())
-                xk = alg.bracket({i: 1}, {k: 1})
+                xk = alg.bracket(i, k)
                 rhs = sum(c * invariant_form(alg, j, t) for t, c in xk.items())
                 assert lhs + rhs == 0, (i, j, k)
 
@@ -247,9 +269,9 @@ def test_form_invariance_sampled_e7():
     rng = random.Random(133)
     for _ in range(4000):
         i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-        xj = alg.bracket({i: 1}, {j: 1})
+        xj = alg.bracket(i, j)
         lhs = sum(c * invariant_form(alg, t, k) for t, c in xj.items())
-        xk = alg.bracket({i: 1}, {k: 1})
+        xk = alg.bracket(i, k)
         rhs = sum(c * invariant_form(alg, j, t) for t, c in xk.items())
         assert lhs + rhs == 0, (i, j, k)
 
@@ -558,7 +580,7 @@ def _check_hard_lefschetz(alg, h):
         for idx in lo:
             vec = {idx: 1}
             for _ in range(2 * n):
-                vec = alg.bracket(e, vec)
+                vec = dict_bracket(alg, e, vec)
             cols.append(vec)
         # image lives entirely in degree +n
         hi_set = set(hi)

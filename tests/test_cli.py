@@ -378,6 +378,32 @@ def test_huge_prime_is_refused_quickly(capsys, tmp_path, monkeypatch, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("digits", [4000, 5000])
+@pytest.mark.parametrize("argv, bound", [
+    (["roots", "A{}"], "MAX_RANK = 14"),
+    (["k-type", "E{}"], "MAX_RANK = 14"),
+    (["atilde", "D{}"], "MAX_RANK = 14"),
+    (["monodromy", "G0{}"], "MAX_RANK = 14"),
+    (["a1", "--primes", "{}"], f"MAX_Q = {MAX_Q}"),
+    (["a1", "--primes", "5,+0{}"], f"MAX_Q = {MAX_Q}"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_oversize_digit_string_is_refused_by_its_length(capsys, argv, bound,
+                                                        digits):
+    # CPython's int refuses more than 4 300 digits; the input is refused
+    # before int sees it, and its echo is cut to a prefix
+    argv = [a.format("9" * digits) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200, err
+    assert err.startswith("error: ") and f"the bound {bound}" in err, err
+
+
+def test_oversize_unsupported_label_echoes_a_prefix(capsys):
+    code, out, err = run_cli(capsys, "roots", "Z" + "9" * 5000)
+    assert code == 2 and out == ""
+    assert err == f"error: unsupported Cartan type {'Z' + '9' * 23 + '...'!r}\n"
+
+
 def test_rigid_empty_class_label_is_quoted(capsys):
     # the empty label once printed as "no class ; have [...]"
     code, out, err = run_cli(capsys, "rigid", "--group", "psl2", "--ell", "7",

@@ -168,16 +168,13 @@ def _first_zero_read_as_two(labels, alg, h):
 
 
 def _single_bracket_off(mp):
-    # [x, y] of two basis vectors gains h_0; ad of a sum of root vectors,
-    # which the centralizers of D and E types read, is left alone
+    # [h_i, h_j] of two Cartan basis vectors comes out h_j, not 0; no
+    # centralizer column reads such a product, since every witness is a
+    # sum of root vectors
     real = ChevalleyAlgebra.bracket
 
-    def bracket(alg, x, y):
-        out = real(alg, x, y)
-        if len(x) == len(y) == 1:
-            out = dict(out)
-            out[0] = out.get(0, 0) + 1
-        return out
+    def bracket(alg, i, j):
+        return {j: 1} if i < alg.rank and j < alg.rank else real(alg, i, j)
     mp.setattr(ChevalleyAlgebra, "bracket", bracket)
 
 
@@ -495,7 +492,8 @@ def test_check_runs_once_per_fixed_datum(capsys, argv, name, runs):
 
 
 @pytest.mark.parametrize("label", ["E8", "G2"])
-def test_highest_root_is_found_once_per_command(capsys, label):
+def test_highest_root_is_the_last_root_per_command(capsys, label):
     # E8 is its own dual; G2's dual is built, but theta is read on G2 only
     assert main(["monodromy", label]) == 0
-    assert RootSystem.highest_root.cache_info().misses == 1
+    rs = root_system(label)
+    assert rs.highest_root()[0] == rs.roots[-1]

@@ -167,6 +167,8 @@ RAISE_SITES = [
      "k-type: a label without -1 in its Weyl group (odd D)"),
     ("arith.is_prime:OverflowError",
      "an --ell, a1 prime or file: p at or above 2^31"),
+    ("cli._cmd_a1:ValueError",
+     "a1 --primes: a decimal item of more digits than MAX_Q, before int"),
     ("cli._cmd_a1:ValueError", "a1 --primes: an item that is no integer"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists no prime"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists a prime twice"),

@@ -348,24 +348,20 @@ def test_two_rho_pairs_to_two_on_simples():
 def test_reducible_d2():
     rs = root_system("D2")
     assert rs.num_roots == 4
-    assert not rs.is_irreducible()
+    assert not rs.irreducible
     for _ in range(2):   # a refusal is not cached away
         with pytest.raises(ValueError,
                            match="^D2 is reducible; no highest root$"):
             rs.highest_root()
 
 
-def test_highest_root_is_found_once_per_system():
-    found = RootSystem.highest_root.cache_info
-    obs.reset()
-    rs = root_system("E8")
-    first = rs.highest_root()
-    assert rs.highest_root() is first
-    assert found().misses == 1
-    obs.clear_caches()   # as criterion 9 does: the same system recomputes
-    again = rs.highest_root()
-    assert again == first and again is not first and found().misses == 1
-    obs.reset()
+def test_highest_root_is_the_last_root():
+    # the roots are sorted by height, and theta is the one of greatest
+    # height; a relabeled dual reads its own last root
+    for label in ALL_LABELS:
+        for rs in (root_system(label), root_system(label).dual()):
+            theta = rs.roots[-1]
+            assert rs.highest_root() == (theta, rs.coroot_of[theta])
 
 
 def test_dynkin_components():
@@ -415,6 +411,15 @@ def test_rank_over_the_bound_refused_before_closure(monkeypatch):
         with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above "
                            f"the bound MAX_RANK = {MAX_RANK}"):
             RootSystem(f"{letter}{MAX_RANK + 1}")
+
+
+def test_rank_is_read_past_its_leading_zeros():
+    # zeros past CPython's 4 300-digit int limit still give the rank
+    assert root_system("A" + "0" * 5000 + "1").label == "A1"
+    with pytest.raises(ValueError) as exc:
+        RootSystem("D" + "0" * 5000 + "15")
+    assert str(exc.value) == ("D" + "0" * 23 + "...: rank 15 is above the "
+                              "bound MAX_RANK = 14")
 
 
 @pytest.mark.parametrize("command,letter", [
