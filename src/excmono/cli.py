@@ -6,20 +6,22 @@ parameters, the toolkit version, the result blob, and `checks`, the
 count, and each verdict (`strictly-rigid`, the verify-all criteria) with
 a count of 1.  Logs and timing go to stderr so stdout stays byte-stable
 across runs.  CSV output exists only for the a1 scan table.  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage.  `run` is the process
-entry of `python -m excmono` and of the installed `excmono` script;
-in-process callers use `main`.
+0 all checks passed, 1 a check failed, 2 usage.  Argv is read against
+`COMMANDS`, one row per subcommand, so no command builds a parser, and
+a usage error is one `error:` line like any other refused input.  `run`
+is the process entry of `python -m excmono` and of the installed
+`excmono` script; in-process callers use `main`.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 from contextlib import ExitStack
 from time import perf_counter
+from types import SimpleNamespace
 
 from . import __version__, obs
 
@@ -70,68 +72,18 @@ def _cmd_a1(args):
     return result
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _load_file_group(path: str):
-    """The `FiniteGroup` of a `file:` input; ValueError unless its shape
-    is right and every generator is invertible."""
-    from .arith import is_prime
-    from .rigidity import MAX_POINTS, FiniteGroup, MatrixRep
-    try:
-        with open(path) as fh:
-            blob = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(blob, dict):
-        raise ValueError(f"{path}: want a JSON object, not a JSON "
-                         f"{type(blob).__name__}")
-    p, n, gens, scalars = (blob.pop(key, None)
-                           for key in ("p", "n", "generators", "scalars"))
-    if blob:
-        raise ValueError(f"{path}: unknown key {next(iter(blob))!r}; want "
-                         "only p, n, generators, scalars")
-    if not _is_int(p) or not is_prime(p):
-        raise ValueError(f"{path}: p = {p!r} is not a prime")
-    # the n basis vectors are n points of the frame orbit
-    if not _is_int(n) or not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"{path}: n = {n!r} is not an integer in 1 .. "
-                         f"{MAX_POINTS}")
-    if not isinstance(gens, list) or not all(
-            isinstance(g, list) and len(g) == n * n and all(map(_is_int, g))
-            for g in gens):
-        raise ValueError(f"{path}: generators must be a list of lists of "
-                         f"{n * n} integers")
-    if scalars is not None and not (
-            isinstance(scalars, list)
-            and all(_is_int(s) and s % p for s in scalars)):
-        raise ValueError(f"{path}: scalars must be null or a list of "
-                         f"units mod {p}")
-    # the cyclic group F_p^x has one subgroup of each order d | p-1, the
-    # roots of x^d = 1; canonical multiples need S to be one of them
-    units = {s % p for s in scalars or ()}
-    if units and ((p - 1) % len(units)
-                  or any(pow(s, len(units), p) != 1 for s in units)):
-        raise ValueError(f"{path}: scalars are not a subgroup of the "
-                         f"units mod {p}")
-    rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
-    try:   # singular, too many points, or too many elements
-        return FiniteGroup(rep.permutations(gens))
-    except (ValueError, OverflowError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
 def _cmd_rigid(args):
-    from .rigidity import predicted_triple, psl2_group, rigid_result
+    from .rigidity import (load_file_group, predicted_triple, psl2_group,
+                           rigid_result)
     if args.group.startswith("file:"):
         if args.ell is not None:
             raise ValueError("--ell needs --group pgl2 or psl2; a file: "
                              "group gives its own p")
-        group = _load_file_group(args.group[5:])
+        group = load_file_group(args.group[5:])
     elif args.group not in ("pgl2", "psl2"):
         raise ValueError(
-            f"unknown --group {args.group!r}; use pgl2, psl2, or file:<path>")
+            f"unknown --group {obs.clip(args.group)!r}; use pgl2, psl2, or "
+            "file:<path>")
     elif args.ell is None:
         args.ell = 5   # recorded in the manifest's parameters
     if args.group == "pgl2":
@@ -167,59 +119,93 @@ def _cmd_verify_all(args):
     return result
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="excmono",
-        description="exact checks for exceptional-group monodromy data")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand -> (handler, help, positional names, {option: (type,
+# default, choices)}); every subcommand also takes --out FILE, which gets
+# the stdout payload too
+COMMANDS = {
+    "roots": (_cmd_roots, "root-system card for one label", ("label",), {}),
+    "k-type": (_cmd_k_type, "symmetric-subgroup row(s) of the type table; "
+               "LABEL may be 'all'", ("label",), {}),
+    "atilde": (_cmd_atilde, "coroot-mod-2 Heisenberg group summary",
+               ("label",), {}),
+    "monodromy": (_cmd_monodromy,
+                  "Chevalley centralizer dims and rigidity budget",
+                  ("label",), {"--seed": (int, 0, None)}),
+    "a1": (_cmd_a1, "quartic trace-sum scan over chosen primes", (),
+           {"--primes": (str, "5,13,17,29", None),
+            "--format": (str, "json", ("json", "csv"))}),
+    "rigid": (_cmd_rigid, "triple rigidity report; GROUP pgl2, psl2 or "
+              "file:PATH; ELL 5 by default", (),
+              {"--group": (str, "pgl2", None), "--ell": (int, None, None),
+               "--classes": (str, None, None)}),
+    "verify-all": (_cmd_verify_all, "run every acceptance criterion", (),
+                   {"--seed": (int, 0, None)}),
+}
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="also write stdout payload to this file")
 
-    p = sub.add_parser("roots", parents=[common],
-                       help="root-system card for one label")
-    p.add_argument("label")
-    p.set_defaults(fn=_cmd_roots)
+def parse_args(argv):
+    """The namespace of one command line, read against COMMANDS: the
+    command, each positional under its name, and each option under its
+    name without the dashes, at its last value or else its default.  An
+    option is `--opt value` or `--opt=value`, before or after the
+    positionals; an int option is read here, once.  ValueError for any
+    other shape: no or an unknown command, an unknown or abbreviated
+    option, a missing value, a missing or extra positional, an int
+    option that is no integer, or a value outside an option's choices."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {obs.clip(argv[0])!r}" if argv else \
+            "no command"
+        raise ValueError(f"{got}; choose from {', '.join(COMMANDS)}")
+    command = argv[0]
+    _, _, positionals, options = COMMANDS[command]
+    options = {**options, "--out": (str, None, None)}
+    args = {"command": command}
+    args.update((name[2:], default) for name, (_, default, _) in
+                options.items())
+    free = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command} has no option {obs.clip(name)!r}")
+        kind, _, choices = options[name]
+        value = value if eq else next(tokens, None)
+        if value is None:
+            raise ValueError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:   # also a string of over 4 300 digits
+                raise ValueError(f"{name}: {obs.clip(value)!r} is not an "
+                                 "integer") from None
+        if choices and value not in choices:
+            raise ValueError(f"{name}: {obs.clip(value)!r} is not one of "
+                             f"{', '.join(choices)}")
+        args[name[2:]] = value
+    if len(free) != len(positionals):
+        want = " ".join(positionals).upper() or "no argument"
+        got = repr(obs.clip(" ".join(free))) if free else "none"
+        raise ValueError(f"{command} takes {want}; got {got}")
+    args.update(zip(positionals, free))
+    return SimpleNamespace(**args)
 
-    p = sub.add_parser("k-type", parents=[common],
-                       help="symmetric-subgroup row(s) of the type table")
-    p.add_argument("label", help="a label such as E8, or 'all'")
-    p.set_defaults(fn=_cmd_k_type)
 
-    p = sub.add_parser("atilde", parents=[common],
-                       help="coroot-mod-2 Heisenberg group summary")
-    p.add_argument("label")
-    p.set_defaults(fn=_cmd_atilde)
-
-    p = sub.add_parser("monodromy", parents=[common],
-                       help="Chevalley centralizer dims and rigidity budget")
-    p.add_argument("label")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_monodromy)
-
-    p = sub.add_parser("a1", parents=[common],
-                       help="quartic trace-sum scan over chosen primes")
-    p.add_argument("--primes", default="5,13,17,29")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=_cmd_a1)
-
-    p = sub.add_parser("rigid", parents=[common],
-                       help="triple rigidity report for a small group")
-    p.add_argument("--group", default="pgl2",
-                   help="pgl2, psl2, or file:<path> with generator matrices")
-    p.add_argument("--ell", type=int, help="for pgl2 and psl2 only; default 5")
-    p.add_argument("--classes",
-                   help="comma list of class labels for a psl2 or file: "
-                        "triple")
-    p.set_defaults(fn=_cmd_rigid)
-
-    p = sub.add_parser("verify-all", parents=[common],
-                       help="run every acceptance criterion")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_verify_all)
-
-    return parser
+def usage() -> str:
+    """The --help text: each subcommand of COMMANDS with its arguments."""
+    lines = ["usage: excmono COMMAND [ARGS] [--out FILE]",
+             "       excmono --help | --version", "",
+             "Exact checks for exceptional-group monodromy data.  An option",
+             "is --opt VALUE or --opt=VALUE; --out also writes stdout to "
+             "FILE.", ""]
+    for command, (_, text, positionals, options) in COMMANDS.items():
+        words = [command, *(p.upper() for p in positionals)]
+        words += (f"[{name} {'|'.join(choices or [name[2:].upper()])}]"
+                  for name, (_, _, choices) in options.items())
+        lines += ["  " + " ".join(words), "      " + text]
+    return "\n".join(lines) + "\n"
 
 
 def render_manifest(manifest: dict) -> str:
@@ -227,24 +213,33 @@ def render_manifest(manifest: dict) -> str:
 
 
 def _parameters(args) -> dict:
-    skip = {"command", "fn", "out", "format"}
+    skip = {"command", "out", "format"}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv == ["--version"] or {"-h", "--help"} & set(argv):
+        try:
+            sys.stdout.write(__version__ + "\n" if argv == ["--version"]
+                             else usage())
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: stdout: {exc}", file=sys.stderr)
+            return 2
+        return 0
     # the checks of this command alone, run from cold caches
     obs.reset()
     t0 = perf_counter()
     with ExitStack() as stack:
         try:
+            args = parse_args(argv)
             # opened first, so a path that cannot be written costs no work,
             # and to append, so a failed command leaves an old file whole
             out = args.out is not None and stack.enter_context(
                 open(args.out, "a"))
-            result = args.fn(args)
+            result = COMMANDS[args.command][0](args)
         except (ValueError, OverflowError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

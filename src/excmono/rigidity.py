@@ -10,7 +10,8 @@ orbit stored as `bytes`.  A product is then one C call,
 `a.translate(b_table)`, where `b_table` is `b` padded to 256 bytes; that
 is also why a frame orbit of more than MAX_POINTS = 256 points is refused
 before any closure.  PGL2(F_ell) and its subgroup PSL2(F_ell) both act
-on the ell + 1 points of P^1(F_ell).
+on the ell + 1 points of P^1(F_ell).  `load_file_group` reads
+the generators of a `rigid --group file:` input from its JSON.
 
 The group is enumerated by breadth-first closure from the generators.
 Its order depends only on the abstract group and the generator order, so
@@ -21,6 +22,7 @@ membership during the triple count an exact dictionary lookup.
 
 from __future__ import annotations
 
+import json
 from math import gcd
 from typing import NamedTuple
 
@@ -103,6 +105,61 @@ class MatrixRep:
             if len(set(img)) < len(points):
                 raise ValueError(f"generator {i} is singular mod {p}")
         return [bytes(img) for img in images]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def load_file_group(path: str) -> FiniteGroup:
+    """The `FiniteGroup` of a `file:` input; ValueError unless its shape
+    is right and every generator is invertible."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    except ValueError:
+        # the one other ValueError json.load raises: an integer literal
+        # longer than int reads, whose own line advises a process setting
+        raise ValueError(f"{path}: an integer has more digits than int "
+                         "reads (4 300 by default)") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: want a JSON object, not a JSON "
+                         f"{type(blob).__name__}")
+    p, n, gens, scalars = (blob.pop(key, None)
+                           for key in ("p", "n", "generators", "scalars"))
+    if blob:
+        raise ValueError(f"{path}: unknown key {next(iter(blob))!r}; want "
+                         "only p, n, generators, scalars")
+    if not _is_int(p) or not is_prime(p):
+        raise ValueError(f"{path}: p = {p!r} is not a prime")
+    # the n basis vectors are n points of the frame orbit
+    if not _is_int(n) or not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"{path}: n = {n!r} is not an integer in 1 .. "
+                         f"{MAX_POINTS}")
+    if not isinstance(gens, list) or not all(
+            isinstance(g, list) and len(g) == n * n and all(map(_is_int, g))
+            for g in gens):
+        raise ValueError(f"{path}: generators must be a list of lists of "
+                         f"{n * n} integers")
+    if scalars is not None and not (
+            isinstance(scalars, list)
+            and all(_is_int(s) and s % p for s in scalars)):
+        raise ValueError(f"{path}: scalars must be null or a list of "
+                         f"units mod {p}")
+    # the cyclic group F_p^x has one subgroup of each order d | p-1, the
+    # roots of x^d = 1; canonical multiples need S to be one of them
+    units = {s % p for s in scalars or ()}
+    if units and ((p - 1) % len(units)
+                  or any(pow(s, len(units), p) != 1 for s in units)):
+        raise ValueError(f"{path}: scalars are not a subgroup of the "
+                         f"units mod {p}")
+    rep = MatrixRep(p, n, scalars=tuple(scalars) if scalars else None)
+    try:   # singular, too many points, or too many elements
+        return FiniteGroup(rep.permutations(gens))
+    except (ValueError, OverflowError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- groups

@@ -14,7 +14,7 @@ from excmono import affine_k, obs, twogroup
 from excmono.a1lab import MAX_Q, MAX_SUM_Q2, a1_result, render_csv
 from excmono.arith import is_prime
 from excmono.chevalley import ChevalleyAlgebra, monodromy_result
-from excmono.cli import build_parser, main
+from excmono.cli import COMMANDS, main, parse_args
 from excmono.rigidity import MAX_POINTS
 from oracles import (GOLDEN, README, readme_examples, readme_group_text,
                      stdout_digest)
@@ -63,19 +63,74 @@ def test_bad_label_is_usage_error(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    assert run_cli(capsys, "frobnicate") == (
+        2, "", "error: unknown command 'frobnicate'; choose from roots, "
+        "k-type, atilde, monodromy, a1, rigid, verify-all\n")
 
 
 def test_csv_only_for_a1(capsys):
-    # --format belongs to the a1 subcommand alone, so argparse refuses it
-    with pytest.raises(SystemExit) as exc:
-        main(["k-type", "E8", "--format", "csv"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --format csv" in captured.err
+    # --format belongs to the a1 subcommand alone, so k-type refuses it
+    assert run_cli(capsys, "k-type", "E8", "--format", "csv") == (
+        2, "", "error: k-type has no option '--format'\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "no command; choose from roots, k-type, atilde, monodromy, a1, "
+         "rigid, verify-all"),
+    (["--out", "x.json", "roots", "A1"], "unknown command '--out'; choose "
+     "from roots, k-type, atilde, monodromy, a1, rigid, verify-all"),
+    (["a1", "--bogus"], "a1 has no option '--bogus'"),
+    # no prefix of an option is read as the option
+    (["a1", "--prim", "5,13"], "a1 has no option '--prim'"),
+    (["a1", "--primes"], "--primes needs a value"),
+    (["a1", "--format", "xml"], "--format: 'xml' is not one of json, csv"),
+    (["a1", "--format=xml"], "--format: 'xml' is not one of json, csv"),
+    (["roots"], "roots takes LABEL; got none"),
+    (["roots", "A1", "B2"], "roots takes LABEL; got 'A1 B2'"),
+    (["rigid", "extra"], "rigid takes no argument; got 'extra'"),
+    (["rigid", "--ell", "7.0"], "--ell: '7.0' is not an integer"),
+    (["monodromy", "G2", "--seed="], "--seed: '' is not an integer"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_error_is_one_line(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigid", "--group", "psl2", "--ell", "{}"],
+    ["monodromy", "G2", "--seed", "{}"],
+    ["verify-all", "--seed={}"],
+], ids=" ".join)
+def test_oversize_int_option_is_one_clipped_line(capsys, argv):
+    # int refuses 5 000 digits; the refusal echoes a 24-character prefix
+    argv = [a.format("9" * 5000) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200, err
+    assert err.endswith(f": {'9' * 24 + '...'!r} is not an integer\n"), err
+
+
+def test_option_forms_and_order_give_one_manifest(capsys):
+    # --opt=value, options before the positional, and the last value wins
+    _, want, _ = run_cli(capsys, "monodromy", "G2", "--seed", "3")
+    for argv in (["monodromy", "--seed=3", "G2"],
+                 ["monodromy", "--seed", "9", "G2", "--seed", "3"]):
+        assert run_cli(capsys, *argv)[:2] == (0, want), argv
+    assert parse_args(["a1", "--primes=5,13"]).primes == "5,13"
+    assert parse_args(["rigid", "--classes="]).classes == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["a1", "--help"],
+                                  ["--version"]], ids=" ".join)
+def test_help_and_version_exit_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if argv == ["--version"]:
+        assert out == f"{excmono.__version__}\n"
+    else:   # one line per command and one for its help
+        assert out.startswith("usage: excmono COMMAND")
+        for command, (_, text, positionals, options) in COMMANDS.items():
+            assert f"\n  {command}" in out and f"\n      {text}\n" in out
+            assert all(name in out for name in options)
 
 
 def test_atilde_summary(capsys):
@@ -329,6 +384,21 @@ def test_rigid_bad_file_group_is_usage_error(capsys, tmp_path, case):
     if case == "n-over-max-points":
         assert err == (f"error: {path}: n = 1000000 is not an integer in "
                        f"1 .. {MAX_POINTS}\n"), err
+
+
+@pytest.mark.parametrize("text", [
+    '{{"p": {}, "n": 2, "generators": [[1, 1, 0, 1]]}}',
+    '{{"p": 5, "n": 2, "generators": [[1, 1, 0, -{}]]}}',
+], ids=["p", "entry"])
+def test_rigid_file_integer_over_the_int_limit_is_one_line(capsys, tmp_path,
+                                                          text):
+    # CPython's int reads at most 4 300 digits; the refusal names the file
+    # and gives no advice on process settings
+    path = tmp_path / "big.json"
+    path.write_text(text.format("9" * 5000))
+    code, out, err = run_cli(capsys, "rigid", "--group", f"file:{path}")
+    assert (code, out, err) == (2, "", f"error: {path}: an integer has more "
+                                "digits than int reads (4 300 by default)\n")
 
 
 # stdout sha256 of rigidity runs larger than the README examples; every
@@ -603,9 +673,8 @@ def test_verify_all(capsys):
 
 
 def test_verify_all_has_no_fast_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-all", "--fast"])
-    assert exc.value.code == 2
+    assert run_cli(capsys, "verify-all", "--fast") == (
+        2, "", "error: verify-all has no option '--fast'\n")
 
 
 # ------------------------------------------------------------ README
@@ -618,12 +687,11 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     examples = readme_examples()
     assert len(examples) >= 10
     assert sorted(map(shlex.join, examples)) == sorted(GOLDEN)
-    parser = build_parser()
     for argv in examples:
         try:
-            parser.parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"the CLI rejects README example {argv}")
+            parse_args(argv)
+        except ValueError as exc:
+            pytest.fail(f"the CLI rejects README example {argv}: {exc}")
         if argv[0] == "verify-all":
             continue  # criterion 9 runs it
         assert main(argv) == 0, argv

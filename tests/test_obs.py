@@ -10,7 +10,7 @@ import pytest
 
 import excmono
 from excmono import obs, rootsys, verify
-from excmono.cli import build_parser, main
+from excmono.cli import COMMANDS, main
 from excmono.obs import CheckFailed, check
 from oracles import readme_examples, readme_group_text
 
@@ -172,20 +172,30 @@ RAISE_SITES = [
     ("cli._cmd_a1:ValueError", "a1 --primes: an item that is no integer"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists no prime"),
     ("cli._cmd_a1:ValueError", "a1 --primes lists a prime twice"),
-    ("cli._load_file_group:ValueError", "file: is not JSON"),
-    ("cli._load_file_group:ValueError", "file: is no JSON object"),
-    ("cli._load_file_group:ValueError", "file: has an unknown key"),
-    ("cli._load_file_group:ValueError", "file: p is not a prime"),
-    ("cli._load_file_group:ValueError",
+    ("rigidity.load_file_group:ValueError", "file: is not JSON"),
+    ("rigidity.load_file_group:ValueError",
+     "file: an integer of more digits than int reads"),
+    ("rigidity.load_file_group:ValueError", "file: is no JSON object"),
+    ("rigidity.load_file_group:ValueError", "file: has an unknown key"),
+    ("rigidity.load_file_group:ValueError", "file: p is not a prime"),
+    ("rigidity.load_file_group:ValueError",
      "file: n is not an integer in 1 .. MAX_POINTS"),
-    ("cli._load_file_group:ValueError",
+    ("rigidity.load_file_group:ValueError",
      "file: generators are not n*n integer lists"),
-    ("cli._load_file_group:ValueError", "file: scalars are not units mod p"),
-    ("cli._load_file_group:ValueError",
+    ("rigidity.load_file_group:ValueError", "file: scalars are not units mod p"),
+    ("rigidity.load_file_group:ValueError",
      "file: scalars are not a subgroup of the units"),
-    ("cli._load_file_group:type(exc)",
+    ("rigidity.load_file_group:type(exc)",
      "file: a refusal from the permutations or the closure, with the path"),
     ("cli._cmd_rigid:ValueError", "rigid --ell with a file: group"),
+    ("cli.parse_args:ValueError", "no command, or an unknown one"),
+    ("cli.parse_args:ValueError",
+     "an option the command does not have, a prefix of one among them"),
+    ("cli.parse_args:ValueError", "an option without its value"),
+    ("cli.parse_args:ValueError",
+     "--ell, --seed: a value that is no integer, over 4 300 digits too"),
+    ("cli.parse_args:ValueError", "a1 --format: neither json nor csv"),
+    ("cli.parse_args:ValueError", "a positional missing or extra"),
     ("cli._cmd_rigid:ValueError", "rigid --group is none of the three"),
     ("cli._cmd_rigid:ValueError", "rigid --classes with pgl2"),
     ("obs.check:CheckFailed", "a named identity failed (exit 1)"),
@@ -439,13 +449,17 @@ print(code, *sorted(sys.modules))
 
 
 def loaded_modules(argv) -> set:
-    """The modules a fresh `cli.main(argv)` leaves loaded; it must exit 0."""
+    """The modules a fresh `cli.main(argv)` leaves loaded; it must exit 0
+    and load no argparse: argv is read against `cli.COMMANDS`, and
+    argparse with the gettext and locale its messages load cost
+    milliseconds of startup."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0"
+    assert not {"argparse", "gettext", "locale"} & set(loaded), argv
     return set(loaded)
 
 
@@ -476,9 +490,7 @@ LAYER_RUNS = [
 
 
 def test_every_subcommand_has_its_layers_pinned():
-    commands = next(a.choices for a in build_parser()._actions
-                    if a.dest == "command")
-    assert set(MAY_LOAD) == set(commands) == {
+    assert set(MAY_LOAD) == set(COMMANDS) == {
         argv[0] for argv, _ in LAYER_RUNS}
     assert set().union(*MAY_LOAD.values()) == LAYERS
 
@@ -500,6 +512,13 @@ def test_subcommand_loads_neither_dataclasses_nor_inspect(argv):
     # importing dataclasses imports inspect, and fractions imports decimal
     # and numbers: milliseconds of startup each
     assert not {"dataclasses", "inspect", "fractions"} & loaded_modules(argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"]], ids=" ".join)
+def test_help_and_version_load_no_layer(argv):
+    # loaded_modules asserts exit 0
+    loaded = {m for m in loaded_modules(argv) if m.startswith("excmono.")}
+    assert loaded == {"excmono.cli", "excmono.obs"}
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in LAYER_RUNS] + [
