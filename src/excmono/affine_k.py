@@ -166,8 +166,6 @@ def k_fundamental_quotient(rs: RootSystem) -> LatticeQuotient:
     """Smith data of Z Phi_K-vee inside the coroot lattice."""
     sub = phi_k(rs)
     cols = [rs.coroot_of[b] for b in sub.simple_members]
-    if not cols:
-        return LatticeQuotient((), rs.rank)
     mat = [[c[i] for c in cols] for i in range(rs.rank)]
     invariants = tuple(smith_normal_form(mat))
     return LatticeQuotient(invariants, rs.rank - len(invariants))

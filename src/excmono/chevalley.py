@@ -30,7 +30,6 @@ from .obs import check, memo
 from .rootsys import (RootSystem, fold_dominant, require_covered,
                       root_key, root_system)
 
-BUDGET_LABELS = ("G2", "D4", "D6", "D8", "E7", "E8")
 # (dim of the quasi-minuscule representation, dim Y) as in the paper
 QM_EXPECT = {"E7": (133, 34), "E8": (248, 58), "G2": (7, 6)}
 # the v-class witness of E7 and E8: pairwise orthogonal simple roots, as
@@ -185,7 +184,6 @@ class ChevalleyAlgebra:
         return {self.index[s]: 1 for s in self.rs.simple_roots}
 
 
-@memo
 def build_algebra(label: str) -> ChevalleyAlgebra:
     rs = root_system(label)
     require_covered(rs)
@@ -235,7 +233,7 @@ class VClassWitness(NamedTuple):
 
 
 def v_class_centralizer(alg: ChevalleyAlgebra) -> VClassWitness:
-    """The v-class witness of a `BUDGET_LABELS` type: G2, D or E.
+    """The v-class witness of a covered type other than A1: G2, D or E.
 
     Each letter names pairwise strongly orthogonal roots beta, and the
     witness is e = sum of e_beta.  With h = sum of beta-vee and f = sum
@@ -296,7 +294,7 @@ def monodromy_result(label: str, seed: int, samples: int) -> dict:
     d1 = regular_nilpotent_centralizer(alg)
     result = {"label": rs.label, "dim": alg.dim, "rank": alg.rank,
               "kappa_fixed_dim": d0, "regular_nilpotent_centralizer": d1}
-    if rs.label in BUDGET_LABELS:
+    if rs.letter != "A":
         witness = v_class_centralizer(alg)
         dinf = witness.centralizer_dim
         # the local centralizer dimensions at 0, 1 and infinity: dim H^1 =

@@ -74,7 +74,6 @@ class RootSystem:
         # G[i][j] = (alpha_i-vee, alpha_j-vee) = a[j][i] * d[j] / 2
         self.form_gram = [[a[j][i] * d[j] // 2 for j in range(r)]
                           for i in range(r)]
-        self.irreducible = len(dynkin_components(a)) == 1
 
     # ------------------------------------------------------------------
 
@@ -126,13 +125,12 @@ class RootSystem:
             norm[low] = norm[root]
         self._sort_roots()
         self.simple_roots = simple
-        if self.irreducible:
-            # |Phi| = r h, h = ht(theta) + 1 (Humphreys, Reflection Groups
-            # and Coxeter Groups, 3.18), theta the last root by height
-            h = sum(self.roots[-1]) + 1
-            check("root-count-is-rank-times-coxeter", len(self.roots) == r * h,
-                  "{}: {} roots, want rank {} times h = {}", self.label,
-                  len(self.roots), r, h)
+        # |Phi| = r h, h = ht(theta) + 1 (Humphreys, Reflection Groups and
+        # Coxeter Groups, 3.18), theta the last root by height
+        h = sum(self.roots[-1]) + 1
+        check("root-count-is-rank-times-coxeter", len(self.roots) == r * h,
+              "{}: {} roots, want rank {} times h = {}", self.label,
+              len(self.roots), r, h)
 
     def _relabel(self, rs: "RootSystem"):
         """Fill self in as the dual of rs: see `dual`."""
@@ -161,14 +159,12 @@ class RootSystem:
         return len(self.roots)
 
     def highest_root(self):
-        """Return (theta, theta-vee) for an irreducible system.
+        """Return (theta, theta-vee): every admitted type is irreducible,
+        so theta is the one root of greatest height, the last one.
 
         theta's coordinates are the marks, and theta-vee's the comarks,
         the coefficients c(alpha) in theta-vee = sum c(alpha) alpha-vee.
         """
-        if not self.irreducible:
-            raise ValueError(f"{self.label} is reducible; no highest root")
-        # the one root of greatest height: the roots are sorted by height
         return self.roots[-1], self.coroot_of[self.roots[-1]]
 
     def dual_coxeter_number(self) -> int:
@@ -235,7 +231,7 @@ def _parse_label(label: str):
         "A": rank == 1,
         "B": rank >= 2,
         "C": rank >= 2,
-        "D": rank >= 2,
+        "D": rank >= 3,
         "E": rank in (7, 8),
         "F": rank == 4,
         "G": rank == 2,
@@ -267,8 +263,6 @@ def _cartan_data(letter: str, rank: int):
         a[n - 1][n - 2] = -1
         return a, [2] * (n - 1) + [4]
     if letter == "D":
-        if n == 2:
-            return [[2, 0], [0, 2]], [2, 2]
         edges = [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
         return _chain_cartan(n, edges), [2] * n
     if letter == "E":
@@ -328,12 +322,11 @@ def fold_dominant(matrix, p, limit):
 
 def require_covered(rs: RootSystem) -> None:
     """ValueError unless the two-group and Chevalley layers cover the type
-    of rs: one whose Weyl group holds -1 and whose dual has its type.  So
-    the layers, and `KappaCharacter` below them, test -1 in W no more and
-    meet no Cn, for which kappa is not pinned down on the Gm factor of
-    K = A(n-1) x Gm."""
-    if not (rs.letter in "AEG"
-            or rs.letter == "D" and rs.rank % 2 == 0 and rs.rank >= 4):
+    of rs: one whose dual has its type (A, D, E or G, so no Cn, for which
+    kappa is not pinned down on the Gm factor of K = A(n-1) x Gm) and
+    whose Weyl group holds -1, as `minus_one_in_weyl` decides.  So the
+    layers, and `KappaCharacter` below them, test neither again."""
+    if not (rs.letter in "ADEG" and rs.minus_one_in_weyl()):
         raise ValueError(f"{rs.label}: the two-group and Chevalley layers "
                          "cover A1, D(2n) with 2n >= 4, E7, E8 or G2")
 

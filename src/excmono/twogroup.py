@@ -40,7 +40,7 @@ from .rootsys import RootSystem, require_covered, root_system
 
 class TildeGroup:
     def __init__(self, rs: RootSystem):
-        require_covered(rs)   # so -1 lies in the Weyl group
+        require_covered(rs)   # A, D, E or G, with -1 in the Weyl group
         rank = rs.rank
         self.rs = rs
         self.r = rank

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import a1lab, affine_k, chevalley, rigidity, twogroup
 from .affine_k import (K_TYPE_TABLE, k_fundamental_quotient,
                        removed_node_coefficient)
-from .chevalley import BUDGET_LABELS, QM_EXPECT, quasiminuscule_dims
+from .chevalley import QM_EXPECT, quasiminuscule_dims
 from .obs import check, clear_caches
 from .rootsys import root_system
 from .twogroup import build_tilde_group
@@ -27,16 +27,15 @@ TORSION_LABELS = ("B3", "B4", "B5", "B6", "B7", "D4", "D6", "D8",
                   "E7", "E8", "F4", "G2")
 FREE_LABELS = ("A1", "B2", "C2", "C3", "C4", "C5")
 
-# the types `rootsys.require_covered` admits up to rank 8, in the order
-# criterion 3 prints
-COVERED_LABELS = ("A1", "D4", "D6", "D8", "E7", "E8", "G2")
-# (Z(G), |Z(G)[2]|): the odd irreps number as many as the radical of
-# A-tilde, which is Z(G)[2]
+# (Z(G), |Z(G)[2]|) for each type `rootsys.require_covered` admits up to
+# rank 8, in the order criterion 3 prints: the odd irreps number as many
+# as the radical of A-tilde, which is Z(G)[2]
 CENTER_EXPECT = {
-    "A1": ("mu4", 2), "G2": ("mu2", 1), "D4": ("mu2^3", 4),
-    "D6": ("mu2 x mu4", 4), "D8": ("mu2^3", 4), "E7": ("mu4", 2),
-    "E8": ("mu2", 1),
+    "A1": ("mu4", 2), "D4": ("mu2^3", 4), "D6": ("mu2 x mu4", 4),
+    "D8": ("mu2^3", 4), "E7": ("mu4", 2), "E8": ("mu2", 1),
+    "G2": ("mu2", 1),
 }
+COVERED_LABELS = tuple(CENTER_EXPECT)
 
 PAPER_DIMS = {"A1": 3, "G2": 14, "E7": 133, "E8": 248}
 
@@ -119,7 +118,7 @@ def criterion_chevalley(seed=0):
         # kappa-fixed and v-class centralizers: half the roots; regular: rank
         half = rs.num_roots // 2
         local, want = [kappa[label], regular[label]], [half, rs.rank]
-        if label in BUDGET_LABELS:
+        if label != "A1":
             vclass[label] = res["v_class"]["centralizer_dim"]
             budgets[label] = [res["budget"][d] for d in ("d0", "d1", "dinf")]
             local += [vclass[label], *budgets[label]]

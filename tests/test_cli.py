@@ -16,6 +16,7 @@ from excmono.arith import is_prime
 from excmono.chevalley import ChevalleyAlgebra, monodromy_result
 from excmono.cli import COMMANDS, main, parse_args
 from excmono.rigidity import MAX_POINTS
+from excmono.rootsys import MAX_RANK
 from oracles import (GOLDEN, README, readme_examples, readme_group_text,
                      stdout_digest)
 
@@ -149,6 +150,39 @@ def test_monodromy_report(capsys):
     assert res["budget"] == {"d0": 63, "d1": 7, "dinf": 63}
     assert res["quasiminuscule"]["dim"] == 133
     assert all(c["passed"] for c in doc["checks"])
+
+
+# every type `require_covered` admits up to MAX_RANK but A1, which has no
+# v-class witness
+BUDGET_TYPES = [f"D{n}" for n in range(4, MAX_RANK + 1, 2)] + ["E7", "E8",
+                                                               "G2"]
+
+
+@pytest.mark.parametrize("label", BUDGET_TYPES)
+def test_monodromy_reports_the_budget_for_every_covered_type_but_a1(
+        capsys, label):
+    code, doc, _ = run_json(capsys, "monodromy", label)
+    assert code == 0
+    res = doc["result"]
+    budget = res["budget"]
+    assert res["v_class"]["centralizer_dim"] == budget["dinf"]
+    assert budget["d0"] + budget["d1"] + budget["dinf"] == res["dim"]
+    assert {"name": "v-class-centralizer", "passed": True,
+            "runs": 1} in doc["checks"]
+
+
+def test_monodromy_a1_reports_no_budget(capsys):
+    code, doc, _ = run_json(capsys, "monodromy", "A1")
+    assert code == 0
+    assert "v_class" not in doc["result"] and "budget" not in doc["result"]
+
+
+@pytest.mark.parametrize("command", ["roots", "k-type", "atilde",
+                                     "monodromy"])
+def test_d2_is_refused_as_a_label(capsys, command):
+    # D2 = A1 x A1 is reducible; the label parser admits D from rank 3
+    assert run_cli(capsys, command, "D2") == (
+        2, "", "error: unsupported Cartan type 'D2'\n")
 
 
 def test_monodromy_label_case_does_not_change_the_result(capsys):
@@ -486,13 +520,13 @@ def test_rigid_empty_class_label_is_quoted(capsys):
 # each input is refused where it enters, by the function named above it;
 # no layer below tests it again
 @pytest.mark.parametrize("argv", [
+    # _parse_label, before any closure: D starts at rank 3
+    ["k-type", "D2"],
     # require_covered, before any two-group, algebra or kappa is built
     ["monodromy", "C3"],
     ["monodromy", "B3"],
     ["monodromy", "D5"],
     ["atilde", "D5"],
-    # highest_root, on every run: a refusal is not cached
-    ["k-type", "D2"],
     # _check_instance, before the matrices are built
     ["rigid", "--group", "psl2", "--ell", "9"],
     # class_by_label, before a triple is counted

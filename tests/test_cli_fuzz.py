@@ -25,14 +25,15 @@ from excmono.cli import main
 
 # labels each command runs on; the two-group and Chevalley layers cover
 # only A1, D(2n), E7, E8 and G2
-ROOT_LABELS = ("A1", "B2", "B3", "C2", "C3", "D2", "D3", "D4", "D5", "E7",
+ROOT_LABELS = ("A1", "B2", "B3", "C2", "C3", "D3", "D4", "D5", "E7",
                "E8", "F4", "G2")
 COVERED_LABELS = ("A1", "D4", "D6", "E7", "G2")
 # refused by the label parser or by the layers: unknown letters, ranks a
 # letter does not have, ranks above MAX_RANK, uncovered types and
 # strings that are no label at all
 BAD_LABELS = ("", "A", "7", "A0", "A2", "B1", "E6", "E9", "F5", "G3",
-              "D15", "B99", "H4", "Z9", "e_7x", "all ", "B3", "D5", "F4")
+              "D15", "B99", "H4", "Z9", "e_7x", "all ", "B3", "D5", "F4",
+              "D2")
 # primes up to 61 that are 1 mod 4; then primes that are 3 mod 4,
 # non-primes, non-integers, and primes above MAX_Q = 1024, which are
 # refused before their scan

@@ -212,12 +212,11 @@ RAISE_SITES = [
     ("rigidity._check_instance:ValueError", "rigid --ell: not an odd prime"),
     ("rigidity._check_instance:_over_table_bytes",
      "rigid --ell: a named group over MAX_TABLE_BYTES"),
-    ("rootsys.RootSystem.highest_root:ValueError",
-     "k-type D2: a reducible type has no highest root"),
     ("rootsys._parse_label:ValueError", "a rank above MAX_RANK"),
     ("rootsys._parse_label:ValueError",
      "a label of no supported letter, or of a rank its letter does not "
-     "have or in other than ASCII digits"),
+     "have (D below rank 3, so no reducible D2) or in other than ASCII "
+     "digits"),
     ("rootsys.require_covered:ValueError",
      "atilde, monodromy: a type the two layers do not cover"),
 ]
@@ -360,10 +359,7 @@ def test_every_cache_is_an_obs_memo():
 
 # a cache stays where a second call site reads it; these are never hit by
 # verify-all or a README example, and stay for the reason given
-NEVER_HIT = {
-    "excmono.chevalley.build_algebra":
-        "perfbench/spans.py CACHED reads its cache_info (ROADMAP item 10)",
-}
+NEVER_HIT = {}
 
 
 def test_every_memo_is_read_again(capsys, monkeypatch, tmp_path):

@@ -230,7 +230,7 @@ def test_minus_one_in_weyl(label):
 
 
 W0_LABELS = (["A1"] + [f"{x}{n}" for x in "BC" for n in range(2, 10)]
-             + [f"D{n}" for n in range(2, 12)] + ["E7", "E8", "F4", "G2"])
+             + [f"D{n}" for n in range(3, 12)] + ["E7", "E8", "F4", "G2"])
 
 
 @pytest.mark.parametrize("label", W0_LABELS + ["F4-dual", "G2-dual"])
@@ -243,8 +243,11 @@ def test_minus_one_in_weyl_matches_longest_element_oracle(label):
     assert rs.minus_one_in_weyl() is (longest_element_matrix(rs) == minus_one)
 
 
-EVERY_LABEL = (["A1"] + [f"{x}{n}" for x in "BCD"
+# every label `_parse_label` admits: D starts at rank 3, D2 = A1 x A1 is
+# reducible
+EVERY_LABEL = (["A1"] + [f"{x}{n}" for x in "BC"
                          for n in range(2, MAX_RANK + 1)]
+               + [f"D{n}" for n in range(3, MAX_RANK + 1)]
                + ["E7", "E8", "F4", "G2"])
 
 
@@ -346,13 +349,27 @@ def test_two_rho_pairs_to_two_on_simples():
 
 
 def test_reducible_d2():
-    rs = root_system("D2")
-    assert rs.num_roots == 4
-    assert not rs.irreducible
+    # D2 = A1 x A1 is the reducible label a D from rank 2 would admit;
+    # the label parser refuses it before any closure
     for _ in range(2):   # a refusal is not cached away
         with pytest.raises(ValueError,
-                           match="^D2 is reducible; no highest root$"):
-            rs.highest_root()
+                           match="^unsupported Cartan type 'D2'$"):
+            root_system("D2")
+
+
+def test_every_admitted_cartan_matrix_is_connected():
+    # rootsys holds irreducible systems only, so the highest root and the
+    # root count |Phi| = r h read one component
+    admitted = []
+    for label in (f"{x}{n}" for x in "ABCDEFG"
+                  for n in range(1, MAX_RANK + 1)):
+        try:
+            rs = root_system(label)
+        except ValueError:
+            continue
+        admitted.append(label)
+        assert dynkin_components(rs.cartan) == [list(range(rs.rank))], label
+    assert sorted(admitted) == sorted(EVERY_LABEL)
 
 
 def test_highest_root_is_the_last_root():
@@ -366,7 +383,7 @@ def test_highest_root_is_the_last_root():
 
 def test_dynkin_components():
     assert dynkin_components(root_system("E8").cartan) == [list(range(8))]
-    assert dynkin_components(root_system("D2").cartan) == [[0], [1]]
+    assert dynkin_components([[2, 0], [0, 2]]) == [[0], [1]]
     # nodes 0 - 2 and 1 = 3 - 4, numbered out of diagram order
     a = [[2, 0, -1, 0, 0], [0, 2, 0, -1, 0], [-1, 0, 2, 0, 0],
          [0, -2, 0, 2, -1], [0, 0, 0, -1, 2]]
